@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,6 +78,39 @@ func TestChaosDeterminism(t *testing.T) {
 	requireIdentical(t, got, want)
 }
 
+// prefixCanceler wraps a backend and cancels the run once seed index 0
+// and at least n results have been delivered. Counting results alone is
+// not enough: with workers dying, the first three results can all lie
+// beyond an unfinished seed 0, and the correct partial result is then
+// empty.
+type prefixCanceler struct {
+	session.Backend
+	n      int
+	cancel context.CancelFunc
+
+	mu    sync.Mutex
+	got   int
+	first bool
+}
+
+func (p *prefixCanceler) Run(ctx context.Context, shard session.Shard) (session.ShardResult, error) {
+	inner := shard.OnResult
+	shard.OnResult = func(i int, m *system.Metrics) {
+		if inner != nil {
+			inner(i, m)
+		}
+		p.mu.Lock()
+		p.got++
+		p.first = p.first || i == 0
+		fire := p.first && p.got >= p.n
+		p.mu.Unlock()
+		if fire {
+			p.cancel()
+		}
+	}
+	return p.Backend.Run(ctx, shard)
+}
+
 // TestChaosCancellationPrefix cancels mid-run while worker kills are
 // armed: the partial result must still be the exact contiguous seed
 // prefix of the reference, every returned replication bit-identical.
@@ -95,16 +129,11 @@ func TestChaosCancellationPrefix(t *testing.T) {
 		RetryBackoff: 10 * time.Millisecond,
 		Env:          []string{failpoint.EnvVar + "=" + spec},
 	})
-	s := session.NewWithBackend(b)
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := s.Run(ctx, session.Job{Config: cfg, Reps: reps},
-		session.WithProgress(func(done, total int) {
-			if done == 3 {
-				cancel()
-			}
-		}))
+	s := session.NewWithBackend(&prefixCanceler{Backend: b, n: 3, cancel: cancel})
+	defer s.Close()
+	res, err := s.Run(ctx, session.Job{Config: cfg, Reps: reps})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -296,6 +325,56 @@ func TestCloseAfterWorkerKill(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCloseFailsRunsInFlight pins Close's contract for runs in flight:
+// they fail at once with the backend-closed error instead of waiting
+// for a heartbeat tick to notice the silent workers, and nothing falls
+// back to an in-process pool created after Close.
+func TestCloseFailsRunsInFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	cfg := shortCfg(20000)
+	b := testBackend(t, ProcOptions{Workers: 2, ChunkSize: 1})
+	first := make(chan struct{})
+	var once sync.Once
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Run(context.Background(), session.Shard{
+			Config: cfg, Seeds: []uint64{1, 2, 3, 4, 5, 6, 7, 8}, Parallelism: 1,
+			OnResult: func(int, *system.Metrics) { once.Do(func() { close(first) }) },
+		})
+		done <- err
+	}()
+	select {
+	case <-first:
+	case err := <-done:
+		t.Fatalf("run ended before any result: %v", err)
+	}
+	start := time.Now()
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, errBackendClosed) {
+			t.Fatalf("Run after Close returned %v, want %v", err, errBackendClosed)
+		}
+		if el := time.Since(start); el > 250*time.Millisecond {
+			t.Fatalf("Run returned %v after Close, want < 250ms", el)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked 10s after Close")
+	}
+	if ds := b.DistribStats(); ds.Fallbacks != 0 {
+		t.Fatalf("Close triggered %d in-process fallbacks", ds.Fallbacks)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.fallback != nil {
+		t.Fatal("a fallback pool was created after Close")
 	}
 }
 

@@ -275,16 +275,11 @@ func TestProcBackendCancellation(t *testing.T) {
 	}
 
 	b := testBackend(t, ProcOptions{Workers: 2, ChunkSize: 2})
-	s := session.NewWithBackend(b)
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := s.Run(ctx, session.Job{Config: cfg, Reps: reps},
-		session.WithProgress(func(done, total int) {
-			if done == 3 {
-				cancel()
-			}
-		}))
+	s := session.NewWithBackend(&prefixCanceler{Backend: b, n: 3, cancel: cancel})
+	defer s.Close()
+	res, err := s.Run(ctx, session.Job{Config: cfg, Reps: reps})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

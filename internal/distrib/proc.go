@@ -177,12 +177,27 @@ func (o ProcOptions) retryBackoff(attempts int) time.Duration {
 	return d
 }
 
-// wireFrame is one frame (or terminal read error) delivered by a
-// worker's reader goroutine.
-type wireFrame struct {
-	kind    msgKind
-	payload []byte
-	err     error
+// errBackendClosed fails runs on a closed backend, including dispatches
+// still in flight when Close ran. It does not wrap errWorkerDead: a
+// closed backend retries nothing and falls back to nothing.
+var errBackendClosed = errors.New("distrib: backend closed")
+
+// reply is one routed worker frame: a replication's result, or (done
+// set) the dispatch's closing outcome.
+type reply struct {
+	index   int
+	metrics *system.Metrics
+	done    *doneMsg
+}
+
+// flight is one dispatch awaiting its worker's frames. Its buffer holds
+// a whole chunk's results plus the done frame, so the reader never
+// blocks on a slow dispatch; a worker that overflows it broke protocol.
+// A requeued chunk's done frame counts as a steal.
+type flight struct {
+	size     int
+	requeued bool
+	replies  chan reply
 }
 
 // procConn adapts a spawned worker process to the WorkerConn seam:
@@ -207,51 +222,34 @@ func (c *procConn) Kill() {
 func (c *procConn) Wait() { _ = c.cmd.Wait() }
 
 // procWorker is one attached worker endpoint (a spawned process or a
-// dialed connection).
+// dialed connection), shared by every run in flight.
 type procWorker struct {
 	conn WorkerConn
 	fw   *frameWriter
 	br   *bufio.Reader
+	slot int // fleet slot the worker fills
 
-	// frames delivers the worker's output, one frame per receive, read
-	// by a dedicated goroutine so the dispatcher can multiplex frames
-	// with heartbeat timers. The reader exits on its first read error
-	// (delivered as the final wireFrame) or when stop closes.
-	frames   chan wireFrame
-	stop     chan struct{}
-	stopOnce sync.Once
+	// gone closes once the worker fails — a read error, a protocol
+	// violation, a missed liveness deadline, a reap, or Close — and
+	// wakes every dispatch still waiting on it; err (set first) says why.
+	gone chan struct{}
 
-	dead bool
+	// Everything below is guarded by the backend's mu (cold path: once
+	// per frame at most, never per event): failure state, the
+	// dispatches awaiting frames by dispatch id, liveness, and the
+	// coordinator-side stats.
+	dead    bool
+	err     error
+	flights map[uint64]*flight
+	last    time.Time // last frame, or the start of the first dispatch on an idle worker
+	pinged  bool      // a liveness ping is unanswered
 
-	// Coordinator-side stats. Only this worker's dispatch goroutine
-	// writes them, but DistribStats snapshots concurrently, so all
-	// access goes through the backend's mu (cold path: once per frame
-	// at most, never per event).
 	id         uint64
 	subShards  uint64
 	steals     uint64
 	framesRecv uint64
 	bytesRecv  uint64
 	pool       obs.PoolStats // latest pool gauges from a done frame
-}
-
-// stopReader releases the worker's reader goroutine (idempotent).
-func (w *procWorker) stopReader() { w.stopOnce.Do(func() { close(w.stop) }) }
-
-// readLoop feeds the worker's stdout frames into w.frames until a read
-// error (delivered, then the loop exits) or stopReader.
-func (w *procWorker) readLoop() {
-	for {
-		kind, payload, err := readFrame(w.br)
-		select {
-		case w.frames <- wireFrame{kind: kind, payload: payload, err: err}:
-		case <-w.stop:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
 }
 
 // ProcBackend implements session.Backend across worker processes: it
@@ -261,6 +259,13 @@ func (w *procWorker) readLoop() {
 // its output is byte-identical to the in-process pool at any worker
 // count.
 //
+// Concurrent Run calls share the fleet side by side. Each run keeps its
+// own chunks, recovery budget and seed-order merge, and keeps at most
+// one chunk in flight per worker, so a shard's Parallelism is honoured;
+// a worker runs the chunks of different runs concurrently on its own
+// pool. One reader per worker routes result and done frames to their
+// dispatch by id.
+//
 // The coordinator supervises its fleet: per-worker heartbeats detect
 // hung processes (not just closed pipes) within a liveness deadline,
 // per-sub-shard execution deadlines derived from observed chunk
@@ -268,25 +273,26 @@ func (w *procWorker) readLoop() {
 // capped exponential backoff on surviving (or mid-run respawned)
 // workers, and an idle worker speculatively re-runs the slowest
 // outstanding chunk (first result wins; duplicates are deduplicated
-// deterministically, so hedging never changes results). When the
-// per-run respawn budget is exhausted — or no worker can be kept
-// alive — the backend degrades gracefully: the remaining seeds run on
-// an embedded in-process pool and the fallback is recorded in
-// DistribStats. Every recovery path preserves bit-identical merged
-// output, because replications are pure functions of (config, seed).
+// deterministically, so hedging never changes results). A failed
+// worker fails every dispatch on it, whichever run it belongs to; runs
+// that see one death share one replacement, and the fleet never
+// exceeds Workers. When a run's respawn budget is exhausted — or no
+// worker can be kept alive — the backend degrades gracefully: the run's
+// remaining seeds execute on an embedded in-process pool and the
+// fallback is recorded in DistribStats. Every recovery path preserves
+// bit-identical merged output, because replications are pure functions
+// of (config, seed).
 //
 // Configurations that cannot cross a process boundary (ErrNotWirable:
 // an attached trace recorder, an unregistered Shape or Demand) fall
 // back to the embedded in-process pool transparently.
-//
-// Concurrent Run calls are safe but serialize on the worker set.
 type ProcBackend struct {
 	opts ProcOptions
 
-	runMu sync.Mutex // serializes Runs: they lease the whole worker set
+	spawnMu sync.Mutex // serializes fleet changes (spawns into slots); taken before mu
 
-	mu       sync.Mutex // guards workers/fallback/closed/nextID and all stats below
-	workers  []*procWorker
+	mu       sync.Mutex    // guards workers/fallback/closed/nextID, worker state, and all stats below
+	workers  []*procWorker // fleet slots; nil or dead until (re)spawned
 	fallback *session.Pool
 	closed   bool
 	nextID   uint64
@@ -295,7 +301,6 @@ type ProcBackend struct {
 	// recovery counters, the seed-order merge buffer's high-water mark,
 	// and the final stats of reaped workers.
 	workerSeq        uint64
-	fleetUp          bool // the initial fleet stood up; later spawns are respawns
 	deaths           uint64
 	respawns         uint64
 	mergeHWM         uint64
@@ -311,15 +316,15 @@ type ProcBackend struct {
 // NewProcBackend returns a backend; worker processes spawn lazily on
 // the first Run that needs them.
 func NewProcBackend(opts ProcOptions) *ProcBackend {
-	return &ProcBackend{opts: opts}
+	return &ProcBackend{opts: opts, workers: make([]*procWorker, opts.workers())}
 }
 
 // Close shuts the workers down (closing stdin lets them exit cleanly;
 // they are killed as a backstop, and every worker is reaped even if an
-// earlier one fails to shut down) and drops the fallback pool. The
-// first shutdown error wins; Close is idempotent — the second call
-// returns nil without touching anything. Close is not safe
-// concurrently with Run.
+// earlier one fails to shut down) and drops the fallback pool. Runs in
+// flight fail at once with a "backend closed" error. The first shutdown
+// error wins; Close is idempotent — the second call returns nil without
+// touching anything.
 func (b *ProcBackend) Close() error {
 	b.mu.Lock()
 	if b.closed {
@@ -327,14 +332,20 @@ func (b *ProcBackend) Close() error {
 		return nil
 	}
 	b.closed = true
-	workers := b.workers
+	var workers []*procWorker
+	for _, w := range b.workers {
+		if w != nil && !w.dead {
+			w.dead, w.err = true, errBackendClosed
+			close(w.gone)
+			workers = append(workers, w)
+		}
+	}
 	b.workers = nil
 	fallback := b.fallback
 	b.fallback = nil
 	b.mu.Unlock()
 	var firstErr error
 	for _, w := range workers {
-		w.stopReader()
 		if err := w.conn.Close(); err != nil && !errors.Is(err, os.ErrClosed) && firstErr == nil {
 			firstErr = fmt.Errorf("distrib: close worker %d: %w", w.id, err)
 		}
@@ -350,8 +361,7 @@ func (b *ProcBackend) Close() error {
 }
 
 // spawn establishes one worker endpoint — a process over pipes, or a
-// dialed connection when opts.Dial is set — and starts its reader
-// goroutine.
+// dialed connection when opts.Dial is set.
 func (b *ProcBackend) spawn() (*procWorker, error) {
 	if _, err := failpoint.Inject("distrib/spawn"); err != nil {
 		return nil, fmt.Errorf("distrib: start worker: %w", err)
@@ -370,15 +380,13 @@ func (b *ProcBackend) spawn() (*procWorker, error) {
 		}
 		conn = c
 	}
-	w := &procWorker{
-		conn:   conn,
-		fw:     newFrameWriter(conn),
-		br:     bufio.NewReaderSize(conn, 1<<16),
-		frames: make(chan wireFrame, 16),
-		stop:   make(chan struct{}),
-	}
-	go w.readLoop()
-	return w, nil
+	return &procWorker{
+		conn:    conn,
+		fw:      newFrameWriter(conn),
+		br:      bufio.NewReaderSize(conn, 1<<16),
+		gone:    make(chan struct{}),
+		flights: map[uint64]*flight{},
+	}, nil
 }
 
 // spawnProc starts one worker process on stdin/stdout pipes.
@@ -414,93 +422,227 @@ func spawnProc(opts ProcOptions) (*procConn, error) {
 	return &procConn{cmd: cmd, in: stdin, out: stdout}, nil
 }
 
-// attach returns the live worker set, spawning replacements for dead
-// (or not yet started) workers.
-func (b *ProcBackend) attach() ([]*procWorker, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, errors.New("distrib: backend closed")
-	}
-	live := b.workers[:0]
-	for _, w := range b.workers {
-		if !w.dead {
-			live = append(live, w)
-		}
-	}
-	b.workers = live
-	for len(b.workers) < b.opts.workers() {
-		w, err := b.spawn()
-		if err != nil {
-			if len(b.workers) > 0 {
-				break // run on what we have
-			}
-			return nil, err
-		}
-		b.workerSeq++
-		w.id = b.workerSeq
-		if b.fleetUp {
-			b.respawns++
-		}
-		b.workers = append(b.workers, w)
-	}
-	b.fleetUp = true
-	return append([]*procWorker(nil), b.workers...), nil
-}
-
-// respawn replaces a reaped worker mid-run.
-func (b *ProcBackend) respawn() (*procWorker, error) {
+// fill returns the live worker in fleet slot i. An empty slot, or one
+// whose worker failed, gets a fresh spawn when spawn is set (a respawn
+// if the slot held a worker before) and stays empty (nil, nil)
+// otherwise. The caller holds spawnMu, so runs that see one death share
+// one replacement.
+func (b *ProcBackend) fill(i int, spawn bool) (*procWorker, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, errors.New("distrib: backend closed")
+		return nil, errBackendClosed
+	}
+	old := b.workers[i]
+	if old != nil && !old.dead {
+		b.mu.Unlock()
+		return old, nil
 	}
 	b.mu.Unlock()
+	if !spawn {
+		return nil, nil
+	}
 	w, err := b.spawn()
 	if err != nil {
 		return nil, err
 	}
 	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		w.conn.Kill()
+		w.conn.Wait()
+		return nil, errBackendClosed
+	}
 	b.workerSeq++
-	w.id = b.workerSeq
-	b.respawns++
-	b.workers = append(b.workers, w)
+	w.id, w.slot = b.workerSeq, i
+	if old != nil {
+		b.respawns++
+	}
+	b.workers[i] = w
 	b.mu.Unlock()
+	go b.readLoop(w)
+	go b.watch(w)
 	return w, nil
 }
 
-// reap marks a worker dead, archives its final stats, removes it from
-// the fleet, and reclaims its process.
-func (b *ProcBackend) reap(w *procWorker) {
+// attach returns a run's view of the fleet: every slot's live worker,
+// spawning into empty or failed slots. After the first failed spawn it
+// runs on what it has; with no worker at all it fails.
+func (b *ProcBackend) attach() ([]*procWorker, error) {
+	b.spawnMu.Lock()
+	defer b.spawnMu.Unlock()
+	var live []*procWorker
+	var spawnErr error
+	for i := 0; i < b.opts.workers(); i++ {
+		w, err := b.fill(i, spawnErr == nil)
+		if errors.Is(err, errBackendClosed) {
+			return nil, err
+		}
+		if err != nil {
+			spawnErr = err
+		}
+		if w != nil {
+			live = append(live, w)
+		}
+	}
+	if len(live) == 0 {
+		return nil, spawnErr
+	}
+	return live, nil
+}
+
+// replace returns the live successor of a failed worker in its slot,
+// spawning one unless a concurrent run already did.
+func (b *ProcBackend) replace(old *procWorker) (*procWorker, error) {
+	b.spawnMu.Lock()
+	defer b.spawnMu.Unlock()
+	return b.fill(old.slot, true)
+}
+
+// reap fails a worker: it records the cause, wakes every dispatch
+// waiting on it, archives its final stats as a death, and reclaims its
+// endpoint. The first cause wins; later calls (and calls after Close)
+// do nothing.
+func (b *ProcBackend) reap(w *procWorker, cause error) {
 	b.mu.Lock()
 	if w.dead {
 		b.mu.Unlock()
 		return
 	}
-	w.dead = true
+	w.dead, w.err = true, cause
+	close(w.gone)
 	b.deaths++
 	b.retired = append(b.retired, b.workerStatsLocked(w))
-	for i, x := range b.workers {
-		if x == w {
-			b.workers = append(b.workers[:i], b.workers[i+1:]...)
-			break
-		}
-	}
 	b.mu.Unlock()
-	w.stopReader()
 	_ = w.conn.Close()
 	w.conn.Kill()
 	go w.conn.Wait()
 }
 
-// localPool returns the embedded in-process fallback pool.
-func (b *ProcBackend) localPool() *session.Pool {
+// readLoop routes the worker's frames to their dispatches until a read
+// error or a protocol violation fails the worker.
+func (b *ProcBackend) readLoop(w *procWorker) {
+	for {
+		kind, payload, err := readFrame(w.br)
+		if err != nil {
+			b.reap(w, fmt.Errorf("%w: read: %v", errWorkerDead, err))
+			return
+		}
+		if err := b.route(w, kind, payload); err != nil {
+			b.countDecodeReject()
+			b.reap(w, fmt.Errorf("%w: %v", errWorkerDead, err))
+			return
+		}
+	}
+}
+
+// route delivers one frame. Any frame proves the worker alive; results
+// and done frames go to the dispatch they name, and frames of finished
+// or abandoned dispatches (a cancelled hedge, a timed-out chunk) are
+// dropped. A malformed frame is an error: the stream can no longer be
+// trusted.
+func (b *ProcBackend) route(w *procWorker, kind msgKind, payload []byte) error {
+	var (
+		id uint64
+		r  reply
+	)
+	switch kind {
+	case msgPong:
+	case msgResult:
+		var m resultMsg
+		if err := decodeMsg(kind, payload, &m); err != nil {
+			return err
+		}
+		id, r = m.ID, reply{index: m.Index, metrics: m.Metrics}
+	case msgDone:
+		var m doneMsg
+		if err := decodeMsg(kind, payload, &m); err != nil {
+			return err
+		}
+		id, r = m.ID, reply{done: &m}
+	default:
+		return fmt.Errorf("unexpected frame kind %d", kind)
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	w.framesRecv++
+	w.bytesRecv += uint64(len(payload)) + frameOverhead
+	w.last, w.pinged = time.Now(), false
+	fl := w.flights[id]
+	if kind == msgPong || fl == nil {
+		return nil
+	}
+	if r.done != nil {
+		delete(w.flights, id)
+		w.subShards++
+		if fl.requeued {
+			w.steals++
+		}
+		w.pool = r.done.Pool // cumulative gauges; latest frame supersedes
+	} else if r.index < 0 || r.index >= fl.size || r.metrics == nil {
+		return fmt.Errorf("malformed result frame (id %d, index %d)", id, r.index)
+	}
+	select {
+	case fl.replies <- r:
+		return nil
+	default:
+		return fmt.Errorf("more results than seeds for dispatch %d", id)
+	}
+}
+
+// watch probes the worker's liveness while dispatches wait on it: after
+// a heartbeat of silence it pings, counts a ping still unanswered at
+// the next probe as missed, and fails the worker once it has been
+// silent past the liveness deadline.
+func (b *ProcBackend) watch(w *procWorker) {
+	hb, liveness := b.opts.heartbeat(), b.opts.workerTimeout()
+	t := time.NewTicker(hb)
+	defer t.Stop()
+	var seq uint64
+	for {
+		select {
+		case <-w.gone:
+			return
+		case <-t.C:
+		}
+		b.mu.Lock()
+		silent := time.Since(w.last)
+		probe := len(w.flights) > 0 && silent >= hb
+		if probe {
+			if w.pinged {
+				b.heartbeatsMissed++
+			}
+			w.pinged = true
+		}
+		b.mu.Unlock()
+		switch {
+		case !probe:
+			continue
+		case silent > liveness:
+			b.reap(w, fmt.Errorf("worker %d silent for %v: %w", w.id, silent.Round(time.Millisecond), errWorkerHung))
+			return
+		}
+		seq++
+		if err := w.fw.send(msgPing, pingMsg{Seq: seq}); err != nil {
+			b.reap(w, fmt.Errorf("%w: ping: %v", errWorkerDead, err))
+			return
+		}
+	}
+}
+
+// localPool records a fallback and returns the embedded in-process
+// pool; a closed backend has none.
+func (b *ProcBackend) localPool() (*session.Pool, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return nil, errBackendClosed
+	}
 	if b.fallback == nil {
 		b.fallback = session.NewPool()
 	}
-	return b.fallback
+	b.fallbacks++
+	return b.fallback, nil
 }
 
 // chunk is a contiguous [start, end) slice of a shard's seed range.
@@ -564,8 +706,8 @@ type chunkState struct {
 // workers are reaped and their chunks retried (with backoff) on
 // survivors or mid-run respawns; if the recovery budget runs out, the
 // remaining seeds execute on the embedded in-process pool. The only
-// hard failures are a replication error inside the simulation itself
-// and an unspawnable initial fleet.
+// hard failures are a replication error inside the simulation itself,
+// an unspawnable initial fleet, and Close.
 func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.ShardResult, error) {
 	if len(shard.Seeds) == 0 {
 		return session.ShardResult{Metrics: []*system.Metrics{}}, ctx.Err()
@@ -573,26 +715,22 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 	wc, err := ToWire(shard.Config)
 	if err != nil {
 		if errors.Is(err, ErrNotWirable) {
-			b.mu.Lock()
-			b.fallbacks++
-			b.mu.Unlock()
-			return b.localPool().Run(ctx, shard)
+			pool, perr := b.localPool()
+			if perr != nil {
+				return session.ShardResult{}, perr
+			}
+			return pool.Run(ctx, shard)
 		}
 		return session.ShardResult{}, err
 	}
 
-	b.runMu.Lock()
-	defer b.runMu.Unlock()
 	workers, err := b.attach()
 	if err != nil {
-		b.mu.Lock()
-		closed := b.closed
-		if !closed && b.opts.DegradeToLocal {
-			b.fallbacks++
-			b.mu.Unlock()
-			return b.localPool().Run(ctx, shard)
+		if b.opts.DegradeToLocal {
+			if pool, perr := b.localPool(); perr == nil {
+				return pool.Run(ctx, shard)
+			}
 		}
-		b.mu.Unlock()
 		return session.ShardResult{}, err
 	}
 
@@ -838,9 +976,9 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 			}
 
 			// The worker is gone (died, hung, or broke protocol): reap
-			// it and — within the budget — respawn a replacement after a
-			// capped backoff so the fleet heals mid-run.
-			b.reap(w)
+			// it and — within the budget — replace it after a capped
+			// backoff so the fleet heals mid-run.
+			b.reap(w, cerr)
 			mu.Lock()
 			live--
 			canRespawn := !cancelled && failErr == nil && !degraded &&
@@ -856,7 +994,7 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 				case <-runCtx.Done():
 					return
 				}
-				if nw, rerr := b.respawn(); rerr == nil {
+				if nw, rerr := b.replace(w); rerr == nil {
 					mu.Lock()
 					live++
 					mu.Unlock()
@@ -902,9 +1040,10 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 			}
 		}
 		if len(idxs) > 0 {
-			b.mu.Lock()
-			b.fallbacks++
-			b.mu.Unlock()
+			pool, perr := b.localPool()
+			if perr != nil {
+				return session.ShardResult{}, perr
+			}
 			seeds := make([]uint64, len(idxs))
 			for j, i := range idxs {
 				seeds[j] = shard.Seeds[i]
@@ -915,7 +1054,7 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 				Parallelism: shard.Parallelism,
 				OnResult:    func(j int, m *system.Metrics) { record(idxs[j], m) },
 			}
-			if _, ferr := b.localPool().Run(ctx, fb); ferr != nil && !isCancellation(ferr) {
+			if _, ferr := pool.Run(ctx, fb); ferr != nil && !isCancellation(ferr) {
 				failErr = ferr
 			}
 		}
@@ -940,17 +1079,34 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 	return session.ShardResult{Metrics: metrics, Completed: len(metrics)}, nil
 }
 
-// runChunk dispatches one sub-shard to a worker and consumes its frames
-// until the coded done frame, probing liveness with heartbeats while
-// the worker is silent. Transport failures, missed liveness deadlines,
-// and overrun execution deadlines return errors wrapping errWorkerDead;
-// the caller reaps the worker and re-queues the chunk.
+// runChunk dispatches one sub-shard to a worker and consumes the frames
+// the worker's reader routes to it, up to the coded done frame. A
+// failed worker and an overrun execution deadline return errors
+// wrapping errWorkerDead; the caller reaps the worker and re-queues the
+// chunk.
 func (b *ProcBackend) runChunk(ctx context.Context, w *procWorker, wc *WireConfig,
 	shard session.Shard, c chunk, id uint64, deadline time.Duration,
 	record func(int, *system.Metrics)) error {
 	if _, err := failpoint.Inject("distrib/dispatch"); err != nil {
 		return fmt.Errorf("%w: dispatch: %v", errWorkerDead, err)
 	}
+	fl := &flight{size: c.end - c.start, requeued: c.requeued, replies: make(chan reply, c.end-c.start+1)}
+	b.mu.Lock()
+	if w.dead {
+		b.mu.Unlock()
+		return w.err
+	}
+	if len(w.flights) == 0 {
+		w.last, w.pinged = time.Now(), false // liveness restarts on an idle worker
+	}
+	w.flights[id] = fl
+	b.mu.Unlock()
+	defer func() {
+		b.mu.Lock()
+		delete(w.flights, id)
+		b.mu.Unlock()
+	}()
+
 	msg := shardMsg{
 		ID:          id,
 		Config:      *wc,
@@ -960,100 +1116,36 @@ func (b *ProcBackend) runChunk(ctx context.Context, w *procWorker, wc *WireConfi
 	if err := w.fw.send(msgShard, msg); err != nil {
 		return fmt.Errorf("%w: send: %v", errWorkerDead, err)
 	}
-	// Forward cancellation as a frame while the loop below waits for
-	// the worker's (possibly partial) results.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = w.fw.send(msgCancel, cancelMsg{ID: id})
-		case <-watchDone:
-		}
-	}()
-
-	hb := b.opts.heartbeat()
-	liveness := b.opts.workerTimeout()
-	start := time.Now()
-	last := start
-	var pingSeq uint64
-	pingOutstanding := false
-	timer := time.NewTimer(hb)
-	defer timer.Stop()
+	var overrun <-chan time.Time
+	if deadline > 0 {
+		t := time.NewTimer(deadline)
+		defer t.Stop()
+		overrun = t.C
+	}
+	cancel := ctx.Done()
 	for {
+		var r reply
 		select {
-		case f := <-w.frames:
-			if f.err != nil {
-				return fmt.Errorf("%w: read: %v", errWorkerDead, f.err)
-			}
-			last = time.Now()
-			b.mu.Lock()
-			w.framesRecv++
-			w.bytesRecv += uint64(len(f.payload)) + frameOverhead
-			b.mu.Unlock()
-			switch f.kind {
-			case msgPong:
-				pingOutstanding = false
-			case msgResult:
-				var m resultMsg
-				if err := decodeMsg(f.kind, f.payload, &m); err != nil {
-					b.countDecodeReject()
-					return fmt.Errorf("%w: %v", errWorkerDead, err)
-				}
-				if m.ID != id {
-					continue // stale frame from a cancelled dispatch
-				}
-				if m.Index < 0 || m.Index >= c.end-c.start || m.Metrics == nil {
-					b.countDecodeReject()
-					return fmt.Errorf("%w: malformed result frame (id %d, index %d)", errWorkerDead, m.ID, m.Index)
-				}
-				record(c.start+m.Index, m.Metrics)
-			case msgDone:
-				var m doneMsg
-				if err := decodeMsg(f.kind, f.payload, &m); err != nil {
-					b.countDecodeReject()
-					return fmt.Errorf("%w: %v", errWorkerDead, err)
-				}
-				if m.ID != id {
-					continue // stale done from a cancelled dispatch
-				}
-				b.mu.Lock()
-				w.subShards++
-				if c.requeued {
-					w.steals++
-				}
-				w.pool = m.Pool // cumulative gauges; latest frame supersedes
-				b.mu.Unlock()
-				return m.Code.err(m.Error)
+		case r = <-fl.replies:
+		case <-w.gone:
+			select {
+			case r = <-fl.replies: // frames routed before the failure still count
 			default:
-				b.countDecodeReject()
-				return fmt.Errorf("%w: unexpected frame kind %d", errWorkerDead, f.kind)
+				return w.err
 			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(hb)
-		case <-timer.C:
-			now := time.Now()
-			if pingOutstanding {
-				b.countMissedHeartbeat()
-			}
-			if now.Sub(last) > liveness {
-				return fmt.Errorf("worker %d silent for %v: %w", w.id, now.Sub(last).Round(time.Millisecond), errWorkerHung)
-			}
-			if deadline > 0 && now.Sub(start) > deadline {
-				return fmt.Errorf("sub-shard ran %v (deadline %v): %w", now.Sub(start).Round(time.Millisecond), deadline, errChunkDeadline)
-			}
-			pingSeq++
-			if err := w.fw.send(msgPing, pingMsg{Seq: pingSeq}); err != nil {
-				return fmt.Errorf("%w: ping: %v", errWorkerDead, err)
-			}
-			pingOutstanding = true
-			timer.Reset(hb)
+		case <-cancel:
+			// Forward cancellation as a frame, then keep waiting for the
+			// worker's (possibly partial) results.
+			cancel = nil
+			_ = w.fw.send(msgCancel, cancelMsg{ID: id})
+			continue
+		case <-overrun:
+			return fmt.Errorf("sub-shard exceeded %v: %w", deadline, errChunkDeadline)
 		}
+		if r.done != nil {
+			return r.done.Code.err(r.done.Error)
+		}
+		record(c.start+r.index, r.metrics)
 	}
 }
 
@@ -1066,7 +1158,7 @@ func (b *ProcBackend) noteMergeDepth(d uint64) {
 	b.mu.Unlock()
 }
 
-// countRetry, countHedge, countMissedHeartbeat, and countDecodeReject
+// countRetry, countHedge, and countDecodeReject
 // bump the coordinator's recovery counters (cold path, under b.mu).
 func (b *ProcBackend) countRetry() {
 	b.mu.Lock()
@@ -1081,12 +1173,6 @@ func (b *ProcBackend) countHedge(won bool) {
 	} else {
 		b.hedgesLost++
 	}
-	b.mu.Unlock()
-}
-
-func (b *ProcBackend) countMissedHeartbeat() {
-	b.mu.Lock()
-	b.heartbeatsMissed++
 	b.mu.Unlock()
 }
 
@@ -1134,7 +1220,7 @@ func (b *ProcBackend) DistribStats() *obs.DistribStats {
 		Workers:            append([]obs.WorkerStats(nil), b.retired...),
 	}
 	for _, w := range b.workers {
-		if w.dead {
+		if w == nil || w.dead {
 			continue // archived in retired by reap
 		}
 		out.Workers = append(out.Workers, b.workerStatsLocked(w))
@@ -1154,7 +1240,7 @@ func (b *ProcBackend) PoolStats() obs.PoolStats {
 		ps.Add(w.Pool)
 	}
 	for _, w := range b.workers {
-		if w.dead {
+		if w == nil || w.dead {
 			continue // already counted via retired
 		}
 		ps.Add(w.pool)

@@ -17,12 +17,13 @@ import (
 // shard, cancel, and ping frames from r until EOF and writes result,
 // done, and pong frames to w. Each worker process owns one warm
 // session.Pool, so consecutive sub-shards reuse workspaces exactly as
-// the in-process backend does. Shards run concurrently if the
-// coordinator pipelines them (the current coordinator sends one at a
-// time per worker); cancellation stops a shard at its next replication
-// boundary, preserving the seed-prefix guarantee. Pings are answered
-// from the main loop even while shards execute in their goroutines, so
-// liveness replies flow as long as the process itself is healthy.
+// the in-process backend does. Shards run concurrently, each on its own
+// workspace: the coordinator keeps one chunk per run in flight on each
+// worker, so concurrent runs overlap here. Cancellation stops a shard
+// at its next replication boundary, preserving the seed-prefix
+// guarantee. Pings are answered from the main loop even while shards
+// execute in their goroutines, so liveness replies flow as long as the
+// process itself is healthy.
 //
 // A clean shutdown — stdin closing between frames — returns nil after
 // in-flight shards finish. A malformed frame (truncated, corrupt,

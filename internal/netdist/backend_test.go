@@ -53,16 +53,26 @@ func metricsSig(m *system.Metrics) string {
 // returns per-replication signatures plus the merged scenario CSV.
 func runJob(t *testing.T, b session.Backend, job session.Job) ([]string, []byte) {
 	t.Helper()
+	sigs, csv, err := jobOutput(b, job, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sigs, csv
+}
+
+// jobOutput is runJob at the given parallelism, safe to call off the
+// test goroutine; a nil backend runs on the in-process pool.
+func jobOutput(b session.Backend, job session.Job, par int) ([]string, []byte, error) {
 	var sess *session.Session
 	if b == nil {
-		sess = session.New(session.WithParallelism(2))
+		sess = session.New(session.WithParallelism(par))
 	} else {
-		sess = session.NewWithBackend(b, session.WithParallelism(2))
+		sess = session.NewWithBackend(b, session.WithParallelism(par))
 	}
 	defer sess.Close()
 	res, err := sess.Run(context.Background(), job)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	sigs := make([]string, len(res.Runs))
 	for i, m := range res.Runs {
@@ -71,10 +81,10 @@ func runJob(t *testing.T, b session.Backend, job session.Job) ([]string, []byte)
 	var csv bytes.Buffer
 	if res.Series != nil {
 		if err := res.Series.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 	}
-	return sigs, csv.Bytes()
+	return sigs, csv.Bytes(), nil
 }
 
 func testJob(t *testing.T, reps int) session.Job {

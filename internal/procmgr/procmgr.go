@@ -105,9 +105,12 @@ type Manager struct {
 	frameFree []*frame
 	// instSlab and frameSlab are bump-allocation chunks fresh shells are
 	// carved from when the free lists run dry (pooled runs only):
-	// O(peak/mgrSlab) allocations instead of one per shell.
-	instSlab  []Instance
-	frameSlab []frame
+	// O(peak/mgrSlab) allocations instead of one per shell. instSlabs
+	// and frameSlabs hold every chunk, for Reconfigure to reclaim.
+	instSlab   []Instance
+	frameSlab  []frame
+	instSlabs  task.Arena[Instance]
+	frameSlabs task.Arena[frame]
 	// graphPool receives retired instance graphs; nil drops them to the
 	// garbage collector.
 	graphPool *task.GraphPool
@@ -183,10 +186,10 @@ func New(cfg Config) (*Manager, error) {
 }
 
 // Reconfigure rebinds the manager for a fresh replication in place,
-// keeping the pending tables, free lists and scratch buffers at their
+// keeping the pending tables, shell slabs and scratch buffers at their
 // working capacity. Any in-flight state of a previous run (instances
-// cut off by the horizon) is dropped. A reconfigured manager behaves
-// exactly like a freshly constructed one.
+// cut off by the horizon) is dropped and its shells reclaimed. A
+// reconfigured manager behaves exactly like a freshly constructed one.
 func (m *Manager) Reconfigure(cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -207,6 +210,10 @@ func (m *Manager) Reconfigure(cfg Config) error {
 	m.pendFrame = m.pendFrame[:0]
 	m.pendID = m.pendID[:0]
 	m.pendFree = m.pendFree[:0]
+	m.instFree, m.frameFree = m.instFree[:0], m.frameFree[:0]
+	m.instSlab, m.frameSlab = nil, nil
+	m.instSlabs.Rewind()
+	m.frameSlabs.Rewind()
 	return nil
 }
 
@@ -224,7 +231,7 @@ func (m *Manager) NewInstance() *Instance {
 	}
 	if m.pool != nil {
 		if len(m.instSlab) == 0 {
-			m.instSlab = make([]Instance, mgrSlab)
+			m.instSlab = m.instSlabs.Slab(mgrSlab)
 		}
 		inst := &m.instSlab[0]
 		m.instSlab = m.instSlab[1:]
@@ -259,7 +266,7 @@ func (m *Manager) newFrame(inst *Instance, g *task.Graph, parent *frame, dl floa
 		m.frameFree = m.frameFree[:n-1]
 	} else if m.pool != nil {
 		if len(m.frameSlab) == 0 {
-			m.frameSlab = make([]frame, mgrSlab)
+			m.frameSlab = m.frameSlabs.Slab(mgrSlab)
 		}
 		f = &m.frameSlab[0]
 		m.frameSlab = m.frameSlab[1:]

@@ -1,7 +1,10 @@
 package system
 
 import (
+	"runtime"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // TestWorkspaceWarmReplicationAllocs64 extends the PR-3 allocation
@@ -89,4 +92,48 @@ func TestWorkspaceWarmReplicationScalesWithNodes(t *testing.T) {
 	if a64 > 2.5*a32+64 {
 		t.Fatalf("allocations grew superlinearly with nodes: 32 -> %v, 64 -> %v", a32, a64)
 	}
+}
+
+// TestWorkspaceWarmHeapFlat pins the per-replication arena rewind: a
+// warm workspace carves each replication's tasks, graph nodes and
+// manager shells from the same slabs, so its live heap stops growing
+// once it has reached the working set. Without the rewind, tasks left
+// in flight at every horizon were never reclaimed and the free lists
+// pinned their slabs: this 1024-node burst workload crept from about
+// 5 MB after 5 replications to about 17 MB after 60.
+func TestWorkspaceWarmHeapFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60 warm 1024-node replications in -short mode")
+	}
+	cfg := Baseline()
+	cfg.Nodes, cfg.Horizon, cfg.Load = 1024, 40, 0.55
+	sc, err := scenario.Preset("burst", cfg.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = sc
+	ws := NewWorkspace()
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var after5 uint64
+	for rep := 1; rep <= 60; rep++ {
+		cfg.Seed = uint64(rep)
+		if _, err := RunWith(cfg, ws); err != nil {
+			t.Fatal(err)
+		}
+		if rep == 5 {
+			after5 = live()
+		}
+	}
+	after60 := live()
+	runtime.KeepAlive(ws)
+	if float64(after60) > 1.2*float64(after5) {
+		t.Fatalf("warm workspace heap grew from %.2f MB after 5 replications to %.2f MB after 60",
+			float64(after5)/1e6, float64(after60)/1e6)
+	}
+	t.Logf("live heap %.2f MB after 5 warm replications, %.2f MB after 60", float64(after5)/1e6, float64(after60)/1e6)
 }

@@ -235,6 +235,12 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 		ws.graphs = &task.GraphPool{}
 	}
 	pool, graphs := ws.pool, ws.graphs
+	// Setup resets the last replication's engine, queues and tables, so
+	// nothing will reference its tasks or graphs any more: reclaim them
+	// all, including those it left in flight at the horizon, so a warm
+	// workspace runs in the same slabs every replication.
+	pool.Rewind()
+	graphs.Rewind()
 
 	metrics := &Metrics{}
 	if ws.stageCap == 0 && cfg.M > 0 {

@@ -16,6 +16,9 @@ type GraphPool struct {
 	free []*Graph
 	slab []Graph  // bump-allocation chunk take carves fresh nodes from
 	kids []*Graph // bump-allocation chunk EnsureKids carves child arrays from
+	// Every slab and kids chunk handed out, for Rewind to reclaim.
+	slabs     Arena[Graph]
+	kidArrays Arena[*Graph]
 }
 
 // graphSlab is the number of nodes a pool allocates per slab when its
@@ -38,7 +41,7 @@ func (p *GraphPool) take() *Graph {
 		return g
 	}
 	if len(p.slab) == 0 {
-		p.slab = make([]Graph, graphSlab)
+		p.slab = p.slabs.Slab(graphSlab)
 		for i := range p.slab {
 			p.slab[i].LeafIndex = -1
 		}
@@ -79,7 +82,7 @@ func (p *GraphPool) EnsureKids(g *Graph, n int) {
 		return
 	}
 	if len(p.kids) < n {
-		p.kids = make([]*Graph, kidSlab)
+		p.kids = p.kidArrays.Slab(kidSlab)
 	}
 	// The three-index slice caps the array at n so a later append past n
 	// reallocates instead of overwriting the arena's next carve.
@@ -102,6 +105,18 @@ func (p *GraphPool) Release(g *Graph) {
 	kids := g.Children[:0]
 	*g = Graph{Children: kids, LeafIndex: -1}
 	p.free = append(p.free, g)
+}
+
+// Rewind reclaims every node and child array the pool ever handed out,
+// including the graphs of instances a replication left in flight at its
+// horizon; see Pool.Rewind for when it is safe.
+func (p *GraphPool) Rewind() {
+	if p == nil {
+		return
+	}
+	p.free, p.slab, p.kids = p.free[:0], nil, nil
+	p.slabs.Rewind()
+	p.kidArrays.Rewind()
 }
 
 // Size returns the number of nodes currently parked in the free list.

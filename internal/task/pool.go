@@ -14,8 +14,9 @@ package task
 // reproduce bit-for-bit (see Config.DisablePooling in internal/system and
 // the pool-safety determinism tests).
 type Pool struct {
-	free []*Task
-	slab []Task // bump-allocation chunk Get carves fresh tasks from
+	free  []*Task
+	slab  []Task      // bump-allocation chunk Get carves fresh tasks from
+	slabs Arena[Task] // every slab handed out, for Rewind to reclaim
 }
 
 // poolSlab is the number of tasks a pool allocates per slab when its
@@ -38,7 +39,7 @@ func (p *Pool) Get() *Task {
 		return t
 	}
 	if len(p.slab) == 0 {
-		p.slab = make([]Task, poolSlab)
+		p.slab = p.slabs.Slab(poolSlab)
 	}
 	t := &p.slab[0]
 	p.slab = p.slab[1:]
@@ -55,6 +56,18 @@ func (p *Pool) Put(t *Task) {
 	}
 	t.Reset()
 	p.free = append(p.free, t)
+}
+
+// Rewind reclaims every task the pool ever handed out, including those
+// a replication left in flight at its horizon, so the next replication
+// carves from the same slabs. Only call it when no task is referenced
+// any more: at the start of a replication on a warm workspace.
+func (p *Pool) Rewind() {
+	if p == nil {
+		return
+	}
+	p.free, p.slab = p.free[:0], nil
+	p.slabs.Rewind()
 }
 
 // Size returns the number of tasks currently parked in the free list.

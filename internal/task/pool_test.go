@@ -49,3 +49,14 @@ func TestPutNilIsNoOp(t *testing.T) {
 		t.Fatalf("Size = %d after Put(nil), want 0", p.Size())
 	}
 }
+
+func TestPoolRewindReusesSlabs(t *testing.T) {
+	p := &Pool{}
+	a := p.Get()
+	a.ID = 9 // left in flight at the horizon: never Put back
+	p.Get()
+	p.Rewind()
+	if b := p.Get(); b != a || *b != (Task{}) {
+		t.Fatalf("Get after Rewind = %p %+v, want the first slab's first task %p, zeroed", b, *b, a)
+	}
+}
