@@ -27,6 +27,8 @@ type EngineStats struct {
 	// EventsScheduled, EventsFired, and EventsCancelled count engine
 	// events over the run: scheduled is every successful CallAt,
 	// fired every executed event, cancelled every successful Cancel.
+	// Modulated arrival streams thin their candidates inline, so a
+	// rejected candidate is never an event and is not counted here.
 	EventsScheduled uint64
 	EventsFired     uint64
 	EventsCancelled uint64

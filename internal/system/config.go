@@ -102,11 +102,11 @@ type Config struct {
 	EventQueue sim.QueueKind
 	// RNGLayout selects how each workload source lays its draws onto RNG
 	// substreams. "" or "interleaved" (the default) keeps gap and body
-	// draws interleaved on one stream per source — the historical layout
-	// whose results the default golden files freeze. "split" moves every
-	// source's inter-arrival gap draws to a dedicated substream
-	// ("local-<i>-gap", "global-gap") where they are drawn in batches;
-	// a different, equally valid sample path with its own golden files.
+	// draws interleaved on one stream per source — the historical
+	// layout. "split" moves every source's inter-arrival gap draws to a
+	// dedicated substream ("local-<i>-gap", "global-gap") where they are
+	// drawn in batches; a different, equally valid sample path. The
+	// golden digests in testdata/golden_digests.txt freeze both.
 	RNGLayout string
 	// Seed seeds every random stream of the run.
 	Seed uint64

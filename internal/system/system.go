@@ -379,6 +379,7 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 		Pex:       workload.PexModel{RelErr: cfg.PexRelErr},
 		Demand:    cfg.scenarioDemand(),
 		Mod:       cfg.scenarioMod(),
+		Horizon:   cfg.Horizon,
 		SplitGaps: split,
 		Pool:      pool,
 	}, nextID, nextSeq, ws.submit); err != nil {
@@ -415,6 +416,7 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 			RelFlex:       cfg.RelFlex,
 			MeanLocalExec: 1 / cfg.MuLocal,
 			Mod:           cfg.scenarioMod(),
+			Horizon:       cfg.Horizon,
 			GraphPool:     graphs,
 		}
 		ws.globalRng.ReseedStream(cfg.Seed, globalStreamHash)

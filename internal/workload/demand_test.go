@@ -93,15 +93,14 @@ func (m stepMod) FactorAt(t float64) float64 {
 }
 func (m stepMod) MaxFactor() float64 { return 2 }
 
-// countArrivals runs a modulated local source to the horizon and bins
+// countArrivals runs a one-node modulated fleet to the horizon and bins
 // arrival times.
 func countArrivals(t *testing.T, mod RateModulator, horizon float64) (first, second int) {
 	t.Helper()
 	eng := sim.New()
 	var id, seq uint64
-	src, err := NewLocalSource(eng, rng.New(11), LocalParams{
-		Rate: 1, MeanExec: 1, SlackMin: 0, SlackMax: 1, Mod: mod,
-	},
+	f := NewLocalFleet(eng)
+	err := f.Configure(1, FleetParams{MeanExec: 1, SlackMax: 1, Mod: mod, Horizon: horizon},
 		func() uint64 { id++; return id },
 		func() uint64 { seq++; return seq },
 		func(tk *task.Task) {
@@ -115,7 +114,10 @@ func countArrivals(t *testing.T, mod RateModulator, horizon float64) (first, sec
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Start()
+	if err := f.SeedNode(0, 1, 11, rng.StreamHash("local-0")); err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
 	eng.Run(horizon)
 	return first, second
 }

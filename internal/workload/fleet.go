@@ -9,30 +9,37 @@ import (
 )
 
 // LocalFleet generates the local-task streams of every node in one
-// structure. It produces exactly the arrivals of one LocalSource per
-// node — same streams, same draw order — but lays the state out for
-// large topologies: everything the nodes share (the Table 1 parameters,
-// the demand and prediction models, the modulator, the callbacks) is
-// stored once on the fleet, and the per-node residue shrinks to one
-// 64-byte localStream record in a contiguous slice. At 64k nodes the
-// per-source working set drops from ~20 MB of scattered source objects
-// to 4 MB of records touched one cache line per arrival, with the
-// shared half staying resident in L1.
+// structure. Everything the nodes share (the Table 1 parameters, the
+// demand and prediction models, the modulator, the callbacks) is stored
+// once on the fleet, and the per-node residue shrinks to one 64-byte
+// localStream record in a contiguous slice. At 64k nodes the per-source
+// working set is 4 MB of records touched one cache line per arrival,
+// with the shared half staying resident in L1.
 //
-// A LocalFleet is single-threaded, like the engine it feeds. The
-// equivalence with per-node LocalSources is pinned by
+// An unmodulated stream is a plain Poisson process: each arrival is one
+// engine event that emits the task and schedules the next arrival one
+// exponential gap later. A modulated stream is thinned inline (see
+// arrivals for the method): the loop that follows an arrival draws
+// peak-rate candidate gaps and their accept uniforms back to back until
+// one candidate is accepted, then schedules only that arrival, so a
+// rejected candidate costs two draws instead of an engine event. Every
+// stream still consumes exactly the draws, in exactly the order, of the
+// event-per-candidate generator; the equivalence is pinned by
 // TestFleetMatchesSources.
+//
+// A LocalFleet is single-threaded, like the engine it feeds.
 type LocalFleet struct {
 	eng     *sim.Engine
 	cb      sim.Callback
 	streams []localStream
 	gaps    []gapState // non-empty selects the split RNG layout
 
-	// Shared per-run parameters (see LocalParams for semantics).
+	// Shared per-run parameters (see FleetParams).
 	meanExec  float64
 	slackMin  float64
 	slackMax  float64
 	maxFactor float64
+	horizon   float64 // thinning stops past it (modulated streams only)
 	pex       PexModel
 	demand    Demand
 	mod       RateModulator
@@ -63,7 +70,7 @@ type gapState struct {
 
 // fleetHandler is the engine callback shared by every stream of every
 // fleet; the stream rides along as the payload.
-func fleetHandler(p any) { p.(*localStream).candidate() }
+func fleetHandler(p any) { p.(*localStream).fire() }
 
 // NewLocalFleet returns an empty fleet bound to eng; Configure sizes it.
 func NewLocalFleet(eng *sim.Engine) *LocalFleet {
@@ -76,20 +83,32 @@ func NewLocalFleet(eng *sim.Engine) *LocalFleet {
 // the engine object itself is replaced).
 func (f *LocalFleet) Init(eng *sim.Engine) { f.eng = eng }
 
-// FleetParams carries the parameters shared by every node's stream; see
-// LocalParams for field semantics. Per-node rate and seeding are set by
-// SeedNode.
+// FleetParams carries the parameters shared by every node's stream.
+// Per-node rate and seeding are set by SeedNode.
 type FleetParams struct {
-	MeanExec           float64
+	// MeanExec is 1/µ_local, the mean local-task demand.
+	MeanExec float64
+	// SlackMin, SlackMax bound the uniform slack distribution.
 	SlackMin, SlackMax float64
-	Pex                PexModel
-	Demand             Demand
-	Mod                RateModulator
+	// Pex is the execution-time prediction model.
+	Pex PexModel
+	// Demand overrides the execution-time distribution; nil draws the
+	// paper's exponential demands.
+	Demand Demand
+	// Mod optionally modulates every stream's arrival rate over time
+	// (scenario bursts and ramps); nil keeps the streams stationary.
+	Mod RateModulator
+	// Horizon is the end of the run. A modulated stream thins no
+	// candidate past it, so it must be positive and finite when Mod is
+	// set; unmodulated streams ignore it.
+	Horizon float64
 	// SplitGaps selects the split RNG layout: every node draws its
 	// inter-arrival gaps from a dedicated substream (seeded via
 	// SeedNodeGap) in batches of gapBatch.
 	SplitGaps bool
-	Pool      *task.Pool
+	// Pool optionally recycles retired tasks; nil allocates, with
+	// identical results.
+	Pool *task.Pool
 }
 
 // Configure rebinds the fleet for a fresh run of n nodes, reusing the
@@ -113,14 +132,11 @@ func (f *LocalFleet) Configure(n int, params FleetParams,
 	if err := ValidateDemand(params.Demand); err != nil {
 		return err
 	}
-	f.maxFactor = 1
-	if params.Mod != nil {
-		mf := params.Mod.MaxFactor()
-		if !(mf > 0) || mf != mf {
-			return fmt.Errorf("workload: rate modulator MaxFactor = %v, want > 0", mf)
-		}
-		f.maxFactor = mf
+	mf, err := peakFactor(params.Mod, params.Horizon)
+	if err != nil {
+		return err
 	}
+	f.maxFactor, f.horizon = mf, params.Horizon
 	f.meanExec = params.MeanExec
 	f.slackMin, f.slackMax = params.SlackMin, params.SlackMax
 	f.pex, f.demand, f.mod, f.pool = params.Pex, params.Demand, params.Mod, params.Pool
@@ -166,44 +182,54 @@ func (f *LocalFleet) SeedNodeGap(i int, seed, hash uint64) {
 	g.n, g.i = 0, 0
 }
 
-// Start schedules every node's first candidate arrival.
+// Start schedules every node's first arrival.
 func (f *LocalFleet) Start() {
 	for i := range f.streams {
-		s := &f.streams[i]
-		if s.peakMean > 0 {
-			f.eng.MustScheduleCall(s.nextGap(), f.cb, s)
+		if s := &f.streams[i]; s.peakMean > 0 {
+			f.schedule(s)
 		}
 	}
 }
 
-// candidate fires one candidate arrival at this stream's node, thins it,
-// and self-schedules — the fleet form of arrivals.candidate, with the
-// identical draw order (thinning, body, next gap on one stream).
-func (s *localStream) candidate() {
-	f := s.fleet
-	if f.accept(&s.r) {
-		f.arrive(s)
-	}
-	f.eng.MustScheduleCall(s.nextGap(), f.cb, s)
+// fire emits the arrival this stream's pending event stands for and
+// schedules the stream's next one.
+func (s *localStream) fire() {
+	s.fleet.arrive(s)
+	s.fleet.schedule(s)
 }
 
-// accept applies the thinning test at the current time.
-func (f *LocalFleet) accept(r *rng.Source) bool {
+// schedule queues the stream's next arrival: one gap ahead when
+// unmodulated, else the first candidate the thinning loop keeps.
+func (f *LocalFleet) schedule(s *localStream) {
 	if f.mod == nil {
-		return true
+		f.eng.MustScheduleCall(s.nextGap(), f.cb, s)
+		return
 	}
-	v := f.mod.FactorAt(f.eng.Now())
-	if v < 0 {
-		v = 0
-	}
-	if v > f.maxFactor {
-		panic(fmt.Sprintf("workload: modulator factor %v exceeds declared max %v", v, f.maxFactor))
-	}
-	return r.Float64()*f.maxFactor < v
+	f.thin(s, f.eng.Now())
 }
 
-// arrive emits one accepted local task, with LocalSource.arrive's exact
-// draw order.
+// thin runs the thinning loop of a modulated stream from time t:
+// candidates follow one another by peak-rate gaps, each kept with
+// probability FactorAt/MaxFactor, and the first one kept becomes the
+// stream's pending event. t accumulates the gaps exactly as the engine
+// would sum now+gap, so every arrival lands on the float time an
+// event-per-candidate loop would give it. The loop ends at the horizon,
+// where no candidate could fire anyway.
+func (f *LocalFleet) thin(s *localStream, t float64) {
+	for {
+		t += s.nextGap()
+		if t > f.horizon {
+			return
+		}
+		if thinAccept(f.mod, f.maxFactor, t, &s.r) {
+			mustCallAt(f.eng, t, f.cb, s)
+			return
+		}
+	}
+}
+
+// arrive emits one local task at the current time: demand, slack, then
+// the prediction, all on the node's stream.
 func (f *LocalFleet) arrive(s *localStream) {
 	now := f.eng.Now()
 	ex := sampleDemand(f.demand, &s.r, f.meanExec)
@@ -222,8 +248,9 @@ func (f *LocalFleet) arrive(s *localStream) {
 	f.submit(t)
 }
 
-// nextGap draws the stream's next inter-candidate gap from whichever
-// stream the configured layout assigns it to.
+// nextGap draws the stream's next inter-candidate gap (the next
+// inter-arrival gap when unmodulated) from whichever stream the
+// configured layout assigns it to.
 func (s *localStream) nextGap() float64 {
 	f := s.fleet
 	if f.gaps == nil {

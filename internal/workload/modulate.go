@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -22,8 +23,8 @@ type RateModulator interface {
 }
 
 // arrivalOwner is the source behind an arrivals loop; accepted
-// candidates call back into it. An interface instead of a captured
-// func() lets the loop live by value inside its owner with no per-source
+// arrivals call back into it. An interface instead of a captured func()
+// lets the loop live by value inside its owner with no per-source
 // closure allocations.
 type arrivalOwner interface{ arrive() }
 
@@ -34,31 +35,42 @@ type arrivalOwner interface{ arrive() }
 const gapBatch = 8
 
 // arrivals drives one source's arrival process. With a nil modulator it
-// draws plain exponential gaps — byte-identical to the pre-scenario
-// generator. With a modulator it generates a non-homogeneous Poisson
-// process by Lewis-Shedler thinning: candidate arrivals fire at the peak
-// rate rate·MaxFactor and each is accepted with probability
-// FactorAt(now)/MaxFactor, which needs no rate integration and keeps the
-// run a pure function of the seed.
+// draws plain exponential gaps: each arrival is one engine event that
+// emits the task and schedules the next arrival a gap later.
 //
-// The candidate loop is the single hottest call site of a run, so it is
-// kept allocation-free and branch-lean: the peak-rate mean gap and the
-// modulator's bound are hoisted to fields at construction (MaxFactor is
-// constant by contract), the loop lives by value inside its owning
-// source, and self-scheduling goes through one package-level handler
-// (the loop itself rides along as the payload word) instead of a
-// per-source closure.
+// With a modulator it generates a non-homogeneous Poisson process by
+// Lewis-Shedler thinning: candidates follow one another at the peak rate
+// rate·MaxFactor and each is accepted with probability
+// FactorAt(t)/MaxFactor, which needs no rate integration and keeps the
+// run a pure function of the seed. The thinning runs inline: at start
+// and after each emitted arrival, the loop draws a gap, advances t by
+// it (the same float sum the engine computes as now+gap), stops once t
+// is past the run horizon, and otherwise draws the accept uniform
+// against FactorAt(t), repeating until a candidate is accepted. Only
+// the accepted candidate becomes an engine event, and its handler emits
+// the arrival without drawing again. The stream therefore sees the same
+// draws in the same order as a loop that fired every candidate as an
+// event, and every arrival lands on the same float time; only rejected
+// candidates stop costing a queue push and pop. A candidate exactly at
+// the horizon is still tested, as an engine run to the horizon would
+// fire it.
+//
+// The loop lives by value inside its owning source and self-schedules
+// through one package-level handler (the loop itself rides along as the
+// payload word) instead of a per-source closure; the peak-rate mean gap
+// and the modulator's bound are hoisted to fields at reconfiguration
+// (MaxFactor is constant by contract).
 //
 // RNG layout: by default (gap == nil) every draw of the source — gap,
 // thinning accept, and the arrival's body draws — interleaves on the one
 // stream r, in exact arrival order; this is the historical layout and
-// its results are frozen by the golden files. With a dedicated gap
-// stream (the split layout), gap draws move to their own substream and
-// are pre-drawn gapBatch at a time, which batches the per-candidate
-// draw overhead without perturbing the body draws' stream. The two
-// layouts produce different (equally valid) sample paths, which is why
-// the split layout sits behind an explicit configuration knob with its
-// own golden files.
+// its results are frozen by the golden digests in internal/system. With
+// a dedicated gap stream (the split layout), gap draws move to their own
+// substream and are pre-drawn gapBatch at a time, which batches the
+// per-candidate draw overhead without perturbing the body draws'
+// stream. The two layouts produce different (equally valid) sample
+// paths, which is why the split layout sits behind an explicit
+// configuration knob; the golden digests cover both.
 type arrivals struct {
 	eng       *sim.Engine
 	r         *rng.Source
@@ -66,6 +78,7 @@ type arrivals struct {
 	rate      float64
 	peakMean  float64 // mean inter-candidate gap at the peak rate
 	maxFactor float64 // cached mod.MaxFactor(); 1 with no modulator
+	horizon   float64 // thinning stops past it (modulated only)
 	mod       RateModulator
 	owner     arrivalOwner
 	cb        sim.Callback
@@ -74,9 +87,9 @@ type arrivals struct {
 	gapI      int // next entry to consume
 }
 
-// candidateHandler is the engine callback behind every arrivals loop;
-// the loop rides along as the payload.
-func candidateHandler(p any) { p.(*arrivals).candidate() }
+// arrivalHandler is the engine callback behind every arrivals loop; the
+// loop rides along as the payload.
+func arrivalHandler(p any) { p.(*arrivals).fire() }
 
 // init binds the loop to its engine and owner, once per source
 // lifetime.
@@ -85,25 +98,22 @@ func (a *arrivals) init(eng *sim.Engine, owner arrivalOwner) {
 }
 
 // reconfigure rebinds the arrivals loop for a fresh run in place: a new
-// (typically reseeded) RNG stream, rate, modulator and optional gap
-// substream, re-registering the shared handler on the engine (an engine
-// Reset clears registrations). It performs the same validation as
-// construction and allocates nothing after the first run.
-func (a *arrivals) reconfigure(r, gap *rng.Source, rate float64, mod RateModulator) error {
-	maxFactor := 1.0
-	if mod != nil {
-		maxFactor = mod.MaxFactor()
-		if !(maxFactor > 0) || maxFactor != maxFactor {
-			return fmt.Errorf("workload: rate modulator MaxFactor = %v, want > 0", maxFactor)
-		}
+// (typically reseeded) RNG stream, rate, modulator, horizon and optional
+// gap substream, re-registering the shared handler on the engine (an
+// engine Reset clears registrations). It allocates nothing after the
+// first run.
+func (a *arrivals) reconfigure(r, gap *rng.Source, rate float64, mod RateModulator, horizon float64) error {
+	maxFactor, err := peakFactor(mod, horizon)
+	if err != nil {
+		return err
 	}
-	a.r, a.gap, a.rate, a.maxFactor, a.mod = r, gap, rate, maxFactor, mod
+	a.r, a.gap, a.rate, a.maxFactor, a.mod, a.horizon = r, gap, rate, maxFactor, mod, horizon
 	a.peakMean = 0
 	if rate > 0 {
 		a.peakMean = 1 / (rate * maxFactor)
 	}
 	a.gapN, a.gapI = 0, 0
-	a.cb = a.eng.Register(candidateHandler)
+	a.cb = a.eng.Register(arrivalHandler)
 	return nil
 }
 
@@ -122,33 +132,80 @@ func (a *arrivals) nextGap() float64 {
 	return g
 }
 
-// start schedules the first candidate. A zero rate generates nothing.
+// start schedules the first arrival. A zero rate generates nothing.
 func (a *arrivals) start() {
-	if a.rate == 0 {
+	if a.rate > 0 {
+		a.schedule()
+	}
+}
+
+// fire emits the arrival the pending event stands for and schedules the
+// next one.
+func (a *arrivals) fire() {
+	a.owner.arrive()
+	a.schedule()
+}
+
+// schedule queues the next arrival: one gap ahead when unmodulated,
+// else the first candidate the thinning loop keeps.
+func (a *arrivals) schedule() {
+	if a.mod == nil {
+		a.eng.MustScheduleCall(a.nextGap(), a.cb, a)
 		return
 	}
-	a.eng.MustScheduleCall(a.nextGap(), a.cb, a)
+	a.thin(a.eng.Now())
 }
 
-// candidate fires one candidate arrival, thins it, and self-schedules.
-func (a *arrivals) candidate() {
-	if a.accept() {
-		a.owner.arrive()
+// thin runs the inline thinning loop from time t and schedules the first
+// accepted candidate at or before the horizon, if any.
+func (a *arrivals) thin(t float64) {
+	for {
+		t += a.nextGap()
+		if t > a.horizon {
+			return
+		}
+		if thinAccept(a.mod, a.maxFactor, t, a.r) {
+			mustCallAt(a.eng, t, a.cb, a)
+			return
+		}
 	}
-	a.eng.MustScheduleCall(a.nextGap(), a.cb, a)
 }
 
-// accept applies the thinning test at the current time.
-func (a *arrivals) accept() bool {
-	if a.mod == nil {
-		return true
+// peakFactor validates a stream's modulator and returns the factor its
+// candidates run at: 1 unmodulated, else the finite positive MaxFactor.
+// A modulated stream also needs a finite horizon to bound its thinning
+// loop.
+func peakFactor(mod RateModulator, horizon float64) (float64, error) {
+	if mod == nil {
+		return 1, nil
 	}
-	f := a.mod.FactorAt(a.eng.Now())
+	mf := mod.MaxFactor()
+	if !(mf > 0) || math.IsInf(mf, 1) {
+		return 0, fmt.Errorf("workload: rate modulator MaxFactor = %v, want > 0 and finite", mf)
+	}
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return 0, fmt.Errorf("workload: modulated stream horizon = %v, want > 0 and finite", horizon)
+	}
+	return mf, nil
+}
+
+// thinAccept is the thinning test of one candidate at time t: keep it
+// with probability FactorAt(t)/maxFactor, drawing the uniform from r.
+func thinAccept(mod RateModulator, maxFactor, t float64, r *rng.Source) bool {
+	f := mod.FactorAt(t)
 	if f < 0 {
 		f = 0
 	}
-	if f > a.maxFactor {
-		panic(fmt.Sprintf("workload: modulator factor %v exceeds declared max %v", f, a.maxFactor))
+	if f > maxFactor {
+		panic(fmt.Sprintf("workload: modulator factor %v exceeds declared max %v", f, maxFactor))
 	}
-	return a.r.Float64()*a.maxFactor < f
+	return r.Float64()*maxFactor < f
+}
+
+// mustCallAt schedules an accepted arrival at absolute time t, which the
+// thinning loop guarantees is not in the past.
+func mustCallAt(eng *sim.Engine, t float64, cb sim.Callback, payload any) {
+	if _, err := eng.CallAt(t, cb, payload); err != nil {
+		panic(fmt.Sprintf("workload: %v", err))
+	}
 }
