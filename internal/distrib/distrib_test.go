@@ -329,7 +329,6 @@ func TestWireConfigRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Scenario = sc
-	cfg.RNGLayout = system.RNGSplit
 
 	wc, err := ToWire(cfg)
 	if err != nil {
@@ -341,9 +340,6 @@ func TestWireConfigRoundTrip(t *testing.T) {
 	}
 	if back.Scenario == nil || back.Scenario.Name() != sc.Name() {
 		t.Fatalf("scenario did not survive: %+v", back.Scenario)
-	}
-	if back.RNGLayout != system.RNGSplit {
-		t.Fatalf("RNGLayout did not survive: %q", back.RNGLayout)
 	}
 	back.Scenario = cfg.Scenario // compiled anew; compare the rest
 	back.Seed = cfg.Seed

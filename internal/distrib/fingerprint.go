@@ -22,8 +22,8 @@ type fingerprintEnvelope struct {
 // semantically identical (including ones differing only in Seed or in
 // an attached progress hook: seeds are the cache key's other dimension)
 // hash identically; changing any knob yields a different fingerprint.
-// That includes knobs like EventQueue, DisablePooling, and RNGLayout
-// whose alternatives are provably (or by-test) byte-identical: the
+// That includes knobs like EventQueue and DisablePooling whose
+// alternatives are provably (or by-test) byte-identical: the
 // cache trades a few redundant misses for zero risk of serving results
 // across a semantic boundary.
 //
@@ -39,7 +39,7 @@ func ConfigFingerprint(cfg system.Config) (string, error) {
 		return "", err
 	}
 	h := sha256.New()
-	if err := gob.NewEncoder(h).Encode(fingerprintEnvelope{Rev: 1, Config: wc}); err != nil {
+	if err := gob.NewEncoder(h).Encode(fingerprintEnvelope{Rev: 2, Config: wc}); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil

@@ -20,8 +20,8 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 // TestHelloMismatch: every way a peer can fail the handshake — foreign
-// magic, different protocol version, a non-hello first frame, a stream
-// that ends early, raw garbage — yields a *FrameError with Op
+// magic, a newer or an older protocol version, a non-hello first frame,
+// a stream that ends early, raw garbage — yields a *FrameError with Op
 // "handshake", never a gob decode error or a clean success.
 func TestHelloMismatch(t *testing.T) {
 	capture := func(msg helloMsg) []byte {
@@ -41,6 +41,7 @@ func TestHelloMismatch(t *testing.T) {
 	cases := map[string][]byte{
 		"wrong magic":   capture(helloMsg{Magic: 0xDEADBEEF, Version: ProtocolVersion}),
 		"wrong version": capture(helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion + 1}),
+		"older version": capture(helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion - 1}),
 		"not a hello":   otherKind,
 		"empty stream":  nil,
 		"garbage":       []byte("GET / HTTP/1.1\r\n\r\n"),

@@ -80,10 +80,12 @@ const (
 // ProtocolVersion is bumped on any incompatible frame or payload change,
 // so a coordinator and worker built from different protocol revisions
 // fail the handshake with a structured *FrameError instead of a gob
-// decode error deep inside a shard.
+// decode error deep inside a shard. Version 2 removed WireConfig's RNG
+// layout field, which gob would otherwise ignore silently when a
+// version-1 peer sent it.
 const (
 	ProtocolMagic   uint32 = 0x53444131 // "SDA1"
-	ProtocolVersion uint32 = 1
+	ProtocolVersion uint32 = 2
 )
 
 // maxFrame bounds a frame payload; anything larger is a protocol error,
@@ -410,7 +412,6 @@ type WireConfig struct {
 	Scenario             *scenario.Spec
 	DisablePooling       bool
 	EventQueue           string
-	RNGLayout            string
 }
 
 // shapeDemand extracts the demand of a known shape.
@@ -478,7 +479,6 @@ func ToWire(cfg system.Config) (WireConfig, error) {
 		Warmup:               cfg.Warmup,
 		DisablePooling:       cfg.DisablePooling,
 		EventQueue:           string(cfg.EventQueue),
-		RNGLayout:            cfg.RNGLayout,
 	}
 	if cfg.Scenario != nil {
 		sp := cfg.Scenario.Spec()
@@ -513,7 +513,6 @@ func (wc WireConfig) Config() (system.Config, error) {
 		Warmup:               wc.Warmup,
 		DisablePooling:       wc.DisablePooling,
 		EventQueue:           sim.QueueKind(wc.EventQueue),
-		RNGLayout:            wc.RNGLayout,
 	}
 	if wc.Scenario != nil {
 		sc, err := scenario.New(*wc.Scenario)

@@ -53,37 +53,36 @@ var goldenHorizons = map[int]float64{6: 2000, 64: 200, 1024: 25}
 
 // goldenCases is the matrix the digests freeze: every scenario preset
 // plus the generated churn schedule and the stationary model, at three
-// topology sizes, under UD and EQF, in both RNG layouts.
+// topology sizes, under UD and EQF. Case names end in "interleaved",
+// the RNG layout (one stream per source, gap and body draws
+// interleaved) every digest was recorded under.
 func goldenCases(t testing.TB) []goldenCase {
 	presets := []string{"none", "burst", "ramp", "storm", "outage", "heavytail", "churn"}
 	var out []goldenCase
 	for _, preset := range presets {
 		for _, nodes := range []int{6, 64, 1024} {
 			for _, ssp := range []string{"UD", "EQF"} {
-				for _, layout := range []string{RNGInterleaved, RNGSplit} {
-					cfg := Baseline()
-					cfg.Nodes = nodes
-					cfg.Horizon = goldenHorizons[nodes]
-					cfg.SSP = ssp
-					cfg.RNGLayout = layout
-					cfg.Seed = goldenSeeds[0]
-					var err error
-					switch preset {
-					case "none":
-					case "churn":
-						cfg.Scenario, err = scenario.Churn(nodes, 2, cfg.Horizon,
-							scenario.ChurnOptions{Seed: cfg.Seed, SlowdownFrac: 0.25})
-					default:
-						cfg.Scenario, err = scenario.Preset(preset, cfg.Horizon)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					out = append(out, goldenCase{
-						name: fmt.Sprintf("%s/n%d/%s/%s", preset, nodes, ssp, layout),
-						cfg:  cfg,
-					})
+				cfg := Baseline()
+				cfg.Nodes = nodes
+				cfg.Horizon = goldenHorizons[nodes]
+				cfg.SSP = ssp
+				cfg.Seed = goldenSeeds[0]
+				var err error
+				switch preset {
+				case "none":
+				case "churn":
+					cfg.Scenario, err = scenario.Churn(nodes, 2, cfg.Horizon,
+						scenario.ChurnOptions{Seed: cfg.Seed, SlowdownFrac: 0.25})
+				default:
+					cfg.Scenario, err = scenario.Preset(preset, cfg.Horizon)
 				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, goldenCase{
+					name: fmt.Sprintf("%s/n%d/%s/interleaved", preset, nodes, ssp),
+					cfg:  cfg,
+				})
 			}
 		}
 	}
@@ -225,7 +224,7 @@ func TestGoldenDigests(t *testing.T) {
 // TestInlineThinningEventCounts pins what inline arrival thinning buys
 // and what it leaves alone, against engine totals recorded with the
 // event-per-candidate generator it replaced (the 1024-node golden cases,
-// UD, interleaved layout, seeds 1-3). A burst replication fires at least
+// UD, seeds 1-3). A burst replication fires at least
 // 30% fewer events, since rejected candidates no longer reach the
 // engine; a stationary replication schedules and fires exactly the
 // events it did, since unmodulated streams kept their path.

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -39,7 +40,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{name: "bad SSP", mut: func(c *Config) { c.SSP = "nope" }},
 		{name: "bad PSP", mut: func(c *Config) { c.PSP = "nope" }},
 		{name: "bad scheduler", mut: func(c *Config) { c.Scheduler = sched.Policy("??") }},
-		{name: "bad rng layout", mut: func(c *Config) { c.RNGLayout = "scrambled" }},
 		{name: "multiplier count", mut: func(c *Config) { c.LocalRateMultipliers = []float64{1, 2} }},
 		{name: "negative multiplier", mut: func(c *Config) {
 			c.LocalRateMultipliers = []float64{1, 1, 1, 1, 1, -1}
@@ -60,6 +60,42 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	good := shortBaseline()
 	if err := good.Validate(); err != nil {
 		t.Errorf("baseline rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN or infinite float field must fail
+// validation naming the field, not pass (a NaN horizon never ends a run)
+// or fail somewhere downstream.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		at   func(*Config) *float64
+	}{
+		{"MuSubtask", func(c *Config) *float64 { return &c.MuSubtask }},
+		{"MuLocal", func(c *Config) *float64 { return &c.MuLocal }},
+		{"Load", func(c *Config) *float64 { return &c.Load }},
+		{"FracLocal", func(c *Config) *float64 { return &c.FracLocal }},
+		{"SlackMin", func(c *Config) *float64 { return &c.SlackMin }},
+		{"SlackMax", func(c *Config) *float64 { return &c.SlackMax }},
+		{"RelFlex", func(c *Config) *float64 { return &c.RelFlex }},
+		{"PexRelErr", func(c *Config) *float64 { return &c.PexRelErr }},
+		{"Horizon", func(c *Config) *float64 { return &c.Horizon }},
+		{"Warmup", func(c *Config) *float64 { return &c.Warmup }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
+				cfg := shortBaseline()
+				*f.at(&cfg) = v
+				err := cfg.Validate()
+				if err == nil {
+					t.Fatal("Validate accepted it")
+				}
+				if !strings.Contains(err.Error(), f.name) {
+					t.Fatalf("error %q does not name %s", err, f.name)
+				}
+			})
+		}
 	}
 }
 

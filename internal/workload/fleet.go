@@ -32,7 +32,6 @@ type LocalFleet struct {
 	eng     *sim.Engine
 	cb      sim.Callback
 	streams []localStream
-	gaps    []gapState // non-empty selects the split RNG layout
 
 	// Shared per-run parameters (see FleetParams).
 	meanExec  float64
@@ -58,14 +57,6 @@ type localStream struct {
 	r        rng.Source
 	peakMean float64 // mean inter-candidate gap at the peak rate; 0 = silent
 	node     int32
-}
-
-// gapState is one node's dedicated gap substream under the split RNG
-// layout, with its pre-drawn batch.
-type gapState struct {
-	r    rng.Source
-	buf  [gapBatch]float64
-	n, i int32
 }
 
 // fleetHandler is the engine callback shared by every stream of every
@@ -102,10 +93,6 @@ type FleetParams struct {
 	// candidate past it, so it must be positive and finite when Mod is
 	// set; unmodulated streams ignore it.
 	Horizon float64
-	// SplitGaps selects the split RNG layout: every node draws its
-	// inter-arrival gaps from a dedicated substream (seeded via
-	// SeedNodeGap) in batches of gapBatch.
-	SplitGaps bool
 	// Pool optionally recycles retired tasks; nil allocates, with
 	// identical results.
 	Pool *task.Pool
@@ -113,8 +100,8 @@ type FleetParams struct {
 
 // Configure rebinds the fleet for a fresh run of n nodes, reusing the
 // stream tables when the node count matches. It must be called after the
-// engine was Reset and be followed by SeedNode (and SeedNodeGap under
-// the split layout) for every node, then Start.
+// engine was Reset and be followed by SeedNode for every node, then
+// Start.
 func (f *LocalFleet) Configure(n int, params FleetParams,
 	nextID, nextSeq func() uint64, submit func(*task.Task)) error {
 	if f.eng == nil {
@@ -148,13 +135,6 @@ func (f *LocalFleet) Configure(n int, params FleetParams,
 			f.streams[i].node = int32(i)
 		}
 	}
-	if params.SplitGaps {
-		if len(f.gaps) != n {
-			f.gaps = make([]gapState, n)
-		}
-	} else {
-		f.gaps = nil
-	}
 	f.cb = f.eng.Register(fleetHandler)
 	return nil
 }
@@ -172,14 +152,6 @@ func (f *LocalFleet) SeedNode(i int, rate float64, seed, hash uint64) error {
 		s.peakMean = 1 / (rate * f.maxFactor)
 	}
 	return nil
-}
-
-// SeedNodeGap reseeds node i's dedicated gap substream (split layout
-// only) and discards any batched gaps of a previous run.
-func (f *LocalFleet) SeedNodeGap(i int, seed, hash uint64) {
-	g := &f.gaps[i]
-	g.r.ReseedStream(seed, hash)
-	g.n, g.i = 0, 0
 }
 
 // Start schedules every node's first arrival.
@@ -202,7 +174,7 @@ func (s *localStream) fire() {
 // unmodulated, else the first candidate the thinning loop keeps.
 func (f *LocalFleet) schedule(s *localStream) {
 	if f.mod == nil {
-		f.eng.MustScheduleCall(s.nextGap(), f.cb, s)
+		f.eng.MustScheduleCall(s.r.Exponential(s.peakMean), f.cb, s)
 		return
 	}
 	f.thin(s, f.eng.Now())
@@ -217,7 +189,7 @@ func (f *LocalFleet) schedule(s *localStream) {
 // where no candidate could fire anyway.
 func (f *LocalFleet) thin(s *localStream, t float64) {
 	for {
-		t += s.nextGap()
+		t += s.r.Exponential(s.peakMean)
 		if t > f.horizon {
 			return
 		}
@@ -246,22 +218,4 @@ func (f *LocalFleet) arrive(s *localStream) {
 	t.Pex = f.pex.Sample(&s.r, ex)
 	t.Seq = f.nextSq()
 	f.submit(t)
-}
-
-// nextGap draws the stream's next inter-candidate gap (the next
-// inter-arrival gap when unmodulated) from whichever stream the
-// configured layout assigns it to.
-func (s *localStream) nextGap() float64 {
-	f := s.fleet
-	if f.gaps == nil {
-		return s.r.Exponential(s.peakMean)
-	}
-	g := &f.gaps[s.node]
-	if g.i == g.n {
-		g.r.ExponentialFill(g.buf[:], s.peakMean)
-		g.n, g.i = gapBatch, 0
-	}
-	v := g.buf[g.i]
-	g.i++
-	return v
 }

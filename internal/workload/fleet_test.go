@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -27,15 +28,6 @@ func record(tk *task.Task) emitted {
 	}
 }
 
-// streamState is one stream's RNG position after a run: the main
-// stream, the split layout's gap substream, and how far into its
-// pre-drawn batch the stream got.
-type streamState struct {
-	r, gap rng.Source
-	buf    [gapBatch]float64
-	n, i   int
-}
-
 // sameSource reports whether two generators are at the same state, by
 // comparing the next draws of copies.
 func sameSource(a, b rng.Source) bool {
@@ -47,18 +39,12 @@ func sameSource(a, b rng.Source) bool {
 	return true
 }
 
-func (s streamState) equal(o streamState) bool {
-	return sameSource(s.r, o.r) && sameSource(s.gap, o.gap) &&
-		s.buf == o.buf && s.n == o.n && s.i == o.i
-}
-
 // fleetCase is one equivalence scenario: per-node rates (0 silences a
-// node), RNG layout, the shared stream parameters, the run horizon, and
+// node), the shared stream parameters, the run horizon, and
 // whether the engine runs to it in slices.
 type fleetCase struct {
 	name    string
 	rates   []float64
-	split   bool
 	mod     RateModulator
 	pex     PexModel
 	horizon float64 // 0 = fleetHorizon
@@ -86,7 +72,7 @@ func (c fleetCase) runEngine(eng *sim.Engine) {
 // runSources generates the reference stream: one event-per-candidate
 // LocalSource per node, seeded exactly as the system workspace seeds
 // the fleet. onCandidate, if set, sees node 0's candidate times.
-func runSources(t *testing.T, c fleetCase, seed uint64, onCandidate func(float64)) ([]emitted, []streamState) {
+func runSources(t *testing.T, c fleetCase, seed uint64, onCandidate func(float64)) ([]emitted, []rng.Source) {
 	t.Helper()
 	eng := sim.New()
 	var out []emitted
@@ -96,20 +82,14 @@ func runSources(t *testing.T, c fleetCase, seed uint64, onCandidate func(float64
 	submit := func(tk *task.Task) { out = append(out, record(tk)) }
 	pool := &task.Pool{}
 	rngs := make([]rng.Source, len(c.rates))
-	gaps := make([]rng.Source, len(c.rates))
 	srcs := make([]LocalSource, len(c.rates))
 	for i, rate := range c.rates {
 		rngs[i].ReseedStream(seed, rng.StreamHashParts("local-", uint64(i), ""))
-		var gap *rng.Source
-		if c.split {
-			gaps[i].ReseedStream(seed, rng.StreamHashParts("local-", uint64(i), "-gap"))
-			gap = &gaps[i]
-		}
 		srcs[i].Init(eng)
 		err := srcs[i].Reconfigure(&rngs[i], LocalParams{
 			Node: i, Rate: rate, MeanExec: 1,
 			SlackMin: 0.25, SlackMax: 2.5,
-			Pex: c.pex, Mod: c.mod, Gap: gap, Pool: pool,
+			Pex: c.pex, Mod: c.mod, Pool: pool,
 		}, nextID, nextSeq, submit)
 		if err != nil {
 			t.Fatal(err)
@@ -120,16 +100,11 @@ func runSources(t *testing.T, c fleetCase, seed uint64, onCandidate func(float64
 		srcs[i].Start()
 	}
 	c.runEngine(eng)
-	states := make([]streamState, len(c.rates))
-	for i := range states {
-		a := &srcs[i].arr
-		states[i] = streamState{r: rngs[i], gap: gaps[i], buf: a.gapBuf, n: a.gapN, i: a.gapI}
-	}
-	return out, states
+	return out, rngs
 }
 
 // runFleet generates the same stream through a LocalFleet.
-func runFleet(t *testing.T, c fleetCase, seed uint64) ([]emitted, []streamState) {
+func runFleet(t *testing.T, c fleetCase, seed uint64) ([]emitted, []rng.Source) {
 	t.Helper()
 	eng := sim.New()
 	var out []emitted
@@ -137,7 +112,7 @@ func runFleet(t *testing.T, c fleetCase, seed uint64) ([]emitted, []streamState)
 	f := NewLocalFleet(eng)
 	err := f.Configure(len(c.rates), FleetParams{
 		MeanExec: 1, SlackMin: 0.25, SlackMax: 2.5,
-		Pex: c.pex, Mod: c.mod, Horizon: c.runTo(), SplitGaps: c.split, Pool: &task.Pool{},
+		Pex: c.pex, Mod: c.mod, Horizon: c.runTo(), Pool: &task.Pool{},
 	},
 		func() uint64 { id++; return id },
 		func() uint64 { seq++; return seq },
@@ -149,19 +124,12 @@ func runFleet(t *testing.T, c fleetCase, seed uint64) ([]emitted, []streamState)
 		if err := f.SeedNode(i, rate, seed, rng.StreamHashParts("local-", uint64(i), "")); err != nil {
 			t.Fatal(err)
 		}
-		if c.split {
-			f.SeedNodeGap(i, seed, rng.StreamHashParts("local-", uint64(i), "-gap"))
-		}
 	}
 	f.Start()
 	c.runEngine(eng)
-	states := make([]streamState, len(c.rates))
+	states := make([]rng.Source, len(c.rates))
 	for i := range states {
-		states[i].r = f.streams[i].r
-		if c.split {
-			g := &f.gaps[i]
-			states[i].gap, states[i].buf, states[i].n, states[i].i = g.r, g.buf, int(g.n), int(g.i)
-		}
+		states[i] = f.streams[i].r
 	}
 	return out, states
 }
@@ -200,8 +168,8 @@ func candidateTimes(t *testing.T, c fleetCase, seed uint64) (accepted, rejected 
 	return accepted, rejected
 }
 
-// TestFleetMatchesSources pins the fleet's contract: under both RNG
-// layouts, with and without modulation, with heterogeneous rates and
+// TestFleetMatchesSources pins the fleet's contract: with and without
+// modulation, with heterogeneous rates and
 // silent nodes, a LocalFleet emits the identical task sequence of one
 // event-per-candidate LocalSource per node and leaves every RNG stream
 // in the identical state. The modulated cases cover the edges of inline
@@ -224,17 +192,13 @@ func TestFleetMatchesSources(t *testing.T) {
 
 	cases := []fleetCase{
 		{name: "default layout", rates: []float64{0.375, 0.375, 0.375, 0.375}},
-		{name: "split layout", rates: []float64{0.375, 0.375, 0.375, 0.375}, split: true},
 		{name: "heterogeneous with silent node", rates: []float64{1.5, 0, 0.2, 0.7}},
 		{name: "modulated default", rates: rates, mod: step},
-		{name: "modulated split", rates: rates, split: true, mod: step},
 		{name: "pex error", rates: []float64{0.8, 0.8}, pex: PexModel{RelErr: 0.5}},
 		{name: "accepted candidate at horizon", rates: rates, mod: step, horizon: atAccepted},
 		{name: "rejected candidate at horizon", rates: rates, mod: step, horizon: atRejected},
 		{name: "sliced run", rates: rates, mod: step, sliced: true},
-		{name: "sliced run split", rates: rates, mod: step, split: true, sliced: true},
 		{name: "near-zero phase across horizon", rates: rates, mod: tiny},
-		{name: "near-zero phase across horizon split", rates: rates, mod: tiny, split: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -252,7 +216,7 @@ func TestFleetMatchesSources(t *testing.T) {
 				}
 			}
 			for i := range wantState {
-				if !gotState[i].equal(wantState[i]) {
+				if !sameSource(gotState[i], wantState[i]) {
 					t.Fatalf("node %d: RNG state after the run differs from the reference", i)
 				}
 			}
@@ -281,7 +245,6 @@ func TestFleetMatchesSources(t *testing.T) {
 // globalCase is one modulated global-stream scenario.
 type globalCase struct {
 	name    string
-	split   bool
 	mod     RateModulator
 	horizon float64
 	sliced  bool
@@ -292,21 +255,17 @@ type globalCase struct {
 // source driven by the event-per-candidate loop. It returns one
 // signature per spec, the stream's RNG state afterwards, and (reference
 // only) every candidate's fire time mapped to whether it was accepted.
-func runGlobal(t *testing.T, c globalCase, reference bool) ([]string, streamState, map[float64]bool) {
+func runGlobal(t *testing.T, c globalCase, reference bool) ([]string, rng.Source, map[float64]bool) {
 	t.Helper()
 	const rate = 0.5
 	eng := sim.New()
 	r := rng.NewStream(3, "global")
-	var gap *rng.Source
-	if c.split {
-		gap = rng.NewStream(3, "global-gap")
-	}
 	var sigs []string
 	candidates := map[float64]bool{}
 	src, err := NewGlobalSource(eng, r, 6, GlobalParams{
 		Rate: rate, Shape: SerialShape{M: 4, MeanExec: 1},
 		SlackMin: 0.25, SlackMax: 2.5, RelFlex: 1, MeanLocalExec: 1,
-		Mod: c.mod, Horizon: c.horizon, Gap: gap,
+		Mod: c.mod, Horizon: c.horizon,
 	}, func(sp Spec) {
 		sigs = append(sigs, sp.Graph.String()+"|"+fmt.Sprint(sp.Arrival, sp.Deadline, sp.Slack))
 		candidates[sp.Arrival] = true
@@ -317,7 +276,7 @@ func runGlobal(t *testing.T, c globalCase, reference bool) ([]string, streamStat
 	var loop candidateLoop
 	if reference {
 		loop.init(eng, src)
-		if err := loop.reconfigure(r, gap, rate, c.mod); err != nil {
+		if err := loop.reconfigure(r, rate, c.mod); err != nil {
 			t.Fatal(err)
 		}
 		loop.onCandidate = func(at float64) { candidates[at] = false }
@@ -329,16 +288,7 @@ func runGlobal(t *testing.T, c globalCase, reference bool) ([]string, streamStat
 		eng.Run(c.horizon / 3)
 	}
 	eng.Run(c.horizon)
-	st := streamState{r: *r}
-	if gap != nil {
-		st.gap = *gap
-	}
-	if reference {
-		st.buf, st.n, st.i = loop.gapBuf, loop.gapN, loop.gapI
-	} else {
-		st.buf, st.n, st.i = src.arr.gapBuf, src.arr.gapN, src.arr.gapI
-	}
-	return sigs, st, candidates
+	return sigs, *r, candidates
 }
 
 // TestGlobalSourceMatchesReference is TestFleetMatchesSources for the
@@ -368,12 +318,10 @@ func TestGlobalSourceMatchesReference(t *testing.T) {
 	}
 	cases := []globalCase{
 		{name: "modulated default", mod: step, horizon: h},
-		{name: "modulated split", mod: step, horizon: h, split: true},
 		{name: "sliced run", mod: step, horizon: h, sliced: true},
 		{name: "accepted candidate at horizon", mod: step, horizon: atAccepted},
 		{name: "rejected candidate at horizon", mod: step, horizon: atRejected},
 		{name: "near-zero phase across horizon", mod: tiny, horizon: h},
-		{name: "near-zero phase across horizon split", mod: tiny, horizon: h, split: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -390,7 +338,7 @@ func TestGlobalSourceMatchesReference(t *testing.T) {
 					t.Fatalf("spec %d diverged:\nsource    %s\nreference %s", i, got[i], want[i])
 				}
 			}
-			if !gotState.equal(wantState) {
+			if !sameSource(gotState, wantState) {
 				t.Fatal("RNG state after the run differs from the reference")
 			}
 		})
@@ -444,7 +392,7 @@ func TestModulatorBoundsRejected(t *testing.T) {
 // TestFleetReuseRegeneratesIdentically pins the warm-workspace contract:
 // Configure + SeedNode on a used fleet reproduces the first run exactly.
 func TestFleetReuseRegeneratesIdentically(t *testing.T) {
-	c := fleetCase{rates: []float64{0.6, 0.6, 0.6}, split: true, horizon: 1500}
+	c := fleetCase{rates: []float64{0.6, 0.6, 0.6}, horizon: 1500}
 	first, _ := runFleet(t, c, 11)
 
 	// Same fleet object, reconfigured across engine resets.
@@ -456,8 +404,7 @@ func TestFleetReuseRegeneratesIdentically(t *testing.T) {
 		var id, seq uint64
 		second = second[:0]
 		err := f.Configure(len(c.rates), FleetParams{
-			MeanExec: 1, SlackMin: 0.25, SlackMax: 2.5,
-			SplitGaps: c.split, Pool: &task.Pool{},
+			MeanExec: 1, SlackMin: 0.25, SlackMax: 2.5, Pool: &task.Pool{},
 		},
 			func() uint64 { id++; return id },
 			func() uint64 { seq++; return seq },
@@ -469,7 +416,6 @@ func TestFleetReuseRegeneratesIdentically(t *testing.T) {
 			if err := f.SeedNode(i, rate, 11, rng.StreamHashParts("local-", uint64(i), "")); err != nil {
 				t.Fatal(err)
 			}
-			f.SeedNodeGap(i, 11, rng.StreamHashParts("local-", uint64(i), "-gap"))
 		}
 		f.Start()
 		eng.Run(1500)
@@ -481,5 +427,15 @@ func TestFleetReuseRegeneratesIdentically(t *testing.T) {
 				t.Fatalf("run %d task %d diverged", run, i)
 			}
 		}
+	}
+}
+
+// TestLocalStreamFitsCacheLine pins the layout LocalFleet's working set
+// relies on: one node's arrival state is at most one 64-byte cache line,
+// so an arrival at a 64k-node topology touches one line of per-node
+// state.
+func TestLocalStreamFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(localStream{}); size > 64 {
+		t.Fatalf("localStream is %d bytes, want <= 64", size)
 	}
 }

@@ -30,10 +30,6 @@ type GlobalParams struct {
 	// candidate past it (see arrivals), so it must be positive and
 	// finite when Mod is set. Unmodulated streams ignore it.
 	Horizon float64
-	// Gap optionally moves the inter-arrival gap draws to their own
-	// dedicated substream (the split RNG layout); nil interleaves gaps
-	// with the body draws on the main stream, the historical layout.
-	Gap *rng.Source
 	// GraphPool optionally recycles instance-graph nodes across
 	// arrivals. Nil allocates; sampled graphs are identical either way.
 	GraphPool *task.GraphPool
@@ -114,7 +110,7 @@ func (s *GlobalSource) Reconfigure(r *rng.Source, k int, params GlobalParams, st
 	}
 	s.r, s.params, s.k, s.start = r, params, k, start
 	s.pooled, _ = params.Shape.(PooledBuilder)
-	return s.arr.reconfigure(r, params.Gap, params.Rate, params.Mod, params.Horizon)
+	return s.arr.reconfigure(r, params.Rate, params.Mod, params.Horizon)
 }
 
 // Start schedules the first arrival. A zero rate generates nothing.

@@ -28,12 +28,6 @@ type RateModulator interface {
 // closure allocations.
 type arrivalOwner interface{ arrive() }
 
-// gapBatch is the number of inter-candidate gaps pre-drawn per refill
-// under the split RNG layout. Small on purpose: the buffer lives by
-// value in every source, and a 64k-node topology carries one buffer per
-// node.
-const gapBatch = 8
-
 // arrivals drives one source's arrival process. With a nil modulator it
 // draws plain exponential gaps: each arrival is one engine event that
 // emits the task and schedules the next arrival a gap later.
@@ -61,20 +55,12 @@ const gapBatch = 8
 // and the modulator's bound are hoisted to fields at reconfiguration
 // (MaxFactor is constant by contract).
 //
-// RNG layout: by default (gap == nil) every draw of the source — gap,
-// thinning accept, and the arrival's body draws — interleaves on the one
-// stream r, in exact arrival order; this is the historical layout and
-// its results are frozen by the golden digests in internal/system. With
-// a dedicated gap stream (the split layout), gap draws move to their own
-// substream and are pre-drawn gapBatch at a time, which batches the
-// per-candidate draw overhead without perturbing the body draws'
-// stream. The two layouts produce different (equally valid) sample
-// paths, which is why the split layout sits behind an explicit
-// configuration knob; the golden digests cover both.
+// Every draw of the source — gap, thinning accept, and the arrival's
+// body draws — interleaves on the one stream r, in exact arrival order;
+// the results are frozen by the golden digests in internal/system.
 type arrivals struct {
 	eng       *sim.Engine
 	r         *rng.Source
-	gap       *rng.Source // non-nil selects the split gap substream
 	rate      float64
 	peakMean  float64 // mean inter-candidate gap at the peak rate
 	maxFactor float64 // cached mod.MaxFactor(); 1 with no modulator
@@ -82,9 +68,6 @@ type arrivals struct {
 	mod       RateModulator
 	owner     arrivalOwner
 	cb        sim.Callback
-	gapBuf    [gapBatch]float64
-	gapN      int // valid entries in gapBuf
-	gapI      int // next entry to consume
 }
 
 // arrivalHandler is the engine callback behind every arrivals loop; the
@@ -98,38 +81,22 @@ func (a *arrivals) init(eng *sim.Engine, owner arrivalOwner) {
 }
 
 // reconfigure rebinds the arrivals loop for a fresh run in place: a new
-// (typically reseeded) RNG stream, rate, modulator, horizon and optional
-// gap substream, re-registering the shared handler on the engine (an
+// (typically reseeded) RNG stream, rate, modulator and horizon,
+// re-registering the shared handler on the engine (an
 // engine Reset clears registrations). It allocates nothing after the
 // first run.
-func (a *arrivals) reconfigure(r, gap *rng.Source, rate float64, mod RateModulator, horizon float64) error {
+func (a *arrivals) reconfigure(r *rng.Source, rate float64, mod RateModulator, horizon float64) error {
 	maxFactor, err := peakFactor(mod, horizon)
 	if err != nil {
 		return err
 	}
-	a.r, a.gap, a.rate, a.maxFactor, a.mod, a.horizon = r, gap, rate, maxFactor, mod, horizon
+	a.r, a.rate, a.maxFactor, a.mod, a.horizon = r, rate, maxFactor, mod, horizon
 	a.peakMean = 0
 	if rate > 0 {
 		a.peakMean = 1 / (rate * maxFactor)
 	}
-	a.gapN, a.gapI = 0, 0
 	a.cb = a.eng.Register(arrivalHandler)
 	return nil
-}
-
-// nextGap draws the next inter-candidate gap from whichever stream the
-// configured layout assigns it to.
-func (a *arrivals) nextGap() float64 {
-	if a.gap == nil {
-		return a.r.Exponential(a.peakMean)
-	}
-	if a.gapI == a.gapN {
-		a.gap.ExponentialFill(a.gapBuf[:], a.peakMean)
-		a.gapN, a.gapI = gapBatch, 0
-	}
-	g := a.gapBuf[a.gapI]
-	a.gapI++
-	return g
 }
 
 // start schedules the first arrival. A zero rate generates nothing.
@@ -150,7 +117,7 @@ func (a *arrivals) fire() {
 // else the first candidate the thinning loop keeps.
 func (a *arrivals) schedule() {
 	if a.mod == nil {
-		a.eng.MustScheduleCall(a.nextGap(), a.cb, a)
+		a.eng.MustScheduleCall(a.r.Exponential(a.peakMean), a.cb, a)
 		return
 	}
 	a.thin(a.eng.Now())
@@ -160,7 +127,7 @@ func (a *arrivals) schedule() {
 // accepted candidate at or before the horizon, if any.
 func (a *arrivals) thin(t float64) {
 	for {
-		t += a.nextGap()
+		t += a.r.Exponential(a.peakMean)
 		if t > a.horizon {
 			return
 		}

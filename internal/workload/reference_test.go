@@ -22,15 +22,12 @@ import (
 type candidateLoop struct {
 	eng         *sim.Engine
 	r           *rng.Source
-	gap         *rng.Source
 	rate        float64
 	peakMean    float64
 	maxFactor   float64
 	mod         RateModulator
 	owner       arrivalOwner
 	cb          sim.Callback
-	gapBuf      [gapBatch]float64
-	gapN, gapI  int
 	onCandidate func(t float64)
 }
 
@@ -40,7 +37,7 @@ func (a *candidateLoop) init(eng *sim.Engine, owner arrivalOwner) {
 	a.eng, a.owner = eng, owner
 }
 
-func (a *candidateLoop) reconfigure(r, gap *rng.Source, rate float64, mod RateModulator) error {
+func (a *candidateLoop) reconfigure(r *rng.Source, rate float64, mod RateModulator) error {
 	maxFactor := 1.0
 	if mod != nil {
 		maxFactor = mod.MaxFactor()
@@ -48,34 +45,20 @@ func (a *candidateLoop) reconfigure(r, gap *rng.Source, rate float64, mod RateMo
 			return fmt.Errorf("workload: rate modulator MaxFactor = %v, want > 0 and finite", maxFactor)
 		}
 	}
-	a.r, a.gap, a.rate, a.maxFactor, a.mod = r, gap, rate, maxFactor, mod
+	a.r, a.rate, a.maxFactor, a.mod = r, rate, maxFactor, mod
 	a.peakMean = 0
 	if rate > 0 {
 		a.peakMean = 1 / (rate * maxFactor)
 	}
-	a.gapN, a.gapI = 0, 0
 	a.cb = a.eng.Register(candidateHandler)
 	return nil
-}
-
-func (a *candidateLoop) nextGap() float64 {
-	if a.gap == nil {
-		return a.r.Exponential(a.peakMean)
-	}
-	if a.gapI == a.gapN {
-		a.gap.ExponentialFill(a.gapBuf[:], a.peakMean)
-		a.gapN, a.gapI = gapBatch, 0
-	}
-	g := a.gapBuf[a.gapI]
-	a.gapI++
-	return g
 }
 
 func (a *candidateLoop) start() {
 	if a.rate == 0 {
 		return
 	}
-	a.eng.MustScheduleCall(a.nextGap(), a.cb, a)
+	a.eng.MustScheduleCall(a.r.Exponential(a.peakMean), a.cb, a)
 }
 
 // candidate fires one candidate arrival, thins it, and self-schedules.
@@ -86,7 +69,7 @@ func (a *candidateLoop) candidate() {
 	if a.accept() {
 		a.owner.arrive()
 	}
-	a.eng.MustScheduleCall(a.nextGap(), a.cb, a)
+	a.eng.MustScheduleCall(a.r.Exponential(a.peakMean), a.cb, a)
 }
 
 // accept applies the thinning test at the current time.
@@ -124,11 +107,6 @@ type LocalParams struct {
 	// Mod optionally modulates the arrival rate over time (scenario
 	// bursts and ramps); nil keeps the stream stationary.
 	Mod RateModulator
-	// Gap optionally moves the inter-arrival gap draws to their own
-	// dedicated substream (the split RNG layout), enabling batched
-	// draws; nil interleaves gaps with the body draws on the source's
-	// main stream, the historical layout.
-	Gap *rng.Source
 	// Pool optionally recycles retired tasks instead of allocating a
 	// fresh Task per arrival. Nil allocates; results are identical
 	// either way.
@@ -199,7 +177,7 @@ func (s *LocalSource) Reconfigure(r *rng.Source, params LocalParams,
 	}
 	s.r, s.params = r, params
 	s.submit, s.nextID, s.nextSq = submit, nextID, nextSeq
-	return s.arr.reconfigure(r, params.Gap, params.Rate, params.Mod)
+	return s.arr.reconfigure(r, params.Rate, params.Mod)
 }
 
 // Start schedules the first arrival. A zero rate generates nothing.
