@@ -66,7 +66,6 @@ func TestChaosDeterminism(t *testing.T) {
 		ChunkSize:     2,
 		Heartbeat:     100 * time.Millisecond,
 		WorkerTimeout: 2 * time.Second,
-		RetryBackoff:  10 * time.Millisecond,
 		Env:           []string{failpoint.EnvVar + "=" + spec},
 	})
 	s := session.NewWithBackend(b)
@@ -124,10 +123,9 @@ func TestChaosCancellationPrefix(t *testing.T) {
 
 	spec := "seed=7;distrib/worker-loop=kill:p=0.25:max=1"
 	b := testBackend(t, ProcOptions{
-		Workers:      2,
-		ChunkSize:    2,
-		RetryBackoff: 10 * time.Millisecond,
-		Env:          []string{failpoint.EnvVar + "=" + spec},
+		Workers:   2,
+		ChunkSize: 2,
+		Env:       []string{failpoint.EnvVar + "=" + spec},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -172,7 +170,6 @@ func TestHungWorkerDetected(t *testing.T) {
 		ChunkSize:     2,
 		Heartbeat:     50 * time.Millisecond,
 		WorkerTimeout: 400 * time.Millisecond,
-		RetryBackoff:  10 * time.Millisecond,
 		HedgeFactor:   -1, // force the liveness path: no hedge may rescue the chunk first
 		Env: []string{
 			victimLockEnv + "=" + lock,
@@ -207,6 +204,104 @@ func TestHungWorkerDetected(t *testing.T) {
 	}
 }
 
+// within runs f and fails the test if it has not returned after limit,
+// so a run that never returns fails the test instead of stalling it.
+func within(t *testing.T, limit time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		t.Fatalf("still running after %v", limit)
+	}
+}
+
+// wedgedBackend returns a backend whose first worker to start wedges
+// inside every simulation: its pool lease hangs, while its main loop
+// keeps answering pings, so heartbeats see a healthy worker and only
+// the chunk deadline can catch it.
+func wedgedBackend(t *testing.T, opts ProcOptions) (*ProcBackend, string) {
+	t.Helper()
+	lock := filepath.Join(t.TempDir(), "wedge.lock")
+	opts.ChunkSize = 2
+	opts.Heartbeat = 50 * time.Millisecond
+	opts.WorkerTimeout = 400 * time.Millisecond
+	opts.Env = []string{
+		victimLockEnv + "=" + lock,
+		victimSpecEnv + "=session/pool-acquire=hang",
+	}
+	return testBackend(t, opts), lock
+}
+
+// TestWedgedExecutionRecovered wedges one of two workers on its first
+// chunk, dispatched before any chunk has completed. Once the other
+// worker completes a chunk, the EWMA-derived deadline must bound the
+// wedged one: its worker is reaped and the run finishes bit-identical.
+// With hedging on, the hedge wins, and the run must still bound the
+// losing dispatch rather than wait on it forever.
+func TestWedgedExecutionRecovered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	job := session.Job{Config: shortCfg(1200), Reps: 8}
+	want := chaosRef(t, job)
+	for _, tc := range []struct {
+		name  string
+		hedge float64
+	}{{"hedge-off", -1}, {"hedge-on", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, lock := wedgedBackend(t, ProcOptions{Workers: 2, HedgeFactor: tc.hedge})
+			s := session.NewWithBackend(b)
+			defer s.Close()
+			var got *session.Result
+			var err error
+			within(t, 30*time.Second, func() { got, err = s.Run(context.Background(), job) })
+			if err != nil {
+				t.Fatalf("run did not survive a wedged execution: %v", err)
+			}
+			requireIdentical(t, got, want)
+			if _, err := os.Stat(lock); err != nil {
+				t.Fatalf("victim lock never created — the wedge was not exercised: %v", err)
+			}
+			if ds := b.DistribStats(); ds.Deaths == 0 {
+				t.Error("wedged worker was never reaped")
+			}
+		})
+	}
+}
+
+// TestWedgedExecutionCancel cancels a run whose only worker is wedged
+// on its first chunk, so no chunk ever completes and there is no EWMA
+// to derive a deadline from. Cancellation alone must bound Run: the
+// worker gets twice WorkerTimeout to acknowledge, then it is reaped.
+func TestWedgedExecutionCancel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	b, lock := wedgedBackend(t, ProcOptions{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(200*time.Millisecond, cancel)
+	var res session.ShardResult
+	var err error
+	within(t, 200*time.Millisecond+2*b.opts.WorkerTimeout+2*time.Second, func() {
+		res, err = b.Run(ctx, session.Shard{Config: shortCfg(1200), Seeds: []uint64{1, 2, 3, 4}, Parallelism: 1})
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Completed != 0 {
+		t.Fatalf("completed = %d, want 0 from a wedged worker", res.Completed)
+	}
+	if _, err := os.Stat(lock); err != nil {
+		t.Fatalf("victim lock never created — the wedge was not exercised: %v", err)
+	}
+}
+
 // TestRespawnBudgetFallback arms unconditional worker kills: every
 // spawned worker (replacements included) dies on its first frame, so
 // the circuit breaker must trip and the run must degrade gracefully to
@@ -221,11 +316,9 @@ func TestRespawnBudgetFallback(t *testing.T) {
 	want := chaosRef(t, job)
 
 	b := testBackend(t, ProcOptions{
-		Workers:       2,
-		ChunkSize:     2,
-		RespawnBudget: 2,
-		RetryBackoff:  5 * time.Millisecond,
-		Env:           []string{failpoint.EnvVar + "=distrib/worker-loop=kill"},
+		Workers:   2,
+		ChunkSize: 2,
+		Env:       []string{failpoint.EnvVar + "=distrib/worker-loop=kill"},
 	})
 	s := session.NewWithBackend(b)
 	defer s.Close()

@@ -24,11 +24,12 @@ import (
 // because replications are pure functions of (config, seed).
 var errWorkerDead = errors.New("distrib: worker process died")
 
-// errWorkerHung marks the liveness-deadline flavour of worker loss: the
-// process never closed its pipe, but stopped answering heartbeats. It
-// wraps errWorkerDead so every recovery path treats hangs and deaths
-// identically — the hung process is killed and its chunk reassigned.
-var errWorkerHung = fmt.Errorf("worker hung (missed liveness deadline): %w", errWorkerDead)
+// errWorkerHung marks the hung flavour of worker loss: the process
+// never closed its pipe, but stopped answering heartbeats or left a
+// cancel unacknowledged. It wraps errWorkerDead so every recovery path
+// treats hangs and deaths identically — the hung process is killed and
+// its chunk reassigned.
+var errWorkerHung = fmt.Errorf("worker hung (missed a liveness or cancel deadline): %w", errWorkerDead)
 
 // errChunkDeadline marks a sub-shard that overran its execution
 // deadline (derived from the EWMA of observed chunk latency) even
@@ -92,8 +93,10 @@ type ProcOptions struct {
 	Heartbeat time.Duration
 	// WorkerTimeout is the liveness deadline: a worker that produces no
 	// frame (result, done, or pong) for this long is declared hung,
-	// killed, and its chunk reassigned. 0 means 10s; values below twice
-	// the heartbeat are clamped up to it.
+	// killed, and its chunk reassigned. Twice it is also the floor of a
+	// chunk's execution deadline and the time a worker has to acknowledge
+	// a cancel. 0 means 10s; values below twice the heartbeat are clamped
+	// up to it.
 	WorkerTimeout time.Duration
 	// HedgeFactor scales the straggler threshold: an idle worker
 	// speculatively re-runs the oldest outstanding chunk once its age
@@ -101,14 +104,6 @@ type ProcOptions struct {
 	// (first result wins; the duplicate is deduplicated and cancelled).
 	// 0 means 4; negative disables hedging.
 	HedgeFactor float64
-	// RespawnBudget bounds recovery per Run: at most this many mid-run
-	// worker respawns, and after this many consecutive chunk failures
-	// the circuit breaker trips and the backend degrades gracefully to
-	// the in-process pool for the remaining seeds. 0 means 4.
-	RespawnBudget int
-	// RetryBackoff is the base delay before a failed chunk is
-	// redispatched; it doubles per attempt, capped at 2s. 0 means 50ms.
-	RetryBackoff time.Duration
 }
 
 // workers resolves the worker-count default.
@@ -151,30 +146,21 @@ func (o ProcOptions) hedgeFactor() float64 {
 	return o.HedgeFactor
 }
 
-// respawnBudget resolves the per-run recovery budget.
-func (o ProcOptions) respawnBudget() int {
-	if o.RespawnBudget <= 0 {
-		return 4
-	}
-	return o.RespawnBudget
-}
+// Recovery bounds per Run: at most respawnBudget mid-run worker
+// respawns, and after respawnBudget consecutive chunk failures the
+// circuit breaker trips and the run's remaining seeds fall back to the
+// in-process pool. A failed chunk (and a respawn) waits retryBackoff
+// before its next attempt.
+const respawnBudget = 4
 
-// retryBackoff resolves the capped exponential chunk-retry backoff for
-// the given prior attempt count.
-func (o ProcOptions) retryBackoff(attempts int) time.Duration {
-	base := o.RetryBackoff
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	const cap = 2 * time.Second
-	d := base
-	for i := 0; i < attempts && d < cap; i++ {
+// retryBackoff is the capped exponential delay after the given number
+// of prior attempts: 50ms, doubling, at most 2s.
+func retryBackoff(attempts int) time.Duration {
+	d := 50 * time.Millisecond
+	for i := 0; i < attempts && d < 2*time.Second; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(d, 2*time.Second)
 }
 
 // errBackendClosed fails runs on a closed backend, including dispatches
@@ -259,29 +245,17 @@ type procWorker struct {
 // its output is byte-identical to the in-process pool at any worker
 // count.
 //
-// Concurrent Run calls share the fleet side by side. Each run keeps its
-// own chunks, recovery budget and seed-order merge, and keeps at most
-// one chunk in flight per worker, so a shard's Parallelism is honoured;
-// a worker runs the chunks of different runs concurrently on its own
-// pool. One reader per worker routes result and done frames to their
-// dispatch by id.
-//
-// The coordinator supervises its fleet: per-worker heartbeats detect
-// hung processes (not just closed pipes) within a liveness deadline,
-// per-sub-shard execution deadlines derived from observed chunk
-// latency catch wedged executions, failed chunks are retried with
-// capped exponential backoff on surviving (or mid-run respawned)
-// workers, and an idle worker speculatively re-runs the slowest
-// outstanding chunk (first result wins; duplicates are deduplicated
-// deterministically, so hedging never changes results). A failed
-// worker fails every dispatch on it, whichever run it belongs to; runs
-// that see one death share one replacement, and the fleet never
-// exceeds Workers. When a run's respawn budget is exhausted — or no
-// worker can be kept alive — the backend degrades gracefully: the run's
-// remaining seeds execute on an embedded in-process pool and the
-// fallback is recorded in DistribStats. Every recovery path preserves
-// bit-identical merged output, because replications are pure functions
-// of (config, seed).
+// Supervision has two levels. The fleet is shared by concurrent runs:
+// one reader per worker routes result and done frames to their dispatch
+// by id, heartbeats catch a worker that goes silent past the liveness
+// deadline, a failed worker fails every dispatch on it whichever run it
+// belongs to, runs that see one death share one replacement, and the
+// fleet never exceeds Workers. Each Run is one supervisor loop over its
+// own chunks (see Run): at most one chunk in flight per worker, so a
+// shard's Parallelism is honoured, with its own execution deadlines,
+// retries, hedges, respawn budget, and fallback to an embedded
+// in-process pool. Every recovery path preserves bit-identical merged
+// output, because replications are pure functions of (config, seed).
 //
 // Configurations that cannot cross a process boundary (ErrNotWirable:
 // an attached trace recorder, an unregistered Shape or Demand) fall
@@ -646,13 +620,7 @@ func (b *ProcBackend) localPool() (*session.Pool, error) {
 }
 
 // chunk is a contiguous [start, end) slice of a shard's seed range.
-// requeued marks a dispatch of a chunk put back after a worker failure
-// (or dispatched speculatively); the worker that completes it records a
-// steal.
-type chunk struct {
-	start, end int
-	requeued   bool
-}
+type chunk struct{ start, end int }
 
 // chunkSeeds cuts n seeds into in-order chunks of at most size.
 func chunkSeeds(n, size int) []chunk {
@@ -679,19 +647,81 @@ func (b *ProcBackend) chunkSize(n, workers int) int {
 	return size
 }
 
-// chunkState tracks one chunk's dispatch lifecycle under the run's mu:
-// how many dispatches are outstanding (a hedge makes it two), whether
-// it finished, its retry backoff gate, and the workers its outstanding
-// dispatches run on (so the winner can cancel the loser).
+// chunkState is one chunk's lifecycle in its run's loop: pending while
+// no dispatch carries it (dispatchable once its backoff gate passes),
+// running while one does (two with a hedge), and done once a dispatch
+// finishes it. A failed dispatch puts it back to pending.
 type chunkState struct {
 	c         chunk
-	attempts  int       // failed attempts so far (drives the backoff)
+	attempts  int       // failed attempts so far (drive the backoff and the deadline)
 	notBefore time.Time // backoff gate for the next dispatch
 	running   int       // outstanding dispatches (0, 1, or 2 with a hedge)
 	done      bool
-	hedged    bool // a speculative duplicate has been dispatched
-	startedAt time.Time
-	active    map[uint64]*procWorker // dispatch id -> worker
+	hedged    bool      // a speculative duplicate has been dispatched
+	startedAt time.Time // start of the primary dispatch (the straggler's age)
+}
+
+// dispatch is one chunk sent to one worker. Its goroutine (runChunk)
+// owns the wire; the run loop owns everything else.
+type dispatch struct {
+	id       uint64
+	w        *procWorker
+	cs       *chunkState
+	hedge    bool
+	requeued bool // a retry or a hedge: the worker that completes it records a steal
+	start    time.Time
+	stop     chan struct{} // closed by the loop: forward a cancel frame
+	ackBy    time.Time     // once stopped, the worker is reaped unless it acks by then
+	reaped   bool          // the loop gave up on the worker
+}
+
+// runEvent is a dispatch goroutine's message to its run loop: one
+// replication's result or, with metrics nil, how the dispatch ended.
+// The loop keeps receiving until every dispatch has ended, so a send
+// never blocks for good.
+type runEvent struct {
+	d       *dispatch
+	index   int // seed index within the shard
+	metrics *system.Metrics
+	err     error
+}
+
+// respawn replaces a failed worker: due once its backoff passes, then
+// reported by its goroutine with the slot's live worker, or an error.
+// Nothing waits for that goroutine: a spawn or dial bounds it, and its
+// report never blocks.
+type respawn struct {
+	old, w *procWorker
+	at     time.Time
+	err    error
+}
+
+// procRun is one Run's supervisor state, all of it owned by the loop in
+// the caller's goroutine. Dispatch and respawn goroutines only report
+// to the loop, over events and spawns.
+type procRun struct {
+	b      *ProcBackend
+	shard  session.Shard
+	wc     WireConfig
+	chunks []*chunkState
+	idle   []*procWorker // the run's workers with none of its chunks in flight
+	flying map[*dispatch]struct{}
+	due    []respawn // respawns waiting out their backoff
+	events chan runEvent
+	spawns chan respawn // buffered to respawnBudget: a report never blocks
+
+	spawning    int  // respawn goroutines not yet reported
+	done        int  // chunks done
+	consecFails int  // consecutive chunk failures (circuit breaker)
+	respawned   int  // mid-run respawns scheduled, out of respawnBudget
+	halted      bool // cancelled or failed: dispatch nothing more
+	degraded    bool // breaker tripped or no worker left: fall back
+	failErr     error
+	ewma        float64 // EWMA of completed-chunk latency, seconds
+	ewmaN       int
+
+	metrics           []*system.Metrics // nil until delivered
+	delivered, prefix int               // merge-buffer depth is delivered − prefix
 }
 
 // Run implements session.Backend. Results are merged in seed order;
@@ -702,12 +732,18 @@ type chunkState struct {
 // independently — which streaming and progress hooks tolerate by
 // construction.)
 //
-// Worker failures never invalidate the run: dead, hung, or misbehaving
-// workers are reaped and their chunks retried (with backoff) on
-// survivors or mid-run respawns; if the recovery budget runs out, the
-// remaining seeds execute on the embedded in-process pool. The only
-// hard failures are a replication error inside the simulation itself,
-// an unspawnable initial fleet, and Close.
+// One loop in the caller's goroutine supervises the run: it hands
+// pending chunks to idle workers, one per worker; merges the results
+// its dispatch goroutines forward; retries failed chunks after a capped
+// exponential backoff on survivors or mid-run respawns; hedges
+// stragglers; and reaps the worker of a dispatch that overruns its
+// chunk deadline, or that leaves a cancel unacknowledged for twice
+// WorkerTimeout, so cancellation bounds Run even on a wedged worker.
+// One timer wakes the loop for the next such moment. If the recovery
+// budget runs out, the remaining seeds execute on the embedded
+// in-process pool. The only hard failures are a replication error
+// inside the simulation itself, an unspawnable initial fleet, and
+// Close.
 func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.ShardResult, error) {
 	if len(shard.Seeds) == 0 {
 		return session.ShardResult{Metrics: []*system.Metrics{}}, ctx.Err()
@@ -734,309 +770,32 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 		return session.ShardResult{}, err
 	}
 
-	chunks := chunkSeeds(len(shard.Seeds), b.chunkSize(len(shard.Seeds), len(workers)))
-	states := make([]*chunkState, len(chunks))
-	for i, c := range chunks {
-		states[i] = &chunkState{c: c, active: map[uint64]*procWorker{}}
+	r := &procRun{
+		b:       b,
+		shard:   shard,
+		wc:      wc,
+		idle:    workers,
+		flying:  map[*dispatch]struct{}{},
+		events:  make(chan runEvent),
+		spawns:  make(chan respawn, respawnBudget),
+		metrics: make([]*system.Metrics, len(shard.Seeds)),
+		halted:  ctx.Err() != nil,
 	}
-
-	var (
-		mu          sync.Mutex
-		doneCount   int // chunks that completed
-		live        = len(workers)
-		consecFails int  // consecutive chunk failures (circuit breaker)
-		respawned   int  // mid-run respawns consumed from the budget
-		degraded    bool // circuit breaker tripped: stop dispatching to workers
-		failErr     error
-		cancelled   bool
-		ewma        float64 // EWMA of completed-chunk latency, seconds
-		ewmaN       int
-	)
-	budget := b.opts.respawnBudget()
-	cond := sync.NewCond(&mu)
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-
-	metrics := make([]*system.Metrics, len(shard.Seeds))
-	delivered := make([]bool, len(shard.Seeds))
-	deliveredCount, prefix := 0, 0 // for merge-buffer depth: arrived − emittable
-	record := func(i int, m *system.Metrics) {
-		mu.Lock()
-		first := !delivered[i]
-		delivered[i] = true
-		metrics[i] = m
-		if first {
-			deliveredCount++
-			for prefix < len(delivered) && delivered[prefix] {
-				prefix++
-			}
-			// Results held back because an earlier seed is still running;
-			// lock order run-local mu → b.mu is taken nowhere in reverse.
-			if d := uint64(deliveredCount - prefix); d > 0 {
-				b.noteMergeDepth(d)
-			}
-		}
-		mu.Unlock()
-		// A chunk re-run after a worker failure (or a hedged duplicate)
-		// replays indices another dispatch already streamed; OnResult
-		// fires once per index — first result wins, deterministically,
-		// because every dispatch computes the identical metrics.
-		if first && shard.OnResult != nil {
-			shard.OnResult(i, m)
-		}
+	for _, c := range chunkSeeds(len(shard.Seeds), b.chunkSize(len(shard.Seeds), len(workers))) {
+		r.chunks = append(r.chunks, &chunkState{c: c})
 	}
-
-	// Propagate caller cancellation into the dispatch state so idle
-	// workers stop waiting for chunks, and re-broadcast periodically so
-	// time-gated decisions (backoff expiry, straggler age) are
-	// re-evaluated without a condition-variable timeout.
-	stopWatch := make(chan struct{})
-	go func() {
-		select {
-		case <-runCtx.Done():
-			mu.Lock()
-			cancelled = true
-			cond.Broadcast()
-			mu.Unlock()
-		case <-stopWatch:
-		}
-	}()
-	tick := b.opts.heartbeat() / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > 250*time.Millisecond {
-		tick = 250 * time.Millisecond
-	}
-	go func() {
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				cond.Broadcast()
-			case <-stopWatch:
-				return
-			}
-		}
-	}()
-
-	// pickWork selects the next dispatch for an idle worker: the first
-	// queued chunk whose backoff elapsed, else — past the straggler
-	// threshold — a speculative duplicate of the oldest outstanding
-	// chunk. Caller holds mu.
-	hedgeFactor := b.opts.hedgeFactor()
-	pickWork := func() (*chunkState, bool) {
-		now := time.Now()
-		for _, cs := range states {
-			if cs.done || cs.running > 0 || now.Before(cs.notBefore) {
-				continue
-			}
-			return cs, false
-		}
-		if hedgeFactor > 0 && ewmaN > 0 {
-			thr := time.Duration(hedgeFactor * ewma * float64(time.Second))
-			if hb := b.opts.heartbeat(); thr < hb {
-				thr = hb
-			}
-			var best *chunkState
-			var bestAge time.Duration
-			for _, cs := range states {
-				if cs.done || cs.running != 1 || cs.hedged {
-					continue
-				}
-				if age := now.Sub(cs.startedAt); age > thr && age > bestAge {
-					best, bestAge = cs, age
-				}
-			}
-			if best != nil {
-				return best, true
-			}
-		}
-		return nil, false
-	}
-
-	// requeue puts a failed dispatch's chunk back with backoff, and
-	// trips the circuit breaker after too many consecutive failures.
-	// Caller holds mu.
-	requeue := func(cs *chunkState) {
-		if cs.done || cs.running > 0 {
-			return // another dispatch (a hedge) still carries the chunk
-		}
-		cs.attempts++
-		cs.hedged = false
-		cs.notBefore = time.Now().Add(b.opts.retryBackoff(cs.attempts - 1))
-		b.countRetry()
-		consecFails++
-		if consecFails >= budget {
-			degraded = true
-		}
-	}
-
-	var wg sync.WaitGroup
-	var dispatch func(w *procWorker)
-	dispatch = func(w *procWorker) {
-		defer wg.Done()
-		for {
-			mu.Lock()
-			var cs *chunkState
-			var isHedge bool
-			for {
-				if failErr != nil || cancelled || degraded || doneCount == len(states) {
-					mu.Unlock()
-					return
-				}
-				cs, isHedge = pickWork()
-				if cs != nil {
-					break
-				}
-				cond.Wait()
-			}
-			cs.running++
-			if isHedge {
-				cs.hedged = true
-			} else {
-				cs.startedAt = time.Now()
-			}
-			c := cs.c
-			c.requeued = cs.attempts > 0 || isHedge
-			deadline := time.Duration(0)
-			if ewmaN > 0 {
-				deadline = time.Duration(8 * ewma * float64(time.Second))
-				if min := 2 * b.opts.workerTimeout(); deadline < min {
-					deadline = min
-				}
-				for i := 0; i < cs.attempts && i < 3; i++ {
-					deadline *= 2
-				}
-			}
-			b.mu.Lock()
-			b.nextID++
-			id := b.nextID
-			b.mu.Unlock()
-			cs.active[id] = w
-			start := time.Now()
-			mu.Unlock()
-
-			cerr := b.runChunk(runCtx, w, &wc, shard, c, id, deadline, record)
-
-			mu.Lock()
-			delete(cs.active, id)
-			cs.running--
-			switch {
-			case cs.done:
-				// Another dispatch won the race; this one's results were
-				// deduplicated. Nothing to account — hedge win/loss was
-				// recorded by the winner.
-			case cerr == nil:
-				cs.done = true
-				doneCount++
-				consecFails = 0
-				if cs.hedged {
-					if isHedge {
-						b.countHedge(true)
-					} else {
-						b.countHedge(false)
-					}
-				}
-				// First result wins: cancel the loser so its worker frees
-				// up (its late results are deduplicated regardless).
-				for oid, ow := range cs.active {
-					go func(ow *procWorker, oid uint64) {
-						_ = ow.fw.send(msgCancel, cancelMsg{ID: oid})
-					}(ow, oid)
-				}
-				el := time.Since(start).Seconds()
-				if ewmaN == 0 {
-					ewma = el
-				} else {
-					ewma = 0.7*ewma + 0.3*el
-				}
-				ewmaN++
-			case isCancellation(cerr):
-				if !cancelled {
-					// A cancel ack without a run cancellation: the chunk
-					// was cancelled as a hedge loser but lost its winner
-					// (or a stray); put it back.
-					requeue(cs)
-				}
-			case errors.Is(cerr, errWorkerDead):
-				requeue(cs)
-			default:
-				if failErr == nil {
-					failErr = cerr
-					cancelRun()
-				}
-			}
-			cond.Broadcast()
-			dead := errors.Is(cerr, errWorkerDead)
-			mu.Unlock()
-			if !dead {
-				continue
-			}
-
-			// The worker is gone (died, hung, or broke protocol): reap
-			// it and — within the budget — replace it after a capped
-			// backoff so the fleet heals mid-run.
-			b.reap(w, cerr)
-			mu.Lock()
-			live--
-			canRespawn := !cancelled && failErr == nil && !degraded &&
-				doneCount < len(states) && respawned < budget
-			attempt := respawned
-			if canRespawn {
-				respawned++
-			}
-			mu.Unlock()
-			if canRespawn {
-				select {
-				case <-time.After(b.opts.retryBackoff(attempt)):
-				case <-runCtx.Done():
-					return
-				}
-				if nw, rerr := b.replace(w); rerr == nil {
-					mu.Lock()
-					live++
-					mu.Unlock()
-					wg.Add(1)
-					go dispatch(nw)
-					return
-				}
-				// Spawn failure consumes budget like any other failure.
-				mu.Lock()
-				consecFails++
-				if consecFails >= budget {
-					degraded = true
-				}
-				mu.Unlock()
-			}
-			mu.Lock()
-			if live == 0 && !cancelled && failErr == nil && doneCount < len(states) {
-				// No worker left and no respawn coming: degrade to the
-				// in-process pool rather than fail the run.
-				degraded = true
-			}
-			cond.Broadcast()
-			mu.Unlock()
-			return
-		}
-	}
-	for _, w := range workers {
-		wg.Add(1)
-		go dispatch(w)
-	}
-	wg.Wait()
-	close(stopWatch)
+	r.loop(ctx)
 
 	// Graceful degradation: the circuit breaker tripped (or the fleet
 	// could not be kept alive), so every seed not yet delivered runs on
 	// the embedded in-process pool. Determinism makes the switch
 	// invisible in the results.
-	if degraded && failErr == nil && ctx.Err() == nil {
+	if r.degraded && r.failErr == nil && ctx.Err() == nil {
 		var idxs []int
-		for i, d := range delivered {
-			if !d {
-				idxs = append(idxs, i)
+		var seeds []uint64
+		for i, m := range r.metrics {
+			if m == nil {
+				idxs, seeds = append(idxs, i), append(seeds, shard.Seeds[i])
 			}
 		}
 		if len(idxs) > 0 {
@@ -1044,53 +803,335 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 			if perr != nil {
 				return session.ShardResult{}, perr
 			}
-			seeds := make([]uint64, len(idxs))
-			for j, i := range idxs {
-				seeds[j] = shard.Seeds[i]
-			}
-			fb := session.Shard{
-				Config:      shard.Config,
-				Seeds:       seeds,
-				Parallelism: shard.Parallelism,
-				OnResult:    func(j int, m *system.Metrics) { record(idxs[j], m) },
-			}
-			if _, ferr := pool.Run(ctx, fb); ferr != nil && !isCancellation(ferr) {
-				failErr = ferr
+			var mu sync.Mutex // the pool reports from its worker goroutines
+			fb := session.Shard{Config: shard.Config, Seeds: seeds, Parallelism: shard.Parallelism,
+				OnResult: func(j int, m *system.Metrics) {
+					mu.Lock()
+					r.record(idxs[j], m)
+					mu.Unlock()
+					if shard.OnResult != nil {
+						shard.OnResult(idxs[j], m)
+					}
+				}}
+			if _, ferr := pool.Run(ctx, fb); !isCancellation(ferr) {
+				r.failErr = ferr
 			}
 		}
 	}
 
-	if failErr != nil && !isCancellation(failErr) {
-		return session.ShardResult{}, failErr
+	if r.failErr != nil && !isCancellation(r.failErr) {
+		return session.ShardResult{}, r.failErr
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		// Longest contiguous finished prefix; chunks cancel
 		// independently, so completions beyond the first hole are
 		// discarded (deterministic re-runs would reproduce them).
-		completed := 0
-		for completed < len(metrics) && metrics[completed] != nil {
-			completed++
-		}
-		for i := completed; i < len(metrics); i++ {
-			metrics[i] = nil
-		}
-		return session.ShardResult{Metrics: metrics, Completed: completed}, cerr
+		clear(r.metrics[r.prefix:])
+		return session.ShardResult{Metrics: r.metrics, Completed: r.prefix}, cerr
 	}
-	return session.ShardResult{Metrics: metrics, Completed: len(metrics)}, nil
+	return session.ShardResult{Metrics: r.metrics, Completed: len(r.metrics)}, nil
 }
 
-// runChunk dispatches one sub-shard to a worker and consumes the frames
-// the worker's reader routes to it, up to the coded done frame. A
-// failed worker and an overrun execution deadline return errors
-// wrapping errWorkerDead; the caller reaps the worker and re-queues the
-// chunk.
-func (b *ProcBackend) runChunk(ctx context.Context, w *procWorker, wc *WireConfig,
-	shard session.Shard, c chunk, id uint64, deadline time.Duration,
-	record func(int, *system.Metrics)) error {
+// loop supervises the run until no dispatch is outstanding and the run
+// is finished, halted, or degraded. Each pass dispatches what it can,
+// enforces deadlines and starts due respawns, then sleeps until an
+// event arrives or the earliest future moment the pass noted.
+func (r *procRun) loop(ctx context.Context) {
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	cancel := ctx.Done()
+	for {
+		now := time.Now()
+		var wakeAt time.Time
+		ahead := func(t time.Time) bool { // notes t as a wake-up unless it has passed
+			if !t.After(now) {
+				return false
+			}
+			if wakeAt.IsZero() || t.Before(wakeAt) {
+				wakeAt = t
+			}
+			return true
+		}
+		r.assign(now, ahead)
+		r.expire(ahead)
+		if len(r.flying) == 0 {
+			if r.halted || r.degraded || r.done == len(r.chunks) {
+				return
+			}
+			if len(r.idle) == 0 && r.spawning == 0 && len(r.due) == 0 {
+				r.degraded = true // no worker left and none coming
+				return
+			}
+		}
+		var wake <-chan time.Time
+		if !wakeAt.IsZero() {
+			timer.Reset(time.Until(wakeAt))
+			wake = timer.C
+		}
+		select {
+		case ev := <-r.events:
+			r.handle(ev)
+		case sp := <-r.spawns:
+			r.spawning--
+			if sp.err != nil {
+				r.fail() // a failed respawn counts against the breaker
+			} else {
+				r.idle = append(r.idle, sp.w)
+			}
+		case <-cancel:
+			cancel = nil
+			r.halt()
+		case <-wake:
+		}
+	}
+}
+
+// chunkDeadline bounds a dispatch of cs by the current EWMA of
+// completed-chunk latency: max(8·ewma, 2·WorkerTimeout), doubled per
+// failed attempt up to three times. It is zero (unbounded) only until
+// the run's first chunk completes; from then on it bounds dispatches
+// already running too.
+func (r *procRun) chunkDeadline(cs *chunkState) time.Duration {
+	if r.ewmaN == 0 {
+		return 0
+	}
+	lim := max(time.Duration(8*r.ewma*float64(time.Second)), 2*r.b.opts.workerTimeout())
+	for i := 0; i < cs.attempts && i < 3; i++ {
+		lim *= 2
+	}
+	return lim
+}
+
+// assign hands each idle worker the first pending chunk whose backoff
+// passed, else a speculative duplicate of the oldest running chunk past
+// the straggler threshold, max(HedgeFactor·ewma, Heartbeat).
+func (r *procRun) assign(now time.Time, ahead func(time.Time) bool) {
+	var thr time.Duration
+	if f := r.b.opts.hedgeFactor(); f > 0 && r.ewmaN > 0 {
+		thr = max(time.Duration(f*r.ewma*float64(time.Second)), r.b.opts.heartbeat())
+	}
+	for len(r.idle) > 0 && !r.halted && !r.degraded {
+		var pick, straggler *chunkState
+		for _, cs := range r.chunks {
+			switch {
+			case cs.done:
+			case cs.running == 0:
+				if !ahead(cs.notBefore) && pick == nil {
+					pick = cs
+				}
+			case cs.running == 1 && !cs.hedged && thr > 0 && !ahead(cs.startedAt.Add(thr)):
+				if straggler == nil || cs.startedAt.Before(straggler.startedAt) {
+					straggler = cs
+				}
+			}
+		}
+		hedge := pick == nil
+		if hedge {
+			pick = straggler
+		}
+		if pick == nil {
+			return
+		}
+		last := len(r.idle) - 1 // the most recently freed worker, just proven responsive
+		r.launch(r.idle[last], pick, hedge, now)
+		r.idle = r.idle[:last]
+	}
+}
+
+// expire reaps the worker of every dispatch past its chunk deadline or
+// its cancel-ack bound, and starts the respawns whose backoff passed.
+func (r *procRun) expire(ahead func(time.Time) bool) {
+	for d := range r.flying {
+		if d.reaped {
+			continue
+		}
+		lim := r.chunkDeadline(d.cs)
+		overrun := lim > 0 && !ahead(d.start.Add(lim))
+		unacked := !d.ackBy.IsZero() && !ahead(d.ackBy)
+		switch {
+		case overrun:
+			r.b.reap(d.w, fmt.Errorf("sub-shard exceeded %v: %w", lim, errChunkDeadline))
+		case unacked:
+			r.b.reap(d.w, fmt.Errorf("worker %d did not acknowledge a cancel within %v: %w",
+				d.w.id, 2*r.b.opts.workerTimeout(), errWorkerHung))
+		}
+		d.reaped = overrun || unacked
+	}
+	due := r.due[:0]
+	for _, sp := range r.due {
+		switch {
+		case r.halted || r.degraded:
+		case ahead(sp.at):
+			due = append(due, sp)
+		default:
+			r.spawning++
+			go func() {
+				sp.w, sp.err = r.b.replace(sp.old)
+				r.spawns <- sp
+			}()
+		}
+	}
+	r.due = due
+}
+
+// launch starts one dispatch of cs on w in its own goroutine.
+func (r *procRun) launch(w *procWorker, cs *chunkState, hedge bool, now time.Time) {
+	cs.running++
+	if hedge {
+		cs.hedged = true
+	} else {
+		cs.startedAt = now
+	}
+	d := &dispatch{w: w, cs: cs, hedge: hedge, requeued: cs.attempts > 0 || hedge, start: now, stop: make(chan struct{})}
+	r.b.mu.Lock()
+	r.b.nextID++
+	d.id = r.b.nextID
+	r.b.mu.Unlock()
+	r.flying[d] = struct{}{}
+	go func() {
+		err := r.b.runChunk(d, &r.wc, r.shard, r.events)
+		r.events <- runEvent{d: d, err: err}
+	}()
+}
+
+// handle applies one dispatch event: a result is merged; an ended
+// dispatch settles its chunk and frees its worker, or — if the worker
+// failed — reaps it and schedules a replacement within the budget.
+func (r *procRun) handle(ev runEvent) {
+	if ev.metrics != nil {
+		if r.record(ev.index, ev.metrics) && r.shard.OnResult != nil {
+			r.shard.OnResult(ev.index, ev.metrics)
+		}
+		return
+	}
+	d, cs, err := ev.d, ev.d.cs, ev.err
+	delete(r.flying, d)
+	cs.running--
+	switch {
+	case cs.done:
+		// Another dispatch won the race; this one's results were
+		// deduplicated, and the winner scored the hedge.
+	case err == nil:
+		r.finish(d)
+	case errors.Is(err, errWorkerDead), isCancellation(err) && !r.halted:
+		// A failed worker, or a cancel ack the run never asked for: put
+		// the chunk back behind its backoff, unless a hedge carries it.
+		if cs.running == 0 {
+			cs.attempts++
+			cs.hedged = false
+			cs.notBefore = time.Now().Add(retryBackoff(cs.attempts - 1))
+			r.b.mu.Lock()
+			r.b.retries++
+			r.b.mu.Unlock()
+			r.fail()
+		}
+	case isCancellation(err):
+	case r.failErr == nil:
+		r.failErr = err
+		r.halt()
+	}
+	if !errors.Is(err, errWorkerDead) {
+		r.idle = append(r.idle, d.w)
+		return
+	}
+	r.b.reap(d.w, err)
+	if !r.halted && !r.degraded && r.done < len(r.chunks) && r.respawned < respawnBudget {
+		r.due = append(r.due, respawn{old: d.w, at: time.Now().Add(retryBackoff(r.respawned))})
+		r.respawned++
+	}
+}
+
+// finish marks d's chunk done. First result wins: any other dispatch
+// of the chunk is stopped (its late results are deduplicated anyway),
+// the hedge is scored, and the chunk's latency feeds the EWMA.
+func (r *procRun) finish(d *dispatch) {
+	d.cs.done = true
+	r.done++
+	r.consecFails = 0
+	if d.cs.hedged {
+		r.b.mu.Lock()
+		if d.hedge {
+			r.b.hedgesWon++
+		} else {
+			r.b.hedgesLost++
+		}
+		r.b.mu.Unlock()
+	}
+	for o := range r.flying {
+		if o.cs == d.cs {
+			r.stop(o)
+		}
+	}
+	el := time.Since(d.start).Seconds()
+	if r.ewmaN == 0 {
+		r.ewma = el
+	} else {
+		r.ewma = 0.7*r.ewma + 0.3*el
+	}
+	r.ewmaN++
+}
+
+// fail counts a consecutive failure; respawnBudget of them in a row
+// trip the circuit breaker.
+func (r *procRun) fail() {
+	r.consecFails++
+	if r.consecFails >= respawnBudget {
+		r.degraded = true
+	}
+}
+
+// halt stops every outstanding dispatch: the run was cancelled or failed.
+func (r *procRun) halt() {
+	r.halted = true
+	for d := range r.flying {
+		r.stop(d)
+	}
+}
+
+// stop has d's goroutine send a cancel frame and gives the worker twice
+// WorkerTimeout to acknowledge it: a live worker stops at its next
+// replication boundary, a wedged one is reaped.
+func (r *procRun) stop(d *dispatch) {
+	if d.ackBy.IsZero() {
+		d.ackBy = time.Now().Add(2 * r.b.opts.workerTimeout())
+		close(d.stop)
+	}
+}
+
+// record merges one result and reports whether it is the first for its
+// index. First result wins: a chunk re-run after a failure (or a hedge)
+// replays indices another dispatch already delivered, with identical
+// metrics, so OnResult fires once per index.
+func (r *procRun) record(i int, m *system.Metrics) bool {
+	if r.metrics[i] != nil {
+		return false
+	}
+	r.metrics[i] = m
+	r.delivered++
+	for r.prefix < len(r.metrics) && r.metrics[r.prefix] != nil {
+		r.prefix++
+	}
+	if depth := uint64(r.delivered - r.prefix); depth > 0 {
+		// Results held back because an earlier seed is still running.
+		r.b.mu.Lock()
+		r.b.mergeHWM = max(r.b.mergeHWM, depth)
+		r.b.mu.Unlock()
+	}
+	return true
+}
+
+// runChunk is one dispatch's goroutine: it sends the chunk to its
+// worker, forwards the frames the worker's reader routes to it to the
+// run loop, and returns how the dispatch ended — the worker's coded
+// done frame, or the worker's failure (wrapping errWorkerDead). Once
+// the loop closes d.stop it forwards a cancel frame and keeps waiting;
+// the loop bounds that wait by reaping the worker.
+func (b *ProcBackend) runChunk(d *dispatch, wc *WireConfig, shard session.Shard, events chan<- runEvent) error {
 	if _, err := failpoint.Inject("distrib/dispatch"); err != nil {
 		return fmt.Errorf("%w: dispatch: %v", errWorkerDead, err)
 	}
-	fl := &flight{size: c.end - c.start, requeued: c.requeued, replies: make(chan reply, c.end-c.start+1)}
+	w, c := d.w, d.cs.c
+	fl := &flight{size: c.end - c.start, requeued: d.requeued, replies: make(chan reply, c.end-c.start+1)}
 	b.mu.Lock()
 	if w.dead {
 		b.mu.Unlock()
@@ -1099,30 +1140,19 @@ func (b *ProcBackend) runChunk(ctx context.Context, w *procWorker, wc *WireConfi
 	if len(w.flights) == 0 {
 		w.last, w.pinged = time.Now(), false // liveness restarts on an idle worker
 	}
-	w.flights[id] = fl
+	w.flights[d.id] = fl
 	b.mu.Unlock()
 	defer func() {
 		b.mu.Lock()
-		delete(w.flights, id)
+		delete(w.flights, d.id)
 		b.mu.Unlock()
 	}()
 
-	msg := shardMsg{
-		ID:          id,
-		Config:      *wc,
-		Seeds:       shard.Seeds[c.start:c.end],
-		Parallelism: shard.Parallelism,
-	}
+	msg := shardMsg{ID: d.id, Config: *wc, Seeds: shard.Seeds[c.start:c.end], Parallelism: shard.Parallelism}
 	if err := w.fw.send(msgShard, msg); err != nil {
 		return fmt.Errorf("%w: send: %v", errWorkerDead, err)
 	}
-	var overrun <-chan time.Time
-	if deadline > 0 {
-		t := time.NewTimer(deadline)
-		defer t.Stop()
-		overrun = t.C
-	}
-	cancel := ctx.Done()
+	stop := d.stop
 	for {
 		var r reply
 		select {
@@ -1133,49 +1163,20 @@ func (b *ProcBackend) runChunk(ctx context.Context, w *procWorker, wc *WireConfi
 			default:
 				return w.err
 			}
-		case <-cancel:
-			// Forward cancellation as a frame, then keep waiting for the
-			// worker's (possibly partial) results.
-			cancel = nil
-			_ = w.fw.send(msgCancel, cancelMsg{ID: id})
+		case <-stop:
+			stop = nil
+			_ = w.fw.send(msgCancel, cancelMsg{ID: d.id})
 			continue
-		case <-overrun:
-			return fmt.Errorf("sub-shard exceeded %v: %w", deadline, errChunkDeadline)
 		}
 		if r.done != nil {
 			return r.done.Code.err(r.done.Error)
 		}
-		record(c.start+r.index, r.metrics)
+		events <- runEvent{d: d, index: c.start + r.index, metrics: r.metrics}
 	}
 }
 
-// noteMergeDepth raises the merge-buffer high-water mark.
-func (b *ProcBackend) noteMergeDepth(d uint64) {
-	b.mu.Lock()
-	if d > b.mergeHWM {
-		b.mergeHWM = d
-	}
-	b.mu.Unlock()
-}
-
-// countRetry, countHedge, and countDecodeReject
-// bump the coordinator's recovery counters (cold path, under b.mu).
-func (b *ProcBackend) countRetry() {
-	b.mu.Lock()
-	b.retries++
-	b.mu.Unlock()
-}
-
-func (b *ProcBackend) countHedge(won bool) {
-	b.mu.Lock()
-	if won {
-		b.hedgesWon++
-	} else {
-		b.hedgesLost++
-	}
-	b.mu.Unlock()
-}
-
+// countDecodeReject counts a frame the reader rejected (cold path,
+// under b.mu).
 func (b *ProcBackend) countDecodeReject() {
 	b.mu.Lock()
 	b.decodeRejects++

@@ -21,15 +21,12 @@ type BackendOptions struct {
 	// DialTimeout bounds one dial attempt including the handshake;
 	// 0 means 5s.
 	DialTimeout time.Duration
-	// ChunkSize, Heartbeat, WorkerTimeout, HedgeFactor, RespawnBudget,
-	// and RetryBackoff pass through to the coordinator; see
-	// distrib.ProcOptions.
+	// ChunkSize, Heartbeat, WorkerTimeout, and HedgeFactor pass through
+	// to the coordinator; see distrib.ProcOptions.
 	ChunkSize     int
 	Heartbeat     time.Duration
 	WorkerTimeout time.Duration
 	HedgeFactor   float64
-	RespawnBudget int
-	RetryBackoff  time.Duration
 }
 
 // NetBackend implements session.Backend against remote shard workers
@@ -80,8 +77,6 @@ func NewBackend(opts BackendOptions) (*NetBackend, error) {
 		Heartbeat:      opts.Heartbeat,
 		WorkerTimeout:  opts.WorkerTimeout,
 		HedgeFactor:    opts.HedgeFactor,
-		RespawnBudget:  opts.RespawnBudget,
-		RetryBackoff:   opts.RetryBackoff,
 		Dial:           nb.dial,
 		DegradeToLocal: true,
 	})

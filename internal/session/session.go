@@ -210,8 +210,10 @@ func NewPool() *Pool { return &Pool{} }
 // acquire leases a workspace (creating one if the free list is empty).
 func (p *Pool) acquire() *system.Workspace {
 	// Leasing is infallible, so this seam serves the timing faults:
-	// delay simulates lease contention, hang a stuck worker (which, in
-	// a shard-worker process, is what heartbeat liveness must catch).
+	// delay simulates lease contention, hang a wedged simulation. In a
+	// shard-worker process the main loop keeps answering pings while a
+	// shard hangs here, so heartbeats cannot see it; the coordinator's
+	// chunk deadline (or, after a cancel, its ack bound) catches it.
 	_, _ = failpoint.Inject("session/pool-acquire")
 	p.mu.Lock()
 	defer p.mu.Unlock()
