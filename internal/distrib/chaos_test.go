@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/system"
 )
@@ -489,12 +490,24 @@ func FuzzProtocolDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A real result: one 1024-node burst replication, with a Series, per-
+	// node utilization and per-stage slices for the fuzzer to corrupt.
+	burst := shortCfg(25)
+	burst.Nodes = 1024
+	if burst.Scenario, err = scenario.Preset("burst", burst.Horizon); err != nil {
+		f.Fatal(err)
+	}
+	run, err := system.RunWith(burst, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
 	frames := [][]byte{
 		capture(msgShard, shardMsg{ID: 1, Config: wc, Seeds: []uint64{1, 2, 3}, Parallelism: 2}),
 		capture(msgCancel, cancelMsg{ID: 1}),
 		capture(msgPing, pingMsg{Seq: 9}),
 		capture(msgPong, pongMsg{Seq: 9}),
 		capture(msgResult, resultMsg{ID: 1, Index: 0, Metrics: &system.Metrics{}}),
+		capture(msgResult, resultMsg{ID: 1, Index: 1, Metrics: run}),
 		capture(msgDone, doneMsg{ID: 1, Completed: 3, Code: CodeOK}),
 		capture(msgHello, helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion}),
 		capture(msgHello, helloMsg{Magic: 0xDEADBEEF, Version: ProtocolVersion}),
@@ -512,9 +525,12 @@ func FuzzProtocolDecode(f *testing.F) {
 	flipped := append([]byte(nil), frames[0]...)
 	flipped[4] = corruptKind // what the corrupt failpoint produces
 	f.Add(flipped)
-	bitrot := append([]byte(nil), frames[5]...)
+	bitrot := append([]byte(nil), frames[6]...)
 	bitrot[7] ^= 0x40
 	f.Add(bitrot)
+	deep := append([]byte(nil), frames[5]...)
+	deep[len(deep)/2] ^= 0x40 // inside the Metrics encoding
+	f.Add(deep)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

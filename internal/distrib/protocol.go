@@ -21,12 +21,12 @@
 // errors.Is(err, context.Canceled), so the run layer's cancellation
 // semantics (partial results remain valid) hold across processes.
 //
-// Simulation results cross the boundary inside system.Metrics via gob,
-// which routes the stats accumulators and scenario series through their
-// exact (IEEE-754 bit) binary encodings — a merged result is
-// bit-identical to one computed in process, and the coordinator merges
-// sub-shards in seed order, so ProcBackend output is byte-identical to
-// the in-process pool at any worker count.
+// Simulation results cross the boundary as system.Metrics, which gob
+// carries through its BinaryMarshaler: the exact-bit Metrics codec the
+// result cache also stores. A merged result is therefore bit-identical
+// to one computed in process, and the coordinator merges sub-shards in
+// seed order, so ProcBackend output is byte-identical to the in-process
+// pool at any worker count.
 package distrib
 
 import (
@@ -82,10 +82,11 @@ const (
 // fail the handshake with a structured *FrameError instead of a gob
 // decode error deep inside a shard. Version 2 removed WireConfig's RNG
 // layout field, which gob would otherwise ignore silently when a
-// version-1 peer sent it.
+// version-1 peer sent it. Version 3 carries resultMsg's Metrics in the
+// system.Metrics binary codec instead of gob's struct encoding.
 const (
 	ProtocolMagic   uint32 = 0x53444131 // "SDA1"
-	ProtocolVersion uint32 = 2
+	ProtocolVersion uint32 = 3
 )
 
 // maxFrame bounds a frame payload; anything larger is a protocol error,

@@ -1,10 +1,8 @@
 package netdist
 
 import (
-	"bytes"
 	"container/list"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -21,11 +19,11 @@ const defaultCacheBytes = 256 << 20
 // Cache is a deterministic shard-result cache implementing
 // session.Backend as middleware around another backend. Entries are
 // contiguous seed runs keyed by the configuration's fingerprint
-// (distrib.ConfigFingerprint), holding the gob encoding of their
-// replications' metrics; gob routes the stats accumulators through
-// their exact IEEE-754 bit encodings, so a decoded hit is
-// byte-identical to a fresh simulation of the same (config, seed) —
-// caching can never change results, only skip work.
+// (distrib.ConfigFingerprint), holding their replications' metrics in
+// the exact-bit system.Metrics codec, concatenated, with per-run end
+// offsets. A decoded hit is therefore bit-identical to a fresh
+// simulation of the same (config, seed) — caching can never change
+// results, only skip work — and a hit decodes only the runs it serves.
 //
 // A shard is served per seed: cached seeds decode from the store,
 // uncovered seeds run on the inner backend as one sub-shard, and the
@@ -57,13 +55,27 @@ type Cache struct {
 type entry struct {
 	fp    string
 	seeds []uint64
-	data  []byte // gob-encoded []*system.Metrics, immutable once stored
+	data  []byte // concatenated Metrics encodings, cap == len, immutable once stored
+	ends  []int  // ends[i] is the offset just past run i's encoding
 	elem  *list.Element
 }
 
 // size is the entry's accounting footprint: payload plus index and
 // bookkeeping overhead.
-func (e *entry) size() int64 { return int64(len(e.data)) + 16*int64(len(e.seeds)) + 160 }
+func (e *entry) size() int64 { return int64(len(e.data)) + 24*int64(len(e.seeds)) + 160 }
+
+// run decodes the entry's idx-th replication.
+func (e *entry) run(idx int) (*system.Metrics, error) {
+	start := 0
+	if idx > 0 {
+		start = e.ends[idx-1]
+	}
+	m := new(system.Metrics)
+	if err := m.UnmarshalBinary(e.data[start:e.ends[idx]]); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 // seedRef locates one seed inside an entry.
 type seedRef struct {
@@ -126,23 +138,13 @@ func (c *Cache) Run(ctx context.Context, shard session.Shard) (session.ShardResu
 	c.misses += uint64(len(missIdx))
 	c.mu.Unlock()
 
-	// Decode each hit entry once, outside the lock. Entry data is
-	// immutable after insert, so a concurrent eviction only drops the
-	// index reference — the bytes being decoded stay valid.
-	decoded := make(map[*entry][]*system.Metrics)
+	// Decode the served runs outside the lock. Entry data is immutable
+	// after insert, so a concurrent eviction only drops the index
+	// reference — the bytes being decoded stay valid.
 	for _, h := range hits {
-		runs, ok := decoded[h.e]
-		if !ok {
-			runs, err = decodeRuns(h.e.data)
-			if err != nil {
-				return session.ShardResult{}, fmt.Errorf("netdist: corrupt cache entry: %w", err)
-			}
-			if len(runs) != len(h.e.seeds) {
-				return session.ShardResult{}, fmt.Errorf("netdist: cache entry holds %d runs for %d seeds", len(runs), len(h.e.seeds))
-			}
-			decoded[h.e] = runs
+		if metrics[h.i], err = h.e.run(h.idx); err != nil {
+			return session.ShardResult{}, fmt.Errorf("netdist: corrupt cache entry: %w", err)
 		}
-		metrics[h.i] = runs[h.idx]
 	}
 	if shard.OnResult != nil {
 		for _, h := range hits {
@@ -208,16 +210,15 @@ func (c *Cache) store(fp string, seeds []uint64, runs []*system.Metrics) {
 		for end < len(runs) && runs[end] != nil && seeds[end] == seeds[end-1]+1 {
 			end++
 		}
-		if data, err := encodeRuns(runs[start:end]); err == nil {
-			c.insert(fp, seeds[start:end], data)
-		}
+		data, ends := encodeRuns(runs[start:end])
+		c.insert(fp, seeds[start:end], data, ends)
 		start = end
 	}
 }
 
 // insert stores one contiguous run and evicts LRU entries while over
 // budget. The entry being inserted is never evicted by its own insert.
-func (c *Cache) insert(fp string, seeds []uint64, data []byte) {
+func (c *Cache) insert(fp string, seeds []uint64, data []byte, ends []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	bySeed := c.index[fp]
@@ -236,7 +237,7 @@ func (c *Cache) insert(fp string, seeds []uint64, data []byte) {
 			return // a concurrent fill already covers every seed
 		}
 	}
-	e := &entry{fp: fp, seeds: append([]uint64(nil), seeds...), data: data}
+	e := &entry{fp: fp, seeds: append([]uint64(nil), seeds...), data: data, ends: ends}
 	e.elem = c.lru.PushFront(e)
 	for i, s := range e.seeds {
 		bySeed[s] = seedRef{e: e, idx: i}
@@ -285,23 +286,17 @@ func (c *Cache) CacheStats() obs.CacheStats {
 	}
 }
 
-// encodeRuns and decodeRuns are the storage codec: plain gob over the
-// metrics slice, the same encoding the distrib wire uses, with the same
-// exact-bit float guarantees.
-func encodeRuns(runs []*system.Metrics) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(runs); err != nil {
-		return nil, err
+// encodeRuns concatenates the runs' Metrics encodings and records where
+// each one ends. The stored slice is exact-length: an entry lives until
+// evicted, so append's growth slack would be held for as long.
+func encodeRuns(runs []*system.Metrics) (data []byte, ends []int) {
+	var buf []byte
+	ends = make([]int, len(runs))
+	for i, m := range runs {
+		buf, _ = m.AppendBinary(buf) // the Metrics appender never fails
+		ends[i] = len(buf)
 	}
-	return buf.Bytes(), nil
-}
-
-func decodeRuns(data []byte) ([]*system.Metrics, error) {
-	var runs []*system.Metrics
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&runs); err != nil {
-		return nil, err
-	}
-	return runs, nil
+	return append(make([]byte, 0, len(buf)), buf...), ends
 }
 
 // isCancellation mirrors the session package's test.

@@ -42,7 +42,7 @@ func (b *countingBackend) simulated() []uint64 {
 	return append([]uint64(nil), b.seeds...)
 }
 
-// runShard pushes one shard through a backend and returns the gob
+// runShard pushes one shard through a backend and returns the binary
 // encoding of each replication's metrics — the byte-identity currency.
 func runShard(t *testing.T, b session.Backend, cfg system.Config, seeds []uint64) [][]byte {
 	t.Helper()
@@ -58,7 +58,7 @@ func runShard(t *testing.T, b session.Backend, cfg system.Config, seeds []uint64
 		if m == nil {
 			t.Fatalf("metrics[%d] = nil", i)
 		}
-		data, err := encodeRuns([]*system.Metrics{m})
+		data, err := m.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestCacheConcurrentReaders(t *testing.T) {
 				return
 			}
 			for i, m := range res.Metrics {
-				data, err := encodeRuns([]*system.Metrics{m})
+				data, err := m.MarshalBinary()
 				if err != nil {
 					errs <- err.Error()
 					return

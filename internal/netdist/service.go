@@ -179,8 +179,9 @@ func (s *Service) Snapshot() obs.Snapshot {
 }
 
 // JobSpec is the JSON body of a /run request. Zero fields take the
-// paper's baseline; exactly one of Preset and Spec may name a scenario
-// (both empty runs the stationary workload, which has no CSV series).
+// paper's baseline and negative numbers are rejected; exactly one of
+// Preset and Spec may name a scenario (both empty runs the stationary
+// workload, which has no CSV series).
 type JobSpec struct {
 	// Preset names a built-in scenario; Spec embeds a declarative one.
 	Preset string         `json:"preset,omitempty"`
@@ -203,6 +204,20 @@ type JobSpec struct {
 
 // buildJob translates a spec into a runnable configuration and job.
 func buildJob(spec JobSpec) (system.Config, session.Job, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"horizon", spec.Horizon},
+		{"nodes", float64(spec.Nodes)},
+		{"load", spec.Load},
+		{"reps", float64(spec.Reps)},
+		{"parallelism", float64(spec.Parallelism)},
+	} {
+		if f.v < 0 {
+			return system.Config{}, session.Job{}, fmt.Errorf("%s = %v, want >= 0 (0 takes the default)", f.name, f.v)
+		}
+	}
 	cfg := system.Baseline()
 	if spec.Horizon > 0 {
 		cfg.Horizon = spec.Horizon
@@ -244,9 +259,6 @@ func buildJob(spec JobSpec) (system.Config, session.Job, error) {
 		return system.Config{}, session.Job{}, err
 	}
 	cfg.Scenario = sc
-	if spec.Reps < 0 {
-		return system.Config{}, session.Job{}, fmt.Errorf("reps = %d, want >= 0", spec.Reps)
-	}
 	return cfg, session.Job{Config: cfg, Reps: spec.Reps}, nil
 }
 

@@ -3,6 +3,7 @@ package netdist
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -174,6 +175,19 @@ func TestServiceBadRequests(t *testing.T) {
 		if code, body := postRun(t, url, tc.body); code != tc.wantCode {
 			t.Errorf("%s: status = %d, want %d (%s)", tc.name, code, tc.wantCode, body)
 		}
+	}
+
+	// A negative number is rejected by name, never replaced by the
+	// baseline; zero still takes the baseline.
+	for _, field := range []string{"horizon", "nodes", "load", "reps", "parallelism"} {
+		code, msg := postRun(t, ts.URL+"/run", fmt.Sprintf(`{"preset":"burst",%q:-3}`, field))
+		if code != http.StatusBadRequest || !strings.Contains(msg, field) {
+			t.Errorf("negative %s: status %d, body %q; want 400 naming the field", field, code, msg)
+		}
+	}
+	zeros := `{"preset":"burst","horizon":100,"nodes":0,"load":0,"reps":1,"parallelism":0}`
+	if code, body := postRun(t, ts.URL+"/run", zeros); code != http.StatusOK {
+		t.Errorf("zero-valued fields: status %d, want 200 (%s)", code, body)
 	}
 
 	resp, err := http.Get(ts.URL + "/run")

@@ -4,46 +4,43 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
 
 // Binary round-trip support: a replication's Series crosses the process
-// boundary of the multi-process backend inside system.Metrics
-// (encoding/gob honours encoding.BinaryMarshaler). Geometry floats
-// travel as raw IEEE-754 bits and every window's accumulators reuse the
-// exact stats encodings, so a decoded series merges and renders CSV
-// byte-identically to the encoded one.
+// boundary of the multi-process backend, and sits in the result cache,
+// inside the system.Metrics codec, which appends this encoding.
+// Geometry floats travel as raw IEEE-754 bits and every window's
+// accumulators reuse the exact stats encodings, so a decoded series
+// merges and renders CSV byte-identically to the encoded one.
 
 // windowWireSize is the fixed per-window encoding length.
 const windowWireSize = 2*stats.RatioWireSize + 2*stats.WelfordWireSize
 
-// MarshalBinary implements encoding.BinaryMarshaler: interval, horizon,
+// AppendBinary implements encoding.BinaryAppender: interval, horizon,
 // window count, then each window's LocalMiss, GlobalMiss, Lateness,
-// QueueLen in the stats wire encodings.
-func (s Series) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 3*8+len(s.windows)*windowWireSize)
-	var u [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(u[:], v)
-		b = append(b, u[:]...)
-	}
-	put(math.Float64bits(s.interval))
-	put(math.Float64bits(s.horizon))
-	put(uint64(len(s.windows)))
+// QueueLen in the stats wire encodings, appended to b.
+func (s Series) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(s.interval))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(s.horizon))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(s.windows)))
+	b = slices.Grow(b, len(s.windows)*windowWireSize)
 	for i := range s.windows {
 		w := &s.windows[i]
-		for _, enc := range []interface{ MarshalBinary() ([]byte, error) }{
-			w.LocalMiss, w.GlobalMiss, w.Lateness, w.QueueLen,
-		} {
-			p, err := enc.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			b = append(b, p...)
-		}
+		// The stats appenders never fail.
+		b, _ = w.LocalMiss.AppendBinary(b)
+		b, _ = w.GlobalMiss.AppendBinary(b)
+		b, _ = w.Lateness.AppendBinary(b)
+		b, _ = w.QueueLen.AppendBinary(b)
 	}
 	return b, nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s Series) MarshalBinary() ([]byte, error) {
+	return s.AppendBinary(make([]byte, 0, 3*8+len(s.windows)*windowWireSize))
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, reversing

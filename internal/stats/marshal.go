@@ -7,12 +7,12 @@ import (
 )
 
 // Binary round-trip support: Welford and Ratio accumulators cross the
-// process boundary of the multi-process backend inside system.Metrics
-// (encoding/gob honours encoding.BinaryMarshaler). Floats travel as raw
-// IEEE-754 bits (math.Float64bits), never decimal text, so a decoded
-// accumulator is bit-identical to the encoded one and downstream merges
-// reproduce the in-process results exactly — including negative zeros,
-// subnormals, and NaN payloads.
+// process boundary of the multi-process backend, and sit in the result
+// cache, inside the system.Metrics codec, which appends these
+// encodings. Floats travel as raw IEEE-754 bits (math.Float64bits),
+// never decimal text, so a decoded accumulator is bit-identical to the
+// encoded one and downstream merges reproduce the in-process results
+// exactly — including negative zeros, subnormals, and NaN payloads.
 
 // WelfordWireSize and RatioWireSize are the fixed lengths of the
 // respective MarshalBinary encodings, for callers that pack several
@@ -22,16 +22,19 @@ const (
 	RatioWireSize   = 2 * 8
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler: n, mean, m2, min,
-// max as big-endian 64-bit words (floats by Float64bits).
+// AppendBinary implements encoding.BinaryAppender: n, mean, m2, min,
+// max as big-endian 64-bit words (floats by Float64bits), appended to b.
+func (w Welford) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(b, uint64(w.n))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(w.mean))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(w.m2))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(w.min))
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(w.max)), nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
 func (w Welford) MarshalBinary() ([]byte, error) {
-	b := make([]byte, WelfordWireSize)
-	binary.BigEndian.PutUint64(b[0:], uint64(w.n))
-	binary.BigEndian.PutUint64(b[8:], math.Float64bits(w.mean))
-	binary.BigEndian.PutUint64(b[16:], math.Float64bits(w.m2))
-	binary.BigEndian.PutUint64(b[24:], math.Float64bits(w.min))
-	binary.BigEndian.PutUint64(b[32:], math.Float64bits(w.max))
-	return b, nil
+	return w.AppendBinary(make([]byte, 0, WelfordWireSize))
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, reversing
@@ -48,14 +51,15 @@ func (w *Welford) UnmarshalBinary(b []byte) error {
 	return nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler: hits then total as
-// big-endian 64-bit words.
-func (c Ratio) MarshalBinary() ([]byte, error) {
-	b := make([]byte, RatioWireSize)
-	binary.BigEndian.PutUint64(b[0:], uint64(c.hits))
-	binary.BigEndian.PutUint64(b[8:], uint64(c.total))
-	return b, nil
+// AppendBinary implements encoding.BinaryAppender: hits then total as
+// big-endian 64-bit words, appended to b.
+func (c Ratio) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.BigEndian.AppendUint64(b, uint64(c.hits))
+	return binary.BigEndian.AppendUint64(b, uint64(c.total)), nil
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (c Ratio) MarshalBinary() ([]byte, error) { return c.AppendBinary(make([]byte, 0, RatioWireSize)) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *Ratio) UnmarshalBinary(b []byte) error {

@@ -219,12 +219,14 @@ func NewQueryService(opts QueryServiceOptions) *QueryService {
 }
 
 // ConfigFingerprint is the cache and session key: a stable content hash
-// of every behavior-determining configuration knob except the seed.
-// Identical configurations collide across processes and recompilations;
-// any knob change — even to a setting with provably identical results,
-// like the event queue — produces a different fingerprint. It fails
-// with an error for configurations that cannot cross a process boundary
-// (an attached trace recorder).
+// of every behavior-determining configuration knob except the seed — 32
+// hex characters of sha256 over a canonical, versioned (revision 3)
+// binary encoding of the wire configuration. Identical configurations
+// collide across processes and recompilations; any knob change — even
+// to a setting with provably identical results, like the event queue —
+// produces a different fingerprint. It fails with an error for
+// configurations that cannot cross a process boundary (an attached
+// trace recorder).
 func ConfigFingerprint(cfg SimConfig) (string, error) {
 	return distrib.ConfigFingerprint(cfg)
 }
