@@ -10,25 +10,50 @@ package repro
 // Paper-scale regeneration is `sdasim -exp <id> -horizon 1e6 -reps 2`.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 )
 
+// benchSession returns a session that b's cleanup closes. b's cleanup
+// runs after each b.N round, so a benchmark that fans out with b.Run
+// creates its session up front: it then outlives every round of every
+// sub-benchmark, and its workspaces stay warm as a long-lived session's
+// do.
+func benchSession(b *testing.B, opts ...RunOption) *Session {
+	sess := NewSession(opts...)
+	b.Cleanup(func() { sess.Close() })
+	return sess
+}
+
+// warmSession is benchSession for a benchmark without sub-benchmarks,
+// whose session lives for one round only: one run of job warms a
+// workspace per worker before the round measures anything.
+func warmSession(b *testing.B, job Job, opts ...RunOption) *Session {
+	b.Helper()
+	sess := benchSession(b, opts...)
+	if _, err := sess.Run(context.Background(), job); err != nil {
+		b.Fatal(err)
+	}
+	return sess
+}
+
 // BenchmarkRunReplications measures the replicated-run fan-out at
 // several worker counts. Replication results are bit-identical across
-// the sub-benchmarks (see internal/system's determinism tests); only the
-// wall clock should move. On a machine with >= 4 cores the parallel=4
-// case is expected to run >= 2x faster than parallel=1.
+// the sub-benchmarks (see internal/session's determinism tests); only
+// the wall clock should move. On a machine with >= 4 cores the
+// parallel=4 case is expected to run >= 2x faster than parallel=1.
 func BenchmarkRunReplications(b *testing.B) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 2000
-	const reps = 8
+	job := Job{Config: cfg, Reps: 8}
 	for _, parallel := range []int{1, 2, 4, 8} {
+		sess := benchSession(b, WithParallelism(parallel))
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SimulateReplicationsParallel(cfg, reps, parallel); err != nil {
+				if _, err := sess.Run(context.Background(), job); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -49,11 +74,12 @@ func BenchmarkScenarioRun(b *testing.B) {
 	}
 	const reps = 8
 	for _, parallel := range []int{1, 4} {
+		sess := benchSession(b, WithParallelism(parallel))
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			b.ReportAllocs()
 			var last *ScenarioResult
 			for i := 0; i < b.N; i++ {
-				res, err := RunScenario(cfg, sc, reps, parallel)
+				res, err := sess.RunScenario(context.Background(), cfg, sc, reps)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -77,9 +103,11 @@ func benchOptions() ExperimentOptions {
 func benchArtifact(b *testing.B, id string, reportCurves ...string) {
 	b.Helper()
 	opts := benchOptions()
+	sess := NewSession()
+	defer sess.Close()
 	var last *ExperimentResult
 	for i := 0; i < b.N; i++ {
-		res, err := RunExperiment(id, opts)
+		res, err := sess.Experiment(context.Background(), id, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,13 +129,16 @@ func benchArtifact(b *testing.B, id string, reportCurves ...string) {
 func BenchmarkTable1BaselineRun(b *testing.B) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 2000
+	job := Job{Config: cfg}
+	sess := warmSession(b, job, WithParallelism(1))
+	b.ResetTimer()
 	var last *SimMetrics
 	for i := 0; i < b.N; i++ {
-		m, err := Simulate(cfg)
+		res, err := sess.Run(context.Background(), job)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = m
+		last = res.Runs[0]
 	}
 	if last != nil {
 		b.ReportMetric(float64(last.LocalGenerated+last.GlobalGenerated), "tasks/op")
@@ -231,6 +262,7 @@ func BenchmarkGraphParse(b *testing.B) {
 // away (its recorded ladder-vs-heap ratio reaches 2x at 1M pending
 // events).
 func BenchmarkScalingThroughput(b *testing.B) {
+	sess := benchSession(b, WithParallelism(1))
 	for _, k := range []int{6, 64, 1024, 16384, 65536} {
 		for _, q := range []EventQueueKind{EventQueueHeap, EventQueueLadder} {
 			b.Run(fmt.Sprintf("nodes=%d/queue=%s", k, q), func(b *testing.B) {
@@ -251,14 +283,15 @@ func BenchmarkScalingThroughput(b *testing.B) {
 				// per-replication setup.
 				warm := cfg
 				warm.Horizon, warm.Warmup = 10, 0
-				if _, err := Simulate(warm); err != nil {
+				if _, err := sess.Run(context.Background(), Job{Config: warm}); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
-				m, err := Simulate(cfg)
+				res, err := sess.Run(context.Background(), Job{Config: cfg})
 				if err != nil {
 					b.Fatal(err)
 				}
+				m := res.Runs[0]
 				b.ReportMetric(float64(m.LocalDone+m.GlobalDone)/b.Elapsed().Seconds(), "tasks/s")
 			})
 		}
@@ -272,12 +305,16 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	// pooled engine holds it at zero.
 	b.ReportAllocs()
 	cfg := BaselineConfig()
+	warm := cfg
+	warm.Horizon = 10
+	sess := warmSession(b, Job{Config: warm}, WithParallelism(1))
 	cfg.Horizon = float64(b.N) * 10
 	cfg.Warmup = 1
 	b.ResetTimer()
-	m, err := Simulate(cfg)
+	res, err := sess.Run(context.Background(), Job{Config: cfg})
 	if err != nil {
 		b.Fatal(err)
 	}
+	m := res.Runs[0]
 	b.ReportMetric(float64(m.LocalDone+m.GlobalDone)/b.Elapsed().Seconds(), "tasks/s")
 }

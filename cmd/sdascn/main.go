@@ -88,7 +88,6 @@ func run(args []string, out, errOut io.Writer) (retErr error) {
 		psp       = fs.String("psp", "", "parallel strategy: UD, DIV-<x>, GF, ... (default UD)")
 		churnRate = fs.Float64("churn-rate", 2, "churn preset: mean faults per node across the run")
 		churnSlow = fs.Float64("churn-slow", 0.25, "churn preset: fraction of faults that are slowdowns instead of outages")
-		nopool    = fs.Bool("nopool", false, "run on the pure allocation path instead of the pooled one (results are bit-identical)")
 		outPath   = fs.String("out", "", "write the CSV here instead of stdout")
 		quiet     = fs.Bool("quiet", false, "suppress the summary line on stderr")
 		common    = cliflags.Register(fs)
@@ -187,9 +186,6 @@ func run(args []string, out, errOut io.Writer) (retErr error) {
 	}
 	defer closeBackend()
 	sessOpts := []repro.RunOption{repro.WithParallelism(common.Parallel), repro.WithEventQueue(queueKind)}
-	if *nopool {
-		sessOpts = append(sessOpts, repro.WithPoolingDisabled())
-	}
 	var sess *repro.Session
 	if backend != nil {
 		sess = repro.NewSessionWithBackend(backend, sessOpts...)

@@ -25,9 +25,10 @@
 // heap, ladder) — results are byte-identical across queues, only speed
 // differs with topology size.
 //
-// Experiment ids follow DESIGN.md: table1, fig2a, fig2b, fig3, fig4,
-// combined, abl-pexerr, abl-abort, abl-mlf, abl-m, abl-hetm, abl-hot,
-// ext-as, ext-adiv.
+// Experiment ids are those of the experiment registry (-list prints it;
+// see internal/experiment): table1, fig2a, fig2b, fig3, fig4, combined,
+// abl-pexerr, abl-abort, abl-mlf, abl-m, abl-hetm, abl-hot, ext-as,
+// ext-adiv.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -63,18 +64,21 @@ func ExampleParseGraph() {
 	// depth: 3
 }
 
-// ExampleSimulate runs one deterministic replication of the paper's
+// ExampleSession_Run runs one deterministic replication of the paper's
 // baseline model.
-func ExampleSimulate() {
+func ExampleSession_Run() {
 	cfg := repro.BaselineConfig()
 	cfg.SSP = "EQF"
 	cfg.Horizon = 10000
 	cfg.Seed = 1
-	m, err := repro.Simulate(cfg)
+	sess := repro.NewSession()
+	defer sess.Close()
+	res, err := sess.Run(context.Background(), repro.Job{Config: cfg})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
+	m := res.Runs[0]
 	fmt.Printf("globals generated: %d\n", m.GlobalGenerated)
 	fmt.Printf("missed (global) within a plausible band: %v\n", m.MDGlobal() > 20 && m.MDGlobal() < 40)
 	// Output:

@@ -38,8 +38,9 @@ func requireIdentical(t *testing.T, got, want *session.Result) {
 		t.Fatalf("partial=%t runs=%d, want complete %d", got.Partial, len(got.Runs), len(want.Runs))
 	}
 	for i := range want.Runs {
-		if g, w := metricsSig(got.Runs[i]), metricsSig(want.Runs[i]); g != w {
-			t.Fatalf("rep %d diverged under chaos:\n got %s\nwant %s", i, g, w)
+		if !sameBits(t, got.Runs[i], want.Runs[i]) {
+			t.Fatalf("rep %d diverged under chaos:\n got %s\nwant %s",
+				i, metricsSig(got.Runs[i]), metricsSig(want.Runs[i]))
 		}
 	}
 }
@@ -146,8 +147,9 @@ func TestChaosCancellationPrefix(t *testing.T) {
 		if res.Seeds[i] != cfg.Seed+uint64(i) {
 			t.Fatalf("seed %d = %d: prefix not contiguous from base under chaos", i, res.Seeds[i])
 		}
-		if g, w := metricsSig(m), metricsSig(want.Runs[i]); g != w {
-			t.Fatalf("rep %d of the cancelled chaos prefix diverged:\n got %s\nwant %s", i, g, w)
+		if !sameBits(t, m, want.Runs[i]) {
+			t.Fatalf("rep %d of the cancelled chaos prefix diverged:\n got %s\nwant %s",
+				i, metricsSig(m), metricsSig(want.Runs[i]))
 		}
 	}
 }

@@ -106,7 +106,24 @@ func shortCfg(horizon float64) system.Config {
 	return cfg
 }
 
-// metricsSig fingerprints a run's aggregate counters and ratios.
+// sameBits reports whether a and b agree in every field, compared as
+// exact-bit codec bytes.
+func sameBits(t *testing.T, a, b *system.Metrics) bool {
+	t.Helper()
+	ab, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ab, bb)
+}
+
+// metricsSig fingerprints a run's aggregate counters and ratios: the
+// comparison for runs on different event queues, whose QueuePromotions
+// may legitimately differ, and a readable summary for failure messages.
 func metricsSig(m *system.Metrics) string {
 	return fmt.Sprintf("lg=%d ld=%d gg=%d gd=%d mdl=%v mdg=%v lr=%v gr=%v",
 		m.LocalGenerated, m.LocalDone, m.GlobalGenerated, m.GlobalDone,
@@ -116,7 +133,7 @@ func metricsSig(m *system.Metrics) string {
 // TestProcBackendMatchesPool is the core determinism claim: a session
 // on the multi-process backend produces results bit-identical to the
 // in-process pool — per replication and in the merged scenario CSV — at
-// any worker count, either event queue, pooling on or off.
+// any worker count and on either event queue.
 func TestProcBackendMatchesPool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -139,6 +156,9 @@ func TestProcBackendMatchesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A pinned ladder may count queue promotions differently from the
+	// reference's auto queue, so that case compares signatures; the
+	// others compare every field.
 	cases := []struct {
 		name    string
 		workers int
@@ -147,7 +167,6 @@ func TestProcBackendMatchesPool(t *testing.T) {
 		{name: "workers=1", workers: 1},
 		{name: "workers=3", workers: 3},
 		{name: "workers=3/ladder", workers: 3, opt: []session.Option{session.WithEventQueue(sim.QueueLadder)}},
-		{name: "workers=3/nopool", workers: 3, opt: []session.Option{session.WithPoolingDisabled()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,8 +181,14 @@ func TestProcBackendMatchesPool(t *testing.T) {
 				t.Fatalf("partial=%t runs=%d, want complete %d", got.Partial, len(got.Runs), len(want.Runs))
 			}
 			for i := range want.Runs {
-				if g, w := metricsSig(got.Runs[i]), metricsSig(want.Runs[i]); g != w {
-					t.Fatalf("rep %d diverged across the process boundary:\n got %s\nwant %s", i, g, w)
+				g, w := got.Runs[i], want.Runs[i]
+				same := sameBits(t, g, w)
+				if tc.opt != nil {
+					same = metricsSig(g) == metricsSig(w)
+				}
+				if !same {
+					t.Fatalf("rep %d diverged across the process boundary:\n got %s\nwant %s",
+						i, metricsSig(g), metricsSig(w))
 				}
 			}
 			if got.LocalMD != want.LocalMD || got.GlobalMD != want.GlobalMD {
@@ -249,8 +274,9 @@ func TestProcBackendWorkerDeathReassigns(t *testing.T) {
 		t.Fatalf("partial=%t runs=%d after worker death, want complete %d", got.Partial, len(got.Runs), len(want.Runs))
 	}
 	for i := range want.Runs {
-		if g, w := metricsSig(got.Runs[i]), metricsSig(want.Runs[i]); g != w {
-			t.Fatalf("rep %d diverged after reassignment:\n got %s\nwant %s", i, g, w)
+		if !sameBits(t, got.Runs[i], want.Runs[i]) {
+			t.Fatalf("rep %d diverged after reassignment:\n got %s\nwant %s",
+				i, metricsSig(got.Runs[i]), metricsSig(want.Runs[i]))
 		}
 	}
 	if _, err := os.Stat(lock); err != nil {
@@ -293,8 +319,9 @@ func TestProcBackendCancellation(t *testing.T) {
 		if res.Seeds[i] != cfg.Seed+uint64(i) {
 			t.Fatalf("seed %d = %d: prefix not contiguous from base", i, res.Seeds[i])
 		}
-		if g, w := metricsSig(m), metricsSig(want.Runs[i]); g != w {
-			t.Fatalf("rep %d of the cancelled prefix diverged:\n got %s\nwant %s", i, g, w)
+		if !sameBits(t, m, want.Runs[i]) {
+			t.Fatalf("rep %d of the cancelled prefix diverged:\n got %s\nwant %s",
+				i, metricsSig(m), metricsSig(want.Runs[i]))
 		}
 	}
 }

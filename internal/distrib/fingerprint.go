@@ -15,8 +15,9 @@ import (
 // fingerprintRev opens every fingerprint encoding. It is bumped whenever
 // the encoding (or the meaning of any encoded field) changes, so entries
 // cached under an older layout can never alias a newer one. Revisions 1
-// and 2 hashed a gob encoding; 3 is the canonical encoding below.
-const fingerprintRev = 3
+// and 2 hashed a gob encoding; 3 is the canonical encoding below, and 4
+// is 3 without the pooling switch.
+const fingerprintRev = 4
 
 // Type tags of the fingerprint encoding's Shape and Demand values; 0 is
 // nil. Tags are part of the encoding: never renumber one.
@@ -40,10 +41,9 @@ const (
 // semantically identical (including ones differing only in Seed or in
 // an attached progress hook: seeds are the cache key's other dimension)
 // hash identically; changing any knob yields a different fingerprint.
-// That includes knobs like EventQueue and DisablePooling whose
-// alternatives are provably (or by-test) byte-identical: the
-// cache trades a few redundant misses for zero risk of serving results
-// across a semantic boundary.
+// That includes knobs like EventQueue whose alternatives are provably
+// byte-identical: the cache trades a few redundant misses for zero risk
+// of serving results across a semantic boundary.
 //
 // The hash is the first 16 bytes of sha256, in hex, over a canonical
 // encoding of the wire configuration: the revision word, then every
@@ -105,7 +105,7 @@ func (wc *WireConfig) appendCanonical(b []byte) ([]byte, error) {
 		c = c.float(r)
 	}
 	c = c.float(wc.Horizon).float(wc.Warmup).spec(wc.Scenario)
-	c = c.bool(wc.DisablePooling).str(wc.EventQueue)
+	c = c.str(wc.EventQueue)
 	return c, nil
 }
 

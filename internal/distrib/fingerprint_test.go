@@ -60,7 +60,7 @@ func TestConfigFingerprintStable(t *testing.T) {
 }
 
 // TestConfigFingerprintSensitivity: every knob change — including ones
-// like EventQueue and DisablePooling whose alternatives produce
+// like EventQueue whose alternatives produce
 // byte-identical results — must move the hash.
 func TestConfigFingerprintSensitivity(t *testing.T) {
 	base := shortCfg(2000)
@@ -73,17 +73,16 @@ func TestConfigFingerprintSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutations := map[string]func(*system.Config){
-		"Nodes":          func(c *system.Config) { c.Nodes *= 2 },
-		"Load":           func(c *system.Config) { c.Load += 0.05 },
-		"FracLocal":      func(c *system.Config) { c.FracLocal += 0.01 },
-		"SSP":            func(c *system.Config) { c.SSP = "ED" },
-		"PSP":            func(c *system.Config) { c.PSP = "EDF" },
-		"Horizon":        func(c *system.Config) { c.Horizon += 1 },
-		"Warmup":         func(c *system.Config) { c.Warmup += 1 },
-		"TardyAbort":     func(c *system.Config) { c.TardyAbort = !c.TardyAbort },
-		"EventQueue":     func(c *system.Config) { c.EventQueue = sim.QueueLadder },
-		"DisablePooling": func(c *system.Config) { c.DisablePooling = true },
-		"Scenario":       func(c *system.Config) { c.Scenario = sc },
+		"Nodes":      func(c *system.Config) { c.Nodes *= 2 },
+		"Load":       func(c *system.Config) { c.Load += 0.05 },
+		"FracLocal":  func(c *system.Config) { c.FracLocal += 0.01 },
+		"SSP":        func(c *system.Config) { c.SSP = "ED" },
+		"PSP":        func(c *system.Config) { c.PSP = "EDF" },
+		"Horizon":    func(c *system.Config) { c.Horizon += 1 },
+		"Warmup":     func(c *system.Config) { c.Warmup += 1 },
+		"TardyAbort": func(c *system.Config) { c.TardyAbort = !c.TardyAbort },
+		"EventQueue": func(c *system.Config) { c.EventQueue = sim.QueueLadder },
+		"Scenario":   func(c *system.Config) { c.Scenario = sc },
 		"Shape": func(c *system.Config) {
 			c.Shape = workload.SerialShape{M: 3, MeanExec: 1, Demand: workload.ExponentialDemand{}}
 		},

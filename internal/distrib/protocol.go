@@ -83,10 +83,11 @@ const (
 // decode error deep inside a shard. Version 2 removed WireConfig's RNG
 // layout field, which gob would otherwise ignore silently when a
 // version-1 peer sent it. Version 3 carries resultMsg's Metrics in the
-// system.Metrics binary codec instead of gob's struct encoding.
+// system.Metrics binary codec instead of gob's struct encoding. Version 4
+// removed WireConfig's pooling switch, for the same reason as version 2.
 const (
 	ProtocolMagic   uint32 = 0x53444131 // "SDA1"
-	ProtocolVersion uint32 = 3
+	ProtocolVersion uint32 = 4
 )
 
 // maxFrame bounds a frame payload; anything larger is a protocol error,
@@ -411,7 +412,6 @@ type WireConfig struct {
 	LocalRateMultipliers []float64
 	Horizon, Warmup      float64
 	Scenario             *scenario.Spec
-	DisablePooling       bool
 	EventQueue           string
 }
 
@@ -478,7 +478,6 @@ func ToWire(cfg system.Config) (WireConfig, error) {
 		LocalRateMultipliers: cfg.LocalRateMultipliers,
 		Horizon:              cfg.Horizon,
 		Warmup:               cfg.Warmup,
-		DisablePooling:       cfg.DisablePooling,
 		EventQueue:           string(cfg.EventQueue),
 	}
 	if cfg.Scenario != nil {
@@ -512,7 +511,6 @@ func (wc WireConfig) Config() (system.Config, error) {
 		LocalRateMultipliers: wc.LocalRateMultipliers,
 		Horizon:              wc.Horizon,
 		Warmup:               wc.Warmup,
-		DisablePooling:       wc.DisablePooling,
 		EventQueue:           sim.QueueKind(wc.EventQueue),
 	}
 	if wc.Scenario != nil {

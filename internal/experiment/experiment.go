@@ -1,8 +1,8 @@
 // Package experiment defines one runnable experiment per table and figure
-// of the paper's evaluation (and per DESIGN.md ablation), sweeps the
+// of the paper's evaluation (plus ablations and extensions), sweeps the
 // relevant parameter with replications, and returns figures ready for the
-// render functions. The experiment ids match DESIGN.md's experiment
-// index: table1, fig2a, fig2b, fig3, fig4, combined, abl-*, ext-*.
+// render functions. All and ByID expose the registry of experiment ids:
+// table1, fig2a, fig2b, fig3, fig4, combined, abl-*, ext-*.
 package experiment
 
 import (
@@ -45,10 +45,6 @@ type Options struct {
 	// concurrently from worker goroutines and must be safe for that;
 	// ProgressPrinter returns a suitable implementation.
 	Progress func(done, total int)
-	// DisablePooling forwards system.Config.DisablePooling to every
-	// replication: the pure allocation path, for pool-safety testing and
-	// diagnostics. Results are bit-identical either way.
-	DisablePooling bool
 	// Nodes, when positive, overrides Config.Nodes for every replication
 	// (the -nodes flag): the scaling knob for large-topology runs. It is
 	// applied before each experiment's own configuration, so experiments
@@ -98,7 +94,6 @@ func (o Options) session() (*session.Session, func()) {
 func (o Options) applyTo(cfg *system.Config, rep int) {
 	cfg.Horizon = o.Horizon
 	cfg.Seed = o.Seed + uint64(rep)
-	cfg.DisablePooling = o.DisablePooling
 	cfg.EventQueue = o.EventQueue
 	if o.Nodes > 0 {
 		cfg.Nodes = o.Nodes
@@ -140,11 +135,12 @@ type Result struct {
 
 // Experiment is a registered, runnable paper artifact.
 type Experiment struct {
-	// ID is the DESIGN.md experiment id ("fig2b").
+	// ID is the registry id ("fig2b").
 	ID string
 	// Title describes the artifact ("Fig. 2b — SSP baseline, global").
 	Title string
-	// Paper summarizes what the paper reports, for EXPERIMENTS.md.
+	// Paper summarizes what the paper reports; sdasim prints it under
+	// each artifact.
 	Paper string
 	// Run executes the experiment.
 	Run func(Options) (*Result, error)

@@ -14,7 +14,7 @@ func tinyOptions() Options {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// Every DESIGN.md experiment id must be registered.
+	// Every paper artifact, ablation and extension must be registered.
 	want := []string{
 		"table1", "fig2a", "fig2b", "fig3", "fig4", "combined",
 		"abl-pexerr", "abl-abort", "abl-mlf", "abl-m", "abl-hetm", "abl-hot",

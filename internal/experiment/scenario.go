@@ -22,30 +22,20 @@ type ScenarioResult struct {
 	// own unmerged Series).
 	Runs []*system.Metrics
 	// LocalMD and GlobalMD are replication-level estimates of the
-	// whole-run miss percentages, as in system.Replication.
+	// whole-run miss percentages, as in session.Result.
 	LocalMD  stats.Estimate
 	GlobalMD stats.Estimate
 }
 
-// RunScenario executes reps independent replications of cfg under the
-// scenario with seeds Seed, Seed+1, ... (parallelism <= 0 uses
-// GOMAXPROCS, 1 forces the sequential path) and merges the per-window
-// time series across replications. It delegates to the session layer —
-// same seed derivation, same trace-forces-sequential rule as the
-// pre-session implementation — so every replication owns its RNG
-// substreams and the seed-order merge makes the result, including the
-// merged series' CSV bytes, identical at every parallelism level.
-func RunScenario(cfg system.Config, sc *scenario.Scenario, reps, parallelism int) (*ScenarioResult, error) {
-	return RunScenarioWith(context.Background(), nil, cfg, sc, reps,
-		session.WithParallelism(parallelism))
-}
-
-// RunScenarioWith is RunScenario on an existing session under ctx with
-// arbitrary run options; a nil session uses a run-private one.
+// RunScenarioWith executes reps independent replications of cfg under
+// the scenario on sess (nil uses a run-private session) under ctx, with
+// seeds Seed, Seed+1, ..., and merges the per-window time series across
+// replications in seed order, so the result — including the merged
+// series' CSV bytes — is identical at every parallelism level.
 // Cancellation fails the run with ctx's error — callers that want
 // seed-prefix partial results should run the scenario Job through the
 // session API directly. This is the one implementation behind
-// repro.RunScenario, repro.Session.RunScenario, and the scenario CLI.
+// repro.Session.RunScenario and the scenario CLI.
 func RunScenarioWith(ctx context.Context, sess *session.Session,
 	cfg system.Config, sc *scenario.Scenario, reps int, opts ...session.Option) (*ScenarioResult, error) {
 	if sc == nil {

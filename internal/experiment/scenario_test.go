@@ -1,13 +1,21 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/session"
 	"repro/internal/system"
 )
+
+// runScenario runs the scenario on a run-private session at the given
+// parallelism.
+func runScenario(cfg system.Config, sc *scenario.Scenario, reps, parallelism int) (*ScenarioResult, error) {
+	return RunScenarioWith(context.Background(), nil, cfg, sc, reps, session.WithParallelism(parallelism))
+}
 
 func scenarioBase(t *testing.T) (system.Config, *scenario.Scenario) {
 	t.Helper()
@@ -27,7 +35,7 @@ func TestRunScenarioDeterministicAcrossParallelism(t *testing.T) {
 	cfg, sc := scenarioBase(t)
 	csvAt := func(parallelism int) string {
 		t.Helper()
-		res, err := RunScenario(cfg, sc, 4, parallelism)
+		res, err := runScenario(cfg, sc, 4, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,11 +60,11 @@ func TestRunScenarioDeterministicAcrossParallelism(t *testing.T) {
 // every replication's observations (totals strictly grow with reps).
 func TestRunScenarioMergesAllReplications(t *testing.T) {
 	cfg, sc := scenarioBase(t)
-	one, err := RunScenario(cfg, sc, 1, 1)
+	one, err := runScenario(cfg, sc, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := RunScenario(cfg, sc, 4, 0)
+	four, err := runScenario(cfg, sc, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +96,15 @@ func TestRunScenarioMergesAllReplications(t *testing.T) {
 
 func TestRunScenarioRejectsBadInput(t *testing.T) {
 	cfg, sc := scenarioBase(t)
-	if _, err := RunScenario(cfg, nil, 2, 1); err == nil {
+	if _, err := runScenario(cfg, nil, 2, 1); err == nil {
 		t.Error("nil scenario accepted")
 	}
-	if _, err := RunScenario(cfg, sc, 0, 1); err == nil {
+	if _, err := runScenario(cfg, sc, 0, 1); err == nil {
 		t.Error("zero reps accepted")
 	}
 	bad := cfg
 	bad.Nodes = -1
-	if _, err := RunScenario(bad, sc, 2, 1); err == nil {
+	if _, err := runScenario(bad, sc, 2, 1); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -108,7 +116,7 @@ func TestRunScenarioSeedsAreIndependent(t *testing.T) {
 	csv := func(seed uint64) string {
 		c := cfg
 		c.Seed = seed
-		res, err := RunScenario(c, sc, 2, 0)
+		res, err := runScenario(c, sc, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +145,7 @@ func TestRunScenarioUnderStrategies(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%s", pair[0], pair[1]), func(t *testing.T) {
 			c := cfg
 			c.SSP, c.PSP = pair[0], pair[1]
-			res, err := RunScenario(c, sc, 2, 0)
+			res, err := runScenario(c, sc, 2, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,9 @@ package netdist
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net"
@@ -42,11 +44,15 @@ func shortCfg(horizon float64) system.Config {
 	return cfg
 }
 
-// metricsSig fingerprints a run's aggregate counters and ratios.
+// metricsSig hashes a run's exact-bit codec encoding: equal signatures
+// mean every field is bit-identical.
 func metricsSig(m *system.Metrics) string {
-	return fmt.Sprintf("lg=%d ld=%d gg=%d gd=%d mdl=%v mdg=%v lr=%v gr=%v",
-		m.LocalGenerated, m.LocalDone, m.GlobalGenerated, m.GlobalDone,
-		m.MDLocal(), m.MDGlobal(), m.LocalResponse.Mean(), m.GlobalResponse.Mean())
+	b, err := m.MarshalBinary()
+	if err != nil {
+		return "unencodable: " + err.Error()
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // runJob executes a job on a session over the given backend and

@@ -98,8 +98,8 @@ type Manager struct {
 	// ones (the reference path pooling must reproduce bit-for-bit).
 	pool *task.Pool
 	// instFree recycles Instance shells once fully drained; only used
-	// when pool is set, so DisablePooling yields the pure allocation
-	// path end to end.
+	// when pool is set, so a nil pool yields the pure allocation path
+	// end to end.
 	instFree []*Instance
 	// frameFree recycles activation frames, same gating as instFree.
 	frameFree []*frame

@@ -1,13 +1,13 @@
 // Package runner provides a small worker pool for fanning independent,
 // index-addressed simulation work units out across cores.
 //
-// The pool is built for deterministic batch work: callers hand Run a unit
-// count and a function of the unit index, and write each unit's result
-// into a preallocated slot for that index. Because every unit owns its
-// inputs (in this repository, a per-replication RNG substream derived in
-// internal/rng) and its output slot, results are bit-identical to the
-// sequential path regardless of worker count or scheduling order — only
-// wall-clock time changes.
+// The pool is built for deterministic batch work: callers hand
+// RunWorkersContext a unit count and a function of the unit index, and
+// write each unit's result into a preallocated slot for that index.
+// Because every unit owns its inputs (in this repository, a
+// per-replication RNG substream derived in internal/rng) and its output
+// slot, results are bit-identical to the sequential path regardless of
+// worker count or scheduling order — only wall-clock time changes.
 package runner
 
 import (
@@ -19,7 +19,7 @@ import (
 
 // Runner executes batches of independent work units on a bounded number
 // of goroutines. The zero value is not useful; construct with New. A
-// Runner is stateless between Run calls and safe for concurrent use.
+// Runner is stateless between calls and safe for concurrent use.
 type Runner struct {
 	workers int
 }
@@ -37,34 +37,26 @@ func New(parallelism int) *Runner {
 // Workers returns the resolved worker count.
 func (r *Runner) Workers() int { return r.workers }
 
-// Run executes fn(0), fn(1), ..., fn(n-1), each exactly once, using up to
-// Workers goroutines, and blocks until all started units finish. fn must
-// be safe for concurrent invocation with distinct indices and must not
-// share mutable state across indices.
+// RunWorkersContext executes fn(worker, 0), ..., fn(worker, n-1), each
+// unit exactly once, on up to Workers goroutines, and blocks until every
+// started unit finishes. fn must be safe for concurrent invocation with
+// distinct units and must not share mutable state across units. The
+// executing worker's index (0 <= worker < Workers) is passed alongside
+// each unit: a worker processes its units strictly sequentially, so
+// per-worker state — a reusable simulation workspace, a scratch buffer —
+// handed out by worker index needs no locking. Unit results must still
+// not depend on which worker ran them.
 //
-// On failure Run reports the recorded error with the lowest unit index,
-// so a given (config, seed) batch yields the same error no matter how the
-// units interleaved. Remaining undispatched units are skipped once any
-// unit fails, exactly as the sequential loop would stop at its first
-// error; units already in flight still run to completion.
-func (r *Runner) Run(n int, fn func(i int) error) error {
-	return r.RunWorkers(n, func(_, i int) error { return fn(i) })
-}
-
-// RunWorkers is Run with the executing worker's index (0 <= worker <
-// Workers) passed alongside each unit index. A worker processes its units
-// strictly sequentially, so per-worker state — a reusable simulation
-// workspace, a scratch buffer — handed out by worker index needs no
-// locking. Unit results must still not depend on which worker ran them.
-func (r *Runner) RunWorkers(n int, fn func(worker, unit int) error) error {
-	_, err := r.RunWorkersContext(context.Background(), n, fn)
-	return err
-}
-
-// RunWorkersContext is RunWorkers bounded by ctx. Workers claim unit
-// indices in ascending order and stop claiming once ctx is done; units
-// already claimed run to completion (a unit is never interrupted
-// mid-flight, so its result stays a pure function of its inputs). The
+// On failure it reports the recorded error with the lowest unit index,
+// so a given (config, seed) batch yields the same error no matter how
+// the units interleaved. Remaining undispatched units are skipped once
+// any unit fails, exactly as the sequential loop would stop at its
+// first error; units already in flight still run to completion.
+//
+// Workers claim unit indices in ascending order and stop claiming once
+// ctx is done; units already claimed run to completion (a unit is never
+// interrupted mid-flight, so its result stays a pure function of its
+// inputs). The
 // completed units therefore always form the exact prefix [0, completed),
 // which is what makes cancellation deterministic-safe for seed-ordered
 // batches: every finished unit's result is identical to the uncancelled
@@ -73,9 +65,9 @@ func (r *Runner) RunWorkers(n int, fn func(worker, unit int) error) error {
 // When ctx ends the run early, RunWorkersContext returns the prefix
 // length alongside ctx's error; if every unit finished before the
 // cancellation was observed it returns (n, nil). A unit error takes
-// precedence over cancellation and keeps RunWorkers' semantics — the
-// recorded error with the lowest unit index is returned and completed is
-// 0, because an errored batch has no usable prefix.
+// precedence over cancellation — the recorded error with the lowest unit
+// index is returned and completed is 0, because an errored batch has no
+// usable prefix.
 func (r *Runner) RunWorkersContext(ctx context.Context, n int, fn func(worker, unit int) error) (completed int, err error) {
 	if n <= 0 {
 		return 0, nil

@@ -10,6 +10,12 @@ import (
 	"time"
 )
 
+// run is RunWorkersContext without a context or worker index.
+func run(r *Runner, n int, fn func(i int) error) error {
+	_, err := r.RunWorkersContext(context.Background(), n, func(_, i int) error { return fn(i) })
+	return err
+}
+
 func TestNewResolvesParallelism(t *testing.T) {
 	if got := New(0).Workers(); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("New(0).Workers() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
@@ -29,7 +35,7 @@ func TestRunExecutesEveryIndexOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("parallel=%d", p), func(t *testing.T) {
 			const n = 100
 			counts := make([]atomic.Int32, n)
-			if err := New(p).Run(n, func(i int) error {
+			if err := run(New(p), n, func(i int) error {
 				counts[i].Add(1)
 				return nil
 			}); err != nil {
@@ -47,7 +53,7 @@ func TestRunExecutesEveryIndexOnce(t *testing.T) {
 func TestRunZeroAndNegativeUnits(t *testing.T) {
 	called := false
 	for _, n := range []int{0, -5} {
-		if err := New(4).Run(n, func(int) error { called = true; return nil }); err != nil {
+		if err := run(New(4), n, func(int) error { called = true; return nil }); err != nil {
 			t.Errorf("Run(%d) = %v, want nil", n, err)
 		}
 	}
@@ -59,7 +65,7 @@ func TestRunZeroAndNegativeUnits(t *testing.T) {
 func TestRunSequentialStopsAtFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran []int
-	err := New(1).Run(10, func(i int) error {
+	err := run(New(1), 10, func(i int) error {
 		ran = append(ran, i)
 		if i == 3 {
 			return boom
@@ -79,7 +85,7 @@ func TestRunParallelReportsLowestIndexError(t *testing.T) {
 	// unit with the lowest index among those that ran, no matter how the
 	// goroutines interleave.
 	for trial := 0; trial < 20; trial++ {
-		err := New(8).Run(32, func(i int) error {
+		err := run(New(8), 32, func(i int) error {
 			if i%2 == 1 {
 				return fmt.Errorf("unit %d", i)
 			}
@@ -102,7 +108,7 @@ func TestRunStopsDispatchingAfterFailure(t *testing.T) {
 	// batch, even on a loaded machine.
 	const units = 10000
 	var executed atomic.Int32
-	err := New(2).Run(units, func(i int) error {
+	err := run(New(2), units, func(i int) error {
 		executed.Add(1)
 		if i == 0 {
 			return errors.New("early failure")
@@ -127,7 +133,7 @@ func TestRunHammer(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		results := make([]int, units)
-		if err := New(16).Run(units, func(i int) error {
+		if err := run(New(16), units, func(i int) error {
 			results[i] = i * i
 			return nil
 		}); err != nil {
@@ -222,7 +228,7 @@ func TestRunWorkersContextLateCancelIsComplete(t *testing.T) {
 }
 
 // TestRunWorkersContextUnitErrorWins: a unit failure reports the
-// lowest-index error exactly like RunWorkers, even when the context is
+// lowest-index error exactly as without a context, even when the context is
 // also cancelled.
 func TestRunWorkersContextUnitErrorWins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

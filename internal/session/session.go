@@ -8,8 +8,7 @@
 // leased to workers for the duration of a batch and returned afterwards.
 // A Job describes what to run — a configuration, an optional scenario,
 // and a replication count — and functional options (WithParallelism,
-// WithProgress, WithTrace, WithEventQueue, WithPoolingDisabled) replace
-// the positional arguments of the pre-Session free functions; the same
+// WithProgress, WithTrace, WithEventQueue) tune the run; the same
 // options are accepted by New (session-wide defaults) and by each call
 // (per-run overrides).
 //
@@ -20,12 +19,12 @@
 // finished replication's metrics are bit-identical to the uncancelled
 // run's, and the result says exactly which seeds finished.
 //
-// The Backend interface is the seam a distributed runner plugs into: the
-// in-process Pool is today's only implementation, executing shards on
-// the PR-1 worker pool with warm workspaces; a future process- or
-// machine-sharded backend implements the same one-method contract and
-// everything above it (Session, streaming, experiments, CLIs) carries
-// over unchanged.
+// The Backend interface is the seam the distributed runners plug into:
+// the in-process Pool executes shards on the runner worker pool with
+// warm workspaces, and the process and TCP backends (internal/distrib,
+// internal/netdist) implement the same one-method contract, so
+// everything above it (Session, streaming, experiments, CLIs) is the
+// same on every backend.
 package session
 
 import (
@@ -100,9 +99,6 @@ func (j Job) config(o options) system.Config {
 	if o.trace != nil {
 		cfg.Trace = o.trace
 	}
-	if o.noPooling {
-		cfg.DisablePooling = true
-	}
 	return cfg
 }
 
@@ -113,7 +109,6 @@ type options struct {
 	trace       *trace.Recorder
 	queue       sim.QueueKind
 	queueSet    bool
-	noPooling   bool
 }
 
 // Option configures a Session (as a default for every call) or a single
@@ -141,11 +136,6 @@ func WithTrace(rec *trace.Recorder) Option { return func(o *options) { o.trace =
 func WithEventQueue(kind sim.QueueKind) Option {
 	return func(o *options) { o.queue, o.queueSet = kind, true }
 }
-
-// WithPoolingDisabled runs every replication on the pure allocation
-// path (no object reuse, workspaces ignored): the reference path the
-// pooled one is tested against. Results are bit-identical either way.
-func WithPoolingDisabled() Option { return func(o *options) { o.noPooling = true } }
 
 // Shard is the unit of work a Backend executes: one effective
 // configuration (scenario and trace already attached) and a run of
@@ -260,10 +250,9 @@ func (p *Pool) Close() {
 	p.closed, p.free = true, nil
 }
 
-// Run implements Backend on the PR-1 worker pool. A shared
+// Run implements Backend on the runner worker pool. A shared
 // Config.Trace recorder is cross-replication mutable state, so tracing
-// forces the sequential path (as system.RunReplicationsParallel always
-// has).
+// forces the sequential path.
 func (p *Pool) Run(ctx context.Context, shard Shard) (ShardResult, error) {
 	par := shard.Parallelism
 	if shard.Config.Trace != nil {
@@ -400,12 +389,6 @@ type Result struct {
 	// order; nil unless the job had a scenario. The merged CSV is
 	// byte-identical at every parallelism level.
 	Series *scenario.Series
-}
-
-// Replication converts the result to the legacy system.Replication
-// shape used by the deprecated free functions.
-func (r *Result) Replication() *system.Replication {
-	return &system.Replication{Runs: r.Runs, LocalMD: r.LocalMD, GlobalMD: r.GlobalMD}
 }
 
 // Run executes the job and blocks until it finishes or ctx ends it

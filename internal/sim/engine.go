@@ -1,8 +1,8 @@
 // Package sim implements a deterministic discrete-event simulation engine:
 // a simulation clock and a time-ordered event list with FIFO tie-breaking.
 // It stands in for the DeNet simulation language the paper's simulator was
-// written in (see DESIGN.md section 5): the paper's results depend only on
-// the queueing model, which this engine reproduces exactly.
+// written in: the paper's results depend only on the Table 1 queueing
+// model (README, "Layout"), which this engine reproduces exactly.
 //
 // The engine is single-threaded and callback-based. Determinism matters
 // more than raw parallelism here: every experiment must be a pure function

@@ -6,8 +6,9 @@ import (
 )
 
 // Histogram counts observations in fixed-width bins over [lo, hi), with
-// overflow and underflow buckets. It backs the response-time and
-// slack-consumption analyses in EXPERIMENTS.md.
+// overflow and underflow buckets: the mergeable building block for
+// response-time and slack-consumption distributions, which no experiment
+// in the registry (internal/experiment) reports yet.
 type Histogram struct {
 	lo, hi   float64
 	width    float64

@@ -5,7 +5,7 @@
 // the experiment renderers consume.
 //
 // It replaces the statistics facilities of the DeNet simulation language
-// used by the paper (see DESIGN.md section 5).
+// the paper's simulator was written in (see internal/sim).
 package stats
 
 import "math"

@@ -88,12 +88,13 @@ func roundTrip(t *testing.T, name string, m *Metrics) []byte {
 // TestMetricsCodecGoldenMatrix round-trips every replication of the
 // golden matrix, fields left out of the digest included.
 func TestMetricsCodecGoldenMatrix(t *testing.T) {
+	ws := NewWorkspace()
 	for _, c := range goldenCases(t) {
-		rep, err := RunReplications(c.cfg, len(goldenSeeds))
+		runs, err := runSeeds(ws, c.cfg, len(goldenSeeds))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		for i, m := range rep.Runs {
+		for i, m := range runs {
 			roundTrip(t, fmt.Sprintf("%s/seed%d", c.name, goldenSeeds[i]), m)
 		}
 	}

@@ -86,13 +86,6 @@ type Config struct {
 	// bit-for-bit. A Scenario is read-only and safe to share across
 	// parallel replications.
 	Scenario *scenario.Scenario
-	// DisablePooling turns off every object-reuse fast path of the run:
-	// tasks and global-task instances are freshly allocated instead of
-	// recycled, and a caller-provided Workspace is ignored. Results are
-	// bit-identical either way — this is the reference path the pooled
-	// one is tested against, and a diagnostic switch should a
-	// use-after-release ever be suspected.
-	DisablePooling bool
 	// EventQueue selects the engine's pending-event structure:
 	// sim.QueueAuto (the zero value; binary heap, promoted to the ladder
 	// queue at large pending-event counts), sim.QueueHeap (pin the

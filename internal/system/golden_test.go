@@ -157,12 +157,13 @@ func digestValue(h hash.Hash, v reflect.Value, path string) {
 func runGolden(t *testing.T) []string {
 	t.Helper()
 	var lines []string
+	ws := NewWorkspace()
 	for _, c := range goldenCases(t) {
-		rep, err := RunReplications(c.cfg, len(goldenSeeds))
+		runs, err := runSeeds(ws, c.cfg, len(goldenSeeds))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		for i, m := range rep.Runs {
+		for i, m := range runs {
 			lines = append(lines, fmt.Sprintf("%s/seed%d %s", c.name, goldenSeeds[i], metricsDigest(m)))
 		}
 	}
@@ -234,16 +235,17 @@ func TestInlineThinningEventCounts(t *testing.T) {
 		"none/n1024/UD/interleaved":  {{23701, 22164}, {23203, 21671}, {23627, 22089}},
 		"burst/n1024/UD/interleaved": {{46462, 44864}, {45879, 44300}, {46554, 44944}},
 	}
+	ws := NewWorkspace()
 	for _, c := range goldenCases(t) {
 		want, ok := candidatePath[c.name]
 		if !ok {
 			continue
 		}
-		rep, err := RunReplications(c.cfg, len(want))
+		runs, err := runSeeds(ws, c.cfg, len(want))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, m := range rep.Runs {
+		for i, m := range runs {
 			e, w := m.Engine, want[i]
 			if c.cfg.Scenario == nil {
 				if e.EventsScheduled != w.scheduled || e.EventsFired != w.fired {

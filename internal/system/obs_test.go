@@ -118,20 +118,20 @@ func TestEngineStatsQueueKinds(t *testing.T) {
 // sum/max of per-replication stats.
 func TestEngineStatsMergeAcrossReplications(t *testing.T) {
 	cfg := shortBaseline()
-	rep, err := RunReplications(cfg, 3)
+	runs, err := runSeeds(NewWorkspace(), cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var merged obs.EngineStats
 	var sumScheduled uint64
-	for _, m := range rep.Runs {
+	for _, m := range runs {
 		merged.Merge(m.Engine)
 		sumScheduled += m.Engine.EventsScheduled
 	}
 	if merged.EventsScheduled != sumScheduled {
 		t.Errorf("merge lost events: %d != %d", merged.EventsScheduled, sumScheduled)
 	}
-	for _, m := range rep.Runs {
+	for _, m := range runs {
 		if m.Engine.PendingHWM > merged.PendingHWM {
 			t.Errorf("merged HWM %d below a member's %d", merged.PendingHWM, m.Engine.PendingHWM)
 		}

@@ -4,7 +4,8 @@ package system
 // every figure) at a reduced horizon. Thresholds are deliberately
 // generous: they must fail if a strategy or the queueing model is broken,
 // not if the sampling noise moves a point by a percentage point.
-// EXPERIMENTS.md records the precise measured values.
+// The experiment registry (internal/experiment, sdasim -exp) reproduces
+// the precise measured values.
 
 import (
 	"math"

@@ -7,7 +7,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/procmgr"
 	"repro/internal/rng"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -30,9 +29,10 @@ import (
 // allocations. A Workspace is single-threaded — one per worker — and
 // results are bit-identical with or without one.
 //
-// Every run goes through a workspace: Run and DisablePooling simply use
-// a fresh one (with the task/graph pools disabled for DisablePooling),
-// so there is exactly one code path to keep deterministic.
+// Every run goes through a workspace: Run simply uses a fresh one, and
+// the unpooled reference path (runWith with pooled false) a fresh one
+// with the task/graph pools disabled, so there is exactly one code path
+// to keep deterministic.
 type Workspace struct {
 	eng      *sim.Engine
 	engKind  sim.QueueKind // kind eng was created with
@@ -191,10 +191,16 @@ func Run(cfg Config) (*Metrics, error) {
 }
 
 // RunWith is Run reusing the given workspace's buffers and pools (nil
-// runs on a fresh single-use workspace). cfg.DisablePooling ignores the
-// caller's workspace and disables task/graph recycling, which is the
-// reference allocation path the pooled one is tested against.
+// runs on a fresh single-use workspace).
 func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
+	return runWith(cfg, ws, true)
+}
+
+// runWith is RunWith with task/graph recycling switchable. With pooled
+// false it ignores ws and runs on a fresh workspace without task or
+// graph pools: the pure allocation path, the reference the pooled one
+// is tested against (results are bit-identical).
+func runWith(cfg Config, ws *Workspace, pooled bool) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -215,7 +221,7 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 		return nil, err
 	}
 
-	if ws == nil || cfg.DisablePooling {
+	if ws == nil || !pooled {
 		ws = NewWorkspace()
 	}
 	if ws.eng == nil || ws.engKind != queueKind {
@@ -225,7 +231,7 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 		ws.eng.Reset()
 	}
 	eng := ws.eng
-	if ws.pool == nil && !cfg.DisablePooling {
+	if ws.pool == nil && pooled {
 		ws.pool = &task.Pool{}
 		ws.graphs = &task.GraphPool{}
 	}
@@ -443,72 +449,4 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 		ws.stageCap = len(metrics.StageMissByIndex)
 	}
 	return metrics, nil
-}
-
-// Replication aggregates one miss-ratio series across seeds.
-type Replication struct {
-	// Runs holds the per-replication metrics in seed order.
-	Runs []*Metrics
-	// LocalMD and GlobalMD are replication-level estimates of the miss
-	// percentages.
-	LocalMD  stats.Estimate
-	GlobalMD stats.Estimate
-}
-
-// RunReplications executes reps independent runs with seeds Seed,
-// Seed+1, ... and aggregates the class miss percentages with Student-t
-// confidence intervals (the paper runs two replications per data point).
-// Replications fan out across all cores; see RunReplicationsParallel.
-func RunReplications(cfg Config, reps int) (*Replication, error) {
-	return RunReplicationsParallel(cfg, reps, 0)
-}
-
-// RunReplicationsParallel is RunReplications with an explicit worker
-// bound: parallelism <= 0 uses GOMAXPROCS, 1 forces the sequential path.
-// Each replication owns its seed substream (internal/rng derives every
-// stream from the replication's own Seed), so results are bit-identical
-// across parallelism levels. A shared cfg.Trace recorder is the one piece
-// of cross-replication mutable state, so tracing forces parallelism 1.
-func RunReplicationsParallel(cfg Config, reps, parallelism int) (*Replication, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("system: reps = %d, want > 0", reps)
-	}
-	if cfg.Trace != nil {
-		parallelism = 1
-	}
-	runs := make([]*Metrics, reps)
-	run := runner.New(parallelism)
-	// Each worker owns one reusable workspace: after its first
-	// replication the engine heap, task free list, and ready queues are
-	// already at working size, so subsequent replications on that worker
-	// allocate almost nothing.
-	workspaces := make([]*Workspace, run.Workers())
-	err := run.RunWorkers(reps, func(worker, i int) error {
-		ws := workspaces[worker]
-		if ws == nil {
-			ws = NewWorkspace()
-			workspaces[worker] = ws
-		}
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)
-		m, err := RunWith(c, ws)
-		if err != nil {
-			return err
-		}
-		runs[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Replication{Runs: runs}
-	local := make([]float64, reps)
-	global := make([]float64, reps)
-	for i, m := range runs {
-		local[i] = m.MDLocal()
-		global[i] = m.MDGlobal()
-	}
-	out.LocalMD = stats.MeanCI(local)
-	out.GlobalMD = stats.MeanCI(global)
-	return out, nil
 }

@@ -375,27 +375,6 @@ func TestHotNodeMultipliers(t *testing.T) {
 	}
 }
 
-func TestRunReplications(t *testing.T) {
-	cfg := shortBaseline()
-	cfg.Horizon = 4000
-	rep, err := RunReplications(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Runs) != 3 {
-		t.Fatalf("runs = %d, want 3", len(rep.Runs))
-	}
-	if rep.LocalMD.N != 3 || rep.GlobalMD.N != 3 {
-		t.Error("estimates not built from 3 replications")
-	}
-	if rep.GlobalMD.Mean < 0 || rep.GlobalMD.Mean > 100 {
-		t.Errorf("MDglobal = %v%%, outside [0, 100]", rep.GlobalMD.Mean)
-	}
-	if _, err := RunReplications(cfg, 0); err == nil {
-		t.Error("reps = 0 accepted")
-	}
-}
-
 func TestTraceRecordsLifecycle(t *testing.T) {
 	cfg := shortBaseline()
 	cfg.Horizon = 500

@@ -171,8 +171,8 @@ func (g *Graph) TotalExec() float64 {
 // Depth returns the length (in stages) of the longest serial chain: 1 for
 // a leaf, the sum over children for serial groups, the max for parallel
 // groups. The workload generator scales global slack by this value so
-// that rel_flex keeps its Table-1 meaning for mixed shapes (DESIGN.md
-// section 5).
+// that rel_flex keeps its Table-1 meaning for mixed shapes (the
+// "combined" experiment's workload).
 func (g *Graph) Depth() int {
 	switch g.Kind {
 	case KindSimple:

@@ -11,8 +11,8 @@ package task
 //
 // A nil *Pool is valid and disables reuse: Get allocates a fresh Task and
 // Put discards, which is the reference behaviour the pooled path must
-// reproduce bit-for-bit (see Config.DisablePooling in internal/system and
-// the pool-safety determinism tests).
+// reproduce bit-for-bit (see TestPooledMatchesReference in
+// internal/system).
 type Pool struct {
 	free  []*Task
 	slab  []Task      // bump-allocation chunk Get carves fresh tasks from

@@ -132,7 +132,7 @@ func (s ParallelShape) Name() string { return fmt.Sprintf("parallel-%d", s.M) }
 // MixedShape is the section-6 workload: a serial chain whose stages may
 // be parallel groups. Stages lists the width of each stage: width 1 is a
 // simple subtask placed uniformly at random; width w > 1 is a parallel
-// group of w subtasks at distinct nodes. The DESIGN.md default is
+// group of w subtasks at distinct nodes. The "combined" experiment uses
 // {1, 3, 1}: [S1 [P1 || P2 || P3] S2].
 type MixedShape struct {
 	// Stages holds per-stage widths; all must be >= 1.

@@ -1,31 +1,61 @@
 package repro
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
-// Pool-safety determinism tests: the object-reuse fast paths (task pool,
-// graph pool, instance/frame recycling, workspace reuse) must never
-// change a simulation result. Each test runs the same experiment twice —
-// pooling on (the default) and DisablePooling (the pure allocation
-// reference path) — and requires byte-identical rendered output.
+// Pool-safety determinism tests at the facade: reusing a session's warm
+// workspaces across jobs and worker counts must never change a result.
+// Each test runs the same work on a fresh sequential session and on a
+// session whose workspaces an unrelated job has already warmed, and
+// requires byte-identical output. The pooled-versus-unpooled reference
+// check is TestPooledMatchesReference in internal/system.
 
-func TestPoolingBitIdenticalCombinedExperiment(t *testing.T) {
-	opts := ExperimentOptions{Horizon: 3000, Reps: 2, Seed: 7}
-	pooled, err := RunExperiment("combined", opts)
+// warmedSession returns a session at the given parallelism whose
+// workspaces a 64-node PSP job has already run on.
+func warmedSession(t *testing.T, parallelism int) *Session {
+	t.Helper()
+	sess := NewSession(WithParallelism(parallelism))
+	t.Cleanup(func() { sess.Close() })
+	cfg := PSPBaselineConfig()
+	cfg.Nodes = 64
+	cfg.Horizon = 300
+	if _, err := sess.Run(context.Background(), Job{Config: cfg, Reps: 2 * parallelism}); err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// codecBytes encodes m with the exact-bit Metrics codec: equal bytes
+// mean every field is bit-identical.
+func codecBytes(t *testing.T, m *SimMetrics) []byte {
+	t.Helper()
+	b, err := m.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.DisablePooling = true
-	ref, err := RunExperiment("combined", opts)
+	return b
+}
+
+func TestPoolingBitIdenticalCombinedExperiment(t *testing.T) {
+	opts := ExperimentOptions{Horizon: 3000, Reps: 2, Seed: 7}
+	cold := NewSession(WithParallelism(1))
+	defer cold.Close()
+	ref, err := cold.Experiment(context.Background(), "combined", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := warmedSession(t, 4).Experiment(context.Background(), "combined", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pooledCSV := RenderCSV(pooled.Figure)
 	refCSV := RenderCSV(ref.Figure)
 	if pooledCSV != refCSV {
-		t.Fatalf("combined CSV differs with pooling on vs off:\npooled:\n%s\nreference:\n%s",
+		t.Fatalf("combined CSV differs on warm workspaces:\npooled:\n%s\nreference:\n%s",
 			pooledCSV, refCSV)
 	}
 	if pooledCSV == "" {
@@ -40,13 +70,14 @@ func TestPoolingBitIdenticalBurstScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const reps, parallel = 3, 4
-	pooled, err := RunScenario(cfg, sc, reps, parallel)
+	const reps = 3
+	cold := NewSession(WithParallelism(1))
+	defer cold.Close()
+	ref, err := cold.RunScenario(context.Background(), cfg, sc, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DisablePooling = true
-	ref, err := RunScenario(cfg, sc, reps, parallel)
+	pooled, err := warmedSession(t, 4).RunScenario(context.Background(), cfg, sc, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,18 +89,18 @@ func TestPoolingBitIdenticalBurstScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pooledCSV.String() != refCSV.String() {
-		t.Fatal("burst scenario time-series CSV differs with pooling on vs off")
+		t.Fatal("burst scenario time-series CSV differs on warm workspaces")
 	}
 	if pooled.GlobalMD != ref.GlobalMD || pooled.LocalMD != ref.LocalMD {
-		t.Fatalf("miss estimates differ with pooling on vs off: %+v vs %+v",
+		t.Fatalf("miss estimates differ on warm workspaces: %+v vs %+v",
 			pooled.GlobalMD, ref.GlobalMD)
 	}
 }
 
 // TestPoolingAbortPathBitIdentical exercises the trickiest recycling
 // path: aborted global instances whose already-queued sibling subtasks
-// drain later, delaying instance and graph reuse. The run must match the
-// reference path exactly.
+// drain later, delaying instance and graph reuse. A warm workspace must
+// reproduce a fresh one exactly.
 func TestPoolingAbortPathBitIdentical(t *testing.T) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 8000
@@ -77,20 +108,20 @@ func TestPoolingAbortPathBitIdentical(t *testing.T) {
 	cfg.TardyAbort = true
 	cfg.SSP = "EQF"
 	cfg.PSP = "DIV-1"
-	pooled, err := Simulate(cfg)
+	job := Job{Config: cfg}
+	cold := NewSession(WithParallelism(1))
+	defer cold.Close()
+	ref, err := cold.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DisablePooling = true
-	ref, err := Simulate(cfg)
+	pooled, err := warmedSession(t, 1).Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pooled.GlobalDone != ref.GlobalDone || pooled.GlobalAborted != ref.GlobalAborted ||
-		pooled.LocalDone != ref.LocalDone || pooled.LocalAborted != ref.LocalAborted ||
-		pooled.MDGlobal() != ref.MDGlobal() || pooled.MDLocal() != ref.MDLocal() {
-		t.Fatalf("abort-path metrics differ with pooling on vs off:\npooled %+v\nref    %+v",
-			pooled, ref)
+	if !bytes.Equal(codecBytes(t, pooled.Runs[0]), codecBytes(t, ref.Runs[0])) {
+		t.Fatalf("abort-path metrics differ on a warm workspace:\npooled %+v\nref    %+v",
+			pooled.Runs[0], ref.Runs[0])
 	}
 }
 
@@ -101,13 +132,17 @@ func TestPoolingAbortPathBitIdentical(t *testing.T) {
 func TestPooledRunnerRaceHammer(t *testing.T) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 1500
-	const reps = 16
-	seq, err := SimulateReplicationsParallel(cfg, reps, 1)
+	job := Job{Config: cfg, Reps: 16}
+	seqSess := NewSession(WithParallelism(1))
+	defer seqSess.Close()
+	seq, err := seqSess.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := NewSession(WithParallelism(8))
+	defer sess.Close()
 	for round := 0; round < 4; round++ {
-		par, err := SimulateReplicationsParallel(cfg, reps, 8)
+		par, err := sess.Run(context.Background(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,8 +151,7 @@ func TestPooledRunnerRaceHammer(t *testing.T) {
 				round, par.GlobalMD, seq.GlobalMD)
 		}
 		for i := range par.Runs {
-			if par.Runs[i].LocalDone != seq.Runs[i].LocalDone ||
-				par.Runs[i].GlobalDone != seq.Runs[i].GlobalDone {
+			if !bytes.Equal(codecBytes(t, par.Runs[i]), codecBytes(t, seq.Runs[i])) {
 				t.Fatalf("round %d: replication %d differs across worker counts", round, i)
 			}
 		}

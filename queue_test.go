@@ -21,8 +21,7 @@ func queueSignature(m *SimMetrics) string {
 // TestQueueKindsBitIdenticalLargeTopology runs a topology big enough
 // that QueueAuto promotes mid-run (its setup alone schedules more than
 // promoteThreshold arrival events) and requires identical metrics from
-// the heap, the ladder, and the promoting engine, with pooling on and
-// off.
+// the heap, the ladder, and the promoting engine.
 func TestQueueKindsBitIdenticalLargeTopology(t *testing.T) {
 	base := BaselineConfig()
 	base.Nodes = 600
@@ -30,24 +29,21 @@ func TestQueueKindsBitIdenticalLargeTopology(t *testing.T) {
 	base.Load = 0.7
 	base.SSP, base.PSP = "EQF", "DIV-1"
 
-	for _, pooling := range []bool{true, false} {
-		var want string
-		for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueLadder, EventQueueAuto} {
-			cfg := base
-			cfg.EventQueue = kind
-			cfg.DisablePooling = !pooling
-			m, err := Simulate(cfg)
-			if err != nil {
-				t.Fatalf("queue=%q pooling=%t: %v", kind, pooling, err)
-			}
-			sig := queueSignature(m)
-			if want == "" {
-				want = sig
-				continue
-			}
-			if sig != want {
-				t.Fatalf("queue=%q pooling=%t diverged:\n got %s\nwant %s", kind, pooling, sig, want)
-			}
+	var want string
+	for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueLadder, EventQueueAuto} {
+		cfg := base
+		cfg.EventQueue = kind
+		m, err := simulate(cfg)
+		if err != nil {
+			t.Fatalf("queue=%q: %v", kind, err)
+		}
+		sig := queueSignature(m)
+		if want == "" {
+			want = sig
+			continue
+		}
+		if sig != want {
+			t.Fatalf("queue=%q diverged:\n got %s\nwant %s", kind, sig, want)
 		}
 	}
 }
@@ -66,7 +62,7 @@ func TestQueueKindsBitIdenticalAbortPath(t *testing.T) {
 	for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueLadder} {
 		cfg := base
 		cfg.EventQueue = kind
-		m, err := Simulate(cfg)
+		m, err := simulate(cfg)
 		if err != nil {
 			t.Fatalf("queue=%q: %v", kind, err)
 		}
@@ -85,7 +81,7 @@ func TestQueueKindsBitIdenticalAbortPath(t *testing.T) {
 func TestQueueKindRejected(t *testing.T) {
 	cfg := BaselineConfig()
 	cfg.EventQueue = "btree"
-	if _, err := Simulate(cfg); err == nil {
-		t.Fatal("Simulate accepted an unknown EventQueue kind")
+	if _, err := simulate(cfg); err == nil {
+		t.Fatal("Session.Run accepted an unknown EventQueue kind")
 	}
 }

@@ -18,10 +18,10 @@
 //     with time-varying load, node faults, alternative demand
 //     distributions and windowed time-series metrics.
 //
-//   - Paper artifacts: Experiments/RunExperiment regenerate every table
-//     and figure of the evaluation (fig2a, fig2b, fig3, fig4, combined,
-//     ablations, extensions) with confidence intervals; RenderTable,
-//     RenderChart and RenderCSV format the results.
+//   - Paper artifacts: Experiments lists, and Session.Experiment runs,
+//     every table and figure of the evaluation (fig2a, fig2b, fig3,
+//     fig4, combined, ablations, extensions) with confidence intervals;
+//     RenderTable, RenderChart and RenderCSV format the results.
 //
 // A fourth, independent piece — the live runtime (NewLiveNode,
 // NewLiveRuntime) — executes task graphs on real goroutines with
@@ -35,8 +35,7 @@
 // workload sources) are created once and reused across every call. A
 // Job is the unit of work — a configuration, an optional scenario, and
 // a replication count — and functional options (WithParallelism,
-// WithProgress, WithTrace, WithEventQueue, WithPoolingDisabled) replace
-// positional arguments:
+// WithProgress, WithTrace, WithEventQueue) tune the run:
 //
 //	sess := repro.NewSession(repro.WithParallelism(8))
 //	defer sess.Close()
@@ -53,11 +52,6 @@
 // interface (Run(ctx, Shard) (ShardResult, error)) is the seam a
 // distributed runner plugs into via NewSessionWithBackend.
 //
-// The pre-session free functions (Simulate, SimulateReplications,
-// SimulateReplicationsParallel, RunScenario) remain as deprecated thin
-// wrappers over a package-level default session, with byte-identical
-// outputs.
-//
 // Quick start (static planning, no simulation):
 //
 //	g := repro.MustParseGraph("[gather:1 [f1:1 || f2:1.5] decide:2]")
@@ -69,8 +63,6 @@
 package repro
 
 import (
-	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/core"
@@ -192,9 +184,6 @@ type SimConfig = system.Config
 // SimMetrics is the outcome of one simulation run.
 type SimMetrics = system.Metrics
 
-// SimReplication aggregates runs across seeds.
-type SimReplication = system.Replication
-
 // Shape describes the structure of generated global tasks.
 type Shape = workload.Shape
 
@@ -235,53 +224,6 @@ func BaselineConfig() SimConfig { return system.Baseline() }
 
 // PSPBaselineConfig returns the section 5.2 parallel-subtask setting.
 func PSPBaselineConfig() SimConfig { return system.PSPBaseline() }
-
-// Simulate runs one replication of the simulation model.
-//
-// Deprecated: use Session.Run with a single-replication Job; Simulate
-// delegates to a package-level default session (byte-identical results)
-// but cannot be cancelled and shares its warm state process-wide.
-func Simulate(cfg SimConfig) (*SimMetrics, error) {
-	res, err := defaultSession().Run(context.Background(),
-		Job{Config: cfg, Reps: 1}, WithParallelism(1))
-	if err != nil {
-		return nil, err
-	}
-	return res.Runs[0], nil
-}
-
-// SimulateReplications runs reps independent replications and aggregates
-// miss percentages with 95% confidence intervals. Replications fan out
-// across all cores; results are bit-identical to a sequential run because
-// every replication owns its seed-derived RNG substreams.
-//
-// Deprecated: use Session.Run — the Job's Reps field replaces the
-// positional argument, and the RunResult carries the same runs and
-// estimates (RunResult.Replication converts). This wrapper delegates to
-// the package-level default session with byte-identical outputs.
-func SimulateReplications(cfg SimConfig, reps int) (*SimReplication, error) {
-	return SimulateReplicationsParallel(cfg, reps, 0)
-}
-
-// SimulateReplicationsParallel is SimulateReplications with an explicit
-// worker bound: parallelism <= 0 uses GOMAXPROCS, 1 forces the
-// sequential path. Attaching a TraceRecorder forces parallelism 1.
-//
-// Deprecated: use Session.Run with WithParallelism, which replaces the
-// positional argument and adds cancellation and streaming. This wrapper
-// delegates to the package-level default session with byte-identical
-// outputs.
-func SimulateReplicationsParallel(cfg SimConfig, reps, parallelism int) (*SimReplication, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("system: reps = %d, want > 0", reps)
-	}
-	res, err := defaultSession().Run(context.Background(),
-		Job{Config: cfg, Reps: reps}, WithParallelism(parallelism))
-	if err != nil {
-		return nil, err
-	}
-	return res.Replication(), nil
-}
 
 // Scenarios --------------------------------------------------------------
 
@@ -356,23 +298,6 @@ func ChurnScenario(nodes int, rate, horizon float64, o ChurnOptions) (*Scenario,
 	return scenario.Churn(nodes, rate, horizon, o)
 }
 
-// RunScenario executes reps replications of cfg under the scenario
-// (parallelism <= 0 uses GOMAXPROCS, 1 is sequential) and merges the
-// time series across replications. Results — including the merged
-// series' CSV bytes — are identical at every parallelism level.
-//
-// Deprecated: use Session.RunScenario (or Session.Run with a scenario
-// Job, which also offers streaming and cancellation). This wrapper
-// delegates to the package-level default session with byte-identical
-// outputs.
-func RunScenario(cfg SimConfig, sc *Scenario, reps, parallelism int) (*ScenarioResult, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("system: reps = %d, want > 0", reps)
-	}
-	return defaultSession().RunScenario(context.Background(), cfg, sc, reps,
-		WithParallelism(parallelism))
-}
-
 // Experiments -----------------------------------------------------------
 
 // Experiment is a runnable paper artifact (table or figure).
@@ -387,7 +312,7 @@ type ExperimentOptions = experiment.Options
 // ProgressPrinter returns an ExperimentOptions.Progress callback that
 // renders a one-line progress meter to w, prefixed with label. A
 // printer tracks a single sweep; construct a fresh one per
-// RunExperiment call.
+// Session.Experiment call.
 func ProgressPrinter(w io.Writer, label string) func(done, total int) {
 	return experiment.ProgressPrinter(w, label)
 }
@@ -403,21 +328,6 @@ func Experiments() []Experiment { return experiment.All() }
 
 // ExperimentByID looks up one experiment ("fig2b", "combined", ...).
 func ExperimentByID(id string) (Experiment, error) { return experiment.ByID(id) }
-
-// RunExperiment runs the experiment with the given id. With a zero
-// Options.Session it executes on the package-level default session
-// (warm workspaces shared with the other free functions); prefer
-// Session.Experiment to control the session and the context explicitly.
-func RunExperiment(id string, o ExperimentOptions) (*ExperimentResult, error) {
-	if o.Session == nil {
-		o.Session = defaultSession().Session
-	}
-	e, err := experiment.ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(o)
-}
 
 // RenderTable formats a figure as a fixed-width text table.
 func RenderTable(f *Figure) string { return experiment.RenderTable(f) }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -51,10 +52,21 @@ func TestStrategyLookups(t *testing.T) {
 	}
 }
 
+// simulate runs one replication of cfg on a fresh sequential session.
+func simulate(cfg SimConfig) (*SimMetrics, error) {
+	sess := NewSession(WithParallelism(1))
+	defer sess.Close()
+	res, err := sess.Run(context.Background(), Job{Config: cfg})
+	if err != nil {
+		return nil, err
+	}
+	return res.Runs[0], nil
+}
+
 func TestSimulateBaseline(t *testing.T) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 5000
-	m, err := Simulate(cfg)
+	m, err := simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +78,17 @@ func TestSimulateBaseline(t *testing.T) {
 	}
 }
 
-func TestSimulateReplications(t *testing.T) {
+func TestSessionReplicationCount(t *testing.T) {
 	cfg := PSPBaselineConfig()
 	cfg.Horizon = 3000
-	rep, err := SimulateReplications(cfg, 2)
+	sess := NewSession()
+	defer sess.Close()
+	res, err := sess.Run(context.Background(), Job{Config: cfg, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != 2 {
-		t.Fatalf("runs = %d, want 2", len(rep.Runs))
+	if len(res.Runs) != 2 || res.LocalMD.N != 2 || res.GlobalMD.N != 2 {
+		t.Fatalf("runs = %d, estimates over %d/%d, want 2", len(res.Runs), res.LocalMD.N, res.GlobalMD.N)
 	}
 }
 
@@ -82,20 +96,24 @@ func TestExperimentRegistry(t *testing.T) {
 	if len(Experiments()) < 14 {
 		t.Errorf("only %d experiments registered", len(Experiments()))
 	}
-	res, err := RunExperiment("table1", ExperimentOptions{Horizon: 1000, Reps: 1, Seed: 1})
+	sess := NewSession()
+	defer sess.Close()
+	res, err := sess.Experiment(context.Background(), "table1", ExperimentOptions{Horizon: 1000, Reps: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(res.Notes, "Earliest Deadline First") {
 		t.Error("table1 notes incomplete")
 	}
-	if _, err := RunExperiment("bogus", ExperimentOptions{}); err == nil {
+	if _, err := sess.Experiment(context.Background(), "bogus", ExperimentOptions{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestRenderHelpers(t *testing.T) {
-	res, err := RunExperiment("abl-m", ExperimentOptions{Horizon: 1500, Reps: 1, Seed: 3})
+	sess := NewSession()
+	defer sess.Close()
+	res, err := sess.Experiment(context.Background(), "abl-m", ExperimentOptions{Horizon: 1500, Reps: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +162,7 @@ func TestTraceFacade(t *testing.T) {
 	cfg.Horizon = 500
 	rec := NewTraceRecorder(100)
 	cfg.Trace = rec
-	if _, err := Simulate(cfg); err != nil {
+	if _, err := simulate(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() != 100 {
@@ -180,7 +198,9 @@ func TestScenarioFacade(t *testing.T) {
 	}
 	cfg := BaselineConfig()
 	cfg.Horizon = 3000
-	res, err := RunScenario(cfg, sc, 2, 0)
+	sess := NewSession()
+	defer sess.Close()
+	res, err := sess.RunScenario(context.Background(), cfg, sc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

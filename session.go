@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"io"
-	"sync"
 
 	"repro/internal/distrib"
 	"repro/internal/experiment"
@@ -20,9 +19,6 @@ import (
 // options instead of positional arguments, context-aware cancellation
 // with deterministic seed-prefix partial results, a streaming surface,
 // and a pluggable Backend — the seam a distributed runner implements.
-// The pre-session free functions (Simulate, SimulateReplications,
-// RunScenario, ...) remain as deprecated wrappers over a package-level
-// default session with byte-identical outputs.
 
 // Job describes one run request: a configuration, an optional scenario,
 // and a replication count (0 means one). Replication i uses seed
@@ -73,10 +69,6 @@ func WithTrace(rec *TraceRecorder) RunOption { return session.WithTrace(rec) }
 // WithEventQueue pins the engine's pending-event structure; results are
 // byte-identical across kinds.
 func WithEventQueue(kind EventQueueKind) RunOption { return session.WithEventQueue(kind) }
-
-// WithPoolingDisabled runs on the pure allocation path (the reference
-// path the pooled one is tested against); results are bit-identical.
-func WithPoolingDisabled() RunOption { return session.WithPoolingDisabled() }
 
 // MetricsSnapshot is a point-in-time view of a session's runtime
 // metrics, returned by Session.Snapshot: engine counters accumulated
@@ -220,7 +212,7 @@ func NewQueryService(opts QueryServiceOptions) *QueryService {
 
 // ConfigFingerprint is the cache and session key: a stable content hash
 // of every behavior-determining configuration knob except the seed — 32
-// hex characters of sha256 over a canonical, versioned (revision 3)
+// hex characters of sha256 over a canonical, versioned (revision 4)
 // binary encoding of the wire configuration. Identical configurations
 // collide across processes and recompilations; any knob change — even
 // to a setting with provably identical results, like the event queue —
@@ -247,23 +239,9 @@ func (s *Session) Experiment(ctx context.Context, id string, o ExperimentOptions
 
 // RunScenario executes a scenario job through this session and shapes
 // the outcome as a ScenarioResult (the merged-series result type the
-// scenario CLI and the deprecated free function share). Like every
-// scenario entry point it requires reps > 0; run a scenario Job through
+// scenario CLI prints). It requires reps > 0; run a scenario Job through
 // Session.Run directly for the Job semantics (0 means one replication,
 // partial results on cancellation).
 func (s *Session) RunScenario(ctx context.Context, cfg SimConfig, sc *Scenario, reps int, opts ...RunOption) (*ScenarioResult, error) {
 	return experiment.RunScenarioWith(ctx, s.Session, cfg, sc, reps, opts...)
-}
-
-// defaultSession backs the deprecated free functions. It is created on
-// first use and lives for the process: repeated Simulate calls reuse the
-// same warm workspaces a Session user would.
-var (
-	defaultSessionOnce sync.Once
-	defaultSessionVal  *Session
-)
-
-func defaultSession() *Session {
-	defaultSessionOnce.Do(func() { defaultSessionVal = NewSession() })
-	return defaultSessionVal
 }

@@ -1,124 +1,22 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"testing"
 )
 
-// Golden-equality tests for the Session redesign: the deprecated free
-// functions are thin wrappers over a default session, and these tests
-// prove old call and new call emit byte-identical artifacts.
-
-// simSig fingerprints a run for byte-level comparison of everything the
-// renderers consume.
-func simSig(m *SimMetrics) string {
-	return fmt.Sprintf("%d %d %d %d %d %d %v %v %v %v %v",
-		m.LocalGenerated, m.LocalDone, m.LocalAborted,
-		m.GlobalGenerated, m.GlobalDone, m.GlobalAborted,
-		m.MDLocal(), m.MDGlobal(), m.LocalResponse.Mean(),
-		m.GlobalResponse.Mean(), m.GlobalTardiness.Mean())
-}
-
-// TestDeprecatedSimulateMatchesSession: Simulate == Session.Run of a
-// one-replication job.
-func TestDeprecatedSimulateMatchesSession(t *testing.T) {
-	cfg := BaselineConfig()
-	cfg.Horizon = 4000
-	old, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession()
-	defer sess.Close()
-	res, err := sess.Run(context.Background(), Job{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simSig(old) != simSig(res.Runs[0]) {
-		t.Fatalf("Simulate diverged from Session.Run:\nold %s\nnew %s",
-			simSig(old), simSig(res.Runs[0]))
-	}
-}
-
-// TestDeprecatedReplicationsMatchSession: SimulateReplicationsParallel
-// == Session.Run at matching parallelism, runs and estimates alike.
-func TestDeprecatedReplicationsMatchSession(t *testing.T) {
-	cfg := PSPBaselineConfig()
-	cfg.Horizon = 2500
-	const reps = 3
-	for _, par := range []int{1, 4} {
-		old, err := SimulateReplicationsParallel(cfg, reps, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := NewSession(WithParallelism(par))
-		res, err := sess.Run(context.Background(), Job{Config: cfg, Reps: reps})
-		sess.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range old.Runs {
-			if simSig(old.Runs[i]) != simSig(res.Runs[i]) {
-				t.Fatalf("parallelism %d rep %d diverged", par, i)
-			}
-		}
-		if old.LocalMD != res.LocalMD || old.GlobalMD != res.GlobalMD {
-			t.Fatalf("parallelism %d: estimates diverged", par)
-		}
-	}
-}
-
-// TestDeprecatedRunScenarioMatchesSessionCSV is the golden-CSV test:
-// the deprecated RunScenario and Session.RunScenario must emit
-// byte-identical merged time-series CSV, at parallelism 1 and N,
-// pooling on and off.
-func TestDeprecatedRunScenarioMatchesSessionCSV(t *testing.T) {
-	cfg := BaselineConfig()
-	cfg.Horizon = 10000
-	sc, err := ScenarioPreset("storm", cfg.Horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const reps = 3
-	csv := func(res *ScenarioResult) string {
-		var b strings.Builder
-		if err := res.Series.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	for _, par := range []int{1, 4} {
-		for _, pooling := range []bool{true, false} {
-			c := cfg
-			c.DisablePooling = !pooling
-			old, err := RunScenario(c, sc, reps, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess := NewSession(WithParallelism(par))
-			res, err := sess.RunScenario(context.Background(), c, sc, reps)
-			sess.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if csv(old) != csv(res) {
-				t.Fatalf("par=%d pooling=%t: deprecated RunScenario CSV differs from Session", par, pooling)
-			}
-			if old.LocalMD != res.LocalMD || old.GlobalMD != res.GlobalMD {
-				t.Fatalf("par=%d pooling=%t: estimates diverged", par, pooling)
-			}
-		}
-	}
-}
-
-// TestSessionExperimentMatchesRunExperiment: the session-scoped
-// experiment path renders byte-identical CSV to the package-level one.
-func TestSessionExperimentMatchesRunExperiment(t *testing.T) {
+// TestSessionExperimentMatchesRegistryRun: running an experiment on a
+// caller's session renders byte-identical CSV to running the registry
+// entry on its own run-private session.
+func TestSessionExperimentMatchesRegistryRun(t *testing.T) {
 	opts := ExperimentOptions{Horizon: 1200, Reps: 2, Seed: 3}
-	old, err := RunExperiment("fig2b", opts)
+	e, err := ExperimentByID("fig2b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := e.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +26,8 @@ func TestSessionExperimentMatchesRunExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RenderCSV(old.Figure) != RenderCSV(res.Figure) {
-		t.Fatal("Session.Experiment CSV differs from RunExperiment")
+	if RenderCSV(private.Figure) != RenderCSV(res.Figure) {
+		t.Fatal("Session.Experiment CSV differs from the registry run")
 	}
 }
 
@@ -151,7 +49,7 @@ func TestStreamConcatenationEqualsBatch(t *testing.T) {
 	}
 	i := 0
 	for it := range st.Items() {
-		if it.Index != i || simSig(it.Metrics) != simSig(batch.Runs[i]) {
+		if it.Index != i || !bytes.Equal(codecBytes(t, it.Metrics), codecBytes(t, batch.Runs[i])) {
 			t.Fatalf("stream item %d (index %d) diverged from batch", i, it.Index)
 		}
 		i++

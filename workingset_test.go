@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -34,17 +35,21 @@ func TestRecordWorkingSet65536(t *testing.T) {
 
 	// Warm run: populate every arena (slots, lanes, streams, pools) so
 	// the measured run is the steady state a long simulation lives in.
-	if _, err := Simulate(cfg); err != nil {
+	sess := NewSession(WithParallelism(1))
+	defer sess.Close()
+	job := Job{Config: cfg}
+	if _, err := sess.Run(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	m, err := Simulate(cfg)
+	res, err := sess.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := res.Runs[0]
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 
