@@ -287,6 +287,13 @@ func TestProcBackendWorkerDeathReassigns(t *testing.T) {
 // TestProcBackendCancellation cancels mid-run and requires the exact
 // deterministic seed prefix: every returned run bit-identical to the
 // uncancelled reference, Partial set, seeds contiguous from the base.
+//
+// One worker makes "mid-run" certain. It takes the chunks in seed order
+// and cannot hedge, so seed 0 is among the first two results and the
+// cancel fires on the first result of the second chunk, while four
+// chunks are still undispatched. With two workers a slow-starting
+// worker holding seed 0 could deliver it last, after the other worker
+// had finished every other chunk, and the cancel then came too late.
 func TestProcBackendCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -300,7 +307,7 @@ func TestProcBackendCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := testBackend(t, ProcOptions{Workers: 2, ChunkSize: 2})
+	b := testBackend(t, ProcOptions{Workers: 1, ChunkSize: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := session.NewWithBackend(&prefixCanceler{Backend: b, n: 3, cancel: cancel})

@@ -391,12 +391,11 @@ func ablMLFExp() Experiment {
 				XLabel: "load", YLabel: "global missed deadlines (%)",
 			}
 			var variants []variant
-			for _, schedName := range []string{"EDF", "MLF"} {
+			for _, policy := range []sched.Policy{sched.EDF, sched.MLF} {
 				for _, ssp := range []string{"UD", "EQF"} {
-					schedName, ssp := schedName, ssp
-					variants = append(variants, globalOnly(ssp+" "+schedName, func(c *system.Config) {
+					variants = append(variants, globalOnly(ssp+" "+string(policy), func(c *system.Config) {
 						c.SSP = ssp
-						c.Scheduler = schedPolicy(schedName)
+						c.Scheduler = policy
 					}))
 				}
 			}
@@ -583,9 +582,4 @@ func extAdaptiveDivExp() Experiment {
 			return &Result{Figure: fig}, nil
 		},
 	}
-}
-
-// schedPolicy converts a display name to the sched package policy.
-func schedPolicy(name string) sched.Policy {
-	return sched.Policy(name)
 }

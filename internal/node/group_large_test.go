@@ -3,7 +3,6 @@ package node
 import (
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -61,11 +60,7 @@ func signature(g *Group, k int) []nodeSig {
 // configureBank wires a fresh EDF bank of k lanes into g (or builds g).
 func configureBank(t *testing.T, eng *sim.Engine, g *Group, k int) *Group {
 	t.Helper()
-	bank := sched.NewBank()
-	if err := bank.Configure(k, sched.EDF, false, 4); err != nil {
-		t.Fatal(err)
-	}
-	cfg := GroupConfig{Engine: eng, Bank: bank, OnDone: func(*task.Task) {}}
+	cfg := GroupConfig{Engine: eng, Bank: edfBank(t, k), OnDone: func(*task.Task) {}}
 	if g == nil {
 		g2, err := NewGroup(cfg)
 		if err != nil {
@@ -126,46 +121,6 @@ func TestGroupGrowthAndResetAt64k(t *testing.T) {
 	for i, s := range signature(g, k) {
 		if s != first[i] {
 			t.Fatalf("node %d diverged after reset:\nfirst %+v\nagain %+v", i, first[i], s)
-		}
-	}
-}
-
-// TestGroupBankMatchesQueuesLargeN drives the identical deterministic
-// load through a bank-backed group and a legacy per-queue group at a
-// large node count: the SoA/arena layout must be invisible — every
-// counter and accumulated float equal to the last bit.
-func TestGroupBankMatchesQueuesLargeN(t *testing.T) {
-	const k = 8192
-	const tasks = 20000
-
-	run := func(useBank bool) []nodeSig {
-		eng := sim.New()
-		var g *Group
-		if useBank {
-			g = configureBank(t, eng, nil, k)
-		} else {
-			queues := make([]sched.Queue, k)
-			for i := range queues {
-				q, err := sched.New(sched.EDF, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				queues[i] = q
-			}
-			var err error
-			g, err = NewGroup(GroupConfig{Engine: eng, Queues: queues, OnDone: func(*task.Task) {}})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		driveLoad(t, eng, g, k, tasks)
-		return signature(g, k)
-	}
-
-	bank, legacy := run(true), run(false)
-	for i := range bank {
-		if bank[i] != legacy[i] {
-			t.Fatalf("node %d: bank %+v != queues %+v", i, bank[i], legacy[i])
 		}
 	}
 }

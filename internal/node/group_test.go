@@ -8,33 +8,16 @@ import (
 	"repro/internal/task"
 )
 
-func groupQueues(t *testing.T, k int) []sched.Queue {
-	t.Helper()
-	queues := make([]sched.Queue, k)
-	for i := range queues {
-		q, err := sched.New(sched.EDF, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queues[i] = q
-	}
-	return queues
-}
-
 // TestGroupRoutesCompletions drives tasks through several nodes of one
 // group and checks that the shared completion callback routes each
 // completion to the right node.
 func TestGroupRoutesCompletions(t *testing.T) {
 	eng := sim.New()
 	var doneNodes []int
-	g, err := NewGroup(GroupConfig{
+	g := newGroup(t, 4, GroupConfig{
 		Engine: eng,
-		Queues: groupQueues(t, 4),
 		OnDone: func(tk *task.Task) { doneNodes = append(doneNodes, tk.NodeID) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if g.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", g.Len())
 	}
@@ -69,10 +52,10 @@ func TestGroupRoutesCompletions(t *testing.T) {
 // array (same node pointers) and fully resets node state.
 func TestGroupConfigureReuses(t *testing.T) {
 	eng := sim.New()
-	queues := groupQueues(t, 3)
+	bank := edfBank(t, 3)
 	g, err := NewGroup(GroupConfig{
 		Engine: eng,
-		Queues: queues,
+		Bank:   bank,
 		OnDone: func(*task.Task) {},
 	})
 	if err != nil {
@@ -88,12 +71,10 @@ func TestGroupConfigureReuses(t *testing.T) {
 	}
 
 	eng.Reset()
-	for _, q := range queues {
-		q.(sched.Resetter).Reset()
-	}
+	bank.Reset()
 	if err := g.Configure(GroupConfig{
 		Engine: eng,
-		Queues: queues,
+		Bank:   bank,
 		OnDone: func(*task.Task) {},
 	}); err != nil {
 		t.Fatal(err)
@@ -107,25 +88,36 @@ func TestGroupConfigureReuses(t *testing.T) {
 	}
 }
 
-// TestGroupConfigValidation covers the constructor error paths.
+// TestGroupConfigValidation covers the reconfigure error paths: Configure
+// on a live group rejects each invalid config and leaves the group as it
+// was.
 func TestGroupConfigValidation(t *testing.T) {
 	eng := sim.New()
-	queues := groupQueues(t, 1)
+	bank := edfBank(t, 2)
+	done := func(*task.Task) {}
+	g, err := NewGroup(GroupConfig{Engine: eng, Bank: bank, OnDone: done})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := g.Node(0)
 	cases := []struct {
 		name string
 		cfg  GroupConfig
 	}{
-		{"nil engine", GroupConfig{Queues: queues, OnDone: func(*task.Task) {}}},
-		{"no queues", GroupConfig{Engine: eng, OnDone: func(*task.Task) {}}},
-		{"nil OnDone", GroupConfig{Engine: eng, Queues: queues}},
-		{"nil queue", GroupConfig{Engine: eng, Queues: []sched.Queue{nil}, OnDone: func(*task.Task) {}}},
-		{"abort without OnAbort", GroupConfig{Engine: eng, Queues: queues,
-			Policy: AbortAtDispatch, OnDone: func(*task.Task) {}}},
+		{"nil engine", GroupConfig{Bank: bank, OnDone: done}},
+		{"nil bank", GroupConfig{Engine: eng, OnDone: done}},
+		{"unconfigured bank", GroupConfig{Engine: eng, Bank: sched.NewBank(), OnDone: done}},
+		{"nil OnDone", GroupConfig{Engine: eng, Bank: bank}},
+		{"abort without OnAbort", GroupConfig{Engine: eng, Bank: bank,
+			Policy: AbortAtDispatch, OnDone: done}},
 	}
 	for _, tc := range cases {
-		if _, err := NewGroup(tc.cfg); err == nil {
-			t.Errorf("%s: NewGroup accepted an invalid config", tc.name)
+		if err := g.Configure(tc.cfg); err == nil {
+			t.Errorf("%s: Configure accepted an invalid config", tc.name)
 		}
+	}
+	if g.Len() != 2 || g.Node(0) != first {
+		t.Fatalf("failed Configure changed the group: %d nodes", g.Len())
 	}
 }
 
@@ -137,14 +129,10 @@ func TestGroupLifecycleZeroAlloc64(t *testing.T) {
 	eng := sim.New()
 	pool := &task.Pool{}
 	const k = 64
-	g, err := NewGroup(GroupConfig{
+	g := newGroup(t, k, GroupConfig{
 		Engine: eng,
-		Queues: groupQueues(t, k),
 		OnDone: func(done *task.Task) { pool.Put(done) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var seq uint64
 	lifecycle := func(count int) {

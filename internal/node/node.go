@@ -6,16 +6,15 @@
 // precisely the premise of the SDA problem.
 //
 // All per-node state lives in a Group in structure-of-arrays layout
-// (see group.go); Node is a 16-byte handle that delegates to its group,
-// so holding []*Node views or passing nodes around costs nothing at
-// large topologies.
+// (see group.go), with every node's ready queue in one sched.Bank; Node
+// is a 16-byte handle that delegates to its group, so holding []*Node
+// views or passing nodes around costs nothing at large topologies. A
+// node's ID is its index in the group.
 package node
 
 import (
 	"fmt"
 
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -83,61 +82,11 @@ type Node struct {
 	idx int32
 }
 
-// Config carries a standalone node's construction parameters.
-type Config struct {
-	// ID is the node's index in the system.
-	ID int
-	// Engine is the simulation engine driving the node.
-	Engine *sim.Engine
-	// Queue is the node's ready queue (policy chosen by the system).
-	Queue sched.Queue
-	// Policy is the tardy-task policy; zero value defaults to NoAbort.
-	Policy TardyPolicy
-	// Preemptive enables deadline-based preemption: a newly submitted
-	// task with an earlier deadline suspends the task in service, which
-	// re-queues with its remaining demand. The paper's model is
-	// non-preemptive (Table 1); this is an extension for the
-	// ext-preempt ablation.
-	Preemptive bool
-	// OnDone is called when a task completes service; required.
-	OnDone func(*task.Task)
-	// OnAbort is called when AbortAtDispatch discards a task; may be nil
-	// if the policy is NoAbort.
-	OnAbort func(*task.Task)
-	// Observer optionally receives every lifecycle event (for tracing).
-	Observer Observer
-}
-
-// New returns a node ready to accept submissions: a one-node group
-// whose IDBase preserves the configured ID.
-func New(cfg Config) (*Node, error) {
-	if cfg.Engine == nil {
-		return nil, fmt.Errorf("node %d: nil engine", cfg.ID)
-	}
-	if cfg.Queue == nil {
-		return nil, fmt.Errorf("node %d: nil queue", cfg.ID)
-	}
-	g, err := NewGroup(GroupConfig{
-		Engine:     cfg.Engine,
-		Queues:     []sched.Queue{cfg.Queue},
-		Policy:     cfg.Policy,
-		Preemptive: cfg.Preemptive,
-		OnDone:     cfg.OnDone,
-		OnAbort:    cfg.OnAbort,
-		Observer:   cfg.Observer,
-		IDBase:     cfg.ID,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("node %d: %w", cfg.ID, err)
-	}
-	return g.Node(0), nil
-}
-
 // ID returns the node's index.
-func (n *Node) ID() int { return n.g.idBase + int(n.idx) }
+func (n *Node) ID() int { return int(n.idx) }
 
 // QueueLen returns the number of tasks waiting (not in service).
-func (n *Node) QueueLen() int { return n.g.qLen(int(n.idx)) }
+func (n *Node) QueueLen() int { return n.g.bank.Len(int(n.idx)) }
 
 // Busy reports whether the server is occupied.
 func (n *Node) Busy() bool { return n.g.hot[n.idx].running != nil }

@@ -14,44 +14,59 @@ type recorder struct {
 	aborted []*task.Task
 }
 
-func newTestNode(t *testing.T, eng *sim.Engine, policy TardyPolicy) (*Node, *recorder) {
+// edfBank returns an EDF ready-queue bank of k nodes.
+func edfBank(t testing.TB, k int) *sched.Bank {
 	t.Helper()
-	rec := &recorder{}
-	q, err := sched.New(sched.EDF, false)
+	bank := sched.NewBank()
+	if err := bank.Configure(k, sched.EDF, false, 4); err != nil {
+		t.Fatal(err)
+	}
+	return bank
+}
+
+// newGroup builds a group of k nodes over a fresh EDF bank; cfg supplies
+// everything but the bank.
+func newGroup(t testing.TB, k int, cfg GroupConfig) *Group {
+	t.Helper()
+	cfg.Bank = edfBank(t, k)
+	g, err := NewGroup(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(Config{
-		ID:      3,
+	return g
+}
+
+func newTestNode(t *testing.T, eng *sim.Engine, policy TardyPolicy) (*Node, *recorder) {
+	t.Helper()
+	rec := &recorder{}
+	g := newGroup(t, 1, GroupConfig{
 		Engine:  eng,
-		Queue:   q,
 		Policy:  policy,
 		OnDone:  func(tk *task.Task) { rec.done = append(rec.done, tk) },
 		OnAbort: func(tk *task.Task) { rec.aborted = append(rec.aborted, tk) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, rec
+	return g.Node(0), rec
 }
 
+// TestConfigValidation covers the constructor error paths.
 func TestConfigValidation(t *testing.T) {
 	eng := sim.New()
-	q, _ := sched.New(sched.EDF, false)
+	bank := edfBank(t, 1)
 	done := func(*task.Task) {}
 	tests := []struct {
 		name string
-		cfg  Config
+		cfg  GroupConfig
 	}{
-		{name: "nil engine", cfg: Config{Queue: q, OnDone: done}},
-		{name: "nil queue", cfg: Config{Engine: eng, OnDone: done}},
-		{name: "nil OnDone", cfg: Config{Engine: eng, Queue: q}},
-		{name: "abort without OnAbort", cfg: Config{Engine: eng, Queue: q, OnDone: done, Policy: AbortAtDispatch}},
+		{name: "nil engine", cfg: GroupConfig{Bank: bank, OnDone: done}},
+		{name: "nil queue", cfg: GroupConfig{Engine: eng, OnDone: done}},
+		{name: "unconfigured bank", cfg: GroupConfig{Engine: eng, Bank: sched.NewBank(), OnDone: done}},
+		{name: "nil OnDone", cfg: GroupConfig{Engine: eng, Bank: bank}},
+		{name: "abort without OnAbort", cfg: GroupConfig{Engine: eng, Bank: bank, OnDone: done, Policy: AbortAtDispatch}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := New(tt.cfg); err == nil {
-				t.Error("New succeeded, want error")
+			if _, err := NewGroup(tt.cfg); err == nil {
+				t.Error("NewGroup succeeded, want error")
 			}
 		})
 	}
@@ -208,7 +223,11 @@ func TestIdlePeriodBetweenArrivals(t *testing.T) {
 
 func TestSubmitSetsNodeID(t *testing.T) {
 	eng := sim.New()
-	n, _ := newTestNode(t, eng, NoAbort)
+	g := newGroup(t, 4, GroupConfig{Engine: eng, OnDone: func(*task.Task) {}})
+	n := g.Node(3)
+	if n.ID() != 3 {
+		t.Fatalf("ID = %d, want its index 3", n.ID())
+	}
 	tk := &task.Task{ID: 1, Exec: 1, Deadline: 10, NodeID: -1}
 	n.Submit(tk)
 	if tk.NodeID != n.ID() {
@@ -219,18 +238,11 @@ func TestSubmitSetsNodeID(t *testing.T) {
 func newPreemptiveNode(t *testing.T, eng *sim.Engine) (*Node, *recorder) {
 	t.Helper()
 	rec := &recorder{}
-	q, err := sched.New(sched.EDF, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(Config{
-		ID: 0, Engine: eng, Queue: q, Preemptive: true,
+	g := newGroup(t, 1, GroupConfig{
+		Engine: eng, Preemptive: true,
 		OnDone: func(tk *task.Task) { rec.done = append(rec.done, tk) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, rec
+	return g.Node(0), rec
 }
 
 func TestPreemptiveEDF(t *testing.T) {
@@ -283,6 +295,42 @@ func TestPreemptionSkippedForLaterDeadline(t *testing.T) {
 	}
 	if rec.done[0] != first {
 		t.Error("first task should finish first")
+	}
+}
+
+// TestPreemptionAtCompletionInstant submits an urgent task at the exact
+// instant the running task completes, with the arrival ordered before
+// the completion event. The running task has no work left, so it must
+// not be preempted: suspending it would re-queue it with Remaining 0 and
+// restart it from scratch on its next dispatch.
+func TestPreemptionAtCompletionInstant(t *testing.T) {
+	eng := sim.New()
+	n, rec := newPreemptiveNode(t, eng)
+	a := &task.Task{ID: 1, Seq: 1, Exec: 4, Deadline: 100}
+	urgent := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 10}
+	// Scheduled before a's completion event exists, so it fires first
+	// at t=4.
+	eng.MustSchedule(4, func() { urgent.Arrival = 4; n.Submit(urgent) })
+	n.Submit(a)
+	eng.RunAll()
+	if len(rec.done) != 2 || rec.done[0] != a || rec.done[1] != urgent {
+		var ids []uint64
+		for _, tk := range rec.done {
+			ids = append(ids, tk.ID)
+		}
+		t.Fatalf("completion order = %v, want [1 2]", ids)
+	}
+	if a.Start != 0 || a.Finish != 4 {
+		t.Errorf("a Start,Finish = %v,%v, want 0,4", a.Start, a.Finish)
+	}
+	if urgent.Finish != 5 {
+		t.Errorf("urgent.Finish = %v, want 5", urgent.Finish)
+	}
+	if n.Preemptions() != 0 {
+		t.Errorf("Preemptions = %d, want 0", n.Preemptions())
+	}
+	if got := n.BusyTime(); got != 5 {
+		t.Errorf("BusyTime = %v, want 5", got)
 	}
 }
 

@@ -41,20 +41,9 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 			}
 		}
 	}
-	for i := 0; i < k; i++ {
-		q, err := sched.New(sched.EDF, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := node.New(node.Config{
-			ID: i, Engine: h.eng, Queue: q, Policy: policy,
-			OnDone: route, OnAbort: abort,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.nodes = append(h.nodes, n)
-	}
+	h.nodes = newNodes(t, k, node.GroupConfig{
+		Engine: h.eng, Policy: policy, OnDone: route, OnAbort: abort,
+	})
 	mgr, err := New(Config{
 		Engine:   h.eng,
 		Nodes:    h.nodes,
@@ -71,6 +60,21 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 	}
 	h.mgr = mgr
 	return h
+}
+
+// newNodes builds a group of k nodes over an EDF ready-queue bank; cfg
+// supplies everything but the bank.
+func newNodes(t *testing.T, k int, cfg node.GroupConfig) []*node.Node {
+	t.Helper()
+	cfg.Bank = sched.NewBank()
+	if err := cfg.Bank.Configure(k, sched.EDF, false, 4); err != nil {
+		t.Fatal(err)
+	}
+	g, err := node.NewGroup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Nodes()
 }
 
 // startInstance validates/flattens the graph and starts it at time 0.
@@ -95,11 +99,7 @@ func place(g *task.Graph, nodes ...int) *task.Graph {
 
 func TestConfigValidation(t *testing.T) {
 	eng := sim.New()
-	okNode := func() []*node.Node {
-		q, _ := sched.New(sched.EDF, false)
-		n, _ := node.New(node.Config{Engine: eng, Queue: q, OnDone: func(*task.Task) {}})
-		return []*node.Node{n}
-	}()
+	okNode := newNodes(t, 1, node.GroupConfig{Engine: eng, OnDone: func(*task.Task) {}})
 	seq := func() uint64 { return 0 }
 	tests := []struct {
 		name string

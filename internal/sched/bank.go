@@ -9,13 +9,13 @@ import (
 // Bank is a set of per-node ready queues stored in one contiguous arena
 // instead of k separately allocated queue objects. Every policy is
 // expressed as a keyed entry-heap — EDF keys by deadline, MLF by
-// dl − pex, FCFS by a constant 0 so the (key, seq) tie-break degenerates
-// to pure submission order, which is exactly the ring-deque semantics of
-// the standalone FCFS queue including the preempted-task front-requeue
-// (a re-queued task's Seq is the minimum, so the heap serves it first).
-// Pop order is therefore identical to a slice of sched.New queues for
-// every policy × globalsFirst combination; the cross-check test in
-// bank_test.go drives both against each other.
+// dl − pex (the dispatch-time laxity dl − now − pex minus a term common
+// to every waiting task), FCFS by a constant 0 so the (key, seq)
+// tie-break degenerates to pure submission order. That includes the
+// preempted-task front-requeue: a re-queued task's Seq is below every
+// task that arrived while it ran, so the heap serves it first. The
+// cross-check test in bank_test.go drives the bank against a
+// linear-scan reference for every policy × globalsFirst combination.
 //
 // The globals-first class priority of the GF strategy becomes two lanes
 // per node: lane 2i holds node i's Global subtasks, lane 2i+1 its Local
@@ -37,7 +37,6 @@ import (
 // cached-top layout pops in exactly the order of a plain heap; results
 // are byte-identical.
 type Bank struct {
-	policy       Policy
 	globalsFirst bool
 	mlf, fcfs    bool
 	nodes        int
@@ -105,10 +104,8 @@ func NewBank() *Bank { return &Bank{} }
 // their larger private arrays — so a warm workspace pays no queue
 // allocations at all.
 func (b *Bank) Configure(nodes int, p Policy, globalsFirst bool, perNode int) error {
-	switch p {
-	case EDF, MLF, FCFS:
-	default:
-		return fmt.Errorf("sched: unknown policy %q", p)
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	if nodes <= 0 {
 		return fmt.Errorf("sched: bank of %d nodes", nodes)
@@ -116,7 +113,7 @@ func (b *Bank) Configure(nodes int, p Policy, globalsFirst bool, perNode int) er
 	if perNode < 1 {
 		perNode = 1
 	}
-	b.policy, b.globalsFirst = p, globalsFirst
+	b.globalsFirst = globalsFirst
 	b.mlf, b.fcfs = p == MLF, p == FCFS
 	laneCount := nodes
 	if globalsFirst {
@@ -143,14 +140,6 @@ func (b *Bank) Configure(nodes int, p Policy, globalsFirst bool, perNode int) er
 // Nodes returns the configured node count.
 func (b *Bank) Nodes() int { return b.nodes }
 
-// Name identifies the configured policy, matching Queue.Name.
-func (b *Bank) Name() string {
-	if b.globalsFirst {
-		return "GF(" + string(b.policy) + ")"
-	}
-	return string(b.policy)
-}
-
 // key computes the heap ordering key for the configured policy.
 func (b *Bank) key(t *task.Task) float64 {
 	switch {
@@ -176,8 +165,8 @@ func (b *Bank) Push(i int, t *task.Task) {
 }
 
 // Pop removes and returns node i's highest-priority task, or nil when
-// the queue is empty. The now parameter mirrors Queue.Pop; every bank
-// policy keys statically, so it is unused.
+// the queue is empty. Every policy keys statically at push time, so the
+// dispatch time now does not affect the order.
 func (b *Bank) Pop(i int, now float64) *task.Task {
 	_ = now
 	if b.globalsFirst {

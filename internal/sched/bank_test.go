@@ -8,93 +8,146 @@ import (
 	"repro/internal/task"
 )
 
-// TestBankMatchesQueues drives identical push/pop sequences through a
-// Bank and a slice of sched.New queues for every policy × globalsFirst
-// combination, including the preempted-task re-queue case (a pushed
-// task whose Seq is below every queued task's), and requires identical
-// pop order.
-func TestBankMatchesQueues(t *testing.T) {
-	const nodes = 5
+// refQueue is the reference ready queue for one node: an unordered
+// slice scanned linearly on every pop. It shares no code and no ordering
+// trick with the Bank. Under EDF and MLF it serves the task with the
+// least (class rank, policy key, Seq); under FCFS it serves the first
+// task in list order within the best class, and a preempted task is
+// put back at the front of the list explicitly.
+type refQueue struct {
+	policy       Policy
+	globalsFirst bool
+	tasks        []*task.Task // FCFS: arrival order, requeued tasks in front
+}
+
+// rank is the class priority: under globals-first, Global before Local.
+func (q *refQueue) rank(t *task.Task) int {
+	if q.globalsFirst && t.Class != task.Global {
+		return 1
+	}
+	return 0
+}
+
+// before reports whether a must be served ahead of b.
+func (q *refQueue) before(a, b *task.Task) bool {
+	if ra, rb := q.rank(a), q.rank(b); ra != rb {
+		return ra < rb
+	}
+	var ka, kb float64
+	switch q.policy {
+	case FCFS:
+		return false // list order decides
+	case MLF:
+		ka, kb = a.Deadline-a.Pex, b.Deadline-b.Pex
+	default:
+		ka, kb = a.Deadline, b.Deadline
+	}
+	if ka != kb {
+		return ka < kb
+	}
+	return a.Seq < b.Seq
+}
+
+func (q *refQueue) push(t *task.Task) { q.tasks = append(q.tasks, t) }
+
+// requeue puts back a preempted task: at the front of the list, which
+// under FCFS resumes its place ahead of everything that arrived while it
+// ran.
+func (q *refQueue) requeue(t *task.Task) {
+	q.tasks = append([]*task.Task{t}, q.tasks...)
+}
+
+func (q *refQueue) pop() *task.Task {
+	if len(q.tasks) == 0 {
+		return nil
+	}
+	best := 0
+	for i := 1; i < len(q.tasks); i++ {
+		if q.before(q.tasks[i], q.tasks[best]) {
+			best = i
+		}
+	}
+	t := q.tasks[best]
+	q.tasks = append(q.tasks[:best], q.tasks[best+1:]...)
+	return t
+}
+
+// TestBankMatchesReference drives identical random push/pop/preempt
+// sequences through a Bank and per-node refQueues for every policy ×
+// globalsFirst combination, at a handful of deep queues and at 8192
+// mostly shallow ones whose lanes spill past their arena carve, and
+// requires identical pop order. Each node holds the task it last popped
+// as "running"; a preemption pushes that task back, so the FCFS
+// front-requeue is exercised with arrivals queued behind it.
+func TestBankMatchesReference(t *testing.T) {
+	sizes := []struct{ nodes, steps int }{
+		{nodes: 5, steps: 4000},
+		{nodes: 8192, steps: 160000},
+	}
 	for _, p := range []Policy{EDF, MLF, FCFS} {
 		for _, gf := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/globalsFirst=%t", p, gf), func(t *testing.T) {
-				bank := NewBank()
-				if err := bank.Configure(nodes, p, gf, 4); err != nil {
-					t.Fatal(err)
-				}
-				ref := make([]Queue, nodes)
-				for i := range ref {
-					q, err := New(p, gf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref[i] = q
-				}
-				if got, want := bank.Name(), ref[0].Name(); got != want {
-					t.Errorf("Name() = %q, want %q", got, want)
-				}
+			for _, sz := range sizes {
+				t.Run(fmt.Sprintf("%s/globalsFirst=%t/nodes=%d", p, gf, sz.nodes), func(t *testing.T) {
+					checkBankAgainstReference(t, p, gf, sz.nodes, sz.steps)
+				})
+			}
+		}
+	}
+}
 
-				r := rng.New(7)
-				var seq uint64
-				live := make([][]*task.Task, nodes) // tasks currently queued per node
-				for step := 0; step < 4000; step++ {
-					i := r.IntN(nodes)
-					switch {
-					case r.Float64() < 0.55:
-						seq++
-						tk := &task.Task{
-							ID:       seq,
-							Seq:      seq,
-							Deadline: r.Uniform(0, 100),
-							Pex:      r.Uniform(0, 10),
-							Class:    task.Local,
-						}
-						if r.Float64() < 0.4 {
-							tk.Class = task.Global
-						}
-						bank.Push(i, tk)
-						ref[i].Push(tk)
-						live[i] = append(live[i], tk)
-					case r.Float64() < 0.15 && len(live[i]) > 0:
-						// Preempted re-queue: pop then push the popped task
-						// back; its Seq is the configured minimum of the
-						// ordering class it pops from.
-						now := r.Uniform(0, 100)
-						a, b := bank.Pop(i, now), ref[i].Pop(now)
-						if a != b {
-							t.Fatalf("step %d node %d: bank popped %v, queues popped %v", step, i, a, b)
-						}
-						if a != nil {
-							bank.Push(i, a)
-							ref[i].Push(a)
-						}
-					default:
-						now := r.Uniform(0, 100)
-						a, b := bank.Pop(i, now), ref[i].Pop(now)
-						if a != b {
-							t.Fatalf("step %d node %d: bank popped %v, queues popped %v", step, i, a, b)
-						}
-						if a != nil && len(live[i]) > 0 {
-							live[i] = live[i][:len(live[i])-1]
-						}
-					}
-					if bank.Len(i) != ref[i].Len() {
-						t.Fatalf("step %d node %d: bank len %d, queues len %d", step, i, bank.Len(i), ref[i].Len())
-					}
-				}
-				// Drain everything and compare the full tail order.
-				for i := 0; i < nodes; i++ {
-					for {
-						a, b := bank.Pop(i, 50), ref[i].Pop(50)
-						if a != b {
-							t.Fatalf("drain node %d: bank popped %v, queues popped %v", i, a, b)
-						}
-						if a == nil {
-							break
-						}
-					}
-				}
-			})
+func checkBankAgainstReference(t *testing.T, p Policy, gf bool, nodes, steps int) {
+	bank := NewBank()
+	if err := bank.Configure(nodes, p, gf, 4); err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]refQueue, nodes)
+	for i := range ref {
+		ref[i] = refQueue{policy: p, globalsFirst: gf}
+	}
+	running := make([]*task.Task, nodes)
+
+	r := rng.New(7)
+	var seq uint64
+	pop := func(step, i int, now float64) *task.Task {
+		a, b := bank.Pop(i, now), ref[i].pop()
+		if a != b {
+			t.Fatalf("step %d node %d: bank popped %v, reference popped %v", step, i, a, b)
+		}
+		return a
+	}
+	for step := 0; step < steps; step++ {
+		i := r.IntN(nodes)
+		switch u := r.Float64(); {
+		case u < 0.55:
+			seq++
+			tk := &task.Task{
+				ID:       seq,
+				Seq:      seq,
+				Deadline: r.Uniform(0, 100),
+				Pex:      r.Uniform(0, 10),
+				Class:    task.Local,
+			}
+			if r.Float64() < 0.4 {
+				tk.Class = task.Global
+			}
+			bank.Push(i, tk)
+			ref[i].push(tk)
+		case u < 0.65 && running[i] != nil:
+			// Preemption: the running task goes back to the queue.
+			bank.Push(i, running[i])
+			ref[i].requeue(running[i])
+			running[i] = nil
+		default:
+			// Dispatch: the previous running task (if any) completes.
+			running[i] = pop(step, i, r.Uniform(0, 100))
+		}
+		if bank.Len(i) != len(ref[i].tasks) {
+			t.Fatalf("step %d node %d: bank len %d, reference len %d", step, i, bank.Len(i), len(ref[i].tasks))
+		}
+	}
+	// Drain everything and compare the full tail order.
+	for i := 0; i < nodes; i++ {
+		for pop(steps, i, 50) != nil {
 		}
 	}
 }
@@ -134,15 +187,17 @@ func TestBankConfigureReuse(t *testing.T) {
 			t.Fatalf("after reconfigure Len(%d) = %d, want 0", i, got)
 		}
 	}
-	if b.Name() != "FCFS" {
-		t.Fatalf("Name() = %q, want FCFS", b.Name())
+	b.Push(1, mk(5, 1))
+	b.Push(1, mk(6, 0)) // earlier deadline, later arrival
+	if tk := b.Pop(1, 0); tk == nil || tk.ID != 5 {
+		t.Fatalf("after switching to FCFS Pop(1) = %v, want task 5", tk)
 	}
 	// Shape change: rebuild.
 	if err := b.Configure(4, EDF, true, 2); err != nil {
 		t.Fatal(err)
 	}
-	if b.Nodes() != 4 || b.Name() != "GF(EDF)" {
-		t.Fatalf("after rebuild Nodes=%d Name=%q", b.Nodes(), b.Name())
+	if b.Nodes() != 4 {
+		t.Fatalf("after rebuild Nodes = %d, want 4", b.Nodes())
 	}
 	if err := b.Configure(0, EDF, false, 2); err == nil {
 		t.Fatal("Configure(0 nodes) succeeded, want error")

@@ -13,31 +13,19 @@ type entry struct {
 	t   *task.Task
 }
 
-// entryHeap is a binary min-heap over (key, seq). It backs the EDF and
-// MLF queues; FCFS uses a ring buffer because arrival order needs no
-// heap at all.
+// entryHeap is a binary min-heap over (key, seq): the part of a bank
+// lane below its cached top entry.
 type entryHeap struct {
 	items []entry
 }
 
-func (h *entryHeap) len() int { return len(h.items) }
-
 // reset empties the heap while keeping its backing array, so a reused
-// queue reaches its working size without re-growing.
+// lane reaches its working size without re-growing.
 func (h *entryHeap) reset() {
 	for i := range h.items {
 		h.items[i] = entry{}
 	}
 	h.items = h.items[:0]
-}
-
-// grow pre-sizes the backing array to hold at least capacity entries.
-func (h *entryHeap) grow(capacity int) {
-	if cap(h.items) < capacity {
-		items := make([]entry, len(h.items), capacity)
-		copy(items, h.items)
-		h.items = items
-	}
 }
 
 func (h *entryHeap) less(i, j int) bool {
@@ -48,11 +36,6 @@ func (h *entryHeap) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h *entryHeap) push(key float64, t *task.Task) {
-	h.pushEntry(entry{key: key, seq: t.Seq, t: t})
-}
-
-// pushEntry inserts a pre-built entry (the bank lane's staging path).
 func (h *entryHeap) pushEntry(e entry) {
 	h.items = append(h.items, e)
 	i := len(h.items) - 1
@@ -64,13 +47,6 @@ func (h *entryHeap) pushEntry(e entry) {
 		h.items[i], h.items[parent] = h.items[parent], h.items[i]
 		i = parent
 	}
-}
-
-func (h *entryHeap) pop() *task.Task {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return h.popEntry().t
 }
 
 // popEntry removes and returns the minimum entry; the heap must be

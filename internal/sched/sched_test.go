@@ -12,19 +12,30 @@ func mkTask(seq uint64, class task.Class, deadline, pex float64) *task.Task {
 	return &task.Task{Seq: seq, Class: class, Deadline: deadline, Pex: pex}
 }
 
-func drain(q Queue, now float64) []*task.Task {
+// newQueue returns a one-node bank: node 0's ready queue under the
+// policy.
+func newQueue(t testing.TB, p Policy, globalsFirst bool) *Bank {
+	t.Helper()
+	b := NewBank()
+	if err := b.Configure(1, p, globalsFirst, 4); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func drain(b *Bank, now float64) []*task.Task {
 	var out []*task.Task
-	for q.Len() > 0 {
-		out = append(out, q.Pop(now))
+	for b.Len(0) > 0 {
+		out = append(out, b.Pop(0, now))
 	}
 	return out
 }
 
 func TestEDFOrder(t *testing.T) {
-	q := NewEDF()
-	q.Push(mkTask(1, task.Local, 30, 1))
-	q.Push(mkTask(2, task.Local, 10, 1))
-	q.Push(mkTask(3, task.Local, 20, 1))
+	q := newQueue(t, EDF, false)
+	q.Push(0, mkTask(1, task.Local, 30, 1))
+	q.Push(0, mkTask(2, task.Local, 10, 1))
+	q.Push(0, mkTask(3, task.Local, 20, 1))
 	got := drain(q, 0)
 	want := []float64{10, 20, 30}
 	for i, tk := range got {
@@ -35,9 +46,9 @@ func TestEDFOrder(t *testing.T) {
 }
 
 func TestEDFFIFOTieBreak(t *testing.T) {
-	q := NewEDF()
+	q := newQueue(t, EDF, false)
 	for seq := uint64(1); seq <= 5; seq++ {
-		q.Push(mkTask(seq, task.Local, 10, 1))
+		q.Push(0, mkTask(seq, task.Local, 10, 1))
 	}
 	got := drain(q, 0)
 	for i, tk := range got {
@@ -48,28 +59,31 @@ func TestEDFFIFOTieBreak(t *testing.T) {
 }
 
 func TestPopEmptyReturnsNil(t *testing.T) {
-	for _, q := range []Queue{NewEDF(), NewMLF(), NewFCFS(), NewClassPriority(NewEDF(), NewEDF())} {
-		if got := q.Pop(0); got != nil {
-			t.Errorf("%s: Pop on empty = %v, want nil", q.Name(), got)
-		}
-		if q.Len() != 0 {
-			t.Errorf("%s: Len on empty = %d", q.Name(), q.Len())
+	for _, p := range []Policy{EDF, MLF, FCFS} {
+		for _, gf := range []bool{false, true} {
+			q := newQueue(t, p, gf)
+			if got := q.Pop(0, 0); got != nil {
+				t.Errorf("%s/globalsFirst=%t: Pop on empty = %v, want nil", p, gf, got)
+			}
+			if q.Len(0) != 0 {
+				t.Errorf("%s/globalsFirst=%t: Len on empty = %d", p, gf, q.Len(0))
+			}
 		}
 	}
 }
 
 func TestMLFOrdersByLaxity(t *testing.T) {
-	q := NewMLF()
+	q := newQueue(t, MLF, false)
 	// Laxity at dispatch = dl − now − pex. Task A: dl=20 pex=8 -> key 12.
 	// Task B: dl=15 pex=1 -> key 14. EDF would pick B first; MLF picks A.
 	a := mkTask(1, task.Local, 20, 8)
 	b := mkTask(2, task.Local, 15, 1)
-	q.Push(b)
-	q.Push(a)
-	if got := q.Pop(5); got != a {
+	q.Push(0, b)
+	q.Push(0, a)
+	if got := q.Pop(0, 5); got != a {
 		t.Fatalf("MLF popped seq %d, want the lower-laxity task", got.Seq)
 	}
-	if got := q.Pop(5); got != b {
+	if got := q.Pop(0, 5); got != b {
 		t.Fatalf("MLF second pop = seq %d, want b", got.Seq)
 	}
 }
@@ -77,10 +91,10 @@ func TestMLFOrdersByLaxity(t *testing.T) {
 func TestFCFSOrder(t *testing.T) {
 	// Tasks are pushed in arrival (seq) order — as the generators do —
 	// and must pop in that order regardless of deadlines.
-	q := NewFCFS()
-	q.Push(mkTask(1, task.Local, 99, 1))
-	q.Push(mkTask(2, task.Local, 50, 1))
-	q.Push(mkTask(3, task.Local, 1, 1)) // earliest deadline, latest arrival
+	q := newQueue(t, FCFS, false)
+	q.Push(0, mkTask(1, task.Local, 99, 1))
+	q.Push(0, mkTask(2, task.Local, 50, 1))
+	q.Push(0, mkTask(3, task.Local, 1, 1)) // earliest deadline, latest arrival
 	got := drain(q, 0)
 	for i, tk := range got {
 		if tk.Seq != uint64(i+1) {
@@ -91,17 +105,16 @@ func TestFCFSOrder(t *testing.T) {
 
 func TestFCFSPreemptRequeue(t *testing.T) {
 	// A preemptive node re-queues the task it suspends; its seq is below
-	// everything queued, so it must resume its place at the ring's front
-	// (exactly what the previous seq-keyed heap produced).
-	q := NewFCFS()
+	// everything queued, so the (key 0, seq) order puts it back in front.
+	q := newQueue(t, FCFS, false)
 	for seq := uint64(1); seq <= 5; seq++ {
-		q.Push(mkTask(seq, task.Local, 10, 1))
+		q.Push(0, mkTask(seq, task.Local, 10, 1))
 	}
-	first := q.Pop(0)
+	first := q.Pop(0, 0)
 	if first.Seq != 1 {
 		t.Fatalf("first pop seq %d, want 1", first.Seq)
 	}
-	q.Push(first) // preemption re-queue
+	q.Push(0, first) // preemption re-queue
 	want := []uint64{1, 2, 3, 4, 5}
 	for i, tk := range drain(q, 0) {
 		if tk.Seq != want[i] {
@@ -111,23 +124,23 @@ func TestFCFSPreemptRequeue(t *testing.T) {
 }
 
 func TestFCFSWrapAround(t *testing.T) {
-	// Interleaved pushes and pops march head around the ring across
-	// growth boundaries without losing FIFO order.
-	q := NewFCFS()
+	// Interleaved pushes and pops keep FIFO order while the lane grows
+	// well past its 4-entry arena carve.
+	q := newQueue(t, FCFS, false)
 	seq, expect := uint64(0), uint64(0)
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 3; i++ {
 			seq++
-			q.Push(mkTask(seq, task.Local, 10, 1))
+			q.Push(0, mkTask(seq, task.Local, 10, 1))
 		}
 		for i := 0; i < 2; i++ {
 			expect++
-			if tk := q.Pop(0); tk == nil || tk.Seq != expect {
+			if tk := q.Pop(0, 0); tk == nil || tk.Seq != expect {
 				t.Fatalf("round %d: pop = %v, want seq %d", round, tk, expect)
 			}
 		}
 	}
-	for tk := q.Pop(0); tk != nil; tk = q.Pop(0) {
+	for tk := q.Pop(0, 0); tk != nil; tk = q.Pop(0, 0) {
 		expect++
 		if tk.Seq != expect {
 			t.Fatalf("drain pop has seq %d, want %d", tk.Seq, expect)
@@ -139,24 +152,24 @@ func TestFCFSWrapAround(t *testing.T) {
 }
 
 func TestClassPriorityGlobalsFirst(t *testing.T) {
-	q := NewClassPriority(NewEDF(), NewEDF())
+	q := newQueue(t, EDF, true)
 	// A local with a very early deadline must still wait for globals.
 	early := mkTask(1, task.Local, 1, 1)
 	g1 := mkTask(2, task.Global, 100, 1)
 	g2 := mkTask(3, task.Global, 50, 1)
-	q.Push(early)
-	q.Push(g1)
-	q.Push(g2)
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", q.Len())
+	q.Push(0, early)
+	q.Push(0, g1)
+	q.Push(0, g2)
+	if q.Len(0) != 3 {
+		t.Fatalf("Len = %d, want 3", q.Len(0))
 	}
-	if got := q.Pop(0); got != g2 {
+	if got := q.Pop(0, 0); got != g2 {
 		t.Fatalf("first pop seq %d, want the earliest-deadline global", got.Seq)
 	}
-	if got := q.Pop(0); got != g1 {
+	if got := q.Pop(0, 0); got != g1 {
 		t.Fatalf("second pop seq %d, want the remaining global", got.Seq)
 	}
-	if got := q.Pop(0); got != early {
+	if got := q.Pop(0, 0); got != early {
 		t.Fatalf("third pop seq %d, want the local", got.Seq)
 	}
 }
@@ -167,7 +180,7 @@ func TestClassPriorityGlobalsFirst(t *testing.T) {
 // same deadline) and within each class equal deadlines drain FIFO by
 // submission sequence.
 func TestClassPriorityEqualDeadlines(t *testing.T) {
-	q := NewClassPriority(NewEDF(), NewEDF())
+	q := newQueue(t, EDF, true)
 	// Interleaved pushes, two deadline groups shared across classes.
 	l1 := mkTask(1, task.Local, 10, 1)
 	g1 := mkTask(2, task.Global, 10, 1)
@@ -176,7 +189,7 @@ func TestClassPriorityEqualDeadlines(t *testing.T) {
 	g3 := mkTask(5, task.Global, 5, 1)
 	l3 := mkTask(6, task.Local, 5, 1)
 	for _, tk := range []*task.Task{l1, g1, l2, g2, g3, l3} {
-		q.Push(tk)
+		q.Push(0, tk)
 	}
 	want := []*task.Task{
 		g3,     // earliest-deadline global
@@ -196,50 +209,40 @@ func TestClassPriorityEqualDeadlines(t *testing.T) {
 }
 
 // TestGlobalsFirstFactoryEqualDeadlines repeats the equal-deadline check
-// through the New factory for every wrappable policy, so the two-level
-// queue built by the system package inherits the guarantee.
+// for every policy under globals-first, the configuration the system
+// package builds for GF.
 func TestGlobalsFirstFactoryEqualDeadlines(t *testing.T) {
 	for _, p := range []Policy{EDF, MLF, FCFS} {
-		q, err := New(p, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := newQueue(t, p, true)
 		g := mkTask(1, task.Global, 10, 1)
 		l := mkTask(2, task.Local, 10, 1)
 		g2 := mkTask(3, task.Global, 10, 1)
-		q.Push(l)
-		q.Push(g)
-		q.Push(g2)
+		q.Push(0, l)
+		q.Push(0, g)
+		q.Push(0, g2)
 		got := drain(q, 0)
 		if got[0] != g || got[1] != g2 || got[2] != l {
 			t.Errorf("%s: order = %v,%v,%v, want globals (FIFO) then local",
-				q.Name(), got[0].Seq, got[1].Seq, got[2].Seq)
+				p, got[0].Seq, got[1].Seq, got[2].Seq)
 		}
 	}
 }
 
-func TestNewFactory(t *testing.T) {
+func TestPolicyValidate(t *testing.T) {
 	tests := []struct {
-		policy       Policy
-		globalsFirst bool
-		wantName     string
-		wantErr      bool
+		policy  Policy
+		wantErr bool
 	}{
-		{policy: EDF, wantName: "EDF"},
-		{policy: MLF, wantName: "MLF"},
-		{policy: FCFS, wantName: "FCFS"},
-		{policy: EDF, globalsFirst: true, wantName: "GF(EDF)"},
-		{policy: MLF, globalsFirst: true, wantName: "GF(MLF)"},
+		{policy: EDF},
+		{policy: MLF},
+		{policy: FCFS},
 		{policy: Policy("??"), wantErr: true},
-		{policy: Policy("??"), globalsFirst: true, wantErr: true},
+		{policy: Policy("edf"), wantErr: true},
+		{policy: Policy(""), wantErr: true},
 	}
 	for _, tt := range tests {
-		q, err := New(tt.policy, tt.globalsFirst)
-		if (err != nil) != tt.wantErr {
-			t.Fatalf("New(%q,%v) error = %v, wantErr %v", tt.policy, tt.globalsFirst, err, tt.wantErr)
-		}
-		if err == nil && q.Name() != tt.wantName {
-			t.Errorf("New(%q,%v).Name() = %q, want %q", tt.policy, tt.globalsFirst, q.Name(), tt.wantName)
+		if err := tt.policy.Validate(); (err != nil) != tt.wantErr {
+			t.Errorf("Policy(%q).Validate() = %v, wantErr %v", tt.policy, err, tt.wantErr)
 		}
 	}
 }
@@ -247,16 +250,16 @@ func TestNewFactory(t *testing.T) {
 func TestEDFRandomizedAgainstSort(t *testing.T) {
 	r := rng.New(321)
 	for trial := 0; trial < 200; trial++ {
-		q := NewEDF()
+		q := newQueue(t, EDF, false)
 		n := 1 + r.IntN(50)
 		deadlines := make([]float64, n)
 		for i := 0; i < n; i++ {
 			deadlines[i] = r.Uniform(0, 100)
-			q.Push(mkTask(uint64(i), task.Local, deadlines[i], 1))
+			q.Push(0, mkTask(uint64(i), task.Local, deadlines[i], 1))
 		}
 		sort.Float64s(deadlines)
 		for i, want := range deadlines {
-			got := q.Pop(0)
+			got := q.Pop(0, 0)
 			if got == nil || got.Deadline != want {
 				t.Fatalf("trial %d pop %d: got %v, want deadline %v", trial, i, got, want)
 			}
@@ -267,19 +270,19 @@ func TestEDFRandomizedAgainstSort(t *testing.T) {
 func TestMLFRandomizedAgainstSort(t *testing.T) {
 	r := rng.New(654)
 	for trial := 0; trial < 200; trial++ {
-		q := NewMLF()
+		q := newQueue(t, MLF, false)
 		n := 1 + r.IntN(50)
 		keys := make([]float64, n)
 		for i := 0; i < n; i++ {
 			dl := r.Uniform(0, 100)
 			pex := r.Uniform(0.1, 10)
 			keys[i] = dl - pex
-			q.Push(mkTask(uint64(i), task.Local, dl, pex))
+			q.Push(0, mkTask(uint64(i), task.Local, dl, pex))
 		}
 		sort.Float64s(keys)
 		now := r.Uniform(0, 50)
 		for i, want := range keys {
-			got := q.Pop(now)
+			got := q.Pop(0, now)
 			if got == nil || got.Deadline-got.Pex != want {
 				t.Fatalf("trial %d pop %d: laxity key mismatch", trial, i)
 			}
@@ -291,10 +294,7 @@ func TestClassPriorityRandomizedInvariant(t *testing.T) {
 	// No local is ever popped while a global remains queued.
 	r := rng.New(987)
 	for trial := 0; trial < 100; trial++ {
-		q, err := New(EDF, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := newQueue(t, EDF, true)
 		globals := 0
 		n := 1 + r.IntN(60)
 		for i := 0; i < n; i++ {
@@ -303,10 +303,10 @@ func TestClassPriorityRandomizedInvariant(t *testing.T) {
 				class = task.Global
 				globals++
 			}
-			q.Push(mkTask(uint64(i), class, r.Uniform(0, 100), 1))
+			q.Push(0, mkTask(uint64(i), class, r.Uniform(0, 100), 1))
 		}
-		for q.Len() > 0 {
-			tk := q.Pop(0)
+		for q.Len(0) > 0 {
+			tk := q.Pop(0, 0)
 			if tk.Class == task.Global {
 				globals--
 			} else if globals > 0 {
@@ -317,7 +317,7 @@ func TestClassPriorityRandomizedInvariant(t *testing.T) {
 }
 
 func BenchmarkEDFPushPop(b *testing.B) {
-	q := NewEDF()
+	q := newQueue(b, EDF, false)
 	r := rng.New(1)
 	tasks := make([]*task.Task, 1024)
 	for i := range tasks {
@@ -325,10 +325,10 @@ func BenchmarkEDFPushPop(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(tasks[i%1024])
+		q.Push(0, tasks[i%1024])
 		if i%8 == 7 {
-			for q.Len() > 0 {
-				q.Pop(0)
+			for q.Len(0) > 0 {
+				q.Pop(0, 0)
 			}
 		}
 	}

@@ -197,7 +197,7 @@ func (c *Config) Validate() error {
 	if _, err := core.ParallelByName(c.PSP); err != nil {
 		return err
 	}
-	if _, err := sched.New(c.Scheduler, false); err != nil {
+	if err := c.Scheduler.Validate(); err != nil {
 		return err
 	}
 	if _, err := sim.ParseQueueKind(string(c.EventQueue)); err != nil {
