@@ -259,6 +259,11 @@ func buildJob(spec JobSpec) (system.Config, session.Job, error) {
 		return system.Config{}, session.Job{}, err
 	}
 	cfg.Scenario = sc
+	// Reject what no replication could run before the request reaches a
+	// session: an invalid spec costs one error line, not a job.
+	if err := cfg.Validate(); err != nil {
+		return system.Config{}, session.Job{}, err
+	}
 	return cfg, session.Job{Config: cfg, Reps: spec.Reps}, nil
 }
 

@@ -7,9 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/system"
 )
 
 func startService(t *testing.T, opts ServiceOptions) (*Service, *httptest.Server) {
@@ -197,6 +200,23 @@ func TestServiceBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /run: status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestServiceRejectsOversizedTopology: a job whose node count could
+// exhaust the engine's pending-event capacity is refused with the
+// limit named in the error, and the service keeps serving — before the
+// limit was validated such a job panicked inside the engine and took
+// the whole process down.
+func TestServiceRejectsOversizedTopology(t *testing.T) {
+	_, ts := startService(t, ServiceOptions{})
+	body := fmt.Sprintf(`{"horizon":10,"nodes":%d,"reps":1}`, system.MaxNodes+1)
+	code, msg := postRun(t, ts.URL+"/run", body)
+	if code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(system.MaxNodes)) {
+		t.Fatalf("oversized topology: status %d, body %q; want 400 naming the limit %d", code, msg, system.MaxNodes)
+	}
+	if code, msg := postRun(t, ts.URL+"/run", burstSpec); code != http.StatusOK || strings.Contains(msg, `"error"`) {
+		t.Fatalf("service stopped serving after the rejected job: status %d, body %q", code, msg)
 	}
 }
 

@@ -67,9 +67,7 @@ type Group struct {
 	onAbort    func(*task.Task)
 	completeCB sim.Callback
 
-	hot     []nodeHot
-	handles []Node  // stable per-group handle values
-	ptrs    []*Node // stable per-Configure view for slice-shaped consumers
+	hot []nodeHot
 }
 
 // GroupConfig carries the construction parameters shared by every node
@@ -137,12 +135,8 @@ func (g *Group) Configure(cfg GroupConfig) error {
 	g.onDone, g.onAbort = cfg.OnDone, cfg.OnAbort
 	if cap(g.hot) >= k {
 		g.hot = g.hot[:k]
-		g.handles = g.handles[:k]
-		g.ptrs = g.ptrs[:k]
 	} else {
 		g.hot = make([]nodeHot, k)
-		g.handles = make([]Node, k)
-		g.ptrs = make([]*Node, k)
 	}
 	// One registration serves every node: the payload task's NodeID
 	// (set at Submit) routes the completion.
@@ -152,8 +146,6 @@ func (g *Group) Configure(cfg GroupConfig) error {
 	})
 	for i := range g.hot {
 		g.hot[i] = nodeHot{speed: 1}
-		g.handles[i] = Node{g: g, idx: int32(i)}
-		g.ptrs[i] = &g.handles[i]
 	}
 	return nil
 }
@@ -161,14 +153,48 @@ func (g *Group) Configure(cfg GroupConfig) error {
 // Len returns the node count.
 func (g *Group) Len() int { return len(g.hot) }
 
-// Node returns the i'th node. The pointer stays valid until the next
-// Configure.
-func (g *Group) Node(i int) *Node { return &g.handles[i] }
+// Node returns a handle to the i'th node. Handles are built on demand:
+// the group keeps no per-node handle array, and every consumer on the
+// simulation path addresses nodes by index instead.
+func (g *Group) Node(i int) *Node { return &Node{g: g, idx: int32(i)} }
 
-// Nodes returns the group as a []*Node view for consumers that walk or
-// index nodes by id (the process manager, scenario fault scheduling).
-// The slice and its pointers stay valid until the next Configure.
-func (g *Group) Nodes() []*Node { return g.ptrs }
+// Totals is the sum of every node's lifecycle counters since Configure.
+type Totals struct {
+	Submitted, Served, Aborted, Preemptions uint64
+	// ReadyHWM is the deepest ready queue any node reached.
+	ReadyHWM uint64
+}
+
+// Totals folds the per-node counters in one pass over the group.
+func (g *Group) Totals() Totals {
+	var t Totals
+	for i := range g.hot {
+		h := &g.hot[i]
+		t.Submitted += uint64(h.submitted)
+		t.Served += uint64(h.served)
+		t.Aborted += uint64(h.aborted)
+		t.Preemptions += uint64(h.preemptions)
+		t.ReadyHWM = max(t.ReadyHWM, uint64(h.readyHWM))
+	}
+	return t
+}
+
+// BusyTime returns node i's accumulated service time; see
+// Node.BusyTime.
+func (g *Group) BusyTime(i int) float64 { return g.hot[i].busyTime }
+
+// Backlog returns the tasks in the system: every node's waiting tasks
+// plus the ones in service.
+func (g *Group) Backlog() int {
+	n := 0
+	for i := range g.hot {
+		n += g.bank.Len(i)
+		if g.hot[i].running != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // observe reports a lifecycle event if an observer is attached.
 func (g *Group) observe(ev ObserverEvent, t *task.Task) {

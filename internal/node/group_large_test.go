@@ -103,11 +103,11 @@ func TestGroupGrowthAndResetAt64k(t *testing.T) {
 	}
 
 	// Reset in place: same shape, so the backing arrays must be reused
-	// (stable node pointers) and every node must read as factory-new.
-	n0 := g.Node(0)
+	// and every node must read as factory-new.
+	n0 := &g.hot[0]
 	eng.Reset()
 	g = configureBank(t, eng, g, k)
-	if g.Node(0) != n0 {
+	if &g.hot[0] != n0 {
 		t.Fatal("same-shape Configure reallocated the node array")
 	}
 	for i, s := range signature(g, k) {

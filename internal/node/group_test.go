@@ -49,7 +49,7 @@ func TestGroupRoutesCompletions(t *testing.T) {
 }
 
 // TestGroupConfigureReuses checks that reconfiguring keeps the backing
-// array (same node pointers) and fully resets node state.
+// node array and fully resets node state.
 func TestGroupConfigureReuses(t *testing.T) {
 	eng := sim.New()
 	bank := edfBank(t, 3)
@@ -61,7 +61,7 @@ func TestGroupConfigureReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := g.Node(0)
+	first := &g.hot[0]
 	tk := &task.Task{ID: 1, Class: task.Local, Stage: -1, Exec: 1, Pex: 1,
 		Deadline: 10, FirmDeadline: 10, Seq: 1}
 	g.Node(0).Submit(tk)
@@ -79,7 +79,7 @@ func TestGroupConfigureReuses(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if g.Node(0) != first {
+	if &g.hot[0] != first {
 		t.Fatal("Configure with an unchanged node count reallocated the backing array")
 	}
 	if g.Node(0).Served() != 0 || g.Node(0).Busy() || g.Node(0).Speed() != 1 {
@@ -99,7 +99,7 @@ func TestGroupConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := g.Node(0)
+	first := &g.hot[0]
 	cases := []struct {
 		name string
 		cfg  GroupConfig
@@ -116,7 +116,7 @@ func TestGroupConfigValidation(t *testing.T) {
 			t.Errorf("%s: Configure accepted an invalid config", tc.name)
 		}
 	}
-	if g.Len() != 2 || g.Node(0) != first {
+	if g.Len() != 2 || &g.hot[0] != first {
 		t.Fatalf("failed Configure changed the group: %d nodes", g.Len())
 	}
 }

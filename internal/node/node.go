@@ -6,10 +6,10 @@
 // precisely the premise of the SDA problem.
 //
 // All per-node state lives in a Group in structure-of-arrays layout
-// (see group.go), with every node's ready queue in one sched.Bank; Node
-// is a 16-byte handle that delegates to its group, so holding []*Node
-// views or passing nodes around costs nothing at large topologies. A
-// node's ID is its index in the group.
+// (see group.go), with every node's ready queue in one sched.Bank. The
+// simulation addresses nodes by index on the group; Node is a 16-byte
+// handle onto one index, built on demand for callers that want a
+// per-node view. A node's ID is its index in the group.
 package node
 
 import (

@@ -68,7 +68,6 @@ func (in *Instance) Missed() bool {
 // Manager routes global tasks through the system.
 type Manager struct {
 	eng      *sim.Engine
-	nodes    []*node.Node
 	group    *node.Group
 	assigner core.Assigner
 
@@ -138,11 +137,8 @@ type frame struct {
 // Config carries the manager's construction parameters.
 type Config struct {
 	Engine *sim.Engine
-	// Nodes is the system's node view. Optional when Group is set.
-	Nodes []*node.Node
-	// Group optionally routes submissions through the node group
-	// directly (index-addressed, skipping the per-node handle view).
-	// When set, Nodes may be nil.
+	// Group holds the system's nodes; subtasks are submitted to it by
+	// their leaf's node index. Required.
 	Group    *node.Group
 	Assigner core.Assigner
 	// OnDone receives every instance exactly once, after completion or
@@ -164,7 +160,7 @@ func (cfg *Config) validate() error {
 	if cfg.Engine == nil {
 		return fmt.Errorf("procmgr: nil engine")
 	}
-	if len(cfg.Nodes) == 0 && (cfg.Group == nil || cfg.Group.Len() == 0) {
+	if cfg.Group == nil || cfg.Group.Len() == 0 {
 		return fmt.Errorf("procmgr: no nodes")
 	}
 	if cfg.OnDone == nil {
@@ -194,7 +190,7 @@ func (m *Manager) Reconfigure(cfg Config) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	m.eng, m.nodes, m.group = cfg.Engine, cfg.Nodes, cfg.Group
+	m.eng, m.group = cfg.Engine, cfg.Group
 	m.assigner = cfg.Assigner
 	m.onDone, m.nextSeq, m.nextTaskID = cfg.OnDone, cfg.NextSeq, cfg.NextTaskID
 	m.pool, m.graphPool = cfg.Pool, cfg.GraphPool
@@ -424,11 +420,7 @@ func (m *Manager) submitLeaf(inst *Instance, leaf *task.Graph, dl float64, paren
 	m.pendFrame[ref] = parent
 	m.pendID[ref] = t.ID
 	t.Ref = ref
-	if m.group != nil {
-		m.group.Submit(leaf.NodeID, t)
-		return
-	}
-	m.nodes[leaf.NodeID].Submit(t)
+	m.group.Submit(leaf.NodeID, t)
 }
 
 // Complete must be called by the system when a node finishes a Global

@@ -15,7 +15,7 @@ import (
 // package does, recording all completions.
 type harness struct {
 	eng       *sim.Engine
-	nodes     []*node.Node
+	nodes     *node.Group
 	mgr       *Manager
 	done      []*Instance
 	completed []*task.Task
@@ -46,7 +46,7 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 	})
 	mgr, err := New(Config{
 		Engine:   h.eng,
-		Nodes:    h.nodes,
+		Group:    h.nodes,
 		Assigner: assigner,
 		OnDone:   func(in *Instance) { h.done = append(h.done, in) },
 		NextSeq:  func() uint64 { h.seq++; return h.seq },
@@ -64,7 +64,7 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 
 // newNodes builds a group of k nodes over an EDF ready-queue bank; cfg
 // supplies everything but the bank.
-func newNodes(t *testing.T, k int, cfg node.GroupConfig) []*node.Node {
+func newNodes(t *testing.T, k int, cfg node.GroupConfig) *node.Group {
 	t.Helper()
 	cfg.Bank = sched.NewBank()
 	if err := cfg.Bank.Configure(k, sched.EDF, false, 4); err != nil {
@@ -74,7 +74,7 @@ func newNodes(t *testing.T, k int, cfg node.GroupConfig) []*node.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.Nodes()
+	return g
 }
 
 // startInstance validates/flattens the graph and starts it at time 0.
@@ -105,10 +105,10 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{name: "nil engine", cfg: Config{Nodes: okNode, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
+		{name: "nil engine", cfg: Config{Group: okNode, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
 		{name: "no nodes", cfg: Config{Engine: eng, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
-		{name: "nil OnDone", cfg: Config{Engine: eng, Nodes: okNode, NextSeq: seq, NextTaskID: seq}},
-		{name: "nil allocators", cfg: Config{Engine: eng, Nodes: okNode, OnDone: func(*Instance) {}}},
+		{name: "nil OnDone", cfg: Config{Engine: eng, Group: okNode, NextSeq: seq, NextTaskID: seq}},
+		{name: "nil allocators", cfg: Config{Engine: eng, Group: okNode, OnDone: func(*Instance) {}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -222,7 +222,7 @@ func TestStageMissCounting(t *testing.T) {
 	h := newHarness(t, 1, core.NewAssigner(core.EqualFlexibility{}, core.ParallelUltimate{}), node.NoAbort)
 	// Occupy the single node first so the global subtask waits.
 	blocker := &task.Task{ID: 999, Class: task.Local, Exec: 4, Deadline: 100, Seq: 0}
-	h.nodes[0].Submit(blocker)
+	h.nodes.Submit(0, blocker)
 	g := place(task.MustParse("[a:1 b:1]"), 0)
 	inst := h.startInstance(t, g, 2) // dl = ar + ex: zero slack
 	h.eng.RunAll()
@@ -241,8 +241,8 @@ func TestStageMissCounting(t *testing.T) {
 func TestAbortKillsInstanceOnce(t *testing.T) {
 	h := newHarness(t, 2, core.NewAssigner(core.UltimateDeadline{}, core.ParallelUltimate{}), node.AbortAtDispatch)
 	// Block both nodes long enough that both branches expire.
-	h.nodes[0].Submit(&task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
-	h.nodes[1].Submit(&task.Task{ID: 901, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
+	h.nodes.Submit(0, &task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
+	h.nodes.Submit(1, &task.Task{ID: 901, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	g := place(task.MustParse("[a:1 || b:1]"), 0, 1)
 	inst := h.startInstance(t, g, 5) // both branches doomed
 	h.eng.RunAll()
@@ -260,7 +260,7 @@ func TestAbortKillsInstanceOnce(t *testing.T) {
 
 func TestAbortedSerialDoesNotContinue(t *testing.T) {
 	h := newHarness(t, 2, core.NewAssigner(core.EffectiveDeadline{}, core.ParallelUltimate{}), node.AbortAtDispatch)
-	h.nodes[0].Submit(&task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
+	h.nodes.Submit(0, &task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	g := place(task.MustParse("[a:1 b:1]"), 0, 1)
 	inst := h.startInstance(t, g, 3) // stage a expires behind the blocker
 	h.eng.RunAll()

@@ -29,6 +29,15 @@ import (
 // per-node queue heads densely packed — the dominant share of the
 // dispatch path's working set.
 //
+// The carve (Configure's perNode) should follow the measured depth
+// distribution, not the deepest lane: it is paid on every lane, while a
+// lane that bursts past it pays once for a private array that a
+// reconfigured bank of the same shape keeps. The cached top entry
+// already holds depth one, so the carve counts only the entries behind
+// it; the simulator carves two (see system.bankQueueDepth), which
+// covers nine lanes in ten of a 65536-node Table 1 run and is a
+// quarter of the arena an eight-entry carve spent there (12.6 MB).
+//
 // Each lane additionally caches its minimum entry inside the lane
 // record itself (see lane), so the overwhelmingly common shallow-queue
 // operations — push to an empty lane, pop of the only waiting task —

@@ -70,6 +70,12 @@ const (
 	eventMaxSeq = 1<<(64-eventSlotBits) - 1
 )
 
+// PendingCapacity is the most events one engine can hold pending at
+// once, counting the tombstones of cancelled events that have not yet
+// surfaced. Scheduling past it panics, so callers whose models can
+// approach it must bound their size up front.
+const PendingCapacity = 1 << eventSlotBits
+
 // event is the in-queue representation, stored by value.
 type event struct {
 	time   float64
@@ -173,7 +179,7 @@ func (e *Engine) setQueueKind(kind QueueKind) {
 	case QueueAuto, QueueHeap:
 		e.lad = nil
 	case QueueLadder:
-		e.lad = &ladderQueue{e: e}
+		e.lad = newLadderQueue(e)
 	default:
 		panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
 	}
@@ -197,7 +203,7 @@ func (e *Engine) QueueKind() QueueKind {
 func (e *Engine) promote() {
 	lad := e.ladCache
 	if lad == nil {
-		lad = &ladderQueue{e: e}
+		lad = newLadderQueue(e)
 	}
 	e.ladCache = nil
 	for i := range e.heap {
@@ -540,8 +546,8 @@ func (e *Engine) takeSlot() int32 {
 		e.freeSlots = e.freeSlots[:n-1]
 		return slot
 	}
-	if len(e.slots) > eventSlotMask {
-		panic("sim: pending-event slot space exhausted (>4M simultaneously pending)")
+	if len(e.slots) >= PendingCapacity {
+		panic("sim: pending-event slot space exhausted (PendingCapacity events simultaneously pending)")
 	}
 	e.slots = append(e.slots, slotRec{})
 	return int32(len(e.slots) - 1)

@@ -13,13 +13,13 @@ import "math"
 //     small (a transfer batch plus stragglers), so its sifts touch a
 //     couple of cache lines.
 //   - Bucketed "rungs" hold the near-to-mid future: rung buckets are
-//     unsorted slices, so scheduling into them is a bounds computation
-//     plus an append — O(1), no comparisons, no sifting. When the near
-//     tier drains, the next non-empty bucket of the deepest rung is
-//     either moved wholesale into the near heap (small buckets) or
-//     spread across a new, finer rung (crowded buckets) — sorting work
-//     is deferred until the simulation clock actually approaches the
-//     events, and is amortized O(1) per event.
+//     unsorted block chains, so scheduling into them is a bounds
+//     computation plus an append — O(1), no comparisons, no sifting.
+//     When the near tier drains, the next non-empty bucket of the
+//     deepest rung is either moved wholesale into the near heap (small
+//     buckets) or spread across a new, finer rung (crowded buckets) —
+//     sorting work is deferred until the simulation clock actually
+//     approaches the events, and is amortized O(1) per event.
 //   - An unsorted "over" tier catches everything beyond the last rung.
 //     When the rungs drain, over is re-bucketed across a fresh rung
 //     spanning its actual [min, max] time range, with the bucket count
@@ -58,6 +58,24 @@ import "math"
 // tombstone at the engine layer, so events only ever leave a tier from
 // its consumption point. Moving an event between tiers touches nothing
 // but the 16-byte records themselves — no slot-table write-backs.
+//
+// Bucket storage: every rung's buckets share one pool of fixed-size
+// blocks (ladderBlock events each). Each bucket record owns one home
+// block for its whole life and chains overflow blocks from the pool
+// behind it. The record keeps a slice window onto its tail block, so
+// appending is the plain slice append of a per-bucket array, with one
+// extra branch to chain a pool block when the window is full.
+// Consuming a bucket returns its overflow chain to the pool in one
+// splice. Retained storage is therefore one home block per bucket
+// record — a rebuilt rung has about one bucket per ladderBucketTarget
+// pending events, a spread rung a fixed ladderSpreadBuckets — plus the
+// overflow blocks that were ever in use at once: both are bounded by
+// the pending set, not by the run's length. Per-bucket slices would
+// instead each keep their own peak capacity for the life of the
+// queue: at 65536 nodes the long-lived top rung retained sixteen times
+// the pending set that way. The home block keeps those slices'
+// locality: a spread rung's sparse buckets write and re-read the same
+// few cache lines every time.
 type ladderQueue struct {
 	e       *Engine
 	near    []event // indexed min-heap by (time, seq)
@@ -68,6 +86,20 @@ type ladderQueue struct {
 	over    []event
 	overMin float64
 	overMax float64
+
+	// chunks is the bucket storage pool: block k is the k mod
+	// ladderChunk'th ladderBlock-event run of chunks[k/ladderChunk].
+	// Chunks never move once allocated, so bucket windows stay valid
+	// as the pool grows. link[k] is the block after k in its bucket's
+	// chain, or in the free list when k is a free overflow block; free
+	// heads the free list (-1 when empty).
+	chunks [][]event
+	link   []int32
+	free   int32
+}
+
+func newLadderQueue(e *Engine) *ladderQueue {
+	return &ladderQueue{e: e, free: -1}
 }
 
 const (
@@ -78,7 +110,7 @@ const (
 	ladderBucketTarget = 16
 	// ladderMinBuckets / ladderMaxBuckets bound a rung's bucket count:
 	// at least enough spread to be worth bucketing at all, at most a
-	// bounded slice-header array so empty-bucket scans stay cheap.
+	// bounded bucket-record array so empty-bucket scans stay cheap.
 	ladderMinBuckets = 128
 	ladderMaxBuckets = 16384
 	// ladderSpreadBuckets is the bucket count used when re-spreading one
@@ -90,7 +122,24 @@ const (
 	// ladderMaxRungs bounds the refinement depth; a bucket at the
 	// bottom is pushed to the near heap regardless of size.
 	ladderMaxRungs = 8
+	// ladderBlock is the storage block size in events (256 bytes): a
+	// bucket at the rebuild target fills one block, and a part-filled
+	// tail wastes at most ladderBlock-1 slots.
+	ladderBlock = 16
+	// ladderChunk is the number of blocks the pool allocates at once
+	// (16 KiB chunks).
+	ladderChunkShift = 6
+	ladderChunk      = 1 << ladderChunkShift
 )
+
+// bucket is one rung bucket: a chain of pool blocks from the bucket's
+// home block to tail, every block but the tail full. cur is the window
+// onto the tail block: its events, with capacity up to the block's
+// end. The bucket is empty exactly when cur is, and then tail is home.
+type bucket struct {
+	cur        []event
+	home, tail int32
+}
 
 // ladderRung is one bucketed band of the far future. Bucket b holds
 // events with bounds[b] <= time < bounds[b+1] (monotone by
@@ -104,7 +153,7 @@ type ladderRung struct {
 	bounds []float64 // len(bkts)+1 monotone bucket edges
 	cur    int       // next bucket to consume; buckets below cur are empty
 	count  int       // events currently in this rung
-	bkts   [][]event
+	bkts   []bucket
 }
 
 func (q *ladderQueue) push(ev event) {
@@ -151,8 +200,65 @@ func (q *ladderQueue) pushRung(j int32, ev event) {
 	for b < nb-1 && ev.time >= r.bounds[b+1] {
 		b++
 	}
-	r.bkts[b] = append(r.bkts[b], ev)
+	bk := &r.bkts[b]
+	if len(bk.cur) == cap(bk.cur) {
+		q.chain(bk)
+	}
+	bk.cur = append(bk.cur, ev)
 	r.count++
+}
+
+// chain links a free pool block behind bk's full tail block and moves
+// the window onto it.
+func (q *ladderQueue) chain(bk *bucket) {
+	blk := q.free
+	if blk >= 0 {
+		q.free = q.link[blk]
+	} else {
+		blk = q.carveBlock()
+	}
+	q.link[bk.tail] = blk
+	bk.tail = blk
+	bk.cur = q.block(blk)[:0]
+}
+
+// carveBlock adds a block to the pool, allocating a new chunk when the
+// last one is used up: the pool only allocates past its high-water
+// mark.
+func (q *ladderQueue) carveBlock() int32 {
+	blk := int32(len(q.link))
+	if int(blk)>>ladderChunkShift == len(q.chunks) {
+		q.chunks = append(q.chunks, make([]event, ladderChunk*ladderBlock))
+	}
+	q.link = append(q.link, -1)
+	return blk
+}
+
+// block returns pool block blk's storage.
+func (q *ladderQueue) block(blk int32) []event {
+	off := int(blk&(ladderChunk-1)) * ladderBlock
+	return q.chunks[blk>>ladderChunkShift][off : off+ladderBlock : off+ladderBlock]
+}
+
+// bucketLen counts bk's events.
+func (q *ladderQueue) bucketLen(bk *bucket) int {
+	n := len(bk.cur)
+	for blk := bk.home; blk != bk.tail; blk = q.link[blk] {
+		n += ladderBlock
+	}
+	return n
+}
+
+// empty drops bk's events: its overflow chain (every block after the
+// home block) goes back to the free list in one splice.
+func (q *ladderQueue) empty(bk *bucket) {
+	if bk.tail != bk.home {
+		q.link[bk.tail] = q.free
+		q.free = q.link[bk.home]
+		bk.tail = bk.home
+		bk.cur = q.block(bk.home)
+	}
+	bk.cur = bk.cur[:0]
 }
 
 // pushOver appends ev to the unsorted far-far tier.
@@ -201,7 +307,7 @@ func (q *ladderQueue) advance() bool {
 		j := len(q.rungs) - 1
 		r := &q.rungs[j]
 		nb := len(r.bkts)
-		for r.cur < nb && len(r.bkts[r.cur]) == 0 {
+		for r.cur < nb && len(r.bkts[r.cur].cur) == 0 {
 			r.cur++
 		}
 		if r.cur >= nb || r.count == 0 {
@@ -209,7 +315,8 @@ func (q *ladderQueue) advance() bool {
 			q.rungs = q.rungs[:j]
 			continue
 		}
-		b := r.bkts[r.cur]
+		bk := &r.bkts[r.cur]
+		size := q.bucketLen(bk)
 		ns := r.bounds[r.cur]
 		ne := r.endT
 		// A rung's last bucket owns the whole tail of its routing range:
@@ -224,17 +331,22 @@ func (q *ladderQueue) advance() bool {
 			ne = v
 		}
 		nw := (ne - ns) / ladderSpreadBuckets
-		if len(b) <= ladderSpreadMax || len(q.rungs) >= ladderMaxRungs || !(nw > 0) || ns+nw == ns {
+		if size <= ladderSpreadMax || len(q.rungs) >= ladderMaxRungs || !(nw > 0) || ns+nw == ns {
 			// Transfer the bucket into the near heap; its upper bound
 			// becomes the new near/far boundary. The width guards stop
 			// the refinement once a finer rung could no longer separate
 			// times (equal-time or denormal-width buckets); the near
 			// heap handles an occasional oversized batch just fine.
-			for i := range b {
-				q.nearPush(b[i])
+			for blk := bk.home; blk != bk.tail; blk = q.link[blk] {
+				for _, ev := range q.block(blk) {
+					q.nearPush(ev)
+				}
 			}
-			r.count -= len(b)
-			r.bkts[r.cur] = b[:0]
+			for _, ev := range bk.cur {
+				q.nearPush(ev)
+			}
+			q.empty(bk)
+			r.count -= size
 			q.nearEnd = ne
 			r.cur++
 			return true
@@ -244,20 +356,29 @@ func (q *ladderQueue) advance() bool {
 		// contiguity invariant is exact by construction.
 		nr := q.growRung(ladderSpreadBuckets)
 		nr.init(ns, nw, ne)
-		for i := range b {
-			q.pushRung(int32(len(q.rungs)-1), b[i])
-		}
 		r = &q.rungs[j] // growRung may have reallocated q.rungs
-		r.count -= len(b)
-		r.bkts[r.cur] = b[:0]
+		bk = &r.bkts[r.cur]
+		child := int32(len(q.rungs) - 1)
+		for blk := bk.home; blk != bk.tail; blk = q.link[blk] {
+			for _, ev := range q.block(blk) {
+				q.pushRung(child, ev)
+			}
+		}
+		for _, ev := range bk.cur {
+			q.pushRung(child, ev)
+		}
+		q.empty(bk)
+		r.count -= size
 		r.cur++
 	}
 	return q.rebuild()
 }
 
 // growRung appends a rung with the given bucket count (reusing a
-// previously allocated rung's backing arrays when available) and returns
-// it with count/cur zeroed. The caller must init it.
+// previously allocated rung's bucket and bounds arrays when available)
+// and returns it with count/cur zeroed. Its buckets are empty: a
+// rung is only popped once drained, and reset empties the live ones.
+// The caller must init it.
 func (q *ladderQueue) growRung(buckets int) *ladderRung {
 	n := len(q.rungs)
 	if n < cap(q.rungs) {
@@ -267,15 +388,17 @@ func (q *ladderQueue) growRung(buckets int) *ladderRung {
 	}
 	r := &q.rungs[n]
 	r.cur, r.count = 0, 0
-	if cap(r.bkts) < buckets {
-		bkts := make([][]event, buckets)
-		copy(bkts, r.bkts[:cap(r.bkts)])
+	if have := cap(r.bkts); have < buckets {
+		// New bucket records get home blocks; existing ones keep theirs.
+		bkts := make([]bucket, buckets)
+		copy(bkts, r.bkts[:have])
+		for i := have; i < buckets; i++ {
+			home := q.carveBlock()
+			bkts[i] = bucket{cur: q.block(home)[:0], home: home, tail: home}
+		}
 		r.bkts = bkts
 	} else {
 		r.bkts = r.bkts[:buckets]
-	}
-	for i := range r.bkts {
-		r.bkts[i] = r.bkts[i][:0]
 	}
 	return r
 }
@@ -355,9 +478,19 @@ func (q *ladderQueue) timeOf(slot int32) (float64, bool) {
 	for ri := range q.rungs {
 		r := &q.rungs[ri]
 		for bi := range r.bkts {
-			for i := range r.bkts[bi] {
-				if r.bkts[bi][i].slotIdx() == slot {
-					return r.bkts[bi][i].time, true
+			bk := &r.bkts[bi]
+			for blk := bk.home; ; blk = q.link[blk] {
+				evs := bk.cur
+				if blk != bk.tail {
+					evs = q.block(blk)
+				}
+				for _, ev := range evs {
+					if ev.slotIdx() == slot {
+						return ev.time, true
+					}
+				}
+				if blk == bk.tail {
+					break
 				}
 			}
 		}
@@ -378,18 +511,17 @@ func (q *ladderQueue) size() int {
 	return n
 }
 
-// reset drops all events, keeping every tier's capacity. Events hold no
-// pointers, so truncation is enough — payload references are released by
-// the engine's slot-table reset.
+// reset drops all events, keeping every tier's capacity: each bucket
+// keeps its home block and returns its overflow chain to the pool.
+// Events hold no pointers, so truncation is enough — payload references
+// are released by the engine's slot-table reset.
 func (q *ladderQueue) reset() {
 	q.near = q.near[:0]
 	q.nearEnd = 0
 	for i := range q.rungs {
-		r := &q.rungs[i]
-		for bi := range r.bkts {
-			r.bkts[bi] = r.bkts[bi][:0]
+		for b := range q.rungs[i].bkts {
+			q.empty(&q.rungs[i].bkts[b])
 		}
-		r.cur, r.count = 0, 0
 	}
 	q.rungs = q.rungs[:0]
 	q.over = q.over[:0]

@@ -137,3 +137,43 @@ func TestWorkspaceWarmHeapFlat(t *testing.T) {
 	}
 	t.Logf("live heap %.2f MB after 5 warm replications, %.2f MB after 60", float64(after5)/1e6, float64(after60)/1e6)
 }
+
+// TestWorkspaceWarmHeapBudget65536 pins the memory of a warm
+// 65536-node workspace to its pending work. The event queue's rung
+// buckets draw their storage from one block pool and the ready-queue
+// bank carves two heap entries per lane, so the live heap after a warm
+// Table 1 replication stays near the topology's own state instead of
+// accumulating bucket capacity: the layout that kept per-bucket slices
+// and an eight-entry carve held about 76 MB here. A replication three
+// times as long must not grow it by more than 10% — the retained
+// storage tracks the pending set, not the run's length (the old
+// layout grew 15%).
+func TestWorkspaceWarmHeapBudget65536(t *testing.T) {
+	if testing.Short() {
+		t.Skip("65536-node replications in -short mode")
+	}
+	cfg := Baseline()
+	cfg.Nodes, cfg.Horizon = 65536, 20
+	ws := NewWorkspace()
+	live := func() float64 {
+		if _, err := RunWith(cfg, ws); err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / 1e6
+	}
+	live() // warm-up replication
+	h20 := live()
+	cfg.Horizon = 60
+	h60 := live()
+	runtime.KeepAlive(ws)
+	t.Logf("live heap %.2f MB after a warm horizon-20 replication, %.2f MB after horizon 60", h20, h60)
+	if h20 > 56 {
+		t.Errorf("warm 65536-node workspace holds %.2f MB of live heap, want <= 56 MB", h20)
+	}
+	if h60 >= 1.1*h20 {
+		t.Errorf("live heap grew from %.2f MB at horizon 20 to %.2f MB at horizon 60, want < 10%% growth", h20, h60)
+	}
+}

@@ -135,6 +135,14 @@ func PSPBaseline() Config {
 	return cfg
 }
 
+// MaxNodes is the largest topology one engine can simulate. Every node
+// keeps one arrival pending from the start and up to one completion
+// while it serves, so a run holds up to two pending events per node on
+// top of the global stream's and the scenario's. Validate rejects
+// topologies at or above half the engine's pending capacity, which
+// would exhaust it mid-run — a panic that no caller recovers from.
+const MaxNodes = sim.PendingCapacity/2 - 1
+
 // Validate checks the configuration and returns a descriptive error for
 // the first problem found.
 func (c *Config) Validate() error {
@@ -154,6 +162,9 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("system: Nodes = %d, want > 0", c.Nodes)
+	case c.Nodes > MaxNodes:
+		return fmt.Errorf("system: Nodes = %d exceeds the limit of %d (two pending events per node within the engine's capacity of %d)",
+			c.Nodes, MaxNodes, sim.PendingCapacity)
 	case c.MuSubtask <= 0 || c.MuLocal <= 0:
 		return fmt.Errorf("system: service rates must be positive (µ_subtask=%v, µ_local=%v)", c.MuSubtask, c.MuLocal)
 	case c.Load <= 0 || c.Load >= 1:

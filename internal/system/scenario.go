@@ -9,10 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// faultEvent is the payload of one scheduled speed change: the node it
-// applies to and the speed factor to set (0 freezes, 1 restores).
+// faultEvent is the payload of one scheduled speed change: the index
+// of the node it applies to and the speed factor to set (0 freezes, 1
+// restores).
 type faultEvent struct {
-	node  *node.Node
+	node  int
 	speed float64
 }
 
@@ -23,10 +24,10 @@ type faultEvent struct {
 // the workload sources directly, so this covers everything else. All
 // events go through two callbacks registered once, with payload structs
 // allocated up front — no per-event closures.
-func scheduleScenario(eng *sim.Engine, cfg Config, nodes []*node.Node, series *scenario.Series) {
+func scheduleScenario(eng *sim.Engine, cfg Config, nodes *node.Group, series *scenario.Series) {
 	faultCB := eng.Register(func(p any) {
 		f := p.(*faultEvent)
-		f.node.SetSpeed(f.speed)
+		nodes.SetSpeed(f.node, f.speed)
 	})
 
 	// Schedule events in start-time order, not spec order: the engine
@@ -37,7 +38,7 @@ func scheduleScenario(eng *sim.Engine, cfg Config, nodes []*node.Node, series *s
 	events := append([]scenario.EventSpec(nil), cfg.Scenario.Events()...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 	for _, ev := range events {
-		n := nodes[ev.Node]
+		n := ev.Node
 		start, end := ev.At, ev.At+ev.Duration
 		if start >= cfg.Horizon {
 			continue // never takes effect inside the run
@@ -50,14 +51,8 @@ func scheduleScenario(eng *sim.Engine, cfg Config, nodes []*node.Node, series *s
 	}
 
 	sampleCB := eng.Register(func(any) {
-		total := 0
-		for _, n := range nodes {
-			total += n.QueueLen()
-			if n.Busy() {
-				total++ // count the task in service as queued work
-			}
-		}
-		series.ObserveQueueLen(eng.Now(), float64(total))
+		// The tasks in service count as queued work.
+		series.ObserveQueueLen(eng.Now(), float64(nodes.Backlog()))
 	})
 
 	// Sample total ready-queue length at every window midpoint: one

@@ -3,11 +3,13 @@ package system
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/queueing"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -60,6 +62,36 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	good := shortBaseline()
 	if err := good.Validate(); err != nil {
 		t.Errorf("baseline rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsOversizedTopology: a node count whose pending
+// events could exhaust the engine's slot space must fail validation
+// with an error naming the limit, so Run returns it instead of the
+// engine panicking mid-run (nothing recovers that panic; it would take
+// down a service process).
+func TestValidateRejectsOversizedTopology(t *testing.T) {
+	if 2*MaxNodes+1 >= sim.PendingCapacity {
+		t.Fatalf("MaxNodes %d leaves no room for the global stream in a capacity of %d", MaxNodes, sim.PendingCapacity)
+	}
+	for _, nodes := range []int{MaxNodes + 1, sim.PendingCapacity / 2, sim.PendingCapacity} {
+		cfg := shortBaseline()
+		cfg.Nodes = nodes
+		err := cfg.Validate()
+		if err == nil {
+			t.Fatalf("Validate accepted Nodes = %d", nodes)
+		}
+		if !strings.Contains(err.Error(), strconv.Itoa(MaxNodes)) {
+			t.Fatalf("Nodes = %d: error %q does not name the limit %d", nodes, err, MaxNodes)
+		}
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("Run accepted Nodes = %d", nodes)
+		}
+	}
+	cfg := shortBaseline()
+	cfg.Nodes = MaxNodes
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate rejected Nodes = MaxNodes: %v", err)
 	}
 }
 
