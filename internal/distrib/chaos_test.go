@@ -65,11 +65,10 @@ func TestChaosDeterminism(t *testing.T) {
 		";distrib/frame-read=delay(5):p=0.2:max=5"
 	b := testBackend(t, ProcOptions{
 		Workers:       3,
-		ChunkSize:     2,
 		Heartbeat:     100 * time.Millisecond,
 		WorkerTimeout: 2 * time.Second,
 		Env:           []string{failpoint.EnvVar + "=" + spec},
-	})
+	}, 2)
 	s := session.NewWithBackend(b)
 	defer s.Close()
 	got, err := s.Run(context.Background(), job)
@@ -125,10 +124,9 @@ func TestChaosCancellationPrefix(t *testing.T) {
 
 	spec := "seed=7;distrib/worker-loop=kill:p=0.25:max=1"
 	b := testBackend(t, ProcOptions{
-		Workers:   2,
-		ChunkSize: 2,
-		Env:       []string{failpoint.EnvVar + "=" + spec},
-	})
+		Workers: 2,
+		Env:     []string{failpoint.EnvVar + "=" + spec},
+	}, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := session.NewWithBackend(&prefixCanceler{Backend: b, n: 3, cancel: cancel})
@@ -170,7 +168,6 @@ func TestHungWorkerDetected(t *testing.T) {
 	lock := filepath.Join(t.TempDir(), "hang.lock")
 	b := testBackend(t, ProcOptions{
 		Workers:       2,
-		ChunkSize:     2,
 		Heartbeat:     50 * time.Millisecond,
 		WorkerTimeout: 400 * time.Millisecond,
 		HedgeFactor:   -1, // force the liveness path: no hedge may rescue the chunk first
@@ -178,7 +175,7 @@ func TestHungWorkerDetected(t *testing.T) {
 			victimLockEnv + "=" + lock,
 			victimSpecEnv + "=distrib/worker-loop=hang",
 		},
-	})
+	}, 2)
 	s := session.NewWithBackend(b)
 	defer s.Close()
 	start := time.Now()
@@ -230,14 +227,13 @@ func within(t *testing.T, limit time.Duration, f func()) {
 func wedgedBackend(t *testing.T, opts ProcOptions) (*ProcBackend, string) {
 	t.Helper()
 	lock := filepath.Join(t.TempDir(), "wedge.lock")
-	opts.ChunkSize = 2
 	opts.Heartbeat = 50 * time.Millisecond
 	opts.WorkerTimeout = 400 * time.Millisecond
 	opts.Env = []string{
 		victimLockEnv + "=" + lock,
 		victimSpecEnv + "=session/pool-acquire=hang",
 	}
-	return testBackend(t, opts), lock
+	return testBackend(t, opts, 2), lock
 }
 
 // TestWedgedExecutionRecovered wedges one of two workers on its first
@@ -319,10 +315,9 @@ func TestRespawnBudgetFallback(t *testing.T) {
 	want := chaosRef(t, job)
 
 	b := testBackend(t, ProcOptions{
-		Workers:   2,
-		ChunkSize: 2,
-		Env:       []string{failpoint.EnvVar + "=distrib/worker-loop=kill"},
-	})
+		Workers: 2,
+		Env:     []string{failpoint.EnvVar + "=distrib/worker-loop=kill"},
+	}, 2)
 	s := session.NewWithBackend(b)
 	defer s.Close()
 	got, err := s.Run(context.Background(), job)
@@ -354,7 +349,6 @@ func TestHedgingWinsStragglers(t *testing.T) {
 	lock := filepath.Join(t.TempDir(), "slow.lock")
 	b := testBackend(t, ProcOptions{
 		Workers:       2,
-		ChunkSize:     1,
 		Heartbeat:     50 * time.Millisecond,
 		WorkerTimeout: 5 * time.Second,
 		HedgeFactor:   1,
@@ -362,7 +356,7 @@ func TestHedgingWinsStragglers(t *testing.T) {
 			victimLockEnv + "=" + lock,
 			victimSpecEnv + "=distrib/frame-write=delay(400)",
 		},
-	})
+	}, 1)
 	s := session.NewWithBackend(b)
 	defer s.Close()
 	got, err := s.Run(context.Background(), job)
@@ -388,7 +382,7 @@ func TestCloseAfterWorkerKill(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	cfg := shortCfg(800)
-	b := testBackend(t, ProcOptions{Workers: 2, ChunkSize: 2})
+	b := testBackend(t, ProcOptions{Workers: 2}, 2)
 	if _, err := b.Run(context.Background(), session.Shard{
 		Config: cfg, Seeds: []uint64{1, 2, 3}, Parallelism: 1,
 	}); err != nil {
@@ -433,7 +427,7 @@ func TestCloseFailsRunsInFlight(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	cfg := shortCfg(20000)
-	b := testBackend(t, ProcOptions{Workers: 2, ChunkSize: 1})
+	b := testBackend(t, ProcOptions{Workers: 2}, 1)
 	first := make(chan struct{})
 	var once sync.Once
 	done := make(chan error, 1)
@@ -477,11 +471,12 @@ func TestCloseFailsRunsInFlight(t *testing.T) {
 // FuzzProtocolDecode fuzzes the frame decoder end to end: whatever the
 // bytes — truncated, oversized, bit-flipped, or garbage — reading and
 // decoding must finish promptly with either clean EOF or a structured
-// *FrameError, never a panic, an unbounded allocation, or a hang. The
-// seed corpus is real captured frames of every kind plus deliberate
+// *FrameError, never a panic, an unbounded allocation, or a hang, and
+// every payload it accepts must re-encode to the same bytes. The seed
+// corpus is real captured frames of every kind plus deliberate
 // corruptions of them.
 func FuzzProtocolDecode(f *testing.F) {
-	capture := func(kind msgKind, msg any) []byte {
+	capture := func(kind msgKind, msg message) []byte {
 		var buf bytes.Buffer
 		if err := newFrameWriter(&buf).send(kind, msg); err != nil {
 			f.Fatal(err)
@@ -504,16 +499,16 @@ func FuzzProtocolDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	frames := [][]byte{
-		capture(msgShard, shardMsg{ID: 1, Config: wc, Seeds: []uint64{1, 2, 3}, Parallelism: 2}),
-		capture(msgCancel, cancelMsg{ID: 1}),
-		capture(msgPing, pingMsg{Seq: 9}),
-		capture(msgPong, pongMsg{Seq: 9}),
-		capture(msgResult, resultMsg{ID: 1, Index: 0, Metrics: &system.Metrics{}}),
-		capture(msgResult, resultMsg{ID: 1, Index: 1, Metrics: run}),
-		capture(msgDone, doneMsg{ID: 1, Completed: 3, Code: CodeOK}),
-		capture(msgHello, helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion}),
-		capture(msgHello, helloMsg{Magic: 0xDEADBEEF, Version: ProtocolVersion}),
-		capture(msgHello, helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion + 7}),
+		capture(msgShard, &shardMsg{ID: 1, Config: wc, Seeds: []uint64{1, 2, 3}, Parallelism: 2}),
+		capture(msgCancel, &idMsg{ID: 1}),
+		capture(msgPing, &idMsg{ID: 9}),
+		capture(msgPong, &idMsg{ID: 9}),
+		capture(msgResult, &resultMsg{ID: 1, Index: 0, Metrics: &system.Metrics{}}),
+		capture(msgResult, &resultMsg{ID: 1, Index: 1, Metrics: run}),
+		capture(msgDone, &doneMsg{ID: 1, Completed: 3, Code: CodeOK}),
+		capture(msgHello, &ourHello),
+		capture(msgHello, &helloMsg{Magic: 0xDEADBEEF, Version: ProtocolVersion}),
+		capture(msgHello, &helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion + 7}),
 	}
 	var stream []byte
 	for _, fr := range frames {
@@ -537,7 +532,7 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			kind, payload, err := readFrame(r)
+			kind, payload, err := readFrame(r, 0)
 			if err != nil {
 				var fe *FrameError
 				if !errors.Is(err, io.EOF) && !errors.As(err, &fe) {
@@ -545,37 +540,28 @@ func FuzzProtocolDecode(f *testing.F) {
 				}
 				return
 			}
-			var derr error
+			var m message
 			switch kind {
 			case msgShard:
-				var m shardMsg
-				derr = decodeMsg(kind, payload, &m)
-			case msgCancel:
-				var m cancelMsg
-				derr = decodeMsg(kind, payload, &m)
-			case msgPing:
-				var m pingMsg
-				derr = decodeMsg(kind, payload, &m)
-			case msgPong:
-				var m pongMsg
-				derr = decodeMsg(kind, payload, &m)
+				m = new(shardMsg)
+			case msgCancel, msgPing, msgPong:
+				m = new(idMsg)
 			case msgResult:
-				var m resultMsg
-				derr = decodeMsg(kind, payload, &m)
+				m = new(resultMsg)
 			case msgDone:
-				var m doneMsg
-				derr = decodeMsg(kind, payload, &m)
+				m = new(doneMsg)
 			case msgHello:
-				var m helloMsg
-				derr = decodeMsg(kind, payload, &m)
+				m = new(helloMsg)
 			default:
 				continue // callers reject unknown kinds; nothing to decode
 			}
-			if derr != nil {
+			if derr := decodeMsg(kind, payload, m); derr != nil {
 				var fe *FrameError
 				if !errors.As(derr, &fe) {
 					t.Fatalf("unstructured decode error %T: %v", derr, derr)
 				}
+			} else if again := m.appendTo(nil); !bytes.Equal(again, payload) {
+				t.Fatalf("kind %d: accepted payload re-encodes differently", kind)
 			}
 		}
 	})
@@ -597,7 +583,7 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, _, err := readFrame(bytes.NewReader(data))
+	_, _, err := readFrame(bytes.NewReader(data), 0)
 	runtime.ReadMemStats(&after)
 	var fe *FrameError
 	if !errors.As(err, &fe) || fe.Op != "payload" {

@@ -85,8 +85,8 @@ func (d *dyingWriter) Write(p []byte) (int, error) {
 }
 
 // testBackend returns a ProcBackend whose workers re-execute this test
-// binary, plus cleanup.
-func testBackend(t *testing.T, opts ProcOptions) *ProcBackend {
+// binary, plus cleanup. A positive chunk pins the seeds per sub-shard.
+func testBackend(t *testing.T, opts ProcOptions, chunk int) *ProcBackend {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -95,6 +95,7 @@ func testBackend(t *testing.T, opts ProcOptions) *ProcBackend {
 	opts.Command = []string{exe, "-test.run=^TestShardWorkerProcess$"}
 	opts.Env = append(opts.Env, workerEnv+"=1")
 	b := NewProcBackend(opts)
+	b.chunk = chunk
 	t.Cleanup(func() { b.Close() })
 	return b
 }
@@ -170,7 +171,7 @@ func TestProcBackendMatchesPool(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := testBackend(t, ProcOptions{Workers: tc.workers, ChunkSize: 2})
+			b := testBackend(t, ProcOptions{Workers: tc.workers}, 2)
 			s := session.NewWithBackend(b, tc.opt...)
 			defer s.Close()
 			got, err := s.Run(context.Background(), job)
@@ -212,7 +213,7 @@ func TestProcBackendStreaming(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	cfg := shortCfg(1500)
-	b := testBackend(t, ProcOptions{Workers: 2, ChunkSize: 2})
+	b := testBackend(t, ProcOptions{Workers: 2}, 2)
 	var mu sync.Mutex
 	seen := map[int]int{}
 	shard := session.Shard{
@@ -260,10 +261,9 @@ func TestProcBackendWorkerDeathReassigns(t *testing.T) {
 
 	lock := filepath.Join(t.TempDir(), "victim.lock")
 	b := testBackend(t, ProcOptions{
-		Workers:   2,
-		ChunkSize: 4,
-		Env:       []string{dieLockEnv + "=" + lock},
-	})
+		Workers: 2,
+		Env:     []string{dieLockEnv + "=" + lock},
+	}, 4)
 	s := session.NewWithBackend(b)
 	defer s.Close()
 	got, err := s.Run(context.Background(), job)
@@ -307,7 +307,7 @@ func TestProcBackendCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := testBackend(t, ProcOptions{Workers: 1, ChunkSize: 2})
+	b := testBackend(t, ProcOptions{Workers: 1}, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := session.NewWithBackend(&prefixCanceler{Backend: b, n: 3, cancel: cancel})
@@ -335,7 +335,7 @@ func TestProcBackendCancellation(t *testing.T) {
 
 // TestCanceledErrorCrossesBoundary pins the structured cancellation
 // code: a rehydrated worker cancellation still satisfies errors.Is
-// against context.Canceled, which gob/error strings alone cannot.
+// against context.Canceled, which an error string alone cannot.
 func TestCanceledErrorCrossesBoundary(t *testing.T) {
 	err := CodeCanceled.err("context canceled")
 	if !errors.Is(err, context.Canceled) {
@@ -349,8 +349,9 @@ func TestCanceledErrorCrossesBoundary(t *testing.T) {
 	}
 }
 
-// TestWireConfigRoundTrip pins the config translation, including the
-// scenario spec recompilation.
+// TestWireConfigRoundTrip pins the config translation: ToWire's bytes
+// decode to the same configuration, the scenario recompiled from its
+// spec.
 func TestWireConfigRoundTrip(t *testing.T) {
 	cfg := shortCfg(2000)
 	cfg.Shape = workload.MixedShape{
@@ -358,27 +359,22 @@ func TestWireConfigRoundTrip(t *testing.T) {
 		MeanExec: 1,
 		Demand:   workload.ParetoDemand{Alpha: 2.5},
 	}
-	sc, err := scenario.Preset("burst", cfg.Horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Scenario = sc
+	cfg.Scenario = mustPreset(t, "burst", cfg.Horizon)
 
-	wc, err := ToWire(cfg)
+	b, err := ToWire(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := wc.Config()
+	back, err := decodeConfig(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Scenario == nil || back.Scenario.Name() != sc.Name() {
-		t.Fatalf("scenario did not survive: %+v", back.Scenario)
+	if back.Scenario == cfg.Scenario {
+		t.Fatal("scenario was not recompiled")
 	}
-	back.Scenario = cfg.Scenario // compiled anew; compare the rest
-	back.Seed = cfg.Seed
-	if fmt.Sprintf("%+v", back.Shape) != fmt.Sprintf("%+v", cfg.Shape) {
-		t.Fatalf("shape did not survive: %+v vs %+v", back.Shape, cfg.Shape)
+	back.Seed = cfg.Seed // the shard's seeds replace it
+	if !sameConfig(back, cfg) {
+		t.Fatalf("config did not survive:\n got %+v\nwant %+v", back, cfg)
 	}
 }
 

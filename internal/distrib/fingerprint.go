@@ -2,25 +2,27 @@ package distrib
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/scenario"
+	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/system"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// fingerprintRev opens every fingerprint encoding. It is bumped whenever
+// fingerprintRev opens every config encoding. It is bumped whenever
 // the encoding (or the meaning of any encoded field) changes, so entries
 // cached under an older layout can never alias a newer one. Revisions 1
 // and 2 hashed a gob encoding; 3 is the canonical encoding below, and 4
 // is 3 without the pooling switch.
 const fingerprintRev = 4
 
-// Type tags of the fingerprint encoding's Shape and Demand values; 0 is
-// nil. Tags are part of the encoding: never renumber one.
+// Type tags of the config encoding's Shape and Demand values; 0 is nil.
+// Tags are part of the encoding: never renumber one.
 const (
 	tagSerialShape uint64 = iota + 1
 	tagParallelShape
@@ -35,6 +37,22 @@ const (
 	tagDeterministicDemand
 )
 
+// ErrNotWirable marks a configuration that cannot cross a process
+// boundary (an attached trace recorder, or a Shape/Demand implementation
+// this package does not know). ProcBackend falls back to in-process
+// execution for such configurations.
+var ErrNotWirable = errors.New("distrib: config cannot cross a process boundary")
+
+// ToWire returns cfg's canonical encoding, the bytes a shard frame
+// carries to a worker and ConfigFingerprint hashes: the revision word,
+// then every field but Seed (the shard's seeds replace it) and Trace in
+// declaration order, Shape and Demand behind a type tag, the scenario
+// as its Spec behind a presence word. A trace recorder, or a Shape or
+// Demand without a tag, is an ErrNotWirable error.
+func ToWire(cfg system.Config) ([]byte, error) {
+	return appendConfig(nil, cfg)
+}
+
 // ConfigFingerprint returns a stable content hash identifying every
 // result-relevant knob of cfg — the identity under which warm sessions
 // and cached shard results are keyed. Two configurations that are
@@ -45,26 +63,13 @@ const (
 // byte-identical: the cache trades a few redundant misses for zero risk
 // of serving results across a semantic boundary.
 //
-// The hash is the first 16 bytes of sha256, in hex, over a canonical
-// encoding of the wire configuration: the revision word, then every
-// field in declaration order as fixed-width big-endian words (floats by
-// their bits), strings and slices length-prefixed, Shape and Demand
-// behind a type tag, and the scenario Spec and its Demand behind a
-// presence word. Configurations that cannot cross a process boundary
-// (ErrNotWirable: attached trace recorder, unregistered Shape/Demand)
-// cannot be fingerprinted either — callers bypass caching for those.
+// The hash is the first 16 bytes of sha256, in hex, over ToWire's
+// encoding, so a worker runs exactly the configuration the cache keyed.
+// What cannot cross a process boundary (ErrNotWirable) cannot be
+// fingerprinted either — callers bypass caching for those.
 func ConfigFingerprint(cfg system.Config) (string, error) {
-	wc, err := ToWire(cfg)
-	if err != nil {
-		return "", err
-	}
-	return wc.fingerprint()
-}
-
-// fingerprint hashes the canonical encoding of wc.
-func (wc *WireConfig) fingerprint() (string, error) {
 	var scratch [512]byte
-	b, err := wc.appendCanonical(scratch[:0])
+	b, err := appendConfig(scratch[:0], cfg)
 	if err != nil {
 		return "", err
 	}
@@ -72,100 +77,166 @@ func (wc *WireConfig) fingerprint() (string, error) {
 	return hex.EncodeToString(sum[:16]), nil
 }
 
-// canon appends the fingerprint encoding's primitives.
-type canon []byte
-
-func (c canon) word(v uint64) canon   { return binary.BigEndian.AppendUint64(c, v) }
-func (c canon) int(v int) canon       { return c.word(uint64(v)) }
-func (c canon) float(v float64) canon { return c.word(math.Float64bits(v)) }
-func (c canon) str(s string) canon    { return append(c.int(len(s)), s...) }
-
-func (c canon) bool(v bool) canon {
-	if v {
-		return c.word(1)
+// appendConfig appends ToWire's encoding of cfg to b.
+func appendConfig(b wire.Buf, cfg system.Config) (wire.Buf, error) {
+	if cfg.Trace != nil {
+		return nil, fmt.Errorf("%w: a trace recorder is attached", ErrNotWirable)
 	}
-	return c.word(0)
-}
-
-// appendCanonical appends wc's fingerprint encoding to b. An unknown
-// Shape or Demand implementation is an ErrNotWirable error.
-func (wc *WireConfig) appendCanonical(b []byte) ([]byte, error) {
-	c := canon(b).word(fingerprintRev)
-	c = c.int(wc.Nodes).float(wc.MuSubtask).float(wc.MuLocal).int(wc.M)
-	c = c.float(wc.Load).float(wc.FracLocal).float(wc.SlackMin).float(wc.SlackMax)
-	c = c.float(wc.RelFlex).float(wc.PexRelErr).str(wc.Scheduler)
-	c = c.bool(wc.TardyAbort).bool(wc.FirmAbort).bool(wc.Preemptive)
-	c = c.str(wc.SSP).str(wc.PSP)
-	c, err := c.shape(wc.Shape)
+	b = b.Word(fingerprintRev)
+	b = b.Int(cfg.Nodes).Float(cfg.MuSubtask).Float(cfg.MuLocal).Int(cfg.M)
+	b = b.Float(cfg.Load).Float(cfg.FracLocal).Float(cfg.SlackMin).Float(cfg.SlackMax)
+	b = b.Float(cfg.RelFlex).Float(cfg.PexRelErr).Str(string(cfg.Scheduler))
+	b = b.Bool(cfg.TardyAbort).Bool(cfg.FirmAbort).Bool(cfg.Preemptive)
+	b, err := appendShape(b.Str(cfg.SSP).Str(cfg.PSP), cfg.Shape)
 	if err != nil {
 		return nil, err
 	}
-	c = c.int(len(wc.LocalRateMultipliers))
-	for _, r := range wc.LocalRateMultipliers {
-		c = c.float(r)
+	b = b.Int(len(cfg.LocalRateMultipliers))
+	for _, r := range cfg.LocalRateMultipliers {
+		b = b.Float(r)
 	}
-	c = c.float(wc.Horizon).float(wc.Warmup).spec(wc.Scenario)
-	c = c.str(wc.EventQueue)
-	return c, nil
+	b = b.Float(cfg.Horizon).Float(cfg.Warmup).Bool(cfg.Scenario != nil)
+	if cfg.Scenario != nil {
+		b = appendSpec(b, cfg.Scenario.Spec())
+	}
+	return b.Str(string(cfg.EventQueue)), nil
 }
 
-// shape appends a type tag and the shape's fields in declaration order.
-func (c canon) shape(s workload.Shape) (canon, error) {
+// readConfig reverses appendConfig.
+func readConfig(d *wire.Decoder) (cfg system.Config) {
+	if rev := d.Word(); d.Err() == nil && rev != fingerprintRev {
+		d.Fail(fmt.Errorf("distrib: config encoding revision %d, want %d", rev, fingerprintRev))
+	}
+	cfg.Nodes, cfg.MuSubtask, cfg.MuLocal, cfg.M = d.Int(), d.Float(), d.Float(), d.Int()
+	cfg.Load, cfg.FracLocal, cfg.SlackMin, cfg.SlackMax = d.Float(), d.Float(), d.Float(), d.Float()
+	cfg.RelFlex, cfg.PexRelErr, cfg.Scheduler = d.Float(), d.Float(), sched.Policy(d.Str())
+	cfg.TardyAbort, cfg.FirmAbort, cfg.Preemptive = d.Bool(), d.Bool(), d.Bool()
+	cfg.SSP, cfg.PSP, cfg.Shape = d.Str(), d.Str(), readShape(d)
+	cfg.LocalRateMultipliers = wire.Slice(d, 8, d.Float)
+	cfg.Horizon, cfg.Warmup = d.Float(), d.Float()
+	if d.Bool() {
+		cfg.Scenario = readScenario(d)
+	}
+	cfg.EventQueue = sim.QueueKind(d.Str())
+	return cfg
+}
+
+// appendShape appends a type tag and the shape's fields in declaration
+// order, its Demand last.
+func appendShape(b wire.Buf, s workload.Shape) (wire.Buf, error) {
 	var d workload.Demand
 	switch sh := s.(type) {
 	case nil:
-		return c.word(0), nil
+		return b.Word(0), nil
 	case workload.SerialShape:
-		c = c.word(tagSerialShape).int(sh.M).float(sh.MeanExec).float(sh.Pex.RelErr)
+		b = b.Word(tagSerialShape).Int(sh.M).Float(sh.MeanExec).Float(sh.Pex.RelErr)
 		d = sh.Demand
 	case workload.ParallelShape:
-		c = c.word(tagParallelShape).int(sh.M).float(sh.MeanExec).float(sh.Pex.RelErr)
+		b = b.Word(tagParallelShape).Int(sh.M).Float(sh.MeanExec).Float(sh.Pex.RelErr)
 		d = sh.Demand
 	case workload.MixedShape:
-		c = c.word(tagMixedShape).int(len(sh.Stages))
+		b = b.Word(tagMixedShape).Int(len(sh.Stages))
 		for _, w := range sh.Stages {
-			c = c.int(w)
+			b = b.Int(w)
 		}
-		c = c.float(sh.MeanExec).float(sh.Pex.RelErr)
+		b = b.Float(sh.MeanExec).Float(sh.Pex.RelErr)
 		d = sh.Demand
 	case workload.HeteroSerialShape:
-		c = c.word(tagHeteroSerialShape).int(sh.MinM).int(sh.MaxM).float(sh.MeanExec).float(sh.Pex.RelErr)
+		b = b.Word(tagHeteroSerialShape).Int(sh.MinM).Int(sh.MaxM).Float(sh.MeanExec).Float(sh.Pex.RelErr)
 		d = sh.Demand
 	default:
 		return nil, fmt.Errorf("%w: unknown shape %T", ErrNotWirable, s)
 	}
 	switch dd := d.(type) {
 	case nil:
-		return c.word(0), nil
+		return b.Word(0), nil
 	case workload.ExponentialDemand:
-		return c.word(tagExponentialDemand), nil
+		return b.Word(tagExponentialDemand), nil
 	case workload.ParetoDemand:
-		return c.word(tagParetoDemand).float(dd.Alpha), nil
+		return b.Word(tagParetoDemand).Float(dd.Alpha), nil
 	case workload.LognormalDemand:
-		return c.word(tagLognormalDemand).float(dd.Sigma), nil
+		return b.Word(tagLognormalDemand).Float(dd.Sigma), nil
 	case workload.DeterministicDemand:
-		return c.word(tagDeterministicDemand), nil
+		return b.Word(tagDeterministicDemand), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown demand %T", ErrNotWirable, d)
 	}
 }
 
-// spec appends a presence word and the scenario spec's fields in
-// declaration order.
-func (c canon) spec(sp *scenario.Spec) canon {
-	if sp == nil {
-		return c.word(0)
+// readShape reverses appendShape.
+func readShape(d *wire.Decoder) workload.Shape {
+	pex := func() workload.PexModel { return workload.PexModel{RelErr: d.Float()} }
+	switch tag := d.Word(); tag {
+	case 0:
+		return nil
+	case tagSerialShape:
+		return workload.SerialShape{M: d.Int(), MeanExec: d.Float(), Pex: pex(), Demand: readDemand(d)}
+	case tagParallelShape:
+		return workload.ParallelShape{M: d.Int(), MeanExec: d.Float(), Pex: pex(), Demand: readDemand(d)}
+	case tagMixedShape:
+		return workload.MixedShape{Stages: wire.Slice(d, 8, d.Int), MeanExec: d.Float(), Pex: pex(), Demand: readDemand(d)}
+	case tagHeteroSerialShape:
+		return workload.HeteroSerialShape{MinM: d.Int(), MaxM: d.Int(), MeanExec: d.Float(), Pex: pex(), Demand: readDemand(d)}
+	default:
+		d.Fail(fmt.Errorf("distrib: unknown shape tag %d", tag))
+		return nil
 	}
-	c = c.word(1).str(sp.Name).float(sp.Interval).int(len(sp.Phases))
+}
+
+// readDemand reverses the Demand half of appendShape.
+func readDemand(d *wire.Decoder) workload.Demand {
+	switch tag := d.Word(); tag {
+	case 0:
+		return nil
+	case tagExponentialDemand:
+		return workload.ExponentialDemand{}
+	case tagParetoDemand:
+		return workload.ParetoDemand{Alpha: d.Float()}
+	case tagLognormalDemand:
+		return workload.LognormalDemand{Sigma: d.Float()}
+	case tagDeterministicDemand:
+		return workload.DeterministicDemand{}
+	default:
+		d.Fail(fmt.Errorf("distrib: unknown demand tag %d", tag))
+		return nil
+	}
+}
+
+// appendSpec appends the scenario spec's fields in declaration order,
+// its Demand behind a presence word.
+func appendSpec(b wire.Buf, sp scenario.Spec) wire.Buf {
+	b = b.Str(sp.Name).Float(sp.Interval).Int(len(sp.Phases))
 	for _, ph := range sp.Phases {
-		c = c.float(ph.Duration).float(ph.Rate).float(ph.EndRate)
+		b = b.Float(ph.Duration).Float(ph.Rate).Float(ph.EndRate)
 	}
-	c = c.int(len(sp.Events))
+	b = b.Int(len(sp.Events))
 	for _, ev := range sp.Events {
-		c = c.str(ev.Kind).int(ev.Node).float(ev.At).float(ev.Duration).float(ev.Factor)
+		b = b.Str(ev.Kind).Int(ev.Node).Float(ev.At).Float(ev.Duration).Float(ev.Factor)
 	}
-	if sp.Demand == nil {
-		return c.word(0)
+	b = b.Bool(sp.Demand != nil)
+	if sp.Demand != nil {
+		b = b.Str(sp.Demand.Dist).Float(sp.Demand.Alpha).Float(sp.Demand.Sigma)
 	}
-	return c.word(1).str(sp.Demand.Dist).float(sp.Demand.Alpha).float(sp.Demand.Sigma)
+	return b
+}
+
+// readScenario reverses appendSpec and compiles the spec.
+func readScenario(d *wire.Decoder) *scenario.Scenario {
+	var sp scenario.Spec
+	sp.Name, sp.Interval = d.Str(), d.Float()
+	sp.Phases = wire.Slice(d, 3*8, func() scenario.PhaseSpec {
+		return scenario.PhaseSpec{Duration: d.Float(), Rate: d.Float(), EndRate: d.Float()}
+	})
+	sp.Events = wire.Slice(d, 5*8, func() scenario.EventSpec {
+		return scenario.EventSpec{Kind: d.Str(), Node: d.Int(), At: d.Float(), Duration: d.Float(), Factor: d.Float()}
+	})
+	if d.Bool() {
+		sp.Demand = &scenario.DemandSpec{Dist: d.Str(), Alpha: d.Float(), Sigma: d.Float()}
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	sc, err := scenario.New(sp)
+	d.Fail(err)
+	return sc
 }

@@ -1,15 +1,18 @@
 package distrib
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -112,6 +115,62 @@ func TestConfigFingerprintRejectsUnwirable(t *testing.T) {
 	}
 }
 
+// TestConfigFingerprintPinned: the fingerprint is part of every cache
+// key, so these values, captured before the protocol moved off gob,
+// must never move without a fingerprintRev bump.
+func TestConfigFingerprintPinned(t *testing.T) {
+	mixed := system.Baseline()
+	mixed.Shape = workload.MixedShape{Stages: []int{1, 3, 1}, MeanExec: 1, Demand: workload.ParetoDemand{Alpha: 2.5}}
+	mixed.Scenario = mustPreset(t, "burst", 2000)
+	mixed.LocalRateMultipliers = []float64{1, 2, 3, 4, 5, 6}
+	for name, tc := range map[string]struct {
+		cfg  system.Config
+		want string
+	}{
+		"baseline": {system.Baseline(), "70e6fd17f06ab9ba97d44c6afd223e03"},
+		"mixed":    {mixed, "61e7d4a8817d4e4f26084ca1a3d2d281"},
+	} {
+		got, err := ConfigFingerprint(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, tc.want)
+		}
+	}
+}
+
+func mustPreset(t testing.TB, name string, horizon float64) *scenario.Scenario {
+	t.Helper()
+	sc, err := scenario.Preset(name, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// decodeConfig reverses ToWire.
+func decodeConfig(b []byte) (system.Config, error) {
+	d := wire.NewDecoder(b)
+	cfg := readConfig(&d)
+	return cfg, d.Finish()
+}
+
+// sameConfig reports whether a and b agree field for field, their
+// scenarios compared by Spec.
+func sameConfig(a, b system.Config) bool {
+	if (a.Scenario == nil) != (b.Scenario == nil) ||
+		a.Scenario != nil && !reflect.DeepEqual(a.Scenario.Spec(), b.Scenario.Spec()) {
+		return false
+	}
+	a.Scenario, b.Scenario = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// unwired names the Config fields that do not cross the wire (Seed,
+// Trace) or that the coverage walk reaches as a Spec (Scenario).
+var unwired = map[string]bool{"Seed": true, "Trace": true, "Scenario": true}
+
 // fillWire sets every leaf reachable from v to a distinct non-zero
 // value: integers and floats count up, strings are numbered, bools are
 // true, slices get two elements, nil pointers a fresh value, and a
@@ -120,7 +179,9 @@ func fillWire(v reflect.Value, n *int) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := range v.NumField() {
-			fillWire(v.Field(i), n)
+			if !unwired[v.Type().Field(i).Name] {
+				fillWire(v.Field(i), n)
+			}
 		}
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
@@ -163,7 +224,7 @@ func perturb(v reflect.Value, k *int) bool {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := range v.NumField() {
-			if perturb(v.Field(i), k) {
+			if !unwired[v.Type().Field(i).Name] && perturb(v.Field(i), k) {
 				return true
 			}
 		}
@@ -225,11 +286,30 @@ func perturb(v reflect.Value, k *int) bool {
 	return true
 }
 
-// TestConfigFingerprintFieldCoverage walks WireConfig by reflection —
-// under every concrete Shape, each with every concrete Demand, and with
-// every scenario.Spec leaf set — and requires that perturbing any leaf,
-// dropping any pointer or interface, or shortening any slice moves the
-// fingerprint, while identically built configurations still collide.
+// wired is what the coverage walk fills and perturbs: every Config
+// field that crosses the wire, and the Spec its Scenario compiles from.
+type wired struct {
+	Config system.Config
+	Spec   scenario.Spec
+}
+
+// config compiles w's spec into its Config, or reports that the spec
+// does not validate.
+func (w *wired) config() (system.Config, bool) {
+	sc, err := scenario.New(w.Spec)
+	cfg := w.Config
+	cfg.Scenario = sc
+	return cfg, err == nil
+}
+
+// TestConfigFingerprintFieldCoverage walks system.Config by reflection
+// — every field but Seed and Trace, under every concrete Shape, each
+// with every concrete Demand, and with Scenario compiled from a spec
+// whose every leaf is set — and requires that ToWire's bytes round-trip
+// to an equal Config, and that perturbing any leaf, dropping any
+// pointer or interface, or shortening any slice moves them, while
+// identically built configurations still collide. A Config field left
+// off the wire fails here instead of running defaults on workers.
 func TestConfigFingerprintFieldCoverage(t *testing.T) {
 	demands := []func() workload.Demand{
 		func() workload.Demand { return nil },
@@ -245,13 +325,20 @@ func TestConfigFingerprintFieldCoverage(t *testing.T) {
 		func(d workload.Demand) workload.Shape { return workload.MixedShape{Demand: d} },
 		func(d workload.Demand) workload.Shape { return workload.HeteroSerialShape{Demand: d} },
 	}
-	fingerprint := func(wc WireConfig) string {
+	encode := func(cfg system.Config) []byte {
 		t.Helper()
-		fp, err := wc.fingerprint()
+		b, err := ToWire(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fp
+		back, err := decodeConfig(b)
+		if err != nil {
+			t.Fatalf("ToWire's bytes do not decode: %v", err)
+		}
+		if !sameConfig(back, cfg) {
+			t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", back, cfg)
+		}
+		return b
 	}
 	bases := map[string]string{}
 	for si, shape := range shapes {
@@ -259,43 +346,58 @@ func TestConfigFingerprintFieldCoverage(t *testing.T) {
 			if si == 0 && di > 0 {
 				continue // a nil shape carries no demand
 			}
-			build := func() WireConfig {
-				wc := WireConfig{Shape: shape(demand())}
+			build := func() wired {
+				w := wired{Config: system.Config{Shape: shape(demand())}}
 				var n int
-				fillWire(reflect.ValueOf(&wc).Elem(), &n)
-				return wc
+				fillWire(reflect.ValueOf(&w).Elem(), &n)
+				// The spec must validate to compile.
+				for i := range w.Spec.Events {
+					w.Spec.Events[i].Kind, w.Spec.Events[i].Factor = scenario.KindSlowdown, 0.5
+				}
+				w.Spec.Demand.Dist = "pareto"
+				return w
 			}
 			name := fmt.Sprintf("shape %T, demand %T", shape(demand()), demand())
-			base := fingerprint(build())
-			if again := fingerprint(build()); again != base {
-				t.Fatalf("%s: identical configs fingerprint differently", name)
+			w := build()
+			cfg, ok := w.config()
+			if !ok {
+				t.Fatalf("%s: the filled spec does not validate", name)
 			}
-			if prev, dup := bases[base]; dup {
+			base := encode(cfg)
+			if prev, dup := bases[string(base)]; dup {
 				t.Fatalf("%s collides with %s", name, prev)
 			}
-			bases[base] = name
+			bases[string(base)] = name
+			again := build()
+			if cfg, _ := again.config(); !bytes.Equal(encode(cfg), base) {
+				t.Fatalf("%s: identical configs encode differently", name)
+			}
+			baseSpec := appendSpec(nil, w.Spec)
 			for point := 0; ; point++ {
-				wc := build()
+				w := build()
 				k := point
-				if !perturb(reflect.ValueOf(&wc).Elem(), &k) {
+				if !perturb(reflect.ValueOf(&w).Elem(), &k) {
 					break
 				}
-				if fingerprint(wc) == base {
-					t.Errorf("%s: perturbing point %d leaves the fingerprint unchanged", name, point)
+				// A spec that no longer validates cannot be a Config;
+				// its encoding, which ToWire embeds, must still move.
+				if cfg, ok := w.config(); ok && bytes.Equal(encode(cfg), base) ||
+					!ok && bytes.Equal(appendSpec(nil, w.Spec), baseSpec) {
+					t.Errorf("%s: perturbing point %d leaves the encoding unchanged", name, point)
 				}
 			}
 		}
 	}
 }
 
-// TestConfigFingerprintUnknownTypes: the canonical encoder returns
-// ErrNotWirable for a Shape or Demand it has no tag for, never panics.
+// TestConfigFingerprintUnknownTypes: the encoder returns ErrNotWirable
+// for a Shape or Demand it has no tag for, never panics.
 func TestConfigFingerprintUnknownTypes(t *testing.T) {
-	for name, wc := range map[string]WireConfig{
-		"shape":  {Shape: unknownShape{}},
-		"demand": {Shape: workload.SerialShape{M: 2, MeanExec: 1, Demand: unknownDemand{}}},
+	for name, shape := range map[string]workload.Shape{
+		"shape":  unknownShape{},
+		"demand": workload.SerialShape{M: 2, MeanExec: 1, Demand: unknownDemand{}},
 	} {
-		if _, err := wc.fingerprint(); !errors.Is(err, ErrNotWirable) {
+		if _, err := ConfigFingerprint(system.Config{Shape: shape}); !errors.Is(err, ErrNotWirable) {
 			t.Errorf("unknown %s: err = %v, want ErrNotWirable", name, err)
 		}
 	}
@@ -304,3 +406,57 @@ func TestConfigFingerprintUnknownTypes(t *testing.T) {
 type unknownShape struct{ workload.SerialShape }
 
 type unknownDemand struct{ workload.ExponentialDemand }
+
+// FuzzWireConfig feeds raw bytes to the config decoder: it must never
+// panic, its allocations must stay in proportion to its input, and every
+// input it accepts must re-encode to identical bytes. The decoder checks
+// every count against the bytes left, so what it allocates itself stays
+// within about the input's length; validating a decoded scenario adds
+// up to about 5× on a 1024-node churn schedule, hence the 8× bound. The
+// seeds are the golden-matrix configurations: every scenario preset and
+// a churn schedule, at 6, 64 and 1024 nodes, under UD and EQF.
+func FuzzWireConfig(f *testing.F) {
+	for _, preset := range []string{"none", "burst", "ramp", "storm", "outage", "heavytail", "churn"} {
+		for nodes, horizon := range map[int]float64{6: 2000, 64: 200, 1024: 25} {
+			for _, ssp := range []string{"UD", "EQF"} {
+				cfg := system.Baseline()
+				cfg.Nodes, cfg.Horizon, cfg.SSP = nodes, horizon, ssp
+				var err error
+				switch preset {
+				case "none":
+				case "churn":
+					cfg.Scenario, err = scenario.Churn(nodes, 2, horizon, scenario.ChurnOptions{Seed: 1, SlowdownFrac: 0.25})
+				default:
+					cfg.Scenario, err = scenario.Preset(preset, horizon)
+				}
+				if err != nil {
+					f.Fatal(err)
+				}
+				b, err := ToWire(cfg)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(b)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cfg, err := decodeConfig(data)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, 8*uint64(len(data))+64<<10; grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d, want <= %d", len(data), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, err := ToWire(cfg)
+		if err != nil {
+			t.Fatalf("accepted config does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("accepted config re-encodes differently")
+		}
+	})
+}

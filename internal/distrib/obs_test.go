@@ -19,7 +19,7 @@ func TestProcBackendProgressMonotonic(t *testing.T) {
 	}
 	const reps = 6
 	cfg := shortCfg(1200)
-	b := testBackend(t, ProcOptions{Workers: 2, ChunkSize: 2})
+	b := testBackend(t, ProcOptions{Workers: 2}, 2)
 	var (
 		mu    sync.Mutex
 		dones []int
@@ -57,7 +57,7 @@ func TestProcBackendDistribStats(t *testing.T) {
 	}
 	cfg := shortCfg(1200)
 	const reps, chunkSize = 8, 2
-	b := testBackend(t, ProcOptions{Workers: 2, ChunkSize: chunkSize})
+	b := testBackend(t, ProcOptions{Workers: 2}, chunkSize)
 	s := session.NewWithBackend(b)
 	defer s.Close()
 	if _, err := s.Run(context.Background(), session.Job{Config: cfg, Reps: reps}); err != nil {
@@ -119,10 +119,9 @@ func TestProcBackendDeathStats(t *testing.T) {
 	cfg := shortCfg(1500)
 	lock := filepath.Join(t.TempDir(), "victim.lock")
 	b := testBackend(t, ProcOptions{
-		Workers:   2,
-		ChunkSize: 4,
-		Env:       []string{dieLockEnv + "=" + lock},
-	})
+		Workers: 2,
+		Env:     []string{dieLockEnv + "=" + lock},
+	}, 4)
 	s := session.NewWithBackend(b)
 	defer s.Close()
 	if _, err := s.Run(context.Background(), session.Job{Config: cfg, Reps: 10}); err != nil {
@@ -174,7 +173,7 @@ func TestProcBackendMergeDepthHWM(t *testing.T) {
 	}
 	cfg := shortCfg(800)
 	const reps = 12
-	b := testBackend(t, ProcOptions{Workers: 3, ChunkSize: 1})
+	b := testBackend(t, ProcOptions{Workers: 3}, 1)
 	s := session.NewWithBackend(b)
 	defer s.Close()
 	if _, err := s.Run(context.Background(), session.Job{Config: cfg, Reps: reps}); err != nil {

@@ -81,9 +81,6 @@ type ProcOptions struct {
 	// being unreachable is an expected operational state; an unspawnable
 	// local process is a misconfiguration, so the default stays strict.
 	DegradeToLocal bool
-	// ChunkSize caps seeds per dispatched sub-shard; 0 picks
-	// max(1, seeds/(4·workers)) so work-stealing has slack to balance.
-	ChunkSize int
 	// Stderr receives worker stderr; nil inherits this process's.
 	Stderr io.Writer
 
@@ -258,10 +255,11 @@ type procWorker struct {
 // output, because replications are pure functions of (config, seed).
 //
 // Configurations that cannot cross a process boundary (ErrNotWirable:
-// an attached trace recorder, an unregistered Shape or Demand) fall
-// back to the embedded in-process pool transparently.
+// an attached trace recorder, a Shape or Demand without a wire tag)
+// fall back to the embedded in-process pool transparently.
 type ProcBackend struct {
-	opts ProcOptions
+	opts  ProcOptions
+	chunk int // seeds per sub-shard when positive; tests pin chunk geometry with it
 
 	spawnMu sync.Mutex // serializes fleet changes (spawns into slots); taken before mu
 
@@ -341,18 +339,13 @@ func (b *ProcBackend) spawn() (*procWorker, error) {
 		return nil, fmt.Errorf("distrib: start worker: %w", err)
 	}
 	var conn WorkerConn
+	var err error
 	if b.opts.Dial != nil {
-		c, err := b.opts.Dial()
-		if err != nil {
+		if conn, err = b.opts.Dial(); err != nil {
 			return nil, fmt.Errorf("distrib: dial worker: %w", err)
 		}
-		conn = c
-	} else {
-		c, err := spawnProc(b.opts)
-		if err != nil {
-			return nil, err
-		}
-		conn = c
+	} else if conn, err = spawnProc(b.opts); err != nil {
+		return nil, err
 	}
 	return &procWorker{
 		conn:    conn,
@@ -497,13 +490,15 @@ func (b *ProcBackend) reap(w *procWorker, cause error) {
 // error or a protocol violation fails the worker.
 func (b *ProcBackend) readLoop(w *procWorker) {
 	for {
-		kind, payload, err := readFrame(w.br)
+		kind, payload, err := readFrame(w.br, 0)
 		if err != nil {
 			b.reap(w, fmt.Errorf("%w: read: %v", errWorkerDead, err))
 			return
 		}
 		if err := b.route(w, kind, payload); err != nil {
-			b.countDecodeReject()
+			b.mu.Lock()
+			b.decodeRejects++
+			b.mu.Unlock()
 			b.reap(w, fmt.Errorf("%w: %v", errWorkerDead, err))
 			return
 		}
@@ -553,7 +548,7 @@ func (b *ProcBackend) route(w *procWorker, kind msgKind, payload []byte) error {
 			w.steals++
 		}
 		w.pool = r.done.Pool // cumulative gauges; latest frame supersedes
-	} else if r.index < 0 || r.index >= fl.size || r.metrics == nil {
+	} else if r.index < 0 || r.index >= fl.size {
 		return fmt.Errorf("malformed result frame (id %d, index %d)", id, r.index)
 	}
 	select {
@@ -597,7 +592,7 @@ func (b *ProcBackend) watch(w *procWorker) {
 			return
 		}
 		seq++
-		if err := w.fw.send(msgPing, pingMsg{Seq: seq}); err != nil {
+		if err := w.fw.send(msgPing, &idMsg{ID: seq}); err != nil {
 			b.reap(w, fmt.Errorf("%w: ping: %v", errWorkerDead, err))
 			return
 		}
@@ -626,25 +621,9 @@ type chunk struct{ start, end int }
 func chunkSeeds(n, size int) []chunk {
 	var out []chunk
 	for start := 0; start < n; start += size {
-		end := start + size
-		if end > n {
-			end = n
-		}
-		out = append(out, chunk{start: start, end: end})
+		out = append(out, chunk{start: start, end: min(start+size, n)})
 	}
 	return out
-}
-
-// chunkSize resolves the sub-shard granularity.
-func (b *ProcBackend) chunkSize(n, workers int) int {
-	if b.opts.ChunkSize > 0 {
-		return b.opts.ChunkSize
-	}
-	size := n / (4 * workers)
-	if size < 1 {
-		size = 1
-	}
-	return size
 }
 
 // chunkState is one chunk's lifecycle in its run's loop: pending while
@@ -702,7 +681,7 @@ type respawn struct {
 type procRun struct {
 	b      *ProcBackend
 	shard  session.Shard
-	wc     WireConfig
+	wc     []byte // ToWire(shard.Config), sent in every chunk's shard frame
 	chunks []*chunkState
 	idle   []*procWorker // the run's workers with none of its chunks in flight
 	flying map[*dispatch]struct{}
@@ -749,15 +728,12 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 		return session.ShardResult{Metrics: []*system.Metrics{}}, ctx.Err()
 	}
 	wc, err := ToWire(shard.Config)
-	if err != nil {
-		if errors.Is(err, ErrNotWirable) {
-			pool, perr := b.localPool()
-			if perr != nil {
-				return session.ShardResult{}, perr
-			}
-			return pool.Run(ctx, shard)
+	if err != nil { // ErrNotWirable, the only error ToWire returns: run in process
+		pool, perr := b.localPool()
+		if perr != nil {
+			return session.ShardResult{}, perr
 		}
-		return session.ShardResult{}, err
+		return pool.Run(ctx, shard)
 	}
 
 	workers, err := b.attach()
@@ -781,7 +757,11 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 		metrics: make([]*system.Metrics, len(shard.Seeds)),
 		halted:  ctx.Err() != nil,
 	}
-	for _, c := range chunkSeeds(len(shard.Seeds), b.chunkSize(len(shard.Seeds), len(workers))) {
+	size := b.chunk
+	if size <= 0 {
+		size = max(1, len(shard.Seeds)/(4*len(workers))) // slack for work-stealing to balance
+	}
+	for _, c := range chunkSeeds(len(shard.Seeds), size) {
 		r.chunks = append(r.chunks, &chunkState{c: c})
 	}
 	r.loop(ctx)
@@ -989,7 +969,7 @@ func (r *procRun) launch(w *procWorker, cs *chunkState, hedge bool, now time.Tim
 	r.b.mu.Unlock()
 	r.flying[d] = struct{}{}
 	go func() {
-		err := r.b.runChunk(d, &r.wc, r.shard, r.events)
+		err := r.b.runChunk(d, r.wc, r.shard, r.events)
 		r.events <- runEvent{d: d, err: err}
 	}()
 }
@@ -1126,7 +1106,7 @@ func (r *procRun) record(i int, m *system.Metrics) bool {
 // done frame, or the worker's failure (wrapping errWorkerDead). Once
 // the loop closes d.stop it forwards a cancel frame and keeps waiting;
 // the loop bounds that wait by reaping the worker.
-func (b *ProcBackend) runChunk(d *dispatch, wc *WireConfig, shard session.Shard, events chan<- runEvent) error {
+func (b *ProcBackend) runChunk(d *dispatch, wc []byte, shard session.Shard, events chan<- runEvent) error {
 	if _, err := failpoint.Inject("distrib/dispatch"); err != nil {
 		return fmt.Errorf("%w: dispatch: %v", errWorkerDead, err)
 	}
@@ -1148,8 +1128,8 @@ func (b *ProcBackend) runChunk(d *dispatch, wc *WireConfig, shard session.Shard,
 		b.mu.Unlock()
 	}()
 
-	msg := shardMsg{ID: d.id, Config: *wc, Seeds: shard.Seeds[c.start:c.end], Parallelism: shard.Parallelism}
-	if err := w.fw.send(msgShard, msg); err != nil {
+	msg := shardMsg{ID: d.id, Config: wc, Seeds: shard.Seeds[c.start:c.end], Parallelism: shard.Parallelism}
+	if err := w.fw.send(msgShard, &msg); err != nil {
 		return fmt.Errorf("%w: send: %v", errWorkerDead, err)
 	}
 	stop := d.stop
@@ -1165,7 +1145,7 @@ func (b *ProcBackend) runChunk(d *dispatch, wc *WireConfig, shard session.Shard,
 			}
 		case <-stop:
 			stop = nil
-			_ = w.fw.send(msgCancel, cancelMsg{ID: d.id})
+			_ = w.fw.send(msgCancel, &idMsg{ID: d.id})
 			continue
 		}
 		if r.done != nil {
@@ -1173,14 +1153,6 @@ func (b *ProcBackend) runChunk(d *dispatch, wc *WireConfig, shard session.Shard,
 		}
 		events <- runEvent{d: d, index: c.start + r.index, metrics: r.metrics}
 	}
-}
-
-// countDecodeReject counts a frame the reader rejected (cold path,
-// under b.mu).
-func (b *ProcBackend) countDecodeReject() {
-	b.mu.Lock()
-	b.decodeRejects++
-	b.mu.Unlock()
 }
 
 // workerStatsLocked snapshots one worker's stats; b.mu must be held.

@@ -6,13 +6,19 @@
 //
 // Every message is one frame:
 //
-//	[uint32 big-endian payload length] [1 byte message kind] [gob payload]
+//	[uint32 big-endian payload length] [1 byte message kind] [payload]
 //
-// Coordinator -> worker: shardMsg (run these seeds), cancelMsg (stop the
-// identified shard at the next replication boundary). Worker ->
+// Coordinator -> worker: shardMsg (run these seeds), cancel (stop the
+// identified shard at the next replication boundary), ping. Worker ->
 // coordinator: resultMsg (one replication's metrics, streamed as it
-// finishes), doneMsg (the shard's outcome with a structured Code).
+// finishes), doneMsg (the shard's outcome with a structured Code), pong.
 // Closing the worker's stdin shuts it down.
+//
+// Payloads are exact internal/wire encodings, read by its one bounded
+// decoder. A shard carries its configuration as ToWire's bytes, the
+// bytes ConfigFingerprint hashes, so a worker runs exactly the
+// configuration the result cache keyed. Hello, ping, pong and cancel
+// frames have a fixed size, checked from the header alone.
 //
 // Outcomes carry a Code rather than an error string alone because error
 // identity does not survive a process boundary: a worker's
@@ -21,19 +27,16 @@
 // errors.Is(err, context.Canceled), so the run layer's cancellation
 // semantics (partial results remain valid) hold across processes.
 //
-// Simulation results cross the boundary as system.Metrics, which gob
-// carries through its BinaryMarshaler: the exact-bit Metrics codec the
-// result cache also stores. A merged result is therefore bit-identical
-// to one computed in process, and the coordinator merges sub-shards in
-// seed order, so ProcBackend output is byte-identical to the in-process
-// pool at any worker count.
+// Simulation results cross the boundary as system.Metrics in its
+// exact-bit codec, the encoding the result cache also stores. A merged
+// result is therefore bit-identical to one computed in process, and the
+// coordinator merges sub-shards in seed order, so ProcBackend output is
+// byte-identical to the in-process pool at any worker count.
 package distrib
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -41,58 +44,43 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/obs"
-	"repro/internal/scenario"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/system"
-	"repro/internal/workload"
+	"repro/internal/wire"
 )
-
-func init() {
-	// The wire configuration carries Shape and Demand as gob interface
-	// values; every concrete type this package can ship is registered
-	// here. ToWire rejects unknown implementations up front.
-	gob.Register(workload.SerialShape{})
-	gob.Register(workload.ParallelShape{})
-	gob.Register(workload.MixedShape{})
-	gob.Register(workload.HeteroSerialShape{})
-	gob.Register(workload.ExponentialDemand{})
-	gob.Register(workload.ParetoDemand{})
-	gob.Register(workload.LognormalDemand{})
-	gob.Register(workload.DeterministicDemand{})
-}
 
 // msgKind tags a frame's payload type.
 type msgKind uint8
 
 const (
 	msgShard  msgKind = iota + 1 // coordinator -> worker: shardMsg
-	msgCancel                    // coordinator -> worker: cancelMsg
+	msgCancel                    // coordinator -> worker: idMsg naming the shard
 	msgResult                    // worker -> coordinator: resultMsg
 	msgDone                      // worker -> coordinator: doneMsg
-	msgPing                      // coordinator -> worker: pingMsg (liveness probe)
-	msgPong                      // worker -> coordinator: pongMsg (liveness reply)
+	msgPing                      // coordinator -> worker: idMsg (liveness probe)
+	msgPong                      // worker -> coordinator: idMsg (liveness reply)
 	msgHello                     // either direction: helloMsg (transport handshake)
 )
+
+// fixedSize is the exact payload length of the fixed-size kinds, 0 for
+// the others; readFrame rejects a mismatched header before the payload.
+var fixedSize = [...]uint32{msgCancel: 8, msgPing: 8, msgPong: 8, msgHello: 8}
 
 // Handshake identity. ProtocolMagic distinguishes this protocol from an
 // arbitrary byte stream that happened to connect to a worker port;
 // ProtocolVersion is bumped on any incompatible frame or payload change,
 // so a coordinator and worker built from different protocol revisions
-// fail the handshake with a structured *FrameError instead of a gob
-// decode error deep inside a shard. Version 2 removed WireConfig's RNG
-// layout field, which gob would otherwise ignore silently when a
-// version-1 peer sent it. Version 3 carries resultMsg's Metrics in the
-// system.Metrics binary codec instead of gob's struct encoding. Version 4
-// removed WireConfig's pooling switch, for the same reason as version 2.
+// fail the handshake with a structured *FrameError instead of a decode
+// error deep inside a shard. Versions 1 to 4 were gob frames; version 5
+// is the binary encoding, whose shard frames carry the config encoding
+// at its own revision (fingerprintRev).
 const (
 	ProtocolMagic   uint32 = 0x53444131 // "SDA1"
-	ProtocolVersion uint32 = 4
+	ProtocolVersion uint32 = 5
 )
 
-// maxFrame bounds a frame payload; anything larger is a protocol error,
-// not data (it protects against reading a corrupted length as a huge
-// allocation).
+// maxFrame bounds the payload of the kinds without a fixed size;
+// anything larger is a protocol error, not data (it protects against
+// reading a corrupted length as a huge allocation).
 const maxFrame = 1 << 30
 
 // corruptKind is the frame-kind byte the distrib/frame-write failpoint
@@ -145,28 +133,49 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// shardMsg asks a worker to run one sub-shard.
-type shardMsg struct {
-	ID          uint64
-	Config      WireConfig
-	Seeds       []uint64
-	Parallelism int
+// message is a frame payload: appendTo encodes it, and decode reverses
+// that through the shared bounded decoder.
+type message interface {
+	appendTo(b wire.Buf) wire.Buf
+	decode(d *wire.Decoder)
 }
 
-// cancelMsg asks a worker to stop shard ID at the next replication
-// boundary (claimed replications run to completion, preserving the
-// prefix guarantee).
-type cancelMsg struct{ ID uint64 }
+// shardMsg asks a worker to run one sub-shard. Config, ToWire's
+// encoding, is the payload's tail; the worker decodes it into cfg.
+type shardMsg struct {
+	ID          uint64
+	Seeds       []uint64
+	Parallelism int
+	Config      []byte
+	cfg         system.Config
+}
 
-// pingMsg is a coordinator liveness probe; the worker's main loop
-// answers every ping with a pongMsg echoing Seq. Pings flow while a
-// sub-shard is outstanding, so a worker whose main loop hangs (or whose
-// process wedges) stops answering and misses its liveness deadline even
+func (m *shardMsg) appendTo(b wire.Buf) wire.Buf {
+	b = b.Word(m.ID).Int(m.Parallelism).Int(len(m.Seeds))
+	for _, s := range m.Seeds {
+		b = b.Word(s)
+	}
+	return append(b, m.Config...)
+}
+
+func (m *shardMsg) decode(d *wire.Decoder) {
+	m.ID, m.Parallelism, m.Seeds, m.Config = d.Word(), d.Int(), wire.Slice(d, 8, d.Word), d.Rest()
+	cd := wire.NewDecoder(m.Config)
+	m.cfg = readConfig(&cd)
+	d.Fail(cd.Finish())
+}
+
+// idMsg is the payload of the one-word frames. A cancel names the shard
+// to stop at its next replication boundary (claimed replications run to
+// completion, preserving the prefix guarantee). A ping is a liveness
+// probe carrying a sequence number, which the worker's main loop echoes
+// in a pong; pings flow while a sub-shard is outstanding, so a worker
+// whose main loop or process wedges misses its liveness deadline even
 // though its pipe never closes.
-type pingMsg struct{ Seq uint64 }
+type idMsg struct{ ID uint64 }
 
-// pongMsg answers a ping.
-type pongMsg struct{ Seq uint64 }
+func (m *idMsg) appendTo(b wire.Buf) wire.Buf { return b.Word(m.ID) }
+func (m *idMsg) decode(d *wire.Decoder)       { m.ID = d.Word() }
 
 // helloMsg opens a network transport: each side announces its magic and
 // protocol version before any shard traffic. The stdin/stdout transport
@@ -177,50 +186,76 @@ type helloMsg struct {
 	Version uint32
 }
 
+// A hello is one word: the magic in the high half, the version in the
+// low half.
+func (m *helloMsg) appendTo(b wire.Buf) wire.Buf {
+	return b.Word(uint64(m.Magic)<<32 | uint64(m.Version))
+}
+
+func (m *helloMsg) decode(d *wire.Decoder) {
+	w := d.Word()
+	m.Magic, m.Version = uint32(w>>32), uint32(w)
+}
+
+var ourHello = helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion}
+
 // SendHello writes one handshake frame announcing this binary's
 // protocol identity.
 func SendHello(w io.Writer) error {
-	return newFrameWriter(w).send(msgHello, helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion})
+	return newFrameWriter(w).send(msgHello, &ourHello)
 }
 
 // ReadHello reads the peer's handshake frame and verifies it. Every
 // failure — a short or non-frame stream, a non-hello first frame, a
 // foreign magic, a different protocol version — is a *FrameError with
 // Op "handshake", so transports reject mismatched binaries before any
-// shard state exists on either side.
+// shard state exists on either side. A header that is not a hello's is
+// rejected before its payload is read.
 func ReadHello(r io.Reader) error {
-	kind, payload, err := readFrame(r)
+	kind, payload, err := readFrame(r, msgHello)
+	if errors.Is(err, io.EOF) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err == nil {
+		err = checkHello(payload)
+	}
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return &FrameError{Op: "handshake", Err: err}
-	}
-	if kind != msgHello {
-		return &FrameError{Op: "handshake", Kind: kind, Len: uint32(len(payload)),
-			Err: fmt.Errorf("expected hello, got frame kind %d", kind)}
-	}
-	var m helloMsg
-	if err := decodeMsg(kind, payload, &m); err != nil {
 		return &FrameError{Op: "handshake", Kind: kind, Len: uint32(len(payload)), Err: err}
 	}
-	if m.Magic != ProtocolMagic {
-		return &FrameError{Op: "handshake", Kind: kind, Len: uint32(len(payload)),
-			Err: fmt.Errorf("magic %#08x is not a distrib peer (want %#08x)", m.Magic, ProtocolMagic)}
+	return nil
+}
+
+// checkHello decodes a hello payload and verifies that the peer speaks
+// this binary's protocol.
+func checkHello(payload []byte) error {
+	var m helloMsg
+	if err := decodeMsg(msgHello, payload, &m); err != nil {
+		return err
 	}
-	if m.Version != ProtocolVersion {
-		return &FrameError{Op: "handshake", Kind: kind, Len: uint32(len(payload)),
-			Err: fmt.Errorf("protocol version %d, this binary speaks %d", m.Version, ProtocolVersion)}
+	if m != ourHello {
+		return fmt.Errorf("peer magic %#08x version %d, this binary speaks %#08x version %d",
+			m.Magic, m.Version, ProtocolMagic, ProtocolVersion)
 	}
 	return nil
 }
 
 // resultMsg streams one finished replication: Index is the position
-// within the sub-shard's Seeds.
+// within the sub-shard's Seeds, and Metrics's codec bytes are the
+// payload's tail.
 type resultMsg struct {
 	ID      uint64
 	Index   int
 	Metrics *system.Metrics
+}
+
+func (m *resultMsg) appendTo(b wire.Buf) wire.Buf {
+	b, _ = m.Metrics.AppendBinary(b.Word(m.ID).Int(m.Index)) // never fails
+	return b
+}
+
+func (m *resultMsg) decode(d *wire.Decoder) {
+	m.ID, m.Index, m.Metrics = d.Word(), d.Int(), new(system.Metrics)
+	d.Fail(m.Metrics.UnmarshalBinary(d.Rest()))
 }
 
 // doneMsg ends a shard: Completed is the finished seed-prefix length
@@ -236,6 +271,21 @@ type doneMsg struct {
 	Pool      obs.PoolStats
 }
 
+func (m *doneMsg) appendTo(b wire.Buf) wire.Buf {
+	b = b.Word(uint64(m.Code)).Word(m.ID).Int(m.Completed).Str(m.Error)
+	return b.Word(m.Pool.WarmAcquires).Word(m.Pool.ColdAcquires).Float(m.Pool.BusySeconds)
+}
+
+func (m *doneMsg) decode(d *wire.Decoder) {
+	if code := d.Word(); code > uint64(CodeError) {
+		d.Fail(fmt.Errorf("distrib: unknown outcome code %d", code))
+	} else {
+		m.Code = Code(code)
+	}
+	m.ID, m.Completed, m.Error = d.Word(), d.Int(), d.Str()
+	m.Pool = obs.PoolStats{WarmAcquires: d.Word(), ColdAcquires: d.Word(), BusySeconds: d.Float()}
+}
+
 // frameOverhead is the per-frame wire header: 4-byte big-endian payload
 // length plus 1-byte kind.
 const frameOverhead = 5
@@ -246,7 +296,7 @@ const frameOverhead = 5
 type frameWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
-	buf    bytes.Buffer
+	buf    []byte
 	frames uint64 // frames written, for the per-worker wire stats
 	bytes  uint64 // bytes written (header + payload)
 }
@@ -254,19 +304,15 @@ type frameWriter struct {
 func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
 
 // send encodes msg and writes one frame.
-func (fw *frameWriter) send(kind msgKind, msg any) error {
+func (fw *frameWriter) send(kind msgKind, msg message) error {
 	corrupt, ferr := failpoint.Inject("distrib/frame-write")
 	if ferr != nil {
 		return ferr
 	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	fw.buf.Reset()
-	fw.buf.Write([]byte{0, 0, 0, 0, byte(kind)})
-	if err := gob.NewEncoder(&fw.buf).Encode(msg); err != nil {
-		return fmt.Errorf("distrib: encode %d: %w", kind, err)
-	}
-	b := fw.buf.Bytes()
+	b := msg.appendTo(append(fw.buf[:0], 0, 0, 0, 0, byte(kind)))
+	fw.buf = b
 	if len(b)-5 > maxFrame {
 		return fmt.Errorf("distrib: frame of %d bytes exceeds limit", len(b)-5)
 	}
@@ -300,10 +346,12 @@ func (fw *frameWriter) counts() (frames, bytes uint64) {
 // never an unbounded wait.
 type FrameError struct {
 	// Op is the stage that rejected the frame: "header" (short read in
-	// the 5-byte header), "length" (claimed length exceeds maxFrame),
-	// "payload" (stream ended inside the payload), "decode" (gob
-	// rejected the payload), "kind" (no such frame kind), or
-	// "handshake" (the peer is not a compatible distrib binary).
+	// the 5-byte header), "length" (claimed length is not its kind's
+	// fixed size, or exceeds maxFrame), "payload" (stream ended inside
+	// the payload), "decode" (the payload is not exactly one encoding
+	// of its kind, or names an unknown tag or an invalid scenario),
+	// "kind" (no such frame kind, or not the one the reader expects),
+	// or "handshake" (the peer is not a compatible distrib binary).
 	Op string
 	// Kind is the frame-kind byte as read (zero for header failures).
 	Kind msgKind
@@ -330,11 +378,13 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // before the stream runs dry.
 const readChunk = 1 << 20
 
-// readFrame reads one frame. io.EOF (clean close between frames) passes
-// through unwrapped; every other failure is a *FrameError. The payload
-// is read incrementally, so a corrupted length prefix never provokes an
-// allocation larger than the bytes actually present (plus one chunk).
-func readFrame(r io.Reader) (msgKind, []byte, error) {
+// readFrame reads one frame, of kind only unless only is 0. io.EOF
+// (clean close between frames) passes through unwrapped; every other
+// failure is a *FrameError. A kind other than only, or a length other
+// than the kind's fixed size, fails before the payload is read. The
+// payload is read a chunk at a time, so a corrupted length prefix costs
+// at most twice the bytes actually present, plus one chunk.
+func readFrame(r io.Reader, only msgKind) (msgKind, []byte, error) {
 	if _, err := failpoint.Inject("distrib/frame-read"); err != nil {
 		return 0, nil, &FrameError{Op: "header", Err: err}
 	}
@@ -347,24 +397,17 @@ func readFrame(r io.Reader) (msgKind, []byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	kind := msgKind(hdr[4])
-	if n > maxFrame {
+	if only != 0 && kind != only {
+		return 0, nil, &FrameError{Op: "kind", Kind: kind, Len: n, Err: fmt.Errorf("expected frame kind %d", only)}
+	}
+	if int(kind) < len(fixedSize) && fixedSize[kind] != 0 && n != fixedSize[kind] || n > maxFrame {
 		return 0, nil, &FrameError{Op: "length", Kind: kind, Len: n}
 	}
-	capHint := int(n)
-	if capHint > readChunk {
-		capHint = readChunk
-	}
-	p := make([]byte, 0, capHint)
+	var p []byte
 	for len(p) < int(n) {
-		step := int(n) - len(p)
-		if step > readChunk {
-			step = readChunk
-		}
-		start := len(p)
-		if cap(p)-start < step {
-			grown := make([]byte, start, start+step)
-			copy(grown, p)
-			p = grown
+		start, step := len(p), min(int(n)-len(p), readChunk)
+		if cap(p) < start+step { // grow by doubling, as append does
+			p = append(make([]byte, 0, max(2*cap(p), start+step)), p...)
 		}
 		p = p[:start+step]
 		if _, err := io.ReadFull(r, p[start:]); err != nil {
@@ -374,151 +417,17 @@ func readFrame(r io.Reader) (msgKind, []byte, error) {
 	return kind, p, nil
 }
 
-// decodeMsg unpacks a frame payload; failures are structured
-// *FrameError values (Op "decode").
-func decodeMsg(kind msgKind, p []byte, into any) error {
-	if _, err := failpoint.Inject("distrib/decode"); err != nil {
-		return &FrameError{Op: "decode", Kind: kind, Len: uint32(len(p)), Err: err}
+// decodeMsg unpacks a frame payload, which must be exactly one encoding
+// of into; failures are structured *FrameError values (Op "decode").
+func decodeMsg(kind msgKind, p []byte, into message) error {
+	_, err := failpoint.Inject("distrib/decode")
+	if err == nil {
+		d := wire.NewDecoder(p)
+		into.decode(&d)
+		err = d.Finish()
 	}
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(into); err != nil {
+	if err != nil {
 		return &FrameError{Op: "decode", Kind: kind, Len: uint32(len(p)), Err: err}
 	}
 	return nil
-}
-
-// ErrNotWirable marks a configuration that cannot cross a process
-// boundary (an attached trace recorder, or a Shape/Demand implementation
-// this package does not know). ProcBackend falls back to in-process
-// execution for such configurations.
-var ErrNotWirable = errors.New("distrib: config cannot cross a process boundary")
-
-// WireConfig is system.Config flattened for the wire: the scenario
-// travels as its declarative Spec (recompiled worker-side), the trace
-// recorder cannot travel at all, and Seed is omitted because the shard's
-// Seeds list overrides it per replication.
-type WireConfig struct {
-	Nodes                int
-	MuSubtask, MuLocal   float64
-	M                    int
-	Load, FracLocal      float64
-	SlackMin, SlackMax   float64
-	RelFlex, PexRelErr   float64
-	Scheduler            string
-	TardyAbort           bool
-	FirmAbort            bool
-	Preemptive           bool
-	SSP, PSP             string
-	Shape                workload.Shape
-	LocalRateMultipliers []float64
-	Horizon, Warmup      float64
-	Scenario             *scenario.Spec
-	EventQueue           string
-}
-
-// shapeDemand extracts the demand of a known shape.
-func shapeDemand(s workload.Shape) (workload.Demand, bool) {
-	switch sh := s.(type) {
-	case workload.SerialShape:
-		return sh.Demand, true
-	case workload.ParallelShape:
-		return sh.Demand, true
-	case workload.MixedShape:
-		return sh.Demand, true
-	case workload.HeteroSerialShape:
-		return sh.Demand, true
-	default:
-		return nil, false
-	}
-}
-
-// wirableDemand reports whether d is a registered concrete demand.
-func wirableDemand(d workload.Demand) bool {
-	switch d.(type) {
-	case nil, workload.ExponentialDemand, workload.ParetoDemand,
-		workload.LognormalDemand, workload.DeterministicDemand:
-		return true
-	default:
-		return false
-	}
-}
-
-// ToWire flattens a configuration for the wire, or reports
-// ErrNotWirable for configurations that must stay in process.
-func ToWire(cfg system.Config) (WireConfig, error) {
-	if cfg.Trace != nil {
-		return WireConfig{}, fmt.Errorf("%w: a trace recorder is attached", ErrNotWirable)
-	}
-	if cfg.Shape != nil {
-		d, known := shapeDemand(cfg.Shape)
-		if !known {
-			return WireConfig{}, fmt.Errorf("%w: unknown shape %T", ErrNotWirable, cfg.Shape)
-		}
-		if !wirableDemand(d) {
-			return WireConfig{}, fmt.Errorf("%w: unknown demand %T", ErrNotWirable, d)
-		}
-	}
-	wc := WireConfig{
-		Nodes:                cfg.Nodes,
-		MuSubtask:            cfg.MuSubtask,
-		MuLocal:              cfg.MuLocal,
-		M:                    cfg.M,
-		Load:                 cfg.Load,
-		FracLocal:            cfg.FracLocal,
-		SlackMin:             cfg.SlackMin,
-		SlackMax:             cfg.SlackMax,
-		RelFlex:              cfg.RelFlex,
-		PexRelErr:            cfg.PexRelErr,
-		Scheduler:            string(cfg.Scheduler),
-		TardyAbort:           cfg.TardyAbort,
-		FirmAbort:            cfg.FirmAbort,
-		Preemptive:           cfg.Preemptive,
-		SSP:                  cfg.SSP,
-		PSP:                  cfg.PSP,
-		Shape:                cfg.Shape,
-		LocalRateMultipliers: cfg.LocalRateMultipliers,
-		Horizon:              cfg.Horizon,
-		Warmup:               cfg.Warmup,
-		EventQueue:           string(cfg.EventQueue),
-	}
-	if cfg.Scenario != nil {
-		sp := cfg.Scenario.Spec()
-		wc.Scenario = &sp
-	}
-	return wc, nil
-}
-
-// Config rebuilds the runnable configuration worker-side, recompiling
-// the scenario spec.
-func (wc WireConfig) Config() (system.Config, error) {
-	cfg := system.Config{
-		Nodes:                wc.Nodes,
-		MuSubtask:            wc.MuSubtask,
-		MuLocal:              wc.MuLocal,
-		M:                    wc.M,
-		Load:                 wc.Load,
-		FracLocal:            wc.FracLocal,
-		SlackMin:             wc.SlackMin,
-		SlackMax:             wc.SlackMax,
-		RelFlex:              wc.RelFlex,
-		PexRelErr:            wc.PexRelErr,
-		Scheduler:            sched.Policy(wc.Scheduler),
-		TardyAbort:           wc.TardyAbort,
-		FirmAbort:            wc.FirmAbort,
-		Preemptive:           wc.Preemptive,
-		SSP:                  wc.SSP,
-		PSP:                  wc.PSP,
-		Shape:                wc.Shape,
-		LocalRateMultipliers: wc.LocalRateMultipliers,
-		Horizon:              wc.Horizon,
-		Warmup:               wc.Warmup,
-		EventQueue:           sim.QueueKind(wc.EventQueue),
-	}
-	if wc.Scenario != nil {
-		sc, err := scenario.New(*wc.Scenario)
-		if err != nil {
-			return system.Config{}, err
-		}
-		cfg.Scenario = sc
-	}
-	return cfg, nil
 }

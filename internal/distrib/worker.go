@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 
@@ -43,7 +42,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 	)
 	defer wg.Wait()
 	for {
-		kind, payload, err := readFrame(br)
+		kind, payload, err := readFrame(br, 0)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil // coordinator closed the pipe
@@ -76,39 +75,31 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 					mu.Unlock()
 					cancel()
 				}()
-				runWorkerShard(ctx, pool, fw, m)
+				runWorkerShard(ctx, pool, fw, &m)
 			}()
-		case msgCancel:
-			var m cancelMsg
+		case msgCancel, msgPing:
+			var m idMsg
 			if err := decodeMsg(kind, payload, &m); err != nil {
 				return err
+			}
+			if kind == msgPing {
+				// Write errors mean the coordinator is gone; the main
+				// loop will see the broken pipe on its next read.
+				_ = fw.send(msgPong, &m)
+				continue
 			}
 			mu.Lock()
 			if cancel := cancels[m.ID]; cancel != nil {
 				cancel()
 			}
 			mu.Unlock()
-		case msgPing:
-			var m pingMsg
-			if err := decodeMsg(kind, payload, &m); err != nil {
-				return err
-			}
-			// Write errors mean the coordinator is gone; the main loop
-			// will see the broken pipe on its next read.
-			_ = fw.send(msgPong, pongMsg{Seq: m.Seq})
 		case msgHello:
 			// A coordinator may handshake over any transport (the TCP
 			// listener additionally requires it before shard traffic).
-			var m helloMsg
-			if err := decodeMsg(kind, payload, &m); err != nil {
-				return err
+			if err := checkHello(payload); err != nil {
+				return &FrameError{Op: "handshake", Kind: kind, Len: uint32(len(payload)), Err: err}
 			}
-			if m.Magic != ProtocolMagic || m.Version != ProtocolVersion {
-				return &FrameError{Op: "handshake", Kind: kind, Len: uint32(len(payload)),
-					Err: fmt.Errorf("peer magic %#08x version %d, this binary speaks %#08x version %d",
-						m.Magic, m.Version, ProtocolMagic, ProtocolVersion)}
-			}
-			_ = fw.send(msgHello, helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion})
+			_ = fw.send(msgHello, &ourHello)
 		default:
 			return &FrameError{Op: "kind", Kind: kind, Len: uint32(len(payload))}
 		}
@@ -119,31 +110,25 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 // per-replication results and closing with a coded done frame. Write
 // errors are ignored: they mean the coordinator is gone, and the main
 // loop will see the broken pipe on its next frame.
-func runWorkerShard(ctx context.Context, pool *session.Pool, fw *frameWriter, m shardMsg) {
-	cfg, err := m.Config.Config()
-	if err != nil {
-		_ = fw.send(msgDone, doneMsg{ID: m.ID, Code: CodeError, Error: err.Error()})
-		return
-	}
+func runWorkerShard(ctx context.Context, pool *session.Pool, fw *frameWriter, m *shardMsg) {
 	shard := session.Shard{
-		Config:      cfg,
+		Config:      m.cfg,
 		Seeds:       m.Seeds,
 		Parallelism: m.Parallelism,
 		OnResult: func(i int, met *system.Metrics) {
-			_ = fw.send(msgResult, resultMsg{ID: m.ID, Index: i, Metrics: met})
+			_ = fw.send(msgResult, &resultMsg{ID: m.ID, Index: i, Metrics: met})
 		},
 	}
 	res, err := pool.Run(ctx, shard)
 	// Every done frame carries the worker's cumulative pool gauges; the
 	// coordinator keeps the latest, so fleet stats stay current without
 	// extra protocol round-trips.
-	ps := pool.PoolStats()
+	done := doneMsg{ID: m.ID, Completed: res.Completed, Code: CodeOK, Pool: pool.PoolStats()}
 	switch {
-	case err == nil:
-		_ = fw.send(msgDone, doneMsg{ID: m.ID, Completed: res.Completed, Code: CodeOK, Pool: ps})
 	case isCancellation(err):
-		_ = fw.send(msgDone, doneMsg{ID: m.ID, Completed: res.Completed, Code: CodeCanceled, Error: err.Error(), Pool: ps})
-	default:
-		_ = fw.send(msgDone, doneMsg{ID: m.ID, Code: CodeError, Error: err.Error(), Pool: ps})
+		done.Code, done.Error = CodeCanceled, err.Error()
+	case err != nil:
+		done.Code, done.Completed, done.Error = CodeError, 0, err.Error()
 	}
+	_ = fw.send(msgDone, &done)
 }

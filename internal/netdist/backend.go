@@ -21,9 +21,8 @@ type BackendOptions struct {
 	// DialTimeout bounds one dial attempt including the handshake;
 	// 0 means 5s.
 	DialTimeout time.Duration
-	// ChunkSize, Heartbeat, WorkerTimeout, and HedgeFactor pass through
-	// to the coordinator; see distrib.ProcOptions.
-	ChunkSize     int
+	// Heartbeat, WorkerTimeout, and HedgeFactor pass through to the
+	// coordinator; see distrib.ProcOptions.
 	Heartbeat     time.Duration
 	WorkerTimeout time.Duration
 	HedgeFactor   float64
@@ -73,7 +72,6 @@ func NewBackend(opts BackendOptions) (*NetBackend, error) {
 	}
 	nb.ProcBackend = distrib.NewProcBackend(distrib.ProcOptions{
 		Workers:        len(addrs),
-		ChunkSize:      opts.ChunkSize,
 		Heartbeat:      opts.Heartbeat,
 		WorkerTimeout:  opts.WorkerTimeout,
 		HedgeFactor:    opts.HedgeFactor,

@@ -221,7 +221,7 @@ func TestNetBackendReconnects(t *testing.T) {
 	// 3 frames = hello reply + two more, so the line drops early in the
 	// first shard.
 	proxy := startKillingProxy(t, srv.Addr(), 3)
-	nb, err := NewBackend(BackendOptions{Addrs: []string{proxy.addr()}, ChunkSize: 1})
+	nb, err := NewBackend(BackendOptions{Addrs: []string{proxy.addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}

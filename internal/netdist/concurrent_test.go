@@ -108,7 +108,7 @@ func TestNetBackendConcurrentRunsSurviveKill(t *testing.T) {
 	// The hello reply plus three frames, so the line drops while both
 	// runs have chunks outstanding.
 	proxy := startKillingProxy(t, srv.Addr(), 4)
-	nb, err := NewBackend(BackendOptions{Addrs: []string{proxy.addr()}, ChunkSize: 1, HedgeFactor: -1})
+	nb, err := NewBackend(BackendOptions{Addrs: []string{proxy.addr()}, HedgeFactor: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,13 @@ import (
 	"slices"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // Binary round-trip support: a replication's Series crosses the process
 // boundary of the multi-process backend, and sits in the result cache,
-// inside the system.Metrics codec, which appends this encoding.
+// inside the system.Metrics codec, which appends this encoding and
+// decodes it with UnmarshalBinary.
 // Geometry floats travel as raw IEEE-754 bits and every window's
 // accumulators reuse the exact stats encodings, so a decoded series
 // merges and renders CSV byte-identically to the encoded one.
@@ -38,44 +40,23 @@ func (s Series) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s Series) MarshalBinary() ([]byte, error) {
-	return s.AppendBinary(make([]byte, 0, 3*8+len(s.windows)*windowWireSize))
-}
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, reversing
-// MarshalBinary bit for bit.
+// AppendBinary bit for bit. On error s is left unchanged.
 func (s *Series) UnmarshalBinary(b []byte) error {
-	if len(b) < 3*8 {
-		return fmt.Errorf("scenario: series wire length %d, want >= %d", len(b), 3*8)
+	const r, w = stats.RatioWireSize, stats.WelfordWireSize
+	d := wire.NewDecoder(b)
+	interval, horizon := d.Float(), d.Float()
+	windows := make([]Window, d.Count(windowWireSize))
+	for i := range windows {
+		p, win := d.Next(windowWireSize), &windows[i]
+		d.Fail(win.LocalMiss.UnmarshalBinary(p[:r]))
+		d.Fail(win.GlobalMiss.UnmarshalBinary(p[r : 2*r]))
+		d.Fail(win.Lateness.UnmarshalBinary(p[2*r : 2*r+w]))
+		d.Fail(win.QueueLen.UnmarshalBinary(p[2*r+w:]))
 	}
-	s.interval = math.Float64frombits(binary.BigEndian.Uint64(b[0:]))
-	s.horizon = math.Float64frombits(binary.BigEndian.Uint64(b[8:]))
-	n := binary.BigEndian.Uint64(b[16:])
-	if want := 3*8 + int(n)*windowWireSize; n > uint64(len(b)) || len(b) != want {
-		return fmt.Errorf("scenario: series wire length %d, want %d for %d windows", len(b), want, n)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("scenario: decode series: %w", err)
 	}
-	s.windows = make([]Window, n)
-	off := 3 * 8
-	take := func(size int) []byte {
-		p := b[off : off+size]
-		off += size
-		return p
-	}
-	for i := range s.windows {
-		w := &s.windows[i]
-		if err := w.LocalMiss.UnmarshalBinary(take(stats.RatioWireSize)); err != nil {
-			return err
-		}
-		if err := w.GlobalMiss.UnmarshalBinary(take(stats.RatioWireSize)); err != nil {
-			return err
-		}
-		if err := w.Lateness.UnmarshalBinary(take(stats.WelfordWireSize)); err != nil {
-			return err
-		}
-		if err := w.QueueLen.UnmarshalBinary(take(stats.WelfordWireSize)); err != nil {
-			return err
-		}
-	}
+	s.interval, s.horizon, s.windows = interval, horizon, windows
 	return nil
 }

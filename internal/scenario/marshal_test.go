@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 )
@@ -20,7 +19,7 @@ func TestSeriesBinaryRoundTrip(t *testing.T) {
 	s.ObserveQueueLen(5, 3)
 	s.ObserveQueueLen(324.9, 7)
 
-	b, err := s.MarshalBinary()
+	b, err := s.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,25 +46,5 @@ func TestSeriesBinaryRoundTrip(t *testing.T) {
 
 	if err := got.UnmarshalBinary(b[:len(b)-1]); err == nil {
 		t.Fatal("truncated series wire accepted")
-	}
-}
-
-// TestSeriesGobRoundTrip proves gob routes *Series through the binary
-// encoding — the form it takes inside system.Metrics on the wire.
-func TestSeriesGobRoundTrip(t *testing.T) {
-	type payload struct{ S *Series }
-	p := payload{S: NewSeries(10, 100)}
-	p.S.ObserveGlobal(55, true, 2.5)
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		t.Fatal(err)
-	}
-	var got payload
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.S, p.S) {
-		t.Fatalf("gob round trip diverged: %+v -> %+v", p.S, got.S)
 	}
 }

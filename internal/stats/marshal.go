@@ -8,14 +8,15 @@ import (
 
 // Binary round-trip support: Welford and Ratio accumulators cross the
 // process boundary of the multi-process backend, and sit in the result
-// cache, inside the system.Metrics codec, which appends these
-// encodings. Floats travel as raw IEEE-754 bits (math.Float64bits),
-// never decimal text, so a decoded accumulator is bit-identical to the
-// encoded one and downstream merges reproduce the in-process results
-// exactly — including negative zeros, subnormals, and NaN payloads.
+// cache, inside the system.Metrics codec, which appends these encodings
+// and decodes them with UnmarshalBinary. Floats travel as raw IEEE-754
+// bits (math.Float64bits), never decimal text, so a decoded accumulator
+// is bit-identical to the encoded one and downstream merges reproduce
+// the in-process results exactly — including negative zeros,
+// subnormals, and NaN payloads.
 
 // WelfordWireSize and RatioWireSize are the fixed lengths of the
-// respective MarshalBinary encodings, for callers that pack several
+// respective AppendBinary encodings, for callers that pack several
 // accumulators into one frame.
 const (
 	WelfordWireSize = 5 * 8
@@ -32,13 +33,8 @@ func (w Welford) AppendBinary(b []byte) ([]byte, error) {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(w.max)), nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (w Welford) MarshalBinary() ([]byte, error) {
-	return w.AppendBinary(make([]byte, 0, WelfordWireSize))
-}
-
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, reversing
-// MarshalBinary bit for bit.
+// AppendBinary bit for bit.
 func (w *Welford) UnmarshalBinary(b []byte) error {
 	if len(b) != WelfordWireSize {
 		return fmt.Errorf("stats: welford wire length %d, want %d", len(b), WelfordWireSize)
@@ -57,9 +53,6 @@ func (c Ratio) AppendBinary(b []byte) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, uint64(c.hits))
 	return binary.BigEndian.AppendUint64(b, uint64(c.total)), nil
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c Ratio) MarshalBinary() ([]byte, error) { return c.AppendBinary(make([]byte, 0, RatioWireSize)) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *Ratio) UnmarshalBinary(b []byte) error {

