@@ -1,5 +1,5 @@
 // Command sdaserve is the long-running simulation query service: it
-// accepts JSON job specs over HTTP, keeps warm sessions keyed by
+// accepts JSON job specs over HTTP, keeps run counters per
 // configuration fingerprint, serves repeated (config, seed) work from a
 // deterministic in-memory shard-result cache, and streams
 // per-replication results to each client in seed order.
@@ -65,7 +65,7 @@ func run(ctx context.Context, args []string, errOut io.Writer, onReady func(addr
 	common := cliflags.Register(fs)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:9433", "HTTP listen address for the query service")
-		maxSessions = fs.Int("max-sessions", 0, "bound on warm sessions kept across distinct configurations (0 = default 32)")
+		maxSessions = fs.Int("max-sessions", 0, "bound on per-configuration sessions (run counters) kept (0 = default 32)")
 		noCache     = fs.Bool("no-cache", false, "disable the shard-result cache (every request simulates)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,8 +305,8 @@ func TestWedgedExecutionCancel(t *testing.T) {
 
 // TestRespawnBudgetFallback arms unconditional worker kills: every
 // spawned worker (replacements included) dies on its first frame, so
-// the circuit breaker must trip and the run must degrade gracefully to
-// the in-process pool — visible in DistribStats — with results still
+// the respawn budget must run out and the run must degrade gracefully
+// to the in-process pool — visible in DistribStats — with results still
 // bit-identical.
 func TestRespawnBudgetFallback(t *testing.T) {
 	if testing.Short() {
@@ -331,6 +333,163 @@ func TestRespawnBudgetFallback(t *testing.T) {
 	}
 	if ds.Fallbacks == 0 {
 		t.Error("budget exhaustion did not record an in-process fallback")
+	}
+}
+
+// poolRef runs seeds on an in-process pool: the shard result every
+// backend path must reproduce exactly.
+func poolRef(t *testing.T, cfg system.Config, seeds []uint64) session.ShardResult {
+	t.Helper()
+	pool := session.NewPool()
+	defer pool.Close()
+	want, err := pool.Run(context.Background(), session.Shard{Config: cfg, Seeds: seeds, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// requireShardIdentical asserts got reproduces want bit-for-bit, complete.
+func requireShardIdentical(t *testing.T, got, want session.ShardResult) {
+	t.Helper()
+	if got.Completed != len(want.Metrics) {
+		t.Fatalf("completed %d of %d", got.Completed, len(want.Metrics))
+	}
+	for i := range want.Metrics {
+		if !sameBits(t, got.Metrics[i], want.Metrics[i]) {
+			t.Fatalf("rep %d diverged:\n got %s\nwant %s", i, metricsSig(got.Metrics[i]), metricsSig(want.Metrics[i]))
+		}
+	}
+}
+
+// TestSlowConsumerKeepsWorkers stalls the run loop in OnResult for
+// several chunk deadlines while both workers finish their chunks. The
+// done frames that arrived meanwhile must count, not the coordinator's
+// late clock: no healthy worker may be reaped.
+func TestSlowConsumerKeepsWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	cfg := shortCfg(1200)
+	seeds := []uint64{1, 2, 3, 4, 5, 6}
+	want := poolRef(t, cfg, seeds)
+	b := testBackend(t, ProcOptions{Workers: 2, Heartbeat: 50 * time.Millisecond, WorkerTimeout: 200 * time.Millisecond}, 1)
+	var calls atomic.Int32 // a fallback would call OnResult from pool goroutines
+	got, err := b.Run(context.Background(), session.Shard{Config: cfg, Seeds: seeds, Parallelism: 1,
+		OnResult: func(int, *system.Metrics) {
+			if calls.Add(1) == 2 {
+				time.Sleep(1500 * time.Millisecond)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireShardIdentical(t, got, want)
+	if ds := b.DistribStats(); ds.Deaths != 0 {
+		t.Fatalf("a slow consumer got %d healthy workers reaped (respawns=%d retries=%d)", ds.Deaths, ds.Respawns, ds.Retries)
+	}
+}
+
+// cancelingWorker is an in-memory fake worker that answers every shard
+// frame with a CodeCanceled done frame nobody asked for, and every ping
+// with a pong.
+func cancelingWorker(conn net.Conn) {
+	defer conn.Close()
+	fw := newFrameWriter(conn)
+	for {
+		kind, payload, err := readFrame(conn, 0)
+		if err != nil {
+			return
+		}
+		var m idMsg
+		switch kind {
+		case msgShard:
+			var sm shardMsg
+			if decodeMsg(kind, payload, &sm) != nil {
+				return
+			}
+			err = fw.send(msgDone, &doneMsg{ID: sm.ID, Code: CodeCanceled, Error: "unasked"})
+		case msgPing:
+			if decodeMsg(kind, payload, &m) != nil {
+				return
+			}
+			err = fw.send(msgPong, &m)
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// pipeConn adapts one end of an in-memory pipe to the WorkerConn seam.
+type pipeConn struct{ net.Conn }
+
+func (c pipeConn) Kill() { _ = c.Conn.Close() }
+func (c pipeConn) Wait() {}
+
+// TestUnaskedCancelReapsWorker pins termination without a circuit
+// breaker: a fleet whose every worker cancels every chunk unasked must
+// not retry forever. Each unasked cancel is a protocol violation that
+// reaps its worker, so the respawn budget runs out and the run degrades
+// to the in-process pool with the pool's results.
+func TestUnaskedCancelReapsWorker(t *testing.T) {
+	cfg := shortCfg(800)
+	seeds := []uint64{1, 2, 3, 4, 5, 6}
+	want := poolRef(t, cfg, seeds)
+	const workers = 2
+	b := NewProcBackend(ProcOptions{Workers: workers, Dial: func() (WorkerConn, error) {
+		coord, worker := net.Pipe()
+		go cancelingWorker(worker)
+		return pipeConn{coord}, nil
+	}})
+	b.chunk = 2
+	defer b.Close()
+	var got session.ShardResult
+	var err error
+	within(t, 10*time.Second, func() {
+		got, err = b.Run(context.Background(), session.Shard{Config: cfg, Seeds: seeds, Parallelism: 1})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireShardIdentical(t, got, want)
+	ds := b.DistribStats()
+	if ds.Deaths == 0 || ds.Deaths > workers+respawnBudget {
+		t.Fatalf("deaths = %d, want 1..%d", ds.Deaths, workers+respawnBudget)
+	}
+	if ds.Fallbacks == 0 {
+		t.Fatal("the run never fell back to the in-process pool")
+	}
+}
+
+// TestStalledWriteStillBounded connects to a worker that never reads,
+// so the coordinator's first shard frame stalls in Write. The run loop
+// never writes and stats never wait on a write, so cancellation still
+// bounds Run: the unacknowledged cancel reaps the worker, which
+// unblocks the stalled write.
+func TestStalledWriteStillBounded(t *testing.T) {
+	b := NewProcBackend(ProcOptions{
+		Workers:       1,
+		Heartbeat:     50 * time.Millisecond,
+		WorkerTimeout: 200 * time.Millisecond,
+		Dial: func() (WorkerConn, error) {
+			coord, _ := net.Pipe() // nothing ever reads the worker's end
+			return pipeConn{coord}, nil
+		},
+	})
+	defer b.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	var err error
+	within(t, 100*time.Millisecond+2*b.opts.WorkerTimeout+2*time.Second, func() {
+		_, err = b.Run(ctx, session.Shard{Config: shortCfg(800), Seeds: []uint64{1, 2}, Parallelism: 1})
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ds := b.DistribStats(); ds.Deaths != 1 {
+		t.Fatalf("deaths = %d, want the stalled worker reaped once", ds.Deaths)
 	}
 }
 

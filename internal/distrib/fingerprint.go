@@ -54,8 +54,8 @@ func ToWire(cfg system.Config) ([]byte, error) {
 }
 
 // ConfigFingerprint returns a stable content hash identifying every
-// result-relevant knob of cfg — the identity under which warm sessions
-// and cached shard results are keyed. Two configurations that are
+// result-relevant knob of cfg — the identity under which the service's
+// sessions and cached shard results are keyed. Two configurations that are
 // semantically identical (including ones differing only in Seed or in
 // an attached progress hook: seeds are the cache key's other dimension)
 // hash identically; changing any knob yields a different fingerprint.

@@ -72,15 +72,13 @@ type ProcOptions struct {
 	// instead of exec'ing Command. Command, Env, and Stderr are ignored.
 	// This is the seam internal/netdist uses to run the coordinator's
 	// full supervision machinery — heartbeats, retries, hedging,
-	// respawn budget — over TCP connections to remote workers.
+	// respawn budget — over TCP connections to remote workers. A dialing
+	// fleet also degrades at the start of a Run: when not a single worker
+	// can be dialed, the shard executes on the embedded in-process pool
+	// (recorded in DistribStats.Fallbacks). Unreachable remote workers
+	// are an expected operational state; an unspawnable local process is
+	// a misconfiguration, so a spawned fleet fails the Run instead.
 	Dial func() (WorkerConn, error)
-	// DegradeToLocal extends graceful degradation to the initial fleet:
-	// when not a single worker can be established at the start of a Run,
-	// the shard executes on the embedded in-process pool (recorded in
-	// DistribStats.Fallbacks) instead of failing the Run. Remote workers
-	// being unreachable is an expected operational state; an unspawnable
-	// local process is a misconfiguration, so the default stays strict.
-	DegradeToLocal bool
 	// Stderr receives worker stderr; nil inherits this process's.
 	Stderr io.Writer
 
@@ -103,51 +101,11 @@ type ProcOptions struct {
 	HedgeFactor float64
 }
 
-// workers resolves the worker-count default.
-func (o ProcOptions) workers() int {
-	if o.Workers <= 0 {
-		return 2
-	}
-	return o.Workers
-}
-
-// heartbeat resolves the liveness-probe interval.
-func (o ProcOptions) heartbeat() time.Duration {
-	if o.Heartbeat <= 0 {
-		return time.Second
-	}
-	return o.Heartbeat
-}
-
-// workerTimeout resolves the liveness deadline.
-func (o ProcOptions) workerTimeout() time.Duration {
-	d := o.WorkerTimeout
-	if d <= 0 {
-		d = 10 * time.Second
-	}
-	if min := 2 * o.heartbeat(); d < min {
-		d = min
-	}
-	return d
-}
-
-// hedgeFactor resolves the straggler threshold multiplier; <= 0 means
-// hedging is disabled (0 itself selects the default).
-func (o ProcOptions) hedgeFactor() float64 {
-	if o.HedgeFactor == 0 {
-		return 4
-	}
-	if o.HedgeFactor < 0 {
-		return 0
-	}
-	return o.HedgeFactor
-}
-
-// Recovery bounds per Run: at most respawnBudget mid-run worker
-// respawns, and after respawnBudget consecutive chunk failures the
-// circuit breaker trips and the run's remaining seeds fall back to the
-// in-process pool. A failed chunk (and a respawn) waits retryBackoff
-// before its next attempt.
+// respawnBudget bounds the mid-run worker respawns of one Run. Every
+// failed dispatch reaps its worker, so a fleet that keeps failing runs
+// out of workers once the budget is spent, and the run's remaining
+// seeds fall back to the in-process pool. A failed chunk (and a
+// respawn) waits retryBackoff before its next attempt.
 const respawnBudget = 4
 
 // retryBackoff is the capped exponential delay after the given number
@@ -165,65 +123,42 @@ func retryBackoff(attempts int) time.Duration {
 // closed backend retries nothing and falls back to nothing.
 var errBackendClosed = errors.New("distrib: backend closed")
 
-// reply is one routed worker frame: a replication's result, or (done
-// set) the dispatch's closing outcome.
-type reply struct {
-	index   int
-	metrics *system.Metrics
-	done    *doneMsg
-}
-
-// flight is one dispatch awaiting its worker's frames. Its buffer holds
-// a whole chunk's results plus the done frame, so the reader never
-// blocks on a slow dispatch; a worker that overflows it broke protocol.
-// A requeued chunk's done frame counts as a steal.
-type flight struct {
-	size     int
-	requeued bool
-	replies  chan reply
-}
-
-// procConn adapts a spawned worker process to the WorkerConn seam:
-// writes go to its stdin, reads come from its stdout, Kill signals the
-// process, and Wait reaps it.
+// procConn adapts a started worker process to the WorkerConn seam:
+// writes and Close go to its stdin, reads come from its stdout, Kill
+// signals the process, and Wait reaps it.
 type procConn struct {
-	cmd *exec.Cmd
-	in  io.WriteCloser
-	out io.ReadCloser
+	io.WriteCloser // stdin
+	io.Reader      // stdout
+	cmd            *exec.Cmd
 }
 
-func (c *procConn) Read(p []byte) (int, error)  { return c.out.Read(p) }
-func (c *procConn) Write(p []byte) (int, error) { return c.in.Write(p) }
-func (c *procConn) Close() error                { return c.in.Close() }
-
-func (c *procConn) Kill() {
-	if c.cmd.Process != nil {
-		_ = c.cmd.Process.Kill()
-	}
-}
-
+func (c *procConn) Kill() { _ = c.cmd.Process.Kill() }
 func (c *procConn) Wait() { _ = c.cmd.Wait() }
 
 // procWorker is one attached worker endpoint (a spawned process or a
-// dialed connection), shared by every run in flight.
+// dialed connection), shared by every run in flight. It has two
+// goroutines: readLoop posts its frames into the runs they belong to,
+// and writeLoop writes its outbox in order and probes its liveness.
 type procWorker struct {
 	conn WorkerConn
 	fw   *frameWriter
 	br   *bufio.Reader
 	slot int // fleet slot the worker fills
 
-	// gone closes once the worker fails — a read error, a protocol
-	// violation, a missed liveness deadline, a reap, or Close — and
-	// wakes every dispatch still waiting on it; err (set first) says why.
-	gone chan struct{}
+	// wake (capacity 1) tells the writer that its outbox has frames or
+	// that the worker failed.
+	wake chan struct{}
 
 	// Everything below is guarded by the backend's mu (cold path: once
-	// per frame at most, never per event): failure state, the
-	// dispatches awaiting frames by dispatch id, liveness, and the
-	// coordinator-side stats.
+	// per frame at most, never per event): failure state (a read error,
+	// a protocol violation, a missed deadline, a reap, or Close; err
+	// says why), the dispatches awaiting frames by dispatch id, the
+	// frames queued for the writer, liveness, and the coordinator-side
+	// stats.
 	dead    bool
 	err     error
-	flights map[uint64]*flight
+	flights map[uint64]*dispatch
+	outbox  []outFrame
 	last    time.Time // last frame, or the start of the first dispatch on an idle worker
 	pinged  bool      // a liveness ping is unanswered
 
@@ -235,6 +170,12 @@ type procWorker struct {
 	pool       obs.PoolStats // latest pool gauges from a done frame
 }
 
+// outFrame is one frame queued for a worker's writer.
+type outFrame struct {
+	kind msgKind
+	msg  message
+}
+
 // ProcBackend implements session.Backend across worker processes: it
 // splits a shard's seed range into contiguous chunks, work-steals the
 // chunks across N persistent workers (each a ServeWorker process with
@@ -242,17 +183,19 @@ type procWorker struct {
 // its output is byte-identical to the in-process pool at any worker
 // count.
 //
-// Supervision has two levels. The fleet is shared by concurrent runs:
-// one reader per worker routes result and done frames to their dispatch
-// by id, heartbeats catch a worker that goes silent past the liveness
-// deadline, a failed worker fails every dispatch on it whichever run it
-// belongs to, runs that see one death share one replacement, and the
-// fleet never exceeds Workers. Each Run is one supervisor loop over its
-// own chunks (see Run): at most one chunk in flight per worker, so a
-// shard's Parallelism is honoured, with its own execution deadlines,
-// retries, hedges, respawn budget, and fallback to an embedded
-// in-process pool. Every recovery path preserves bit-identical merged
-// output, because replications are pure functions of (config, seed).
+// Supervision has two levels. The fleet is shared by concurrent runs.
+// A worker has two goroutines and a dispatch none: the reader posts the
+// worker's frames straight into their runs, and the writer sends its
+// frames in order and pings it past a heartbeat of silence. A failed
+// worker ends every dispatch on it whichever run it belongs to, runs
+// that see one death share one replacement, and the fleet never
+// exceeds Workers. Each Run is one supervisor loop over its own chunks
+// (see Run): at most one chunk in flight per worker, so a shard's
+// Parallelism is honoured, with its own execution deadlines, retries,
+// hedges, and respawn budget, and a fallback to an embedded in-process
+// pool once that budget is spent. Every recovery path preserves
+// bit-identical merged output, because replications are pure functions
+// of (config, seed).
 //
 // Configurations that cannot cross a process boundary (ErrNotWirable:
 // an attached trace recorder, a Shape or Demand without a wire tag)
@@ -285,10 +228,23 @@ type ProcBackend struct {
 	retired          []obs.WorkerStats
 }
 
-// NewProcBackend returns a backend; worker processes spawn lazily on
-// the first Run that needs them.
+// NewProcBackend returns a backend with opts' defaults resolved; worker
+// processes spawn lazily on the first Run that needs them.
 func NewProcBackend(opts ProcOptions) *ProcBackend {
-	return &ProcBackend{opts: opts, workers: make([]*procWorker, opts.workers())}
+	if opts.Workers <= 0 {
+		opts.Workers = 2
+	}
+	if opts.Heartbeat <= 0 {
+		opts.Heartbeat = time.Second
+	}
+	if opts.WorkerTimeout <= 0 {
+		opts.WorkerTimeout = 10 * time.Second
+	}
+	opts.WorkerTimeout = max(opts.WorkerTimeout, 2*opts.Heartbeat)
+	if opts.HedgeFactor == 0 {
+		opts.HedgeFactor = 4
+	}
+	return &ProcBackend{opts: opts, workers: make([]*procWorker, opts.Workers)}
 }
 
 // Close shuts the workers down (closing stdin lets them exit cleanly;
@@ -307,8 +263,7 @@ func (b *ProcBackend) Close() error {
 	var workers []*procWorker
 	for _, w := range b.workers {
 		if w != nil && !w.dead {
-			w.dead, w.err = true, errBackendClosed
-			close(w.gone)
+			b.failLocked(w, errBackendClosed)
 			workers = append(workers, w)
 		}
 	}
@@ -351,8 +306,8 @@ func (b *ProcBackend) spawn() (*procWorker, error) {
 		conn:    conn,
 		fw:      newFrameWriter(conn),
 		br:      bufio.NewReaderSize(conn, 1<<16),
-		gone:    make(chan struct{}),
-		flights: map[uint64]*flight{},
+		wake:    make(chan struct{}, 1),
+		flights: map[uint64]*dispatch{},
 	}, nil
 }
 
@@ -386,7 +341,7 @@ func spawnProc(opts ProcOptions) (*procConn, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("distrib: start worker %q: %w", argv[0], err)
 	}
-	return &procConn{cmd: cmd, in: stdin, out: stdout}, nil
+	return &procConn{WriteCloser: stdin, Reader: stdout, cmd: cmd}, nil
 }
 
 // fill returns the live worker in fleet slot i. An empty slot, or one
@@ -428,7 +383,7 @@ func (b *ProcBackend) fill(i int, spawn bool) (*procWorker, error) {
 	b.workers[i] = w
 	b.mu.Unlock()
 	go b.readLoop(w)
-	go b.watch(w)
+	go b.writeLoop(w)
 	return w, nil
 }
 
@@ -440,7 +395,7 @@ func (b *ProcBackend) attach() ([]*procWorker, error) {
 	defer b.spawnMu.Unlock()
 	var live []*procWorker
 	var spawnErr error
-	for i := 0; i < b.opts.workers(); i++ {
+	for i := 0; i < b.opts.Workers; i++ {
 		w, err := b.fill(i, spawnErr == nil)
 		if errors.Is(err, errBackendClosed) {
 			return nil, err
@@ -458,26 +413,17 @@ func (b *ProcBackend) attach() ([]*procWorker, error) {
 	return live, nil
 }
 
-// replace returns the live successor of a failed worker in its slot,
-// spawning one unless a concurrent run already did.
-func (b *ProcBackend) replace(old *procWorker) (*procWorker, error) {
-	b.spawnMu.Lock()
-	defer b.spawnMu.Unlock()
-	return b.fill(old.slot, true)
-}
-
-// reap fails a worker: it records the cause, wakes every dispatch
-// waiting on it, archives its final stats as a death, and reclaims its
-// endpoint. The first cause wins; later calls (and calls after Close)
-// do nothing.
+// reap fails a worker: it records the cause, ends every dispatch still
+// registered on it, archives its final stats as a death, and reclaims
+// its endpoint. The first cause wins; later calls (and calls after
+// Close) do nothing.
 func (b *ProcBackend) reap(w *procWorker, cause error) {
 	b.mu.Lock()
 	if w.dead {
 		b.mu.Unlock()
 		return
 	}
-	w.dead, w.err = true, cause
-	close(w.gone)
+	b.failLocked(w, cause)
 	b.deaths++
 	b.retired = append(b.retired, b.workerStatsLocked(w))
 	b.mu.Unlock()
@@ -486,8 +432,20 @@ func (b *ProcBackend) reap(w *procWorker, cause error) {
 	go w.conn.Wait()
 }
 
-// readLoop routes the worker's frames to their dispatches until a read
-// error or a protocol violation fails the worker.
+// failLocked marks w failed, stops its writer, and posts the end of
+// every dispatch still registered on it into that dispatch's run; b.mu
+// is held. The post never blocks (see dispatch.run).
+func (b *ProcBackend) failLocked(w *procWorker, cause error) {
+	w.dead, w.err = true, cause
+	w.poke()
+	for id, d := range w.flights {
+		delete(w.flights, id)
+		d.run <- runEvent{d: d, err: cause}
+	}
+}
+
+// readLoop posts the worker's frames into their runs until a read error
+// or a protocol violation fails the worker.
 func (b *ProcBackend) readLoop(w *procWorker) {
 	for {
 		kind, payload, err := readFrame(w.br, 0)
@@ -506,14 +464,16 @@ func (b *ProcBackend) readLoop(w *procWorker) {
 }
 
 // route delivers one frame. Any frame proves the worker alive; results
-// and done frames go to the dispatch they name, and frames of finished
-// or abandoned dispatches (a cancelled hedge, a timed-out chunk) are
-// dropped. A malformed frame is an error: the stream can no longer be
+// and done frames are posted into the run of the dispatch they name,
+// and frames of finished or abandoned dispatches (a cancelled hedge, a
+// timed-out chunk) are dropped. A malformed frame, or a result beyond
+// its dispatch's seed count, is an error: the stream can no longer be
 // trusted.
 func (b *ProcBackend) route(w *procWorker, kind msgKind, payload []byte) error {
 	var (
-		id uint64
-		r  reply
+		id   uint64
+		ev   runEvent
+		done doneMsg
 	)
 	switch kind {
 	case msgPong:
@@ -522,13 +482,12 @@ func (b *ProcBackend) route(w *procWorker, kind msgKind, payload []byte) error {
 		if err := decodeMsg(kind, payload, &m); err != nil {
 			return err
 		}
-		id, r = m.ID, reply{index: m.Index, metrics: m.Metrics}
+		id, ev = m.ID, runEvent{index: m.Index, metrics: m.Metrics}
 	case msgDone:
-		var m doneMsg
-		if err := decodeMsg(kind, payload, &m); err != nil {
+		if err := decodeMsg(kind, payload, &done); err != nil {
 			return err
 		}
-		id, r = m.ID, reply{done: &m}
+		id, ev = done.ID, runEvent{err: done.Code.err(done.Error)}
 	default:
 		return fmt.Errorf("unexpected frame kind %d", kind)
 	}
@@ -537,64 +496,99 @@ func (b *ProcBackend) route(w *procWorker, kind msgKind, payload []byte) error {
 	w.framesRecv++
 	w.bytesRecv += uint64(len(payload)) + frameOverhead
 	w.last, w.pinged = time.Now(), false
-	fl := w.flights[id]
-	if kind == msgPong || fl == nil {
+	d := w.flights[id]
+	if kind == msgPong || d == nil {
 		return nil
 	}
-	if r.done != nil {
+	size := d.cs.c.end - d.cs.c.start
+	switch {
+	case kind == msgDone:
 		delete(w.flights, id)
 		w.subShards++
-		if fl.requeued {
+		if d.requeued {
 			w.steals++
 		}
-		w.pool = r.done.Pool // cumulative gauges; latest frame supersedes
-	} else if r.index < 0 || r.index >= fl.size {
-		return fmt.Errorf("malformed result frame (id %d, index %d)", id, r.index)
-	}
-	select {
-	case fl.replies <- r:
-		return nil
-	default:
+		w.pool = done.Pool // cumulative gauges; latest frame supersedes
+	case ev.index < 0 || ev.index >= size:
+		return fmt.Errorf("malformed result frame (id %d, index %d)", id, ev.index)
+	case d.results == size:
 		return fmt.Errorf("more results than seeds for dispatch %d", id)
+	default:
+		d.results++
+	}
+	ev.d = d
+	d.run <- ev
+	return nil
+}
+
+// queue hands a frame for d to its worker's writer, unless d has
+// already ended. It never waits on the wire.
+func (b *ProcBackend) queue(d *dispatch, kind msgKind, msg message) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if w := d.w; w.flights[d.id] == d {
+		w.outbox = append(w.outbox, outFrame{kind: kind, msg: msg})
+		w.poke()
 	}
 }
 
-// watch probes the worker's liveness while dispatches wait on it: after
-// a heartbeat of silence it pings, counts a ping still unanswered at
-// the next probe as missed, and fails the worker once it has been
-// silent past the liveness deadline.
-func (b *ProcBackend) watch(w *procWorker) {
-	hb, liveness := b.opts.heartbeat(), b.opts.workerTimeout()
+// poke wakes w's writer without waiting.
+func (w *procWorker) poke() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop is the worker's only writer: it sends queued frames in
+// order, so a cancel never overtakes its shard frame, and probes
+// liveness while dispatches wait on the worker. After a heartbeat of
+// silence it pings, counts a ping still unanswered at the next probe as
+// missed, and fails the worker once it has been silent past the
+// liveness deadline. A stalled write stalls the probe too; the run
+// loops' chunk deadlines and cancel-ack bounds still reap the worker.
+func (b *ProcBackend) writeLoop(w *procWorker) {
+	hb, liveness := b.opts.Heartbeat, b.opts.WorkerTimeout
 	t := time.NewTicker(hb)
 	defer t.Stop()
 	var seq uint64
 	for {
+		var batch []outFrame
 		select {
-		case <-w.gone:
-			return
-		case <-t.C:
-		}
-		b.mu.Lock()
-		silent := time.Since(w.last)
-		probe := len(w.flights) > 0 && silent >= hb
-		if probe {
-			if w.pinged {
-				b.heartbeatsMissed++
+		case <-w.wake:
+			b.mu.Lock()
+			dead := w.dead
+			batch, w.outbox = w.outbox, nil
+			b.mu.Unlock()
+			if dead {
+				return
 			}
-			w.pinged = true
+		case <-t.C:
+			b.mu.Lock()
+			silent := time.Since(w.last)
+			probe := len(w.flights) > 0 && silent >= hb
+			if probe {
+				if w.pinged {
+					b.heartbeatsMissed++
+				}
+				w.pinged = true
+			}
+			b.mu.Unlock()
+			switch {
+			case !probe:
+				continue
+			case silent > liveness:
+				b.reap(w, fmt.Errorf("worker %d silent for %v: %w", w.id, silent.Round(time.Millisecond), errWorkerHung))
+				return
+			}
+			seq++
+			batch = []outFrame{{kind: msgPing, msg: &idMsg{ID: seq}}}
 		}
-		b.mu.Unlock()
-		switch {
-		case !probe:
-			continue
-		case silent > liveness:
-			b.reap(w, fmt.Errorf("worker %d silent for %v: %w", w.id, silent.Round(time.Millisecond), errWorkerHung))
-			return
-		}
-		seq++
-		if err := w.fw.send(msgPing, &idMsg{ID: seq}); err != nil {
-			b.reap(w, fmt.Errorf("%w: ping: %v", errWorkerDead, err))
-			return
+		for _, f := range batch {
+			if err := w.fw.send(f.kind, f.msg); err != nil {
+				b.reap(w, fmt.Errorf("%w: send: %v", errWorkerDead, err))
+				return
+			}
 		}
 	}
 }
@@ -640,8 +634,9 @@ type chunkState struct {
 	startedAt time.Time // start of the primary dispatch (the straggler's age)
 }
 
-// dispatch is one chunk sent to one worker. Its goroutine (runChunk)
-// owns the wire; the run loop owns everything else.
+// dispatch is one chunk sent to one worker. The run loop owns it; the
+// worker's reader and whoever fails the worker only post its frames and
+// its end into run, under the backend's mu.
 type dispatch struct {
 	id       uint64
 	w        *procWorker
@@ -649,35 +644,26 @@ type dispatch struct {
 	hedge    bool
 	requeued bool // a retry or a hedge: the worker that completes it records a steal
 	start    time.Time
-	stop     chan struct{} // closed by the loop: forward a cancel frame
-	ackBy    time.Time     // once stopped, the worker is reaped unless it acks by then
-	reaped   bool          // the loop gave up on the worker
+	ackBy    time.Time // once stopped, the worker is reaped unless it acks by then
+
+	run     chan<- runEvent // the owning run's events, sized so a post never blocks (see Run)
+	results int             // result frames posted; guarded by the backend's mu
 }
 
-// runEvent is a dispatch goroutine's message to its run loop: one
-// replication's result or, with metrics nil, how the dispatch ended.
-// The loop keeps receiving until every dispatch has ended, so a send
-// never blocks for good.
+// runEvent is one message to a run loop: a replication's result (metrics
+// set), how a dispatch ended (d set, metrics nil), or a respawn report
+// (d nil: the slot's live worker, or the error that left it empty).
 type runEvent struct {
 	d       *dispatch
-	index   int // seed index within the shard
+	index   int // seed index within the dispatch's chunk
 	metrics *system.Metrics
 	err     error
-}
-
-// respawn replaces a failed worker: due once its backoff passes, then
-// reported by its goroutine with the slot's live worker, or an error.
-// Nothing waits for that goroutine: a spawn or dial bounds it, and its
-// report never blocks.
-type respawn struct {
-	old, w *procWorker
-	at     time.Time
-	err    error
+	w       *procWorker
 }
 
 // procRun is one Run's supervisor state, all of it owned by the loop in
-// the caller's goroutine. Dispatch and respawn goroutines only report
-// to the loop, over events and spawns.
+// the caller's goroutine. Readers, failing workers and respawns only
+// post to the loop, over events.
 type procRun struct {
 	b      *ProcBackend
 	shard  session.Shard
@@ -685,19 +671,15 @@ type procRun struct {
 	chunks []*chunkState
 	idle   []*procWorker // the run's workers with none of its chunks in flight
 	flying map[*dispatch]struct{}
-	due    []respawn // respawns waiting out their backoff
 	events chan runEvent
-	spawns chan respawn // buffered to respawnBudget: a report never blocks
 
-	spawning    int  // respawn goroutines not yet reported
-	done        int  // chunks done
-	consecFails int  // consecutive chunk failures (circuit breaker)
-	respawned   int  // mid-run respawns scheduled, out of respawnBudget
-	halted      bool // cancelled or failed: dispatch nothing more
-	degraded    bool // breaker tripped or no worker left: fall back
-	failErr     error
-	ewma        float64 // EWMA of completed-chunk latency, seconds
-	ewmaN       int
+	spawning  int  // respawns not yet reported
+	done      int  // chunks done
+	respawned int  // mid-run respawns scheduled, out of respawnBudget
+	halted    bool // cancelled or failed: dispatch nothing more
+	failErr   error
+	ewma      float64 // EWMA of completed-chunk latency, seconds
+	ewmaN     int
 
 	metrics           []*system.Metrics // nil until delivered
 	delivered, prefix int               // merge-buffer depth is delivered − prefix
@@ -713,64 +695,62 @@ type procRun struct {
 //
 // One loop in the caller's goroutine supervises the run: it hands
 // pending chunks to idle workers, one per worker; merges the results
-// its dispatch goroutines forward; retries failed chunks after a capped
+// the workers' readers post to it; retries failed chunks after a capped
 // exponential backoff on survivors or mid-run respawns; hedges
 // stragglers; and reaps the worker of a dispatch that overruns its
 // chunk deadline, or that leaves a cancel unacknowledged for twice
 // WorkerTimeout, so cancellation bounds Run even on a wedged worker.
-// One timer wakes the loop for the next such moment. If the recovery
-// budget runs out, the remaining seeds execute on the embedded
-// in-process pool. The only hard failures are a replication error
-// inside the simulation itself, an unspawnable initial fleet, and
-// Close.
+// One timer wakes the loop for the next such moment. Every failed
+// dispatch costs its worker, and mid-run respawns are capped at
+// respawnBudget, so a fleet that keeps failing runs out; the remaining
+// seeds then execute on the embedded in-process pool. The only hard
+// failures are a replication error inside the simulation itself, a
+// spawned fleet that cannot start a single worker, and Close.
 func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.ShardResult, error) {
 	if len(shard.Seeds) == 0 {
 		return session.ShardResult{Metrics: []*system.Metrics{}}, ctx.Err()
 	}
-	wc, err := ToWire(shard.Config)
-	if err != nil { // ErrNotWirable, the only error ToWire returns: run in process
-		pool, perr := b.localPool()
-		if perr != nil {
-			return session.ShardResult{}, perr
-		}
-		return pool.Run(ctx, shard)
-	}
-
-	workers, err := b.attach()
-	if err != nil {
-		if b.opts.DegradeToLocal {
-			if pool, perr := b.localPool(); perr == nil {
-				return pool.Run(ctx, shard)
-			}
-		}
-		return session.ShardResult{}, err
-	}
-
 	r := &procRun{
 		b:       b,
 		shard:   shard,
-		wc:      wc,
-		idle:    workers,
 		flying:  map[*dispatch]struct{}{},
-		events:  make(chan runEvent),
-		spawns:  make(chan respawn, respawnBudget),
 		metrics: make([]*system.Metrics, len(shard.Seeds)),
 		halted:  ctx.Err() != nil,
 	}
-	size := b.chunk
-	if size <= 0 {
-		size = max(1, len(shard.Seeds)/(4*len(workers))) // slack for work-stealing to balance
+	// A config that cannot cross a process boundary (ErrNotWirable, the
+	// only error ToWire returns) runs in process, and so does a shard on
+	// a dialing fleet that cannot reach a single worker.
+	wc, err := ToWire(shard.Config)
+	degraded := err != nil
+	if !degraded {
+		workers, err := b.attach()
+		switch {
+		case err == nil:
+			size := b.chunk
+			if size <= 0 {
+				size = max(1, len(shard.Seeds)/(4*len(workers))) // slack for work-stealing to balance
+			}
+			for _, c := range chunkSeeds(len(shard.Seeds), size) {
+				r.chunks = append(r.chunks, &chunkState{c: c})
+			}
+			// At most one dispatch per fleet slot is in flight, posting at
+			// most its seed count in results plus its end, and at most
+			// respawnBudget respawns report: readers never block on the
+			// loop, so pongs keep flowing while it is busy.
+			r.events = make(chan runEvent, b.opts.Workers*(size+1)+respawnBudget)
+			r.wc, r.idle = wc, workers
+			degraded = r.loop(ctx)
+		case b.opts.Dial != nil:
+			degraded = true
+		default:
+			return session.ShardResult{}, err
+		}
 	}
-	for _, c := range chunkSeeds(len(shard.Seeds), size) {
-		r.chunks = append(r.chunks, &chunkState{c: c})
-	}
-	r.loop(ctx)
 
-	// Graceful degradation: the circuit breaker tripped (or the fleet
-	// could not be kept alive), so every seed not yet delivered runs on
-	// the embedded in-process pool. Determinism makes the switch
-	// invisible in the results.
-	if r.degraded && r.failErr == nil && ctx.Err() == nil {
+	// Graceful degradation: every seed not yet delivered runs on the
+	// embedded in-process pool. Determinism makes the switch invisible
+	// in the results.
+	if degraded && r.failErr == nil && ctx.Err() == nil && r.delivered < len(r.metrics) {
 		var idxs []int
 		var seeds []uint64
 		for i, m := range r.metrics {
@@ -778,24 +758,22 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 				idxs, seeds = append(idxs, i), append(seeds, shard.Seeds[i])
 			}
 		}
-		if len(idxs) > 0 {
-			pool, perr := b.localPool()
-			if perr != nil {
-				return session.ShardResult{}, perr
-			}
-			var mu sync.Mutex // the pool reports from its worker goroutines
-			fb := session.Shard{Config: shard.Config, Seeds: seeds, Parallelism: shard.Parallelism,
-				OnResult: func(j int, m *system.Metrics) {
-					mu.Lock()
-					r.record(idxs[j], m)
-					mu.Unlock()
-					if shard.OnResult != nil {
-						shard.OnResult(idxs[j], m)
-					}
-				}}
-			if _, ferr := pool.Run(ctx, fb); !isCancellation(ferr) {
-				r.failErr = ferr
-			}
+		pool, perr := b.localPool()
+		if perr != nil {
+			return session.ShardResult{}, perr
+		}
+		var mu sync.Mutex // the pool reports from its worker goroutines
+		fb := session.Shard{Config: shard.Config, Seeds: seeds, Parallelism: shard.Parallelism,
+			OnResult: func(j int, m *system.Metrics) {
+				mu.Lock()
+				r.record(idxs[j], m)
+				mu.Unlock()
+				if shard.OnResult != nil {
+					shard.OnResult(idxs[j], m)
+				}
+			}}
+		if _, ferr := pool.Run(ctx, fb); !isCancellation(ferr) {
+			r.failErr = ferr
 		}
 	}
 
@@ -813,14 +791,23 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 }
 
 // loop supervises the run until no dispatch is outstanding and the run
-// is finished, halted, or degraded. Each pass dispatches what it can,
-// enforces deadlines and starts due respawns, then sleeps until an
-// event arrives or the earliest future moment the pass noted.
-func (r *procRun) loop(ctx context.Context) {
+// is finished or halted, and reports whether it ran out of workers
+// instead. Each pass first applies every event already waiting, so no
+// deadline is judged against a dispatch whose end has arrived, however
+// long OnResult took. It then dispatches what it can, enforces
+// deadlines, and sleeps until an event arrives or the earliest future
+// moment the pass noted.
+func (r *procRun) loop(ctx context.Context) (degraded bool) {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	cancel := ctx.Done()
 	for {
+		select {
+		case ev := <-r.events:
+			r.handle(ev)
+			continue
+		default:
+		}
 		now := time.Now()
 		var wakeAt time.Time
 		ahead := func(t time.Time) bool { // notes t as a wake-up unless it has passed
@@ -835,12 +822,11 @@ func (r *procRun) loop(ctx context.Context) {
 		r.assign(now, ahead)
 		r.expire(ahead)
 		if len(r.flying) == 0 {
-			if r.halted || r.degraded || r.done == len(r.chunks) {
-				return
+			if r.halted || r.done == len(r.chunks) {
+				return false
 			}
-			if len(r.idle) == 0 && r.spawning == 0 && len(r.due) == 0 {
-				r.degraded = true // no worker left and none coming
-				return
+			if len(r.idle) == 0 && r.spawning == 0 {
+				return true // no worker left and none coming
 			}
 		}
 		var wake <-chan time.Time
@@ -851,13 +837,6 @@ func (r *procRun) loop(ctx context.Context) {
 		select {
 		case ev := <-r.events:
 			r.handle(ev)
-		case sp := <-r.spawns:
-			r.spawning--
-			if sp.err != nil {
-				r.fail() // a failed respawn counts against the breaker
-			} else {
-				r.idle = append(r.idle, sp.w)
-			}
 		case <-cancel:
 			cancel = nil
 			r.halt()
@@ -875,7 +854,7 @@ func (r *procRun) chunkDeadline(cs *chunkState) time.Duration {
 	if r.ewmaN == 0 {
 		return 0
 	}
-	lim := max(time.Duration(8*r.ewma*float64(time.Second)), 2*r.b.opts.workerTimeout())
+	lim := max(time.Duration(8*r.ewma*float64(time.Second)), 2*r.b.opts.WorkerTimeout)
 	for i := 0; i < cs.attempts && i < 3; i++ {
 		lim *= 2
 	}
@@ -887,10 +866,10 @@ func (r *procRun) chunkDeadline(cs *chunkState) time.Duration {
 // the straggler threshold, max(HedgeFactor·ewma, Heartbeat).
 func (r *procRun) assign(now time.Time, ahead func(time.Time) bool) {
 	var thr time.Duration
-	if f := r.b.opts.hedgeFactor(); f > 0 && r.ewmaN > 0 {
-		thr = max(time.Duration(f*r.ewma*float64(time.Second)), r.b.opts.heartbeat())
+	if f := r.b.opts.HedgeFactor; f > 0 && r.ewmaN > 0 {
+		thr = max(time.Duration(f*r.ewma*float64(time.Second)), r.b.opts.Heartbeat)
 	}
-	for len(r.idle) > 0 && !r.halted && !r.degraded {
+	for len(r.idle) > 0 && !r.halted {
 		var pick, straggler *chunkState
 		for _, cs := range r.chunks {
 			switch {
@@ -919,42 +898,23 @@ func (r *procRun) assign(now time.Time, ahead func(time.Time) bool) {
 }
 
 // expire reaps the worker of every dispatch past its chunk deadline or
-// its cancel-ack bound, and starts the respawns whose backoff passed.
+// its cancel-ack bound. A reaped dispatch's end is then waiting in
+// events, so the next pass applies it before it could be judged again.
 func (r *procRun) expire(ahead func(time.Time) bool) {
 	for d := range r.flying {
-		if d.reaped {
-			continue
-		}
-		lim := r.chunkDeadline(d.cs)
-		overrun := lim > 0 && !ahead(d.start.Add(lim))
-		unacked := !d.ackBy.IsZero() && !ahead(d.ackBy)
-		switch {
-		case overrun:
+		switch lim := r.chunkDeadline(d.cs); {
+		case lim > 0 && !ahead(d.start.Add(lim)):
 			r.b.reap(d.w, fmt.Errorf("sub-shard exceeded %v: %w", lim, errChunkDeadline))
-		case unacked:
+		case !d.ackBy.IsZero() && !ahead(d.ackBy):
 			r.b.reap(d.w, fmt.Errorf("worker %d did not acknowledge a cancel within %v: %w",
-				d.w.id, 2*r.b.opts.workerTimeout(), errWorkerHung))
-		}
-		d.reaped = overrun || unacked
-	}
-	due := r.due[:0]
-	for _, sp := range r.due {
-		switch {
-		case r.halted || r.degraded:
-		case ahead(sp.at):
-			due = append(due, sp)
-		default:
-			r.spawning++
-			go func() {
-				sp.w, sp.err = r.b.replace(sp.old)
-				r.spawns <- sp
-			}()
+				d.w.id, 2*r.b.opts.WorkerTimeout, errWorkerHung))
 		}
 	}
-	r.due = due
 }
 
-// launch starts one dispatch of cs on w in its own goroutine.
+// launch registers one dispatch of cs on w and queues its shard frame
+// for w's writer. On a worker that has already failed, the dispatch
+// ends at once with the worker's error.
 func (r *procRun) launch(w *procWorker, cs *chunkState, hedge bool, now time.Time) {
 	cs.running++
 	if hedge {
@@ -962,40 +922,62 @@ func (r *procRun) launch(w *procWorker, cs *chunkState, hedge bool, now time.Tim
 	} else {
 		cs.startedAt = now
 	}
-	d := &dispatch{w: w, cs: cs, hedge: hedge, requeued: cs.attempts > 0 || hedge, start: now, stop: make(chan struct{})}
-	r.b.mu.Lock()
-	r.b.nextID++
-	d.id = r.b.nextID
-	r.b.mu.Unlock()
+	d := &dispatch{w: w, cs: cs, hedge: hedge, requeued: cs.attempts > 0 || hedge, start: now, run: r.events}
 	r.flying[d] = struct{}{}
-	go func() {
-		err := r.b.runChunk(d, r.wc, r.shard, r.events)
-		r.events <- runEvent{d: d, err: err}
-	}()
+	b := r.b
+	b.mu.Lock()
+	b.nextID++
+	d.id = b.nextID
+	if w.dead {
+		d.run <- runEvent{d: d, err: w.err}
+	} else {
+		if len(w.flights) == 0 {
+			w.last, w.pinged = now, false // liveness restarts on an idle worker
+		}
+		w.flights[d.id] = d
+	}
+	b.mu.Unlock()
+	if _, err := failpoint.Inject("distrib/dispatch"); err != nil {
+		b.reap(w, fmt.Errorf("%w: dispatch: %v", errWorkerDead, err))
+	}
+	b.queue(d, msgShard, &shardMsg{ID: d.id, Config: r.wc, Seeds: r.shard.Seeds[cs.c.start:cs.c.end], Parallelism: r.shard.Parallelism})
 }
 
-// handle applies one dispatch event: a result is merged; an ended
-// dispatch settles its chunk and frees its worker, or — if the worker
-// failed — reaps it and schedules a replacement within the budget.
+// handle applies one event: a respawned worker joins the idle set, a
+// result is merged, and an ended dispatch settles its chunk and frees
+// its worker, or — if the worker failed — reaps it and schedules a
+// replacement within the budget.
 func (r *procRun) handle(ev runEvent) {
-	if ev.metrics != nil {
-		if r.record(ev.index, ev.metrics) && r.shard.OnResult != nil {
-			r.shard.OnResult(ev.index, ev.metrics)
+	d := ev.d
+	switch {
+	case d == nil:
+		r.spawning--
+		if ev.err == nil {
+			r.idle = append(r.idle, ev.w)
+		}
+		return
+	case ev.metrics != nil:
+		i := d.cs.c.start + ev.index
+		if r.record(i, ev.metrics) && r.shard.OnResult != nil {
+			r.shard.OnResult(i, ev.metrics)
 		}
 		return
 	}
-	d, cs, err := ev.d, ev.d.cs, ev.err
+	cs, err := d.cs, ev.err
 	delete(r.flying, d)
 	cs.running--
+	if isCancellation(err) && !r.halted && !cs.done {
+		// The run never asked for this cancel: the worker broke protocol.
+		err = fmt.Errorf("%w: worker %d cancelled dispatch %d unasked: %v", errWorkerDead, d.w.id, d.id, err)
+	}
 	switch {
 	case cs.done:
 		// Another dispatch won the race; this one's results were
 		// deduplicated, and the winner scored the hedge.
 	case err == nil:
 		r.finish(d)
-	case errors.Is(err, errWorkerDead), isCancellation(err) && !r.halted:
-		// A failed worker, or a cancel ack the run never asked for: put
-		// the chunk back behind its backoff, unless a hedge carries it.
+	case errors.Is(err, errWorkerDead):
+		// Put the chunk back behind its backoff, unless a hedge carries it.
 		if cs.running == 0 {
 			cs.attempts++
 			cs.hedged = false
@@ -1003,7 +985,6 @@ func (r *procRun) handle(ev runEvent) {
 			r.b.mu.Lock()
 			r.b.retries++
 			r.b.mu.Unlock()
-			r.fail()
 		}
 	case isCancellation(err):
 	case r.failErr == nil:
@@ -1015,9 +996,19 @@ func (r *procRun) handle(ev runEvent) {
 		return
 	}
 	r.b.reap(d.w, err)
-	if !r.halted && !r.degraded && r.done < len(r.chunks) && r.respawned < respawnBudget {
-		r.due = append(r.due, respawn{old: d.w, at: time.Now().Add(retryBackoff(r.respawned))})
+	if !r.halted && r.done < len(r.chunks) && r.respawned < respawnBudget {
+		// After its backoff, the slot's live successor joins the run.
+		// Nothing waits for it: a spawn or dial bounds it, and its report
+		// never blocks, even after the run has ended.
+		slot := d.w.slot
+		time.AfterFunc(retryBackoff(r.respawned), func() {
+			r.b.spawnMu.Lock()
+			w, err := r.b.fill(slot, true)
+			r.b.spawnMu.Unlock()
+			r.events <- runEvent{w: w, err: err}
+		})
 		r.respawned++
+		r.spawning++
 	}
 }
 
@@ -1027,7 +1018,6 @@ func (r *procRun) handle(ev runEvent) {
 func (r *procRun) finish(d *dispatch) {
 	d.cs.done = true
 	r.done++
-	r.consecFails = 0
 	if d.cs.hedged {
 		r.b.mu.Lock()
 		if d.hedge {
@@ -1051,15 +1041,6 @@ func (r *procRun) finish(d *dispatch) {
 	r.ewmaN++
 }
 
-// fail counts a consecutive failure; respawnBudget of them in a row
-// trip the circuit breaker.
-func (r *procRun) fail() {
-	r.consecFails++
-	if r.consecFails >= respawnBudget {
-		r.degraded = true
-	}
-}
-
 // halt stops every outstanding dispatch: the run was cancelled or failed.
 func (r *procRun) halt() {
 	r.halted = true
@@ -1068,13 +1049,13 @@ func (r *procRun) halt() {
 	}
 }
 
-// stop has d's goroutine send a cancel frame and gives the worker twice
+// stop queues a cancel frame for d and gives the worker twice
 // WorkerTimeout to acknowledge it: a live worker stops at its next
 // replication boundary, a wedged one is reaped.
 func (r *procRun) stop(d *dispatch) {
 	if d.ackBy.IsZero() {
-		d.ackBy = time.Now().Add(2 * r.b.opts.workerTimeout())
-		close(d.stop)
+		d.ackBy = time.Now().Add(2 * r.b.opts.WorkerTimeout)
+		r.b.queue(d, msgCancel, &idMsg{ID: d.id})
 	}
 }
 
@@ -1098,61 +1079,6 @@ func (r *procRun) record(i int, m *system.Metrics) bool {
 		r.b.mu.Unlock()
 	}
 	return true
-}
-
-// runChunk is one dispatch's goroutine: it sends the chunk to its
-// worker, forwards the frames the worker's reader routes to it to the
-// run loop, and returns how the dispatch ended — the worker's coded
-// done frame, or the worker's failure (wrapping errWorkerDead). Once
-// the loop closes d.stop it forwards a cancel frame and keeps waiting;
-// the loop bounds that wait by reaping the worker.
-func (b *ProcBackend) runChunk(d *dispatch, wc []byte, shard session.Shard, events chan<- runEvent) error {
-	if _, err := failpoint.Inject("distrib/dispatch"); err != nil {
-		return fmt.Errorf("%w: dispatch: %v", errWorkerDead, err)
-	}
-	w, c := d.w, d.cs.c
-	fl := &flight{size: c.end - c.start, requeued: d.requeued, replies: make(chan reply, c.end-c.start+1)}
-	b.mu.Lock()
-	if w.dead {
-		b.mu.Unlock()
-		return w.err
-	}
-	if len(w.flights) == 0 {
-		w.last, w.pinged = time.Now(), false // liveness restarts on an idle worker
-	}
-	w.flights[d.id] = fl
-	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		delete(w.flights, d.id)
-		b.mu.Unlock()
-	}()
-
-	msg := shardMsg{ID: d.id, Config: wc, Seeds: shard.Seeds[c.start:c.end], Parallelism: shard.Parallelism}
-	if err := w.fw.send(msgShard, &msg); err != nil {
-		return fmt.Errorf("%w: send: %v", errWorkerDead, err)
-	}
-	stop := d.stop
-	for {
-		var r reply
-		select {
-		case r = <-fl.replies:
-		case <-w.gone:
-			select {
-			case r = <-fl.replies: // frames routed before the failure still count
-			default:
-				return w.err
-			}
-		case <-stop:
-			stop = nil
-			_ = w.fw.send(msgCancel, &idMsg{ID: d.id})
-			continue
-		}
-		if r.done != nil {
-			return r.done.Code.err(r.done.Error)
-		}
-		events <- runEvent{d: d, index: c.start + r.index, metrics: r.metrics}
-	}
 }
 
 // workerStatsLocked snapshots one worker's stats; b.mu must be held.
@@ -1206,20 +1132,15 @@ func (b *ProcBackend) DistribStats() *obs.DistribStats {
 // every worker's pool gauges (as last reported over the wire) plus the
 // in-process fallback pool, if one ever ran.
 func (b *ProcBackend) PoolStats() obs.PoolStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var ps obs.PoolStats
-	for _, w := range b.retired {
+	for _, w := range b.DistribStats().Workers { // live and retired
 		ps.Add(w.Pool)
 	}
-	for _, w := range b.workers {
-		if w == nil || w.dead {
-			continue // already counted via retired
-		}
-		ps.Add(w.pool)
-	}
-	if b.fallback != nil {
-		ps.Add(b.fallback.PoolStats())
+	b.mu.Lock()
+	fallback := b.fallback
+	b.mu.Unlock()
+	if fallback != nil {
+		ps.Add(fallback.PoolStats())
 	}
 	return ps
 }

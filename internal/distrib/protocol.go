@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/failpoint"
 	"repro/internal/obs"
@@ -297,8 +298,8 @@ type frameWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
 	buf    []byte
-	frames uint64 // frames written, for the per-worker wire stats
-	bytes  uint64 // bytes written (header + payload)
+	frames atomic.Uint64 // frames written, for the per-worker wire stats
+	bytes  atomic.Uint64 // bytes written (header + payload)
 }
 
 func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
@@ -326,16 +327,15 @@ func (fw *frameWriter) send(kind msgKind, msg message) error {
 	if _, err := fw.w.Write(b); err != nil {
 		return err
 	}
-	fw.frames++
-	fw.bytes += uint64(len(b))
+	fw.frames.Add(1)
+	fw.bytes.Add(uint64(len(b)))
 	return nil
 }
 
-// counts returns the frames and bytes successfully written so far.
+// counts returns the frames and bytes successfully written so far. It
+// never waits on a write in progress.
 func (fw *frameWriter) counts() (frames, bytes uint64) {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.frames, fw.bytes
+	return fw.frames.Load(), fw.bytes.Load()
 }
 
 // FrameError is the structured rejection of a malformed frame: which

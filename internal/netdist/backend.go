@@ -71,12 +71,11 @@ func NewBackend(opts BackendOptions) (*NetBackend, error) {
 		nb.dialTimeout = 5 * time.Second
 	}
 	nb.ProcBackend = distrib.NewProcBackend(distrib.ProcOptions{
-		Workers:        len(addrs),
-		Heartbeat:      opts.Heartbeat,
-		WorkerTimeout:  opts.WorkerTimeout,
-		HedgeFactor:    opts.HedgeFactor,
-		Dial:           nb.dial,
-		DegradeToLocal: true,
+		Workers:       len(addrs),
+		Heartbeat:     opts.Heartbeat,
+		WorkerTimeout: opts.WorkerTimeout,
+		HedgeFactor:   opts.HedgeFactor,
+		Dial:          nb.dial,
 	})
 	return nb, nil
 }
@@ -91,53 +90,45 @@ func (nb *NetBackend) dial() (distrib.WorkerConn, error) {
 		nb.mu.Lock()
 		i := nb.next % len(nb.addrs)
 		nb.next++
-		addr := nb.addrs[i]
 		nb.mu.Unlock()
-		conn, err := nb.dialOne(i, addr)
+		conn, err := nb.dialOne(nb.addrs[i])
+		nb.mu.Lock()
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+			nb.dialErrs++
+		} else {
+			nb.conns++
+			if nb.connected[i] {
+				nb.reconns++
 			}
-			continue
+			nb.connected[i] = true
 		}
-		return conn, nil
+		nb.mu.Unlock()
+		if err == nil {
+			return conn, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
 	return nil, firstErr
 }
 
 // dialOne dials and handshakes a single address.
-func (nb *NetBackend) dialOne(i int, addr string) (distrib.WorkerConn, error) {
+func (nb *NetBackend) dialOne(addr string) (distrib.WorkerConn, error) {
 	c, err := net.DialTimeout("tcp", addr, nb.dialTimeout)
 	if err != nil {
-		nb.countDialErr()
 		return nil, err
 	}
 	_ = c.SetDeadline(time.Now().Add(nb.dialTimeout))
-	if err := distrib.SendHello(c); err != nil {
-		c.Close()
-		nb.countDialErr()
-		return nil, fmt.Errorf("handshake with %s: %w", addr, err)
+	if err = distrib.SendHello(c); err == nil {
+		err = distrib.ReadHello(c)
 	}
-	if err := distrib.ReadHello(c); err != nil {
+	if err != nil {
 		c.Close()
-		nb.countDialErr()
 		return nil, fmt.Errorf("handshake with %s: %w", addr, err)
 	}
 	_ = c.SetDeadline(time.Time{})
-	nb.mu.Lock()
-	nb.conns++
-	if nb.connected[i] {
-		nb.reconns++
-	}
-	nb.connected[i] = true
-	nb.mu.Unlock()
 	return &netConn{conn: c}, nil
-}
-
-func (nb *NetBackend) countDialErr() {
-	nb.mu.Lock()
-	nb.dialErrs++
-	nb.mu.Unlock()
 }
 
 // NetStats implements the session.NetStatser facet: connection

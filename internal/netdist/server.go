@@ -19,9 +19,10 @@
 //     the backend degrades to the embedded in-process pool.
 //   - Cache and Service build the long-running query layer: a
 //     deterministic LRU over (config fingerprint, seed run) → encoded
-//     shard results, and an HTTP front end that keys warm sessions by
-//     config fingerprint and streams per-replication results in seed
-//     order to many concurrent clients.
+//     shard results, and an HTTP front end that keeps run counters per
+//     config fingerprint, runs every query on one shared backend (whose
+//     pools hold the warm workspaces), and streams per-replication
+//     results in seed order to many concurrent clients.
 //
 // Every layer preserves the repo's core invariant: results are a pure
 // function of (config, seed), so output through any topology — pool,

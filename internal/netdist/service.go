@@ -27,8 +27,9 @@ type ServiceOptions struct {
 	// CacheBytes is the shard-result cache budget: 0 picks 256 MiB,
 	// negative disables caching.
 	CacheBytes int64
-	// MaxSessions bounds the warm-session table; least-recently-used
-	// sessions are retired beyond it. 0 means 32.
+	// MaxSessions bounds the per-fingerprint session table, which holds
+	// run counters only; least-recently-used sessions are retired beyond
+	// it. 0 means 32.
 	MaxSessions int
 }
 
@@ -40,11 +41,13 @@ func (o ServiceOptions) maxSessions() int {
 }
 
 // Service is the long-running query front end: it accepts JSON job
-// specs over HTTP, keys warm session.Sessions by configuration
-// fingerprint (so repeated queries over the same design point reuse
-// workspaces), fronts every session with one shared deterministic
-// shard-result cache, and streams per-replication results to each
-// client in seed order as they finish.
+// specs over HTTP, keys a session.Session per configuration fingerprint,
+// fronts every session with one shared deterministic shard-result
+// cache, and streams per-replication results to each client in seed
+// order as they finish. Every session runs on the one shared backend,
+// so a session holds only run counters: warm workspaces live in the
+// backend's pool (or its workers' pools) and serve every query,
+// whatever its fingerprint.
 //
 // Determinism carries through: the response body for a given job spec
 // is byte-identical whether results came from fresh simulation, the
@@ -61,13 +64,13 @@ type Service struct {
 	order    *list.List // *sessEntry, front = most recently used
 	closed   bool
 	// retired accumulates the engine/session counters of sessions
-	// dropped from the warm table, so service-level totals never move
+	// dropped from the table, so service-level totals never move
 	// backwards when a session retires.
 	retiredEngine  obs.EngineStats
 	retiredSession obs.SessionStats
 }
 
-// sessEntry is one warm session keyed by config fingerprint.
+// sessEntry is one session keyed by config fingerprint.
 type sessEntry struct {
 	fp   string
 	sess *session.Session
@@ -94,7 +97,7 @@ func NewService(opts ServiceOptions) *Service {
 	return s
 }
 
-// Close retires every warm session and the service's own pool (a
+// Close retires every session and the service's own pool (a
 // caller-provided backend stays open). In-flight requests on retired
 // sessions fail; Close is meant for shutdown, not rotation.
 func (s *Service) Close() error {
@@ -120,10 +123,12 @@ func (s *Service) Close() error {
 	return nil
 }
 
-// sessionFor returns the warm session for a fingerprint, creating it on
+// sessionFor returns the session for a fingerprint, creating it on
 // first use and retiring the least-recently-used session beyond the
-// table bound. A retired session's counters fold into the service
-// totals; its in-flight requests finish on the shared backend.
+// table bound. A session holds only run counters, not workspaces, which
+// live in the shared backend: a retired session's counters fold into
+// the service totals, and its in-flight requests finish on the shared
+// backend.
 func (s *Service) sessionFor(fp string) (*session.Session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -150,7 +155,7 @@ func (s *Service) sessionFor(fp string) (*session.Session, error) {
 	return sess, nil
 }
 
-// Snapshot aggregates runtime metrics across every warm session (plus
+// Snapshot aggregates runtime metrics across every session (plus
 // retired ones), with the shared backend's pool/distrib/net/cache
 // facets counted exactly once.
 func (s *Service) Snapshot() obs.Snapshot {

@@ -201,6 +201,12 @@ func TestCancelMidRunIsSeedPrefixDeterministic(t *testing.T) {
 // TestStreamCancelDeliversPrefix: a cancelled stream closes its channel
 // after delivering the finished prefix, and Result reports the same
 // partial aggregate.
+//
+// The cancel fires from the progress hook at the second completion,
+// which runs on the worker before it claims its next replication. A
+// consumer that cancels after reading two items could be descheduled
+// until every replication had finished, and the run then ends with no
+// error at all.
 func TestStreamCancelDeliversPrefix(t *testing.T) {
 	cfg := shortCfg(3000)
 	const reps = 16
@@ -209,16 +215,17 @@ func TestStreamCancelDeliversPrefix(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	st, err := s.Stream(ctx, Job{Config: cfg, Reps: reps})
+	st, err := s.Stream(ctx, Job{Config: cfg, Reps: reps}, WithProgress(func(done, _ int) {
+		if done == 2 {
+			cancel()
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var items []Item
 	for it := range st.Items() {
 		items = append(items, it)
-		if len(items) == 2 {
-			cancel()
-		}
 	}
 	res, err := st.Result()
 	if !errors.Is(err, context.Canceled) {

@@ -196,7 +196,7 @@ func NewResultCache(inner Backend, maxBytes int64) *ResultCache {
 }
 
 // QueryService is the long-running simulation service behind the
-// sdaserve CLI: JSON job specs over HTTP, warm sessions keyed by
+// sdaserve CLI: JSON job specs over HTTP, run counters kept per
 // configuration fingerprint, a shared ResultCache, and seed-ordered
 // NDJSON streaming to many concurrent clients.
 type QueryService = netdist.Service
