@@ -23,8 +23,11 @@ import (
 // The counters are 32-bit: a node would need 2^32 task lifecycles in
 // one replication to wrap, which at paper-scale arrival rates is a
 // horizon beyond 10^9 time units — two orders of magnitude past any
-// experiment in the suite (the engine's own sequence space bounds a
-// run at ~4.4e12 events total). The accessors widen to int64.
+// experiment in the suite. The accessors widen to int64. There is no
+// submission counter: every submitted task is served, aborted, waiting
+// or running (a preempted task re-queues without resubmitting), so
+// submitted is derived as their sum, which keeps the record at one line
+// with a 16-byte completion handle.
 //
 // The former explicit busy flag is gone: the server is busy exactly
 // when running is non-nil. Every state transition set or cleared both
@@ -40,9 +43,7 @@ type nodeHot struct {
 	served       uint32
 	aborted      uint32
 	preemptions  uint32
-	submitted    uint32
 	readyHWM     int32 // deepest the ready queue got (waiting tasks)
-	_            int32 // pad to one cache line
 }
 
 // Group owns every node of one simulated system in structure-of-arrays
@@ -50,8 +51,9 @@ type nodeHot struct {
 // indexed by node, the ready queues in one sched.Bank, and all shared
 // configuration (engine, policy, callbacks) is stored once on the group
 // instead of k times. All k nodes share one registered completion
-// callback (the completing task's NodeID routes it), so setting up a
-// large topology costs one closure instead of k.
+// callback, scheduled with the node's index as its argument, so setting
+// up a large topology costs one closure instead of k, and a completion
+// goes straight from the event record to the node's line.
 //
 // A Group is single-threaded, like the engine that drives it. It is
 // reusable: Configure re-points the same backing arrays at a fresh
@@ -138,12 +140,9 @@ func (g *Group) Configure(cfg GroupConfig) error {
 	} else {
 		g.hot = make([]nodeHot, k)
 	}
-	// One registration serves every node: the payload task's NodeID
-	// (set at Submit) routes the completion.
-	g.completeCB = cfg.Engine.Register(func(p any) {
-		t := p.(*task.Task)
-		g.complete(t.NodeID, t)
-	})
+	// One registration serves every node: the event's argument is the
+	// node index.
+	g.completeCB = cfg.Engine.RegisterArg(g.complete)
 	for i := range g.hot {
 		g.hot[i] = nodeHot{speed: 1}
 	}
@@ -170,13 +169,24 @@ func (g *Group) Totals() Totals {
 	var t Totals
 	for i := range g.hot {
 		h := &g.hot[i]
-		t.Submitted += uint64(h.submitted)
+		t.Submitted += uint64(g.submitted(i))
 		t.Served += uint64(h.served)
 		t.Aborted += uint64(h.aborted)
 		t.Preemptions += uint64(h.preemptions)
 		t.ReadyHWM = max(t.ReadyHWM, uint64(h.readyHWM))
 	}
 	return t
+}
+
+// submitted derives node i's submission count: every task submitted is
+// served, aborted, waiting or running.
+func (g *Group) submitted(i int) int64 {
+	h := &g.hot[i]
+	n := int64(h.served) + int64(h.aborted) + int64(g.bank.Len(i))
+	if h.running != nil {
+		n++
+	}
+	return n
 }
 
 // BusyTime returns node i's accumulated service time; see
@@ -211,7 +221,6 @@ func (g *Group) observe(ev ObserverEvent, t *task.Task) {
 func (g *Group) Submit(i int, t *task.Task) {
 	t.NodeID = i
 	h := &g.hot[i]
-	h.submitted++
 	g.observe(ObserveSubmit, t)
 	g.bank.Push(i, t)
 	if g.preemptive {
@@ -276,7 +285,7 @@ func (g *Group) dispatch(i int) {
 		h.running = t
 		h.segmentStart = now
 		g.observe(ObserveDispatch, t)
-		h.completion = g.eng.MustScheduleCall(t.Remaining/h.speed, g.completeCB, t)
+		h.completion = g.eng.MustScheduleArg(t.Remaining/h.speed, g.completeCB, int32(i))
 		return
 	}
 }
@@ -293,9 +302,12 @@ func (g *Group) shouldAbort(t *task.Task, now float64) bool {
 	}
 }
 
-// complete finishes node i's task in service and redispatches.
-func (g *Group) complete(i int, t *task.Task) {
+// complete finishes node i's task in service and redispatches; it is
+// the completion event's handler.
+func (g *Group) complete(idx int32) {
+	i := int(idx)
 	h := &g.hot[i]
+	t := h.running
 	now := g.eng.Now()
 	t.Finish = now
 	t.Remaining = 0
@@ -331,7 +343,7 @@ func (g *Group) SetSpeed(i int, speed float64) {
 		}
 		h.segmentStart = now
 		if speed > 0 {
-			h.completion = g.eng.MustScheduleCall(h.running.Remaining/speed, g.completeCB, h.running)
+			h.completion = g.eng.MustScheduleArg(h.running.Remaining/speed, g.completeCB, int32(i))
 		}
 	}
 	h.speed = speed

@@ -2,6 +2,7 @@ package node
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -160,5 +161,15 @@ func TestGroupLifecycleZeroAlloc64(t *testing.T) {
 	perLifecycle := allocs / perRun
 	if perLifecycle > 1 {
 		t.Fatalf("64-node task lifecycle allocated %.2f times per task, want <= 1 (0 expected)", perLifecycle)
+	}
+}
+
+// TestNodeHotFitsCacheLine pins the layout the group's working set relies
+// on: one node's record is exactly one 64-byte cache line, so a submit,
+// dispatch or completion at a random node of a large topology touches
+// one line of per-node state.
+func TestNodeHotFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(nodeHot{}); size != 64 {
+		t.Fatalf("nodeHot is %d bytes, want 64", size)
 	}
 }

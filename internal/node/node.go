@@ -109,7 +109,7 @@ func (n *Node) Preemptions() int64 { return int64(n.g.hot[n.idx].preemptions) }
 // Submitted returns the number of tasks submitted to the node. A
 // preempted task re-queues without resubmitting, so
 // Submitted >= Served + Aborted, with equality for runs that drain.
-func (n *Node) Submitted() int64 { return int64(n.g.hot[n.idx].submitted) }
+func (n *Node) Submitted() int64 { return n.g.submitted(int(n.idx)) }
 
 // ReadyQueueHWM returns the deepest the ready queue got (tasks waiting,
 // excluding the one in service) — a pure function of the replication's

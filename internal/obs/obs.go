@@ -25,7 +25,7 @@ package obs
 // deterministically (sums for counters, maxima for high-water marks).
 type EngineStats struct {
 	// EventsScheduled, EventsFired, and EventsCancelled count engine
-	// events over the run: scheduled is every successful CallAt,
+	// events over the run: scheduled is every event queued,
 	// fired every executed event, cancelled every successful Cancel.
 	// Modulated arrival streams thin their candidates inline, so a
 	// rejected candidate is never an event and is not counted here.

@@ -57,7 +57,8 @@ import "math"
 // The queue keeps no per-event location index: cancellation is by
 // tombstone at the engine layer, so events only ever leave a tier from
 // its consumption point. Moving an event between tiers touches nothing
-// but the 16-byte records themselves — no slot-table write-backs.
+// but the 24-byte records themselves, which carry everything needed to
+// fire them.
 //
 // Bucket storage: every rung's buckets share one pool of fixed-size
 // blocks (ladderBlock events each). Each bucket record owns one home
@@ -77,7 +78,6 @@ import "math"
 // locality: a spread rung's sparse buckets write and re-read the same
 // few cache lines every time.
 type ladderQueue struct {
-	e       *Engine
 	near    []event // indexed min-heap by (time, seq)
 	nearEnd float64 // far events are all >= nearEnd
 
@@ -98,8 +98,8 @@ type ladderQueue struct {
 	free   int32
 }
 
-func newLadderQueue(e *Engine) *ladderQueue {
-	return &ladderQueue{e: e, free: -1}
+func newLadderQueue() *ladderQueue {
+	return &ladderQueue{free: -1}
 }
 
 const (
@@ -122,12 +122,12 @@ const (
 	// ladderMaxRungs bounds the refinement depth; a bucket at the
 	// bottom is pushed to the near heap regardless of size.
 	ladderMaxRungs = 8
-	// ladderBlock is the storage block size in events (256 bytes): a
+	// ladderBlock is the storage block size in events (384 bytes): a
 	// bucket at the rebuild target fills one block, and a part-filled
-	// tail wastes at most ladderBlock-1 slots.
+	// tail wastes at most ladderBlock-1 entries.
 	ladderBlock = 16
 	// ladderChunk is the number of blocks the pool allocates at once
-	// (16 KiB chunks).
+	// (24 KiB chunks).
 	ladderChunkShift = 6
 	ladderChunk      = 1 << ladderChunkShift
 )
@@ -276,22 +276,9 @@ func (q *ladderQueue) pushOver(ev event) {
 	q.over = append(q.over, ev)
 }
 
-func (q *ladderQueue) pop() (event, bool) {
-	for {
-		if len(q.near) > 0 {
-			ev := q.near[0]
-			q.nearRemoveAt(0)
-			return ev, true
-		}
-		if !q.advance() {
-			return event{}, false
-		}
-	}
-}
-
-// peekEvent returns the next event without removing it, refilling the
-// near tier as needed.
-func (q *ladderQueue) peekEvent() (event, bool) {
+// peek returns the next event without removing it, refilling the near
+// tier as needed; nearPop then removes it.
+func (q *ladderQueue) peek() (event, bool) {
 	for len(q.near) == 0 {
 		if !q.advance() {
 			return event{}, false
@@ -466,55 +453,9 @@ func (q *ladderQueue) rebuild() bool {
 	return true
 }
 
-// timeOf scans the tiers for the pending event occupying slot — a
-// diagnostic for EventTime, not a hot path (the queue keeps no
-// per-event location index).
-func (q *ladderQueue) timeOf(slot int32) (float64, bool) {
-	for i := range q.near {
-		if q.near[i].slotIdx() == slot {
-			return q.near[i].time, true
-		}
-	}
-	for ri := range q.rungs {
-		r := &q.rungs[ri]
-		for bi := range r.bkts {
-			bk := &r.bkts[bi]
-			for blk := bk.home; ; blk = q.link[blk] {
-				evs := bk.cur
-				if blk != bk.tail {
-					evs = q.block(blk)
-				}
-				for _, ev := range evs {
-					if ev.slotIdx() == slot {
-						return ev.time, true
-					}
-				}
-				if blk == bk.tail {
-					break
-				}
-			}
-		}
-	}
-	for i := range q.over {
-		if q.over[i].slotIdx() == slot {
-			return q.over[i].time, true
-		}
-	}
-	return 0, false
-}
-
-func (q *ladderQueue) size() int {
-	n := len(q.near) + len(q.over)
-	for i := range q.rungs {
-		n += q.rungs[i].count
-	}
-	return n
-}
-
 // reset drops all events, keeping every tier's capacity: each bucket
 // keeps its home block and returns its overflow chain to the pool.
-// Events hold no pointers, so truncation is enough — payload references
-// are released by the engine's slot-table reset.
+// Events hold no pointers, so truncation is enough.
 func (q *ladderQueue) reset() {
 	q.near = q.near[:0]
 	q.nearEnd = 0
@@ -528,7 +469,7 @@ func (q *ladderQueue) reset() {
 }
 
 // The near tier: a plain binary heap over (time, seq), kept small by
-// the rung transfers. Sifts swap 16-byte records and touch nothing
+// the rung transfers. Sifts swap 24-byte records and touch nothing
 // else.
 
 func (q *ladderQueue) nearPush(ev event) {
@@ -536,21 +477,14 @@ func (q *ladderQueue) nearPush(ev event) {
 	q.nearUp(len(q.near) - 1)
 }
 
-func (q *ladderQueue) nearRemoveAt(i int32) {
-	last := int32(len(q.near)) - 1
-	if i != last {
-		q.near[i] = q.near[last]
-	}
+func (q *ladderQueue) nearPop() {
+	last := len(q.near) - 1
+	q.near[0] = q.near[last]
 	q.near = q.near[:last]
-	if i < last {
-		if !q.nearUp(int(i)) {
-			q.nearDown(int(i))
-		}
-	}
+	q.nearDown(0)
 }
 
-func (q *ladderQueue) nearUp(i int) bool {
-	moved := false
+func (q *ladderQueue) nearUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !before(&q.near[i], &q.near[parent]) {
@@ -558,9 +492,7 @@ func (q *ladderQueue) nearUp(i int) bool {
 		}
 		q.nearSwap(i, parent)
 		i = parent
-		moved = true
 	}
-	return moved
 }
 
 func (q *ladderQueue) nearDown(i int) {

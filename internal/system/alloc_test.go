@@ -41,7 +41,7 @@ func TestWorkspaceWarmReplicationAllocs64(t *testing.T) {
 // memory-layout contract: at 65536 nodes a warm workspace re-runs a
 // replication without recreating any per-node object — the fleet's
 // stream table, the ready-queue bank arena, the node group's hot array,
-// and the engine's slot table are all reused in place. Measured warm
+// and the engine's event queue are all reused in place. Measured warm
 // cost is ~380 allocations (run-constant setup: manager, metrics,
 // per-run bookkeeping), independent of the node count. The budget is
 // deliberately far below one allocation per node, so any change that
@@ -176,4 +176,47 @@ func TestWorkspaceWarmHeapBudget65536(t *testing.T) {
 	if h60 >= 1.1*h20 {
 		t.Errorf("live heap grew from %.2f MB at horizon 20 to %.2f MB at horizon 60, want < 10%% growth", h20, h60)
 	}
+}
+
+// TestWorkspaceWarmPreemptiveStormAllocs pins the allocation count of a
+// warm replication that exercises the engine's cold paths: preemption
+// and the outage's speed changes cancel completion events, so tombstones
+// come and go all run, and the outage's fault events fire with
+// ScheduleCall payloads. storm is the burst preset plus a node-0 outage;
+// burst alone schedules no fault events. The tombstone set and the
+// payload table must have reached their working size in the first run:
+// the second and third runs of the same replication allocate the same
+// count, within the 64-node warm budget, which the run's cancels exceed
+// several times over.
+func TestWorkspaceWarmPreemptiveStormAllocs(t *testing.T) {
+	cfg := Baseline()
+	cfg.Nodes, cfg.Horizon, cfg.Preemptive = 64, 400, true
+	sc, err := scenario.Preset("storm", cfg.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = sc
+	ws := NewWorkspace()
+	var m *Metrics
+	run := func() {
+		var err error
+		if m, err = RunWith(cfg, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	// AllocsPerRun runs once unmeasured, then measures one run.
+	second := testing.AllocsPerRun(1, run)
+	third := testing.AllocsPerRun(1, run)
+	if m.Engine.EventsCancelled == 0 || m.Engine.Preemptions == 0 {
+		t.Fatalf("replication cancelled %d events and preempted %d tasks; the test needs both",
+			m.Engine.EventsCancelled, m.Engine.Preemptions)
+	}
+	if second != third {
+		t.Fatalf("warm runs allocated %v then %v times; a cold path grows per run", second, third)
+	}
+	if budget := float64(cfg.Nodes*6 + 128); second > budget {
+		t.Fatalf("warm run allocated %v times for %d cancels, budget %v", second, m.Engine.EventsCancelled, budget)
+	}
+	t.Logf("%d cancels, %v allocations per warm run", m.Engine.EventsCancelled, second)
 }

@@ -31,6 +31,7 @@ import (
 type LocalFleet struct {
 	eng     *sim.Engine
 	cb      sim.Callback
+	fireFn  func(node int32) // f.fire, bound once in Init
 	streams []localStream
 
 	// Shared per-run parameters (see FleetParams).
@@ -49,19 +50,16 @@ type LocalFleet struct {
 }
 
 // localStream is one node's arrival-process state: its RNG stream and
-// the node's peak-rate mean gap. The back-pointer lets the shared engine
-// handler reach the fleet without a per-node closure. Kept to one cache
-// line — this record is all the per-node state an arrival touches.
+// the node's peak-rate mean gap. Padded to one cache line, so no record
+// straddles two — this record is all the per-node state an arrival
+// touches. The fleet's one engine handler reaches it by the node index
+// its events carry.
 type localStream struct {
-	fleet    *LocalFleet
 	r        rng.Source
 	peakMean float64 // mean inter-candidate gap at the peak rate; 0 = silent
 	node     int32
+	_        [12]byte
 }
-
-// fleetHandler is the engine callback shared by every stream of every
-// fleet; the stream rides along as the payload.
-func fleetHandler(p any) { p.(*localStream).fire() }
 
 // NewLocalFleet returns an empty fleet bound to eng; Configure sizes it.
 func NewLocalFleet(eng *sim.Engine) *LocalFleet {
@@ -72,7 +70,9 @@ func NewLocalFleet(eng *sim.Engine) *LocalFleet {
 
 // Init binds the fleet to its engine, once per fleet lifetime (or after
 // the engine object itself is replaced).
-func (f *LocalFleet) Init(eng *sim.Engine) { f.eng = eng }
+func (f *LocalFleet) Init(eng *sim.Engine) {
+	f.eng, f.fireFn = eng, f.fire
+}
 
 // FleetParams carries the parameters shared by every node's stream.
 // Per-node rate and seeding are set by SeedNode.
@@ -131,11 +131,10 @@ func (f *LocalFleet) Configure(n int, params FleetParams,
 	if len(f.streams) != n {
 		f.streams = make([]localStream, n)
 		for i := range f.streams {
-			f.streams[i].fleet = f
 			f.streams[i].node = int32(i)
 		}
 	}
-	f.cb = f.eng.Register(fleetHandler)
+	f.cb = f.eng.RegisterArg(f.fireFn)
 	return nil
 }
 
@@ -163,18 +162,19 @@ func (f *LocalFleet) Start() {
 	}
 }
 
-// fire emits the arrival this stream's pending event stands for and
-// schedules the stream's next one.
-func (s *localStream) fire() {
-	s.fleet.arrive(s)
-	s.fleet.schedule(s)
+// fire is the arrival handler: it emits the arrival node's pending
+// event stands for and schedules the stream's next one.
+func (f *LocalFleet) fire(node int32) {
+	s := &f.streams[node]
+	f.arrive(s)
+	f.schedule(s)
 }
 
 // schedule queues the stream's next arrival: one gap ahead when
 // unmodulated, else the first candidate the thinning loop keeps.
 func (f *LocalFleet) schedule(s *localStream) {
 	if f.mod == nil {
-		f.eng.MustScheduleCall(s.r.Exponential(s.peakMean), f.cb, s)
+		f.eng.MustScheduleArg(s.r.Exponential(s.peakMean), f.cb, s.node)
 		return
 	}
 	f.thin(s, f.eng.Now())
@@ -194,7 +194,7 @@ func (f *LocalFleet) thin(s *localStream, t float64) {
 			return
 		}
 		if thinAccept(f.mod, f.maxFactor, t, &s.r) {
-			mustCallAt(f.eng, t, f.cb, s)
+			mustCallAt(f.eng, t, f.cb, s.node)
 			return
 		}
 	}

@@ -68,16 +68,14 @@ type arrivals struct {
 	mod       RateModulator
 	owner     arrivalOwner
 	cb        sim.Callback
+	fireFn    func(int32) // a.fire, bound once in init
 }
-
-// arrivalHandler is the engine callback behind every arrivals loop; the
-// loop rides along as the payload.
-func arrivalHandler(p any) { p.(*arrivals).fire() }
 
 // init binds the loop to its engine and owner, once per source
 // lifetime.
 func (a *arrivals) init(eng *sim.Engine, owner arrivalOwner) {
 	a.eng, a.owner = eng, owner
+	a.fireFn = a.fire
 }
 
 // reconfigure rebinds the arrivals loop for a fresh run in place: a new
@@ -95,7 +93,7 @@ func (a *arrivals) reconfigure(r *rng.Source, rate float64, mod RateModulator, h
 	if rate > 0 {
 		a.peakMean = 1 / (rate * maxFactor)
 	}
-	a.cb = a.eng.Register(arrivalHandler)
+	a.cb = a.eng.RegisterArg(a.fireFn)
 	return nil
 }
 
@@ -106,9 +104,10 @@ func (a *arrivals) start() {
 	}
 }
 
-// fire emits the arrival the pending event stands for and schedules the
-// next one.
-func (a *arrivals) fire() {
+// fire is the arrival handler: it emits the arrival the pending event
+// stands for and schedules the next one. The loop's events carry no
+// argument.
+func (a *arrivals) fire(int32) {
 	a.owner.arrive()
 	a.schedule()
 }
@@ -117,7 +116,7 @@ func (a *arrivals) fire() {
 // else the first candidate the thinning loop keeps.
 func (a *arrivals) schedule() {
 	if a.mod == nil {
-		a.eng.MustScheduleCall(a.r.Exponential(a.peakMean), a.cb, a)
+		a.eng.MustScheduleArg(a.r.Exponential(a.peakMean), a.cb, 0)
 		return
 	}
 	a.thin(a.eng.Now())
@@ -132,7 +131,7 @@ func (a *arrivals) thin(t float64) {
 			return
 		}
 		if thinAccept(a.mod, a.maxFactor, t, a.r) {
-			mustCallAt(a.eng, t, a.cb, a)
+			mustCallAt(a.eng, t, a.cb, 0)
 			return
 		}
 	}
@@ -171,8 +170,8 @@ func thinAccept(mod RateModulator, maxFactor, t float64, r *rng.Source) bool {
 
 // mustCallAt schedules an accepted arrival at absolute time t, which the
 // thinning loop guarantees is not in the past.
-func mustCallAt(eng *sim.Engine, t float64, cb sim.Callback, payload any) {
-	if _, err := eng.CallAt(t, cb, payload); err != nil {
+func mustCallAt(eng *sim.Engine, t float64, cb sim.Callback, arg int32) {
+	if _, err := eng.CallArgAt(t, cb, arg); err != nil {
 		panic(fmt.Sprintf("workload: %v", err))
 	}
 }
