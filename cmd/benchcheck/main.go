@@ -17,8 +17,10 @@
 // way the output is {"benchmarks": {name: {unit: value}}}. Comparison
 // reads the baseline's
 // "after" section (the committed post-optimization numbers; a flat
-// "benchmarks" map also works) and fails when, for any benchmark present
-// in both files:
+// "benchmarks" map also works) and fails when a baseline benchmark is
+// missing from the current run (a renamed or moved benchmark must not
+// drop out of the gate silently), or when, for any benchmark present in
+// both files:
 //
 //   - a tasks/s metric drops by more than the tolerance, or
 //   - (without tasks/s) ns/op grows by more than the tolerance, or
@@ -108,12 +110,14 @@ func main() {
 
 // benchCommands returns the `go test` invocations of the repo's
 // recorded bench set — the suite every BENCH_pr*.json baseline freezes:
-// the whole-system throughput/replication/scaling benchmarks at the
-// module root and the isolated event core in internal/sim. The argv
-// form keeps the set testable without executing anything.
+// the whole-system throughput and replication benchmarks at the module
+// root, the per-queue scaling suite in internal/system and the isolated
+// event core in internal/sim. The argv form keeps the set testable
+// without executing anything.
 func benchCommands(benchtime string) [][]string {
 	sets := []struct{ pkg, pattern string }{
-		{".", "BenchmarkSimulationThroughput|BenchmarkRunReplications|BenchmarkScalingThroughput"},
+		{".", "BenchmarkSimulationThroughput|BenchmarkRunReplications"},
+		{"./internal/system", "BenchmarkScalingThroughput"},
 		{"./internal/sim", "BenchmarkEventCoreScaling"},
 	}
 	var out [][]string
@@ -260,7 +264,8 @@ func doCompare(basePath, curPath string, tol float64, zeroAlloc []string) (bool,
 	for _, name := range names {
 		b, c := baseTab[name], curTab[name]
 		if c == nil {
-			fmt.Printf("SKIP %s: not in current run\n", name)
+			fmt.Printf("FAIL %s: not in current run\n", name)
+			ok = false
 			continue
 		}
 		compared++

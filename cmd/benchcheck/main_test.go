@@ -85,13 +85,11 @@ func TestSplitNames(t *testing.T) {
 	}
 }
 
-// TestZeroAllocGate drives doCompare end to end: a benchmark within
-// tolerance passes the relative checks but fails the -zeroalloc
-// invariant the moment allocs/op is nonzero, missing, or the benchmark
-// is absent from the current run.
-func TestZeroAllocGate(t *testing.T) {
+// benchFileWriter returns a function that writes a bench File as JSON
+// into a per-test directory and returns its path.
+func benchFileWriter(t *testing.T) func(name string, f *File) string {
 	dir := t.TempDir()
-	write := func(name string, f *File) string {
+	return func(name string, f *File) string {
 		t.Helper()
 		data, err := json.Marshal(f)
 		if err != nil {
@@ -103,6 +101,14 @@ func TestZeroAllocGate(t *testing.T) {
 		}
 		return path
 	}
+}
+
+// TestZeroAllocGate drives doCompare end to end: a benchmark within
+// tolerance passes the relative checks but fails the -zeroalloc
+// invariant the moment allocs/op is nonzero, missing, or the benchmark
+// is absent from the current run.
+func TestZeroAllocGate(t *testing.T) {
+	write := benchFileWriter(t)
 	base := write("base.json", &File{Benchmarks: map[string]Metrics{
 		"BenchmarkHot": {"tasks/s": 3000000, "allocs/op": 0},
 	}})
@@ -135,17 +141,42 @@ func TestZeroAllocGate(t *testing.T) {
 	}
 }
 
+// TestMissingBaselineBenchmarkFails: a baseline benchmark absent from
+// the current run fails the comparison, so moving or renaming a gated
+// benchmark cannot silently drop it from the gate.
+func TestMissingBaselineBenchmarkFails(t *testing.T) {
+	write := benchFileWriter(t)
+	base := write("base.json", &File{Benchmarks: map[string]Metrics{
+		"BenchmarkKept":  {"tasks/s": 1000},
+		"BenchmarkMoved": {"tasks/s": 1000},
+	}})
+	partial := write("partial.json", &File{Benchmarks: map[string]Metrics{
+		"BenchmarkKept": {"tasks/s": 1000},
+	}})
+	full := write("full.json", &File{Benchmarks: map[string]Metrics{
+		"BenchmarkKept":  {"tasks/s": 1000},
+		"BenchmarkMoved": {"tasks/s": 1000},
+	}})
+	if ok, err := doCompare(base, partial, 0.2, nil); err != nil || ok {
+		t.Fatalf("current run missing a baseline benchmark: ok = %v, err = %v; want a failure", ok, err)
+	}
+	if ok, err := doCompare(base, full, 0.2, nil); err != nil || !ok {
+		t.Fatalf("complete current run: ok = %v, err = %v; want a pass", ok, err)
+	}
+}
+
 // TestBenchCommandsShape pins the recorded bench set: the -runbench mode
 // must run exactly the suite CI's regression gate compares against, with
 // -benchmem (the alloc gates need it) and the caller's -benchtime.
 func TestBenchCommandsShape(t *testing.T) {
 	cmds := benchCommands("7s")
-	if len(cmds) != 2 {
-		t.Fatalf("bench set has %d commands, want 2", len(cmds))
+	if len(cmds) != 3 {
+		t.Fatalf("bench set has %d commands, want 3", len(cmds))
 	}
 	wantPatterns := map[string]string{
-		".":              "BenchmarkScalingThroughput",
-		"./internal/sim": "BenchmarkEventCoreScaling",
+		".":                 "BenchmarkSimulationThroughput",
+		"./internal/system": "BenchmarkScalingThroughput",
+		"./internal/sim":    "BenchmarkEventCoreScaling",
 	}
 	for _, argv := range cmds {
 		if argv[0] != "go" || argv[1] != "test" {

@@ -138,10 +138,6 @@ func run(args []string, out, errOut io.Writer) (retErr error) {
 	if *horizon <= 0 {
 		return fmt.Errorf("-horizon %v, want > 0", *horizon)
 	}
-	queueKind, err := common.QueueKind()
-	if err != nil {
-		return err
-	}
 	if err := common.ValidateNodes(); err != nil {
 		return err
 	}
@@ -185,7 +181,7 @@ func run(args []string, out, errOut io.Writer) (retErr error) {
 		return err
 	}
 	defer closeBackend()
-	sessOpts := []repro.RunOption{repro.WithParallelism(common.Parallel), repro.WithEventQueue(queueKind)}
+	sessOpts := []repro.RunOption{repro.WithParallelism(common.Parallel)}
 	var sess *repro.Session
 	if backend != nil {
 		sess = repro.NewSessionWithBackend(backend, sessOpts...)

@@ -120,11 +120,15 @@ func TestServeNoCache(t *testing.T) {
 	}
 }
 
-// TestServeBadFlags: flag conflicts fail at startup, not at first
-// request.
+// TestServeBadFlags: flag conflicts and undefined flags fail at
+// startup, not at first request.
 func TestServeBadFlags(t *testing.T) {
 	err := run(context.Background(), []string{"-connect", "x:1", "-backend", "proc"}, io.Discard, nil)
 	if err == nil {
 		t.Fatal("-connect with -backend proc: err = nil, want error")
+	}
+	err = run(context.Background(), []string{"-queue", "heap"}, io.Discard, nil)
+	if err == nil || !strings.Contains(err.Error(), "not defined: -queue") {
+		t.Fatalf("-queue: err = %v, want an undefined-flag error", err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/session"
-	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/task"
 	"repro/internal/trace"
@@ -157,22 +156,16 @@ func TestProcBackendMatchesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A pinned ladder may count queue promotions differently from the
-	// reference's auto queue, so that case compares signatures; the
-	// others compare every field.
-	cases := []struct {
+	for _, tc := range []struct {
 		name    string
 		workers int
-		opt     []session.Option
 	}{
 		{name: "workers=1", workers: 1},
 		{name: "workers=3", workers: 3},
-		{name: "workers=3/ladder", workers: 3, opt: []session.Option{session.WithEventQueue(sim.QueueLadder)}},
-	}
-	for _, tc := range cases {
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := testBackend(t, ProcOptions{Workers: tc.workers}, 2)
-			s := session.NewWithBackend(b, tc.opt...)
+			s := session.NewWithBackend(b)
 			defer s.Close()
 			got, err := s.Run(context.Background(), job)
 			if err != nil {
@@ -183,11 +176,7 @@ func TestProcBackendMatchesPool(t *testing.T) {
 			}
 			for i := range want.Runs {
 				g, w := got.Runs[i], want.Runs[i]
-				same := sameBits(t, g, w)
-				if tc.opt != nil {
-					same = metricsSig(g) == metricsSig(w)
-				}
-				if !same {
+				if !sameBits(t, g, w) {
 					t.Fatalf("rep %d diverged across the process boundary:\n got %s\nwant %s",
 						i, metricsSig(g), metricsSig(w))
 				}

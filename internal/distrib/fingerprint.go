@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -17,9 +16,9 @@ import (
 // fingerprintRev opens every config encoding. It is bumped whenever
 // the encoding (or the meaning of any encoded field) changes, so entries
 // cached under an older layout can never alias a newer one. Revisions 1
-// and 2 hashed a gob encoding; 3 is the canonical encoding below, and 4
-// is 3 without the pooling switch.
-const fingerprintRev = 4
+// and 2 hashed a gob encoding; 3 is the canonical encoding below, 4 is 3
+// without the pooling switch, and 5 is 4 without the event-queue name.
+const fingerprintRev = 5
 
 // Type tags of the config encoding's Shape and Demand values; 0 is nil.
 // Tags are part of the encoding: never renumber one.
@@ -59,9 +58,6 @@ func ToWire(cfg system.Config) ([]byte, error) {
 // semantically identical (including ones differing only in Seed or in
 // an attached progress hook: seeds are the cache key's other dimension)
 // hash identically; changing any knob yields a different fingerprint.
-// That includes knobs like EventQueue whose alternatives are provably
-// byte-identical: the cache trades a few redundant misses for zero risk
-// of serving results across a semantic boundary.
 //
 // The hash is the first 16 bytes of sha256, in hex, over ToWire's
 // encoding, so a worker runs exactly the configuration the cache keyed.
@@ -99,7 +95,7 @@ func appendConfig(b wire.Buf, cfg system.Config) (wire.Buf, error) {
 	if cfg.Scenario != nil {
 		b = appendSpec(b, cfg.Scenario.Spec())
 	}
-	return b.Str(string(cfg.EventQueue)), nil
+	return b, nil
 }
 
 // readConfig reverses appendConfig.
@@ -117,7 +113,6 @@ func readConfig(d *wire.Decoder) (cfg system.Config) {
 	if d.Bool() {
 		cfg.Scenario = readScenario(d)
 	}
-	cfg.EventQueue = sim.QueueKind(d.Str())
 	return cfg
 }
 

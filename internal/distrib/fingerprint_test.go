@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -62,9 +61,8 @@ func TestConfigFingerprintStable(t *testing.T) {
 	}
 }
 
-// TestConfigFingerprintSensitivity: every knob change — including ones
-// like EventQueue whose alternatives produce
-// byte-identical results — must move the hash.
+// TestConfigFingerprintSensitivity: every knob change must move the
+// hash.
 func TestConfigFingerprintSensitivity(t *testing.T) {
 	base := shortCfg(2000)
 	ref, err := ConfigFingerprint(base)
@@ -84,7 +82,6 @@ func TestConfigFingerprintSensitivity(t *testing.T) {
 		"Horizon":    func(c *system.Config) { c.Horizon += 1 },
 		"Warmup":     func(c *system.Config) { c.Warmup += 1 },
 		"TardyAbort": func(c *system.Config) { c.TardyAbort = !c.TardyAbort },
-		"EventQueue": func(c *system.Config) { c.EventQueue = sim.QueueLadder },
 		"Scenario":   func(c *system.Config) { c.Scenario = sc },
 		"Shape": func(c *system.Config) {
 			c.Shape = workload.SerialShape{M: 3, MeanExec: 1, Demand: workload.ExponentialDemand{}}
@@ -116,8 +113,8 @@ func TestConfigFingerprintRejectsUnwirable(t *testing.T) {
 }
 
 // TestConfigFingerprintPinned: the fingerprint is part of every cache
-// key, so these values, captured before the protocol moved off gob,
-// must never move without a fingerprintRev bump.
+// key, so these values (encoding revision 5) must never move without a
+// fingerprintRev bump.
 func TestConfigFingerprintPinned(t *testing.T) {
 	mixed := system.Baseline()
 	mixed.Shape = workload.MixedShape{Stages: []int{1, 3, 1}, MeanExec: 1, Demand: workload.ParetoDemand{Alpha: 2.5}}
@@ -127,8 +124,8 @@ func TestConfigFingerprintPinned(t *testing.T) {
 		cfg  system.Config
 		want string
 	}{
-		"baseline": {system.Baseline(), "70e6fd17f06ab9ba97d44c6afd223e03"},
-		"mixed":    {mixed, "61e7d4a8817d4e4f26084ca1a3d2d281"},
+		"baseline": {system.Baseline(), "d958a25448f47c1d7fb6a1651f743167"},
+		"mixed":    {mixed, "6ecd91932dfaef202c3944eabe2017ae"},
 	} {
 		got, err := ConfigFingerprint(tc.cfg)
 		if err != nil {

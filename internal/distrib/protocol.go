@@ -71,12 +71,13 @@ var fixedSize = [...]uint32{msgCancel: 8, msgPing: 8, msgPong: 8, msgHello: 8}
 // ProtocolVersion is bumped on any incompatible frame or payload change,
 // so a coordinator and worker built from different protocol revisions
 // fail the handshake with a structured *FrameError instead of a decode
-// error deep inside a shard. Versions 1 to 4 were gob frames; version 5
-// is the binary encoding, whose shard frames carry the config encoding
-// at its own revision (fingerprintRev).
+// error deep inside a shard. Versions 1 to 4 were gob frames; versions
+// 5 and up are the binary encoding, whose shard frames carry the config
+// encoding at its own revision (fingerprintRev); version 6 is 5 with that
+// encoding's event-queue name gone.
 const (
 	ProtocolMagic   uint32 = 0x53444131 // "SDA1"
-	ProtocolVersion uint32 = 5
+	ProtocolVersion uint32 = 6
 )
 
 // maxFrame bounds the payload of the kinds without a fixed size;

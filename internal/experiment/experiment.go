@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/session"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/system"
 )
@@ -53,10 +52,6 @@ type Options struct {
 	// pinned to specific node ids, hand-written multiplier vectors) fail
 	// Config.Validate with a descriptive error.
 	Nodes int
-	// EventQueue forwards system.Config.EventQueue to every replication:
-	// "" or "auto" (heap, ladder-promoted at scale), "heap", "ladder".
-	// Results are byte-identical across kinds.
-	EventQueue sim.QueueKind
 	// Context, when non-nil, bounds the run: once it is cancelled no new
 	// sweep cell or replication starts and the experiment returns the
 	// context's error. Experiments report whole figures only — a
@@ -94,7 +89,6 @@ func (o Options) session() (*session.Session, func()) {
 func (o Options) applyTo(cfg *system.Config, rep int) {
 	cfg.Horizon = o.Horizon
 	cfg.Seed = o.Seed + uint64(rep)
-	cfg.EventQueue = o.EventQueue
 	if o.Nodes > 0 {
 		cfg.Nodes = o.Nodes
 	}

@@ -25,19 +25,30 @@ func FuzzJobSpec(f *testing.F) {
 		`{"preset":"burst","parallelism":-3}`,
 		fmt.Sprintf(`{"horizon":10,"nodes":%d,"reps":1}`, system.MaxNodes+1),
 		`{"preset":"burst","spec":{"name":"x"},"horizon":100}`,
-		`{"preset":"burst","horizon":100,"queue":"treap"}`,
 		`{"preset":"nope","horizon":100}`,
 		`{"presett":"burst"}`,
-		`{"spec":{"name":"s","phases":[{"duration":10,"rate":2},{"duration":0,"rate":1}]},"horizon":50,"queue":"ladder"}`,
 		`{"preset":`,
 	} {
 		f.Add([]byte(body))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
+	decode := func(body []byte) (spec JobSpec, err error) {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
-		var spec JobSpec
-		if err := dec.Decode(&spec); err != nil {
+		return spec, dec.Decode(&spec)
+	}
+	// Specs naming the removed "queue" field must stay rejected.
+	for _, body := range []string{
+		`{"preset":"burst","horizon":100,"queue":"treap"}`,
+		`{"spec":{"name":"s","phases":[{"duration":10,"rate":2},{"duration":0,"rate":1}]},"horizon":50,"queue":"ladder"}`,
+	} {
+		if _, err := decode([]byte(body)); err == nil {
+			f.Fatalf("spec with a queue field decoded: %s", body)
+		}
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decode(body)
+		if err != nil {
 			return
 		}
 		cfg, job, err := buildJob(spec)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/session"
-	"repro/internal/sim"
 	"repro/internal/system"
 )
 
@@ -201,8 +200,6 @@ type JobSpec struct {
 	// replication count.
 	Seed uint64 `json:"seed,omitempty"`
 	Reps int    `json:"reps,omitempty"`
-	// Queue pins the event queue ("heap", "ladder"); empty is auto.
-	Queue string `json:"queue,omitempty"`
 	// Parallelism bounds workers per job; 0 uses every core.
 	Parallelism int `json:"parallelism,omitempty"`
 }
@@ -241,13 +238,6 @@ func buildJob(spec JobSpec) (system.Config, session.Job, error) {
 	}
 	if spec.Seed != 0 {
 		cfg.Seed = spec.Seed
-	}
-	if spec.Queue != "" {
-		kind, err := sim.ParseQueueKind(spec.Queue)
-		if err != nil {
-			return system.Config{}, session.Job{}, err
-		}
-		cfg.EventQueue = kind
 	}
 	if spec.Preset != "" && spec.Spec != nil {
 		return system.Config{}, session.Job{}, errors.New("use preset or spec, not both")

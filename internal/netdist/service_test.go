@@ -166,7 +166,6 @@ func TestServiceBadRequests(t *testing.T) {
 		{"unknown preset", `{"preset":"nope","horizon":100}`, "", http.StatusBadRequest},
 		{"preset and spec", `{"preset":"burst","spec":{"name":"x"},"horizon":100}`, "", http.StatusBadRequest},
 		{"negative reps", `{"preset":"burst","horizon":100,"reps":-1}`, "", http.StatusBadRequest},
-		{"bad queue", `{"preset":"burst","horizon":100,"queue":"treap"}`, "", http.StatusBadRequest},
 		{"bad format", `{"preset":"burst","horizon":100}`, "wat", http.StatusBadRequest},
 		{"csv without scenario", `{"horizon":100,"reps":1}`, "csv", http.StatusBadRequest},
 	}
@@ -178,6 +177,12 @@ func TestServiceBadRequests(t *testing.T) {
 		if code, body := postRun(t, url, tc.body); code != tc.wantCode {
 			t.Errorf("%s: status = %d, want %d (%s)", tc.name, code, tc.wantCode, body)
 		}
+	}
+
+	// The event queue is the engine's own choice: a spec naming one is
+	// an unknown field, rejected by name.
+	if code, msg := postRun(t, ts.URL+"/run", `{"preset":"burst","queue":"ladder"}`); code != http.StatusBadRequest || !strings.Contains(msg, `"queue"`) {
+		t.Errorf("queue field: status %d, body %q; want 400 naming the unknown field", code, msg)
 	}
 
 	// A negative number is rejected by name, never replaced by the

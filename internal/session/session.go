@@ -8,9 +8,8 @@
 // leased to workers for the duration of a batch and returned afterwards.
 // A Job describes what to run — a configuration, an optional scenario,
 // and a replication count — and functional options (WithParallelism,
-// WithProgress, WithTrace, WithEventQueue) tune the run; the same
-// options are accepted by New (session-wide defaults) and by each call
-// (per-run overrides).
+// WithProgress, WithTrace) tune the run; the same options are accepted
+// by New (session-wide defaults) and by each call (per-run overrides).
 //
 // Every run method takes a context.Context, and cancellation is
 // deterministic-safe: replications are claimed in seed order and a
@@ -39,7 +38,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -93,9 +91,6 @@ func (j Job) config(o options) system.Config {
 	if j.Scenario != nil {
 		cfg.Scenario = j.Scenario
 	}
-	if o.queueSet {
-		cfg.EventQueue = o.queue
-	}
 	if o.trace != nil {
 		cfg.Trace = o.trace
 	}
@@ -107,8 +102,6 @@ type options struct {
 	parallelism int
 	progress    func(done, total int)
 	trace       *trace.Recorder
-	queue       sim.QueueKind
-	queueSet    bool
 }
 
 // Option configures a Session (as a default for every call) or a single
@@ -130,12 +123,6 @@ func WithProgress(fn func(done, total int)) Option { return func(o *options) { o
 // A recorder is shared mutable state across replications, so tracing
 // forces the sequential path exactly as SimConfig.Trace always has.
 func WithTrace(rec *trace.Recorder) Option { return func(o *options) { o.trace = rec } }
-
-// WithEventQueue pins the engine's pending-event structure (heap,
-// ladder, or auto promotion). Results are byte-identical across kinds.
-func WithEventQueue(kind sim.QueueKind) Option {
-	return func(o *options) { o.queue, o.queueSet = kind, true }
-}
 
 // Shard is the unit of work a Backend executes: one effective
 // configuration (scenario and trace already attached) and a run of

@@ -244,8 +244,8 @@ func TestStreamCancelDeliversPrefix(t *testing.T) {
 	}
 }
 
-// TestRunOptionOverrides: per-call options override session defaults,
-// and the queue knob never changes results.
+// TestRunOptionOverrides: per-call options override session defaults
+// without changing results.
 func TestRunOptionOverrides(t *testing.T) {
 	cfg := shortCfg(2000)
 	s := New(WithParallelism(1))
@@ -254,14 +254,13 @@ func TestRunOptionOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder, err := s.Run(context.Background(), Job{Config: cfg, Reps: 2},
-		WithEventQueue("ladder"), WithParallelism(2))
+	wide, err := s.Run(context.Background(), Job{Config: cfg, Reps: 2}, WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range base.Runs {
-		if metricsSig(base.Runs[i]) != metricsSig(ladder.Runs[i]) {
-			t.Fatalf("rep %d: ladder queue changed the result", i)
+		if !sameBits(t, base.Runs[i], wide.Runs[i]) {
+			t.Fatalf("rep %d: a per-call parallelism override changed the result", i)
 		}
 	}
 }

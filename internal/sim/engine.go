@@ -155,8 +155,8 @@ func New() *Engine {
 
 // NewWithQueue returns an engine using the given event-queue kind.
 // Results are byte-identical across kinds; see QueueKind for the
-// performance trade-offs. An unknown kind panics — validate user input
-// with ParseQueueKind first.
+// performance trade-offs. Pinned kinds are references for tests and
+// benchmarks; an unknown kind panics.
 func NewWithQueue(kind QueueKind) *Engine {
 	e := &Engine{seq: 1, base: 1, floor: 1}
 	e.handlers = append(e.handlers, handler{boxed: runClosure})
@@ -282,9 +282,10 @@ type Stats struct {
 
 // Stats returns the engine's counter snapshot. It is a pure function of
 // the event sequence, so for a full replication it is deterministic in
-// (configuration, seed) — with the one caveat that Promotions also
-// depends on the configured QueueKind (auto promotes, pinned kinds
-// never do), which never affects simulation results.
+// (configuration, seed). Promotions counts the default engine's
+// heap→ladder switch, which the pending count decides; an engine pinned
+// to one kind (NewWithQueue) never promotes, and no kind affects
+// simulation results.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Scheduled:  e.seq - e.base,

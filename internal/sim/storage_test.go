@@ -14,7 +14,7 @@ import (
 // retained many times the pending set by the end (the long-lived top
 // rung's buckets each grow to their worst occupancy over every rebuild
 // and every spread); the shared block pool must retain no more than a
-// small multiple of the bytes the deepest pending set occupied.
+// small multiple of the records the deepest pending set occupied.
 func TestLadderStorageTracksPending(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-event hold model in -short mode")
@@ -32,11 +32,14 @@ func TestLadderStorageTracksPending(t *testing.T) {
 	for i := 0; i < events; i++ {
 		e.Step()
 	}
-	hwm := e.Stats().PendingHWM
-	retained := len(e.lad.chunks) * ladderChunk * ladderBlock * int(unsafe.Sizeof(event{}))
+	hwm := int(e.Stats().PendingHWM)
+	record := int(unsafe.Sizeof(event{}))
+	retained := len(e.lad.chunks) * ladderChunk * ladderBlock
 	t.Logf("retained %.2f MB of bucket storage for a pending high-water mark of %d (%.2f MB of events)",
-		float64(retained)/1e6, hwm, float64(hwm*16)/1e6)
-	if limit := 4 * 16 * int(hwm); retained > limit {
-		t.Fatalf("bucket storage retains %d bytes, want <= %d (4 x 16 B x PendingHWM %d)", retained, limit, hwm)
+		float64(retained*record)/1e6, hwm, float64(hwm*record)/1e6)
+	// At most 2.5 records per pending event (60 B of 24-byte records),
+	// stated in records so the bound follows the record size.
+	if limit := 5 * hwm / 2; retained > limit {
+		t.Fatalf("bucket storage retains %d records, want <= %d (2.5 x PendingHWM %d)", retained, limit, hwm)
 	}
 }

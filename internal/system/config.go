@@ -86,13 +86,6 @@ type Config struct {
 	// bit-for-bit. A Scenario is read-only and safe to share across
 	// parallel replications.
 	Scenario *scenario.Scenario
-	// EventQueue selects the engine's pending-event structure:
-	// sim.QueueAuto (the zero value; binary heap, promoted to the ladder
-	// queue at large pending-event counts), sim.QueueHeap (pin the
-	// reference binary heap), or sim.QueueLadder (pin the ladder queue).
-	// Every choice pops events in the same (time, seq) order, so results
-	// are byte-identical; only speed differs with topology size.
-	EventQueue sim.QueueKind
 	// Seed seeds every random stream of the run: one stream per
 	// workload source, carrying its gap and body draws interleaved in
 	// arrival order. The golden digests in testdata/golden_digests.txt
@@ -209,9 +202,6 @@ func (c *Config) Validate() error {
 		return err
 	}
 	if err := c.Scheduler.Validate(); err != nil {
-		return err
-	}
-	if _, err := sim.ParseQueueKind(string(c.EventQueue)); err != nil {
 		return err
 	}
 	if c.Scenario != nil {

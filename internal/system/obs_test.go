@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // TestEngineStatsDeterministic pins the PR-7 guarantee: Metrics.Engine
@@ -89,28 +88,6 @@ func TestEngineStatsPreemptive(t *testing.T) {
 	}
 	if m.Engine.Preemptions == 0 {
 		t.Fatal("preemptive high-load run recorded no preemptions")
-	}
-}
-
-// TestEngineStatsQueueKinds checks that everything except the
-// promotion counter is identical across event-queue kinds (pop order is
-// identical by construction; only the promotion path differs).
-func TestEngineStatsQueueKinds(t *testing.T) {
-	base := shortBaseline()
-	get := func(kind sim.QueueKind) obs.EngineStats {
-		t.Helper()
-		cfg := base
-		cfg.EventQueue = kind
-		m, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Engine
-	}
-	heap, ladder := get(sim.QueueHeap), get(sim.QueueLadder)
-	heap.QueuePromotions, ladder.QueuePromotions = 0, 0
-	if heap != ladder {
-		t.Errorf("engine stats differ across queue kinds:\n%+v\n%+v", heap, ladder)
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 // to keep deterministic.
 type Workspace struct {
 	eng      *sim.Engine
-	engKind  sim.QueueKind // kind eng was created with
 	pool     *task.Pool
 	graphs   *task.GraphPool
 	group    *node.Group
@@ -220,17 +219,12 @@ func runWith(cfg Config, ws *Workspace, pooled bool) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	queueKind, err := sim.ParseQueueKind(string(cfg.EventQueue))
-	if err != nil {
-		return nil, err
-	}
 
 	if ws == nil || !pooled {
 		ws = NewWorkspace()
 	}
-	if ws.eng == nil || ws.engKind != queueKind {
-		ws.eng = sim.NewWithQueue(queueKind)
-		ws.engKind = queueKind
+	if ws.eng == nil {
+		ws.eng = sim.New()
 	} else {
 		ws.eng.Reset()
 	}

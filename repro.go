@@ -31,7 +31,7 @@
 // workload sources) are created once and reused across every call. A
 // Job is the unit of work — a configuration, an optional scenario, and
 // a replication count — and functional options (WithParallelism,
-// WithProgress, WithTrace, WithEventQueue) tune the run:
+// WithProgress, WithTrace) tune the run:
 //
 //	sess := repro.NewSession(repro.WithParallelism(8))
 //	defer sess.Close()
@@ -64,7 +64,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/system"
 	"repro/internal/task"
@@ -193,25 +192,6 @@ type (
 	MixedShape = workload.MixedShape
 	// HeteroSerialShape draws the subtask count uniformly per task.
 	HeteroSerialShape = workload.HeteroSerialShape
-)
-
-// EventQueueKind selects the simulation engine's pending-event
-// structure (SimConfig.EventQueue). Every kind pops events in the same
-// (time, seq) order, so results are byte-identical; only speed differs
-// with topology size.
-type EventQueueKind = sim.QueueKind
-
-// Event-queue kinds.
-const (
-	// EventQueueAuto (the zero value) starts on the binary heap and
-	// promotes to the ladder queue once the pending-event count crosses
-	// the large-topology threshold.
-	EventQueueAuto = sim.QueueAuto
-	// EventQueueHeap pins the reference binary heap.
-	EventQueueHeap = sim.QueueHeap
-	// EventQueueLadder pins the two-level ladder queue built for
-	// large-topology runs.
-	EventQueueLadder = sim.QueueLadder
 )
 
 // BaselineConfig returns Table 1's baseline setting.

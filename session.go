@@ -66,10 +66,6 @@ func WithProgress(fn func(done, total int)) RunOption { return session.WithProgr
 // forces the sequential path.
 func WithTrace(rec *TraceRecorder) RunOption { return session.WithTrace(rec) }
 
-// WithEventQueue pins the engine's pending-event structure; results are
-// byte-identical across kinds.
-func WithEventQueue(kind EventQueueKind) RunOption { return session.WithEventQueue(kind) }
-
 // MetricsSnapshot is a point-in-time view of a session's runtime
 // metrics, returned by Session.Snapshot: engine counters accumulated
 // over every finished replication (deterministic — identical for a

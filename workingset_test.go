@@ -11,8 +11,9 @@ import (
 // TestRecordWorkingSet65536 is the recorded working-set profile behind
 // BENCH_pr9.json's "profile" section — the fallback proof of the
 // extreme-scale memory-layout work on machines without perf(1): it runs
-// the same 65536-node ladder configuration as the scaling benchmark and
-// reports runtime.MemStats deltas as JSON. Heap in-use after the run
+// the scaling benchmark's 65536-node configuration, which the engine
+// promotes to the ladder queue during setup, and reports
+// runtime.MemStats deltas as JSON. Heap in-use after the run
 // bounds the resident working set the hot loop walks; allocation and GC
 // deltas across the measured replication show the steady state is
 // arena-resident (no per-task heap traffic).
@@ -29,7 +30,6 @@ func TestRecordWorkingSet65536(t *testing.T) {
 	}
 	cfg := BaselineConfig()
 	cfg.Nodes = 65536
-	cfg.EventQueue = EventQueueLadder
 	cfg.Horizon = 30
 	cfg.Warmup = 0.3
 
