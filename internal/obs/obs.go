@@ -32,8 +32,9 @@ type EngineStats struct {
 	EventsScheduled uint64
 	EventsFired     uint64
 	EventsCancelled uint64
-	// QueuePromotions counts heap→ladder promotions: 1 in a replication
-	// whose queued events outgrew the engine's promotion threshold, else 0.
+	// QueuePromotions counts near-tier spreads of the event queue: 1 in
+	// a replication whose queued events outgrew the engine's spread
+	// threshold, else 0.
 	QueuePromotions uint64
 	// PendingHWM is the pending-event high-water mark (engine queue
 	// depth); ReadyHWM is the deepest any node's ready queue got.

@@ -16,7 +16,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	pw.counter("repro_engine_events_scheduled_total", "Engine events scheduled across finished replications.", s.Engine.EventsScheduled)
 	pw.counter("repro_engine_events_fired_total", "Engine events executed across finished replications.", s.Engine.EventsFired)
 	pw.counter("repro_engine_events_cancelled_total", "Engine events cancelled before firing.", s.Engine.EventsCancelled)
-	pw.counter("repro_engine_queue_promotions_total", "Heap-to-ladder event-queue promotions.", s.Engine.QueuePromotions)
+	pw.counter("repro_engine_queue_promotions_total", "Event-queue near-tier spreads.", s.Engine.QueuePromotions)
 	pw.gauge("repro_engine_pending_events_hwm", "Deepest pending-event queue of any replication.", float64(s.Engine.PendingHWM))
 	pw.gauge("repro_engine_ready_queue_hwm", "Deepest per-node ready queue of any replication.", float64(s.Engine.ReadyHWM))
 	pw.counter("repro_engine_tasks_submitted_total", "Tasks submitted to nodes.", s.Engine.TasksSubmitted)

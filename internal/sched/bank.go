@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/task"
 )
@@ -22,21 +23,29 @@ import (
 // tasks, and Pop drains the globals lane first. Without globalsFirst
 // there is one lane per node.
 //
-// Each lane's initial backing array is carved out of one shared arena
-// with a full slice expression, so a lane that outgrows its carve
-// reallocates only itself; the others keep their arena slot. At 64k
-// nodes this turns 64k–128k queue allocations into two and keeps the
-// per-node queue heads densely packed — the dominant share of the
-// dispatch path's working set.
+// Each lane's backing array is carved out of one shared arena with a
+// full slice expression, so a lane that outgrows its carve moves only
+// itself; the others keep their arena slot. At 64k nodes this turns
+// 64k–128k queue allocations into two and keeps the per-node queue
+// heads densely packed — the dominant share of the dispatch path's
+// working set.
+//
+// A lane that bursts past its carve moves to a burst array of twice its
+// capacity, taken from the bank's spare arrays of that size when one is
+// free, and goes back to its carve when it drains, returning the array.
+// Retained burst storage therefore follows how many lanes are deep at
+// the same time, not how many ever were: a lane that kept its burst
+// array for the life of the bank made a warm 65536-node workspace hold
+// more the longer it ran. A bank of the same shape keeps its spares, so
+// a repeated replication allocates nothing.
 //
 // The carve (Configure's perNode) should follow the measured depth
 // distribution, not the deepest lane: it is paid on every lane, while a
-// lane that bursts past it pays once for a private array that a
-// reconfigured bank of the same shape keeps. The cached top entry
-// already holds depth one, so the carve counts only the entries behind
-// it; the simulator carves two (see system.bankQueueDepth), which
-// covers nine lanes in ten of a 65536-node Table 1 run and is a
-// quarter of the arena an eight-entry carve spent there (12.6 MB).
+// burst past it borrows a spare. The cached top entry already holds
+// depth one, so the carve counts only the entries behind it; the
+// simulator carves two (see system.bankQueueDepth), which covers nine
+// lanes in ten of a 65536-node Table 1 run and is a quarter of the
+// arena an eight-entry carve spent there (12.6 MB).
 //
 // Each lane additionally caches its minimum entry inside the lane
 // record itself (see lane), so the overwhelmingly common shallow-queue
@@ -52,6 +61,8 @@ type Bank struct {
 	perNode      int
 	lanes        []lane
 	arena        []entry
+	// spare[k] holds free, empty burst arrays of capacity perNode<<(k+1).
+	spare [][][]entry
 }
 
 // lane is one node's ready queue: the current minimum entry stored
@@ -81,21 +92,6 @@ func (l *lane) push(e entry) {
 	l.n++
 }
 
-// pop removes and returns the minimum entry's task, or nil when empty.
-func (l *lane) pop() *task.Task {
-	if l.n == 0 {
-		return nil
-	}
-	t := l.top.t
-	l.n--
-	if l.n > 0 {
-		l.top = l.rest.popEntry()
-	} else {
-		l.top = entry{}
-	}
-	return t
-}
-
 // reset empties the lane, keeping the rest heap's backing array.
 func (l *lane) reset() {
 	l.n = 0
@@ -109,9 +105,8 @@ func NewBank() *Bank { return &Bank{} }
 // Configure (re)initializes the bank for nodes queues of the given
 // policy, pre-sizing each lane for perNode entries. When the shape
 // (nodes, globalsFirst, perNode) matches the previous configuration the
-// lanes are reset in place — lanes that grew past their carve keep
-// their larger private arrays — so a warm workspace pays no queue
-// allocations at all.
+// lanes are reset in place and the burst arrays kept as spares, so a
+// warm workspace pays no queue allocations at all.
 func (b *Bank) Configure(nodes int, p Policy, globalsFirst bool, perNode int) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -129,21 +124,63 @@ func (b *Bank) Configure(nodes int, p Policy, globalsFirst bool, perNode int) er
 		laneCount = 2 * nodes
 	}
 	if b.nodes == nodes && len(b.lanes) == laneCount && b.perNode == perNode {
-		for i := range b.lanes {
-			b.lanes[i].reset()
-		}
+		b.Reset()
 		return nil
 	}
 	b.nodes, b.perNode = nodes, perNode
 	b.lanes = make([]lane, laneCount)
 	b.arena = make([]entry, laneCount*perNode)
+	b.spare = nil
 	for i := range b.lanes {
-		off := i * perNode
-		// Full slice expression: append beyond perNode moves this lane
-		// to its own array instead of clobbering the neighbour's carve.
-		b.lanes[i].rest.items = b.arena[off : off : off+perNode]
+		b.lanes[i].rest.items = b.carve(i)
 	}
 	return nil
+}
+
+// carve returns lane li's slot of the arena, empty. The full slice
+// expression keeps an append from reaching the neighbour's carve.
+func (b *Bank) carve(li int) []entry {
+	off := li * b.perNode
+	return b.arena[off : off : off+b.perNode]
+}
+
+// class returns the spare-list index of a burst array of capacity c.
+func (b *Bank) class(c int) int { return bits.Len(uint(c/b.perNode)) - 2 }
+
+// grow moves lane li's full rest heap to a burst array of twice its
+// capacity, returning a previous burst array to the spares.
+func (b *Bank) grow(li int) {
+	l := &b.lanes[li]
+	old := l.rest.items
+	k := b.class(2 * cap(old))
+	for len(b.spare) <= k {
+		b.spare = append(b.spare, nil)
+	}
+	var items []entry
+	if n := len(b.spare[k]); n > 0 {
+		items = b.spare[k][n-1]
+		b.spare[k] = b.spare[k][:n-1]
+	} else {
+		items = make([]entry, 0, 2*cap(old))
+	}
+	l.rest.items = append(items, old...)
+	if cap(old) > b.perNode {
+		clear(old)
+		b.release(old)
+	}
+}
+
+// release files an empty, cleared burst array among the spares.
+func (b *Bank) release(items []entry) {
+	k := b.class(cap(items))
+	b.spare[k] = append(b.spare[k], items[:0])
+}
+
+// settle sends lane li, whose burst array holds no entries, back to its
+// carve, returning the array to the spares.
+func (b *Bank) settle(li int) {
+	b.release(b.lanes[li].rest.items)
+	b.lanes[li].rest.items = b.carve(li)
 }
 
 // Nodes returns the configured node count.
@@ -170,7 +207,11 @@ func (b *Bank) Push(i int, t *task.Task) {
 			li++
 		}
 	}
-	b.lanes[li].push(entry{key: b.key(t), seq: t.Seq, t: t})
+	l := &b.lanes[li]
+	if len(l.rest.items) == cap(l.rest.items) {
+		b.grow(li) // full: an empty lane's rest heap never is
+	}
+	l.push(entry{key: b.key(t), seq: t.Seq, t: t})
 }
 
 // Pop removes and returns node i's highest-priority task, or nil when
@@ -179,12 +220,32 @@ func (b *Bank) Push(i int, t *task.Task) {
 func (b *Bank) Pop(i int, now float64) *task.Task {
 	_ = now
 	if b.globalsFirst {
-		if t := b.lanes[2*i].pop(); t != nil {
+		if t := b.pop(2 * i); t != nil {
 			return t
 		}
-		return b.lanes[2*i+1].pop()
+		return b.pop(2*i + 1)
 	}
-	return b.lanes[i].pop()
+	return b.pop(i)
+}
+
+// pop removes and returns lane li's minimum task, or nil when the lane
+// is empty. A lane whose burst array drains settles back to its carve.
+func (b *Bank) pop(li int) *task.Task {
+	l := &b.lanes[li]
+	if l.n == 0 {
+		return nil
+	}
+	t := l.top.t
+	l.n--
+	if l.n == 0 {
+		l.top = entry{}
+		return t
+	}
+	l.top = l.rest.popEntry()
+	if len(l.rest.items) == 0 && cap(l.rest.items) > b.perNode {
+		b.settle(li)
+	}
+	return t
 }
 
 // Len returns the number of tasks waiting at node i.
@@ -195,9 +256,12 @@ func (b *Bank) Len(i int) int {
 	return int(b.lanes[i].n)
 }
 
-// Reset empties every lane, keeping capacity.
+// Reset empties every lane, keeping the burst arrays as spares.
 func (b *Bank) Reset() {
 	for i := range b.lanes {
 		b.lanes[i].reset()
+		if cap(b.lanes[i].rest.items) > b.perNode {
+			b.settle(i)
+		}
 	}
 }

@@ -206,3 +206,71 @@ func TestBankConfigureReuse(t *testing.T) {
 		t.Fatal("Configure(bogus policy) succeeded, want error")
 	}
 }
+
+// burstEntries counts the entries of burst storage b retains: the
+// arrays of lanes deeper than their carve plus the spares.
+func burstEntries(b *Bank) int {
+	n := 0
+	for i := range b.lanes {
+		if c := cap(b.lanes[i].rest.items); c > b.perNode {
+			n += c
+		}
+	}
+	for _, class := range b.spare {
+		for _, items := range class {
+			n += cap(items)
+		}
+	}
+	return n
+}
+
+// TestBankBurstStorageTracksDepth drives bursts through a 4096-lane
+// bank: each round, eight random lanes take twelve tasks apiece and then
+// drain. Far more lanes burst over a long run than over a short one,
+// but never more than eight at once, so the burst storage the bank
+// retains must not grow with the run's length — a lane that kept its
+// burst array after draining made it grow with the count of lanes that
+// ever burst. Once warm, a round allocates nothing.
+func TestBankBurstStorageTracksDepth(t *testing.T) {
+	const nodes, deep, depth = 4096, 8, 12
+	b := NewBank()
+	if err := b.Configure(nodes, EDF, false, 2); err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(3)
+	tasks := make([]task.Task, deep*depth)
+	for i := range tasks {
+		tasks[i] = task.Task{ID: uint64(i + 1), Seq: uint64(i + 1), Deadline: float64(i % depth)}
+	}
+	lanes := make([]int, deep)
+	round := func() {
+		for j := range lanes {
+			lanes[j] = r.IntN(nodes)
+			for k := 0; k < depth; k++ {
+				b.Push(lanes[j], &tasks[j*depth+k])
+			}
+		}
+		for _, i := range lanes {
+			for b.Pop(i, 0) != nil {
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	short := burstEntries(b)
+	for i := 0; i < 450; i++ {
+		round()
+	}
+	long := burstEntries(b)
+	t.Logf("burst storage: %d entries after 50 rounds, %d after 500", short, long)
+	if long > short {
+		t.Errorf("burst storage grew from %d to %d entries with the run's length", short, long)
+	}
+	if limit := 4 * deep * depth; long > limit {
+		t.Errorf("burst storage holds %d entries for %d lanes %d deep, want <= %d", long, deep, depth, limit)
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a warm burst round allocated %v times, want 0", allocs)
+	}
+}

@@ -15,11 +15,12 @@
 // pointer-free record — fire time, sequence number, callback id and a
 // 32-bit argument — stored by value in the pending-event structure, so
 // firing an event reads the record and nothing else, and steady-state
-// scheduling performs zero heap allocations. The pending-event structure
-// has two implementations that pop in exactly the same (time, seq)
-// order: the reference binary heap and a two-level ladder queue whose
-// O(1) amortized schedule/pop wins at large pending-event counts (see
-// QueueKind).
+// scheduling performs zero heap allocations. The pending events live in
+// one ladder queue (ladder.go): while few are queued it is flat, a plain
+// binary heap on (time, seq); once more than promoteThreshold are queued
+// it spreads into bucketed rungs whose amortized O(1) schedule/pop wins
+// at large pending-event counts. Either way events pop in exactly the
+// same (time, seq) order.
 //
 // Hot callers register a func(int32) handler once (RegisterArg) and
 // schedule it with the index of the entity it acts on (MustScheduleArg,
@@ -111,25 +112,18 @@ type Engine struct {
 	dead             seqSet
 
 	// Instrumentation counters, all maintained as plain fields on paths
-	// the engine already owns (no atomics, no callbacks): cancelled and
-	// promotions count successful Cancels and heap→ladder migrations;
-	// pendingHWM tracks the deepest the pending set ever got, derived as
-	// scheduled−fired−cancelled so no queue-size walk sits on the
-	// schedule path. Stats() exposes them; Reset zeroes them.
+	// the engine already owns (no atomics, no callbacks): cancelled
+	// counts successful Cancels; pendingHWM tracks the deepest the
+	// pending set ever got, derived as scheduled−fired−cancelled so no
+	// queue-size walk sits on the schedule path. The queue counts its
+	// own spreads. Stats() exposes them; Reset zeroes them.
 	cancelled  uint64
-	promotions uint64
 	pendingHWM uint64
 
-	// The active queue is lad when non-nil, the binary heap otherwise;
-	// hot paths dispatch with that one branch instead of an interface
-	// call. kind is the configured QueueKind (QueueAuto promotes
-	// heap -> ladder lazily, see promote). ladCache keeps a
-	// promoted-then-Reset auto engine's ladder warm so the next run's
-	// promotion reuses its rung arrays instead of reallocating.
-	heap     []event
-	lad      *ladderQueue
-	ladCache *ladderQueue
-	kind     QueueKind
+	// q holds every pending event; kind is the QueueKind it is reset
+	// to.
+	q    ladderQueue
+	kind QueueKind
 
 	handlers []handler
 
@@ -153,80 +147,31 @@ func New() *Engine {
 	return NewWithQueue(QueueAuto)
 }
 
-// NewWithQueue returns an engine using the given event-queue kind.
-// Results are byte-identical across kinds; see QueueKind for the
-// performance trade-offs. Pinned kinds are references for tests and
-// benchmarks; an unknown kind panics.
+// NewWithQueue returns an engine whose queue follows the given kind.
+// Results are byte-identical across kinds; the pinned kinds are
+// references for tests and benchmarks. An unknown kind panics.
 func NewWithQueue(kind QueueKind) *Engine {
-	e := &Engine{seq: 1, base: 1, floor: 1}
+	e := &Engine{seq: 1, base: 1, floor: 1, q: ladderQueue{free: -1}, kind: kind}
 	e.handlers = append(e.handlers, handler{boxed: runClosure})
-	e.setQueueKind(kind)
+	e.q.reset(kind)
 	return e
-}
-
-// setQueueKind installs the empty queue for kind.
-func (e *Engine) setQueueKind(kind QueueKind) {
-	switch kind {
-	case QueueAuto, QueueHeap:
-		e.lad = nil
-	case QueueLadder:
-		e.lad = newLadderQueue()
-	default:
-		panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
-	}
-	e.kind = kind
-}
-
-// QueueKind reports the queue implementation currently in use ("heap" or
-// "ladder") — under QueueAuto this flips to "ladder" once the engine
-// promotes.
-func (e *Engine) QueueKind() QueueKind {
-	if e.lad != nil {
-		return QueueLadder
-	}
-	return QueueHeap
-}
-
-// promote switches an auto-mode engine from the heap to the ladder once
-// the heap outgrows promoteThreshold. The migration moves every queued
-// record once; pop order (and therefore every simulation result) is
-// unaffected.
-func (e *Engine) promote() {
-	lad := e.ladCache
-	if lad == nil {
-		lad = newLadderQueue()
-	}
-	e.ladCache = nil
-	for i := range e.heap {
-		lad.push(e.heap[i])
-	}
-	e.heap = e.heap[:0]
-	e.lad = lad
-	e.promotions++
 }
 
 // Reset returns the engine to its initial state — clock at zero, no
 // pending events, no registered callbacks — while keeping the capacity of
 // its internal buffers, so a reused engine reaches steady state without
 // re-growing its queue arrays. Handles issued before the reset are
-// stale: their sequence numbers lie below the new run's. A promoted
-// QueueAuto engine demotes back to the heap (keeping the ladder cached
-// for the next promotion), so every run's queue trajectory — including
-// the Stats promotion counter — is a pure function of (configuration,
-// seed), not of what the workspace ran before; queue choice never
-// affects results either way.
+// stale: their sequence numbers lie below the new run's. The queue goes
+// back to its initial shape (flat, for QueueAuto) in place, so every
+// run's queue trajectory — including the Stats spread counter — is a
+// pure function of (configuration, seed), not of what the workspace ran
+// before, while a re-spread reuses the rung arrays of earlier runs.
 func (e *Engine) Reset() {
 	e.now, e.fired, e.stopped = 0, 0, false
 	e.base, e.floor, e.last = e.seq, e.seq, event{}
 	e.dead.reset()
-	e.cancelled, e.promotions, e.pendingHWM = 0, 0, 0
-	if e.lad != nil {
-		e.lad.reset()
-		if e.kind == QueueAuto {
-			e.ladCache, e.lad = e.lad, nil
-		}
-	}
-	e.heap = e.heap[:0]
+	e.cancelled, e.pendingHWM = 0, 0
+	e.q.reset(e.kind)
 	clear(e.payloads) // release payload references
 	e.payloads, e.freePayloads = e.payloads[:0], e.freePayloads[:0]
 	clear(e.handlers) // release closure references
@@ -283,15 +228,15 @@ type Stats struct {
 // Stats returns the engine's counter snapshot. It is a pure function of
 // the event sequence, so for a full replication it is deterministic in
 // (configuration, seed). Promotions counts the default engine's
-// heap→ladder switch, which the pending count decides; an engine pinned
-// to one kind (NewWithQueue) never promotes, and no kind affects
-// simulation results.
+// near-tier spreads (at most one a run), which the pending count
+// decides; an engine pinned to one kind (NewWithQueue) never spreads,
+// and no kind affects simulation results.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Scheduled:  e.seq - e.base,
 		Fired:      e.fired,
 		Cancelled:  e.cancelled,
-		Promotions: e.promotions,
+		Promotions: e.q.spreads,
 		PendingHWM: e.pendingHWM,
 	}
 }
@@ -390,16 +335,12 @@ func (e *Engine) push(t float64, cb Callback, arg int32) Event {
 		}
 		e.pendingHWM = pending
 	}
-	if e.lad != nil {
-		e.lad.push(ev)
+	// The near tier's common case is tested here, which saves a call on
+	// every push to a flat queue; ladderQueue.push handles the rest.
+	if q := &e.q; t < q.nearEnd && len(q.near) < q.spreadAt {
+		q.nearPush(ev)
 	} else {
-		e.heapPush(ev)
-		// Auto mode promotes to the ladder once the queue crosses the
-		// large-topology threshold; the migration moves every queued
-		// record once and never changes pop order.
-		if e.kind == QueueAuto && len(e.heap) > promoteThreshold {
-			e.promote()
-		}
+		q.push(ev)
 	}
 	return Event{time: t, seq: ev.seq}
 }
@@ -483,26 +424,14 @@ func (e *Engine) EventTime(ev Event) (float64, bool) {
 // floor retires every issued event instead and last starts over.
 func (e *Engine) next(limit float64) (event, bool) {
 	for {
-		var ev event
-		if e.lad != nil {
-			var ok bool
-			if ev, ok = e.lad.peek(); !ok {
-				break
-			}
-			if ev.time > limit {
-				return event{}, false
-			}
-			e.lad.nearPop()
-		} else {
-			if len(e.heap) == 0 {
-				break
-			}
-			ev = e.heap[0]
-			if ev.time > limit {
-				return event{}, false
-			}
-			e.heapPop()
+		ev, ok := e.q.peek()
+		if !ok {
+			break
 		}
+		if ev.time > limit {
+			return event{}, false
+		}
+		e.q.nearPop()
 		e.last = ev
 		if e.dead.n == 0 || !e.dead.remove(ev.seq) {
 			return ev, true

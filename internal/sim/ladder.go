@@ -1,17 +1,25 @@
 package sim
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// ladderQueue is a two-level ladder/calendar event queue built for large
-// pending-event counts (big topologies), where the binary heap's
-// O(log n) sift chains become cache-hostile.
+// ladderQueue is the engine's pending-event structure: a two-level
+// ladder/calendar queue whose near tier doubles as a plain binary heap.
 //
 // Structure:
 //
-//   - A small sorted "near" tier (an indexed binary heap) holds every
-//     event below the nearEnd boundary and feeds pops directly. It stays
-//     small (a transfer batch plus stragglers), so its sifts touch a
-//     couple of cache lines.
+//   - A sorted "near" tier (a binary heap) holds every event below the
+//     nearEnd boundary and feeds pops directly.
+//   - Flat state: a reset queue (except under QueueLadder) has nearEnd
+//     = +Inf, so every push lands in the near heap and the queue is
+//     exactly a binary heap on (time, seq) — the fastest structure at
+//     the paper's small pending counts. The first push that takes the
+//     near tier past spreadAt spreads it: every near event moves into
+//     over and nearEnd drops to 0, after which the tiers below run.
+//   - Once spread, the near tier stays small (a transfer batch plus
+//     stragglers), so its sifts touch a couple of cache lines.
 //   - Bucketed "rungs" hold the near-to-mid future: rung buckets are
 //     unsorted block chains, so scheduling into them is a bounds
 //     computation plus an append — O(1), no comparisons, no sifting.
@@ -31,8 +39,9 @@ import "math"
 // (time, seq) comparison. Equal-time events always meet in the same
 // bucket (bucket membership is a pure function of time) or are separated
 // only in push order (later pushes carry larger seqs and strictly later
-// tiers), so pops are in exactly the same (time, seq) order as the
-// reference heap — simulation results are byte-identical.
+// tiers), so pops are in exactly the same (time, seq) order as a
+// plain heap — simulation results are byte-identical whether and when
+// the queue spreads.
 //
 // Tier invariants, maintained by every operation:
 //
@@ -44,7 +53,8 @@ import "math"
 //     rungs[len-1] covers times up to its endT, each shallower rung
 //     covers times from the deeper rung's endT, and over holds times at
 //     or beyond the shallowest (oldest) rung's endT.
-//  3. nearEnd never decreases within a run.
+//  3. nearEnd never decreases within a run, except at the spread,
+//     which first empties near into over.
 //
 // Floating-point rigor: each rung precomputes a monotone boundary array
 // (bounds[b] is bucket b's inclusive lower edge) and an exclusive upper
@@ -78,8 +88,14 @@ import "math"
 // locality: a spread rung's sparse buckets write and re-read the same
 // few cache lines every time.
 type ladderQueue struct {
-	near    []event // indexed min-heap by (time, seq)
+	near    []event // binary min-heap by (time, seq)
 	nearEnd float64 // far events are all >= nearEnd
+
+	// spreadAt is the near-tier length past which a push spreads a
+	// flat queue (math.MaxInt once spread, or when the kind never
+	// spreads); spreads counts spreads since the last reset.
+	spreadAt int
+	spreads  uint64
 
 	rungs []ladderRung // rungs[len-1] is the deepest (soonest, finest)
 
@@ -96,10 +112,6 @@ type ladderQueue struct {
 	chunks [][]event
 	link   []int32
 	free   int32
-}
-
-func newLadderQueue() *ladderQueue {
-	return &ladderQueue{free: -1}
 }
 
 const (
@@ -159,6 +171,9 @@ type ladderRung struct {
 func (q *ladderQueue) push(ev event) {
 	if ev.time < q.nearEnd {
 		q.nearPush(ev)
+		if len(q.near) > q.spreadAt {
+			q.spread()
+		}
 		return
 	}
 	// Deepest rung first: rung ranges ascend toward shallower rungs. A
@@ -176,6 +191,20 @@ func (q *ladderQueue) push(ev event) {
 		}
 	}
 	q.pushOver(ev)
+}
+
+// spread turns the flat queue into a ladder: every near event moves
+// into over, which the next refill re-buckets into a rung sized to the
+// population. No event is left in near, so lowering nearEnd below
+// their times keeps invariant 1.
+func (q *ladderQueue) spread() {
+	for i := range q.near {
+		q.pushOver(q.near[i])
+	}
+	q.near = q.near[:0]
+	q.nearEnd = 0
+	q.spreadAt = math.MaxInt
+	q.spreads++
 }
 
 // pushRung appends ev to the bucket of rung j whose bounds contain its
@@ -455,10 +484,21 @@ func (q *ladderQueue) rebuild() bool {
 
 // reset drops all events, keeping every tier's capacity: each bucket
 // keeps its home block and returns its overflow chain to the pool.
-// Events hold no pointers, so truncation is enough.
-func (q *ladderQueue) reset() {
+// Events hold no pointers, so truncation is enough. The queue restarts
+// in kind's initial shape: spread under QueueLadder, flat otherwise,
+// and due to spread only under QueueAuto. An unknown kind panics.
+func (q *ladderQueue) reset(kind QueueKind) {
 	q.near = q.near[:0]
-	q.nearEnd = 0
+	q.nearEnd, q.spreadAt, q.spreads = math.Inf(1), math.MaxInt, 0
+	switch kind {
+	case QueueAuto:
+		q.spreadAt = promoteThreshold
+	case QueueHeap:
+	case QueueLadder:
+		q.nearEnd = 0
+	default:
+		panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
+	}
 	for i := range q.rungs {
 		for b := range q.rungs[i].bkts {
 			q.empty(&q.rungs[i].bkts[b])
@@ -468,9 +508,9 @@ func (q *ladderQueue) reset() {
 	q.over = q.over[:0]
 }
 
-// The near tier: a plain binary heap over (time, seq), kept small by
-// the rung transfers. Sifts swap 24-byte records and touch nothing
-// else.
+// The near tier: a plain binary heap over (time, seq) — the whole
+// queue while flat, and kept small by the rung transfers once spread.
+// Sifts swap 24-byte records and touch nothing else.
 
 func (q *ladderQueue) nearPush(ev event) {
 	q.near = append(q.near, ev)

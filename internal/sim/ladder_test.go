@@ -12,40 +12,73 @@ type fireRec struct {
 	tag int
 }
 
-// crossEngine wraps one engine with recording state for the cross-check
-// driver.
+// queueModel is one event list under cross-check: the engine under a
+// QueueKind, or the reference refQueue.
+type queueModel interface {
+	schedule(delay float64, tag int) Event
+	Cancel(Event) bool
+	EventTime(Event) (float64, bool)
+	Run(horizon float64)
+	RunAll()
+	reset()
+	Pending() int
+	Now() float64
+	log() []fireRec
+}
+
+// crossEngine wraps one engine with the recording state of a
+// queueModel. record is built once, so a reset's re-registration
+// allocates nothing.
 type crossEngine struct {
-	eng     *Engine
-	cb      Callback
-	fired   []fireRec
-	handles []Event
+	eng    *Engine
+	cb     Callback
+	record func(tag int32)
+	fired  []fireRec
 }
 
 func newCrossEngine(kind QueueKind) *crossEngine {
 	c := &crossEngine{eng: NewWithQueue(kind)}
-	c.registerCB()
+	c.record = func(tag int32) {
+		c.fired = append(c.fired, fireRec{at: c.eng.Now(), tag: int(tag)})
+	}
+	c.cb = c.eng.RegisterArg(c.record)
 	return c
 }
 
-func (c *crossEngine) registerCB() {
-	c.cb = c.eng.Register(func(p any) {
-		c.fired = append(c.fired, fireRec{at: c.eng.Now(), tag: p.(int)})
-	})
+func (c *crossEngine) schedule(delay float64, tag int) Event {
+	return c.eng.MustScheduleArg(delay, c.cb, int32(tag))
 }
 
-// crossCheck drives every engine through the same operation stream and
-// asserts identical observable behaviour: fire order (time, payload),
-// Cancel results (including stale handles after slot reuse), EventTime
-// results, and pending counts. ops is consumed byte-wise, so it doubles
-// as a fuzz corpus format.
+// reset resets the engine; the fire log runs on across resets.
+func (c *crossEngine) reset() {
+	c.eng.Reset()
+	c.cb = c.eng.RegisterArg(c.record)
+}
+
+func (c *crossEngine) Cancel(ev Event) bool               { return c.eng.Cancel(ev) }
+func (c *crossEngine) EventTime(ev Event) (float64, bool) { return c.eng.EventTime(ev) }
+func (c *crossEngine) Run(horizon float64)                { c.eng.Run(horizon) }
+func (c *crossEngine) RunAll()                            { c.eng.RunAll() }
+func (c *crossEngine) Pending() int                       { return c.eng.Pending() }
+func (c *crossEngine) Now() float64                       { return c.eng.Now() }
+func (c *crossEngine) log() []fireRec                     { return c.fired }
+
+// crossCheck drives the reference queue and the engine under every
+// QueueKind through the same operation stream and asserts identical
+// observable behaviour: fire order (time, tag), Cancel results
+// (including stale handles after a fire, a cancel or a Reset),
+// EventTime results, and pending counts. ops is consumed byte-wise, so
+// it doubles as a fuzz corpus format.
 func crossCheck(t *testing.T, ops []byte) {
 	t.Helper()
-	engines := []*crossEngine{
+	models := []queueModel{
+		newRefQueue(),
 		newCrossEngine(QueueHeap),
 		newCrossEngine(QueueLadder),
 		newCrossEngine(QueueAuto),
 	}
-	names := []string{"heap", "ladder", "auto"}
+	names := []string{"reference", "flat", "ladder", "auto"}
+	handles := make([][]Event, len(models))
 	tag := 0
 	next := func(i int) byte {
 		if i >= len(ops) {
@@ -60,85 +93,86 @@ func crossCheck(t *testing.T, ops []byte) {
 			delay := float64(next(i+1))/16 + float64(next(i+2))/4096
 			i += 2
 			tag++
-			for _, c := range engines {
-				c.handles = append(c.handles, c.eng.MustScheduleCall(delay, c.cb, tag))
+			for mi, m := range models {
+				handles[mi] = append(handles[mi], m.schedule(delay, tag))
 			}
 		case 2: // cancel a handle (possibly already fired or cancelled)
-			if len(engines[0].handles) == 0 {
+			if len(handles[0]) == 0 {
 				continue
 			}
-			hi := int(next(i+1)) % len(engines[0].handles)
+			hi := int(next(i+1)) % len(handles[0])
 			i++
-			r0 := engines[0].eng.Cancel(engines[0].handles[hi])
-			for ei := 1; ei < len(engines); ei++ {
-				if r := engines[ei].eng.Cancel(engines[ei].handles[hi]); r != r0 {
-					t.Fatalf("op %d: Cancel(handle %d) = %v on %s, %v on heap",
-						i, hi, r, names[ei], r0)
+			r0 := models[0].Cancel(handles[0][hi])
+			for mi := 1; mi < len(models); mi++ {
+				if r := models[mi].Cancel(handles[mi][hi]); r != r0 {
+					t.Fatalf("op %d: Cancel(handle %d) = %v on %s, %v on the reference",
+						i, hi, r, names[mi], r0)
 				}
 			}
 		case 3: // run a bounded horizon forward
-			h := engines[0].eng.Now() + float64(next(i+1))/8
+			h := models[0].Now() + float64(next(i+1))/8
 			i++
-			for _, c := range engines {
-				c.eng.Run(h)
+			for _, m := range models {
+				m.Run(h)
 			}
 		case 4: // occasionally reset, mostly probe EventTime
 			if next(i+1)%7 == 0 {
-				for _, c := range engines {
-					c.eng.Reset()
-					c.fired = c.fired[:0]
-					c.handles = c.handles[:0]
-					c.registerCB()
+				for mi, m := range models {
+					m.reset()
+					handles[mi] = handles[mi][:0]
 				}
 				i++
 				continue
 			}
-			if len(engines[0].handles) == 0 {
+			if len(handles[0]) == 0 {
 				continue
 			}
-			hi := int(next(i+1)) % len(engines[0].handles)
+			hi := int(next(i+1)) % len(handles[0])
 			i++
-			t0, ok0 := engines[0].eng.EventTime(engines[0].handles[hi])
-			for ei := 1; ei < len(engines); ei++ {
-				if tt, ok := engines[ei].eng.EventTime(engines[ei].handles[hi]); tt != t0 || ok != ok0 {
-					t.Fatalf("op %d: EventTime(handle %d) = (%v, %v) on %s, (%v, %v) on heap",
-						i, hi, tt, ok, names[ei], t0, ok0)
+			t0, ok0 := models[0].EventTime(handles[0][hi])
+			for mi := 1; mi < len(models); mi++ {
+				if tt, ok := models[mi].EventTime(handles[mi][hi]); tt != t0 || ok != ok0 {
+					t.Fatalf("op %d: EventTime(handle %d) = (%v, %v) on %s, (%v, %v) on the reference",
+						i, hi, tt, ok, names[mi], t0, ok0)
 				}
 			}
 		}
-		p0 := engines[0].eng.Pending()
-		for ei := 1; ei < len(engines); ei++ {
-			if p := engines[ei].eng.Pending(); p != p0 {
-				t.Fatalf("op %d: Pending = %d on %s, %d on heap", i, p, names[ei], p0)
+		p0 := models[0].Pending()
+		for mi := 1; mi < len(models); mi++ {
+			if p := models[mi].Pending(); p != p0 {
+				t.Fatalf("op %d: Pending = %d on %s, %d on the reference", i, p, names[mi], p0)
+			}
+			if now, now0 := models[mi].Now(), models[0].Now(); now != now0 {
+				t.Fatalf("op %d: Now = %v on %s, %v on the reference", i, now, names[mi], now0)
 			}
 		}
 	}
-	for _, c := range engines {
-		c.eng.RunAll()
+	for _, m := range models {
+		m.RunAll()
 	}
-	for ei := 1; ei < len(engines); ei++ {
-		compareFired(t, names[ei], engines[ei].fired, engines[0].fired)
+	for mi := 1; mi < len(models); mi++ {
+		compareFired(t, names[mi], models[mi].log(), models[0].log())
 	}
 }
 
 func compareFired(t *testing.T, name string, got, want []fireRec) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s fired %d events, heap fired %d", name, len(got), len(want))
+		t.Fatalf("%s fired %d events, the reference fired %d", name, len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s fire %d = %+v, heap fired %+v", name, i, got[i], want[i])
+			t.Fatalf("%s fire %d = %+v, the reference fired %+v", name, i, got[i], want[i])
 		}
 	}
 }
 
-// TestQueueCrossCheckRandom drives the ladder, the heap, and the
-// auto-promoting engine with identical random schedule/cancel/Run/Reset
-// sequences and requires identical pop order and Cancel/EventTime
-// semantics — including Cancel no-ops on stale handles after slot reuse,
-// which the stream generates constantly by cancelling old handle
-// indices.
+// TestQueueCrossCheckRandom drives the reference queue and the flat,
+// spread and auto-spreading engines with identical random
+// schedule/cancel/Run/Reset sequences and requires identical pop order
+// and Cancel/EventTime semantics — including Cancel no-ops on stale
+// handles, which the stream generates constantly by cancelling old
+// handle indices.
 func TestQueueCrossCheckRandom(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -149,7 +183,7 @@ func TestQueueCrossCheckRandom(t *testing.T) {
 }
 
 // FuzzQueueCrossCheck lets the fuzzer search for operation streams where
-// the ladder queue diverges from the reference heap.
+// the engine, under any QueueKind, diverges from the reference queue.
 func FuzzQueueCrossCheck(f *testing.F) {
 	f.Add([]byte{0, 200, 13, 0, 3, 1, 17, 250, 2, 0, 4, 7, 0, 9, 9, 3, 255})
 	f.Add([]byte("schedule-cancel-run-reset"))
@@ -175,7 +209,8 @@ func FuzzQueueCrossCheck(f *testing.F) {
 	f.Add(boundary)
 	// Equal-time ties across every tier: schedule, partially run, then
 	// re-schedule the same delays so pushes land near, rung, and over at
-	// identical timestamps; FIFO (time, seq) order must match the heap.
+	// identical timestamps; FIFO (time, seq) order must match the
+	// reference.
 	var ties []byte
 	for i := 0; i < 64; i++ {
 		ties = append(ties, 0, 128, 0, 0, 16, 0, 1, 128, 0)
@@ -195,11 +230,11 @@ func FuzzQueueCrossCheck(f *testing.F) {
 
 // TestLadderBulkOrder pushes a large batch of far-future events (forcing
 // rung builds, spreads, and rebuilds) and checks exact (time, seq) pop
-// order against the heap.
+// order against the reference.
 func TestLadderBulkOrder(t *testing.T) {
 	const n = 20000
 	r := rand.New(rand.NewSource(7))
-	heap := newCrossEngine(QueueHeap)
+	ref := newRefQueue()
 	lad := newCrossEngine(QueueLadder)
 	for i := 0; i < n; i++ {
 		var d float64
@@ -211,13 +246,12 @@ func TestLadderBulkOrder(t *testing.T) {
 		case 2:
 			d = float64(r.Intn(50)) // heavy time ties: FIFO order must hold
 		}
-		tag := i
-		heap.eng.MustScheduleCall(d, heap.cb, tag)
-		lad.eng.MustScheduleCall(d, lad.cb, tag)
+		ref.schedule(d, i)
+		lad.schedule(d, i)
 	}
-	heap.eng.RunAll()
-	lad.eng.RunAll()
-	compareFired(t, "ladder", lad.fired, heap.fired)
+	ref.RunAll()
+	lad.RunAll()
+	compareFired(t, "ladder", lad.fired, ref.fired)
 }
 
 // TestLadderBoundaryWindowPush regresses a routing hole: with evenly
@@ -230,7 +264,7 @@ func TestLadderBoundaryWindowPush(t *testing.T) {
 	c := newCrossEngine(QueueLadder)
 	const n = 4096
 	for i := 0; i < n; i++ {
-		c.eng.MustScheduleCall(float64(i), c.cb, i)
+		c.schedule(float64(i), i)
 	}
 	for i := 0; i < n-1; i++ {
 		if !c.eng.Step() {
@@ -240,7 +274,7 @@ func TestLadderBoundaryWindowPush(t *testing.T) {
 	// The deepest rung is drained but not yet popped, and its endT sits
 	// one float step above the old maximum time: scheduling at exactly
 	// that maximum lands in the drained rung's boundary sliver.
-	c.eng.MustScheduleCall(float64(n-1)-c.eng.Now(), c.cb, n)
+	c.schedule(float64(n-1)-c.eng.Now(), n)
 	c.eng.RunAll()
 	if len(c.fired) != n+1 {
 		t.Fatalf("fired %d events, want %d", len(c.fired), n+1)
@@ -260,7 +294,7 @@ func TestLadderBoundaryWindowPush(t *testing.T) {
 // rebuilt rung up to its top bucket and then, mid-drain, schedules fresh
 // events at exactly overMax (twice, to exercise FIFO among equal-time
 // arrivals crossing the boundary) and one float step below it; the
-// ladder's complete fire order must match the reference heap exactly.
+// ladder's complete fire order must match the reference exactly.
 //
 // Audit note: the consumption boundary for a rung's LAST bucket is endT
 // (see advance), because pushRung clamps everything below endT into that
@@ -287,10 +321,10 @@ func TestLadderOverMaxBoundaryCrossCheck(t *testing.T) {
 		probe.MustScheduleCall(off+float64(i)*step, pcb, i)
 	}
 	probe.Step() // forces the over-tier rebuild
-	if len(probe.lad.rungs) == 0 {
+	if len(probe.q.rungs) == 0 {
 		t.Fatal("rebuild produced no rung; geometry changed — re-derive this test")
 	}
-	r := &probe.lad.rungs[0]
+	r := &probe.q.rungs[0]
 	nb := len(r.bkts)
 	if r.endT <= r.bounds[nb] {
 		t.Fatalf("rebuild endT %v not above top bucket edge %v; the Nextafter path was not taken — re-derive this test", r.endT, r.bounds[nb])
@@ -307,77 +341,82 @@ func TestLadderOverMaxBoundaryCrossCheck(t *testing.T) {
 	}
 
 	below := math.Nextafter(max, math.Inf(-1))
-	run := func(kind QueueKind) []fireRec {
-		eng := NewWithQueue(kind)
-		var fired []fireRec
-		done := false
-		var cb Callback
-		cb = eng.Register(func(p any) {
-			fired = append(fired, fireRec{at: eng.Now(), tag: p.(int)})
-			if p.(int) == trigger && !done {
-				done = true
-				now := eng.Now()
-				eng.MustScheduleCall(max-now, cb, n)     // exactly overMax
-				eng.MustScheduleCall(below-now, cb, n+1) // one float below
-				eng.MustScheduleCall(max-now, cb, n+2)   // overMax again: FIFO
-			}
-		})
-		for i := 0; i < n; i++ {
-			eng.MustScheduleCall(off+float64(i)*step, cb, i)
+	// mid schedules the three boundary events when the trigger fires.
+	mid := func(m queueModel, tag int) {
+		if tag == trigger {
+			now := m.Now()
+			m.schedule(max-now, n)     // exactly overMax
+			m.schedule(below-now, n+1) // one float below
+			m.schedule(max-now, n+2)   // overMax again: FIFO
 		}
-		eng.RunAll()
-		return fired
 	}
-	heap, ladder := run(QueueHeap), run(QueueLadder)
-	compareFired(t, "ladder", ladder, heap)
-	if len(heap) != n+3 {
-		t.Fatalf("fired %d events, want %d", len(heap), n+3)
+	ref := newRefQueue()
+	ref.onFire = func(tag int) { mid(ref, tag) }
+	lad := &crossEngine{eng: NewWithQueue(QueueLadder)}
+	lad.cb = lad.eng.RegisterArg(func(tag int32) {
+		lad.fired = append(lad.fired, fireRec{at: lad.eng.Now(), tag: int(tag)})
+		mid(lad, int(tag))
+	})
+	for _, m := range []queueModel{ref, lad} {
+		for i := 0; i < n; i++ {
+			m.schedule(off+float64(i)*step, i)
+		}
+		m.RunAll()
+	}
+	compareFired(t, "ladder", lad.fired, ref.fired)
+	if len(ref.fired) != n+3 {
+		t.Fatalf("fired %d events, want %d", len(ref.fired), n+3)
 	}
 }
 
-// TestLadderPromotion checks that an auto engine actually promotes past
-// the threshold and that promotion preserves already-scheduled events.
+// TestLadderPromotion checks that an auto engine starts flat, spreads
+// once past the threshold with its already-scheduled events intact, and
+// goes back flat at Reset — and that a re-spread after Reset reuses the
+// rung and tier arrays of the first, allocating nothing.
 func TestLadderPromotion(t *testing.T) {
 	c := newCrossEngine(QueueAuto)
-	if got := c.eng.QueueKind(); got != QueueHeap {
-		t.Fatalf("fresh auto engine on %q, want heap", got)
+	flat := func() bool { return c.eng.q.nearEnd == math.Inf(1) }
+	if !flat() {
+		t.Fatal("fresh auto engine is not flat")
 	}
-	for i := 0; i <= promoteThreshold; i++ {
-		c.eng.MustScheduleCall(float64(i), c.cb, i)
+	for i := 0; i < promoteThreshold; i++ {
+		c.schedule(float64(i), i)
 	}
-	if got := c.eng.QueueKind(); got != QueueLadder {
-		t.Fatalf("auto engine on %q after %d pending events, want ladder",
-			got, promoteThreshold+1)
+	if !flat() || c.eng.Stats().Promotions != 0 {
+		t.Fatalf("auto engine spread at %d pending events, threshold %d", promoteThreshold, promoteThreshold)
 	}
-	c.eng.RunAll()
+	c.schedule(promoteThreshold, promoteThreshold)
+	if flat() || c.eng.Stats().Promotions != 1 {
+		t.Fatalf("auto engine did not spread once at %d pending events", promoteThreshold+1)
+	}
+	c.RunAll()
 	if len(c.fired) != promoteThreshold+1 {
 		t.Fatalf("fired %d events, want %d", len(c.fired), promoteThreshold+1)
 	}
 	for i, f := range c.fired {
 		if f.tag != i {
-			t.Fatalf("fire %d has tag %d after promotion, want %d", i, f.tag, i)
+			t.Fatalf("fire %d has tag %d after the spread, want %d", i, f.tag, i)
 		}
 	}
-	// Reset demotes back to the heap so every run's queue trajectory
-	// (and the Stats promotion counter) is history-independent, but the
-	// ladder stays cached: the next promotion reuses its arrays.
-	c.eng.Reset()
-	if got := c.eng.QueueKind(); got != QueueHeap {
-		t.Fatalf("auto engine on %q after Reset, want heap", got)
+	// Reset goes back flat so every run's queue trajectory (and the
+	// Stats spread counter) is history-independent.
+	c.reset()
+	if !flat() || c.eng.Stats().Promotions != 0 {
+		t.Fatal("Reset left the auto engine spread")
 	}
-	prevLad := c.eng.ladCache
-	if prevLad == nil {
-		t.Fatal("Reset dropped the promoted ladder instead of caching it")
+	respread := func() {
+		c.reset()
+		c.fired = c.fired[:0]
+		for i := 0; i <= promoteThreshold; i++ {
+			c.schedule(float64(i), i)
+		}
+		c.RunAll()
 	}
-	cb := c.eng.Register(func(any) {})
-	for i := 0; i <= promoteThreshold; i++ {
-		c.eng.MustScheduleCall(float64(i), cb, i)
+	if allocs := testing.AllocsPerRun(20, respread); allocs != 0 {
+		t.Fatalf("a re-spread after Reset allocated %v times, want 0", allocs)
 	}
-	if got := c.eng.QueueKind(); got != QueueLadder {
-		t.Fatalf("auto engine on %q after re-crossing the threshold, want ladder", got)
-	}
-	if c.eng.lad != prevLad {
-		t.Fatal("re-promotion built a fresh ladder instead of reusing the cache")
+	if c.eng.Stats().Promotions != 1 || len(c.fired) != promoteThreshold+1 {
+		t.Fatalf("re-spread run: %d spreads, %d fires", c.eng.Stats().Promotions, len(c.fired))
 	}
 }
 

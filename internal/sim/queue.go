@@ -1,95 +1,37 @@
 package sim
 
-// QueueKind selects the engine's pending-event structure. All kinds pop
-// events in exactly the same (time, seq) order, so simulation results are
-// byte-identical across kinds; only the constant factors differ. Callers
-// outside this package take the default (New, QueueAuto); the pinned
-// kinds exist as cross-check references for tests and benchmarks.
+// QueueKind selects when the engine's ladder queue spreads its near
+// tier into rungs. Events pop in exactly the same (time, seq) order
+// under every kind, so simulation results are byte-identical; only the
+// constant factors differ. Callers outside this package take the
+// default (New, QueueAuto); the pinned kinds exist as cross-check
+// references for tests and benchmarks.
 type QueueKind string
 
 const (
-	// QueueAuto starts on the binary heap and promotes the engine to the
-	// ladder queue once the queued-record count crosses promoteThreshold.
-	// The paper's stationary 6-node runs never promote, so they keep the
-	// heap's minimal constant factors. This is the default.
+	// QueueAuto starts every run flat — all events in the near tier's
+	// binary heap — and spreads once more than promoteThreshold records
+	// are queued. The paper's stationary 6-node runs never spread, so
+	// they keep the heap's minimal constant factors. This is the
+	// default.
 	QueueAuto QueueKind = ""
-	// QueueHeap pins the reference binary heap: O(log n) per operation,
-	// the implementation every other queue is cross-checked against.
+	// QueueHeap never spreads: the near tier is a plain binary heap,
+	// O(log n) per operation, at any pending count.
 	QueueHeap QueueKind = "heap"
-	// QueueLadder pins the two-level ladder queue: a small sorted
-	// near-future tier feeding execution plus bucketed far-future rungs
-	// that spread lazily, giving O(1) amortized schedule/pop at large
-	// pending-event counts.
+	// QueueLadder starts every run spread, so events go to the
+	// bucketed rungs from the first push: O(1) amortized schedule/pop
+	// at large pending-event counts.
 	QueueLadder QueueKind = "ladder"
 )
 
-// promoteThreshold is the queued-record count above which QueueAuto
-// switches from the heap to the ladder. It comes from a paired sweep of
-// the Table 1 system (heap, ladder and auto on warm workspaces, order
-// alternated; CHANGES.md records the numbers). The heap led at 6 and 16
-// nodes, whose runs peak at 13 and 33 pending events; the ladder led at
+// promoteThreshold is the queued-record count above which a QueueAuto
+// queue spreads. It comes from a paired sweep of the Table 1 system
+// (heap, ladder and auto on warm workspaces, order alternated;
+// CHANGES.md records the numbers). The flat heap led at 6 and 16 nodes,
+// whose runs peak at 13 and 33 pending events; the spread ladder led at
 // 32 nodes (60 pending) by about 3%, from 64 nodes up (110 and more) by
 // about 10%, and on the 6-node scenario presets (62–67 pending, their
 // timeline events queued up front) by 2–5%. 48 sits between the two
-// groups: the paper's stationary 6-node artifact set stays on the heap,
-// and the larger runs promote early in setup.
+// groups: the paper's stationary 6-node artifact set stays flat, and
+// the larger runs spread early in setup.
 const promoteThreshold = 48
-
-// This file is the reference implementation of the event queue: a
-// binary min-heap ordered by (time, seq), implemented directly on the
-// engine's fields so the paper-scale hot path compiles to tight code.
-// Cancellation is by tombstone at the engine layer, so the heap keeps no
-// per-event position index and its sifts swap bare 24-byte records.
-// ladder.go holds the large-topology implementation; the engine
-// dispatches between the two with a single branch, and the cross-check
-// fuzz tests require identical observable behaviour from both.
-
-// heapPush inserts an event into the binary heap.
-func (e *Engine) heapPush(ev event) {
-	e.heap = append(e.heap, ev)
-	e.heapUp(len(e.heap) - 1)
-}
-
-// heapPop removes the heap's minimum.
-func (e *Engine) heapPop() {
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap = e.heap[:last]
-	e.heapDown(0)
-}
-
-// heapUp restores the heap property moving index i toward the root.
-func (e *Engine) heapUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(&e.heap[i], &e.heap[parent]) {
-			break
-		}
-		e.heapSwap(i, parent)
-		i = parent
-	}
-}
-
-// heapDown restores the heap property moving index i toward the leaves.
-func (e *Engine) heapDown(i int) {
-	n := len(e.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && before(&e.heap[right], &e.heap[left]) {
-			least = right
-		}
-		if !before(&e.heap[least], &e.heap[i]) {
-			return
-		}
-		e.heapSwap(i, least)
-		i = least
-	}
-}
-
-func (e *Engine) heapSwap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-}

@@ -10,10 +10,10 @@ import (
 // events continuously fire and reschedule themselves a random distance
 // into the future (a self-scheduling workload like the simulator's
 // arrival and completion streams, with the model costs stripped away).
-// The binary heap pays O(log pending) sift chains over an array that
-// outgrows the cache; the ladder queue's amortized O(1) schedule/pop
-// stays flat, which is the scaling headroom the large-topology path
-// buys.
+// Pinned flat (queue=heap), the near tier's binary heap pays
+// O(log pending) sift chains over an array that outgrows the cache;
+// spread (queue=ladder), the amortized O(1) schedule/pop stays flat,
+// which is the scaling headroom the large-topology path buys.
 func BenchmarkEventCoreScaling(b *testing.B) {
 	for _, pending := range []int{1 << 10, 1 << 15, 1 << 20} {
 		for _, kind := range []QueueKind{QueueHeap, QueueLadder} {

@@ -57,8 +57,8 @@ func TestStatsHWMDerivation(t *testing.T) {
 	}
 }
 
-// TestStatsPromotion checks auto-mode promotion is counted once and a
-// pinned queue never promotes.
+// TestStatsPromotion checks the auto engine's spread is counted once
+// and a pinned queue (flat, or spread from the start) never spreads.
 func TestStatsPromotion(t *testing.T) {
 	auto := New()
 	for i := 0; i <= promoteThreshold; i++ {

@@ -34,7 +34,7 @@ func TestLadderStorageTracksPending(t *testing.T) {
 	}
 	hwm := int(e.Stats().PendingHWM)
 	record := int(unsafe.Sizeof(event{}))
-	retained := len(e.lad.chunks) * ladderChunk * ladderBlock
+	retained := len(e.q.chunks) * ladderChunk * ladderBlock
 	t.Logf("retained %.2f MB of bucket storage for a pending high-water mark of %d (%.2f MB of events)",
 		float64(retained*record)/1e6, hwm, float64(hwm*record)/1e6)
 	// At most 2.5 records per pending event (60 B of 24-byte records),

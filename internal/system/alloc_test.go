@@ -182,9 +182,10 @@ func TestWorkspaceWarmHeapBudget65536(t *testing.T) {
 // warm replication that exercises the engine's cold paths: preemption
 // and the outage's speed changes cancel completion events, so tombstones
 // come and go all run, and the outage's fault events fire with
-// ScheduleCall payloads. storm is the burst preset plus a node-0 outage;
-// burst alone schedules no fault events. The tombstone set and the
-// payload table must have reached their working size in the first run:
+// RegisterArg arguments indexing the workspace's reused fault table.
+// storm is the burst preset plus a node-0 outage; burst alone schedules
+// no fault events. The tombstone set and the fault table must have
+// reached their working size in the first run:
 // the second and third runs of the same replication allocate the same
 // count, within the 64-node warm budget, which the run's cancels exceed
 // several times over.

@@ -9,9 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-// queueCase is one configuration TestQueueKindsAgree runs on every
-// event queue: seeds replications from cfg.Seed, and whether the default
-// engine must promote from the heap to the ladder on the way.
+// queueCase is one configuration TestQueueKindsAgree runs under every
+// QueueKind: seeds replications from cfg.Seed, and whether the default
+// engine's queue must spread from flat on the way.
 type queueCase struct {
 	name     string
 	cfg      Config
@@ -20,9 +20,9 @@ type queueCase struct {
 }
 
 // queueCases lists the cross-queue inputs: a 600-node topology that
-// promotes during setup, the tardy-abort path (aborts change which
+// spreads during setup, the tardy-abort path (aborts change which
 // events exist downstream, so any pop-order difference cascades), 16-
-// and 64-node baselines on either side of the promotion threshold, a
+// and 64-node baselines on either side of the spread threshold, a
 // 6-node storm whose up-front timeline events carry it over, and,
 // without -short, the burst, ramp and storm presets at 1024 nodes.
 func queueCases(t *testing.T) []queueCase {
@@ -67,10 +67,11 @@ func queueCases(t *testing.T) []queueCase {
 	return out
 }
 
-// TestQueueKindsAgree is the system-level cross-queue check: the
-// pinned heap, the pinned ladder and the default promoting engine must
+// TestQueueKindsAgree is the system-level cross-queue check: an engine
+// pinned flat (QueueHeap), one spread from the first push (QueueLadder)
+// and the default engine, which spreads on its pending count, must
 // produce the same replication, compared as full codec bytes with the
-// promotion counter (the one field that records which queue ran)
+// spread counter (the one field that records the queue's shape)
 // zeroed. A queue is pinned by presetting the workspace's engine, which
 // runWith then only resets.
 func TestQueueKindsAgree(t *testing.T) {

@@ -61,6 +61,11 @@ type Workspace struct {
 	global    workload.GlobalSource
 	globalRng rng.Source
 	srcEng    *sim.Engine // engine the warm sources are registered on
+
+	// Scenario timeline storage, reused across runs: the start-sorted
+	// events and the speed changes fault events index.
+	scEvents []scenario.EventSpec
+	faults   []faultEvent
 }
 
 // NewWorkspace returns an empty workspace; the first run populates it.
@@ -414,7 +419,7 @@ func runWith(cfg Config, ws *Workspace, pooled bool) (*Metrics, error) {
 	}
 
 	if cfg.Scenario != nil {
-		scheduleScenario(eng, cfg, group, metrics.Series)
+		ws.scheduleScenario(eng, cfg, group, metrics.Series)
 	}
 
 	eng.Run(cfg.Horizon)
