@@ -214,7 +214,8 @@ func (m *Manager) Reconfigure(cfg Config) error {
 }
 
 // NewInstance returns a zeroed Instance, recycled from the manager's free
-// list when pooling is enabled. The caller fills it and hands it to
+// list when the manager has a pool (every run but the unpooled
+// reference path). The caller fills it and hands it to
 // Start; after OnDone the manager reclaims it once the last of its
 // subtasks has drained, so callers must not retain instances beyond the
 // OnDone callback.
@@ -252,8 +253,8 @@ func (m *Manager) maybeRecycle(inst *Instance) {
 	m.instFree = append(m.instFree, inst)
 }
 
-// newFrame returns an initialized activation frame, recycled when
-// pooling is enabled.
+// newFrame returns an initialized activation frame, recycled when the
+// manager has a pool.
 func (m *Manager) newFrame(inst *Instance, g *task.Graph, parent *frame, dl float64) *frame {
 	var f *frame
 	if n := len(m.frameFree); n > 0 {

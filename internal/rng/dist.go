@@ -22,50 +22,6 @@ func (r *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-r.Float64())
 }
 
-// Erlang returns an Erlang-k distributed value: the sum of k independent
-// exponentials each with mean stageMean. The paper notes that the total
-// execution time of an m-stage global task is m-stage Erlang.
-func (r *Source) Erlang(k int, stageMean float64) float64 {
-	if k <= 0 {
-		panic("rng: Erlang called with k <= 0")
-	}
-	// Product-of-uniforms form needs a single log instead of k of them.
-	prod := 1.0
-	for i := 0; i < k; i++ {
-		prod *= 1 - r.Float64()
-	}
-	return -stageMean * math.Log(prod)
-}
-
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's multiplication method for small means and a normal approximation
-// beyond. Arrival processes in the simulator are generated from
-// exponential gaps, so this is only used for batch-style workloads and
-// tests.
-func (r *Source) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("rng: Poisson called with mean < 0")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean > 64 {
-		// Normal approximation with continuity correction; adequate for
-		// workload shaping at large means.
-		v := r.Normal(mean, math.Sqrt(mean)) + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	limit := math.Exp(-mean)
-	count := 0
-	for prod := r.Float64(); prod > limit; prod *= r.Float64() {
-		count++
-	}
-	return count
-}
-
 // Pareto returns a Pareto-distributed value with shape alpha and scale
 // (minimum) xm, via inversion: xm · U^(−1/alpha). It panics if alpha <= 0
 // or xm <= 0. With alpha <= 1 the distribution has infinite mean; the

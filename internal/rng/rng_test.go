@@ -228,62 +228,6 @@ func TestLognormalMoments(t *testing.T) {
 	}()
 }
 
-func TestErlangMoments(t *testing.T) {
-	r := New(17)
-	const (
-		n         = 100000
-		k         = 4
-		stageMean = 1.0
-	)
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.Erlang(k, stageMean)
-		sum += v
-		sumSq += v * v
-	}
-	gotMean := sum / n
-	gotVar := sumSq/n - gotMean*gotMean
-	wantMean := float64(k) * stageMean
-	wantVar := float64(k) * stageMean * stageMean
-	if math.Abs(gotMean-wantMean)/wantMean > 0.02 {
-		t.Errorf("erlang mean = %v, want %v +/- 2%%", gotMean, wantMean)
-	}
-	if math.Abs(gotVar-wantVar)/wantVar > 0.06 {
-		t.Errorf("erlang variance = %v, want %v +/- 6%%", gotVar, wantVar)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	tests := []struct {
-		name string
-		mean float64
-	}{
-		{name: "small", mean: 0.5},
-		{name: "moderate", mean: 4},
-		{name: "large", mean: 100},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			r := New(19)
-			const n = 50000
-			sum := 0
-			for i := 0; i < n; i++ {
-				sum += r.Poisson(tt.mean)
-			}
-			got := float64(sum) / n
-			if math.Abs(got-tt.mean)/tt.mean > 0.03 {
-				t.Errorf("poisson(%v) mean = %v, want +/- 3%%", tt.mean, got)
-			}
-		})
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	if got := New(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(23)
 	const (

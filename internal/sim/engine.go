@@ -16,11 +16,12 @@
 // 32-bit argument — stored by value in the pending-event structure, so
 // firing an event reads the record and nothing else, and steady-state
 // scheduling performs zero heap allocations. The pending events live in
-// one ladder queue (ladder.go): while few are queued it is flat, a plain
-// binary heap on (time, seq); once more than promoteThreshold are queued
-// it spreads into bucketed rungs whose amortized O(1) schedule/pop wins
-// at large pending-event counts. Either way events pop in exactly the
-// same (time, seq) order.
+// one ladder queue (ladder.go): while few are queued it is flat, a run
+// sorted by (time, seq) that a pop advances and a push inserts into from
+// the back; once more than promoteThreshold are queued it spreads into
+// bucketed rungs whose amortized O(1) schedule/pop wins at large
+// pending-event counts. Either way events pop in exactly the same
+// (time, seq) order.
 //
 // Hot callers register a func(int32) handler once (RegisterArg) and
 // schedule it with the index of the entity it acts on (MustScheduleArg,
@@ -151,7 +152,7 @@ func New() *Engine {
 // Results are byte-identical across kinds; the pinned kinds are
 // references for tests and benchmarks. An unknown kind panics.
 func NewWithQueue(kind QueueKind) *Engine {
-	e := &Engine{seq: 1, base: 1, floor: 1, q: ladderQueue{free: -1}, kind: kind}
+	e := &Engine{seq: 1, base: 1, floor: 1, q: ladderQueue{runMax: nearRunMax, free: -1}, kind: kind}
 	e.handlers = append(e.handlers, handler{boxed: runClosure})
 	e.q.reset(kind)
 	return e
@@ -337,8 +338,8 @@ func (e *Engine) push(t float64, cb Callback, arg int32) Event {
 	}
 	// The near tier's common case is tested here, which saves a call on
 	// every push to a flat queue; ladderQueue.push handles the rest.
-	if q := &e.q; t < q.nearEnd && len(q.near) < q.spreadAt {
-		q.nearPush(ev)
+	if q := &e.q; t < q.nearEnd && len(q.run) < q.runFast && len(q.heap) == 0 {
+		q.runInsertNewest(ev)
 	} else {
 		q.push(ev)
 	}
@@ -423,15 +424,13 @@ func (e *Engine) EventTime(ev Event) (float64, bool) {
 // pending. On a drain the trailing discards may lie past the clock, so
 // floor retires every issued event instead and last starts over.
 func (e *Engine) next(limit float64) (event, bool) {
-	for {
-		ev, ok := e.q.peek()
-		if !ok {
-			break
-		}
+	q := &e.q
+	for len(q.run) > 0 || q.fill() {
+		ev := q.run[0]
 		if ev.time > limit {
 			return event{}, false
 		}
-		e.q.nearPop()
+		q.run = q.run[1:]
 		e.last = ev
 		if e.dead.n == 0 || !e.dead.remove(ev.seq) {
 			return ev, true

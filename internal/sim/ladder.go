@@ -6,25 +6,28 @@ import (
 )
 
 // ladderQueue is the engine's pending-event structure: a two-level
-// ladder/calendar queue whose near tier doubles as a plain binary heap.
+// ladder/calendar queue whose near tier is a sorted run.
 //
 // Structure:
 //
-//   - A sorted "near" tier (a binary heap) holds every event below the
-//     nearEnd boundary and feeds pops directly.
+//   - The "near" tier holds every event below the nearEnd boundary and
+//     feeds pops directly. It is a run sorted by (time, seq), so a pop
+//     advances the run's start and a push is a short insertion from the
+//     back; past runMax events it spills into an overflow heap behind
+//     the run (see nearPush).
 //   - Flat state: a reset queue (except under QueueLadder) has nearEnd
-//     = +Inf, so every push lands in the near heap and the queue is
-//     exactly a binary heap on (time, seq) — the fastest structure at
-//     the paper's small pending counts. The first push that takes the
-//     near tier past spreadAt spreads it: every near event moves into
-//     over and nearEnd drops to 0, after which the tiers below run.
+//     = +Inf, so every push lands in the near tier, which then is the
+//     whole queue — the fastest structure at the paper's small pending
+//     counts. The first push that takes the near tier past spreadAt
+//     spreads it: every near event moves into over and nearEnd drops to
+//     0, after which the tiers below run.
 //   - Once spread, the near tier stays small (a transfer batch plus
-//     stragglers), so its sifts touch a couple of cache lines.
+//     stragglers), so its insertions touch a few cache lines.
 //   - Bucketed "rungs" hold the near-to-mid future: rung buckets are
 //     unsorted block chains, so scheduling into them is a bounds
 //     computation plus an append — O(1), no comparisons, no sifting.
 //     When the near tier drains, the next non-empty bucket of the
-//     deepest rung is either moved wholesale into the near heap (small
+//     deepest rung is either moved wholesale into the near tier (small
 //     buckets) or spread across a new, finer rung (crowded buckets) —
 //     sorting work is deferred until the simulation clock actually
 //     approaches the events, and is amortized O(1) per event.
@@ -35,13 +38,12 @@ import (
 //     applied lazily) so transfer batches stay small and cache-resident
 //     at any scale.
 //
-// Determinism: the only ordering decisions are made by the near heap's
-// (time, seq) comparison. Equal-time events always meet in the same
-// bucket (bucket membership is a pure function of time) or are separated
-// only in push order (later pushes carry larger seqs and strictly later
-// tiers), so pops are in exactly the same (time, seq) order as a
-// plain heap — simulation results are byte-identical whether and when
-// the queue spreads.
+// Determinism: the only ordering decisions are the near tier's (time,
+// seq) comparisons. Equal-time events always meet in the same bucket
+// (bucket membership is a pure function of time) or are separated only
+// in push order (later pushes carry larger seqs and strictly later
+// tiers), so pops are in exactly (time, seq) order — simulation results
+// are byte-identical whether and when the queue spreads.
 //
 // Tier invariants, maintained by every operation:
 //
@@ -88,7 +90,16 @@ import (
 // locality: a spread rung's sparse buckets write and re-read the same
 // few cache lines every time.
 type ladderQueue struct {
-	near    []event // binary min-heap by (time, seq)
+	// The near tier (see nearPush): run is a window onto buf sorted by
+	// (time, seq), holding at most runMax events; heap holds the rest,
+	// all of them after every run event. runFast is the run length
+	// below which a push into an unspilled near tier can neither fill
+	// the run nor spread the queue.
+	run     []event
+	buf     []event
+	heap    []event
+	runMax  int
+	runFast int
 	nearEnd float64 // far events are all >= nearEnd
 
 	// spreadAt is the near-tier length past which a push spreads a
@@ -115,9 +126,14 @@ type ladderQueue struct {
 }
 
 const (
+	// nearRunMax is the near tier's run length K: a queue that stays
+	// flat (QueueAuto) spreads past promoteThreshold events, before its
+	// run fills, so only a queue pinned flat, or a spread queue's
+	// oversized transfer, ever spills into the heap.
+	nearRunMax = 64
 	// ladderBucketTarget is the bucket occupancy a rebuild aims for: the
 	// over tier is spread across ~len(over)/target buckets, so transfer
-	// batches into the near heap stay small no matter how large the
+	// batches into the near tier stay small no matter how large the
 	// pending set grows.
 	ladderBucketTarget = 16
 	// ladderMinBuckets / ladderMaxBuckets bound a rung's bucket count:
@@ -129,10 +145,10 @@ const (
 	// crowded bucket across a finer rung.
 	ladderSpreadBuckets = 128
 	// ladderSpreadMax is the bucket size above which a bucket is spread
-	// across a finer rung instead of being pushed into the near heap.
+	// across a finer rung instead of being pushed into the near tier.
 	ladderSpreadMax = 48
 	// ladderMaxRungs bounds the refinement depth; a bucket at the
-	// bottom is pushed to the near heap regardless of size.
+	// bottom is pushed to the near tier regardless of size.
 	ladderMaxRungs = 8
 	// ladderBlock is the storage block size in events (384 bytes): a
 	// bucket at the rebuild target fills one block, and a part-filled
@@ -171,7 +187,7 @@ type ladderRung struct {
 func (q *ladderQueue) push(ev event) {
 	if ev.time < q.nearEnd {
 		q.nearPush(ev)
-		if len(q.near) > q.spreadAt {
+		if len(q.run)+len(q.heap) > q.spreadAt {
 			q.spread()
 		}
 		return
@@ -182,7 +198,7 @@ func (q *ladderQueue) push(ev event) {
 	// rounding step) is skipped: the event lands in the next shallower
 	// rung's current bucket, which is consumed next, or in over when no
 	// rung can take it — both keep pops ordered, because the receiving
-	// batch reaches the near heap before the clock reaches the event.
+	// batch reaches the near tier before the clock reaches the event.
 	for j := len(q.rungs) - 1; j >= 0; j-- {
 		r := &q.rungs[j]
 		if ev.time < r.endT && r.cur < len(r.bkts) {
@@ -198,12 +214,15 @@ func (q *ladderQueue) push(ev event) {
 // population. No event is left in near, so lowering nearEnd below
 // their times keeps invariant 1.
 func (q *ladderQueue) spread() {
-	for i := range q.near {
-		q.pushOver(q.near[i])
+	for _, ev := range q.run {
+		q.pushOver(ev)
 	}
-	q.near = q.near[:0]
+	for _, ev := range q.heap {
+		q.pushOver(ev)
+	}
+	q.run, q.heap = q.buf[:0], q.heap[:0]
 	q.nearEnd = 0
-	q.spreadAt = math.MaxInt
+	q.spreadAt, q.runFast = math.MaxInt, q.runMax
 	q.spreads++
 }
 
@@ -305,17 +324,6 @@ func (q *ladderQueue) pushOver(ev event) {
 	q.over = append(q.over, ev)
 }
 
-// peek returns the next event without removing it, refilling the near
-// tier as needed; nearPop then removes it.
-func (q *ladderQueue) peek() (event, bool) {
-	for len(q.near) == 0 {
-		if !q.advance() {
-			return event{}, false
-		}
-	}
-	return q.near[0], true
-}
-
 // advance refills the near tier from the rungs (or rebuilds the rungs
 // from over), reporting whether any events remain.
 func (q *ladderQueue) advance() bool {
@@ -340,7 +348,7 @@ func (q *ladderQueue) advance() bool {
 		// bump, several representable floats) above the top bucket edge,
 		// and pushRung clamps events in [bounds[nb], endT) into that
 		// bucket. The consumption boundary must therefore be endT, not
-		// bounds[nb] — otherwise nearEnd stops below times the near heap
+		// bounds[nb] — otherwise nearEnd stops below times the near tier
 		// already holds, and a later push into the sliver routes to a
 		// strictly later tier and pops out of order.
 		if v := r.bounds[r.cur+1]; r.cur+1 < nb && v < ne {
@@ -348,11 +356,12 @@ func (q *ladderQueue) advance() bool {
 		}
 		nw := (ne - ns) / ladderSpreadBuckets
 		if size <= ladderSpreadMax || len(q.rungs) >= ladderMaxRungs || !(nw > 0) || ns+nw == ns {
-			// Transfer the bucket into the near heap; its upper bound
+			// Transfer the bucket into the near tier; its upper bound
 			// becomes the new near/far boundary. The width guards stop
 			// the refinement once a finer rung could no longer separate
-			// times (equal-time or denormal-width buckets); the near
-			// heap handles an occasional oversized batch just fine.
+			// times (equal-time or denormal-width buckets); an
+			// occasional oversized batch spills into the near tier's
+			// heap.
 			for blk := bk.home; blk != bk.tail; blk = q.link[blk] {
 				for _, ev := range q.block(blk) {
 					q.nearPush(ev)
@@ -488,7 +497,7 @@ func (q *ladderQueue) rebuild() bool {
 // in kind's initial shape: spread under QueueLadder, flat otherwise,
 // and due to spread only under QueueAuto. An unknown kind panics.
 func (q *ladderQueue) reset(kind QueueKind) {
-	q.near = q.near[:0]
+	q.run, q.heap = q.buf[:0], q.heap[:0]
 	q.nearEnd, q.spreadAt, q.spreads = math.Inf(1), math.MaxInt, 0
 	switch kind {
 	case QueueAuto:
@@ -499,6 +508,7 @@ func (q *ladderQueue) reset(kind QueueKind) {
 	default:
 		panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
 	}
+	q.runFast = min(q.spreadAt, q.runMax)
 	for i := range q.rungs {
 		for b := range q.rungs[i].bkts {
 			q.empty(&q.rungs[i].bkts[b])
@@ -508,52 +518,153 @@ func (q *ladderQueue) reset(kind QueueKind) {
 	q.over = q.over[:0]
 }
 
-// The near tier: a plain binary heap over (time, seq) — the whole
-// queue while flat, and kept small by the rung transfers once spread.
-// Sifts swap 24-byte records and touch nothing else.
+// The near tier: a sorted run backed by an overflow heap. The run holds
+// the earliest near events in (time, seq) order, at most runMax of them,
+// as a window onto buf: a pop advances the window's start, and a push
+// shifts the later records one slot toward the back, which at the
+// paper's pending counts is a few 24-byte moves. Near events past
+// runMax go to heap, a binary min-heap on (time, seq); every run event
+// precedes every heap event, so the run's head is the tier's minimum,
+// and once the run drains the heap refills it with its earliest
+// records. A queue pinned flat at a large pending count therefore pays
+// the heap's O(log n), not a run insertion of O(n).
 
+// nearPush adds ev, which lies below nearEnd, to the near tier.
 func (q *ladderQueue) nearPush(ev event) {
-	q.near = append(q.near, ev)
-	q.nearUp(len(q.near) - 1)
+	n := len(q.run)
+	switch {
+	case len(q.heap) == 0 && n < q.runMax:
+		q.runInsert(ev)
+	case n > 0 && before(&ev, &q.run[n-1]):
+		// ev belongs in the run; a full run hands its last record to
+		// the heap, which keeps every run event ahead of the heap.
+		if n == q.runMax {
+			q.heapPush(q.run[n-1])
+			q.run = q.run[:n-1]
+		}
+		q.runInsert(ev)
+	default:
+		q.heapPush(ev)
+	}
 }
 
-func (q *ladderQueue) nearPop() {
-	last := len(q.near) - 1
-	q.near[0] = q.near[last]
-	q.near = q.near[:last]
-	q.nearDown(0)
+// runInsert inserts ev into the run, which is shorter than runMax,
+// scanning from the back: later records shift one slot up.
+func (q *ladderQueue) runInsert(ev event) {
+	r := q.runExtend()
+	i := len(r) - 1
+	for ; i > 0 && before(&ev, &r[i-1]); i-- {
+		r[i] = r[i-1]
+	}
+	r[i] = ev
 }
 
-func (q *ladderQueue) nearUp(i int) {
+// runInsertNewest is runInsert for an event the engine has just issued:
+// its seq is the largest yet, so it goes after every record at its
+// time, and the scan compares times only.
+func (q *ladderQueue) runInsertNewest(ev event) {
+	r := q.runExtend()
+	i := len(r) - 1
+	for ; i > 0 && ev.time < r[i-1].time; i-- {
+		r[i] = r[i-1]
+	}
+	r[i] = ev
+}
+
+// runExtend lengthens the run by one slot at its back and returns it.
+func (q *ladderQueue) runExtend() []event {
+	if len(q.run) == cap(q.run) {
+		q.compact()
+	}
+	q.run = q.run[:len(q.run)+1]
+	return q.run
+}
+
+// compact moves the run, whose window has reached the end of buf, to
+// the front of buf. buf first grows to twice the run's length, doubling
+// and at most twice runMax, so the window advances at least as many
+// pops between copies as the run holds records while buf stays sized
+// to the run's high-water mark. Callers add one record next, and the
+// run is below runMax.
+func (q *ladderQueue) compact() {
+	n := len(q.run)
+	if want := 2 * (n + 1); len(q.buf) < want {
+		q.buf = make([]event, min(max(2*len(q.buf), want), 2*q.runMax))
+	}
+	copy(q.buf, q.run)
+	q.run = q.buf[:n]
+}
+
+// fill refills the empty run from the heap or, when the whole near
+// tier is empty, from the tiers below it, and reports whether any
+// events remain.
+func (q *ladderQueue) fill() bool {
+	if len(q.heap) == 0 {
+		// An advance that transfers events into the empty near tier
+		// puts the first runMax of them in the run; one that only
+		// rebuilds a rung transfers nothing yet.
+		for len(q.run) == 0 {
+			if !q.advance() {
+				return false
+			}
+		}
+		return true
+	}
+	q.run = q.buf[:0]
+	for len(q.heap) > 0 && len(q.run) < q.runMax {
+		r := q.runExtend()
+		r[len(r)-1] = q.heapPop()
+	}
+	return true
+}
+
+// heapPush adds ev to the overflow heap, moving a hole up from the end
+// to ev's slot.
+func (q *ladderQueue) heapPush(ev event) {
+	h := append(q.heap, ev)
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(&q.near[i], &q.near[parent]) {
+		p := (i - 1) / 2
+		if !before(&ev, &h[p]) {
 			break
 		}
-		q.nearSwap(i, parent)
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = ev
+	q.heap = h
 }
 
-func (q *ladderQueue) nearDown(i int) {
-	n := len(q.near)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+// heapPop removes and returns the overflow heap's minimum. The hole
+// it leaves moves down to a leaf along the smaller children, one
+// comparison a level, and the heap's last record then moves up from
+// there to its place, which in a heap of random keys is usually a
+// level or two.
+func (q *ladderQueue) heapPop() event {
+	h := q.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && before(&h[c+1], &h[c]) {
+			c++
 		}
-		least := left
-		if right := left + 1; right < n && before(&q.near[right], &q.near[left]) {
-			least = right
-		}
-		if !before(&q.near[least], &q.near[i]) {
-			return
-		}
-		q.nearSwap(i, least)
-		i = least
+		h[i] = h[c]
+		i = c
 	}
-}
-
-func (q *ladderQueue) nearSwap(i, j int) {
-	q.near[i], q.near[j] = q.near[j], q.near[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(&last, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	q.heap = h
+	return top
 }

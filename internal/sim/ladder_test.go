@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,7 +38,15 @@ type crossEngine struct {
 }
 
 func newCrossEngine(kind QueueKind) *crossEngine {
+	return newCrossEngineRun(kind, nearRunMax)
+}
+
+// newCrossEngineRun is newCrossEngine with the near tier's run capped
+// at runMax events, so short streams cross the run/heap boundary.
+func newCrossEngineRun(kind QueueKind, runMax int) *crossEngine {
 	c := &crossEngine{eng: NewWithQueue(kind)}
+	c.eng.q.runMax = runMax
+	c.eng.q.reset(kind)
 	c.record = func(tag int32) {
 		c.fired = append(c.fired, fireRec{at: c.eng.Now(), tag: int(tag)})
 	}
@@ -63,21 +72,34 @@ func (c *crossEngine) Pending() int                       { return c.eng.Pending
 func (c *crossEngine) Now() float64                       { return c.eng.Now() }
 func (c *crossEngine) log() []fireRec                     { return c.fired }
 
-// crossCheck drives the reference queue and the engine under every
-// QueueKind through the same operation stream and asserts identical
-// observable behaviour: fire order (time, tag), Cancel results
-// (including stale handles after a fire, a cancel or a Reset),
-// EventTime results, and pending counts. ops is consumed byte-wise, so
-// it doubles as a fuzz corpus format.
+// crossModels returns the reference queue and the engine under every
+// QueueKind, each once with the default run length and once with a run
+// of 4, whose near tier spills into its heap within a few events (and,
+// under QueueAuto, spreads with both parts holding events).
+func crossModels() ([]queueModel, []string) {
+	models := []queueModel{newRefQueue()}
+	names := []string{"reference"}
+	for _, runMax := range []int{nearRunMax, 4} {
+		for _, k := range []struct {
+			kind QueueKind
+			name string
+		}{{QueueHeap, "flat"}, {QueueLadder, "ladder"}, {QueueAuto, "auto"}} {
+			models = append(models, newCrossEngineRun(k.kind, runMax))
+			names = append(names, fmt.Sprintf("%s/run=%d", k.name, runMax))
+		}
+	}
+	return models, names
+}
+
+// crossCheck drives the reference queue and the engines of crossModels
+// through the same operation stream and asserts identical observable
+// behaviour: fire order (time, tag), Cancel results (including stale
+// handles after a fire, a cancel or a Reset), EventTime results, and
+// pending counts. ops is consumed byte-wise, so it doubles as a fuzz
+// corpus format.
 func crossCheck(t *testing.T, ops []byte) {
 	t.Helper()
-	models := []queueModel{
-		newRefQueue(),
-		newCrossEngine(QueueHeap),
-		newCrossEngine(QueueLadder),
-		newCrossEngine(QueueAuto),
-	}
-	names := []string{"reference", "flat", "ladder", "auto"}
+	models, names := crossModels()
 	handles := make([][]Event, len(models))
 	tag := 0
 	next := func(i int) byte {
@@ -220,12 +242,94 @@ func FuzzQueueCrossCheck(f *testing.F) {
 		ties = append(ties, 0, 128, 0, 3, 2)
 	}
 	f.Add(ties)
+	f.Add(runOverflowOps())
+	// Spread with both near parts holding events: 60 scattered delays
+	// take every run=4 engine past its run, and the auto ones past the
+	// spread threshold, before anything fires.
+	var spill []byte
+	for i := 0; i < 60; i++ {
+		spill = append(spill, 1, byte(i*37), byte(i*11))
+	}
+	spill = append(spill, 3, 30, 2, 50, 3, 255)
+	f.Add(spill)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
 		crossCheck(t, ops)
 	})
+}
+
+// runOverflowOps is an operation stream for crossCheck that takes the
+// flat engine with the default run past nearRunMax pending events:
+// equal-time clusters straddling the run and the heap, a cancel of an
+// overflowed event and of a run event, a run that drains while the
+// heap holds events, fresh ties against heap events, and a Reset in
+// the middle of a second overflow.
+func runOverflowOps() []byte {
+	const clusters, per = 8, 10 // 80 events at 8 times: the 65th is mid-cluster
+	var ops []byte
+	schedule := func(delay byte) { ops = append(ops, 0, delay, 0) } // delay/16
+	for i := 0; i < clusters*per; i++ {
+		schedule(byte(16 * (i * 3 % clusters)))
+	}
+	// Handle 5 is in the last cluster, deep in the heap; handle 0 is in
+	// the first, at the run's head.
+	ops = append(ops, 2, 5, 2, 0)
+	ops = append(ops, 3, 52) // run to 6.5: the run drains, the heap refills it
+	for i := 0; i < 6; i++ {
+		schedule(8) // time 7: ties with the heap's records, with larger seqs
+	}
+	for i := 0; i < clusters*per; i++ {
+		schedule(byte(16 * (i * 5 % clusters)))
+	}
+	ops = append(ops, 4, 0) // Reset with both parts full
+	for i := 0; i < 20; i++ {
+		schedule(byte(16 * (i % 3)))
+	}
+	return ops
+}
+
+// TestNearRunOverflowCrossCheck runs runOverflowOps against the
+// reference, then replays it on a warm flat engine, which must allocate
+// nothing once its run buffer and heap have grown.
+func TestNearRunOverflowCrossCheck(t *testing.T) {
+	ops := runOverflowOps()
+	crossCheck(t, ops)
+
+	c := newCrossEngine(QueueHeap)
+	var handles []Event
+	spilled := 0 // heap records at the Reset
+	replay := func() {
+		c.reset()
+		c.fired, handles = c.fired[:0], handles[:0]
+		for i := 0; i < len(ops); i++ {
+			switch ops[i] {
+			case 0:
+				handles = append(handles, c.schedule(float64(ops[i+1])/16, len(handles)))
+				i += 2
+			case 2:
+				c.Cancel(handles[ops[i+1]])
+				i++
+			case 3:
+				c.Run(c.Now() + float64(ops[i+1])/8)
+				i++
+			case 4:
+				spilled = len(c.eng.q.heap)
+				c.reset()
+				handles = handles[:0]
+				i++
+			}
+		}
+		c.RunAll()
+	}
+	replay()
+	if spilled == 0 {
+		t.Fatal("the flat engine's heap was empty at the Reset; the stream no longer overflows the run")
+	}
+	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
+		t.Fatalf("a warm replay allocated %v times, want 0", allocs)
+	}
 }
 
 // TestLadderBulkOrder pushes a large batch of far-future events (forcing

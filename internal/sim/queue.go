@@ -10,13 +10,15 @@ type QueueKind string
 
 const (
 	// QueueAuto starts every run flat — all events in the near tier's
-	// binary heap — and spreads once more than promoteThreshold records
-	// are queued. The paper's stationary 6-node runs never spread, so
-	// they keep the heap's minimal constant factors. This is the
+	// sorted run — and spreads once more than promoteThreshold records
+	// are queued, before the run fills. The paper's stationary 6-node
+	// runs never spread, so every pop is a slice advance. This is the
 	// default.
 	QueueAuto QueueKind = ""
-	// QueueHeap never spreads: the near tier is a plain binary heap,
-	// O(log n) per operation, at any pending count.
+	// QueueHeap never spreads: the near tier holds every event, its
+	// earliest nearRunMax in the sorted run and the rest in the
+	// overflow heap, so each operation costs O(log n) at any pending
+	// count.
 	QueueHeap QueueKind = "heap"
 	// QueueLadder starts every run spread, so events go to the
 	// bucketed rungs from the first push: O(1) amortized schedule/pop
