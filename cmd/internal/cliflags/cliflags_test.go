@@ -3,8 +3,10 @@ package cliflags
 import (
 	"flag"
 	"io"
+	"os"
 	"testing"
 
+	"repro/internal/failpoint"
 	"repro/internal/netdist"
 	"repro/internal/obs"
 )
@@ -122,4 +124,26 @@ func TestResolveBackend(t *testing.T) {
 		t.Errorf("cache wraps %T, want *netdist.NetBackend", c.Unwrap())
 	}
 	stop()
+}
+
+// TestArmFailpointsRejectsUnknownSite: a misspelled -failpoints site
+// fails the run instead of arming nothing, and is not exported to
+// worker processes; a valid spec is armed and exported.
+func TestArmFailpointsRejectsUnknownSite(t *testing.T) {
+	t.Setenv(failpoint.EnvVar, "")
+	defer failpoint.Disarm()
+	c := parse(t, "-failpoints", "distrib/worker-lop=kill")
+	if err := c.ArmFailpoints(); err == nil {
+		t.Fatal("ArmFailpoints accepted a misspelled site")
+	}
+	if v := os.Getenv(failpoint.EnvVar); v != "" {
+		t.Fatalf("rejected spec exported as %s=%q", failpoint.EnvVar, v)
+	}
+	const spec = "distrib/worker-loop=delay(0)"
+	if err := parse(t, "-failpoints", spec).ArmFailpoints(); err != nil {
+		t.Fatal(err)
+	}
+	if v := os.Getenv(failpoint.EnvVar); v != spec {
+		t.Fatalf("%s = %q, want %q", failpoint.EnvVar, v, spec)
+	}
 }

@@ -182,8 +182,10 @@ func run(args []string, out io.Writer) (retErr error) {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		header := fmt.Sprintf("== %s: %s (%.1fs)\n-- paper: %s\n", e.ID, e.Title,
-			time.Since(started).Seconds(), e.Paper)
+		// The elapsed time goes to stderr, so stdout and -out files are
+		// a pure function of the flags.
+		fmt.Fprintf(os.Stderr, "sdasim: %s took %.1fs\n", e.ID, time.Since(started).Seconds())
+		header := fmt.Sprintf("== %s: %s\n-- paper: %s\n", e.ID, e.Title, e.Paper)
 		if *outDir == "" {
 			fmt.Fprint(out, header, body, "\n")
 			continue

@@ -41,8 +41,9 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
-// TestRunParallelFlagIsDeterministic compares full CSV output across
-// -parallel settings; only the timing header may differ.
+// TestRunParallelFlagIsDeterministic compares whole outputs, header
+// line included, across -parallel settings: the elapsed time goes to
+// stderr, so stdout carries no wall-clock bytes.
 func TestRunParallelFlagIsDeterministic(t *testing.T) {
 	render := func(parallel string) string {
 		t.Helper()
@@ -52,18 +53,12 @@ func TestRunParallelFlagIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Drop the "== id: title (elapsed)" header; elapsed time is the
-		// one legitimately nondeterministic byte range.
-		lines := strings.Split(b.String(), "\n")
-		kept := lines[:0]
-		for _, l := range lines {
-			if !strings.HasPrefix(l, "== ") {
-				kept = append(kept, l)
-			}
-		}
-		return strings.Join(kept, "\n")
+		return b.String()
 	}
 	seq := render("1")
+	if first, _, _ := strings.Cut(seq, "\n"); !strings.HasPrefix(first, "== fig2b: ") || strings.HasSuffix(first, "s)") {
+		t.Fatalf("header line %q is not \"== fig2b: <title>\"", first)
+	}
 	if !strings.Contains(seq, "UD,UD ci95") {
 		t.Fatalf("csv output missing data:\n%s", seq)
 	}
@@ -144,17 +139,7 @@ func TestNodesOverride(t *testing.T) {
 		"-reps", "1", "-format", "csv"}, &def); err != nil {
 		t.Fatal(err)
 	}
-	strip := func(s string) string {
-		lines := strings.Split(s, "\n")
-		kept := lines[:0]
-		for _, l := range lines {
-			if !strings.HasPrefix(l, "== ") {
-				kept = append(kept, l)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	if strip(b.String()) == strip(def.String()) {
+	if b.String() == def.String() {
 		t.Error("-nodes 8 produced byte-identical output to the 6-node default")
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/failpoint"
@@ -403,6 +406,46 @@ func TestProcBackendFallsBackForTrace(t *testing.T) {
 	}
 	if res.Completed != 2 {
 		t.Fatalf("fallback completed %d, want 2", res.Completed)
+	}
+}
+
+// TestSpawnFailure covers workers that cannot be started. A process
+// fleet that starts none fails the run with the start error; a fleet
+// that starts some of its workers runs the shard on those, byte for
+// byte the in-process pool's result.
+func TestSpawnFailure(t *testing.T) {
+	cfg := shortCfg(800)
+	seeds := []uint64{1, 2, 3, 4}
+	shard := session.Shard{Config: cfg, Seeds: seeds, Parallelism: 1}
+	b := NewProcBackend(ProcOptions{Workers: 2, Command: []string{"/nonexistent-worker-binary"}})
+	defer b.Close()
+	if _, err := b.Run(context.Background(), shard); err == nil || !strings.Contains(err.Error(), "start worker") {
+		t.Fatalf("err = %v, want the start-worker error", err)
+	}
+
+	var dials atomic.Int32
+	half := NewProcBackend(ProcOptions{Workers: 2, Dial: func() (WorkerConn, error) {
+		if dials.Add(1) > 1 {
+			return nil, errors.New("connection refused")
+		}
+		coord, worker := net.Pipe()
+		go func() {
+			_ = ServeWorker(worker, worker)
+			worker.Close()
+		}()
+		return pipeConn{coord}, nil
+	}})
+	defer half.Close()
+	got, err := half.Run(context.Background(), shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireShardIdentical(t, got, poolRef(t, cfg, seeds))
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("%d dials, want 2 (one worker started, one refused)", n)
+	}
+	if ds := half.DistribStats(); ds.Fallbacks != 0 || ds.Deaths != 0 {
+		t.Fatalf("fallbacks = %d, deaths = %d; want the started worker to run every chunk", ds.Fallbacks, ds.Deaths)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/session"
 	"repro/internal/system"
@@ -290,9 +289,6 @@ func (b *ProcBackend) Close() error {
 // spawn establishes one worker endpoint — a process over pipes, or a
 // dialed connection when opts.Dial is set.
 func (b *ProcBackend) spawn() (*procWorker, error) {
-	if _, err := failpoint.Inject("distrib/spawn"); err != nil {
-		return nil, fmt.Errorf("distrib: start worker: %w", err)
-	}
 	var conn WorkerConn
 	var err error
 	if b.opts.Dial != nil {
@@ -937,9 +933,6 @@ func (r *procRun) launch(w *procWorker, cs *chunkState, hedge bool, now time.Tim
 		w.flights[d.id] = d
 	}
 	b.mu.Unlock()
-	if _, err := failpoint.Inject("distrib/dispatch"); err != nil {
-		b.reap(w, fmt.Errorf("%w: dispatch: %v", errWorkerDead, err))
-	}
 	b.queue(d, msgShard, &shardMsg{ID: d.id, Config: r.wc, Seeds: r.shard.Seeds[cs.c.start:cs.c.end], Parallelism: r.shard.Parallelism})
 }
 

@@ -307,10 +307,7 @@ func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
 
 // send encodes msg and writes one frame.
 func (fw *frameWriter) send(kind msgKind, msg message) error {
-	corrupt, ferr := failpoint.Inject("distrib/frame-write")
-	if ferr != nil {
-		return ferr
-	}
+	corrupt := failpoint.Inject("distrib/frame-write")
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	b := msg.appendTo(append(fw.buf[:0], 0, 0, 0, 0, byte(kind)))
@@ -386,9 +383,7 @@ const readChunk = 1 << 20
 // payload is read a chunk at a time, so a corrupted length prefix costs
 // at most twice the bytes actually present, plus one chunk.
 func readFrame(r io.Reader, only msgKind) (msgKind, []byte, error) {
-	if _, err := failpoint.Inject("distrib/frame-read"); err != nil {
-		return 0, nil, &FrameError{Op: "header", Err: err}
-	}
+	failpoint.Inject("distrib/frame-read")
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -421,13 +416,9 @@ func readFrame(r io.Reader, only msgKind) (msgKind, []byte, error) {
 // decodeMsg unpacks a frame payload, which must be exactly one encoding
 // of into; failures are structured *FrameError values (Op "decode").
 func decodeMsg(kind msgKind, p []byte, into message) error {
-	_, err := failpoint.Inject("distrib/decode")
-	if err == nil {
-		d := wire.NewDecoder(p)
-		into.decode(&d)
-		err = d.Finish()
-	}
-	if err != nil {
+	d := wire.NewDecoder(p)
+	into.decode(&d)
+	if err := d.Finish(); err != nil {
 		return &FrameError{Op: "decode", Kind: kind, Len: uint32(len(p)), Err: err}
 	}
 	return nil

@@ -53,9 +53,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 		// processing (and so pong replies) without the pipe ever
 		// closing — exactly the failure heartbeats exist to catch. A
 		// kill here is the abrupt-death case.
-		if _, err := failpoint.Inject("distrib/worker-loop"); err != nil {
-			return err
-		}
+		failpoint.Inject("distrib/worker-loop")
 		switch kind {
 		case msgShard:
 			var m shardMsg

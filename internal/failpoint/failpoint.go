@@ -1,9 +1,8 @@
 // Package failpoint is the deterministic fault-injection seam of the
-// runtime: named sites compiled permanently into cold paths (frame
-// I/O, worker spawn, chunk dispatch, pool acquire) that cost one
-// atomic load when nothing is armed, and become error returns, delays,
-// hangs, process kills, or frame corruption when a chaos run arms
-// them.
+// runtime: named sites compiled permanently into cold paths (the shard
+// worker's frame loop, frame I/O, pool acquire) that cost one atomic
+// load when nothing is armed, and become delays, hangs, process kills,
+// or frame corruption when a chaos run arms them.
 //
 // Sites are armed by spec — from code (Arm), from the environment
 // (REPRO_FAILPOINTS, read at init so re-executed worker processes
@@ -14,15 +13,19 @@
 //
 // Each entry is site=action with optional suffixes:
 //
-//	error        the site returns ErrInjected
 //	hang         the site blocks until Disarm or process exit
 //	kill         the process exits immediately (code 7)
-//	corrupt      the site corrupts its own payload (frame writers
-//	             scribble the frame kind so receivers must reject it)
+//	corrupt      the frame writer scribbles the frame kind, so the
+//	             receiver must reject it (distrib/frame-write only)
 //	delay(ms)    the site sleeps for the given milliseconds
 //	:p=F         trigger probability per evaluation (default 1)
 //	:max=N       stop triggering after N hits (default unlimited)
-//	:after=N     ignore the first N evaluations (default 0)
+//
+// The sites are distrib/worker-loop (a shard worker, before it handles
+// each frame), distrib/frame-write and distrib/frame-read (every frame
+// sent or read), and session/pool-acquire (each workspace lease). Arm
+// rejects any other site name, so a misspelled spec fails instead of
+// arming nothing.
 //
 // Probabilistic triggers draw from one process-wide splitmix64 stream
 // seeded by seed= (default 1), so a chaos run is reproducible: the
@@ -38,7 +41,6 @@
 package failpoint
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -53,40 +55,33 @@ import (
 // spawns (workers inherit the environment).
 const EnvVar = "REPRO_FAILPOINTS"
 
-// ErrInjected is the error returned by sites armed with the error
-// action; site errors wrap it, so errors.Is(err, ErrInjected) detects
-// any injected failure.
-var ErrInjected = errors.New("failpoint: injected error")
+// sites names every site compiled into the runtime; the value reports
+// whether the site applies the corrupt action.
+var sites = map[string]bool{
+	"distrib/worker-loop":  false,
+	"distrib/frame-write":  true,
+	"distrib/frame-read":   false,
+	"session/pool-acquire": false,
+}
 
-// Action is what an armed site does when it triggers.
-type Action uint8
+// action is what an armed site does when it triggers.
+type action uint8
 
 const (
-	// ActNone: the site is unarmed or did not trigger.
-	ActNone Action = iota
-	// ActError: Inject returns ErrInjected.
-	ActError
-	// ActHang: Inject blocks until Disarm or process exit.
-	ActHang
-	// ActDelay: Inject sleeps for the rule's delay.
-	ActDelay
-	// ActKill: the process exits immediately.
-	ActKill
-	// ActCorrupt: Inject reports corrupt=true; the site applies its
-	// own corruption (e.g. scribbling a frame header).
-	ActCorrupt
+	actNone action = iota // unarmed, or did not trigger
+	actHang
+	actDelay
+	actKill
+	actCorrupt
 )
 
 // rule is one armed site.
 type rule struct {
-	action Action
+	action action
 	delay  time.Duration
 	p      float64 // trigger probability per evaluation
 	max    uint64  // hit budget; 0 = unlimited
-	after  uint64  // evaluations to skip before triggering
-
-	evals uint64
-	hits  uint64
+	hits   uint64
 }
 
 var (
@@ -118,7 +113,9 @@ func splitmix64() uint64 {
 }
 
 // Arm parses spec and arms its sites, merging over whatever is already
-// armed (seed= resets the RNG stream). An empty spec is a no-op.
+// armed (seed= resets the RNG stream). An empty spec is a no-op. An
+// unknown site, or corrupt on a site that does not apply it, is an
+// error, and a spec with any error arms nothing.
 func Arm(spec string) error {
 	parsed := map[string]*rule{}
 	var seed uint64
@@ -141,9 +138,16 @@ func Arm(spec string) error {
 			seed, seedSet = s, true
 			continue
 		}
+		corruptible, known := sites[site]
+		if !known {
+			return fmt.Errorf("failpoint: unknown site %q", site)
+		}
 		r, err := parseRule(rest)
 		if err != nil {
 			return fmt.Errorf("failpoint: site %s: %w", site, err)
+		}
+		if r.action == actCorrupt && !corruptible {
+			return fmt.Errorf("failpoint: site %s does not apply corrupt", site)
 		}
 		parsed[site] = r
 	}
@@ -169,26 +173,24 @@ func Arm(spec string) error {
 	return nil
 }
 
-// parseRule parses "action[:p=F][:max=N][:after=N]".
+// parseRule parses "action[:p=F][:max=N]".
 func parseRule(s string) (*rule, error) {
 	parts := strings.Split(s, ":")
 	r := &rule{p: 1}
 	act := strings.TrimSpace(parts[0])
 	switch {
-	case act == "error":
-		r.action = ActError
 	case act == "hang":
-		r.action = ActHang
+		r.action = actHang
 	case act == "kill":
-		r.action = ActKill
+		r.action = actKill
 	case act == "corrupt":
-		r.action = ActCorrupt
+		r.action = actCorrupt
 	case strings.HasPrefix(act, "delay(") && strings.HasSuffix(act, ")"):
 		ms, err := strconv.ParseFloat(act[len("delay("):len(act)-1], 64)
 		if err != nil || ms < 0 {
 			return nil, fmt.Errorf("bad delay %q", act)
 		}
-		r.action = ActDelay
+		r.action = actDelay
 		r.delay = time.Duration(ms * float64(time.Millisecond))
 	default:
 		return nil, fmt.Errorf("unknown action %q", act)
@@ -211,12 +213,6 @@ func parseRule(s string) (*rule, error) {
 				return nil, fmt.Errorf("bad max %q", val)
 			}
 			r.max = n
-		case "after":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad after %q", val)
-			}
-			r.after = n
 		default:
 			return nil, fmt.Errorf("unknown option %q", key)
 		}
@@ -238,40 +234,23 @@ func Disarm() {
 	}
 }
 
-// Enabled reports whether any site is armed (one atomic load).
-func Enabled() bool { return armed.Load() }
-
-// Hits returns how many times site has triggered.
-func Hits(site string) uint64 {
-	mu.Lock()
-	defer mu.Unlock()
-	if r := rules[site]; r != nil {
-		return r.hits
-	}
-	return 0
-}
-
 // eval rolls the site's rule; it returns the action to perform (with
-// the rule's delay) or ActNone.
-func eval(site string) (Action, time.Duration, chan struct{}) {
+// the rule's delay) or actNone.
+func eval(site string) (action, time.Duration, chan struct{}) {
 	mu.Lock()
 	defer mu.Unlock()
 	r := rules[site]
 	if r == nil {
-		return ActNone, 0, nil
-	}
-	r.evals++
-	if r.evals <= r.after {
-		return ActNone, 0, nil
+		return actNone, 0, nil
 	}
 	if r.max > 0 && r.hits >= r.max {
-		return ActNone, 0, nil
+		return actNone, 0, nil
 	}
 	if r.p < 1 {
 		// Uniform in [0,1) from the top 53 bits of the stream.
 		u := float64(splitmix64()>>11) / (1 << 53)
 		if u >= r.p {
-			return ActNone, 0, nil
+			return actNone, 0, nil
 		}
 	}
 	r.hits++
@@ -280,31 +259,26 @@ func eval(site string) (Action, time.Duration, chan struct{}) {
 
 // Inject evaluates site and performs blocking actions itself: delay
 // sleeps, hang blocks until Disarm (or process exit), kill exits the
-// process with code 7. An error action returns ErrInjected wrapped
-// with the site name; a corrupt action returns corrupt=true and the
-// caller applies its own site-specific corruption. Disarmed cost: one
-// atomic load, zero allocations.
-func Inject(site string) (corrupt bool, err error) {
+// process with code 7. A corrupt action returns true and the caller
+// applies its own site-specific corruption. Disarmed cost: one atomic
+// load, zero allocations.
+func Inject(site string) (corrupt bool) {
 	if !armed.Load() {
-		return false, nil
+		return false
 	}
 	act, delay, hang := eval(site)
 	switch act {
-	case ActError:
-		return false, fmt.Errorf("%s: %w", site, ErrInjected)
-	case ActHang:
+	case actHang:
 		if hang != nil {
 			<-hang
 		}
-		return false, nil
-	case ActDelay:
+	case actDelay:
 		time.Sleep(delay)
-		return false, nil
-	case ActKill:
+	case actKill:
 		fmt.Fprintf(os.Stderr, "failpoint: %s: killing process\n", site)
 		os.Exit(7)
-	case ActCorrupt:
-		return true, nil
+	case actCorrupt:
+		return true
 	}
-	return false, nil
+	return false
 }

@@ -1,7 +1,6 @@
 package failpoint
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -10,11 +9,11 @@ import (
 // Inject is a single atomic load and performs zero allocations.
 func TestDisarmedZeroCost(t *testing.T) {
 	Disarm()
-	if Enabled() {
-		t.Fatal("Enabled() after Disarm")
+	if armed.Load() {
+		t.Fatal("armed after Disarm")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if c, err := Inject("some/site"); c || err != nil {
+		if Inject("distrib/frame-write") {
 			t.Fatal("disarmed site triggered")
 		}
 	})
@@ -23,61 +22,42 @@ func TestDisarmedZeroCost(t *testing.T) {
 	}
 }
 
-// TestErrorAction: an armed error site returns ErrInjected wrapped with
-// the site name, and respects its hit budget.
-func TestErrorAction(t *testing.T) {
+// TestCorruptHitBudget: an armed site respects its hit budget and
+// leaves other sites alone.
+func TestCorruptHitBudget(t *testing.T) {
 	defer Disarm()
-	if err := Arm("a/b=error:max=2"); err != nil {
+	if err := Arm("distrib/frame-write=corrupt:max=2"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := Inject("a/b"); !errors.Is(err, ErrInjected) {
-			t.Fatalf("hit %d: err = %v, want ErrInjected", i, err)
+		if !Inject("distrib/frame-write") {
+			t.Fatalf("hit %d did not trigger", i)
 		}
 	}
-	if _, err := Inject("a/b"); err != nil {
-		t.Fatalf("budget exhausted but still triggering: %v", err)
+	if Inject("distrib/frame-write") {
+		t.Fatal("budget exhausted but still triggering")
 	}
-	if got := Hits("a/b"); got != 2 {
-		t.Fatalf("hits = %d, want 2", got)
-	}
-	if _, err := Inject("other/site"); err != nil {
-		t.Fatalf("unarmed site triggered: %v", err)
+	if Inject("distrib/frame-read") {
+		t.Fatal("unarmed site triggered")
 	}
 }
 
-// TestCorruptAndDelay: corrupt reports to the caller; delay sleeps.
+// TestCorruptAndDelay: corrupt reports to the caller; delay sleeps and
+// reports no corruption.
 func TestCorruptAndDelay(t *testing.T) {
 	defer Disarm()
-	if err := Arm("w=corrupt;d=delay(30)"); err != nil {
+	if err := Arm("distrib/frame-write=corrupt;distrib/frame-read=delay(30)"); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := Inject("w"); !c || err != nil {
-		t.Fatalf("corrupt site: corrupt=%t err=%v", c, err)
+	if !Inject("distrib/frame-write") {
+		t.Fatal("corrupt site did not report corruption")
 	}
 	start := time.Now()
-	if _, err := Inject("d"); err != nil {
-		t.Fatal(err)
+	if Inject("distrib/frame-read") {
+		t.Fatal("delay site reported corruption")
 	}
 	if el := time.Since(start); el < 20*time.Millisecond {
 		t.Fatalf("delay(30) slept only %v", el)
-	}
-}
-
-// TestAfterSkipsEvaluations: the after option ignores the first N
-// evaluations.
-func TestAfterSkipsEvaluations(t *testing.T) {
-	defer Disarm()
-	if err := Arm("s=error:after=3"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := Inject("s"); err != nil {
-			t.Fatalf("evaluation %d triggered before after=3", i)
-		}
-	}
-	if _, err := Inject("s"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("4th evaluation: err = %v, want ErrInjected", err)
 	}
 }
 
@@ -87,13 +67,12 @@ func TestSeededProbabilityDeterministic(t *testing.T) {
 	defer Disarm()
 	sequence := func(seed string) []bool {
 		Disarm()
-		if err := Arm("seed=" + seed + ";p/q=error:p=0.5"); err != nil {
+		if err := Arm("seed=" + seed + ";distrib/frame-write=corrupt:p=0.5"); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]bool, 64)
 		for i := range out {
-			_, err := Inject("p/q")
-			out[i] = err != nil
+			out[i] = Inject("distrib/frame-write")
 		}
 		return out
 	}
@@ -125,12 +104,12 @@ func TestSeededProbabilityDeterministic(t *testing.T) {
 
 // TestHangReleasedByDisarm: a hanging site blocks until Disarm.
 func TestHangReleasedByDisarm(t *testing.T) {
-	if err := Arm("h=hang"); err != nil {
+	if err := Arm("distrib/worker-loop=hang"); err != nil {
 		t.Fatal(err)
 	}
 	released := make(chan struct{})
 	go func() {
-		Inject("h")
+		Inject("distrib/worker-loop")
 		close(released)
 	}()
 	select {
@@ -146,20 +125,33 @@ func TestHangReleasedByDisarm(t *testing.T) {
 	}
 }
 
-// TestSpecErrors: malformed specs are rejected with diagnostics.
+// TestSpecErrors: malformed specs are rejected with diagnostics, and a
+// rejected spec arms nothing — not even its valid entries. Every
+// compiled-in site accepts every action it applies.
 func TestSpecErrors(t *testing.T) {
+	Disarm()
 	defer Disarm()
 	for _, spec := range []string{
 		"justasite",
-		"s=explode",
-		"s=delay(x)",
-		"s=error:p=1.5",
-		"s=error:max=-1",
-		"s=error:banana",
+		"distrib/worker-loop=explode",
+		"distrib/frame-read=delay(x)",
+		"distrib/worker-loop=kill:p=1.5",
+		"distrib/worker-loop=kill:max=-1",
+		"distrib/worker-loop=kill:banana",
+		"distrib/worker-loop=error",
+		"distrib/worker-loop=hang:after=3",
 		"seed=notanumber",
+		"distrib/worker-lop=kill",
+		"distrib/decode=hang",
+		"distrib/frame-read=corrupt",
+		"session/pool-acquire=corrupt",
+		"distrib/frame-write=corrupt;distrib/worker-loop=corrupt",
 	} {
 		if err := Arm(spec); err == nil {
 			t.Errorf("Arm(%q) accepted", spec)
+		}
+		if armed.Load() {
+			t.Fatalf("rejected spec %q armed a site", spec)
 		}
 	}
 	if err := Arm(""); err != nil {
@@ -167,5 +159,17 @@ func TestSpecErrors(t *testing.T) {
 	}
 	if err := Arm(" ; "); err != nil {
 		t.Errorf("blank entries rejected: %v", err)
+	}
+	for site, corruptible := range sites {
+		actions := []string{"hang", "kill", "delay(1):p=0.5:max=3"}
+		if corruptible {
+			actions = append(actions, "corrupt")
+		}
+		for _, act := range actions {
+			if err := Arm(site + "=" + act); err != nil {
+				t.Errorf("Arm(%s=%s): %v", site, act, err)
+			}
+			Disarm()
+		}
 	}
 }

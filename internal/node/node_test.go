@@ -48,6 +48,12 @@ func newTestNode(t *testing.T, eng *sim.Engine, policy TardyPolicy) (*Node, *rec
 	return g.Node(0), rec
 }
 
+// after schedules fn to run delay time units from now on the engine's
+// int32-argument path, registering a one-event handler.
+func after(eng *sim.Engine, delay float64, fn func()) {
+	eng.MustScheduleArg(delay, eng.RegisterArg(func(int32) { fn() }), 0)
+}
+
 // TestConfigValidation covers the constructor error paths.
 func TestConfigValidation(t *testing.T) {
 	eng := sim.New()
@@ -108,8 +114,8 @@ func TestNonPreemptiveEDFOrder(t *testing.T) {
 	urgent := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 5}
 	late := &task.Task{ID: 3, Seq: 3, Exec: 1, Deadline: 50}
 	n.Submit(long)
-	eng.MustSchedule(1, func() { urgent.Arrival = 1; n.Submit(urgent) })
-	eng.MustSchedule(2, func() { late.Arrival = 2; n.Submit(late) })
+	after(eng, 1, func() { urgent.Arrival = 1; n.Submit(urgent) })
+	after(eng, 2, func() { late.Arrival = 2; n.Submit(late) })
 	eng.RunAll()
 	if len(rec.done) != 3 {
 		t.Fatalf("done = %d, want 3", len(rec.done))
@@ -135,8 +141,8 @@ func TestAbortAtDispatch(t *testing.T) {
 	doomed := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 5} // expires while blocker runs
 	alive := &task.Task{ID: 3, Seq: 3, Exec: 1, Deadline: 50}
 	n.Submit(blocker)
-	eng.MustSchedule(1, func() { n.Submit(doomed) })
-	eng.MustSchedule(2, func() { n.Submit(alive) })
+	after(eng, 1, func() { n.Submit(doomed) })
+	after(eng, 2, func() { n.Submit(alive) })
 	eng.RunAll()
 	if len(rec.aborted) != 1 || rec.aborted[0].ID != 2 {
 		t.Fatalf("aborted = %v, want task 2 only", rec.aborted)
@@ -163,7 +169,7 @@ func TestAbortFirmUsesEndToEndDeadline(t *testing.T) {
 	// Both deadlines expire: the task must be discarded.
 	doomed := &task.Task{ID: 3, Seq: 3, Exec: 1, Deadline: 5, FirmDeadline: 8}
 	n.Submit(blocker)
-	eng.MustSchedule(1, func() { n.Submit(survivor); n.Submit(doomed) })
+	after(eng, 1, func() { n.Submit(survivor); n.Submit(doomed) })
 	eng.RunAll()
 
 	if len(rec.aborted) != 1 || rec.aborted[0].ID != 3 {
@@ -192,7 +198,7 @@ func TestNoAbortRunsTardyTasks(t *testing.T) {
 	blocker := &task.Task{ID: 1, Seq: 1, Exec: 10, Deadline: 100}
 	tardy := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 5}
 	n.Submit(blocker)
-	eng.MustSchedule(1, func() { n.Submit(tardy) })
+	after(eng, 1, func() { n.Submit(tardy) })
 	eng.RunAll()
 	if len(rec.done) != 2 {
 		t.Fatalf("done = %d, want 2 (tardy task still runs)", len(rec.done))
@@ -208,7 +214,7 @@ func TestIdlePeriodBetweenArrivals(t *testing.T) {
 	a := &task.Task{ID: 1, Exec: 1, Deadline: 10}
 	b := &task.Task{ID: 2, Exec: 1, Deadline: 20}
 	n.Submit(a)
-	eng.MustSchedule(5, func() { b.Arrival = 5; n.Submit(b) })
+	after(eng, 5, func() { b.Arrival = 5; n.Submit(b) })
 	eng.RunAll()
 	if b.Start != 5 {
 		t.Errorf("b.Start = %v, want 5 (server idle in between)", b.Start)
@@ -251,7 +257,7 @@ func TestPreemptiveEDF(t *testing.T) {
 	long := &task.Task{ID: 1, Seq: 1, Exec: 10, Deadline: 100}
 	urgent := &task.Task{ID: 2, Seq: 2, Exec: 2, Deadline: 6}
 	n.Submit(long)
-	eng.MustSchedule(3, func() { urgent.Arrival = 3; n.Submit(urgent) })
+	after(eng, 3, func() { urgent.Arrival = 3; n.Submit(urgent) })
 	eng.RunAll()
 
 	// urgent preempts at t=3, runs 3..5; long resumes and finishes at
@@ -288,7 +294,7 @@ func TestPreemptionSkippedForLaterDeadline(t *testing.T) {
 	first := &task.Task{ID: 1, Seq: 1, Exec: 4, Deadline: 10}
 	later := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 50}
 	n.Submit(first)
-	eng.MustSchedule(1, func() { n.Submit(later) })
+	after(eng, 1, func() { n.Submit(later) })
 	eng.RunAll()
 	if n.Preemptions() != 0 {
 		t.Errorf("Preemptions = %d, want 0 (later deadline must not preempt)", n.Preemptions())
@@ -310,7 +316,7 @@ func TestPreemptionAtCompletionInstant(t *testing.T) {
 	urgent := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 10}
 	// Scheduled before a's completion event exists, so it fires first
 	// at t=4.
-	eng.MustSchedule(4, func() { urgent.Arrival = 4; n.Submit(urgent) })
+	after(eng, 4, func() { urgent.Arrival = 4; n.Submit(urgent) })
 	n.Submit(a)
 	eng.RunAll()
 	if len(rec.done) != 2 || rec.done[0] != a || rec.done[1] != urgent {
@@ -342,8 +348,8 @@ func TestPreemptionChain(t *testing.T) {
 	b := &task.Task{ID: 2, Seq: 2, Exec: 5, Deadline: 50}
 	c := &task.Task{ID: 3, Seq: 3, Exec: 1, Deadline: 10}
 	n.Submit(a)
-	eng.MustSchedule(1, func() { n.Submit(b) })
-	eng.MustSchedule(2, func() { n.Submit(c) })
+	after(eng, 1, func() { n.Submit(b) })
+	after(eng, 2, func() { n.Submit(c) })
 	eng.RunAll()
 	// c: 2..3. b: 1..2 then 3..7. a: 0..1 then 7..15.
 	if c.Finish != 3 || b.Finish != 7 || a.Finish != 15 {

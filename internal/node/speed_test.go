@@ -18,7 +18,7 @@ func TestSlowdownStretchesService(t *testing.T) {
 	n.Submit(speedTask(1, 10))
 	// Halve the speed halfway through: 5 units of work done by t=5, the
 	// remaining 5 take 10 more time units.
-	eng.MustSchedule(5, func() { n.SetSpeed(0.5) })
+	after(eng, 5, func() { n.SetSpeed(0.5) })
 	eng.RunAll()
 	if len(rec.done) != 1 {
 		t.Fatalf("done = %d tasks, want 1", len(rec.done))
@@ -36,8 +36,8 @@ func TestFreezeSuspendsAndResumeCompletes(t *testing.T) {
 	n, rec := newTestNode(t, eng, NoAbort)
 	n.Submit(speedTask(1, 10))
 	n.Submit(speedTask(2, 1)) // queued behind task 1
-	eng.MustSchedule(4, func() { n.SetSpeed(0) })
-	eng.MustSchedule(9, func() { n.SetSpeed(1) })
+	after(eng, 4, func() { n.SetSpeed(0) })
+	after(eng, 9, func() { n.SetSpeed(1) })
 	eng.RunAll()
 	if len(rec.done) != 2 {
 		t.Fatalf("done = %d tasks, want 2", len(rec.done))
@@ -82,7 +82,7 @@ func TestRedundantSetSpeedIsNoOp(t *testing.T) {
 	eng := sim.New()
 	n, rec := newTestNode(t, eng, NoAbort)
 	n.Submit(speedTask(1, 10))
-	eng.MustSchedule(3, func() { n.SetSpeed(1) }) // same speed: no resettle
+	after(eng, 3, func() { n.SetSpeed(1) }) // same speed: no resettle
 	eng.RunAll()
 	if len(rec.done) != 1 || rec.done[0].Finish != 10 {
 		t.Fatalf("done = %+v, want one task finishing at 10", rec.done)

@@ -191,7 +191,7 @@ func (p *Pool) acquire() *system.Workspace {
 	// shard-worker process the main loop keeps answering pings while a
 	// shard hangs here, so heartbeats cannot see it; the coordinator's
 	// chunk deadline (or, after a cancel, its ack bound) catches it.
-	_, _ = failpoint.Inject("session/pool-acquire")
+	failpoint.Inject("session/pool-acquire")
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
@@ -403,9 +403,6 @@ func (s *Session) Run(ctx context.Context, job Job, opts ...Option) (*Result, er
 	}
 	if o.progress != nil {
 		shard.OnResult = progressHook(o.progress, len(seeds))
-	}
-	if _, ferr := failpoint.Inject("session/backend-run"); ferr != nil {
-		return nil, ferr
 	}
 	finish := s.instrument(&shard)
 	res, err := s.backend.Run(ctx, shard)

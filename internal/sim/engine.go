@@ -23,11 +23,11 @@
 // pending-event counts. Either way events pop in exactly the same
 // (time, seq) order.
 //
-// Hot callers register a func(int32) handler once (RegisterArg) and
+// Callers register a func(int32) handler once (RegisterArg) and
 // schedule it with the index of the entity it acts on (MustScheduleArg,
-// CallArgAt). Register/ScheduleCall carry an arbitrary payload instead,
-// parked in a side table that the argument indexes; the closure-based
-// Schedule/At sit on that layer for one-shot and test use.
+// CallArgAt). Register/MustScheduleCall/CallAt carry an arbitrary
+// payload instead, parked in a side table that the argument indexes.
+// There is no closure API: a handler is bound once, never per event.
 package sim
 
 import (
@@ -135,13 +135,6 @@ type Engine struct {
 	freePayloads []int32
 }
 
-// runClosure is the pre-registered callback backing the closure-based
-// scheduling API: the payload is the func() itself.
-func runClosure(payload any) { payload.(func())() }
-
-// funcCallback is the reserved Callback id of runClosure.
-const funcCallback Callback = 0
-
 // New returns an engine with the clock at zero and the default
 // (QueueAuto) event queue.
 func New() *Engine {
@@ -153,7 +146,6 @@ func New() *Engine {
 // references for tests and benchmarks. An unknown kind panics.
 func NewWithQueue(kind QueueKind) *Engine {
 	e := &Engine{seq: 1, base: 1, floor: 1, q: ladderQueue{runMax: nearRunMax, free: -1}, kind: kind}
-	e.handlers = append(e.handlers, handler{boxed: runClosure})
 	e.q.reset(kind)
 	return e
 }
@@ -175,12 +167,12 @@ func (e *Engine) Reset() {
 	e.q.reset(e.kind)
 	clear(e.payloads) // release payload references
 	e.payloads, e.freePayloads = e.payloads[:0], e.freePayloads[:0]
-	clear(e.handlers) // release closure references
-	e.handlers = append(e.handlers[:0], handler{boxed: runClosure})
+	clear(e.handlers) // release handler references
+	e.handlers = e.handlers[:0]
 }
 
 // Register binds fn as a reusable event handler that receives the
-// payload passed to ScheduleCall, MustScheduleCall or CallAt, and
+// payload passed to MustScheduleCall or CallAt, and
 // returns its Callback id. Registration is meant to happen once per
 // simulation entity at setup time.
 func (e *Engine) Register(fn func(payload any)) Callback {
@@ -242,40 +234,12 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Schedule registers fn to run after delay time units. A negative or NaN
-// delay returns ErrEventInPast. Each call allocates a closure; hot paths
-// should use RegisterArg + MustScheduleArg instead.
-func (e *Engine) Schedule(delay float64, fn func()) (Event, error) {
-	return e.At(e.now+delay, fn)
-}
-
-// MustSchedule is Schedule for delays the caller has already validated;
-// it panics on a negative or NaN delay, which indicates a model bug.
-func (e *Engine) MustSchedule(delay float64, fn func()) Event {
-	ev, err := e.Schedule(delay, fn)
-	if err != nil {
-		panic(fmt.Sprintf("sim: MustSchedule(%v): %v", delay, err))
-	}
-	return ev
-}
-
-// At registers fn to run at absolute simulation time t. Scheduling in the
-// past (or NaN) returns ErrEventInPast.
-func (e *Engine) At(t float64, fn func()) (Event, error) {
-	return e.CallAt(t, funcCallback, fn)
-}
-
-// ScheduleCall schedules the Register callback cb to fire with payload
-// after delay time units. A nil payload touches no side table; a
-// non-nil one is parked in the engine's payload table until the event
-// fires or its tombstone surfaces, which allocates nothing once the
-// table has grown to the run's working size.
-func (e *Engine) ScheduleCall(delay float64, cb Callback, payload any) (Event, error) {
-	return e.CallAt(e.now+delay, cb, payload)
-}
-
-// MustScheduleCall is ScheduleCall for delays the caller has already
-// validated; it panics on a negative or NaN delay.
+// MustScheduleCall schedules the Register callback cb to fire with
+// payload after delay time units; it panics on a negative or NaN delay.
+// A nil payload touches no side table; a non-nil one is parked in the
+// engine's payload table until the event fires or its tombstone
+// surfaces, which allocates nothing once the table has grown to the
+// run's working size.
 func (e *Engine) MustScheduleCall(delay float64, cb Callback, payload any) Event {
 	ev, err := e.CallAt(e.now+delay, cb, payload)
 	if err != nil {

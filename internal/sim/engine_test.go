@@ -8,12 +8,19 @@ import (
 	"testing/quick"
 )
 
+// after schedules fn to run delay time units from now. It registers a
+// one-event handler on the int32-argument path, so tests can write
+// events as closures without the engine having a closure API.
+func after(e *Engine, delay float64, fn func()) Event {
+	return e.MustScheduleArg(delay, e.RegisterArg(func(int32) { fn() }), 0)
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := New()
 	var got []float64
 	for _, d := range []float64{5, 1, 3, 2, 4} {
 		tm := d
-		e.MustSchedule(d, func() { got = append(got, tm) })
+		after(e, d, func() { got = append(got, tm) })
 	}
 	e.RunAll()
 	if !sort.Float64sAreSorted(got) {
@@ -32,7 +39,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.MustSchedule(1, func() { got = append(got, i) })
+		after(e, 1, func() { got = append(got, i) })
 	}
 	e.RunAll()
 	for i, v := range got {
@@ -45,8 +52,8 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestScheduleFromCallback(t *testing.T) {
 	e := New()
 	var times []float64
-	e.MustSchedule(1, func() {
-		e.MustSchedule(1, func() { times = append(times, e.Now()) })
+	after(e, 1, func() {
+		after(e, 1, func() { times = append(times, e.Now()) })
 	})
 	e.RunAll()
 	if len(times) != 1 || times[0] != 2 {
@@ -57,8 +64,8 @@ func TestScheduleFromCallback(t *testing.T) {
 func TestRunHorizon(t *testing.T) {
 	e := New()
 	fired := 0
-	e.MustSchedule(1, func() { fired++ })
-	e.MustSchedule(10, func() { fired++ })
+	after(e, 1, func() { fired++ })
+	after(e, 10, func() { fired++ })
 	e.Run(5)
 	if fired != 1 {
 		t.Fatalf("fired %d events before horizon, want 1", fired)
@@ -78,32 +85,34 @@ func TestRunHorizon(t *testing.T) {
 
 func TestSchedulePastRejected(t *testing.T) {
 	e := New()
-	e.MustSchedule(5, func() {})
+	after(e, 5, func() {})
 	e.RunAll()
-	if _, err := e.At(1, func() {}); !errors.Is(err, ErrEventInPast) {
-		t.Fatalf("At(past) error = %v, want ErrEventInPast", err)
+	cb := e.RegisterArg(func(int32) {})
+	if _, err := e.CallArgAt(1, cb, 0); !errors.Is(err, ErrEventInPast) {
+		t.Fatalf("CallArgAt(past) error = %v, want ErrEventInPast", err)
 	}
-	if _, err := e.Schedule(-1, func() {}); !errors.Is(err, ErrEventInPast) {
-		t.Fatalf("Schedule(-1) error = %v, want ErrEventInPast", err)
+	if _, err := e.CallArgAt(e.Now()-1, cb, 0); !errors.Is(err, ErrEventInPast) {
+		t.Fatalf("CallArgAt(now-1) error = %v, want ErrEventInPast", err)
 	}
-	if _, err := e.Schedule(math.NaN(), func() {}); !errors.Is(err, ErrEventInPast) {
-		t.Fatalf("Schedule(NaN) error = %v, want ErrEventInPast", err)
+	if _, err := e.CallArgAt(math.NaN(), cb, 0); !errors.Is(err, ErrEventInPast) {
+		t.Fatalf("CallArgAt(NaN) error = %v, want ErrEventInPast", err)
 	}
 }
 
 func TestMustSchedulePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MustSchedule(-1) did not panic")
+			t.Fatal("MustScheduleArg(-1) did not panic")
 		}
 	}()
-	New().MustSchedule(-1, func() {})
+	e := New()
+	e.MustScheduleArg(-1, e.RegisterArg(func(int32) {}), 0)
 }
 
 func TestCancel(t *testing.T) {
 	e := New()
 	fired := false
-	ev := e.MustSchedule(1, func() { fired = true })
+	ev := after(e, 1, func() { fired = true })
 	if !e.Cancel(ev) {
 		t.Fatal("Cancel returned false for pending event")
 	}
@@ -125,7 +134,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	var evs []Event
 	for _, d := range []float64{4, 2, 6, 1, 5, 3} {
 		tm := d
-		ev := e.MustSchedule(d, func() { got = append(got, tm) })
+		ev := after(e, d, func() { got = append(got, tm) })
 		evs = append(evs, ev)
 	}
 	e.Cancel(evs[0]) // cancel t=4
@@ -145,8 +154,8 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 func TestStopFromCallback(t *testing.T) {
 	e := New()
 	fired := 0
-	e.MustSchedule(1, func() { fired++; e.Stop() })
-	e.MustSchedule(2, func() { fired++ })
+	after(e, 1, func() { fired++; e.Stop() })
+	after(e, 2, func() { fired++ })
 	e.RunAll()
 	if fired != 1 {
 		t.Fatalf("fired %d, want 1 (Stop should halt the loop)", fired)
@@ -161,7 +170,7 @@ func TestStopFromCallback(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	e := New()
 	for i := 0; i < 17; i++ {
-		e.MustSchedule(float64(i), func() {})
+		after(e, float64(i), func() {})
 	}
 	e.RunAll()
 	if e.Fired() != 17 {
@@ -176,7 +185,7 @@ func TestHeapPropertyRandomized(t *testing.T) {
 		var evs []Event
 		for _, d := range delays {
 			tm := float64(d % 1000)
-			evs = append(evs, e.MustSchedule(tm, func() { fired = append(fired, tm) }))
+			evs = append(evs, after(e, tm, func() { fired = append(fired, tm) }))
 		}
 		cancelled := 0
 		for i, ev := range evs {
@@ -204,7 +213,7 @@ func TestRegisteredCallbackPayload(t *testing.T) {
 	cb := e.Register(func(p any) { got = append(got, p.(*box).v) })
 	payloads := []*box{{1}, {2}, {3}}
 	for i, p := range payloads {
-		if _, err := e.ScheduleCall(float64(3-i), cb, p); err != nil {
+		if _, err := e.CallAt(float64(3-i), cb, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,15 +227,14 @@ func TestRegisteredCallbackPayload(t *testing.T) {
 }
 
 func TestCancelAfterSlotReuse(t *testing.T) {
-	// A handle to a fired event must stay dead even after its slot is
-	// recycled by a new event: the generation counter, not the slot
-	// index, is the identity.
+	// A handle to a fired event must stay dead even after a new event
+	// takes its place in the queue: the sequence number, never reused,
+	// is the identity.
 	e := New()
-	cb := e.Register(func(any) {})
-	first := e.MustScheduleCall(1, cb, nil)
+	first := after(e, 1, func() {})
 	e.RunAll() // fires `first`, freeing its slot
 	secondFired := false
-	e.MustScheduleCall(1, e.Register(func(any) { secondFired = true }), nil)
+	after(e, 1, func() { secondFired = true })
 	if e.Cancel(first) {
 		t.Fatal("Cancel of a fired handle returned true after slot reuse")
 	}
@@ -238,7 +246,7 @@ func TestCancelAfterSlotReuse(t *testing.T) {
 
 func TestEventTime(t *testing.T) {
 	e := New()
-	ev := e.MustSchedule(7, func() {})
+	ev := after(e, 7, func() {})
 	if at, ok := e.EventTime(ev); !ok || at != 7 {
 		t.Fatalf("EventTime = (%v, %v), want (7, true)", at, ok)
 	}
@@ -253,8 +261,8 @@ func TestEventTime(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	e := New()
-	stale := e.MustSchedule(5, func() { t.Fatal("event from before Reset fired") })
-	e.MustSchedule(1, func() {})
+	stale := after(e, 5, func() { t.Fatal("event from before Reset fired") })
+	after(e, 1, func() {})
 	e.Run(0.5)
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {
@@ -265,7 +273,7 @@ func TestReset(t *testing.T) {
 		t.Fatal("Cancel of a pre-Reset handle returned true")
 	}
 	fired := 0
-	e.MustScheduleCall(2, e.Register(func(any) { fired++ }), nil)
+	e.MustScheduleArg(2, e.RegisterArg(func(int32) { fired++ }), 0)
 	e.RunAll()
 	if fired != 1 || e.Now() != 2 {
 		t.Fatalf("after Reset: fired=%d Now=%v, want 1 and 2", fired, e.Now())
@@ -303,11 +311,12 @@ func TestSteadyStateScheduleZeroAlloc(t *testing.T) {
 type payloadProbe struct{ n int }
 
 func BenchmarkScheduleAndFire(b *testing.B) {
+	b.ReportAllocs()
 	e := New()
-	fn := func() {}
+	cb := e.RegisterArg(func(int32) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.MustSchedule(float64(i%64), fn)
+		e.MustScheduleArg(float64(i%64), cb, int32(i))
 		if i%64 == 63 {
 			e.RunAll()
 		}

@@ -55,7 +55,7 @@ func scheduleBox(e *Engine, cb Callback, delay float64) (Event, weak.Pointer[pay
 }
 
 // TestPayloadReleased checks that the engine drops its reference to a
-// ScheduleCall payload once the event is done with: when it fires, when
+// MustScheduleCall payload once the event is done with: when it fires, when
 // its cancelled tombstone surfaces, and at Reset.
 func TestPayloadReleased(t *testing.T) {
 	cases := []struct {
@@ -109,12 +109,12 @@ func TestHandlesAfterTrailingDiscard(t *testing.T) {
 			fired := 0
 			count := func() { fired++ }
 
-			dead := e.MustSchedule(5, count)
+			dead := after(e, 5, count)
 			e.Cancel(dead)
 			if e.Step() {
 				t.Fatal("Step fired a cancelled event")
 			}
-			ev := e.MustSchedule(3, count)
+			ev := after(e, 3, count)
 			if at, ok := e.EventTime(ev); !ok || at != 3 {
 				t.Fatalf("EventTime after a draining Step = (%v, %v), want (3, true)", at, ok)
 			}
@@ -122,11 +122,11 @@ func TestHandlesAfterTrailingDiscard(t *testing.T) {
 				t.Fatal("Cancel of a discarded tombstone returned true")
 			}
 
-			dead = e.MustSchedule(4, count)
-			late := e.MustSchedule(10, count)
+			dead = after(e, 4, count)
+			late := after(e, 10, count)
 			e.Cancel(dead)
 			e.Run(3.5) // fires ev at 3; the tombstone at 4 is past the horizon
-			mid := e.MustSchedule(0.25, count)
+			mid := after(e, 0.25, count)
 			if at, ok := e.EventTime(mid); !ok || at != 3.75 {
 				t.Fatalf("EventTime after a horizon stop = (%v, %v), want (3.75, true)", at, ok)
 			}

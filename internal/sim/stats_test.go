@@ -11,11 +11,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 	var evs []Event
 	for i := 0; i < 5; i++ {
-		ev, err := e.Schedule(float64(i+1), func() {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs = append(evs, ev)
+		evs = append(evs, after(e, float64(i+1), func() {}))
 	}
 	if s := e.Stats(); s.Scheduled != 5 || s.PendingHWM != 5 || s.Fired != 0 || s.Cancelled != 0 {
 		t.Fatalf("after 5 schedules: %+v", s)
@@ -43,13 +39,13 @@ func TestStatsCounters(t *testing.T) {
 // through interleaved schedule/fire/cancel sequences.
 func TestStatsHWMDerivation(t *testing.T) {
 	e := New()
-	e.MustSchedule(1, func() {
+	after(e, 1, func() {
 		// At fire time one event is pending (this one popped, one left).
-		e.MustSchedule(1, func() {}) // pending 2 again
+		after(e, 1, func() {}) // pending 2 again
 	})
-	ev := e.MustSchedule(2, func() {})
+	ev := after(e, 2, func() {})
 	e.Cancel(ev)
-	e.MustSchedule(3, func() {})
+	after(e, 3, func() {})
 	// Timeline of pending: 1, 2, (cancel) 1, 2 -> HWM 2.
 	e.RunAll()
 	if s := e.Stats(); s.PendingHWM != 2 {
@@ -62,7 +58,7 @@ func TestStatsHWMDerivation(t *testing.T) {
 func TestStatsPromotion(t *testing.T) {
 	auto := New()
 	for i := 0; i <= promoteThreshold; i++ {
-		auto.MustSchedule(float64(i), func() {})
+		after(auto, float64(i), func() {})
 	}
 	if s := auto.Stats(); s.Promotions != 1 {
 		t.Fatalf("auto promotions = %d, want 1", s.Promotions)
@@ -70,7 +66,7 @@ func TestStatsPromotion(t *testing.T) {
 	for _, kind := range []QueueKind{QueueHeap, QueueLadder} {
 		e := NewWithQueue(kind)
 		for i := 0; i <= promoteThreshold; i++ {
-			e.MustSchedule(float64(i), func() {})
+			after(e, float64(i), func() {})
 		}
 		if s := e.Stats(); s.Promotions != 0 {
 			t.Fatalf("%s promotions = %d, want 0", kind, s.Promotions)
@@ -81,8 +77,8 @@ func TestStatsPromotion(t *testing.T) {
 // TestStatsReset checks Reset returns every counter to zero.
 func TestStatsReset(t *testing.T) {
 	e := New()
-	ev := e.MustSchedule(1, func() {})
-	e.MustSchedule(2, func() {})
+	ev := after(e, 1, func() {})
+	after(e, 2, func() {})
 	e.Cancel(ev)
 	e.RunAll()
 	e.Reset()

@@ -54,7 +54,6 @@ type GlobalSource struct {
 	arr    arrivals
 	k      int
 	start  func(Spec)
-	pooled PooledBuilder // non-nil when the shape supports graph reuse
 }
 
 // NewGlobalSource returns a generator; call Start to schedule the first
@@ -109,7 +108,6 @@ func (s *GlobalSource) Reconfigure(r *rng.Source, k int, params GlobalParams, st
 		return err
 	}
 	s.r, s.params, s.k, s.start = r, params, k, start
-	s.pooled, _ = params.Shape.(PooledBuilder)
 	return s.arr.reconfigure(r, params.Rate, params.Mod, params.Horizon)
 }
 
@@ -118,15 +116,7 @@ func (s *GlobalSource) Start() { s.arr.start() }
 
 func (s *GlobalSource) arrive() {
 	now := s.eng.Now()
-	var (
-		g   *task.Graph
-		err error
-	)
-	if s.pooled != nil {
-		g, err = s.pooled.BuildPooled(s.r, s.k, s.params.GraphPool)
-	} else {
-		g, err = s.params.Shape.Build(s.r, s.k)
-	}
+	g, err := buildPooled(s.params.Shape, s.r, s.k, s.params.GraphPool)
 	if err != nil {
 		// Construction was validated in NewGlobalSource; a failure here
 		// is a programming error in the shape.

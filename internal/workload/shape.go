@@ -25,15 +25,28 @@ type Shape interface {
 	Name() string
 }
 
-// PooledBuilder is the optional allocation-free fast path of a Shape:
-// BuildPooled is Build drawing graph nodes from pool (nil falls back to
-// fresh allocation; the sampled values are identical either way). The
-// graph is released back to the pool by the process manager once the
-// instance retires. All shapes in this package implement it; external
-// Shape implementations need not — the generator falls back to Build,
-// which only costs them the recycling.
-type PooledBuilder interface {
-	BuildPooled(r *rng.Source, k int, pool *task.GraphPool) (*task.Graph, error)
+// buildPooled is sh.Build drawing graph nodes from pool (nil falls
+// back to fresh allocation; the sampled values are identical either
+// way). The graph is released back to the pool by the process manager
+// once the instance retires. The shapes of this package recycle through
+// their BuildPooled; any other Shape falls back to Build, which only
+// costs it the recycling. The cases name concrete types on purpose: an
+// assertion to an interface type calls into the runtime, which grows
+// that call site's type-assertion cache at a randomly chosen call — a
+// one-off allocation in whichever warm replication draws it.
+func buildPooled(sh Shape, r *rng.Source, k int, pool *task.GraphPool) (*task.Graph, error) {
+	switch s := sh.(type) {
+	case SerialShape:
+		return s.BuildPooled(r, k, pool)
+	case ParallelShape:
+		return s.BuildPooled(r, k, pool)
+	case MixedShape:
+		return s.BuildPooled(r, k, pool)
+	case HeteroSerialShape:
+		return s.BuildPooled(r, k, pool)
+	default:
+		return sh.Build(r, k)
+	}
 }
 
 // SerialShape is the SSP workload: T = [T1 T2 ... Tm], every subtask
@@ -56,7 +69,7 @@ func (s SerialShape) Build(r *rng.Source, k int) (*task.Graph, error) {
 	return s.BuildPooled(r, k, nil)
 }
 
-// BuildPooled implements Shape.
+// BuildPooled is Build drawing graph nodes from pool.
 func (s SerialShape) BuildPooled(r *rng.Source, k int, pool *task.GraphPool) (*task.Graph, error) {
 	if s.M <= 0 || s.MeanExec <= 0 || k <= 0 {
 		return nil, fmt.Errorf("workload: serial shape: bad params m=%d mean=%v k=%d", s.M, s.MeanExec, k)
@@ -101,7 +114,7 @@ func (s ParallelShape) Build(r *rng.Source, k int) (*task.Graph, error) {
 	return s.BuildPooled(r, k, nil)
 }
 
-// BuildPooled implements Shape.
+// BuildPooled is Build drawing graph nodes from pool.
 func (s ParallelShape) BuildPooled(r *rng.Source, k int, pool *task.GraphPool) (*task.Graph, error) {
 	if s.M <= 0 || s.MeanExec <= 0 {
 		return nil, fmt.Errorf("workload: parallel shape: bad params m=%d mean=%v", s.M, s.MeanExec)
@@ -151,7 +164,7 @@ func (s MixedShape) Build(r *rng.Source, k int) (*task.Graph, error) {
 	return s.BuildPooled(r, k, nil)
 }
 
-// BuildPooled implements Shape.
+// BuildPooled is Build drawing graph nodes from pool.
 func (s MixedShape) BuildPooled(r *rng.Source, k int, pool *task.GraphPool) (*task.Graph, error) {
 	if len(s.Stages) == 0 || s.MeanExec <= 0 {
 		return nil, fmt.Errorf("workload: mixed shape: bad params %+v", s)
@@ -218,7 +231,7 @@ func (s HeteroSerialShape) Build(r *rng.Source, k int) (*task.Graph, error) {
 	return s.BuildPooled(r, k, nil)
 }
 
-// BuildPooled implements Shape.
+// BuildPooled is Build drawing graph nodes from pool.
 func (s HeteroSerialShape) BuildPooled(r *rng.Source, k int, pool *task.GraphPool) (*task.Graph, error) {
 	if s.MinM <= 0 || s.MaxM < s.MinM || s.MeanExec <= 0 {
 		return nil, fmt.Errorf("workload: hetero shape: bad params %+v", s)
