@@ -160,7 +160,7 @@ func (c *Common) StartMetrics(snapshot func() obs.Snapshot) (func(), error) {
 	if c.MetricsAddr == "" {
 		return func() {}, nil
 	}
-	srv, err := obs.NewServer(c.MetricsAddr, snapshot)
+	srv, err := newServer(c.MetricsAddr, snapshot)
 	if err != nil {
 		return nil, err
 	}

@@ -1,4 +1,4 @@
-package obs
+package cliflags
 
 import (
 	"expvar"
@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+
+	"repro/internal/obs"
 )
 
-// Server bundles a run's live observability endpoints on one mux:
+// server bundles a run's live observability endpoints on one mux:
 //
 //	/metrics      — the snapshot in Prometheus text format
 //	/debug/pprof/ — the standard runtime profiles (net/http/pprof)
@@ -17,21 +19,21 @@ import (
 //
 // The snapshot function is called per scrape; it must be safe for
 // concurrent use (Session.Snapshot is).
-type Server struct {
+type server struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// NewServer listens on addr (host:port; ":0" picks a free port —
+// newServer listens on addr (host:port; ":0" picks a free port —
 // read it back with Addr) and serves until Close. The listener is bound
-// synchronously so a returned *Server is already scrapeable.
-func NewServer(addr string, snapshot func() Snapshot) (*Server, error) {
+// synchronously so a returned *server is already scrapeable.
+func newServer(addr string, snapshot func() obs.Snapshot) (*server, error) {
 	if snapshot == nil {
-		return nil, fmt.Errorf("obs: NewServer(nil snapshot)")
+		return nil, fmt.Errorf("metrics server: nil snapshot")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("metrics server: listen %s: %w", addr, err)
 	}
 	publishExpvar(snapshot)
 
@@ -45,7 +47,7 @@ func NewServer(addr string, snapshot func() Snapshot) (*Server, error) {
 		// environmental (not part of the deterministic Snapshot), and at
 		// 64k+ nodes they show live whether the working set holds steady
 		// across replications.
-		_ = ReadRuntime().WritePrometheus(w)
+		_ = obs.ReadRuntime().WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -54,29 +56,29 @@ func NewServer(addr string, snapshot func() Snapshot) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
+	s := &server{ln: ln, srv: &http.Server{Handler: mux}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops serving. In-flight scrapes are cut off; a run's final
 // counters remain available through the Snapshot API, not the server.
-func (s *Server) Close() error { return s.srv.Close() }
+func (s *server) Close() error { return s.srv.Close() }
 
-// expvar registration: the package publishes one "repro" var whose
+// expvar registration: the process publishes one "repro" var whose
 // value is the latest server's snapshot. expvar.Publish panics on
 // duplicate names, so the var is registered once per process and
 // re-pointed at the newest snapshot function.
 var (
 	expvarMu   sync.Mutex
-	expvarSnap func() Snapshot
+	expvarSnap func() obs.Snapshot
 	expvarOnce sync.Once
 )
 
-func publishExpvar(snapshot func() Snapshot) {
+func publishExpvar(snapshot func() obs.Snapshot) {
 	expvarMu.Lock()
 	expvarSnap = snapshot
 	expvarMu.Unlock()

@@ -24,8 +24,8 @@
 //
 // Experiment ids are those of the experiment registry (-list prints it;
 // see internal/experiment): table1, fig2a, fig2b, fig3, fig4, combined,
-// abl-pexerr, abl-abort, abl-mlf, abl-m, abl-hetm, abl-hot, ext-as,
-// ext-adiv.
+// abl-pexerr, abl-abort, abl-mlf, abl-m, abl-hetm, abl-hot, abl-relflex,
+// ext-as, ext-adiv, ext-preempt, diag-stages.
 package main
 
 import (

@@ -17,8 +17,7 @@ import (
 // phenomena section 4.2.2 calls "the rich get richer and the poor get
 // poorer". The process manager drives this by calling SerialStage and
 // ParallelBranch as the simulation unfolds; Plan computes a static
-// assignment in one pass for inspection and for the live runtime's
-// up-front planning mode.
+// assignment in one pass for inspection.
 type Assigner struct {
 	// Serial is the SSP strategy; must be non-nil.
 	Serial SerialStrategy
@@ -100,8 +99,8 @@ type Assignment struct {
 // i−1). It returns one assignment per leaf in left-to-right order.
 //
 // The dynamic per-stage path (SerialStage/ParallelBranch) supersedes
-// these values during simulation; Plan exists for the public API, the
-// sdadl CLI and the live runtime's planning mode.
+// these values during simulation; Plan exists for the public API and the
+// sdadl CLI.
 func (a Assigner) Plan(g *task.Graph, arrival, deadline float64) ([]Assignment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: plan: %w", err)

@@ -1,8 +1,20 @@
 // Package experiment defines one runnable experiment per table and figure
-// of the paper's evaluation (plus ablations and extensions), sweeps the
-// relevant parameter with replications, and returns figures ready for the
-// render functions. All and ByID expose the registry of experiment ids:
-// table1, fig2a, fig2b, fig3, fig4, combined, abl-*, ext-*.
+// of the paper's evaluation (plus ablations, extensions and a diagnostic)
+// and returns figures ready for the render functions. All and ByID expose
+// the registry of experiment ids: table1, fig2a, fig2b, fig3, fig4,
+// combined, abl-*, ext-*, diag-stages.
+//
+// Every experiment except table1 and diag-stages is one sweepSpec value
+// in the sweeps table (definitions.go). A spec holds the id, title and
+// paper claim; the figure title and axis labels; the base config; the x
+// grid and its setter; and the variants, each a config mutation plus the
+// curves (local and/or global miss ratio) read from its runs. One generic
+// run crosses every x with every variant, replicates each cell as session
+// jobs on the caller's session, and assembles the curves. To add a sweep,
+// append a spec to sweeps, list its id in TestRegistryComplete, and pin
+// its bytes in cmd/sdasim/testdata/artifacts.sha256. table1 (a parameter
+// listing) and diag-stages (per-stage statistics) are written by hand;
+// diag-stages fans out through the same cell runner as the sweeps.
 package experiment
 
 import (
@@ -52,36 +64,6 @@ type Options struct {
 	// pinned to specific node ids, hand-written multiplier vectors) fail
 	// Config.Validate with a descriptive error.
 	Nodes int
-	// Context, when non-nil, bounds the run: once it is cancelled no new
-	// sweep cell or replication starts and the experiment returns the
-	// context's error. Experiments report whole figures only — a
-	// cancelled sweep is an error, not a partial artifact (use the
-	// session API directly for seed-prefix partial results).
-	Context context.Context
-	// Session, when non-nil, supplies the warm-workspace run layer the
-	// sweep's replication cells execute on, so consecutive experiments
-	// issued through one session reuse engines, pools, queues and
-	// workload sources. Nil uses a run-private session. Results are
-	// bit-identical either way.
-	Session *session.Session
-}
-
-// ctx returns the bounding context.
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}
-
-// session returns the run session plus a release function for the
-// private-session case.
-func (o Options) session() (*session.Session, func()) {
-	if o.Session != nil {
-		return o.Session, func() {}
-	}
-	s := session.New()
-	return s, func() { s.Close() }
 }
 
 // applyTo writes the option overrides shared by every experiment into a
@@ -136,8 +118,18 @@ type Experiment struct {
 	// Paper summarizes what the paper reports; sdasim prints it under
 	// each artifact.
 	Paper string
-	// Run executes the experiment.
-	Run func(Options) (*Result, error)
+	// run executes the experiment with defaults already filled in.
+	run func(context.Context, *session.Session, Options) (*Result, error)
+}
+
+// Run executes the experiment on sess under ctx: sweep cells run on the
+// session's warm workspaces, and once ctx is cancelled no new cell or
+// replication starts and Run returns the context's error. Experiments
+// report whole figures only — a cancelled sweep is an error, not a
+// partial artifact (use the session API directly for seed-prefix
+// partial results).
+func (e Experiment) Run(ctx context.Context, sess *session.Session, o Options) (*Result, error) {
+	return e.run(ctx, sess, o.withDefaults())
 }
 
 // metric selects which class's miss ratio a curve reports.
@@ -179,80 +171,99 @@ func bothClasses(name string, configure func(*system.Config)) variant {
 	}}
 }
 
-// sweep runs every (x, variant) combination with o.Reps replications and
-// assembles the figure's curves. The (x, variant) cells are independent —
-// each derives its own seed substreams and owns its run slice — so they
-// fan out across o.Parallelism workers; the figure is assembled from the
-// per-cell results in sweep order afterwards, which keeps the output
-// bit-identical to the sequential path. Each cell's replications execute
-// as one session Job on the shared warm-workspace session, and the cell
-// fan-out is context-bounded: cancellation stops new cells and fails the
-// sweep with the context's error.
-func sweep(o Options, fig *stats.Figure, base func() system.Config,
-	xs []float64, setX func(*system.Config, float64), variants []variant) (*stats.Figure, error) {
-	o = o.withDefaults()
-	sess, release := o.session()
-	defer release()
+// each builds one variant per name with mk, configured by set(c, name):
+// each(globalOnly, setSSP, "UD", "EQF") is a global-miss curve per SSP.
+func each(mk func(string, func(*system.Config)) variant,
+	set func(*system.Config, string), names ...string) []variant {
+	vs := make([]variant, len(names))
+	for i, name := range names {
+		vs[i] = mk(name, func(c *system.Config) { set(c, name) })
+	}
+	return vs
+}
 
-	for _, v := range variants {
+func setSSP(c *system.Config, name string) { c.SSP = name }
+func setPSP(c *system.Config, name string) { c.PSP = name }
+
+// sweepSpec declares a sweep experiment: every x of xs crossed with every
+// variant, each (x, variant) cell replicated on base() with setX(c, x)
+// and the variant's configure applied in that order. Its figure has one
+// curve per variant curve, in variant order, and one point per x.
+type sweepSpec struct {
+	id, title, paper         string
+	figTitle, xLabel, yLabel string
+	base                     func() system.Config
+	xs                       []float64
+	setX                     func(*system.Config, float64)
+	variants                 []variant
+}
+
+// run sweeps the grid and assembles the figure's curves from the
+// per-cell runs in sweep order.
+func (s *sweepSpec) run(ctx context.Context, sess *session.Session, o Options) (*Result, error) {
+	results, err := s.cells(ctx, sess, o)
+	if err != nil {
+		return nil, err
+	}
+	fig := &stats.Figure{ID: s.id, Title: s.figTitle, XLabel: s.xLabel, YLabel: s.yLabel}
+	for _, v := range s.variants {
 		for _, c := range v.curves {
 			fig.Curves = append(fig.Curves, stats.Curve{Label: c.label})
 		}
 	}
-
-	// One cell per (x, variant) pair, in x-major sweep order.
-	type cell struct {
-		x float64
-		v variant
-	}
-	cells := make([]cell, 0, len(xs)*len(variants))
-	for _, x := range xs {
-		for _, v := range variants {
-			cells = append(cells, cell{x: x, v: v})
-		}
-	}
-	results := make([][]*system.Metrics, len(cells))
-	var done atomic.Int64
-	_, err := runner.New(o.Parallelism).RunWorkersContext(o.ctx(), len(cells), func(_, ci int) error {
-		runs, err := runCell(o.ctx(), sess, o, fig.ID, base, cells[ci].x, setX, cells[ci].v)
-		if err != nil {
-			return err
-		}
-		results[ci] = runs
-		if o.Progress != nil {
-			o.Progress(int(done.Add(1)), len(cells))
-		}
-		return nil
-	})
-	if err == nil {
-		err = o.ctx().Err() // a cancelled sweep is an error, not a partial figure
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	for ci := range cells {
+	for ci, runs := range results {
 		// Cells are x-major, so cells for one x are contiguous and in
 		// variant order; recover the curve offset from the variant index.
-		vi := ci % len(variants)
+		vi := ci % len(s.variants)
 		curveIdx := 0
-		for _, v := range variants[:vi] {
+		for _, v := range s.variants[:vi] {
 			curveIdx += len(v.curves)
 		}
-		runs := results[ci]
-		for _, c := range cells[ci].v.curves {
+		for _, c := range s.variants[vi].curves {
 			vals := make([]float64, len(runs))
 			for i, m := range runs {
 				vals[i] = c.metric(m)
 			}
 			est := stats.MeanCI(vals)
 			fig.Curves[curveIdx].Points = append(fig.Curves[curveIdx].Points, stats.Point{
-				X: cells[ci].x, Y: est.Mean, HalfCI: est.HalfCI,
+				X: s.xs[ci/len(s.variants)], Y: est.Mean, HalfCI: est.HalfCI,
 			})
 			curveIdx++
 		}
 	}
-	return fig, nil
+	return &Result{Figure: fig}, nil
+}
+
+// cells runs every (x, variant) cell of the grid with o.Reps replications
+// and returns each cell's runs in x-major order. The cells are
+// independent — each derives its own seed substreams and owns its run
+// slice — so they fan out across o.Parallelism workers, and the result
+// is bit-identical to the sequential path. Each cell's replications
+// execute as session Jobs on sess; the fan-out is context-bounded:
+// cancellation stops new cells and fails the sweep with the context's
+// error. o.Progress, if set, fires once per finished cell.
+func (s *sweepSpec) cells(ctx context.Context, sess *session.Session, o Options) ([][]*system.Metrics, error) {
+	n := len(s.xs) * len(s.variants)
+	results := make([][]*system.Metrics, n)
+	var done atomic.Int64
+	_, err := runner.New(o.Parallelism).RunWorkersContext(ctx, n, func(_, ci int) error {
+		runs, err := s.runCell(ctx, sess, o, s.xs[ci/len(s.variants)], s.variants[ci%len(s.variants)])
+		if err != nil {
+			return err
+		}
+		results[ci] = runs
+		if o.Progress != nil {
+			o.Progress(int(done.Add(1)), n)
+		}
+		return nil
+	})
+	if err == nil {
+		err = ctx.Err() // a cancelled sweep is an error, not a partial figure
+	}
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // runCell executes one (x, variant) cell: the initial o.Reps replications
@@ -262,18 +273,18 @@ func sweep(o Options, fig *stats.Figure, base func() system.Config,
 // the pre-session per-rep seed derivation). It touches no state outside
 // its own run slice, so distinct cells may execute concurrently; the
 // session's workspace pool hands each a private warm workspace.
-func runCell(ctx context.Context, sess *session.Session, o Options, figID string,
-	base func() system.Config, x float64, setX func(*system.Config, float64), v variant) ([]*system.Metrics, error) {
+func (s *sweepSpec) runCell(ctx context.Context, sess *session.Session, o Options,
+	x float64, v variant) ([]*system.Metrics, error) {
 	job := func(firstRep, reps int) ([]*system.Metrics, error) {
-		cfg := base()
+		cfg := s.base()
 		o.applyTo(&cfg, firstRep)
-		setX(&cfg, x)
+		s.setX(&cfg, x)
 		if v.configure != nil {
 			v.configure(&cfg)
 		}
 		res, err := sess.Run(ctx, session.Job{Config: cfg, Reps: reps}, session.WithParallelism(1))
 		if err != nil {
-			return nil, fmt.Errorf("experiment %s: x=%v: %w", figID, x, err)
+			return nil, fmt.Errorf("experiment %s: x=%v: %w", s.id, x, err)
 		}
 		return res.Runs, nil
 	}
@@ -312,12 +323,6 @@ func halfCI(runs []*system.Metrics, m metric) float64 {
 	}
 	return stats.MeanCI(vals).HalfCI
 }
-
-// loadGrid is the x-axis of the load sweeps (paper Figs. 2 and 4).
-func loadGrid() []float64 { return []float64{0.1, 0.2, 0.3, 0.4, 0.5} }
-
-// setLoad is the most common x setter.
-func setLoad(c *system.Config, x float64) { c.Load = x }
 
 // All returns every registered experiment sorted by id.
 func All() []Experiment {

@@ -1,11 +1,21 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/session"
 	"repro/internal/stats"
 )
+
+// runExp runs e on a fresh session.
+func runExp(t *testing.T, e Experiment, o Options) (*Result, error) {
+	t.Helper()
+	sess := session.New()
+	defer sess.Close()
+	return e.Run(context.Background(), sess, o)
+}
 
 // tinyOptions keeps unit tests fast; shape assertions live in the system
 // package where horizons are longer.
@@ -63,14 +73,14 @@ func TestAdaptiveReplicationTargetsCI(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Options{Horizon: 1200, Reps: 2, Seed: 3}
-	resBase, err := loose.Run(base)
+	resBase, err := runExp(t, loose, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tight := base
 	tight.TargetCI = 0.5 // half a percentage point
 	tight.MaxReps = 6
-	resTight, err := loose.Run(tight)
+	resTight, err := runExp(t, loose, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +114,7 @@ func TestTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(tinyOptions())
+	res, err := runExp(t, e, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestFig2bStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(tinyOptions())
+	res, err := runExp(t, e, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +186,7 @@ func TestFig3And4Structure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Run(tinyOptions())
+			res, err := runExp(t, e, tinyOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +210,7 @@ func TestSweepSharesRunsAcrossClassCurves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(tinyOptions())
+	res, err := runExp(t, e, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

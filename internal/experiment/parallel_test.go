@@ -17,7 +17,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 	render := func(parallelism int) string {
 		t.Helper()
-		res, err := e.Run(Options{Horizon: 900, Reps: 2, Seed: 13, Parallelism: parallelism})
+		res, err := runExp(t, e, Options{Horizon: 900, Reps: 2, Seed: 13, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestSweepAdaptiveDeterministicAcrossParallelism(t *testing.T) {
 	}
 	render := func(parallelism int) string {
 		t.Helper()
-		res, err := e.Run(Options{
+		res, err := runExp(t, e, Options{
 			Horizon: 700, Reps: 2, Seed: 3,
 			TargetCI: 0.5, MaxReps: 4, Parallelism: parallelism,
 		})
@@ -75,7 +75,7 @@ func TestSweepProgressReportsEveryCell(t *testing.T) {
 		lastDone  int
 		lastTotal int
 	)
-	_, err = e.Run(Options{
+	_, err = runExp(t, e, Options{
 		Horizon: 500, Reps: 1, Seed: 2, Parallelism: 4,
 		Progress: func(done, total int) {
 			mu.Lock()

@@ -28,7 +28,7 @@ type ScenarioResult struct {
 }
 
 // RunScenarioWith executes reps independent replications of cfg under
-// the scenario on sess (nil uses a run-private session) under ctx, with
+// the scenario on sess under ctx, with
 // seeds Seed, Seed+1, ..., and merges the per-window time series across
 // replications in seed order, so the result — including the merged
 // series' CSV bytes — is identical at every parallelism level.
@@ -43,10 +43,6 @@ func RunScenarioWith(ctx context.Context, sess *session.Session,
 	}
 	if reps <= 0 {
 		return nil, fmt.Errorf("experiment: reps = %d, want > 0", reps)
-	}
-	if sess == nil {
-		sess = session.New()
-		defer sess.Close()
 	}
 	res, err := sess.Run(ctx, session.Job{Config: cfg, Scenario: sc, Reps: reps}, opts...)
 	if err != nil {

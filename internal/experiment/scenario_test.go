@@ -11,10 +11,12 @@ import (
 	"repro/internal/system"
 )
 
-// runScenario runs the scenario on a run-private session at the given
+// runScenario runs the scenario on a fresh session at the given
 // parallelism.
 func runScenario(cfg system.Config, sc *scenario.Scenario, reps, parallelism int) (*ScenarioResult, error) {
-	return RunScenarioWith(context.Background(), nil, cfg, sc, reps, session.WithParallelism(parallelism))
+	sess := session.New()
+	defer sess.Close()
+	return RunScenarioWith(context.Background(), sess, cfg, sc, reps, session.WithParallelism(parallelism))
 }
 
 func scenarioBase(t *testing.T) (system.Config, *scenario.Scenario) {

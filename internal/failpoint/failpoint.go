@@ -27,6 +27,10 @@
 // rejects any other site name, so a misspelled spec fails instead of
 // arming nothing.
 //
+// Hang, kill and corrupt each print one stderr line when they fire
+// ("failpoint: <site>: hanging", "... killing process", "... corrupting
+// frame"), so a chaos run can show that its faults were injected.
+//
 // Probabilistic triggers draw from one process-wide splitmix64 stream
 // seeded by seed= (default 1), so a chaos run is reproducible: the
 // same spec in the same process produces the same trigger sequence.
@@ -269,6 +273,7 @@ func Inject(site string) (corrupt bool) {
 	act, delay, hang := eval(site)
 	switch act {
 	case actHang:
+		fmt.Fprintf(os.Stderr, "failpoint: %s: hanging\n", site)
 		if hang != nil {
 			<-hang
 		}
@@ -278,6 +283,7 @@ func Inject(site string) (corrupt bool) {
 		fmt.Fprintf(os.Stderr, "failpoint: %s: killing process\n", site)
 		os.Exit(7)
 	case actCorrupt:
+		fmt.Fprintf(os.Stderr, "failpoint: %s: corrupting frame\n", site)
 		return true
 	}
 	return false

@@ -2,8 +2,10 @@
 // counter structs that every execution layer fills in (the simulation
 // engine and nodes per replication, the session pool per run, the
 // multi-process coordinator per worker), a deterministic merge, and the
-// export surface — Prometheus text rendering, an HTTP server bundling
-// /metrics with pprof and expvar, and a rate/ETA progress meter.
+// export surface — Prometheus text rendering, process runtime gauges and
+// a rate/ETA progress meter. The HTTP server that exposes them lives with
+// the CLIs (cmd/internal/cliflags), so linking the simulator links no
+// network package.
 //
 // The design rule is zero overhead when nothing is looking: hot-path
 // layers count into plain (non-atomic) uint64 fields they already own —

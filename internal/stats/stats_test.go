@@ -225,20 +225,6 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 }
 
-func TestBatchMeans(t *testing.T) {
-	b := NewBatchMeans(10)
-	for i := 0; i < 95; i++ {
-		b.Add(float64(i % 10))
-	}
-	if got := b.Batches(); got != 9 {
-		t.Fatalf("Batches = %d, want 9 (partial batch dropped)", got)
-	}
-	est := b.Estimate()
-	if !almostEqual(est.Mean, 4.5, 1e-9) {
-		t.Errorf("grand mean = %v, want 4.5", est.Mean)
-	}
-}
-
 func TestFigureAccessors(t *testing.T) {
 	f := Figure{
 		ID: "fig2b",

@@ -188,8 +188,11 @@ func TestWorkspaceWarmHeapBudget65536(t *testing.T) {
 // reached their working size in the first run:
 // the second and third runs of the same replication allocate the same
 // count, within the 64-node warm budget, which the run's cancels exceed
-// several times over.
+// several times over. The counts come from the memory profile, restricted
+// to RunWith's call tree (see allocsUnderRunWith).
 func TestWorkspaceWarmPreemptiveStormAllocs(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	cfg := Baseline()
 	cfg.Nodes, cfg.Horizon, cfg.Preemptive = 64, 400, true
 	sc, err := scenario.Preset("storm", cfg.Horizon)
@@ -206,9 +209,13 @@ func TestWorkspaceWarmPreemptiveStormAllocs(t *testing.T) {
 		}
 	}
 	run()
-	// AllocsPerRun runs once unmeasured, then measures one run.
-	second := testing.AllocsPerRun(1, run)
-	third := testing.AllocsPerRun(1, run)
+	measure := func() int64 {
+		before := allocsUnderRunWith()
+		run()
+		return allocsUnderRunWith() - before
+	}
+	second := measure()
+	third := measure()
 	if m.Engine.EventsCancelled == 0 || m.Engine.Preemptions == 0 {
 		t.Fatalf("replication cancelled %d events and preempted %d tasks; the test needs both",
 			m.Engine.EventsCancelled, m.Engine.Preemptions)
@@ -216,8 +223,43 @@ func TestWorkspaceWarmPreemptiveStormAllocs(t *testing.T) {
 	if second != third {
 		t.Fatalf("warm runs allocated %v then %v times; a cold path grows per run", second, third)
 	}
-	if budget := float64(cfg.Nodes*6 + 128); second > budget {
+	if budget := float64(cfg.Nodes*6 + 128); float64(second) > budget {
 		t.Fatalf("warm run allocated %v times for %d cancels, budget %v", second, m.Engine.EventsCancelled, budget)
 	}
 	t.Logf("%d cancels, %v allocations per warm run", m.Engine.EventsCancelled, second)
+}
+
+// allocsUnderRunWith returns how many heap objects the process has
+// allocated with RunWith on the allocating goroutine's stack. It needs
+// runtime.MemProfileRate == 1 for the whole span it measures, so every
+// allocation is recorded. Unlike testing.AllocsPerRun, which reads the
+// process-wide malloc count, it ignores objects that runtime background
+// goroutines allocate during the run (after a GC: scavenger, sudog and
+// map cleanup work), which made one run in about 1200 read one high.
+func allocsUnderRunWith() int64 {
+	runtime.GC() // publishes the profile up to this point
+	var recs []runtime.MemProfileRecord
+	n, _ := runtime.MemProfile(nil, true)
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+	}
+	var objects int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == "repro/internal/system.RunWith" {
+				objects += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return objects
 }

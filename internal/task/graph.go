@@ -45,7 +45,7 @@ type Graph struct {
 	// ignored; use the Pex method, which aggregates recursively.
 	Pex float64
 	// Exec is the actual execution demand of a leaf, sampled by the
-	// workload generator (or set by the user for the live runtime).
+	// workload generator (or set by the user).
 	Exec float64
 	// NodeID is the placement of a leaf.
 	NodeID int

@@ -221,16 +221,13 @@ func ConfigFingerprint(cfg SimConfig) (string, error) {
 
 // Experiment runs a registered paper artifact ("fig2b", "combined", ...)
 // through this session: sweep cells execute on the session's warm
-// workspaces and the run is bounded by ctx. Options fields Context and
-// Session are overridden by the method's receiver and argument.
+// workspaces and the run is bounded by ctx.
 func (s *Session) Experiment(ctx context.Context, id string, o ExperimentOptions) (*ExperimentResult, error) {
-	o.Context = ctx
-	o.Session = s.Session
 	e, err := experiment.ByID(id)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(o)
+	return e.Run(ctx, s.Session, o)
 }
 
 // RunScenario executes a scenario job through this session and shapes
