@@ -147,6 +147,35 @@ func TestSerialStrategyBoundsProperty(t *testing.T) {
 	}
 }
 
+// TestEQFIsProportionalSplitProperty: when every stage of a serial
+// chain runs to its virtual deadline (each releases at its
+// predecessor's), EQF is the static proportional split of the whole
+// window, d_i = c_i·D/Σc for windows c_i: stage i ends at
+// arrival + (D − arrival)·Σ_{j≤i} pex_j / Σ pex.
+func TestEQFIsProportionalSplitProperty(t *testing.T) {
+	r := rng.New(11)
+	for trial := 0; trial < 2000; trial++ {
+		pex := make([]float64, 1+r.IntN(8))
+		total := 0.0
+		for i := range pex {
+			pex[i] = r.Uniform(0.01, 5)
+			total += pex[i]
+		}
+		arrival := r.Uniform(0, 100)
+		dl := arrival + total + r.Uniform(0, 20)
+		now, prefix := arrival, 0.0
+		for i := range pex {
+			got := EqualFlexibility{}.StageDeadline(now, dl, pex[i:])
+			prefix += pex[i]
+			want := arrival + (dl-arrival)*prefix/total
+			if math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("trial %d stage %d of %v: EQF dl = %v, proportional split %v", trial, i, pex, got, want)
+			}
+			now = got
+		}
+	}
+}
+
 func TestEQSMonotoneInStageCountProperty(t *testing.T) {
 	// Splitting the same remaining budget across more equal stages must
 	// give the first stage an earlier (or equal) deadline.

@@ -294,8 +294,8 @@ func (s *sweepSpec) runCell(ctx context.Context, sess *session.Session, o Option
 	}
 	// Adaptive replication: keep adding seeds until every curve of this
 	// variant meets the target half-width (the paper reports ±0.35 pp
-	// intervals). Needs at least two runs for a t-interval, hence the
-	// o.Reps floor above.
+	// intervals). A cell of fewer than two runs has no t-interval, so
+	// it has met no target yet.
 	for o.TargetCI > 0 && len(runs) < o.MaxReps {
 		worst := 0.0
 		for _, c := range v.curves {
@@ -303,7 +303,7 @@ func (s *sweepSpec) runCell(ctx context.Context, sess *session.Session, o Option
 				worst = hw
 			}
 		}
-		if worst <= o.TargetCI {
+		if len(runs) >= 2 && worst <= o.TargetCI {
 			break
 		}
 		more, err := job(len(runs), 1)

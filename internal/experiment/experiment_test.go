@@ -99,6 +99,29 @@ func TestAdaptiveReplicationTargetsCI(t *testing.T) {
 	}
 }
 
+// TestAdaptiveReplicationNeedsTwoRuns: one replication has no
+// confidence interval, so a cell started at Reps 1 has met no target
+// and the adaptive loop runs it to at least two replications.
+func TestAdaptiveReplicationNeedsTwoRuns(t *testing.T) {
+	e, err := ByID("abl-m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := func(o Options) uint64 {
+		sess := session.New()
+		defer sess.Close()
+		if _, err := e.Run(context.Background(), sess, o); err != nil {
+			t.Fatal(err)
+		}
+		return sess.Snapshot().Session.ReplicationsCompleted
+	}
+	cells := reps(Options{Horizon: 600, Reps: 1, Seed: 3})
+	adaptive := reps(Options{Horizon: 600, Reps: 1, Seed: 3, TargetCI: 0.5, MaxReps: 4})
+	if adaptive < 2*cells {
+		t.Errorf("adaptive sweep ran %d replications over %d cells, want at least two per cell", adaptive, cells)
+	}
+}
+
 func TestOptionsMaxRepsDefaults(t *testing.T) {
 	o := Options{Reps: 12}.withDefaults()
 	if o.MaxReps != 12 {

@@ -49,11 +49,11 @@ type Instance struct {
 	// slack passed to the successor). Diagnostic for section 4.2.2.
 	InheritedSlack float64
 
-	// leafRefs counts subtasks submitted but not yet completed or
-	// aborted at their nodes. An instance can only be recycled once it
-	// is finished AND no node still holds one of its subtasks — an
-	// aborted instance's already-queued siblings keep referencing it
-	// until they drain.
+	// leafRefs counts subtasks submitted but not yet retired by the
+	// manager, plus a release walk in progress. An instance can only be
+	// recycled once it is finished AND nothing holds it — an aborted
+	// instance's already-queued siblings keep referencing it until they
+	// drain.
 	leafRefs int
 	// finished marks that OnDone has been delivered.
 	finished bool
@@ -93,25 +93,24 @@ type Manager struct {
 	pendID    []uint64
 	pendFree  []int32
 
-	// pool optionally recycles retired subtasks; nil allocates fresh
-	// ones (the reference path pooling must reproduce bit-for-bit).
-	pool *task.Pool
-	// instFree recycles Instance shells once fully drained; only used
-	// when pool is set, so a nil pool yields the pure allocation path
-	// end to end.
+	// pool recycles retired subtasks: the configured pool, or ownPool
+	// when the caller brings none.
+	pool    *task.Pool
+	ownPool task.Pool
+	// instFree recycles Instance shells once fully drained.
 	instFree []*Instance
-	// frameFree recycles activation frames, same gating as instFree.
+	// frameFree recycles activation frames.
 	frameFree []*frame
 	// instSlab and frameSlab are bump-allocation chunks fresh shells are
-	// carved from when the free lists run dry (pooled runs only):
-	// O(peak/mgrSlab) allocations instead of one per shell. instSlabs
-	// and frameSlabs hold every chunk, for Reconfigure to reclaim.
+	// carved from when the free lists run dry: O(peak/mgrSlab)
+	// allocations instead of one per shell. instSlabs and frameSlabs
+	// hold every chunk, for Reconfigure to reclaim.
 	instSlab   []Instance
 	frameSlab  []frame
 	instSlabs  task.Arena[Instance]
 	frameSlabs task.Arena[frame]
-	// graphPool receives retired instance graphs; nil drops them to the
-	// garbage collector.
+	// graphPool receives retired instance graphs; nil leaves them to the
+	// caller.
 	graphPool *task.GraphPool
 	// pexBuf is the scratch buffer for the assigner's aggregate pex
 	// values, reused across every stage release of the run.
@@ -148,11 +147,12 @@ type Config struct {
 	// subtasks and local tasks draw from one deterministic sequence.
 	NextSeq    func() uint64
 	NextTaskID func() uint64
-	// Pool optionally recycles subtasks (and Instance shells) within a
-	// replication. Nil disables reuse; results are identical either way.
+	// Pool recycles subtasks within a replication, shared with the
+	// local-task generators. Nil gives the manager a pool of its own.
 	Pool *task.Pool
-	// GraphPool optionally receives retired instance graphs for reuse by
-	// the workload generator. Only consulted when Pool is set.
+	// GraphPool receives retired instance graphs for reuse by the
+	// workload generator. Nil leaves every graph with the caller, which
+	// may reuse it.
 	GraphPool *task.GraphPool
 }
 
@@ -194,6 +194,10 @@ func (m *Manager) Reconfigure(cfg Config) error {
 	m.assigner = cfg.Assigner
 	m.onDone, m.nextSeq, m.nextTaskID = cfg.OnDone, cfg.NextSeq, cfg.NextTaskID
 	m.pool, m.graphPool = cfg.Pool, cfg.GraphPool
+	if m.pool == nil {
+		m.ownPool.Rewind()
+		m.pool = &m.ownPool
+	}
 	m.inflight = 0
 	// Drop leftover pending entries (and their references) so the
 	// tables restart empty at retained capacity.
@@ -214,8 +218,7 @@ func (m *Manager) Reconfigure(cfg Config) error {
 }
 
 // NewInstance returns a zeroed Instance, recycled from the manager's free
-// list when the manager has a pool (every run but the unpooled
-// reference path). The caller fills it and hands it to
+// list or carved from its slab. The caller fills it and hands it to
 // Start; after OnDone the manager reclaims it once the last of its
 // subtasks has drained, so callers must not retain instances beyond the
 // OnDone callback.
@@ -226,61 +229,55 @@ func (m *Manager) NewInstance() *Instance {
 		m.instFree = m.instFree[:n-1]
 		return inst
 	}
-	if m.pool != nil {
-		if len(m.instSlab) == 0 {
-			m.instSlab = m.instSlabs.Slab(mgrSlab)
-		}
-		inst := &m.instSlab[0]
-		m.instSlab = m.instSlab[1:]
-		return inst
+	if len(m.instSlab) == 0 {
+		m.instSlab = m.instSlabs.Slab(mgrSlab)
 	}
-	return &Instance{}
+	inst := &m.instSlab[0]
+	m.instSlab = m.instSlab[1:]
+	return inst
 }
 
 // mgrSlab is the number of Instance or frame shells carved per slab
-// allocation on pooled runs.
+// allocation.
 const mgrSlab = 256
 
 // maybeRecycle parks a fully drained, finished instance on the free list.
 func (m *Manager) maybeRecycle(inst *Instance) {
-	if m.pool == nil || !inst.finished || inst.leafRefs != 0 {
+	if !inst.finished || inst.leafRefs != 0 {
 		return
 	}
 	// The instance is fully drained: no node, frame, or pending entry
 	// references its graph, so its nodes can go back to the generator.
-	m.graphPool.Release(inst.Graph)
+	if m.graphPool != nil {
+		m.graphPool.Release(inst.Graph)
+	}
 	*inst = Instance{} // drop the graph reference and reset counters
 	m.instFree = append(m.instFree, inst)
 }
 
-// newFrame returns an initialized activation frame, recycled when the
-// manager has a pool.
+// newFrame returns an initialized activation frame, recycled from the
+// free list or carved from the frame slab.
 func (m *Manager) newFrame(inst *Instance, g *task.Graph, parent *frame, dl float64) *frame {
 	var f *frame
 	if n := len(m.frameFree); n > 0 {
 		f = m.frameFree[n-1]
 		m.frameFree[n-1] = nil
 		m.frameFree = m.frameFree[:n-1]
-	} else if m.pool != nil {
+	} else {
 		if len(m.frameSlab) == 0 {
 			m.frameSlab = m.frameSlabs.Slab(mgrSlab)
 		}
 		f = &m.frameSlab[0]
 		m.frameSlab = m.frameSlab[1:]
-	} else {
-		f = &frame{}
 	}
 	*f = frame{inst: inst, g: g, parent: parent, dl: dl}
 	return f
 }
 
 // releaseFrame recycles a finished frame. Frames of aborted instances
-// are simply dropped (their completions are swallowed, so release is
-// never reached) and reclaimed by the garbage collector.
+// are never released (their completions are swallowed); the next
+// Reconfigure reclaims their slabs.
 func (m *Manager) releaseFrame(f *frame) {
-	if m.pool == nil {
-		return
-	}
 	*f = frame{}
 	m.frameFree = append(m.frameFree, f)
 }
@@ -294,7 +291,12 @@ func (m *Manager) InFlight() int { return m.inflight }
 // Pex and NodeID values on every leaf.
 func (m *Manager) Start(inst *Instance) {
 	m.inflight++
+	// The release walk holds the instance like a queued subtask: a
+	// subtask aborted on submission must not recycle it mid-walk.
+	inst.leafRefs++
 	m.activate(inst, inst.Graph, inst.Deadline, nil)
+	inst.leafRefs--
+	m.maybeRecycle(inst)
 }
 
 // activate submits graph node g with virtual deadline dl inside the
@@ -436,7 +438,6 @@ func (m *Manager) Complete(t *task.Task) error {
 	}
 	inst, f := m.pendInst[ref], m.pendFrame[ref]
 	m.releaseRef(ref)
-	inst.leafRefs--
 	if !inst.Aborted {
 		inst.StageCount++
 		if t.Missed() {
@@ -444,8 +445,9 @@ func (m *Manager) Complete(t *task.Task) error {
 		} else {
 			inst.InheritedSlack += t.Deadline - t.Finish
 		}
-		m.childDone(inst, f)
+		m.childDone(inst, f) // t's reference holds inst through the releases
 	}
+	inst.leafRefs--
 	m.pool.Put(t)
 	m.maybeRecycle(inst)
 	return nil

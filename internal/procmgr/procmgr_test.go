@@ -12,13 +12,14 @@ import (
 )
 
 // harness wires an engine, k nodes and a manager the way the system
-// package does, recording all completions.
+// package does, recording copies of all completions: the manager
+// recycles instances and subtasks once they drain.
 type harness struct {
 	eng       *sim.Engine
 	nodes     *node.Group
 	mgr       *Manager
-	done      []*Instance
-	completed []*task.Task
+	done      []Instance
+	completed []task.Task
 	seq       uint64
 	id        uint64
 }
@@ -27,7 +28,7 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 	t.Helper()
 	h := &harness{eng: sim.New()}
 	route := func(tk *task.Task) {
-		h.completed = append(h.completed, tk)
+		h.completed = append(h.completed, *tk)
 		if tk.Class == task.Global {
 			if err := h.mgr.Complete(tk); err != nil {
 				t.Fatalf("Complete: %v", err)
@@ -48,7 +49,7 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 		Engine:   h.eng,
 		Group:    h.nodes,
 		Assigner: assigner,
-		OnDone:   func(in *Instance) { h.done = append(h.done, in) },
+		OnDone:   func(in *Instance) { h.done = append(h.done, *in) },
 		NextSeq:  func() uint64 { h.seq++; return h.seq },
 		NextTaskID: func() uint64 {
 			h.id++
@@ -78,15 +79,22 @@ func newNodes(t *testing.T, k int, cfg node.GroupConfig) *node.Group {
 }
 
 // startInstance validates/flattens the graph and starts it at time 0.
-func (h *harness) startInstance(t *testing.T, g *task.Graph, deadline float64) *Instance {
+func (h *harness) startInstance(t *testing.T, g *task.Graph, deadline float64) {
 	t.Helper()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	g.Flatten()
-	inst := &Instance{ID: 1, Graph: g, Arrival: h.eng.Now(), Deadline: deadline}
-	h.mgr.Start(inst)
-	return inst
+	h.mgr.Start(&Instance{ID: 1, Graph: g, Arrival: h.eng.Now(), Deadline: deadline})
+}
+
+// only returns the one finished instance.
+func (h *harness) only(t *testing.T) Instance {
+	t.Helper()
+	if len(h.done) != 1 {
+		t.Fatalf("instances done = %d, want 1", len(h.done))
+	}
+	return h.done[0]
 }
 
 func place(g *task.Graph, nodes ...int) *task.Graph {
@@ -122,12 +130,10 @@ func TestConfigValidation(t *testing.T) {
 func TestSerialChainPrecedence(t *testing.T) {
 	h := newHarness(t, 3, core.NewAssigner(core.EqualFlexibility{}, core.Div{X: 1}), node.NoAbort)
 	g := place(task.MustParse("[a:1 b:2 c:3]"), 0, 1, 2)
-	inst := h.startInstance(t, g, 20)
+	h.startInstance(t, g, 20)
 	h.eng.RunAll()
 
-	if len(h.done) != 1 {
-		t.Fatalf("instances done = %d, want 1", len(h.done))
-	}
+	inst := h.only(t)
 	if inst.Finish != 6 {
 		t.Errorf("Finish = %v, want 6 (1+2+3 on idle nodes)", inst.Finish)
 	}
@@ -180,8 +186,9 @@ func TestDynamicEQFDeadlines(t *testing.T) {
 func TestParallelJoin(t *testing.T) {
 	h := newHarness(t, 3, core.NewAssigner(core.UltimateDeadline{}, core.Div{X: 1}), node.NoAbort)
 	g := place(task.MustParse("[a:1 || b:5 || c:2]"), 0, 1, 2)
-	inst := h.startInstance(t, g, 20)
+	h.startInstance(t, g, 20)
 	h.eng.RunAll()
+	inst := h.only(t)
 
 	if inst.Finish != 5 {
 		t.Errorf("Finish = %v, want 5 (longest branch)", inst.Finish)
@@ -201,12 +208,10 @@ func TestParallelJoin(t *testing.T) {
 func TestNestedGraphCompletion(t *testing.T) {
 	h := newHarness(t, 4, core.NewAssigner(core.EqualFlexibility{}, core.Div{X: 1}), node.NoAbort)
 	g := place(task.MustParse("[a:1 [b:2 || c:4] d:1]"), 0, 1, 2, 3)
-	inst := h.startInstance(t, g, 10)
+	h.startInstance(t, g, 10)
 	h.eng.RunAll()
 
-	if len(h.done) != 1 {
-		t.Fatalf("done = %d, want 1", len(h.done))
-	}
+	inst := h.only(t)
 	// Critical path on idle nodes: 1 + max(2,4) + 1 = 6.
 	if inst.Finish != 6 {
 		t.Errorf("Finish = %v, want 6", inst.Finish)
@@ -224,8 +229,9 @@ func TestStageMissCounting(t *testing.T) {
 	blocker := &task.Task{ID: 999, Class: task.Local, Exec: 4, Deadline: 100, Seq: 0}
 	h.nodes.Submit(0, blocker)
 	g := place(task.MustParse("[a:1 b:1]"), 0)
-	inst := h.startInstance(t, g, 2) // dl = ar + ex: zero slack
+	h.startInstance(t, g, 2) // dl = ar + ex: zero slack
 	h.eng.RunAll()
+	inst := h.only(t)
 
 	if !inst.Missed() {
 		t.Fatal("instance with zero slack behind a blocker should miss")
@@ -244,14 +250,12 @@ func TestAbortKillsInstanceOnce(t *testing.T) {
 	h.nodes.Submit(0, &task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	h.nodes.Submit(1, &task.Task{ID: 901, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	g := place(task.MustParse("[a:1 || b:1]"), 0, 1)
-	inst := h.startInstance(t, g, 5) // both branches doomed
+	h.startInstance(t, g, 5) // both branches doomed
 	h.eng.RunAll()
+	inst := h.only(t)
 
 	if !inst.Aborted || !inst.Missed() {
 		t.Fatal("instance should be aborted and missed")
-	}
-	if len(h.done) != 1 {
-		t.Fatalf("OnDone fired %d times, want exactly 1", len(h.done))
 	}
 	if h.mgr.InFlight() != 0 {
 		t.Errorf("InFlight = %d, want 0", h.mgr.InFlight())
@@ -262,8 +266,9 @@ func TestAbortedSerialDoesNotContinue(t *testing.T) {
 	h := newHarness(t, 2, core.NewAssigner(core.EffectiveDeadline{}, core.ParallelUltimate{}), node.AbortAtDispatch)
 	h.nodes.Submit(0, &task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	g := place(task.MustParse("[a:1 b:1]"), 0, 1)
-	inst := h.startInstance(t, g, 3) // stage a expires behind the blocker
+	h.startInstance(t, g, 3) // stage a expires behind the blocker
 	h.eng.RunAll()
+	inst := h.only(t)
 
 	if !inst.Aborted {
 		t.Fatal("instance should be aborted")

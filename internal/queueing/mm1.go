@@ -1,5 +1,5 @@
-// Package queueing provides closed-form M/M/1 results used to validate
-// the simulator against theory. With frac_local = 1 and FCFS service,
+// Package queueing provides closed-form M/M/1 and M/G/1 results used to
+// validate the simulator against theory. With frac_local = 1 and FCFS service,
 // every node of the simulated system is an independent M/M/1 queue, so
 // the whole pipeline — arrival processes, service sampling, queueing,
 // deadline accounting, metrics — can be checked against exact formulas.

@@ -94,3 +94,26 @@ func TestValidation(t *testing.T) {
 		t.Error("unstable queue accepted")
 	}
 }
+
+func TestMG1ReducesToMM1(t *testing.T) {
+	// Exponential service has E[S²] = 2/µ², where Pollaczek–Khinchine
+	// gives the M/M/1 sojourn 1/(µ−λ).
+	mm := MM1{Lambda: 0.6, Mu: 1.5}
+	mg := MG1{Lambda: 0.6, MeanService: 1 / 1.5, SecondMoment: 2 / (1.5 * 1.5)}
+	if err := mg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mg.MeanSojourn(), mm.MeanSojourn(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("M/G/1 sojourn with exponential service = %v, M/M/1 = %v", got, want)
+	}
+	// Deterministic service halves the M/M/1 queueing delay.
+	md := MG1{Lambda: 0.5, MeanService: 1, SecondMoment: 1}
+	if got := md.MeanSojourn(); math.Abs(got-1.5) > 1e-12 {
+		t.Errorf("M/D/1 sojourn = %v, want 1.5", got)
+	}
+	for _, bad := range []MG1{{Lambda: 1, MeanService: 1, SecondMoment: 1}, {Lambda: 0.5, MeanService: 1, SecondMoment: 0.5}} {
+		if bad.Validate() == nil {
+			t.Errorf("Validate accepted %+v", bad)
+		}
+	}
+}

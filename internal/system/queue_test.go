@@ -73,7 +73,7 @@ func queueCases(t *testing.T) []queueCase {
 // produce the same replication, compared as full codec bytes with the
 // spread counter (the one field that records the queue's shape)
 // zeroed. A queue is pinned by presetting the workspace's engine, which
-// runWith then only resets.
+// RunWith then only resets.
 func TestQueueKindsAgree(t *testing.T) {
 	for _, c := range queueCases(t) {
 		t.Run(c.name, func(t *testing.T) {

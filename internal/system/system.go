@@ -29,14 +29,14 @@ import (
 // allocations. A Workspace is single-threaded — one per worker — and
 // results are bit-identical with or without one.
 //
-// Every run goes through a workspace: Run simply uses a fresh one, and
-// the unpooled reference path (runWith with pooled false) a fresh one
-// with the task/graph pools disabled, so there is exactly one code path
-// to keep deterministic.
+// Every run goes through a workspace and its pools: Run simply uses a
+// fresh one, so there is exactly one allocation path to keep
+// deterministic. The naive simulator in the package's tests is the
+// independent reference it is checked against.
 type Workspace struct {
 	eng      *sim.Engine
-	pool     *task.Pool
-	graphs   *task.GraphPool
+	pool     task.Pool
+	graphs   task.GraphPool
 	group    *node.Group
 	bank     *sched.Bank
 	mgr      *procmgr.Manager
@@ -201,14 +201,6 @@ func Run(cfg Config) (*Metrics, error) {
 // RunWith is Run reusing the given workspace's buffers and pools (nil
 // runs on a fresh single-use workspace).
 func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
-	return runWith(cfg, ws, true)
-}
-
-// runWith is RunWith with task/graph recycling switchable. With pooled
-// false it ignores ws and runs on a fresh workspace without task or
-// graph pools: the pure allocation path, the reference the pooled one
-// is tested against (results are bit-identical).
-func runWith(cfg Config, ws *Workspace, pooled bool) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -225,7 +217,7 @@ func runWith(cfg Config, ws *Workspace, pooled bool) (*Metrics, error) {
 		return nil, err
 	}
 
-	if ws == nil || !pooled {
+	if ws == nil {
 		ws = NewWorkspace()
 	}
 	if ws.eng == nil {
@@ -234,11 +226,7 @@ func runWith(cfg Config, ws *Workspace, pooled bool) (*Metrics, error) {
 		ws.eng.Reset()
 	}
 	eng := ws.eng
-	if ws.pool == nil && pooled {
-		ws.pool = &task.Pool{}
-		ws.graphs = &task.GraphPool{}
-	}
-	pool, graphs := ws.pool, ws.graphs
+	pool, graphs := &ws.pool, &ws.graphs
 	// Setup resets the last replication's engine, queues and tables, so
 	// nothing will reference its tasks or graphs any more: reclaim them
 	// all, including those it left in flight at the horizon, so a warm

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/queueing"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -293,6 +295,59 @@ func TestFCFSLocalMissMatchesMM1Theory(t *testing.T) {
 	got := m.LocalMiss.Value()
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("FCFS local miss ratio = %.4f, M/M/1 theory = %.4f (+/- 0.01)", got, want)
+	}
+}
+
+// TestFCFSLocalResponseMatchesMG1 checks one FCFS node carrying only
+// local tasks against the Pollaczek–Khinchine mean response, with the
+// scenario demand override supplying non-exponential service: the mean
+// LocalResponse over independent seeds must lie within four standard
+// errors of E[S] + λE[S²]/(2(1−ρ)).
+func TestFCFSLocalResponseMatchesMG1(t *testing.T) {
+	const seeds = 8
+	// Second moments at mean 1: lognormal e^{σ²}; Pareto αx_m²/(α−2)
+	// with x_m = (α−1)/α.
+	const alpha = 4.5
+	xm := (alpha - 1) / alpha
+	cases := []struct {
+		demand       scenario.DemandSpec
+		secondMoment float64
+	}{
+		{scenario.DemandSpec{Dist: "deterministic"}, 1},
+		{scenario.DemandSpec{Dist: "lognormal", Sigma: 1}, math.E},
+		{scenario.DemandSpec{Dist: "pareto", Alpha: alpha}, alpha * xm * xm / (alpha - 2)},
+	}
+	for _, c := range cases {
+		t.Run(c.demand.Dist, func(t *testing.T) {
+			cfg := Baseline()
+			cfg.Nodes, cfg.FracLocal, cfg.Load = 1, 1, 0.5
+			cfg.Scheduler = sched.FCFS
+			cfg.Horizon = 20000
+			cfg.Scenario = scenario.MustNew(scenario.Spec{Demand: &c.demand})
+			rates, err := cfg.DeriveRates()
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := queueing.MG1{Lambda: rates.LocalPerNode, MeanService: 1 / cfg.MuLocal, SecondMoment: c.secondMoment}
+			if err := q.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			var means stats.Welford
+			for seed := uint64(1); seed <= seeds; seed++ {
+				cfg.Seed = seed
+				m, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				means.Add(m.LocalResponse.Mean())
+			}
+			se := means.StdDev() / math.Sqrt(seeds)
+			want := q.MeanSojourn()
+			t.Logf("mean response = %.4f ± %.4f (se), M/G/1 = %.4f", means.Mean(), se, want)
+			if math.Abs(means.Mean()-want) > 4*se {
+				t.Errorf("mean response %.4f is more than 4 se from M/G/1 %.4f", means.Mean(), want)
+			}
+		})
 	}
 }
 

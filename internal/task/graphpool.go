@@ -8,10 +8,10 @@ package task
 // pops nodes back in an order that reuses each node in the same role
 // (group nodes keep their grown children capacity).
 //
-// Like task.Pool, a GraphPool is single-threaded per replication, and a
-// nil *GraphPool is valid: every method falls back to plain allocation,
-// which is the reference behaviour the pooled path reproduces
-// bit-for-bit.
+// Like task.Pool, a GraphPool is single-threaded per replication. The
+// builders' entry points, Simple, Group and EnsureKids, also accept a nil
+// *GraphPool and then allocate plainly, so a shape can build a graph
+// without one (Shape.Build); Release, Rewind and Size need a pool.
 type GraphPool struct {
 	free []*Graph
 	slab []Graph  // bump-allocation chunk take carves fresh nodes from
@@ -71,8 +71,8 @@ func (p *GraphPool) Group(kind Kind) *Graph {
 // carving the backing array from the pool's pointer arena when the
 // node's retained array is too small. Builders call it before their
 // append loop so a fresh group node costs at most one arena carve
-// instead of an append-doubling ladder per node. A nil pool is a no-op:
-// the unpooled path keeps its plain append behaviour.
+// instead of an append-doubling ladder per node. A nil pool is a no-op,
+// leaving a poolless build its plain append behaviour.
 func (p *GraphPool) EnsureKids(g *Graph, n int) {
 	if p == nil || cap(g.Children) >= n {
 		return
@@ -95,9 +95,6 @@ func (p *GraphPool) EnsureKids(g *Graph, n int) {
 // still reference any of its nodes. Nodes are reset on release so stale
 // use surfaces as zeroed data.
 func (p *GraphPool) Release(g *Graph) {
-	if p == nil || g == nil {
-		return
-	}
 	for i, c := range g.Children {
 		p.Release(c)
 		g.Children[i] = nil
@@ -111,9 +108,6 @@ func (p *GraphPool) Release(g *Graph) {
 // including the graphs of instances a replication left in flight at its
 // horizon; see Pool.Rewind for when it is safe.
 func (p *GraphPool) Rewind() {
-	if p == nil {
-		return
-	}
 	p.free, p.slab, p.kids = p.free[:0], nil, nil
 	p.slabs.Rewind()
 	p.kidArrays.Rewind()
@@ -121,8 +115,5 @@ func (p *GraphPool) Rewind() {
 
 // Size returns the number of nodes currently parked in the free list.
 func (p *GraphPool) Size() int {
-	if p == nil {
-		return 0
-	}
 	return len(p.free)
 }

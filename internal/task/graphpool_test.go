@@ -40,16 +40,18 @@ func TestGraphPoolRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNilGraphPoolIsValid pins the builders' nil-pool path: Shape.Build
+// draws a graph without a pool.
 func TestNilGraphPoolIsValid(t *testing.T) {
 	var p *GraphPool
 	g := p.Group(KindParallel)
+	p.EnsureKids(g, 2)
 	g.Children = append(g.Children, p.Simple("a", 1), p.Simple("b", 2))
 	if err := g.Validate(); err != nil {
 		t.Fatalf("nil-pool graph invalid: %v", err)
 	}
-	p.Release(g) // must not panic
-	if p.Size() != 0 {
-		t.Fatalf("nil pool Size = %d, want 0", p.Size())
+	if g.LeafIndex != -1 || g.Children[0].LeafIndex != -1 {
+		t.Fatalf("nil-pool nodes not initialized: %+v", g)
 	}
 }
 

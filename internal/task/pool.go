@@ -8,11 +8,8 @@ package task
 //
 // A Pool is not safe for concurrent use — like the engine it feeds, it is
 // single-threaded per replication; parallel replications each own a pool.
-//
-// A nil *Pool is valid and disables reuse: Get allocates a fresh Task and
-// Put discards, which is the reference behaviour the pooled path must
-// reproduce bit-for-bit (see TestPooledMatchesReference in
-// internal/system).
+// Every simulation run recycles its tasks through one: the zero value is
+// ready to use, a nil *Pool is not.
 type Pool struct {
 	free  []*Task
 	slab  []Task      // bump-allocation chunk Get carves fresh tasks from
@@ -29,9 +26,6 @@ const poolSlab = 512
 // carved from the pool's current slab. Callers must set every field they
 // rely on; Put has already cleared the rest.
 func (p *Pool) Get() *Task {
-	if p == nil {
-		return &Task{}
-	}
 	if n := len(p.free) - 1; n >= 0 {
 		t := p.free[n]
 		p.free[n] = nil
@@ -51,7 +45,7 @@ func (p *Pool) Get() *Task {
 // immediately, so use-after-release bugs surface as zeroed fields rather
 // than silently stale data.
 func (p *Pool) Put(t *Task) {
-	if p == nil || t == nil {
+	if t == nil {
 		return
 	}
 	t.Reset()
@@ -63,18 +57,12 @@ func (p *Pool) Put(t *Task) {
 // carves from the same slabs. Only call it when no task is referenced
 // any more: at the start of a replication on a warm workspace.
 func (p *Pool) Rewind() {
-	if p == nil {
-		return
-	}
 	p.free, p.slab = p.free[:0], nil
 	p.slabs.Rewind()
 }
 
 // Size returns the number of tasks currently parked in the free list.
 func (p *Pool) Size() int {
-	if p == nil {
-		return 0
-	}
 	return len(p.free)
 }
 

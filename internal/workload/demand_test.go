@@ -100,7 +100,7 @@ func countArrivals(t *testing.T, mod RateModulator, horizon float64) (first, sec
 	eng := sim.New()
 	var id, seq uint64
 	f := NewLocalFleet(eng)
-	err := f.Configure(1, FleetParams{MeanExec: 1, SlackMax: 1, Mod: mod, Horizon: horizon},
+	err := f.Configure(1, FleetParams{MeanExec: 1, SlackMax: 1, Mod: mod, Horizon: horizon, Pool: &task.Pool{}},
 		func() uint64 { id++; return id },
 		func() uint64 { seq++; return seq },
 		func(tk *task.Task) {

@@ -93,8 +93,7 @@ type FleetParams struct {
 	// candidate past it, so it must be positive and finite when Mod is
 	// set; unmodulated streams ignore it.
 	Horizon float64
-	// Pool optionally recycles retired tasks; nil allocates, with
-	// identical results.
+	// Pool recycles retired tasks; required.
 	Pool *task.Pool
 }
 
@@ -110,7 +109,7 @@ func (f *LocalFleet) Configure(n int, params FleetParams,
 	if n <= 0 {
 		return fmt.Errorf("workload: fleet: %d nodes, want > 0", n)
 	}
-	if submit == nil || nextID == nil || nextSeq == nil {
+	if submit == nil || nextID == nil || nextSeq == nil || params.Pool == nil {
 		return fmt.Errorf("workload: fleet: nil dependency")
 	}
 	if params.MeanExec <= 0 || params.SlackMax < params.SlackMin {

@@ -80,7 +80,6 @@ func runSources(t *testing.T, c fleetCase, seed uint64, onCandidate func(float64
 	nextID := func() uint64 { id++; return id }
 	nextSeq := func() uint64 { seq++; return seq }
 	submit := func(tk *task.Task) { out = append(out, record(tk)) }
-	pool := &task.Pool{}
 	rngs := make([]rng.Source, len(c.rates))
 	srcs := make([]LocalSource, len(c.rates))
 	for i, rate := range c.rates {
@@ -89,7 +88,7 @@ func runSources(t *testing.T, c fleetCase, seed uint64, onCandidate func(float64
 		err := srcs[i].Reconfigure(&rngs[i], LocalParams{
 			Node: i, Rate: rate, MeanExec: 1,
 			SlackMin: 0.25, SlackMax: 2.5,
-			Pex: c.pex, Mod: c.mod, Pool: pool,
+			Pex: c.pex, Mod: c.mod,
 		}, nextID, nextSeq, submit)
 		if err != nil {
 			t.Fatal(err)
@@ -368,7 +367,7 @@ func TestModulatorBoundsRejected(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			f := NewLocalFleet(sim.New())
-			err := f.Configure(2, FleetParams{MeanExec: 1, Mod: c.mod, Horizon: c.horizon},
+			err := f.Configure(2, FleetParams{MeanExec: 1, Mod: c.mod, Horizon: c.horizon, Pool: &task.Pool{}},
 				id, id, func(*task.Task) {})
 			if err == nil {
 				t.Error("LocalFleet.Configure accepted it")
@@ -384,8 +383,19 @@ func TestModulatorBoundsRejected(t *testing.T) {
 	}
 	// Unmodulated streams need no horizon.
 	f := NewLocalFleet(sim.New())
-	if err := f.Configure(2, FleetParams{MeanExec: 1}, id, id, func(*task.Task) {}); err != nil {
+	if err := f.Configure(2, FleetParams{MeanExec: 1, Pool: &task.Pool{}}, id, id, func(*task.Task) {}); err != nil {
 		t.Errorf("unmodulated fleet without a horizon: %v", err)
+	}
+}
+
+// TestFleetRequiresPool: every local task comes from the run's task
+// pool, so Configure rejects a fleet without one instead of letting the
+// first arrival dereference it.
+func TestFleetRequiresPool(t *testing.T) {
+	id := func() uint64 { return 0 }
+	f := NewLocalFleet(sim.New())
+	if err := f.Configure(1, FleetParams{MeanExec: 1}, id, id, func(*task.Task) {}); err == nil {
+		t.Error("LocalFleet.Configure accepted a nil Pool")
 	}
 }
 

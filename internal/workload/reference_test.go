@@ -107,10 +107,6 @@ type LocalParams struct {
 	// Mod optionally modulates the arrival rate over time (scenario
 	// bursts and ramps); nil keeps the stream stationary.
 	Mod RateModulator
-	// Pool optionally recycles retired tasks instead of allocating a
-	// fresh Task per arrival. Nil allocates; results are identical
-	// either way.
-	Pool *task.Pool
 }
 
 // LocalSource generates local tasks at one node, firing every thinning
@@ -187,9 +183,7 @@ func (s *LocalSource) arrive() {
 	now := s.eng.Now()
 	ex := sampleDemand(s.params.Demand, s.r, s.params.MeanExec)
 	sl := s.r.Uniform(s.params.SlackMin, s.params.SlackMax)
-	// The pool hands back a zeroed task; every non-zero field of a local
-	// task is assigned here, in the same draw order as the unpooled path.
-	t := s.params.Pool.Get()
+	t := &task.Task{}
 	t.ID = s.nextID()
 	t.Class = task.Local
 	t.Stage = -1

@@ -11,8 +11,9 @@ import (
 // workspaces across jobs and worker counts must never change a result.
 // Each test runs the same work on a fresh sequential session and on a
 // session whose workspaces an unrelated job has already warmed, and
-// requires byte-identical output. The pooled-versus-unpooled reference
-// check is TestPooledMatchesReference in internal/system.
+// requires byte-identical output. The check against an independent
+// model, a naive simulator of the paper's system, is
+// TestPooledMatchesReference in internal/system.
 
 // warmedSession returns a session at the given parallelism whose
 // workspaces a 64-node PSP job has already run on.
