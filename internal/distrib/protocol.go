@@ -28,7 +28,7 @@
 // semantics (partial results remain valid) hold across processes.
 //
 // Simulation results cross the boundary as system.Metrics in its
-// exact-bit codec, the encoding the result cache also stores. A merged
+// exact-bit codec (the length the result cache budgets by). A merged
 // result is therefore bit-identical to one computed in process, and the
 // coordinator merges sub-shards in seed order, so ProcBackend output is
 // byte-identical to the in-process pool at any worker count.

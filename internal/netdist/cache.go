@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/distrib"
@@ -19,19 +19,23 @@ const defaultCacheBytes = 256 << 20
 // Cache is a deterministic shard-result cache implementing
 // session.Backend as middleware around another backend. Entries are
 // contiguous seed runs keyed by the configuration's fingerprint
-// (distrib.ConfigFingerprint), holding their replications' metrics in
-// the exact-bit system.Metrics codec, concatenated, with per-run end
-// offsets. A decoded hit is therefore bit-identical to a fresh
-// simulation of the same (config, seed) — caching can never change
-// results, only skip work — and a hit decodes only the runs it serves.
+// (distrib.ConfigFingerprint), holding the *system.Metrics values the
+// inner backend returned for them. A hit hands back the stored value
+// itself — no copy, no decode — so it is the very result a fresh
+// simulation of the same (config, seed) produced, and caching can never
+// change results, only skip work. Sharing is safe because a Backend's
+// results are read-only (see session.Backend): no caller mutates a
+// returned Metrics.
 //
-// A shard is served per seed: cached seeds decode from the store,
+// A shard is served per seed: cached seeds come from the store,
 // uncovered seeds run on the inner backend as one sub-shard, and the
 // fresh results are stored as new contiguous runs. Overlapping sweeps
 // therefore touch the simulator only for seed ranges nobody has asked
-// for yet. Eviction is LRU over whole entries, bounded by encoded
-// bytes. Configurations without a fingerprint (attached trace
-// recorder, unregistered shapes) bypass the cache entirely.
+// for yet. Eviction is LRU over whole entries, bounded by the bytes the
+// entries' results would take in the system.Metrics codec
+// (Metrics.EncodedLen; nothing is encoded). Configurations without a
+// fingerprint (attached trace recorder, unregistered shapes) bypass the
+// cache entirely.
 //
 // Cache is safe for concurrent use; concurrent fills of the same seeds
 // are allowed (both compute, both results are identical by
@@ -55,26 +59,18 @@ type Cache struct {
 type entry struct {
 	fp    string
 	seeds []uint64
-	data  []byte // concatenated Metrics encodings, cap == len, immutable once stored
-	ends  []int  // ends[i] is the offset just past run i's encoding
+	runs  []*system.Metrics // runs[i] is seeds[i]'s result, shared read-only
 	elem  *list.Element
 }
 
-// size is the entry's accounting footprint: payload plus index and
-// bookkeeping overhead.
-func (e *entry) size() int64 { return int64(len(e.data)) + 24*int64(len(e.seeds)) + 160 }
-
-// run decodes the entry's idx-th replication.
-func (e *entry) run(idx int) (*system.Metrics, error) {
-	start := 0
-	if idx > 0 {
-		start = e.ends[idx-1]
+// size is the entry's accounting footprint: its results' encoded length
+// plus index and bookkeeping overhead.
+func (e *entry) size() int64 {
+	n := 24*int64(len(e.seeds)) + 160
+	for _, m := range e.runs {
+		n += int64(m.EncodedLen())
 	}
-	m := new(system.Metrics)
-	if err := m.UnmarshalBinary(e.data[start:e.ends[idx]]); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return n
 }
 
 // seedRef locates one seed inside an entry.
@@ -83,8 +79,8 @@ type seedRef struct {
 	idx int
 }
 
-// NewCache wraps inner with a shard-result cache bounded at maxBytes
-// of encoded results (<= 0 picks 256 MiB).
+// NewCache wraps inner with a shard-result cache bounded at maxBytes,
+// counted as the results' Metrics codec length (<= 0 picks 256 MiB).
 func NewCache(inner session.Backend, maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = defaultCacheBytes
@@ -116,39 +112,26 @@ func (c *Cache) Run(ctx context.Context, shard session.Shard) (session.ShardResu
 	}
 	n := len(shard.Seeds)
 	metrics := make([]*system.Metrics, n)
-
-	type hit struct {
-		i   int // index in shard.Seeds
-		e   *entry
-		idx int // index in the entry's run
-	}
-	var hits []hit
 	var missIdx []int
 	c.mu.Lock()
 	bySeed := c.index[fp]
 	for i, seed := range shard.Seeds {
 		if ref, ok := bySeed[seed]; ok {
 			c.lru.MoveToFront(ref.e.elem)
-			hits = append(hits, hit{i: i, e: ref.e, idx: ref.idx})
+			metrics[i] = ref.e.runs[ref.idx]
 		} else {
 			missIdx = append(missIdx, i)
 		}
 	}
-	c.hits += uint64(len(hits))
+	c.hits += uint64(n - len(missIdx))
 	c.misses += uint64(len(missIdx))
 	c.mu.Unlock()
 
-	// Decode the served runs outside the lock. Entry data is immutable
-	// after insert, so a concurrent eviction only drops the index
-	// reference — the bytes being decoded stay valid.
-	for _, h := range hits {
-		if metrics[h.i], err = h.e.run(h.idx); err != nil {
-			return session.ShardResult{}, fmt.Errorf("netdist: corrupt cache entry: %w", err)
-		}
-	}
 	if shard.OnResult != nil {
-		for _, h := range hits {
-			shard.OnResult(h.i, metrics[h.i])
+		for i, m := range metrics {
+			if m != nil {
+				shard.OnResult(i, m)
+			}
 		}
 	}
 
@@ -210,15 +193,14 @@ func (c *Cache) store(fp string, seeds []uint64, runs []*system.Metrics) {
 		for end < len(runs) && runs[end] != nil && seeds[end] == seeds[end-1]+1 {
 			end++
 		}
-		data, ends := encodeRuns(runs[start:end])
-		c.insert(fp, seeds[start:end], data, ends)
+		c.insert(fp, seeds[start:end], runs[start:end])
 		start = end
 	}
 }
 
 // insert stores one contiguous run and evicts LRU entries while over
 // budget. The entry being inserted is never evicted by its own insert.
-func (c *Cache) insert(fp string, seeds []uint64, data []byte, ends []int) {
+func (c *Cache) insert(fp string, seeds []uint64, runs []*system.Metrics) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	bySeed := c.index[fp]
@@ -237,7 +219,9 @@ func (c *Cache) insert(fp string, seeds []uint64, data []byte, ends []int) {
 			return // a concurrent fill already covers every seed
 		}
 	}
-	e := &entry{fp: fp, seeds: append([]uint64(nil), seeds...), data: data, ends: ends}
+	// Clone runs too: the inner backend's slice may hold other entries'
+	// results, which an eviction must be able to release.
+	e := &entry{fp: fp, seeds: slices.Clone(seeds), runs: slices.Clone(runs)}
 	e.elem = c.lru.PushFront(e)
 	for i, s := range e.seeds {
 		bySeed[s] = seedRef{e: e, idx: i}
@@ -284,19 +268,6 @@ func (c *Cache) CacheStats() obs.CacheStats {
 		Entries:   uint64(c.lru.Len()),
 		Bytes:     uint64(c.bytes),
 	}
-}
-
-// encodeRuns concatenates the runs' Metrics encodings and records where
-// each one ends. The stored slice is exact-length: an entry lives until
-// evicted, so append's growth slack would be held for as long.
-func encodeRuns(runs []*system.Metrics) (data []byte, ends []int) {
-	var buf []byte
-	ends = make([]int, len(runs))
-	for i, m := range runs {
-		buf, _ = m.AppendBinary(buf) // the Metrics appender never fails
-		ends[i] = len(buf)
-	}
-	return append(make([]byte, 0, len(buf)), buf...), ends
 }
 
 // isCancellation mirrors the session package's test.

@@ -3,9 +3,15 @@ package netdist
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/distrib"
+	"repro/internal/experiment"
+	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -268,5 +274,157 @@ func TestCacheCancellationContract(t *testing.T) {
 		if i >= res.Completed && m != nil {
 			t.Errorf("metrics[%d] != nil beyond completed prefix %d", i, res.Completed)
 		}
+	}
+}
+
+// TestCacheBytesAccounting: the budget counts each stored replication's
+// encoded length plus 24 bytes per seed and 160 per entry, sized from
+// Metrics.EncodedLen without encoding. The literal total was recorded
+// when the cache stored codec bytes, so the budget's meaning is pinned
+// across the change of representation.
+func TestCacheBytesAccounting(t *testing.T) {
+	c := NewCache(newCountingBackend(t), 0)
+	scen := shortCfg(300)
+	sc, err := scenario.Preset("burst", scen.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scen.Scenario = sc
+	var want int64
+	for _, f := range []struct {
+		cfg          system.Config
+		seeds, fresh []uint64
+	}{
+		{shortCfg(300), seedRange(1, 4), seedRange(1, 4)},
+		{shortCfg(300), seedRange(3, 6), seedRange(5, 6)}, // 3..4 hit
+		{scen, seedRange(1, 2), seedRange(1, 2)},
+	} {
+		runs := runShard(t, c, f.cfg, f.seeds)
+		want += 160
+		for i, s := range f.seeds {
+			if slices.Contains(f.fresh, s) {
+				want += int64(len(runs[i])) + 24
+			}
+		}
+	}
+	st := c.CacheStats()
+	if st.Entries != 3 || int64(st.Bytes) != want {
+		t.Fatalf("entries/bytes = %d/%d, want 3/%d", st.Entries, st.Bytes, want)
+	}
+	const pinned = 17232
+	if want != pinned {
+		t.Errorf("encoded total %d, recorded %d", want, pinned)
+	}
+}
+
+// configRecorder wraps a backend and remembers the configuration behind
+// every fingerprint it is asked to simulate.
+type configRecorder struct {
+	inner session.Backend
+
+	mu   sync.Mutex
+	byFP map[string]system.Config
+}
+
+func (r *configRecorder) Run(ctx context.Context, shard session.Shard) (session.ShardResult, error) {
+	if fp, err := distrib.ConfigFingerprint(shard.Config); err == nil {
+		r.mu.Lock()
+		r.byFP[fp] = shard.Config
+		r.mu.Unlock()
+	}
+	return r.inner.Run(ctx, shard)
+}
+
+// TestCachedResultsStayIntact: a hit hands every caller the stored
+// *Metrics itself, so a consumer that wrote into a result would corrupt
+// the cache for the next query. Drive the real consumers through one
+// Cache, each over cold and warm seeds — service NDJSON and CSV
+// responses, session Run and Stream with their Series merge and
+// OnResult hooks, the diag-stages experiment's per-stage merges, and
+// fresh misses on the same warm pool — then check that every stored run
+// still encodes to the bytes of a fresh simulation.
+func TestCachedResultsStayIntact(t *testing.T) {
+	pool := session.NewPool()
+	t.Cleanup(pool.Close)
+	rec := &configRecorder{inner: pool, byFP: make(map[string]system.Config)}
+	svc, ts := startService(t, ServiceOptions{Backend: rec})
+	c := svc.cache
+	ctx := context.Background()
+
+	for _, url := range []string{"/run", "/run?format=csv", "/run", "/run?format=csv"} {
+		if code, body := postRun(t, ts.URL+url, burstSpec); code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, code, body)
+		}
+	}
+
+	sess := session.NewWithBackend(c)
+	t.Cleanup(func() { sess.Close() })
+	cfg := shortCfg(300)
+	cfg.Nodes = 4
+	sc, err := scenario.Preset("burst", cfg.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = sc
+	progress := session.WithProgress(func(done, total int) {})
+	for _, seed := range []uint64{7, 9, 7} { // 7..10 overlaps the service's seeds
+		job := session.Job{Config: cfg, Reps: 4}
+		job.Config.Seed = seed
+		if _, err := sess.Run(ctx, job, progress); err != nil {
+			t.Fatal(err)
+		}
+		st, err := sess.Stream(ctx, job, progress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range st.Items() {
+		}
+		if _, err := st.Result(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	diag, err := experiment.ByID("diag-stages")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := diag.Run(ctx, sess, experiment.Options{Horizon: 400, Reps: 2, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	more := strings.Replace(burstSpec, `"seed":7`, `"seed":30`, 1)
+	if code, body := postRun(t, ts.URL+"/run", more); code != http.StatusOK {
+		t.Fatalf("fresh seeds: status %d: %s", code, body)
+	}
+
+	if st := c.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("hits/misses = %d/%d: the consumers did not share cached results", st.Hits, st.Misses)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	checked := 0
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		base, ok := rec.byFP[e.fp]
+		if !ok {
+			t.Fatalf("entry %s has no recorded configuration", e.fp)
+		}
+		for i, seed := range e.seeds {
+			run := base
+			run.Seed = seed
+			fresh, err := system.RunWith(run, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if metricsSig(e.runs[i]) != metricsSig(fresh) {
+				t.Errorf("fingerprint %s seed %d: cached result no longer matches a fresh simulation", e.fp, seed)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("cache holds no results")
 	}
 }

@@ -18,8 +18,8 @@
 //     re-dialed like a dead process; when no worker is reachable at all
 //     the backend degrades to the embedded in-process pool.
 //   - Cache and Service build the long-running query layer: a
-//     deterministic LRU over (config fingerprint, seed run) → encoded
-//     shard results, and an HTTP front end that keeps run counters per
+//     deterministic LRU over (config fingerprint, seed run) → the
+//     inner backend's read-only Metrics, and an HTTP front end that keeps run counters per
 //     config fingerprint, runs every query on one shared backend (whose
 //     pools hold the warm workspaces), and streams per-replication
 //     results in seed order to many concurrent clients.

@@ -191,7 +191,8 @@ type CacheStats struct {
 	Inserts   uint64
 	Evictions uint64
 	Bypasses  uint64
-	// Entries and Bytes gauge the cache's current contents.
+	// Entries and Bytes gauge the cache's current contents; Bytes
+	// counts each result at its Metrics codec length, plus bookkeeping.
 	Entries uint64
 	Bytes   uint64
 }

@@ -11,15 +11,22 @@ import (
 )
 
 // Binary round-trip support: a replication's Series crosses the process
-// boundary of the multi-process backend, and sits in the result cache,
-// inside the system.Metrics codec, which appends this encoding and
-// decodes it with UnmarshalBinary.
+// boundary of the multi-process backend inside the system.Metrics codec,
+// which appends this encoding and decodes it with UnmarshalBinary.
 // Geometry floats travel as raw IEEE-754 bits and every window's
 // accumulators reuse the exact stats encodings, so a decoded series
 // merges and renders CSV byte-identically to the encoded one.
 
-// windowWireSize is the fixed per-window encoding length.
-const windowWireSize = 2*stats.RatioWireSize + 2*stats.WelfordWireSize
+// windowWireSize is the fixed per-window encoding length, and
+// seriesHeaderSize the interval, horizon and window-count words before
+// the windows.
+const (
+	windowWireSize   = 2*stats.RatioWireSize + 2*stats.WelfordWireSize
+	seriesHeaderSize = 3 * 8
+)
+
+// EncodedLen returns the exact length of s's AppendBinary encoding.
+func (s *Series) EncodedLen() int { return seriesHeaderSize + len(s.windows)*windowWireSize }
 
 // AppendBinary implements encoding.BinaryAppender: interval, horizon,
 // window count, then each window's LocalMiss, GlobalMiss, Lateness,

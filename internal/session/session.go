@@ -140,13 +140,16 @@ type Shard struct {
 	// with its index within Seeds and its metrics — possibly
 	// concurrently from worker goroutines, and in completion order, not
 	// seed order. Streaming and progress reporting hang off this hook.
+	// m is read-only, as every Backend result is.
 	OnResult func(i int, m *system.Metrics)
 }
 
 // ShardResult is a Backend's answer: per-replication metrics aligned
 // with Shard.Seeds. Completed is the length of the finished seed prefix;
 // it equals len(Metrics) == len(Seeds) unless the run was cancelled, in
-// which case Metrics[i] is nil for i >= Completed.
+// which case Metrics[i] is nil for i >= Completed. The Metrics values
+// are read-only and may be shared with other callers (see Backend); the
+// slice itself belongs to the caller.
 type ShardResult struct {
 	Metrics   []*system.Metrics
 	Completed int
@@ -157,6 +160,12 @@ type ShardResult struct {
 // Run returns the shard's results in seed order. On cancellation it
 // returns the completed seed prefix together with ctx's error; any
 // other error invalidates the whole shard.
+//
+// Results are read-only. A Backend may hand the same *system.Metrics to
+// several callers — the shard-result cache returns its stored value on
+// every hit — so neither a caller nor an OnResult hook may write to a
+// returned Metrics, its slices or its Series; clone before merging into
+// one (aggregate clones the first Series it merges into).
 type Backend interface {
 	Run(ctx context.Context, shard Shard) (ShardResult, error)
 }
@@ -361,7 +370,9 @@ func (s *Session) resolve(opts []Option) (options, error) {
 // seed order plus the replication-level aggregates.
 type Result struct {
 	// Runs holds the finished replications' metrics in seed order. For a
-	// cancelled job this is the finished seed prefix.
+	// cancelled job this is the finished seed prefix. The Metrics are
+	// the backend's read-only results, possibly shared with other
+	// callers: read them, never write to them.
 	Runs []*system.Metrics
 	// Seeds lists the seeds that finished, aligned with Runs.
 	Seeds []uint64

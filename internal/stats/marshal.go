@@ -7,9 +7,9 @@ import (
 )
 
 // Binary round-trip support: Welford and Ratio accumulators cross the
-// process boundary of the multi-process backend, and sit in the result
-// cache, inside the system.Metrics codec, which appends these encodings
-// and decodes them with UnmarshalBinary. Floats travel as raw IEEE-754
+// process boundary of the multi-process backend inside the
+// system.Metrics codec, which appends these encodings and decodes them
+// with UnmarshalBinary. Floats travel as raw IEEE-754
 // bits (math.Float64bits), never decimal text, so a decoded accumulator
 // is bit-identical to the encoded one and downstream merges reproduce
 // the in-process results exactly — including negative zeros,

@@ -115,11 +115,62 @@ func TestTCritical95(t *testing.T) {
 		{df: 1, want: 12.706},
 		{df: 5, want: 2.571},
 		{df: 30, want: 2.042},
-		{df: 1000, want: 1.96},
+		{df: 31, want: 2.0395134},
+		{df: 1000, want: 1.9623391},
 	}
 	for _, tt := range tests {
-		if got := TCritical95(tt.df); got != tt.want {
+		if got := TCritical95(tt.df); !almostEqual(got, tt.want, 5e-8) {
 			t.Errorf("TCritical95(%d) = %v, want %v", tt.df, got, tt.want)
+		}
+	}
+}
+
+// tQuantile975 computes the Student-t 0.975 quantile for df degrees of
+// freedom from the density alone: Newton's method on the Simpson-rule
+// integral of the density over [0, t], which must reach 0.475.
+func tQuantile975(df int) float64 {
+	v := float64(df)
+	lg1, _ := math.Lgamma((v + 1) / 2)
+	lg2, _ := math.Lgamma(v / 2)
+	c := math.Exp(lg1-lg2) / math.Sqrt(v*math.Pi)
+	density := func(x float64) float64 { return c * math.Pow(1+x*x/v, -(v+1)/2) }
+	integral := func(b float64) float64 {
+		const n = 4000 // even
+		h := b / n
+		sum := density(0) + density(b)
+		for i := 1; i < n; i++ {
+			w := 2.0
+			if i%2 == 1 {
+				w = 4
+			}
+			sum += w * density(float64(i)*h)
+		}
+		return sum * h / 3
+	}
+	q := 2.0
+	for range 50 {
+		step := (integral(q) - 0.475) / density(q)
+		q -= step
+		if math.Abs(step) < 1e-12 {
+			break
+		}
+	}
+	return q
+}
+
+// TestTCritical95MatchesQuantile checks every critical value against a
+// quantile computed independently from the t density: each table entry
+// (df 1–30) is the exact quantile rounded to three decimals, and beyond
+// the table the value is within 1e-6 of the exact quantile.
+func TestTCritical95MatchesQuantile(t *testing.T) {
+	for df := 1; df < len(tTable95); df++ {
+		if want := math.Round(tQuantile975(df)*1000) / 1000; TCritical95(df) != want {
+			t.Errorf("TCritical95(%d) = %v, exact quantile rounds to %v", df, TCritical95(df), want)
+		}
+	}
+	for _, df := range []int{31, 32, 33, 35, 40, 50, 60, 80, 100, 120, 200, 500, 1000, 10000} {
+		if got, want := TCritical95(df), tQuantile975(df); !almostEqual(got, want, 1e-6) {
+			t.Errorf("TCritical95(%d) = %.9f, exact quantile %.9f", df, got, want)
 		}
 	}
 }

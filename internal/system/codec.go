@@ -11,12 +11,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Metrics codec: the one serialization of a replication result, stored
-// by the shard-result cache and carried by the worker protocol's result
-// frames. Every field travels as exact bits — integers and float64 bits
-// as big-endian words, accumulators and the scenario series in their
-// own bit-exact encodings — so a decoded Metrics is bit-identical to the
-// encoded one.
+// Metrics codec: the one serialization of a replication result, carried
+// by the worker protocol's result frames; the shard-result cache sizes
+// its budget by EncodedLen. Every field travels as exact bits — integers
+// and float64 bits as big-endian words, accumulators and the scenario
+// series in their own bit-exact encodings — so a decoded Metrics is
+// bit-identical to the encoded one.
 //
 // Layout, in declaration order after a version word: the six arrival
 // and completion counts; LocalMiss, GlobalMiss, StageMiss; the four
@@ -31,17 +31,26 @@ import (
 const metricsCodecVersion = 1
 
 // metricsFixedSize is the encoded length of a Metrics without slice
-// elements or Series; AppendBinary grows its buffer once by this plus
-// the slices' elements.
+// elements or Series.
 const metricsFixedSize = 8 + 6*8 + 3*stats.RatioWireSize + 4*stats.WelfordWireSize +
 	3*8 + 2*8 + 10*8 + 8
 
+// EncodedLen returns the exact length of m's AppendBinary encoding,
+// computed from the slice and Series lengths without encoding.
+func (m *Metrics) EncodedLen() int {
+	n := metricsFixedSize + len(m.StageMissByIndex)*stats.RatioWireSize +
+		len(m.StageSlackByIndex)*stats.WelfordWireSize + len(m.Utilization)*8
+	if m.Series != nil {
+		n += m.Series.EncodedLen()
+	}
+	return n
+}
+
 // AppendBinary implements encoding.BinaryAppender, appending m's
-// encoding to b.
+// encoding to b after growing it once by EncodedLen.
 func (m *Metrics) AppendBinary(b []byte) ([]byte, error) {
 	put := binary.BigEndian.AppendUint64
-	b = slices.Grow(b, metricsFixedSize+len(m.StageMissByIndex)*stats.RatioWireSize+
-		len(m.StageSlackByIndex)*stats.WelfordWireSize+len(m.Utilization)*8)
+	b = slices.Grow(b, m.EncodedLen())
 	b = put(b, metricsCodecVersion)
 	for _, v := range [...]int64{
 		m.LocalGenerated, m.GlobalGenerated, m.LocalDone, m.GlobalDone,

@@ -64,12 +64,15 @@ func bitwiseDiff(a, b reflect.Value, path string) string {
 
 // roundTrip encodes m, decodes the bytes into a fresh Metrics, and
 // fails the test unless the two are bit-identical and re-encode to the
-// same bytes.
+// same bytes, and EncodedLen predicted the encoding's length.
 func roundTrip(t *testing.T, name string, m *Metrics) []byte {
 	t.Helper()
 	b, err := m.MarshalBinary()
 	if err != nil {
 		t.Fatalf("%s: encode: %v", name, err)
+	}
+	if n := m.EncodedLen(); n != len(b) {
+		t.Fatalf("%s: EncodedLen %d, encoding is %d bytes", name, n, len(b))
 	}
 	var got Metrics
 	if err := got.UnmarshalBinary(b); err != nil {
@@ -86,7 +89,8 @@ func roundTrip(t *testing.T, name string, m *Metrics) []byte {
 }
 
 // TestMetricsCodecGoldenMatrix round-trips every replication of the
-// golden matrix, fields left out of the digest included.
+// golden matrix (the stationary model and every scenario preset),
+// fields left out of the digest included.
 func TestMetricsCodecGoldenMatrix(t *testing.T) {
 	ws := NewWorkspace()
 	for _, c := range goldenCases(t) {
@@ -235,9 +239,9 @@ func TestMetricsCodecRejects(t *testing.T) {
 	}
 }
 
-// FuzzMetricsCodec: no input panics the decoder, and every accepted
-// input re-encodes to exactly the same bytes (the encoding is
-// canonical).
+// FuzzMetricsCodec: no input panics the decoder, every accepted input
+// re-encodes to exactly the same bytes (the encoding is canonical), and
+// EncodedLen of the decoded value is that length.
 func FuzzMetricsCodec(f *testing.F) {
 	for _, m := range []*Metrics{{}, filledMetrics()} {
 		b, err := m.MarshalBinary()
@@ -273,6 +277,9 @@ func FuzzMetricsCodec(f *testing.F) {
 		}
 		if !bytes.Equal(out, data) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(out))
+		}
+		if n := m.EncodedLen(); n != len(data) {
+			t.Fatalf("EncodedLen %d, encoding is %d bytes", n, len(data))
 		}
 	})
 }

@@ -47,11 +47,13 @@ type RunStream = session.Stream
 type Shard = session.Shard
 
 // ShardResult is a Backend's seed-ordered answer; on cancellation it
-// covers the finished seed prefix.
+// covers the finished seed prefix. Its Metrics are read-only.
 type ShardResult = session.ShardResult
 
 // Backend executes shards — the seam a distributed runner plugs into.
-// The in-process worker pool is the built-in implementation.
+// The in-process worker pool is the built-in implementation. The
+// Metrics a Backend returns are read-only and may be shared between
+// callers (a ResultCache hit returns its stored value).
 type Backend = session.Backend
 
 // WithParallelism bounds a run's worker pool: 0 uses all cores, 1
@@ -180,13 +182,14 @@ func NewNetBackend(opts NetBackendOptions) (*NetBackend, error) {
 }
 
 // ResultCache is the deterministic shard-result cache: a Backend
-// middleware keyed by (configuration fingerprint, seed) whose hits are
-// byte-identical to fresh simulation — caching can never change
-// results, only skip work. The CLIs expose it as -cache-mb.
+// middleware keyed by (configuration fingerprint, seed) that keeps the
+// inner backend's Metrics and serves a hit as the stored value itself,
+// so a hit is the result of a fresh simulation — caching can never
+// change results, only skip work. The CLIs expose it as -cache-mb.
 type ResultCache = netdist.Cache
 
-// NewResultCache wraps inner with a result cache bounded at maxBytes of
-// encoded results (<= 0 picks 256 MiB).
+// NewResultCache wraps inner with a result cache bounded at maxBytes,
+// counted as the results' Metrics codec length (<= 0 picks 256 MiB).
 func NewResultCache(inner Backend, maxBytes int64) *ResultCache {
 	return netdist.NewCache(inner, maxBytes)
 }
