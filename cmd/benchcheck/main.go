@@ -111,8 +111,8 @@ func main() {
 // benchCommands returns the `go test` invocations of the repo's
 // recorded bench set — the suite every BENCH_pr*.json baseline freezes:
 // the whole-system throughput and replication benchmarks at the module
-// root, the per-queue scaling suite in internal/system and the isolated
-// event core in internal/sim. The argv form keeps the set testable
+// root, the topology scaling suite in internal/system and the isolated
+// event core in internal/sim, both on the spread ladder queue. The argv form keeps the set testable
 // without executing anything.
 func benchCommands(benchtime string) [][]string {
 	sets := []struct{ pkg, pattern string }{

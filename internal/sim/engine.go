@@ -15,13 +15,13 @@
 // pointer-free record — fire time, sequence number, callback id and a
 // 32-bit argument — stored by value in the pending-event structure, so
 // firing an event reads the record and nothing else, and steady-state
-// scheduling performs zero heap allocations. The pending events live in
+// scheduling performs zero allocations. The pending events live in
 // one ladder queue (ladder.go): while few are queued it is flat, a run
 // sorted by (time, seq) that a pop advances and a push inserts into from
 // the back; once more than promoteThreshold are queued it spreads into
 // bucketed rungs whose amortized O(1) schedule/pop wins at large
-// pending-event counts. Either way events pop in exactly the same
-// (time, seq) order.
+// pending-event counts, and the run holds only the batch due next.
+// Either way events pop in exactly the same (time, seq) order.
 //
 // Callers register a func(int32) handler once (RegisterArg) and
 // schedule it with the index of the entity it acts on (MustScheduleArg,
@@ -95,9 +95,8 @@ type handler struct {
 // Engine is a discrete-event simulator. The zero value is not usable;
 // create one with New.
 type Engine struct {
-	now     float64
-	fired   uint64
-	stopped bool
+	now   float64
+	fired uint64
 
 	// seq is the next sequence number to issue; it starts at 1 and is
 	// never reset. base is seq at the last Reset, so seq−base events were
@@ -145,7 +144,7 @@ func New() *Engine {
 // Results are byte-identical across kinds; the pinned kinds are
 // references for tests and benchmarks. An unknown kind panics.
 func NewWithQueue(kind QueueKind) *Engine {
-	e := &Engine{seq: 1, base: 1, floor: 1, q: ladderQueue{runMax: nearRunMax, free: -1}, kind: kind}
+	e := &Engine{seq: 1, base: 1, floor: 1, q: ladderQueue{free: -1}, kind: kind}
 	e.q.reset(kind)
 	return e
 }
@@ -160,7 +159,7 @@ func NewWithQueue(kind QueueKind) *Engine {
 // pure function of (configuration, seed), not of what the workspace ran
 // before, while a re-spread reuses the rung arrays of earlier runs.
 func (e *Engine) Reset() {
-	e.now, e.fired, e.stopped = 0, 0, false
+	e.now, e.fired = 0, 0
 	e.base, e.floor, e.last = e.seq, e.seq, event{}
 	e.dead.reset()
 	e.cancelled, e.pendingHWM = 0, 0
@@ -222,8 +221,8 @@ type Stats struct {
 // the event sequence, so for a full replication it is deterministic in
 // (configuration, seed). Promotions counts the default engine's
 // near-tier spreads (at most one a run), which the pending count
-// decides; an engine pinned to one kind (NewWithQueue) never spreads,
-// and no kind affects simulation results.
+// decides; an engine pinned spread (QueueLadder) never counts one, and
+// no kind affects simulation results.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Scheduled:  e.seq - e.base,
@@ -302,7 +301,7 @@ func (e *Engine) push(t float64, cb Callback, arg int32) Event {
 	}
 	// The near tier's common case is tested here, which saves a call on
 	// every push to a flat queue; ladderQueue.push handles the rest.
-	if q := &e.q; t < q.nearEnd && len(q.run) < q.runFast && len(q.heap) == 0 {
+	if q := &e.q; t < q.nearEnd && len(q.run) < q.spreadAt {
 		q.runInsertNewest(ev)
 	} else {
 		q.push(ev)
@@ -430,35 +429,28 @@ func (e *Engine) Step() bool {
 	return ok
 }
 
-// Run executes events in time order until the event list is empty, Stop is
-// called, or the next event lies strictly beyond horizon (that event stays
-// pending for a later Run). If the list drains before horizon the clock is
-// clamped up to exactly horizon, so Now() == horizon after any bounded run
-// that was not stopped early.
+// Run executes events in time order until the event list is empty or
+// the next event lies strictly beyond horizon (that event stays pending
+// for a later Run). The clock then ends at exactly horizon, so Now() ==
+// horizon after any bounded run.
 func (e *Engine) Run(horizon float64) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		ev, ok := e.next(horizon)
 		if !ok {
 			break
 		}
 		e.fire(ev)
 	}
-	if e.now < horizon && !e.stopped {
+	if e.now < horizon {
 		e.now = horizon
 	}
 }
 
-// RunAll executes events until none remain or Stop is called.
+// RunAll executes events until none remain.
 func (e *Engine) RunAll() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
-
-// Stop makes the innermost Run/RunAll return after the current event's
-// callback completes. It is intended to be called from within a callback.
-func (e *Engine) Stop() { e.stopped = true }
 
 // seqSet is the tombstone set: the sequence numbers of cancelled events
 // whose records are still queued. It is an open-addressing hash set

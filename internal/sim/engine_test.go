@@ -151,22 +151,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestStopFromCallback(t *testing.T) {
-	e := New()
-	fired := 0
-	after(e, 1, func() { fired++; e.Stop() })
-	after(e, 2, func() { fired++ })
-	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1 (Stop should halt the loop)", fired)
-	}
-	// Stop is not sticky across runs.
-	e.RunAll()
-	if fired != 2 {
-		t.Fatalf("fired %d after resuming, want 2", fired)
-	}
-}
-
 func TestFiredCounter(t *testing.T) {
 	e := New()
 	for i := 0; i < 17; i++ {
@@ -280,15 +264,15 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestSteadyStateScheduleZeroAlloc pins the PR's core invariant: once the
-// heap and slot arrays have grown to their working size, scheduling,
-// firing, and cancelling events allocates nothing.
+// TestSteadyStateScheduleZeroAlloc pins the engine's core invariant:
+// once the queue and payload arrays have grown to their working size,
+// scheduling, firing, and cancelling events allocates nothing.
 func TestSteadyStateScheduleZeroAlloc(t *testing.T) {
 	e := New()
 	var sink *payloadProbe
 	cb := e.Register(func(p any) { sink = p.(*payloadProbe) })
 	probe := &payloadProbe{}
-	// Warm the heap, slot, and free-list capacity.
+	// Warm the queue, payload and free-list capacity.
 	for i := 0; i < 256; i++ {
 		e.MustScheduleCall(float64(i%16), cb, probe)
 	}

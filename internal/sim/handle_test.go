@@ -10,8 +10,8 @@ import (
 )
 
 // TestEventRecordPointerFree pins the queue record's layout: 24 bytes and
-// no pointers, so the heap's and the ladder's storage stays out of GC
-// scanning however many events are pending.
+// no pointers, so the queue's storage stays out of GC scanning however
+// many events are pending.
 func TestEventRecordPointerFree(t *testing.T) {
 	if size := unsafe.Sizeof(event{}); size != 24 {
 		t.Errorf("event is %d bytes, want 24", size)
@@ -81,10 +81,13 @@ func TestPayloadReleased(t *testing.T) {
 			return w
 		}},
 	}
-	for _, kind := range []QueueKind{QueueHeap, QueueLadder} {
+	for _, k := range []struct {
+		name string
+		kind QueueKind
+	}{{"auto", QueueAuto}, {"ladder", QueueLadder}} {
 		for _, tc := range cases {
-			t.Run(string(kind)+"/"+tc.name, func(t *testing.T) {
-				e := NewWithQueue(kind)
+			t.Run(k.name+"/"+tc.name, func(t *testing.T) {
+				e := NewWithQueue(k.kind)
 				cb := e.Register(func(any) {})
 				w := tc.run(e, cb)
 				runtime.GC()
@@ -103,7 +106,7 @@ func TestPayloadReleased(t *testing.T) {
 // later event can then fire before the tombstone's time; its handle must
 // read as pending, and the cancelled handles as dead.
 func TestHandlesAfterTrailingDiscard(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueLadder, QueueAuto} {
+	for _, kind := range []QueueKind{QueueLadder, QueueAuto} {
 		t.Run(string(kind), func(t *testing.T) {
 			e := NewWithQueue(kind)
 			fired := 0

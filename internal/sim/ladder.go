@@ -11,18 +11,21 @@ import (
 // Structure:
 //
 //   - The "near" tier holds every event below the nearEnd boundary and
-//     feeds pops directly. It is a run sorted by (time, seq), so a pop
+//     feeds pops directly. It is one run sorted by (time, seq), so a pop
 //     advances the run's start and a push is a short insertion from the
-//     back; past runMax events it spills into an overflow heap behind
-//     the run (see nearPush).
-//   - Flat state: a reset queue (except under QueueLadder) has nearEnd
-//     = +Inf, so every push lands in the near tier, which then is the
-//     whole queue — the fastest structure at the paper's small pending
-//     counts. The first push that takes the near tier past spreadAt
-//     spreads it: every near event moves into over and nearEnd drops to
-//     0, after which the tiers below run.
+//     back (see runInsert).
+//   - Flat state: a reset QueueAuto queue has nearEnd = +Inf, so every
+//     push lands in the near tier, which then is the whole queue — the
+//     fastest structure at the paper's small pending counts. The first
+//     push that takes the near tier past spreadAt spreads it: every near
+//     event moves into over and nearEnd drops to 0, after which the
+//     tiers below run. A flat run therefore never holds more than
+//     promoteThreshold+1 events.
 //   - Once spread, the near tier stays small (a transfer batch plus
-//     stragglers), so its insertions touch a few cache lines.
+//     stragglers), so its insertions touch a few cache lines. Only a
+//     bucket the ladder cannot separate — at ladderMaxRungs depth, or
+//     of zero width — transfers more than ladderSpreadMax events at
+//     once, and then the run simply grows.
 //   - Bucketed "rungs" hold the near-to-mid future: rung buckets are
 //     unsorted block chains, so scheduling into them is a bounds
 //     computation plus an append — O(1), no comparisons, no sifting.
@@ -90,21 +93,14 @@ import (
 // locality: a spread rung's sparse buckets write and re-read the same
 // few cache lines every time.
 type ladderQueue struct {
-	// The near tier (see nearPush): run is a window onto buf sorted by
-	// (time, seq), holding at most runMax events; heap holds the rest,
-	// all of them after every run event. runFast is the run length
-	// below which a push into an unspilled near tier can neither fill
-	// the run nor spread the queue.
+	// The near tier: run is a window onto buf sorted by (time, seq).
 	run     []event
 	buf     []event
-	heap    []event
-	runMax  int
-	runFast int
 	nearEnd float64 // far events are all >= nearEnd
 
 	// spreadAt is the near-tier length past which a push spreads a
-	// flat queue (math.MaxInt once spread, or when the kind never
-	// spreads); spreads counts spreads since the last reset.
+	// flat queue (math.MaxInt once spread); spreads counts spreads
+	// since the last reset.
 	spreadAt int
 	spreads  uint64
 
@@ -126,11 +122,6 @@ type ladderQueue struct {
 }
 
 const (
-	// nearRunMax is the near tier's run length K: a queue that stays
-	// flat (QueueAuto) spreads past promoteThreshold events, before its
-	// run fills, so only a queue pinned flat, or a spread queue's
-	// oversized transfer, ever spills into the heap.
-	nearRunMax = 64
 	// ladderBucketTarget is the bucket occupancy a rebuild aims for: the
 	// over tier is spread across ~len(over)/target buckets, so transfer
 	// batches into the near tier stay small no matter how large the
@@ -186,8 +177,8 @@ type ladderRung struct {
 
 func (q *ladderQueue) push(ev event) {
 	if ev.time < q.nearEnd {
-		q.nearPush(ev)
-		if len(q.run)+len(q.heap) > q.spreadAt {
+		q.runInsertNewest(ev)
+		if len(q.run) > q.spreadAt {
 			q.spread()
 		}
 		return
@@ -217,12 +208,8 @@ func (q *ladderQueue) spread() {
 	for _, ev := range q.run {
 		q.pushOver(ev)
 	}
-	for _, ev := range q.heap {
-		q.pushOver(ev)
-	}
-	q.run, q.heap = q.buf[:0], q.heap[:0]
-	q.nearEnd = 0
-	q.spreadAt, q.runFast = math.MaxInt, q.runMax
+	q.run = q.buf[:0]
+	q.nearEnd, q.spreadAt = 0, math.MaxInt
 	q.spreads++
 }
 
@@ -359,16 +346,15 @@ func (q *ladderQueue) advance() bool {
 			// Transfer the bucket into the near tier; its upper bound
 			// becomes the new near/far boundary. The width guards stop
 			// the refinement once a finer rung could no longer separate
-			// times (equal-time or denormal-width buckets); an
-			// occasional oversized batch spills into the near tier's
-			// heap.
+			// times (equal-time or denormal-width buckets); such an
+			// oversized batch lengthens the run.
 			for blk := bk.home; blk != bk.tail; blk = q.link[blk] {
 				for _, ev := range q.block(blk) {
-					q.nearPush(ev)
+					q.runInsert(ev)
 				}
 			}
 			for _, ev := range bk.cur {
-				q.nearPush(ev)
+				q.runInsert(ev)
 			}
 			q.empty(bk)
 			r.count -= size
@@ -467,7 +453,7 @@ func (q *ladderQueue) rebuild() bool {
 	width := (q.overMax - q.overMin) / float64(buckets)
 	if len(q.over) <= ladderSpreadMax || !(width > 0) || q.overMin+width == q.overMin {
 		for i := range q.over {
-			q.nearPush(q.over[i])
+			q.runInsert(q.over[i])
 		}
 		q.over = q.over[:0]
 		// Later same-time pushes route to over (time >= nearEnd) with
@@ -494,21 +480,19 @@ func (q *ladderQueue) rebuild() bool {
 // reset drops all events, keeping every tier's capacity: each bucket
 // keeps its home block and returns its overflow chain to the pool.
 // Events hold no pointers, so truncation is enough. The queue restarts
-// in kind's initial shape: spread under QueueLadder, flat otherwise,
-// and due to spread only under QueueAuto. An unknown kind panics.
+// in kind's initial shape: flat and due to spread under QueueAuto,
+// spread under QueueLadder. An unknown kind panics.
 func (q *ladderQueue) reset(kind QueueKind) {
-	q.run, q.heap = q.buf[:0], q.heap[:0]
-	q.nearEnd, q.spreadAt, q.spreads = math.Inf(1), math.MaxInt, 0
+	q.run = q.buf[:0]
+	q.spreads = 0
 	switch kind {
 	case QueueAuto:
-		q.spreadAt = promoteThreshold
-	case QueueHeap:
+		q.nearEnd, q.spreadAt = math.Inf(1), promoteThreshold
 	case QueueLadder:
-		q.nearEnd = 0
+		q.nearEnd, q.spreadAt = 0, math.MaxInt
 	default:
 		panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
 	}
-	q.runFast = min(q.spreadAt, q.runMax)
 	for i := range q.rungs {
 		for b := range q.rungs[i].bkts {
 			q.empty(&q.rungs[i].bkts[b])
@@ -518,38 +502,9 @@ func (q *ladderQueue) reset(kind QueueKind) {
 	q.over = q.over[:0]
 }
 
-// The near tier: a sorted run backed by an overflow heap. The run holds
-// the earliest near events in (time, seq) order, at most runMax of them,
-// as a window onto buf: a pop advances the window's start, and a push
-// shifts the later records one slot toward the back, which at the
-// paper's pending counts is a few 24-byte moves. Near events past
-// runMax go to heap, a binary min-heap on (time, seq); every run event
-// precedes every heap event, so the run's head is the tier's minimum,
-// and once the run drains the heap refills it with its earliest
-// records. A queue pinned flat at a large pending count therefore pays
-// the heap's O(log n), not a run insertion of O(n).
-
-// nearPush adds ev, which lies below nearEnd, to the near tier.
-func (q *ladderQueue) nearPush(ev event) {
-	n := len(q.run)
-	switch {
-	case len(q.heap) == 0 && n < q.runMax:
-		q.runInsert(ev)
-	case n > 0 && before(&ev, &q.run[n-1]):
-		// ev belongs in the run; a full run hands its last record to
-		// the heap, which keeps every run event ahead of the heap.
-		if n == q.runMax {
-			q.heapPush(q.run[n-1])
-			q.run = q.run[:n-1]
-		}
-		q.runInsert(ev)
-	default:
-		q.heapPush(ev)
-	}
-}
-
-// runInsert inserts ev into the run, which is shorter than runMax,
-// scanning from the back: later records shift one slot up.
+// runInsert inserts ev into the run, scanning from the back: later
+// records shift one slot up, which at the paper's pending counts is a
+// few 24-byte moves.
 func (q *ladderQueue) runInsert(ev event) {
 	r := q.runExtend()
 	i := len(r) - 1
@@ -581,90 +536,27 @@ func (q *ladderQueue) runExtend() []event {
 }
 
 // compact moves the run, whose window has reached the end of buf, to
-// the front of buf. buf first grows to twice the run's length, doubling
-// and at most twice runMax, so the window advances at least as many
-// pops between copies as the run holds records while buf stays sized
-// to the run's high-water mark. Callers add one record next, and the
-// run is below runMax.
+// the front of buf. buf first grows, doubling, to at least twice the
+// run's length, so the window advances at least as many pops between
+// copies as the run holds records while buf stays sized to the run's
+// high-water mark. Callers add one record next.
 func (q *ladderQueue) compact() {
 	n := len(q.run)
 	if want := 2 * (n + 1); len(q.buf) < want {
-		q.buf = make([]event, min(max(2*len(q.buf), want), 2*q.runMax))
+		q.buf = make([]event, max(2*len(q.buf), want))
 	}
 	copy(q.buf, q.run)
 	q.run = q.buf[:n]
 }
 
-// fill refills the empty run from the heap or, when the whole near
-// tier is empty, from the tiers below it, and reports whether any
-// events remain.
+// fill refills the empty run from the tiers below it and reports
+// whether any events remain. An advance that transfers events puts
+// them in the run; one that only rebuilds a rung transfers nothing yet.
 func (q *ladderQueue) fill() bool {
-	if len(q.heap) == 0 {
-		// An advance that transfers events into the empty near tier
-		// puts the first runMax of them in the run; one that only
-		// rebuilds a rung transfers nothing yet.
-		for len(q.run) == 0 {
-			if !q.advance() {
-				return false
-			}
+	for len(q.run) == 0 {
+		if !q.advance() {
+			return false
 		}
-		return true
-	}
-	q.run = q.buf[:0]
-	for len(q.heap) > 0 && len(q.run) < q.runMax {
-		r := q.runExtend()
-		r[len(r)-1] = q.heapPop()
 	}
 	return true
-}
-
-// heapPush adds ev to the overflow heap, moving a hole up from the end
-// to ev's slot.
-func (q *ladderQueue) heapPush(ev event) {
-	h := append(q.heap, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !before(&ev, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ev
-	q.heap = h
-}
-
-// heapPop removes and returns the overflow heap's minimum. The hole
-// it leaves moves down to a leaf along the smaller children, one
-// comparison a level, and the heap's last record then moves up from
-// there to its place, which in a heap of random keys is usually a
-// level or two.
-func (q *ladderQueue) heapPop() event {
-	h := q.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	i := 0
-	for c := 1; c < n; c = 2*i + 1 {
-		if c+1 < n && before(&h[c+1], &h[c]) {
-			c++
-		}
-		h[i] = h[c]
-		i = c
-	}
-	for i > 0 {
-		p := (i - 1) / 2
-		if !before(&last, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	if n > 0 {
-		h[i] = last
-	}
-	q.heap = h
-	return top
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,15 +37,7 @@ type crossEngine struct {
 }
 
 func newCrossEngine(kind QueueKind) *crossEngine {
-	return newCrossEngineRun(kind, nearRunMax)
-}
-
-// newCrossEngineRun is newCrossEngine with the near tier's run capped
-// at runMax events, so short streams cross the run/heap boundary.
-func newCrossEngineRun(kind QueueKind, runMax int) *crossEngine {
 	c := &crossEngine{eng: NewWithQueue(kind)}
-	c.eng.q.runMax = runMax
-	c.eng.q.reset(kind)
 	c.record = func(tag int32) {
 		c.fired = append(c.fired, fireRec{at: c.eng.Now(), tag: int(tag)})
 	}
@@ -73,22 +64,10 @@ func (c *crossEngine) Now() float64                       { return c.eng.Now() }
 func (c *crossEngine) log() []fireRec                     { return c.fired }
 
 // crossModels returns the reference queue and the engine under every
-// QueueKind, each once with the default run length and once with a run
-// of 4, whose near tier spills into its heap within a few events (and,
-// under QueueAuto, spreads with both parts holding events).
+// QueueKind.
 func crossModels() ([]queueModel, []string) {
-	models := []queueModel{newRefQueue()}
-	names := []string{"reference"}
-	for _, runMax := range []int{nearRunMax, 4} {
-		for _, k := range []struct {
-			kind QueueKind
-			name string
-		}{{QueueHeap, "flat"}, {QueueLadder, "ladder"}, {QueueAuto, "auto"}} {
-			models = append(models, newCrossEngineRun(k.kind, runMax))
-			names = append(names, fmt.Sprintf("%s/run=%d", k.name, runMax))
-		}
-	}
-	return models, names
+	return []queueModel{newRefQueue(), newCrossEngine(QueueLadder), newCrossEngine(QueueAuto)},
+		[]string{"reference", "ladder", "auto"}
 }
 
 // crossCheck drives the reference queue and the engines of crossModels
@@ -189,8 +168,8 @@ func compareFired(t *testing.T, name string, got, want []fireRec) {
 	}
 }
 
-// TestQueueCrossCheckRandom drives the reference queue and the flat,
-// spread and auto-spreading engines with identical random
+// TestQueueCrossCheckRandom drives the reference queue and the spread
+// and auto-spreading engines with identical random
 // schedule/cancel/Run/Reset sequences and requires identical pop order
 // and Cancel/EventTime semantics — including Cancel no-ops on stale
 // handles, which the stream generates constantly by cancelling old
@@ -242,10 +221,9 @@ func FuzzQueueCrossCheck(f *testing.F) {
 		ties = append(ties, 0, 128, 0, 3, 2)
 	}
 	f.Add(ties)
-	f.Add(runOverflowOps())
-	// Spread with both near parts holding events: 60 scattered delays
-	// take every run=4 engine past its run, and the auto ones past the
-	// spread threshold, before anything fires.
+	f.Add(oversizedOps())
+	// A spread with the run full: 60 scattered delays take the auto
+	// engine past the spread threshold before anything fires.
 	var spill []byte
 	for i := 0; i < 60; i++ {
 		spill = append(spill, 1, byte(i*37), byte(i*11))
@@ -260,72 +238,83 @@ func FuzzQueueCrossCheck(f *testing.F) {
 	})
 }
 
-// runOverflowOps is an operation stream for crossCheck that takes the
-// flat engine with the default run past nearRunMax pending events:
-// equal-time clusters straddling the run and the heap, a cancel of an
-// overflowed event and of a run event, a run that drains while the
-// heap holds events, fresh ties against heap events, and a Reset in
-// the middle of a second overflow.
-func runOverflowOps() []byte {
-	const clusters, per = 8, 10 // 80 events at 8 times: the 65th is mid-cluster
+// oversizedOps is an operation stream for crossCheck whose equal-time
+// clusters hold up to 200 events. The ladder cannot separate equal
+// times, so it refines a cluster's bucket down to ladderMaxRungs depth
+// and then transfers it into the run whole: an oversized transfer,
+// which the spread engines take both at the first drain and again after
+// fresh ties join a cluster still queued in a rung, with cancelled
+// members among them and a Reset while a second cluster is queued.
+func oversizedOps() []byte {
 	var ops []byte
-	schedule := func(delay byte) { ops = append(ops, 0, delay, 0) } // delay/16
-	for i := 0; i < clusters*per; i++ {
-		schedule(byte(16 * (i * 3 % clusters)))
+	schedule := func(hi, lo byte) { ops = append(ops, 0, hi, lo) } // hi/16 + lo/4096
+	for i := 0; i < 300; i++ {
+		if i%3 != 2 {
+			schedule(128, 0) // time 8: a cluster of 200
+		} else {
+			schedule(byte(i*37), byte(i*11)) // scattered over [0, 16)
+		}
 	}
-	// Handle 5 is in the last cluster, deep in the heap; handle 0 is in
-	// the first, at the run's head.
-	ops = append(ops, 2, 5, 2, 0)
-	ops = append(ops, 3, 52) // run to 6.5: the run drains, the heap refills it
-	for i := 0; i < 6; i++ {
-		schedule(8) // time 7: ties with the heap's records, with larger seqs
-	}
-	for i := 0; i < clusters*per; i++ {
-		schedule(byte(16 * (i * 5 % clusters)))
-	}
-	ops = append(ops, 4, 0) // Reset with both parts full
+	ops = append(ops, 2, 3, 2, 9) // cancel two cluster members
+	ops = append(ops, 3, 60)      // run to 7.5: the cluster is still in a rung
 	for i := 0; i < 20; i++ {
-		schedule(byte(16 * (i % 3)))
+		schedule(8, 0) // time 8 again: ties that join the cluster with larger seqs
+	}
+	ops = append(ops, 3, 40) // run to 12.5: the cluster pops in (time, seq) order
+	for i := 0; i < 150; i++ {
+		if i%2 == 0 {
+			schedule(32, 0) // time 14.5: a cluster of 75
+		} else {
+			schedule(byte(i), byte(i*7)) // scattered over [12.5, 28.5)
+		}
+	}
+	ops = append(ops, 4, 0) // Reset with a cluster queued
+	for i := 0; i < 100; i++ {
+		schedule(16, 0) // a cluster at time 1
 	}
 	return ops
 }
 
-// TestNearRunOverflowCrossCheck runs runOverflowOps against the
-// reference, then replays it on a warm flat engine, which must allocate
-// nothing once its run buffer and heap have grown.
-func TestNearRunOverflowCrossCheck(t *testing.T) {
-	ops := runOverflowOps()
+// TestOversizedTransferCrossCheck runs oversizedOps against the
+// reference, then replays it on a warm spread engine, whose run must
+// have held more than 64 events at once, and which must allocate
+// nothing once its run buffer has grown.
+func TestOversizedTransferCrossCheck(t *testing.T) {
+	ops := oversizedOps()
 	crossCheck(t, ops)
 
-	c := newCrossEngine(QueueHeap)
+	e := NewWithQueue(QueueLadder)
+	longest := 0
+	record := func(int32) { longest = max(longest, len(e.q.run)+1) }
 	var handles []Event
-	spilled := 0 // heap records at the Reset
 	replay := func() {
-		c.reset()
-		c.fired, handles = c.fired[:0], handles[:0]
+		e.Reset()
+		cb := e.RegisterArg(record)
+		handles = handles[:0]
 		for i := 0; i < len(ops); i++ {
 			switch ops[i] {
 			case 0:
-				handles = append(handles, c.schedule(float64(ops[i+1])/16, len(handles)))
+				delay := float64(ops[i+1])/16 + float64(ops[i+2])/4096
+				handles = append(handles, e.MustScheduleArg(delay, cb, 0))
 				i += 2
 			case 2:
-				c.Cancel(handles[ops[i+1]])
+				e.Cancel(handles[ops[i+1]])
 				i++
 			case 3:
-				c.Run(c.Now() + float64(ops[i+1])/8)
+				e.Run(e.Now() + float64(ops[i+1])/8)
 				i++
 			case 4:
-				spilled = len(c.eng.q.heap)
-				c.reset()
+				e.Reset()
+				cb = e.RegisterArg(record)
 				handles = handles[:0]
 				i++
 			}
 		}
-		c.RunAll()
+		e.RunAll()
 	}
 	replay()
-	if spilled == 0 {
-		t.Fatal("the flat engine's heap was empty at the Reset; the stream no longer overflows the run")
+	if longest <= 64 {
+		t.Fatalf("the run held at most %d events; the stream no longer makes an oversized transfer", longest)
 	}
 	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
 		t.Fatalf("a warm replay allocated %v times, want 0", allocs)
@@ -403,7 +392,7 @@ func TestLadderBoundaryWindowPush(t *testing.T) {
 // Audit note: the consumption boundary for a rung's LAST bucket is endT
 // (see advance), because pushRung clamps everything below endT into that
 // bucket. Using bounds[nb] there instead would leave nearEnd a step
-// short of times the near heap already holds; mid-drain pushes into
+// short of times the near tier already holds; mid-drain pushes into
 // that sliver would route to the strictly-later over tier. With
 // round-to-nearest arithmetic and power-of-two bucket counts the sliver
 // below overMax is empirically empty (end never undershoots overMax),

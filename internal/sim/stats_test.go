@@ -54,7 +54,7 @@ func TestStatsHWMDerivation(t *testing.T) {
 }
 
 // TestStatsPromotion checks the auto engine's spread is counted once
-// and a pinned queue (flat, or spread from the start) never spreads.
+// and a queue spread from the start never counts one.
 func TestStatsPromotion(t *testing.T) {
 	auto := New()
 	for i := 0; i <= promoteThreshold; i++ {
@@ -63,14 +63,12 @@ func TestStatsPromotion(t *testing.T) {
 	if s := auto.Stats(); s.Promotions != 1 {
 		t.Fatalf("auto promotions = %d, want 1", s.Promotions)
 	}
-	for _, kind := range []QueueKind{QueueHeap, QueueLadder} {
-		e := NewWithQueue(kind)
-		for i := 0; i <= promoteThreshold; i++ {
-			after(e, float64(i), func() {})
-		}
-		if s := e.Stats(); s.Promotions != 0 {
-			t.Fatalf("%s promotions = %d, want 0", kind, s.Promotions)
-		}
+	e := NewWithQueue(QueueLadder)
+	for i := 0; i <= promoteThreshold; i++ {
+		after(e, float64(i), func() {})
+	}
+	if s := e.Stats(); s.Promotions != 0 {
+		t.Fatalf("ladder promotions = %d, want 0", s.Promotions)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// queueCase is one configuration TestQueueKindsAgree runs under every
-// QueueKind: seeds replications from cfg.Seed, and whether the default
+// queueCase is one configuration TestQueueKindsAgree runs under both
+// QueueKinds: seeds replications from cfg.Seed, and whether the default
 // engine's queue must spread from flat on the way.
 type queueCase struct {
 	name     string
@@ -68,18 +68,17 @@ func queueCases(t *testing.T) []queueCase {
 }
 
 // TestQueueKindsAgree is the system-level cross-queue check: an engine
-// pinned flat (QueueHeap), one spread from the first push (QueueLadder)
-// and the default engine, which spreads on its pending count, must
-// produce the same replication, compared as full codec bytes with the
-// spread counter (the one field that records the queue's shape)
-// zeroed. A queue is pinned by presetting the workspace's engine, which
+// spread from the first push (QueueLadder) and the default engine,
+// which starts flat and spreads on its pending count, must produce the
+// same replication, compared as full codec bytes with the spread
+// counter (the one field that records the queue's shape) zeroed. The
+// spread engine is pinned by presetting the workspace's engine, which
 // RunWith then only resets.
 func TestQueueKindsAgree(t *testing.T) {
 	for _, c := range queueCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			heap, ladder, auto := NewWorkspace(), NewWorkspace(), NewWorkspace()
-			heap.eng = sim.NewWithQueue(sim.QueueHeap)
+			ladder, auto := NewWorkspace(), NewWorkspace()
 			ladder.eng = sim.NewWithQueue(sim.QueueLadder)
 			for i := 0; i < c.seeds; i++ {
 				cfg := c.cfg
@@ -89,7 +88,7 @@ func TestQueueKindsAgree(t *testing.T) {
 				for _, q := range []struct {
 					name string
 					ws   *Workspace
-				}{{"heap", heap}, {"ladder", ladder}, {"auto", auto}} {
+				}{{"ladder", ladder}, {"auto", auto}} {
 					m, err := RunWith(cfg, q.ws)
 					if err != nil {
 						t.Fatalf("seed %d %s: %v", cfg.Seed, q.name, err)
@@ -112,7 +111,7 @@ func TestQueueKindsAgree(t *testing.T) {
 						continue
 					}
 					if !bytes.Equal(b, refBytes) {
-						t.Errorf("seed %d: %s metrics differ from heap at %s", cfg.Seed, q.name,
+						t.Errorf("seed %d: %s metrics differ from ladder at %s", cfg.Seed, q.name,
 							bitwiseDiff(reflect.ValueOf(*m), reflect.ValueOf(*ref), "Metrics"))
 					}
 				}

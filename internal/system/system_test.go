@@ -298,6 +298,172 @@ func TestFCFSLocalMissMatchesMM1Theory(t *testing.T) {
 	}
 }
 
+// TestMeanCICoversMM1MissProb checks the confidence intervals
+// themselves: on one FCFS node carrying only local tasks, 200 disjoint
+// seed groups of 3 replications each give 200 stats.MeanCI intervals
+// over the per-replication LocalMiss ratios, and at least 180 of them
+// must cover the exact M/M/1 miss probability. That is the lower edge
+// of the 99.9% binomial band around 95% coverage. At 3 replications an
+// interval has 2 degrees of freedom, where t = 4.303; a 1.96 there
+// would cover only about 81% of the time. The horizon is long enough
+// that the pooled mean of all 600 replications lies well inside a
+// typical half-width, so a miss of the band is the interval's fault,
+// not a biased estimate's.
+func TestMeanCICoversMM1MissProb(t *testing.T) {
+	const groups, reps, minCovered = 200, 3, 180
+	cfg := Baseline()
+	cfg.Nodes, cfg.FracLocal = 1, 1
+	cfg.Scheduler = sched.FCFS
+	cfg.Horizon = 2000
+	rates, err := cfg.DeriveRates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := queueing.MM1{Lambda: rates.LocalPerNode, Mu: cfg.MuLocal}.MissProbUniformSlack(cfg.SlackMin, cfg.SlackMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	ratios := make([]float64, reps)
+	var pooled stats.Welford
+	covered, halfSum := 0, 0.0
+	for g := 0; g < groups; g++ {
+		for r := range ratios {
+			c := cfg
+			c.Seed = uint64(1 + g*reps + r)
+			m, err := RunWith(c, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ratios[r] = m.LocalMiss.Value()
+			pooled.Add(ratios[r])
+		}
+		est := stats.MeanCI(ratios)
+		if math.Abs(est.Mean-exact) <= est.HalfCI {
+			covered++
+		}
+		halfSum += est.HalfCI
+	}
+	meanHalf := halfSum / groups
+	t.Logf("%d of %d intervals cover %.5f; pooled mean %.5f (se %.5f), mean half-width %.5f",
+		covered, groups, exact, pooled.Mean(), pooled.StdDev()/math.Sqrt(float64(pooled.N())), meanHalf)
+	if bias := math.Abs(pooled.Mean() - exact); bias > meanHalf/4 {
+		t.Errorf("pooled mean %.5f is %.5f from the exact %.5f, more than a quarter of the mean half-width %.5f; lengthen the horizon",
+			pooled.Mean(), bias, exact, meanHalf)
+	}
+	if covered < minCovered {
+		t.Errorf("%d of %d intervals cover the exact miss probability, want at least %d", covered, groups, minCovered)
+	}
+}
+
+// busyProfile is one node's service history up to the horizon, read
+// from a trace: the ends of its busy periods that closed before the
+// horizon, and the start of the service segment still open at it (-1
+// when the node is idle there).
+type busyProfile struct {
+	ends []float64
+	open float64
+}
+
+// busyProfiles rebuilds every node's busyProfile from a non-preemptive,
+// abort-free trace. A node's busy period ends at a completion that no
+// dispatch at the same instant follows.
+func busyProfiles(events []trace.Event, nodes int) []busyProfile {
+	out := make([]busyProfile, nodes)
+	for i := range out {
+		out[i].open = -1
+	}
+	for _, ev := range events {
+		p := &out[ev.Node]
+		switch ev.Kind {
+		case trace.Dispatch:
+			if n := len(p.ends); n > 0 && p.ends[n-1] == ev.T {
+				p.ends = p.ends[:n-1] // back-to-back service: the period goes on
+			}
+			p.open = ev.T
+		case trace.Complete:
+			p.ends = append(p.ends, ev.T)
+			p.open = -1
+		}
+	}
+	return out
+}
+
+// TestWorkConservation checks that the schedulers differ only in order:
+// with local tasks alone and no aborts, every node serves the same
+// arrivals and demands under EDF, MLF and FCFS, and a non-preemptive
+// server that never idles with work queued has the same busy periods
+// under any order. So each node's busy-period ends, and its busy time
+// up to the horizon, must agree across the three. Utilization counts
+// only completed service segments, so the busy time is Utilization ×
+// Horizon plus the segment still open at the horizon. Floating-point
+// sums of different segments may round differently (a busy period's
+// end is its start plus its tasks' demands, added in service order),
+// so values agree to 1e-12 relative rather than bit for bit; the test
+// logs how many differed bitwise.
+func TestWorkConservation(t *testing.T) {
+	const tol = 1e-12
+	near := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, c := range []struct {
+		nodes int
+		load  float64
+	}{{1, 0.5}, {1, 0.9}, {6, 0.5}, {6, 0.9}, {16, 0.7}} {
+		t.Run(fmt.Sprintf("n%d/load%.1f", c.nodes, c.load), func(t *testing.T) {
+			var ref []busyProfile
+			var refBusy []float64
+			bitwise := 0
+			for _, policy := range []sched.Policy{sched.EDF, sched.MLF, sched.FCFS} {
+				cfg := Baseline()
+				cfg.Nodes, cfg.FracLocal, cfg.Load = c.nodes, 1, c.load
+				cfg.Scheduler = policy
+				cfg.Horizon, cfg.Seed = 3000, 5
+				cfg.Trace = trace.NewRecorder(0)
+				m, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.GlobalGenerated != 0 || m.Engine.TasksAborted != 0 || m.Engine.Preemptions != 0 {
+					t.Fatalf("%s: %d globals, %d aborts, %d preemptions; want none",
+						policy, m.GlobalGenerated, m.Engine.TasksAborted, m.Engine.Preemptions)
+				}
+				profiles := busyProfiles(cfg.Trace.Events(), c.nodes)
+				busy := make([]float64, c.nodes)
+				for i, u := range m.Utilization {
+					busy[i] = u * cfg.Horizon
+					if open := profiles[i].open; open >= 0 {
+						busy[i] += cfg.Horizon - open
+					}
+				}
+				if ref == nil {
+					ref, refBusy = profiles, busy
+					continue
+				}
+				for i := range busy {
+					if got, want := busy[i], refBusy[i]; !near(got, want) {
+						t.Errorf("%s node %d: busy time %v, EDF %v", policy, i, got, want)
+					} else if got != want {
+						bitwise++
+					}
+					got, want := profiles[i].ends, ref[i].ends
+					if len(got) != len(want) {
+						t.Errorf("%s node %d: %d busy periods ended, EDF %d", policy, i, len(got), len(want))
+						continue
+					}
+					for k := range want {
+						if !near(got[k], want[k]) {
+							t.Errorf("%s node %d: busy period %d ends at %v, EDF %v", policy, i, k, got[k], want[k])
+							break
+						} else if got[k] != want[k] {
+							bitwise++
+						}
+					}
+				}
+			}
+			t.Logf("%d busy times and period ends differ from EDF's in the last bits", bitwise)
+		})
+	}
+}
+
 // TestFCFSLocalResponseMatchesMG1 checks one FCFS node carrying only
 // local tasks against the Pollaczek–Khinchine mean response, with the
 // scenario demand override supplying non-exponential service: the mean
