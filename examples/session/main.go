@@ -51,9 +51,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	series, err := full.MergedSeries()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("merged: MD_local %.2f%% ±%.2f, MD_global %.2f%% ±%.2f over %d windows\n\n",
 		full.LocalMD.Mean, full.LocalMD.HalfCI, full.GlobalMD.Mean, full.GlobalMD.HalfCI,
-		full.Series.Len())
+		series.Len())
 
 	// Second pass: cancel after the third result. The partial result is
 	// a valid seed prefix — each finished replication bit-identical to

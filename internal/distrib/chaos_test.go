@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/system"
@@ -397,7 +399,7 @@ func cancelingWorker(conn net.Conn) {
 	defer conn.Close()
 	fw := newFrameWriter(conn)
 	for {
-		kind, payload, err := readFrame(conn, 0)
+		kind, payload, err := readFrame(conn, 0, nil)
 		if err != nil {
 			return
 		}
@@ -631,7 +633,8 @@ func TestCloseFailsRunsInFlight(t *testing.T) {
 // bytes — truncated, oversized, bit-flipped, or garbage — reading and
 // decoding must finish promptly with either clean EOF or a structured
 // *FrameError, never a panic, an unbounded allocation, or a hang, and
-// every payload it accepts must re-encode to the same bytes. The seed
+// every payload it accepts must still re-encode to the same bytes after
+// the reader has reused its buffer for every later frame. The seed
 // corpus is real captured frames of every kind plus deliberate
 // corruptions of them.
 func FuzzProtocolDecode(f *testing.F) {
@@ -668,6 +671,8 @@ func FuzzProtocolDecode(f *testing.F) {
 		capture(msgHello, &ourHello),
 		capture(msgHello, &helloMsg{Magic: 0xDEADBEEF, Version: ProtocolVersion}),
 		capture(msgHello, &helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion + 7}),
+		capture(msgDone, &doneMsg{ID: 2, Completed: 1, Code: CodeError, Error: "replication 1 failed",
+			Pool: obs.PoolStats{WarmAcquires: 3, ColdAcquires: 1, BusySeconds: 0.25}}),
 	}
 	var stream []byte
 	for _, fr := range frames {
@@ -675,6 +680,7 @@ func FuzzProtocolDecode(f *testing.F) {
 		stream = append(stream, fr...)
 	}
 	f.Add(stream)                                                   // several frames back to back
+	f.Add(slices.Concat(frames[5], frames[10], frames[6]))          // an error string in a reused buffer, then a frame over it
 	f.Add(stream[:len(stream)-3])                                   // truncated mid-payload
 	f.Add(stream[:2])                                               // truncated mid-header
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(msgResult), 1, 2, 3}) // absurd length
@@ -689,19 +695,31 @@ func FuzzProtocolDecode(f *testing.F) {
 	f.Add(deep)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		// Read as the coordinator does, through one reused buffer, and keep
+		// every accepted message until the stream ends: a decode that kept
+		// a view of the buffer re-encodes to a later frame's bytes.
+		type accepted struct {
+			kind    msgKind
+			msg     message
+			payload []byte
+		}
+		var kept []accepted
+		fr := &frameReader{r: bytes.NewReader(data)}
 		for {
-			kind, payload, err := readFrame(r, 0)
+			kind, payload, err := fr.next()
 			if err != nil {
 				var fe *FrameError
 				if !errors.Is(err, io.EOF) && !errors.As(err, &fe) {
 					t.Fatalf("unstructured read error %T: %v", err, err)
 				}
-				return
+				break
 			}
 			var m message
 			switch kind {
 			case msgShard:
+				// The worker reads each frame into a fresh buffer, because
+				// a shard keeps its Config as a view of the payload.
+				payload = bytes.Clone(payload)
 				m = new(shardMsg)
 			case msgCancel, msgPing, msgPong:
 				m = new(idMsg)
@@ -719,8 +737,13 @@ func FuzzProtocolDecode(f *testing.F) {
 				if !errors.As(derr, &fe) {
 					t.Fatalf("unstructured decode error %T: %v", derr, derr)
 				}
-			} else if again := m.appendTo(nil); !bytes.Equal(again, payload) {
-				t.Fatalf("kind %d: accepted payload re-encodes differently", kind)
+				continue
+			}
+			kept = append(kept, accepted{kind, m, bytes.Clone(payload)})
+		}
+		for i, a := range kept {
+			if again := a.msg.appendTo(nil); !bytes.Equal(again, a.payload) {
+				t.Fatalf("message %d (kind %d): accepted payload re-encodes differently once the stream has ended", i, a.kind)
 			}
 		}
 	})
@@ -742,7 +765,7 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, _, err := readFrame(bytes.NewReader(data), 0)
+	_, _, err := readFrame(bytes.NewReader(data), 0, nil)
 	runtime.ReadMemStats(&after)
 	var fe *FrameError
 	if !errors.As(err, &fe) || fe.Op != "payload" {
@@ -750,5 +773,78 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*readChunk {
 		t.Fatalf("truncated 1GiB claim allocated %d bytes, want <= %d", grew, 2*readChunk)
+	}
+}
+
+// bytesPerCall returns the heap bytes one call of f allocates, averaged
+// over n calls.
+func bytesPerCall(n int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestWarmReaderAllocatesNoPayload pins the coordinator's reused read
+// buffer: once the first frame has sized it, reading and routing a
+// 1024-node burst replication's result frame allocates its decoded
+// Metrics and a small constant, and no copy of the roughly 15 KB
+// payload.
+func TestWarmReaderAllocatesNoPayload(t *testing.T) {
+	const rounds, frames, slack = 3, 32, 512
+	burst := shortCfg(25)
+	burst.Nodes = 1024
+	var err error
+	if burst.Scenario, err = scenario.Preset("burst", burst.Horizon); err != nil {
+		t.Fatal(err)
+	}
+	run, err := system.RunWith(burst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := run.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	fw := newFrameWriter(&stream)
+	for i := range 1 + rounds*frames {
+		if err := fw.send(msgResult, &resultMsg{ID: 1, Index: i, Metrics: run}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sink *system.Metrics
+	decoded := bytesPerCall(frames, func() {
+		sink = new(system.Metrics)
+		if err := sink.UnmarshalBinary(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	b := NewProcBackend(ProcOptions{Workers: 1})
+	w := &procWorker{fr: newFrameReader(&stream)}
+	read := func() {
+		kind, payload, err := w.fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.route(w, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // the first frame sizes the buffer
+	best := bytesPerCall(frames, read)
+	for range rounds - 1 {
+		best = min(best, bytesPerCall(frames, read))
+	}
+	t.Logf("%d-byte result frames: %.0f B per frame read and routed, %.0f B per decoded Metrics",
+		len(enc)+16, best, decoded)
+	if best > decoded+slack {
+		t.Fatalf("a warm reader allocated %.0f B per frame, want at most the decoded Metrics' %.0f B plus %d",
+			best, decoded, slack)
 	}
 }

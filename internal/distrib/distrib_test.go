@@ -154,8 +154,12 @@ func TestProcBackendMatchesPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantSeries, err := want.MergedSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wantCSV bytes.Buffer
-	if err := want.Series.WriteCSV(&wantCSV); err != nil {
+	if err := wantSeries.WriteCSV(&wantCSV); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,8 +191,12 @@ func TestProcBackendMatchesPool(t *testing.T) {
 			if got.LocalMD != want.LocalMD || got.GlobalMD != want.GlobalMD {
 				t.Fatalf("estimates diverged: %+v vs %+v", got.LocalMD, want.LocalMD)
 			}
+			gotSeries, err := got.MergedSeries()
+			if err != nil {
+				t.Fatal(err)
+			}
 			var gotCSV bytes.Buffer
-			if err := got.Series.WriteCSV(&gotCSV); err != nil {
+			if err := gotSeries.WriteCSV(&gotCSV); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -141,7 +140,7 @@ func (c *procConn) Wait() { _ = c.cmd.Wait() }
 type procWorker struct {
 	conn WorkerConn
 	fw   *frameWriter
-	br   *bufio.Reader
+	fr   *frameReader
 	slot int // fleet slot the worker fills
 
 	// wake (capacity 1) tells the writer that its outbox has frames or
@@ -301,7 +300,7 @@ func (b *ProcBackend) spawn() (*procWorker, error) {
 	return &procWorker{
 		conn:    conn,
 		fw:      newFrameWriter(conn),
-		br:      bufio.NewReaderSize(conn, 1<<16),
+		fr:      newFrameReader(conn),
 		wake:    make(chan struct{}, 1),
 		flights: map[uint64]*dispatch{},
 	}, nil
@@ -441,10 +440,12 @@ func (b *ProcBackend) failLocked(w *procWorker, cause error) {
 }
 
 // readLoop posts the worker's frames into their runs until a read error
-// or a protocol violation fails the worker.
+// or a protocol violation fails the worker. Every frame lands in the
+// reader's one reused buffer; route decodes it into fresh values and
+// keeps no view of it.
 func (b *ProcBackend) readLoop(w *procWorker) {
 	for {
-		kind, payload, err := readFrame(w.br, 0)
+		kind, payload, err := w.fr.next()
 		if err != nil {
 			b.reap(w, fmt.Errorf("%w: read: %v", errWorkerDead, err))
 			return

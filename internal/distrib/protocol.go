@@ -20,6 +20,14 @@
 // configuration the result cache keyed. Hello, ping, pong and cancel
 // frames have a fixed size, checked from the header alone.
 //
+// The coordinator reads each worker connection's frames into one reused
+// payload buffer (frameReader): result and done frames decode into
+// fresh Metrics, Series and strings, so a warm reader allocates no
+// payload. The buffer kept between frames is at most readChunk (1 MiB)
+// per connection; a larger frame's buffer is dropped after it is read.
+// The worker reads each frame into a fresh buffer, because a decoded
+// shard keeps its Config as a view of the payload while it runs.
+//
 // Outcomes carry a Code rather than an error string alone because error
 // identity does not survive a process boundary: a worker's
 // context.Canceled arrives at the coordinator as CodeCanceled and is
@@ -35,6 +43,7 @@
 package distrib
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -214,7 +223,7 @@ func SendHello(w io.Writer) error {
 // shard state exists on either side. A header that is not a hello's is
 // rejected before its payload is read.
 func ReadHello(r io.Reader) error {
-	kind, payload, err := readFrame(r, msgHello)
+	kind, payload, err := readFrame(r, msgHello, nil)
 	if errors.Is(err, io.EOF) {
 		err = io.ErrUnexpectedEOF
 	}
@@ -376,13 +385,14 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // before the stream runs dry.
 const readChunk = 1 << 20
 
-// readFrame reads one frame, of kind only unless only is 0. io.EOF
-// (clean close between frames) passes through unwrapped; every other
-// failure is a *FrameError. A kind other than only, or a length other
-// than the kind's fixed size, fails before the payload is read. The
-// payload is read a chunk at a time, so a corrupted length prefix costs
-// at most twice the bytes actually present, plus one chunk.
-func readFrame(r io.Reader, only msgKind) (msgKind, []byte, error) {
+// readFrame reads one frame, of kind only unless only is 0, into buf's
+// storage when the payload fits there (buf may be nil). io.EOF (clean
+// close between frames) passes through unwrapped; every other failure
+// is a *FrameError. A kind other than only, or a length other than the
+// kind's fixed size, fails before the payload is read. The payload is
+// read a chunk at a time, so a corrupted length prefix costs at most
+// twice the bytes actually present, plus one chunk.
+func readFrame(r io.Reader, only msgKind, buf []byte) (msgKind, []byte, error) {
 	failpoint.Inject("distrib/frame-read")
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -399,7 +409,7 @@ func readFrame(r io.Reader, only msgKind) (msgKind, []byte, error) {
 	if int(kind) < len(fixedSize) && fixedSize[kind] != 0 && n != fixedSize[kind] || n > maxFrame {
 		return 0, nil, &FrameError{Op: "length", Kind: kind, Len: n}
 	}
-	var p []byte
+	p := buf[:0]
 	for len(p) < int(n) {
 		start, step := len(p), min(int(n)-len(p), readChunk)
 		if cap(p) < start+step { // grow by doubling, as append does
@@ -411,6 +421,30 @@ func readFrame(r io.Reader, only msgKind) (msgKind, []byte, error) {
 		}
 	}
 	return kind, p, nil
+}
+
+// frameReader is the coordinator's reader of one worker connection:
+// every frame reuses one payload buffer, kept between frames only up to
+// readChunk (see the package doc). A payload is valid until the next
+// call to next, so a decoder behind it must copy what it keeps.
+type frameReader struct {
+	r   io.Reader
+	buf []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// next reads one frame of any kind; see readFrame.
+func (fr *frameReader) next() (msgKind, []byte, error) {
+	kind, p, err := readFrame(fr.r, 0, fr.buf)
+	if cap(p) > readChunk {
+		fr.buf = nil
+	} else if p != nil {
+		fr.buf = p[:0]
+	}
+	return kind, p, err
 }
 
 // decodeMsg unpacks a frame payload, which must be exactly one encoding

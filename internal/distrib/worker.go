@@ -42,7 +42,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 	)
 	defer wg.Wait()
 	for {
-		kind, payload, err := readFrame(br, 0)
+		kind, payload, err := readFrame(br, 0, nil)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil // coordinator closed the pipe

@@ -48,9 +48,13 @@ func RunScenarioWith(ctx context.Context, sess *session.Session,
 	if err != nil {
 		return nil, err
 	}
+	series, err := res.MergedSeries()
+	if err != nil {
+		return nil, err
+	}
 	return &ScenarioResult{
 		Scenario: sc,
-		Series:   res.Series,
+		Series:   series,
 		Runs:     res.Runs,
 		LocalMD:  res.LocalMD,
 		GlobalMD: res.GlobalMD,

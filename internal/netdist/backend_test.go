@@ -20,7 +20,7 @@ import (
 
 // startServer runs a worker server on a loopback port for the test's
 // lifetime.
-func startServer(t *testing.T) *Server {
+func startServer(t testing.TB) *Server {
 	t.Helper()
 	srv, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -84,9 +84,13 @@ func jobOutput(b session.Backend, job session.Job, par int) ([]string, []byte, e
 	for i, m := range res.Runs {
 		sigs[i] = metricsSig(m)
 	}
+	series, err := res.MergedSeries()
+	if err != nil {
+		return nil, nil, err
+	}
 	var csv bytes.Buffer
-	if res.Series != nil {
-		if err := res.Series.WriteCSV(&csv); err != nil {
+	if series != nil {
+		if err := series.WriteCSV(&csv); err != nil {
 			return nil, nil, err
 		}
 	}

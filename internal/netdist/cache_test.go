@@ -339,10 +339,11 @@ func (r *configRecorder) Run(ctx context.Context, shard session.Shard) (session.
 // *Metrics itself, so a consumer that wrote into a result would corrupt
 // the cache for the next query. Drive the real consumers through one
 // Cache, each over cold and warm seeds — service NDJSON and CSV
-// responses, session Run and Stream with their Series merge and
-// OnResult hooks, the diag-stages experiment's per-stage merges, and
-// fresh misses on the same warm pool — then check that every stored run
-// still encodes to the bytes of a fresh simulation.
+// responses, session Run and Stream at parallelism 1 and 4 with their
+// merged series (which must give the same CSV bytes cold and all-hit)
+// and OnResult hooks, the diag-stages experiment's per-stage merges,
+// and fresh misses on the same warm pool — then check that every stored
+// run still encodes to the bytes of a fresh simulation.
 func TestCachedResultsStayIntact(t *testing.T) {
 	pool := session.NewPool()
 	t.Cleanup(pool.Close)
@@ -367,20 +368,41 @@ func TestCachedResultsStayIntact(t *testing.T) {
 	}
 	cfg.Scenario = sc
 	progress := session.WithProgress(func(done, total int) {})
-	for _, seed := range []uint64{7, 9, 7} { // 7..10 overlaps the service's seeds
+	wantCSV := make(map[uint64]string)
+	for _, seed := range []uint64{7, 9, 7} { // 7..10 overlaps the service's seeds; the second 7 is all hits
 		job := session.Job{Config: cfg, Reps: 4}
 		job.Config.Seed = seed
-		if _, err := sess.Run(ctx, job, progress); err != nil {
-			t.Fatal(err)
-		}
-		st, err := sess.Stream(ctx, job, progress)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for range st.Items() {
-		}
-		if _, err := st.Result(); err != nil {
-			t.Fatal(err)
+		for _, par := range []int{1, 4} {
+			opts := []session.Option{progress, session.WithParallelism(par)}
+			res, err := sess.Run(ctx, job, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := sess.Stream(ctx, job, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range st.Items() {
+			}
+			streamed, err := st.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*session.Result{res, streamed} {
+				series, err := r.MergedSeries()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var csv strings.Builder
+				if err := series.WriteCSV(&csv); err != nil {
+					t.Fatal(err)
+				}
+				if want, ok := wantCSV[seed]; !ok {
+					wantCSV[seed] = csv.String()
+				} else if csv.String() != want {
+					t.Fatalf("seed %d parallelism %d: merged series CSV differs across Run, Stream and cache state", seed, par)
+				}
+			}
 		}
 	}
 

@@ -405,10 +405,15 @@ func (s *Service) csvRun(w http.ResponseWriter, r *http.Request, sess *session.S
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if res.Series == nil {
+	series, err := res.MergedSeries()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if series == nil {
 		http.Error(w, "csv format needs a scenario (preset or spec)", http.StatusBadRequest)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
-	_ = res.Series.WriteCSV(w)
+	_ = series.WriteCSV(w)
 }

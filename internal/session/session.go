@@ -164,8 +164,8 @@ type ShardResult struct {
 // Results are read-only. A Backend may hand the same *system.Metrics to
 // several callers — the shard-result cache returns its stored value on
 // every hit — so neither a caller nor an OnResult hook may write to a
-// returned Metrics, its slices or its Series; clone before merging into
-// one (aggregate clones the first Series it merges into).
+// returned Metrics, its slices or its Series; merge into a fresh value
+// (Result.MergedSeries does).
 type Backend interface {
 	Run(ctx context.Context, shard Shard) (ShardResult, error)
 }
@@ -367,7 +367,9 @@ func (s *Session) resolve(opts []Option) (options, error) {
 }
 
 // Result is a completed (or cancelled) job: per-replication metrics in
-// seed order plus the replication-level aggregates.
+// seed order plus the replication-level aggregates. A scenario job's
+// merged time series is not part of it: MergedSeries builds one on
+// request, so a caller that reads only the estimates pays no merge.
 type Result struct {
 	// Runs holds the finished replications' metrics in seed order. For a
 	// cancelled job this is the finished seed prefix. The Metrics are
@@ -383,10 +385,23 @@ type Result struct {
 	// Runs with 95% confidence intervals.
 	LocalMD  stats.Estimate
 	GlobalMD stats.Estimate
-	// Series is the scenario time series merged across Runs in seed
-	// order; nil unless the job had a scenario. The merged CSV is
-	// byte-identical at every parallelism level.
-	Series *scenario.Series
+}
+
+// MergedSeries merges the Runs' scenario time series in seed order into
+// a fresh series, whose CSV is byte-identical at every parallelism
+// level and on every backend. It is nil when the job had no scenario or
+// no run finished. Each call merges anew and never writes to a run.
+func (r *Result) MergedSeries() (*scenario.Series, error) {
+	if len(r.Runs) == 0 || r.Runs[0].Series == nil {
+		return nil, nil
+	}
+	out := r.Runs[0].Series.Clone()
+	for _, m := range r.Runs[1:] {
+		if err := out.Merge(m.Series); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Run executes the job and blocks until it finishes or ctx ends it
@@ -421,11 +436,7 @@ func (s *Session) Run(ctx context.Context, job Job, opts ...Option) (*Result, er
 	if err != nil && !isCancellation(err) {
 		return nil, err
 	}
-	out, aerr := aggregate(shard, res)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return out, err
+	return aggregate(shard, res), err
 }
 
 // instrument wraps shard.OnResult with the session's run-layer
@@ -580,7 +591,7 @@ func progressHook(progress func(done, total int), total int) func(int, *system.M
 }
 
 // aggregate builds a Result from a shard's (possibly partial) outcome.
-func aggregate(shard Shard, res ShardResult) (*Result, error) {
+func aggregate(shard Shard, res ShardResult) *Result {
 	runs := res.Metrics[:res.Completed]
 	out := &Result{
 		Runs:    runs,
@@ -597,13 +608,5 @@ func aggregate(shard Shard, res ShardResult) (*Result, error) {
 		out.LocalMD = stats.MeanCI(local)
 		out.GlobalMD = stats.MeanCI(global)
 	}
-	if shard.Config.Scenario != nil && len(runs) > 0 {
-		out.Series = runs[0].Series.Clone()
-		for _, m := range runs[1:] {
-			if err := out.Series.Merge(m.Series); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+	return out
 }

@@ -89,9 +89,28 @@ func TestRunMatchesLegacyReplications(t *testing.T) {
 	}
 }
 
+// mergedCSV renders res's merged scenario series.
+func mergedCSV(t *testing.T, res *Result) string {
+	t.Helper()
+	series, err := res.MergedSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if series == nil {
+		t.Fatal("a scenario job has no merged series")
+	}
+	var b strings.Builder
+	if err := series.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // TestStreamMatchesBatch pins the streaming contract: items arrive in
-// seed order, and their concatenation — metrics and merged scenario
-// series alike — is bit-identical to the batch result.
+// seed order, and their concatenation is bit-identical to the batch
+// result. The merged scenario series of Run and of Stream give the same
+// CSV bytes at parallelism 1 and 4, and merging, however often, never
+// writes into a run.
 func TestStreamMatchesBatch(t *testing.T) {
 	cfg := shortCfg(6000)
 	sc, err := scenario.Preset("burst", cfg.Horizon)
@@ -100,47 +119,70 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 	job := Job{Config: cfg, Scenario: sc, Reps: 5}
 
-	s := New(WithParallelism(4))
+	var wantCSV string
+	for _, par := range []int{1, 4} {
+		s := New(WithParallelism(par))
+		t.Cleanup(func() { s.Close() })
+		batch, err := s.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		st, err := s.Stream(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var items []Item
+		for it := range st.Items() {
+			items = append(items, it)
+		}
+		streamed, err := st.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if len(items) != len(batch.Runs) {
+			t.Fatalf("parallelism %d: streamed %d items, batch ran %d", par, len(items), len(batch.Runs))
+		}
+		for i, it := range items {
+			if it.Index != i || it.Seed != cfg.Seed+uint64(i) {
+				t.Fatalf("parallelism %d: item %d out of seed order: index=%d seed=%d", par, i, it.Index, it.Seed)
+			}
+			if !sameBits(t, it.Metrics, batch.Runs[i]) {
+				t.Fatalf("parallelism %d: item %d diverged from batch:\n got %s\nwant %s",
+					par, i, metricsSig(it.Metrics), metricsSig(batch.Runs[i]))
+			}
+		}
+
+		before := make([][]byte, len(batch.Runs))
+		for i, m := range batch.Runs {
+			if before[i], err = m.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, res := range []*Result{batch, streamed, batch} {
+			got := mergedCSV(t, res)
+			if wantCSV == "" {
+				wantCSV = got
+			} else if got != wantCSV {
+				t.Fatalf("parallelism %d: merged series CSV differs between Stream, Run and parallelism 1", par)
+			}
+		}
+		for i, m := range batch.Runs {
+			if after, _ := m.MarshalBinary(); !bytes.Equal(after, before[i]) {
+				t.Fatalf("parallelism %d: merging wrote into run %d", par, i)
+			}
+		}
+	}
+
+	s := New()
 	defer s.Close()
-	batch, err := s.Run(context.Background(), job)
+	plain, err := s.Run(context.Background(), Job{Config: cfg, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	st, err := s.Stream(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var items []Item
-	for it := range st.Items() {
-		items = append(items, it)
-	}
-	streamed, err := st.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(items) != len(batch.Runs) {
-		t.Fatalf("streamed %d items, batch ran %d", len(items), len(batch.Runs))
-	}
-	for i, it := range items {
-		if it.Index != i || it.Seed != cfg.Seed+uint64(i) {
-			t.Fatalf("item %d out of seed order: index=%d seed=%d", i, it.Index, it.Seed)
-		}
-		if !sameBits(t, it.Metrics, batch.Runs[i]) {
-			t.Fatalf("item %d diverged from batch:\n got %s\nwant %s",
-				i, metricsSig(it.Metrics), metricsSig(batch.Runs[i]))
-		}
-	}
-	var batchCSV, streamCSV strings.Builder
-	if err := batch.Series.WriteCSV(&batchCSV); err != nil {
-		t.Fatal(err)
-	}
-	if err := streamed.Series.WriteCSV(&streamCSV); err != nil {
-		t.Fatal(err)
-	}
-	if batchCSV.String() != streamCSV.String() {
-		t.Fatal("merged series CSV differs between Stream and Run")
+	if series, err := plain.MergedSeries(); series != nil || err != nil {
+		t.Fatalf("a job without a scenario merged %v, %v; want nil, nil", series, err)
 	}
 }
 

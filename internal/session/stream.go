@@ -42,7 +42,9 @@ func (st *Stream) Items() <-chan Item { return st.items }
 // exactly the items already delivered through Items (possibly zero) —
 // unlike Run, which surfaced nothing and therefore returns a nil
 // result — so consuming both channels never observes runs the result
-// disavows.
+// disavows. Building the result merges no series: a consumer that
+// wants the merged scenario series calls MergedSeries, which gives
+// Run's bytes.
 func (st *Stream) Result() (*Result, error) {
 	<-st.done
 	return st.res, st.err
@@ -131,18 +133,12 @@ func (s *Session) Stream(ctx context.Context, job Job, opts ...Option) (*Stream,
 			// reproduces Result().Runs — is honoured by surfacing exactly
 			// the emitted seed prefix as a Partial result alongside the
 			// error. (Run, which never surfaced anything, returns nil.)
-			out, aerr := aggregate(shard, ShardResult{Metrics: emitted, Completed: len(emitted)})
-			if aerr != nil {
-				st.err = rerr
-			} else {
-				out.Partial = true
-				st.res, st.err = out, rerr
-			}
-		} else if out, aerr := aggregate(shard, res); aerr != nil {
-			st.err = aerr
+			st.res = aggregate(shard, ShardResult{Metrics: emitted, Completed: len(emitted)})
+			st.res.Partial = true
 		} else {
-			st.res, st.err = out, rerr
+			st.res = aggregate(shard, res)
 		}
+		st.err = rerr
 		close(st.done)
 	}()
 	return st, nil

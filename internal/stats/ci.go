@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // tTable95 holds two-sided 95% Student-t critical values indexed by
 // degrees of freedom (1-based; index 0 unused), rounded to three
@@ -65,4 +68,21 @@ func MeanCI(xs []float64) Estimate {
 		est.HalfCI = TCritical95(int(w.N())-1) * est.StdError
 	}
 	return est
+}
+
+// PairedMeanCI returns the mean of the paired differences a[i]−b[i]
+// with a 95% Student-t half-width across pairs, as MeanCI does for one
+// sample. When a[i] and b[i] share their random numbers (one seed runs
+// both configurations), the pairing cancels the common noise and the
+// interval is narrower than either sample's own. Slices of unequal
+// length have no pairing and are rejected.
+func PairedMeanCI(a, b []float64) (Estimate, error) {
+	if len(a) != len(b) {
+		return Estimate{}, fmt.Errorf("stats: paired samples of %d and %d values", len(a), len(b))
+	}
+	d := make([]float64, len(a))
+	for i := range a {
+		d[i] = a[i] - b[i]
+	}
+	return MeanCI(d), nil
 }

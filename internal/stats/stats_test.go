@@ -198,6 +198,24 @@ func TestMeanCIDegenerate(t *testing.T) {
 	}
 }
 
+func TestPairedMeanCI(t *testing.T) {
+	// Differences 2 and 4: mean 3, stddev sqrt(2), stderr 1.
+	est, err := PairedMeanCI([]float64{12, 15}, []float64{10, 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEqual(est.Mean, 3, 1e-12) || !almostEqual(est.HalfCI, 12.706, 1e-9) || est.N != 2 {
+		t.Errorf("PairedMeanCI = %+v, want mean 3, half-width 12.706 over 2 pairs", est)
+	}
+	// A common offset cancels: the pairs differ by exactly 1.
+	if est, _ := PairedMeanCI([]float64{5, 9, 2}, []float64{4, 8, 1}); est.Mean != 1 || est.HalfCI != 0 {
+		t.Errorf("constant difference gave %+v, want mean 1 and zero half-width", est)
+	}
+	if _, err := PairedMeanCI([]float64{1, 2}, []float64{1}); err == nil {
+		t.Error("unequal lengths accepted")
+	}
+}
+
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	for i := 0; i < 10; i++ {

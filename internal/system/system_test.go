@@ -356,6 +356,83 @@ func TestMeanCICoversMM1MissProb(t *testing.T) {
 	}
 }
 
+// TestPairedMeanCICoversMM1Difference checks the paired interval the
+// same way: one FCFS node runs two slack ranges on the same seeds. FCFS
+// ignores deadlines, so both runs see the same arrivals, services and
+// waits; only the slack bounds differ, and the paired difference of the
+// two miss ratios has an exact value, the difference of the two
+// MissProbUniformSlack values. At least 180 of 200 paired intervals (3
+// replications each) must cover it, and the pairing must pay: the mean
+// paired half-width is below the mean plain half-width of either range.
+func TestPairedMeanCICoversMM1Difference(t *testing.T) {
+	const groups, reps, minCovered = 200, 3, 180
+	cfg := Baseline()
+	cfg.Nodes, cfg.FracLocal = 1, 1
+	cfg.Scheduler = sched.FCFS
+	cfg.Horizon = 2000
+	wide := cfg
+	wide.SlackMin, wide.SlackMax = 0.5, 3.0
+	rates, err := cfg.DeriveRates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := queueing.MM1{Lambda: rates.LocalPerNode, Mu: cfg.MuLocal}
+	narrowExact, err := q.MissProbUniformSlack(cfg.SlackMin, cfg.SlackMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideExact, err := q.MissProbUniformSlack(wide.SlackMin, wide.SlackMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := narrowExact - wideExact
+	ws := NewWorkspace()
+	missRatio := func(c Config, seed uint64) float64 {
+		c.Seed = seed
+		m, err := RunWith(c, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.LocalMiss.Value()
+	}
+	narrow, wider := make([]float64, reps), make([]float64, reps)
+	var pooled stats.Welford
+	covered := 0
+	var pairedHalf, narrowHalf, wideHalf float64
+	for g := 0; g < groups; g++ {
+		for r := range narrow {
+			seed := uint64(1 + g*reps + r)
+			narrow[r], wider[r] = missRatio(cfg, seed), missRatio(wide, seed)
+			pooled.Add(narrow[r] - wider[r])
+		}
+		est, err := stats.PairedMeanCI(narrow, wider)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(est.Mean-exact) <= est.HalfCI {
+			covered++
+		}
+		pairedHalf += est.HalfCI
+		narrowHalf += stats.MeanCI(narrow).HalfCI
+		wideHalf += stats.MeanCI(wider).HalfCI
+	}
+	pairedHalf, narrowHalf, wideHalf = pairedHalf/groups, narrowHalf/groups, wideHalf/groups
+	t.Logf("%d of %d paired intervals cover %.5f; pooled mean %.5f (se %.5f); mean half-widths: paired %.5f, [%v, %v] %.5f, [%v, %v] %.5f",
+		covered, groups, exact, pooled.Mean(), pooled.StdDev()/math.Sqrt(float64(pooled.N())),
+		pairedHalf, cfg.SlackMin, cfg.SlackMax, narrowHalf, wide.SlackMin, wide.SlackMax, wideHalf)
+	if bias := math.Abs(pooled.Mean() - exact); bias > pairedHalf/4 {
+		t.Errorf("pooled mean difference %.5f is %.5f from the exact %.5f, more than a quarter of the mean paired half-width %.5f; lengthen the horizon",
+			pooled.Mean(), bias, exact, pairedHalf)
+	}
+	if covered < minCovered {
+		t.Errorf("%d of %d paired intervals cover the exact difference, want at least %d", covered, groups, minCovered)
+	}
+	if pairedHalf >= min(narrowHalf, wideHalf) {
+		t.Errorf("mean paired half-width %.5f is not below the plain ones (%.5f, %.5f): the pairing cancels nothing",
+			pairedHalf, narrowHalf, wideHalf)
+	}
+}
+
 // busyProfile is one node's service history up to the horizon, read
 // from a trace: the ends of its busy periods that closed before the
 // horizon, and the start of the service segment still open at it (-1

@@ -29,8 +29,9 @@ type Job = session.Job
 type RunOption = session.Option
 
 // RunResult is a completed or cancelled job: per-replication metrics in
-// seed order, the seeds that finished, class miss-percentage estimates,
-// and the merged scenario series (when the job had one).
+// seed order, the seeds that finished, and class miss-percentage
+// estimates. Its MergedSeries method merges the runs' scenario series
+// (when the job had one) on request.
 type RunResult = session.Result
 
 // StreamItem is one streamed replication result (index, seed, metrics —
