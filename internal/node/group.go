@@ -219,7 +219,7 @@ func (g *Group) observe(ev ObserverEvent, t *task.Task) {
 // node a newcomer with an earlier deadline suspends the task in
 // service.
 func (g *Group) Submit(i int, t *task.Task) {
-	t.NodeID = i
+	t.NodeID = int32(i)
 	h := &g.hot[i]
 	g.observe(ObserveSubmit, t)
 	g.bank.Push(i, t)
@@ -280,7 +280,6 @@ func (g *Group) dispatch(i int) {
 		if t.Remaining == 0 {
 			// First dispatch.
 			t.Remaining = t.Exec
-			t.Start = now
 		}
 		h.running = t
 		h.segmentStart = now

@@ -17,7 +17,7 @@ func TestGroupRoutesCompletions(t *testing.T) {
 	var doneNodes []int
 	g := newGroup(t, 4, GroupConfig{
 		Engine: eng,
-		OnDone: func(tk *task.Task) { doneNodes = append(doneNodes, tk.NodeID) },
+		OnDone: func(tk *task.Task) { doneNodes = append(doneNodes, int(tk.NodeID)) },
 	})
 	if g.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", g.Len())

@@ -12,6 +12,30 @@ import (
 type recorder struct {
 	done    []*task.Task
 	aborted []*task.Task
+	// starts holds each task's first ObserveDispatch time: the node
+	// keeps no start time on the task.
+	starts map[*task.Task]float64
+}
+
+// observe is the recorder's node Observer: it notes first dispatches.
+func (r *recorder) observe(ev ObserverEvent, now float64, t *task.Task) {
+	if ev != ObserveDispatch {
+		return
+	}
+	if r.starts == nil {
+		r.starts = map[*task.Task]float64{}
+	}
+	if _, ok := r.starts[t]; !ok {
+		r.starts[t] = now
+	}
+}
+
+// start returns t's first dispatch time, or -1 if it never started.
+func (r *recorder) start(t *task.Task) float64 {
+	if at, ok := r.starts[t]; ok {
+		return at
+	}
+	return -1
 }
 
 // edfBank returns an EDF ready-queue bank of k nodes.
@@ -40,10 +64,11 @@ func newTestNode(t *testing.T, eng *sim.Engine, policy TardyPolicy) (*Node, *rec
 	t.Helper()
 	rec := &recorder{}
 	g := newGroup(t, 1, GroupConfig{
-		Engine:  eng,
-		Policy:  policy,
-		OnDone:  func(tk *task.Task) { rec.done = append(rec.done, tk) },
-		OnAbort: func(tk *task.Task) { rec.aborted = append(rec.aborted, tk) },
+		Engine:   eng,
+		Policy:   policy,
+		OnDone:   func(tk *task.Task) { rec.done = append(rec.done, tk) },
+		OnAbort:  func(tk *task.Task) { rec.aborted = append(rec.aborted, tk) },
+		Observer: rec.observe,
 	})
 	return g.Node(0), rec
 }
@@ -90,8 +115,8 @@ func TestSingleTaskLifecycle(t *testing.T) {
 	if len(rec.done) != 1 {
 		t.Fatalf("done = %d tasks, want 1", len(rec.done))
 	}
-	if tk.Start != 0 || math.Abs(tk.Finish-2.5) > 1e-12 {
-		t.Errorf("Start,Finish = %v,%v want 0,2.5", tk.Start, tk.Finish)
+	if rec.start(tk) != 0 || math.Abs(tk.Finish-2.5) > 1e-12 {
+		t.Errorf("Start,Finish = %v,%v want 0,2.5", rec.start(tk), tk.Finish)
 	}
 	if tk.Missed() {
 		t.Error("task within deadline reported missed")
@@ -126,8 +151,8 @@ func TestNonPreemptiveEDFOrder(t *testing.T) {
 			t.Fatalf("completion %d = task %d, want %d", i, tk.ID, wantOrder[i])
 		}
 	}
-	if urgent.Start != 10 {
-		t.Errorf("urgent started at %v, want 10 (after the long task)", urgent.Start)
+	if rec.start(urgent) != 10 {
+		t.Errorf("urgent started at %v, want 10 (after the long task)", rec.start(urgent))
 	}
 	if !urgent.Missed() {
 		t.Error("urgent task should have missed its deadline")
@@ -154,8 +179,8 @@ func TestAbortAtDispatch(t *testing.T) {
 		t.Errorf("Aborted = %d, want 1", n.Aborted())
 	}
 	// The aborted task consumed no service: alive starts right at 10.
-	if alive.Start != 10 {
-		t.Errorf("alive.Start = %v, want 10", alive.Start)
+	if rec.start(alive) != 10 {
+		t.Errorf("rec.start(alive) = %v, want 10", rec.start(alive))
 	}
 }
 
@@ -216,8 +241,8 @@ func TestIdlePeriodBetweenArrivals(t *testing.T) {
 	n.Submit(a)
 	after(eng, 5, func() { b.Arrival = 5; n.Submit(b) })
 	eng.RunAll()
-	if b.Start != 5 {
-		t.Errorf("b.Start = %v, want 5 (server idle in between)", b.Start)
+	if rec.start(b) != 5 {
+		t.Errorf("rec.start(b) = %v, want 5 (server idle in between)", rec.start(b))
 	}
 	if got := n.BusyTime(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("BusyTime = %v, want 2", got)
@@ -236,7 +261,7 @@ func TestSubmitSetsNodeID(t *testing.T) {
 	}
 	tk := &task.Task{ID: 1, Exec: 1, Deadline: 10, NodeID: -1}
 	n.Submit(tk)
-	if tk.NodeID != n.ID() {
+	if int(tk.NodeID) != n.ID() {
 		t.Errorf("NodeID = %d, want %d", tk.NodeID, n.ID())
 	}
 }
@@ -246,7 +271,8 @@ func newPreemptiveNode(t *testing.T, eng *sim.Engine) (*Node, *recorder) {
 	rec := &recorder{}
 	g := newGroup(t, 1, GroupConfig{
 		Engine: eng, Preemptive: true,
-		OnDone: func(tk *task.Task) { rec.done = append(rec.done, tk) },
+		OnDone:   func(tk *task.Task) { rec.done = append(rec.done, tk) },
+		Observer: rec.observe,
 	})
 	return g.Node(0), rec
 }
@@ -277,8 +303,8 @@ func TestPreemptiveEDF(t *testing.T) {
 	if long.Finish != 12 {
 		t.Errorf("long.Finish = %v, want 12 (resumed with remaining demand)", long.Finish)
 	}
-	if long.Start != 0 {
-		t.Errorf("long.Start = %v, want first dispatch time 0", long.Start)
+	if rec.start(long) != 0 {
+		t.Errorf("rec.start(long) = %v, want first dispatch time 0", rec.start(long))
 	}
 	if n.Preemptions() != 1 {
 		t.Errorf("Preemptions = %d, want 1", n.Preemptions())
@@ -326,8 +352,8 @@ func TestPreemptionAtCompletionInstant(t *testing.T) {
 		}
 		t.Fatalf("completion order = %v, want [1 2]", ids)
 	}
-	if a.Start != 0 || a.Finish != 4 {
-		t.Errorf("a Start,Finish = %v,%v, want 0,4", a.Start, a.Finish)
+	if rec.start(a) != 0 || a.Finish != 4 {
+		t.Errorf("a Start,Finish = %v,%v, want 0,4", rec.start(a), a.Finish)
 	}
 	if urgent.Finish != 5 {
 		t.Errorf("urgent.Finish = %v, want 5", urgent.Finish)

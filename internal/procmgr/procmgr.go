@@ -23,7 +23,8 @@ import (
 	"repro/internal/task"
 )
 
-// Instance is one in-flight (or finished) global task.
+// Instance is one in-flight (or finished) global task. Fields are
+// ordered widest first so the record has no padding hole.
 type Instance struct {
 	// ID is the global task's unique id.
 	ID uint64
@@ -36,25 +37,25 @@ type Instance struct {
 	// Finish is the completion time of the last subtask, or the abort
 	// time for aborted instances; zero while in flight.
 	Finish float64
-	// Aborted reports that a subtask was discarded by a node's tardy
-	// policy, killing the whole instance.
-	Aborted bool
-	// StageMisses counts subtasks that finished after their assigned
-	// virtual deadline.
-	StageMisses int
-	// StageCount counts subtasks that completed service.
-	StageCount int
 	// InheritedSlack accumulates, over serial releases, the amount by
 	// which each stage finished before its virtual deadline (leftover
 	// slack passed to the successor). Diagnostic for section 4.2.2.
 	InheritedSlack float64
+	// StageMisses counts subtasks that finished after their assigned
+	// virtual deadline.
+	StageMisses int32
+	// StageCount counts subtasks that completed service.
+	StageCount int32
 
 	// leafRefs counts subtasks submitted but not yet retired by the
 	// manager, plus a release walk in progress. An instance can only be
 	// recycled once it is finished AND nothing holds it — an aborted
 	// instance's already-queued siblings keep referencing it until they
 	// drain.
-	leafRefs int
+	leafRefs int32
+	// Aborted reports that a subtask was discarded by a node's tardy
+	// policy, killing the whole instance.
+	Aborted bool
 	// finished marks that OnDone has been delivered.
 	finished bool
 }
@@ -129,8 +130,8 @@ type frame struct {
 	g         *task.Graph
 	parent    *frame // nil at the graph root
 	dl        float64
-	next      int // serial: index of the next child to release
-	remaining int // parallel: branches still running
+	next      int32 // serial: index of the next child to release
+	remaining int32 // parallel: branches still running
 }
 
 // Config carries the manager's construction parameters.
@@ -313,7 +314,7 @@ func (m *Manager) activate(inst *Instance, g *task.Graph, dl float64, parent *fr
 
 	case task.KindParallel:
 		f := m.newFrame(inst, g, parent, dl)
-		f.remaining = len(g.Children)
+		f.remaining = int32(len(g.Children))
 		arrival := m.eng.Now()
 		for i, child := range g.Children {
 			var branchDL float64
@@ -332,7 +333,7 @@ func (m *Manager) activate(inst *Instance, g *task.Graph, dl float64, parent *fr
 // virtual deadline at the instant of release (the paper's dynamic
 // assignment), or finishes the group when no stages remain.
 func (m *Manager) stepSerial(f *frame) {
-	if f.next < len(f.g.Children) {
+	if int(f.next) < len(f.g.Children) {
 		i := f.next
 		f.next++
 		var stageDL float64
@@ -423,7 +424,7 @@ func (m *Manager) submitLeaf(inst *Instance, leaf *task.Graph, dl float64, paren
 	m.pendFrame[ref] = parent
 	m.pendID[ref] = t.ID
 	t.Ref = ref
-	m.group.Submit(leaf.NodeID, t)
+	m.group.Submit(int(leaf.NodeID), t)
 }
 
 // Complete must be called by the system when a node finishes a Global

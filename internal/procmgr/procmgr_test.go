@@ -3,6 +3,7 @@ package procmgr
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/node"
@@ -20,13 +21,15 @@ type harness struct {
 	mgr       *Manager
 	done      []Instance
 	completed []task.Task
-	seq       uint64
-	id        uint64
+	// starts holds each task's first ObserveDispatch time by task ID.
+	starts map[uint64]float64
+	seq    uint64
+	id     uint64
 }
 
 func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPolicy) *harness {
 	t.Helper()
-	h := &harness{eng: sim.New()}
+	h := &harness{eng: sim.New(), starts: map[uint64]float64{}}
 	route := func(tk *task.Task) {
 		h.completed = append(h.completed, *tk)
 		if tk.Class == task.Global {
@@ -42,8 +45,13 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 			}
 		}
 	}
+	first := func(ev node.ObserverEvent, now float64, tk *task.Task) {
+		if _, ok := h.starts[tk.ID]; ev == node.ObserveDispatch && !ok {
+			h.starts[tk.ID] = now
+		}
+	}
 	h.nodes = newNodes(t, k, node.GroupConfig{
-		Engine: h.eng, Policy: policy, OnDone: route, OnAbort: abort,
+		Engine: h.eng, Policy: policy, OnDone: route, OnAbort: abort, Observer: first,
 	})
 	mgr, err := New(Config{
 		Engine:   h.eng,
@@ -100,7 +108,7 @@ func (h *harness) only(t *testing.T) Instance {
 func place(g *task.Graph, nodes ...int) *task.Graph {
 	leaves := g.Flatten()
 	for i, leaf := range leaves {
-		leaf.NodeID = nodes[i%len(nodes)]
+		leaf.NodeID = int32(nodes[i%len(nodes)])
 	}
 	return g
 }
@@ -145,7 +153,7 @@ func TestSerialChainPrecedence(t *testing.T) {
 	if len(h.completed) != 3 {
 		t.Fatalf("completed %d subtasks, want 3", len(h.completed))
 	}
-	starts := []float64{h.completed[0].Start, h.completed[1].Start, h.completed[2].Start}
+	starts := []float64{h.starts[h.completed[0].ID], h.starts[h.completed[1].ID], h.starts[h.completed[2].ID]}
 	want := []float64{0, 1, 3}
 	for i := range want {
 		if starts[i] != want[i] {
@@ -309,5 +317,26 @@ func TestSimultaneousGlobals(t *testing.T) {
 	}
 	if h.mgr.InFlight() != 0 {
 		t.Errorf("InFlight = %d, want 0", h.mgr.InFlight())
+	}
+}
+
+// TestRecordSizes pins the packed layouts of the records a run keeps per
+// in-flight task, graph node, global instance and activation frame: at
+// 65536 nodes they are most of a workspace's live heap, and a field
+// added, widened or reordered into a padding hole grows every one of
+// them.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"task.Task", unsafe.Sizeof(task.Task{}), 96},
+		{"task.Graph", unsafe.Sizeof(task.Graph{}), 72},
+		{"procmgr.Instance", unsafe.Sizeof(Instance{}), 64},
+		{"procmgr.frame", unsafe.Sizeof(frame{}), 40},
+	} {
+		if c.size != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.size, c.want)
+		}
 	}
 }

@@ -34,12 +34,12 @@ import (
 //     buckets) or spread across a new, finer rung (crowded buckets) —
 //     sorting work is deferred until the simulation clock actually
 //     approaches the events, and is amortized O(1) per event.
-//   - An unsorted "over" tier catches everything beyond the last rung.
-//     When the rungs drain, over is re-bucketed across a fresh rung
-//     spanning its actual [min, max] time range, with the bucket count
-//     scaled to the population (the calendar-queue "resize with n" rule,
-//     applied lazily) so transfer batches stay small and cache-resident
-//     at any scale.
+//   - An unsorted "over" tier, a block chain like a bucket's, catches
+//     everything beyond the last rung. When the rungs drain, over is
+//     re-bucketed across a fresh rung spanning its actual [min, max]
+//     time range, with the bucket count scaled to the population (the
+//     calendar-queue "resize with n" rule, applied lazily) so transfer
+//     batches stay small and cache-resident at any scale.
 //
 // Determinism: the only ordering decisions are the near tier's (time,
 // seq) comparisons. Equal-time events always meet in the same bucket
@@ -75,23 +75,20 @@ import (
 // but the 24-byte records themselves, which carry everything needed to
 // fire them.
 //
-// Bucket storage: every rung's buckets share one pool of fixed-size
-// blocks (ladderBlock events each). Each bucket record owns one home
-// block for its whole life and chains overflow blocks from the pool
-// behind it. The record keeps a slice window onto its tail block, so
-// appending is the plain slice append of a per-bucket array, with one
-// extra branch to chain a pool block when the window is full.
-// Consuming a bucket returns its overflow chain to the pool in one
-// splice. Retained storage is therefore one home block per bucket
-// record — a rebuilt rung has about one bucket per ladderBucketTarget
-// pending events, a spread rung a fixed ladderSpreadBuckets — plus the
-// overflow blocks that were ever in use at once: both are bounded by
-// the pending set, not by the run's length. Per-bucket slices would
-// instead each keep their own peak capacity for the life of the
-// queue: at 65536 nodes the long-lived top rung retained sixteen times
-// the pending set that way. The home block keeps those slices'
-// locality: a spread rung's sparse buckets write and re-read the same
-// few cache lines every time.
+// Block storage: every rung's buckets and the over tier share one pool
+// of fixed-size blocks (ladderBlock events each). A bucket, or over, is
+// a chain of pool blocks and keeps a slice window onto its tail block,
+// so appending is a plain slice append with one extra branch to chain
+// a pool block when the window is full. An empty bucket holds no
+// block: its first push chains one, and consuming it returns its whole
+// chain to the pool in one splice. A rebuild returns each over block
+// once it has scattered the block's events. Blocks are therefore held
+// only while they hold events, and retained storage is the number of
+// blocks ever in use at once: it follows the pending set, not the
+// number of bucket records or the run's length. Per-bucket slices would
+// instead each keep their own peak capacity for the life of the queue:
+// at 65536 nodes the long-lived top rung retained sixteen times the
+// pending set that way.
 type ladderQueue struct {
 	// The near tier: run is a window onto buf sorted by (time, seq).
 	run     []event
@@ -106,16 +103,18 @@ type ladderQueue struct {
 
 	rungs []ladderRung // rungs[len-1] is the deepest (soonest, finest)
 
-	over    []event
+	// over is the unsorted far-far tier, a block chain like a bucket's;
+	// overMin and overMax bound its times (+Inf and -Inf while it is
+	// empty, so a push needs no emptiness test).
+	over    bucket
 	overMin float64
 	overMax float64
 
-	// chunks is the bucket storage pool: block k is the k mod
-	// ladderChunk'th ladderBlock-event run of chunks[k/ladderChunk].
-	// Chunks never move once allocated, so bucket windows stay valid
-	// as the pool grows. link[k] is the block after k in its bucket's
-	// chain, or in the free list when k is a free overflow block; free
-	// heads the free list (-1 when empty).
+	// chunks is the block pool: block k is the k mod ladderChunk'th
+	// ladderBlock-event run of chunks[k/ladderChunk]. Chunks never
+	// move once allocated, so bucket windows stay valid as the pool
+	// grows. link[k] is the block after k in its chain, or in the free
+	// list when k is free; free heads the free list (-1 when empty).
 	chunks [][]event
 	link   []int32
 	free   int32
@@ -151,13 +150,15 @@ const (
 	ladderChunk      = 1 << ladderChunkShift
 )
 
-// bucket is one rung bucket: a chain of pool blocks from the bucket's
-// home block to tail, every block but the tail full. cur is the window
+// bucket is one rung bucket, or the over tier: a chain of pool blocks
+// from head to tail, every block but the tail full. cur is the window
 // onto the tail block: its events, with capacity up to the block's
-// end. The bucket is empty exactly when cur is, and then tail is home.
+// end. An empty bucket is the zero value: it holds no block, cur is
+// nil, and head and tail are meaningless (equal, so a walk from head
+// to tail visits nothing).
 type bucket struct {
 	cur        []event
-	home, tail int32
+	head, tail int32
 }
 
 // ladderRung is one bucketed band of the far future. Bucket b holds
@@ -243,8 +244,8 @@ func (q *ladderQueue) pushRung(j int32, ev event) {
 	r.count++
 }
 
-// chain links a free pool block behind bk's full tail block and moves
-// the window onto it.
+// chain links a free pool block behind bk's full tail block, or makes
+// it an empty bucket's first block, and moves the window onto it.
 func (q *ladderQueue) chain(bk *bucket) {
 	blk := q.free
 	if blk >= 0 {
@@ -252,7 +253,11 @@ func (q *ladderQueue) chain(bk *bucket) {
 	} else {
 		blk = q.carveBlock()
 	}
-	q.link[bk.tail] = blk
+	if bk.cur == nil {
+		bk.head = blk
+	} else {
+		q.link[bk.tail] = blk
+	}
 	bk.tail = blk
 	bk.cur = q.block(blk)[:0]
 }
@@ -278,37 +283,34 @@ func (q *ladderQueue) block(blk int32) []event {
 // bucketLen counts bk's events.
 func (q *ladderQueue) bucketLen(bk *bucket) int {
 	n := len(bk.cur)
-	for blk := bk.home; blk != bk.tail; blk = q.link[blk] {
+	for blk := bk.head; blk != bk.tail; blk = q.link[blk] {
 		n += ladderBlock
 	}
 	return n
 }
 
-// empty drops bk's events: its overflow chain (every block after the
-// home block) goes back to the free list in one splice.
+// empty drops bk's events: its whole chain goes back to the free list
+// in one splice, and bk holds no block.
 func (q *ladderQueue) empty(bk *bucket) {
-	if bk.tail != bk.home {
+	if bk.cur != nil {
 		q.link[bk.tail] = q.free
-		q.free = q.link[bk.home]
-		bk.tail = bk.home
-		bk.cur = q.block(bk.home)
+		q.free = bk.head
 	}
-	bk.cur = bk.cur[:0]
+	*bk = bucket{}
 }
 
 // pushOver appends ev to the unsorted far-far tier.
 func (q *ladderQueue) pushOver(ev event) {
-	if len(q.over) == 0 {
-		q.overMin, q.overMax = ev.time, ev.time
-	} else {
-		if ev.time < q.overMin {
-			q.overMin = ev.time
-		}
-		if ev.time > q.overMax {
-			q.overMax = ev.time
-		}
+	if ev.time < q.overMin {
+		q.overMin = ev.time
 	}
-	q.over = append(q.over, ev)
+	if ev.time > q.overMax {
+		q.overMax = ev.time
+	}
+	if len(q.over.cur) == cap(q.over.cur) {
+		q.chain(&q.over)
+	}
+	q.over.cur = append(q.over.cur, ev)
 }
 
 // advance refills the near tier from the rungs (or rebuilds the rungs
@@ -348,7 +350,7 @@ func (q *ladderQueue) advance() bool {
 			// the refinement once a finer rung could no longer separate
 			// times (equal-time or denormal-width buckets); such an
 			// oversized batch lengthens the run.
-			for blk := bk.home; blk != bk.tail; blk = q.link[blk] {
+			for blk := bk.head; blk != bk.tail; blk = q.link[blk] {
 				for _, ev := range q.block(blk) {
 					q.runInsert(ev)
 				}
@@ -369,16 +371,9 @@ func (q *ladderQueue) advance() bool {
 		nr.init(ns, nw, ne)
 		r = &q.rungs[j] // growRung may have reallocated q.rungs
 		bk = &r.bkts[r.cur]
-		child := int32(len(q.rungs) - 1)
-		for blk := bk.home; blk != bk.tail; blk = q.link[blk] {
-			for _, ev := range q.block(blk) {
-				q.pushRung(child, ev)
-			}
-		}
-		for _, ev := range bk.cur {
-			q.pushRung(child, ev)
-		}
-		q.empty(bk)
+		src := *bk
+		*bk = bucket{}
+		q.scatter(src, int32(len(q.rungs)-1))
 		r.count -= size
 		r.cur++
 	}
@@ -387,9 +382,10 @@ func (q *ladderQueue) advance() bool {
 
 // growRung appends a rung with the given bucket count (reusing a
 // previously allocated rung's bucket and bounds arrays when available)
-// and returns it with count/cur zeroed. Its buckets are empty: a
-// rung is only popped once drained, and reset empties the live ones.
-// The caller must init it.
+// and returns it with count/cur zeroed. Its buckets are empty, and so
+// hold no block: a rung is only popped once drained, reset empties the
+// live ones, and new bucket records start at the zero value. The
+// caller must init it.
 func (q *ladderQueue) growRung(buckets int) *ladderRung {
 	n := len(q.rungs)
 	if n < cap(q.rungs) {
@@ -399,15 +395,8 @@ func (q *ladderQueue) growRung(buckets int) *ladderRung {
 	}
 	r := &q.rungs[n]
 	r.cur, r.count = 0, 0
-	if have := cap(r.bkts); have < buckets {
-		// New bucket records get home blocks; existing ones keep theirs.
-		bkts := make([]bucket, buckets)
-		copy(bkts, r.bkts[:have])
-		for i := have; i < buckets; i++ {
-			home := q.carveBlock()
-			bkts[i] = bucket{cur: q.block(home)[:0], home: home, tail: home}
-		}
-		r.bkts = bkts
+	if cap(r.bkts) < buckets {
+		r.bkts = make([]bucket, buckets)
 	} else {
 		r.bkts = r.bkts[:buckets]
 	}
@@ -440,45 +429,79 @@ func (r *ladderRung) init(start, width, endT float64) {
 
 // rebuild turns the over tier into a fresh rung spanning its actual time
 // range (or moves it straight to near when it is small or degenerate),
-// with the bucket count scaled to the population. Reports whether any
-// events remain.
+// with the bucket count scaled to the population. Each over block goes
+// back to the pool once its events are scattered, so the rung's
+// buckets reuse them. Reports whether any events remain.
 func (q *ladderQueue) rebuild() bool {
-	if len(q.over) == 0 {
+	n := q.bucketLen(&q.over)
+	if n == 0 {
 		return false
 	}
+	over, lo, hi := q.over, q.overMin, q.overMax
+	q.clearOver()
 	buckets := ladderMinBuckets
-	for buckets < ladderMaxBuckets && buckets*ladderBucketTarget < len(q.over) {
+	for buckets < ladderMaxBuckets && buckets*ladderBucketTarget < n {
 		buckets *= 2
 	}
-	width := (q.overMax - q.overMin) / float64(buckets)
-	if len(q.over) <= ladderSpreadMax || !(width > 0) || q.overMin+width == q.overMin {
-		for i := range q.over {
-			q.runInsert(q.over[i])
+	width := (hi - lo) / float64(buckets)
+	if n <= ladderSpreadMax || !(width > 0) || lo+width == lo {
+		for blk := over.head; blk != over.tail; blk = q.link[blk] {
+			for _, ev := range q.block(blk) {
+				q.runInsert(ev)
+			}
 		}
-		q.over = q.over[:0]
+		for _, ev := range over.cur {
+			q.runInsert(ev)
+		}
+		q.empty(&over)
 		// Later same-time pushes route to over (time >= nearEnd) with
 		// larger seqs and pop after the near tier drains — still FIFO.
-		q.nearEnd = q.overMax
+		q.nearEnd = hi
 		return true
 	}
 	// endT must lie strictly beyond every held event so the top bucket's
 	// membership stays inside the rung's routing range.
-	end := q.overMin + width*float64(buckets)
-	if end <= q.overMax {
-		end = math.Nextafter(q.overMax, math.Inf(1))
+	end := lo + width*float64(buckets)
+	if end <= hi {
+		end = math.Nextafter(hi, math.Inf(1))
 	}
 	r := q.growRung(buckets)
-	r.init(q.overMin, width, end)
-	j := int32(len(q.rungs) - 1)
-	for i := range q.over {
-		q.pushRung(j, q.over[i])
-	}
-	q.over = q.over[:0]
+	r.init(lo, width, end)
+	q.scatter(over, int32(len(q.rungs)-1))
 	return true
 }
 
+// scatter pushes the events of src, a non-empty chain no bucket owns
+// any more, into rung j. Each of src's blocks goes back to the pool
+// once its events are read, so the rung's buckets reuse them.
+func (q *ladderQueue) scatter(src bucket, j int32) {
+	for blk := src.head; ; {
+		evs, next := src.cur, int32(-1)
+		if blk != src.tail {
+			evs, next = q.block(blk), q.link[blk]
+		}
+		for _, ev := range evs {
+			q.pushRung(j, ev)
+		}
+		// Read, so free: later pushes in this loop may chain it.
+		q.link[blk] = q.free
+		q.free = blk
+		if next < 0 {
+			return
+		}
+		blk = next
+	}
+}
+
+// clearOver empties the over tier's record without touching its
+// blocks, which the caller returns to the pool.
+func (q *ladderQueue) clearOver() {
+	q.over = bucket{}
+	q.overMin, q.overMax = math.Inf(1), math.Inf(-1)
+}
+
 // reset drops all events, keeping every tier's capacity: each bucket
-// keeps its home block and returns its overflow chain to the pool.
+// and over return their chains to the pool.
 // Events hold no pointers, so truncation is enough. The queue restarts
 // in kind's initial shape: flat and due to spread under QueueAuto,
 // spread under QueueLadder. An unknown kind panics.
@@ -499,7 +522,8 @@ func (q *ladderQueue) reset(kind QueueKind) {
 		}
 	}
 	q.rungs = q.rungs[:0]
-	q.over = q.over[:0]
+	q.empty(&q.over)
+	q.clearOver()
 }
 
 // runInsert inserts ev into the run, scanning from the back: later

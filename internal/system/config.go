@@ -136,6 +136,10 @@ func PSPBaseline() Config {
 // would exhaust it mid-run — a panic that no caller recovers from.
 const MaxNodes = sim.PendingCapacity/2 - 1
 
+// Node indices are int32 in task.Task and task.Graph: this fails to
+// compile if MaxNodes outgrows them.
+const _ int32 = MaxNodes
+
 // Validate checks the configuration and returns a descriptive error for
 // the first problem found.
 func (c *Config) Validate() error {
@@ -179,6 +183,16 @@ func (c *Config) Validate() error {
 	}
 	if c.Shape == nil && c.M <= 0 && c.FracLocal < 1 {
 		return fmt.Errorf("system: M = %d, want > 0 for the default serial shape", c.M)
+	}
+	// M also pre-sizes the stage accumulators, so it is bounded even
+	// when Shape replaces the default serial shape.
+	if c.M > workload.MaxSubtasks {
+		return fmt.Errorf("system: M = %d exceeds the limit of %d subtasks per global task", c.M, workload.MaxSubtasks)
+	}
+	if c.Shape != nil {
+		if err := workload.CheckSubtasks(c.Shape); err != nil {
+			return fmt.Errorf("system: %w", err)
+		}
 	}
 	if c.LocalRateMultipliers != nil {
 		if len(c.LocalRateMultipliers) != c.Nodes {

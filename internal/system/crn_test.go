@@ -52,13 +52,13 @@ func recordArrivals(t *testing.T, cfg Config) arrivalLog {
 	var log arrivalLog
 	submit, onGlobal := ws.submit, ws.onGlobal
 	ws.submit = func(tk *task.Task) {
-		log.locals = append(log.locals, localArrival{node: tk.NodeID, at: tk.Arrival, exec: tk.Exec, deadline: tk.Deadline})
+		log.locals = append(log.locals, localArrival{node: int(tk.NodeID), at: tk.Arrival, exec: tk.Exec, deadline: tk.Deadline})
 		submit(tk)
 	}
 	ws.onGlobal = func(sp workload.Spec) {
 		g := globalArrival{at: sp.Arrival, deadline: sp.Deadline}
 		sp.Graph.Walk(func(leaf *task.Graph) {
-			g.leaves = append(g.leaves, leafDraw{node: leaf.NodeID, exec: leaf.Exec})
+			g.leaves = append(g.leaves, leafDraw{node: int(leaf.NodeID), exec: leaf.Exec})
 		})
 		log.globals = append(log.globals, g)
 		onGlobal(sp)

@@ -16,13 +16,16 @@ type Metrics struct {
 	LocalGenerated  int64
 	GlobalGenerated int64
 
-	// LocalDone counts local tasks that completed service;
-	// GlobalDone counts global instances that completed end-to-end.
+	// LocalDone counts local tasks that left the system before the
+	// horizon: served, or discarded by the tardy policy. GlobalDone
+	// counts global instances that finished: completed end to end, or
+	// killed when the tardy policy discarded one of their subtasks.
+	// Both include their aborted counts below.
 	LocalDone  int64
 	GlobalDone int64
 
 	// LocalAborted / GlobalAborted count tardy-policy discards (whole
-	// instances for globals).
+	// instances for globals); they are part of LocalDone / GlobalDone.
 	LocalAborted  int64
 	GlobalAborted int64
 

@@ -410,11 +410,11 @@ func naivePex(g *task.Graph) float64 {
 func (s *naiveSim) activate(inst *naiveInst, g *task.Graph, dl float64, parent *naiveGroup) {
 	switch g.Kind {
 	case task.KindSimple:
-		t := s.newTask(naiveRecord{Class: task.Global, GlobalID: inst.id, Stage: g.LeafIndex,
-			Node: g.NodeID, Arrival: s.now, Deadline: dl})
+		t := s.newTask(naiveRecord{Class: task.Global, GlobalID: inst.id, Stage: int(g.LeafIndex),
+			Node: int(g.NodeID), Arrival: s.now, Deadline: dl})
 		t.firm, t.exec, t.pex = inst.deadline, g.Exec, g.Pex
 		t.inst, t.group = inst, parent
-		s.submit(g.NodeID, t)
+		s.submit(int(g.NodeID), t)
 	case task.KindSerial:
 		s.releaseStage(inst, &naiveGroup{g: g, parent: parent, deadline: dl})
 	case task.KindParallel:

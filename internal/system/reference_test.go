@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/task"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -234,6 +235,7 @@ func checkNaive(t *testing.T, name string, cfg Config, m *Metrics) {
 	if gotCounts := metricsCounts(m); !reflect.DeepEqual(gotCounts, wantCounts) {
 		t.Errorf("%s: metrics differ from the reference:\nsystem    %+v\nreference %+v", name, gotCounts, wantCounts)
 	}
+	checkInFlight(t, name, got, m)
 	var ids []uint64
 	for id, w := range want {
 		if g, ok := got[id]; !ok || g != w {
@@ -251,6 +253,56 @@ func checkNaive(t *testing.T, name string, cfg Config, m *Metrics) {
 	slices.Sort(ids)
 	t.Errorf("%s: %d of %d tasks differ from the reference; first at task %d:\nsystem    %+v\nreference %+v",
 		name, len(ids), len(want), ids[0], got[ids[0]], want[ids[0]])
+}
+
+// checkInFlight derives from a run's trace alone what was still queued
+// or running at the horizon, and checks the counters that report it.
+// RunWith derives LocalInFlight as LocalGenerated − LocalDone, and the
+// reference the same way, so only the trace checks it independently:
+//   - LocalInFlight is the number of local tasks with neither a
+//     completion nor an abort;
+//   - GlobalInFlight is the number of instances with such a subtask and
+//     no aborted one (a stage's completion releases the next stage at
+//     the same instant, so an instance between stages has none);
+//   - the nodes' TasksSubmitted, TasksCompleted and TasksAborted count
+//     the traced tasks, their completions and their aborts, so
+//     submitted = completed + aborted + in flight.
+func checkInFlight(t *testing.T, name string, recs map[uint64]naiveRecord, m *Metrics) {
+	t.Helper()
+	var completed, aborted, localOpen int64
+	open, killed := map[uint64]bool{}, map[uint64]bool{}
+	for _, r := range recs {
+		switch r.Outcome {
+		case outCompleted:
+			completed++
+		case outAborted:
+			aborted++
+			if r.Class == task.Global {
+				killed[r.GlobalID] = true
+			}
+		case outInFlight:
+			if r.Class == task.Local {
+				localOpen++
+			} else {
+				open[r.GlobalID] = true
+			}
+		}
+	}
+	var globalOpen int64
+	for id := range open {
+		if !killed[id] {
+			globalOpen++
+		}
+	}
+	if m.LocalInFlight != localOpen || m.GlobalInFlight != globalOpen {
+		t.Errorf("%s: LocalInFlight, GlobalInFlight = %d, %d; the trace leaves %d local tasks and %d instances unfinished",
+			name, m.LocalInFlight, m.GlobalInFlight, localOpen, globalOpen)
+	}
+	e := &m.Engine
+	if e.TasksSubmitted != uint64(len(recs)) || e.TasksCompleted != uint64(completed) || e.TasksAborted != uint64(aborted) {
+		t.Errorf("%s: TasksSubmitted, TasksCompleted, TasksAborted = %d, %d, %d; the trace holds %d tasks, %d completed and %d aborted",
+			name, e.TasksSubmitted, e.TasksCompleted, e.TasksAborted, len(recs), completed, aborted)
+	}
 }
 
 // traceRecords rebuilds every task's record from a run's trace: the

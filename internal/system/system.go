@@ -99,7 +99,7 @@ func (env *runEnv) taskDone(t *task.Task) {
 		if t.Arrival >= env.warmup {
 			// Stage metrics use the subtask's own release time.
 			env.metrics.StageMiss.Observe(t.Missed())
-			env.metrics.observeStage(t.Stage, t.Missed(), t.Deadline-t.Arrival-t.Pex)
+			env.metrics.observeStage(int(t.Stage), t.Missed(), t.Deadline-t.Arrival-t.Pex)
 		}
 		// The manager recycles the subtask; t is dead past this call.
 		if err := env.mgr.Complete(t); err != nil {
@@ -263,7 +263,7 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 		// NodeID routes it, so setup allocates no per-node closures.
 		ws.submit = func(t *task.Task) {
 			env.metrics.LocalGenerated++
-			env.group.Submit(t.NodeID, t)
+			env.group.Submit(int(t.NodeID), t)
 		}
 	}
 	nextSeq, nextID := ws.nextSeq, ws.nextID

@@ -97,6 +97,57 @@ func TestValidateRejectsOversizedTopology(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOversizedGlobalTasks: a global task may have at most
+// workload.MaxSubtasks simple subtasks, so Validate rejects an M above
+// it, and every built-in shape whose instances can exceed it, before
+// anything is built — a config carrying M = 10^9 would otherwise build
+// a 10^9-leaf graph for every global arrival. Each shape at the bound
+// is accepted.
+func TestValidateRejectsOversizedGlobalTasks(t *testing.T) {
+	const max = workload.MaxSubtasks
+	huge := []int{max + 1, 1_000_000_000}
+	for _, m := range huge {
+		cfg := shortBaseline()
+		cfg.M = m
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(max)) {
+			t.Errorf("M = %d: Validate = %v, want an error naming the limit %d", m, err, max)
+		}
+	}
+	cfg := shortBaseline()
+	cfg.M = max
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate rejected M = MaxSubtasks: %v", err)
+	}
+	mixed := func(total int) []int { return []int{1, total - 2, 1} }
+	for _, c := range []struct {
+		name     string
+		ok, over workload.Shape
+	}{
+		{"serial", workload.SerialShape{M: max, MeanExec: 1}, workload.SerialShape{M: max + 1, MeanExec: 1}},
+		{"parallel", workload.ParallelShape{M: max, MeanExec: 1}, workload.ParallelShape{M: max + 1, MeanExec: 1}},
+		{"hetero", workload.HeteroSerialShape{MinM: 1, MaxM: max, MeanExec: 1},
+			workload.HeteroSerialShape{MinM: 1, MaxM: max + 1, MeanExec: 1}},
+		{"mixed", workload.MixedShape{Stages: mixed(max), MeanExec: 1},
+			workload.MixedShape{Stages: mixed(max + 1), MeanExec: 1}},
+		{"hetero huge", nil, workload.HeteroSerialShape{MinM: 1, MaxM: 1_000_000_000, MeanExec: 1}},
+	} {
+		cfg := shortBaseline()
+		cfg.Nodes = 2 * max // room for the parallel placements
+		if c.ok != nil {
+			cfg.Shape = c.ok
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%s: Validate rejected an instance of MaxSubtasks: %v", c.name, err)
+			}
+		}
+		cfg.Shape = c.over
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), "MaxSubtasks") {
+			t.Errorf("%s: Validate = %v, want a MaxSubtasks error", c.name, err)
+		}
+	}
+}
+
 // TestValidateRejectsNonFinite: a NaN or infinite float field must fail
 // validation naming the field, not pass (a NaN horizon never ends a run)
 // or fail somewhere downstream.

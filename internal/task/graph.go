@@ -7,7 +7,7 @@ import (
 )
 
 // Kind discriminates graph nodes.
-type Kind int
+type Kind uint8
 
 const (
 	// KindSimple is a leaf: one unit of work at one node.
@@ -28,7 +28,7 @@ func (k Kind) String() string {
 	case KindParallel:
 		return "parallel"
 	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
@@ -37,7 +37,6 @@ func (k Kind) String() string {
 // Graphs are built with Simple, Serial and Parallel, or parsed from the
 // compact notation by Parse.
 type Graph struct {
-	Kind     Kind
 	Name     string   // leaf name; empty for groups
 	Children []*Graph // nil for leaves
 
@@ -48,10 +47,13 @@ type Graph struct {
 	// workload generator (or set by the user).
 	Exec float64
 	// NodeID is the placement of a leaf.
-	NodeID int
+	NodeID int32
 	// LeafIndex is the position of a leaf in Leaves() order; set by
 	// Flatten. -1 until then.
-	LeafIndex int
+	LeafIndex int32
+	// Kind says whether the node is a leaf or a serial or parallel
+	// group. It sits last so the record has no padding hole.
+	Kind Kind
 }
 
 // Simple returns a leaf subtask with the given name and predicted
@@ -211,7 +213,7 @@ func (g *Graph) Walk(visit func(leaf *Graph)) {
 func (g *Graph) Flatten() []*Graph {
 	var leaves []*Graph
 	g.Walk(func(leaf *Graph) {
-		leaf.LeafIndex = len(leaves)
+		leaf.LeafIndex = int32(len(leaves))
 		leaves = append(leaves, leaf)
 	})
 	return leaves
@@ -224,7 +226,7 @@ func (g *Graph) Index() int { return g.index(0) }
 
 func (g *Graph) index(next int) int {
 	if g.Kind == KindSimple {
-		g.LeafIndex = next
+		g.LeafIndex = int32(next)
 		return next + 1
 	}
 	for _, c := range g.Children {

@@ -82,7 +82,7 @@ func TestFlattenAssignsIndices(t *testing.T) {
 	}
 	wantNames := []string{"a", "b", "c", "d"}
 	for i, leaf := range leaves {
-		if leaf.LeafIndex != i {
+		if int(leaf.LeafIndex) != i {
 			t.Errorf("leaf %d has LeafIndex %d", i, leaf.LeafIndex)
 		}
 		if leaf.Name != wantNames[i] {

@@ -7,7 +7,7 @@ func TestGraphPoolRoundTrip(t *testing.T) {
 	g := p.Group(KindSerial)
 	for i := 0; i < 3; i++ {
 		leaf := p.Simple("t", 1)
-		leaf.Exec, leaf.NodeID = 2.5, i
+		leaf.Exec, leaf.NodeID = 2.5, int32(i)
 		g.Children = append(g.Children, leaf)
 	}
 	if n := g.Index(); n != 3 {

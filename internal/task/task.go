@@ -17,7 +17,7 @@ import "fmt"
 // Class distinguishes the two task populations of the model. Local tasks
 // execute at exactly one node; Global marks simple subtasks that belong to
 // a distributed global task.
-type Class int
+type Class uint8
 
 const (
 	// Local is a task generated at (and confined to) a single node.
@@ -34,26 +34,22 @@ func (c Class) String() string {
 	case Global:
 		return "global"
 	default:
-		return fmt.Sprintf("Class(%d)", int(c))
+		return fmt.Sprintf("Class(%d)", uint8(c))
 	}
 }
 
 // Task is the unit of work a node scheduler handles: either a local task
 // or a simple subtask of a global task carrying its assigned virtual
-// deadline. Fields follow the paper's attribute names.
+// deadline. Fields follow the paper's attribute names. They are ordered
+// widest first so the record has no padding hole: every in-flight task
+// of a run is one of these, so its size is the simulator's per-task
+// memory.
 type Task struct {
 	// ID is unique within a run, assigned by the workload generators.
 	ID uint64
-	// Class is Local or Global.
-	Class Class
 	// GlobalID identifies the owning global task instance for Global
 	// subtasks; zero for local tasks.
 	GlobalID uint64
-	// Stage identifies the leaf of the owning global task's graph (the
-	// leaf index assigned by Graph.Flatten); -1 for local tasks.
-	Stage int
-	// NodeID is the node the task executes at.
-	NodeID int
 
 	// Arrival is ar(X): submission time at the node. For a subtask this
 	// is when its precedence constraints released it.
@@ -73,9 +69,9 @@ type Task struct {
 	// deadline-assignment strategies and laxity-based schedulers.
 	Pex float64
 
-	// Start and Finish record first service start and completion;
-	// filled by the node. Zero until then.
-	Start  float64
+	// Finish records completion (or the discard time of an aborted
+	// task); filled by the node. Zero until then. The first-dispatch
+	// time is not kept: a node Observer sees it as ObserveDispatch.
 	Finish float64
 
 	// Remaining is the unserved demand, maintained by preemptive nodes
@@ -88,11 +84,18 @@ type Task struct {
 	// by schedulers for deterministic FIFO tie-breaking.
 	Seq uint64
 
+	// Stage identifies the leaf of the owning global task's graph (the
+	// leaf index assigned by Graph.Flatten); -1 for local tasks.
+	Stage int32
+	// NodeID is the node the task executes at.
+	NodeID int32
 	// Ref is the process manager's dense index for the in-flight
 	// continuation of a Global subtask: the manager's pending tables
 	// are slices indexed by Ref instead of a map keyed by ID. Owned by
 	// the manager; meaningless (zero) for local tasks.
 	Ref int32
+	// Class is Local or Global.
+	Class Class
 }
 
 // Slack returns sl(X) = dl(X) − ar(X) − ex(X), the paper's slack relation

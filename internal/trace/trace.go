@@ -163,9 +163,9 @@ func FromTask(kind Kind, now float64, t *task.Task) Event {
 		Kind:     kind,
 		TaskID:   t.ID,
 		GlobalID: t.GlobalID,
-		Stage:    t.Stage,
+		Stage:    int(t.Stage),
 		Class:    t.Class,
-		Node:     t.NodeID,
+		Node:     int(t.NodeID),
 		Deadline: t.Deadline,
 	}
 }

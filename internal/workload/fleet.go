@@ -209,7 +209,7 @@ func (f *LocalFleet) arrive(s *localStream) {
 	t.ID = f.nextID()
 	t.Class = task.Local
 	t.Stage = -1
-	t.NodeID = int(s.node)
+	t.NodeID = s.node
 	t.Arrival = now
 	t.Deadline = now + ex + sl // dl = ar + ex + sl
 	t.FirmDeadline = now + ex + sl

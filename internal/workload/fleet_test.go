@@ -22,7 +22,7 @@ type emitted struct {
 
 func record(tk *task.Task) emitted {
 	return emitted{
-		id: tk.ID, seq: tk.Seq, node: tk.NodeID,
+		id: tk.ID, seq: tk.Seq, node: int(tk.NodeID),
 		arrival: tk.Arrival, deadline: tk.Deadline, firm: tk.FirmDeadline,
 		exec: tk.Exec, pex: tk.Pex,
 	}

@@ -89,10 +89,20 @@ func validateGlobal(r *rng.Source, k int, params GlobalParams, start func(Spec))
 		params.RelFlex < 0 || params.MeanLocalExec <= 0 || k <= 0 {
 		return fmt.Errorf("workload: global source: bad params")
 	}
+	// Bound the built-in shapes before building a probe: a hostile M
+	// would make the probe itself huge.
+	if err := CheckSubtasks(params.Shape); err != nil {
+		return fmt.Errorf("workload: global source: %w", err)
+	}
 	// Fail fast on impossible shapes (e.g. parallel m > k) rather than
 	// mid-run.
-	if _, err := params.Shape.Build(rng.New(0), k); err != nil {
+	g, err := params.Shape.Build(rng.New(0), k)
+	if err != nil {
 		return fmt.Errorf("workload: global source: %w", err)
+	}
+	if n := g.LeafCount(); n > MaxSubtasks {
+		return fmt.Errorf("workload: global source: %s shape built %d subtasks, want <= %d (MaxSubtasks)",
+			params.Shape.Name(), n, MaxSubtasks)
 	}
 	return nil
 }

@@ -187,7 +187,7 @@ func (s *LocalSource) arrive() {
 	t.ID = s.nextID()
 	t.Class = task.Local
 	t.Stage = -1
-	t.NodeID = s.params.Node
+	t.NodeID = int32(s.params.Node)
 	t.Arrival = now
 	t.Deadline = now + ex + sl // dl = ar + ex + sl
 	t.FirmDeadline = now + ex + sl

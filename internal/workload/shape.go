@@ -25,6 +25,44 @@ type Shape interface {
 	Name() string
 }
 
+// MaxSubtasks bounds the simple subtasks of one global-task instance.
+// The paper's runs use at most 8. The bound keeps every per-instance
+// count and leaf index within the int32 fields of task.Task, task.Graph
+// and the process manager's records, and it stops a configuration
+// (possibly from a shard frame or a job spec) from asking each global
+// arrival for an arbitrarily large graph.
+const MaxSubtasks = 4096
+
+// CheckSubtasks reports an error when an instance of a built-in shape
+// can have more than MaxSubtasks simple subtasks: SerialShape.M,
+// ParallelShape.M, HeteroSerialShape.MaxM, or the sum of
+// MixedShape.Stages. It checks the parameters only, building nothing,
+// so it is safe on hostile values. Other shapes pass; GlobalSource
+// bounds them by the probe instance it builds.
+func CheckSubtasks(sh Shape) error {
+	var m int
+	switch s := sh.(type) {
+	case SerialShape:
+		m = s.M
+	case ParallelShape:
+		m = s.M
+	case HeteroSerialShape:
+		m = s.MaxM
+	case MixedShape:
+		// Build rejects widths below 1. Each term is capped and the
+		// loop stops past the bound, so the sum cannot overflow.
+		for _, w := range s.Stages {
+			if m += min(max(w, 0), MaxSubtasks+1); m > MaxSubtasks {
+				break
+			}
+		}
+	}
+	if m > MaxSubtasks {
+		return fmt.Errorf("workload: %T: an instance can have more than %d subtasks (MaxSubtasks)", sh, MaxSubtasks)
+	}
+	return nil
+}
+
 // buildPooled is sh.Build drawing graph nodes from pool (nil falls
 // back to fresh allocation; the sampled values are identical either
 // way). The graph is released back to the pool by the process manager
@@ -278,7 +316,7 @@ func sampleLeaf(pool *task.GraphPool, r *rng.Source, meanExec float64, pm PexMod
 	leaf := pool.Simple("t", 1)
 	leaf.Exec = sampleDemand(d, r, meanExec)
 	leaf.Pex = pm.Sample(r, leaf.Exec)
-	leaf.NodeID = nodeID
+	leaf.NodeID = int32(nodeID)
 	return leaf
 }
 

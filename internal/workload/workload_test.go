@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -177,7 +178,7 @@ func TestParallelShapeDistinctNodes(t *testing.T) {
 		if g.Kind != task.KindParallel {
 			t.Fatal("not parallel")
 		}
-		seen := make(map[int]bool)
+		seen := make(map[int32]bool)
 		g.Walk(func(leaf *task.Graph) {
 			if seen[leaf.NodeID] {
 				t.Fatalf("duplicate node %d in parallel placement", leaf.NodeID)
@@ -377,6 +378,63 @@ func TestGlobalSourceValidation(t *testing.T) {
 	impossible.Shape = ParallelShape{M: 10, MeanExec: 1}
 	if _, err := NewGlobalSource(eng, rng.New(1), 6, impossible, start); err == nil {
 		t.Error("impossible shape accepted")
+	}
+}
+
+// wideShape is a custom Shape: a parallel group of n leaves on node 0.
+type wideShape struct{ n int }
+
+func (s wideShape) Build(*rng.Source, int) (*task.Graph, error) {
+	kids := make([]*task.Graph, s.n)
+	for i := range kids {
+		kids[i] = task.Simple("w", 1)
+	}
+	g := task.Parallel(kids...)
+	g.Index()
+	return g, nil
+}
+func (wideShape) SlackScale(float64) float64 { return 1 }
+func (s wideShape) Name() string             { return fmt.Sprintf("wide-%d", s.n) }
+
+// TestSubtaskBound: no global source accepts a shape whose instances
+// can exceed MaxSubtasks simple subtasks. Built-in shapes are checked
+// from their parameters, before a probe is built; a custom shape by the
+// probe instance. Each is accepted at the bound.
+func TestSubtaskBound(t *testing.T) {
+	const max = MaxSubtasks
+	eng := sim.New()
+	params := func(sh Shape) GlobalParams {
+		return GlobalParams{Rate: 1, Shape: sh, SlackMin: 0, SlackMax: 1, RelFlex: 1, MeanLocalExec: 1}
+	}
+	for _, c := range []struct {
+		ok, over Shape
+	}{
+		{SerialShape{M: max, MeanExec: 1}, SerialShape{M: max + 1, MeanExec: 1}},
+		{ParallelShape{M: max, MeanExec: 1}, ParallelShape{M: max + 1, MeanExec: 1}},
+		{HeteroSerialShape{MinM: max, MaxM: max, MeanExec: 1}, HeteroSerialShape{MinM: 1, MaxM: max + 1, MeanExec: 1}},
+		{MixedShape{Stages: []int{max - 3, 3}, MeanExec: 1}, MixedShape{Stages: []int{max - 3, 3, 1}, MeanExec: 1}},
+		{wideShape{n: max}, wideShape{n: max + 1}},
+	} {
+		if _, err := NewGlobalSource(eng, rng.New(1), 2*max, params(c.ok), func(Spec) {}); err != nil {
+			t.Errorf("%s: rejected an instance of MaxSubtasks: %v", c.ok.Name(), err)
+		}
+		_, err := NewGlobalSource(eng, rng.New(1), 2*max, params(c.over), func(Spec) {})
+		if err == nil || !strings.Contains(err.Error(), "MaxSubtasks") {
+			t.Errorf("%s: NewGlobalSource = %v, want a MaxSubtasks error", c.over.Name(), err)
+		}
+		if _, ok := c.over.(wideShape); ok {
+			continue // only the probe can tell
+		}
+		if err := CheckSubtasks(c.over); err == nil {
+			t.Errorf("%s: CheckSubtasks accepted it", c.over.Name())
+		}
+		if err := CheckSubtasks(c.ok); err != nil {
+			t.Errorf("%s: CheckSubtasks = %v", c.ok.Name(), err)
+		}
+	}
+	// Widths whose sum overflows int must not wrap below the bound.
+	if err := CheckSubtasks(MixedShape{Stages: []int{1, math.MaxInt, math.MaxInt}, MeanExec: 1}); err == nil {
+		t.Error("CheckSubtasks accepted stage widths whose sum overflows")
 	}
 }
 
