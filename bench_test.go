@@ -68,25 +68,31 @@ func BenchmarkRunReplications(b *testing.B) {
 func BenchmarkScenarioRun(b *testing.B) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 2000
-	sc, err := ScenarioPreset("burst", cfg.Horizon)
-	if err != nil {
+	var err error
+	if cfg.Scenario, err = ScenarioPreset("burst", cfg.Horizon); err != nil {
 		b.Fatal(err)
 	}
-	const reps = 8
+	job := Job{Config: cfg, Reps: 8}
 	for _, parallel := range []int{1, 4} {
 		sess := benchSession(b, WithParallelism(parallel))
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			b.ReportAllocs()
-			var last *ScenarioResult
+			var (
+				last   *RunResult
+				series *ScenarioSeries
+			)
 			for i := 0; i < b.N; i++ {
-				res, err := sess.RunScenario(context.Background(), cfg, sc, reps)
+				res, err := sess.Run(context.Background(), job)
 				if err != nil {
+					b.Fatal(err)
+				}
+				if series, err = res.MergedSeries(); err != nil {
 					b.Fatal(err)
 				}
 				last = res
 			}
 			if last != nil {
-				b.ReportMetric(float64(last.Series.Len()), "windows/op")
+				b.ReportMetric(float64(series.Len()), "windows/op")
 				b.ReportMetric(last.GlobalMD.Mean, "MDglobal%")
 			}
 		})

@@ -65,8 +65,9 @@ func main() {
 // preset table.
 const churnPreset = "churn"
 
-// progressLabel names the -progress meter after the scenario.
-func progressLabel(sc *repro.Scenario) string {
+// scenarioName names the -progress meter and the summary line after
+// the scenario.
+func scenarioName(sc *repro.Scenario) string {
 	if name := sc.Name(); name != "" {
 		return name
 	}
@@ -138,6 +139,11 @@ func run(args []string, out, errOut io.Writer) (retErr error) {
 	if *horizon <= 0 {
 		return fmt.Errorf("-horizon %v, want > 0", *horizon)
 	}
+	// A Job's Reps of 0 means one replication; the flag asks for an
+	// explicit count.
+	if *reps <= 0 {
+		return fmt.Errorf("-reps %d, want > 0", *reps)
+	}
 	if err := common.ValidateNodes(); err != nil {
 		return err
 	}
@@ -199,33 +205,34 @@ func run(args []string, out, errOut io.Writer) (retErr error) {
 	defer stopMetrics()
 
 	var runOpts []repro.RunOption
-	if pm := common.ProgressMeter(progressLabel(sc)); pm != nil {
+	if pm := common.ProgressMeter(scenarioName(sc)); pm != nil {
 		runOpts = append(runOpts, repro.WithProgress(pm))
 	}
-	res, err := sess.RunScenario(context.Background(), cfg, sc, *reps, runOpts...)
+	cfg.Scenario = sc
+	res, err := sess.Run(context.Background(), repro.Job{Config: cfg, Reps: *reps}, runOpts...)
+	if err != nil {
+		return err
+	}
+	series, err := res.MergedSeries()
 	if err != nil {
 		return err
 	}
 
 	var csv strings.Builder
-	if err := res.Series.WriteCSV(&csv); err != nil {
+	if err := series.WriteCSV(&csv); err != nil {
 		return err
 	}
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, []byte(csv.String()), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %s (%d windows)\n", *outPath, res.Series.Len())
+		fmt.Fprintf(out, "wrote %s (%d windows)\n", *outPath, series.Len())
 	} else {
 		fmt.Fprint(out, csv.String())
 	}
 	if !*quiet {
-		name := sc.Name()
-		if name == "" {
-			name = "scenario"
-		}
 		fmt.Fprintf(errOut, "%s: %s-%s, load %g, %d reps: MD_local %.2f%% ±%.2f, MD_global %.2f%% ±%.2f\n",
-			name, cfg.SSP, cfg.PSP, cfg.Load, *reps,
+			scenarioName(sc), cfg.SSP, cfg.PSP, cfg.Load, *reps,
 			res.LocalMD.Mean, res.LocalMD.HalfCI, res.GlobalMD.Mean, res.GlobalMD.HalfCI)
 	}
 	return nil

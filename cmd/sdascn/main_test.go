@@ -124,6 +124,8 @@ func TestErrors(t *testing.T) {
 		{name: "missing spec file", args: []string{"-spec", filepath.Join(dir, "absent.json")}},
 		{name: "invalid spec", args: []string{"-spec", badSpec}},
 		{name: "bad horizon", args: []string{"-preset", "burst", "-horizon", "-5"}},
+		{name: "zero reps", args: []string{"-preset", "burst", "-reps", "0", "-horizon", "1000"}},
+		{name: "negative reps", args: []string{"-preset", "burst", "-reps", "-1", "-horizon", "1000"}},
 		{name: "bad strategy", args: []string{"-preset", "burst", "-ssp", "WAT", "-horizon", "1000"}},
 		{name: "event beyond nodes", args: []string{"-preset", "outage", "-nodes", "1", "-horizon", "1000"}},
 		{name: "queue flag undefined", args: []string{"-preset", "burst", "-queue", "heap", "-horizon", "1000"}},

@@ -41,7 +41,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	job := repro.Job{Config: cfg, Scenario: sc, Reps: 8}
+	cfg.Scenario = sc
+	job := repro.Job{Config: cfg, Reps: 8}
 
 	// Reference pass: the in-process pool.
 	local := repro.NewSession()

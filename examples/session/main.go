@@ -31,7 +31,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	job := repro.Job{Config: cfg, Scenario: sc, Reps: 12}
+	cfg.Scenario = sc
+	job := repro.Job{Config: cfg, Reps: 12}
 
 	// One session for both passes: the second reuses the first's warm
 	// per-worker workspaces (engine, pools, queues, workload sources).

@@ -29,11 +29,12 @@ func run() error {
 	cfg.Horizon = 2000
 	rec := repro.NewTraceRecorder(0) // unbounded: short horizon
 
-	// WithTrace attaches the recorder; a shared recorder forces the
+	// Config.Trace attaches the recorder; a shared recorder forces the
 	// sequential path, so the event order is deterministic.
+	cfg.Trace = rec
 	sess := repro.NewSession()
 	defer sess.Close()
-	if _, err := sess.Run(context.Background(), repro.Job{Config: cfg}, repro.WithTrace(rec)); err != nil {
+	if _, err := sess.Run(context.Background(), repro.Job{Config: cfg}); err != nil {
 		return err
 	}
 	events := rec.Events()

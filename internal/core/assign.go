@@ -15,8 +15,8 @@ import (
 // stage is released (its predecessor finished), so leftover slack is
 // inherited by later stages and lateness eats their budget — the two
 // phenomena section 4.2.2 calls "the rich get richer and the poor get
-// poorer". The process manager drives this by calling SerialStage and
-// ParallelBranch as the simulation unfolds; Plan computes a static
+// poorer". The process manager drives this by calling SerialStageBuf and
+// ParallelBranchBuf as the simulation unfolds; Plan computes a static
 // assignment in one pass for inspection.
 type Assigner struct {
 	// Serial is the SSP strategy; must be non-nil.
@@ -42,21 +42,15 @@ func (a Assigner) Name() string {
 	return a.Serial.Name() + "-" + a.Parallel.Name()
 }
 
-// SerialStage returns the virtual deadline of the stage released at time
-// now inside a serial group with the given deadline. remaining holds the
-// graph nodes of the current stage and all following stages; their
-// aggregate pex values feed the SSP formulas.
-func (a Assigner) SerialStage(now, groupDeadline float64, remaining []*task.Graph) float64 {
-	dl, _ := a.SerialStageBuf(make([]float64, 0, len(remaining)), now, groupDeadline, remaining)
-	return dl
-}
-
-// SerialStageBuf is SerialStage collecting the aggregate pex values into
-// buf (grown as needed) instead of allocating; it returns the deadline
-// and the possibly regrown buffer for the caller to reuse. Strategies
-// receive the buffer only for the duration of the call and must not
-// retain it. This is the process manager's hot path: one call per serial
-// stage release for the whole run.
+// SerialStageBuf returns the virtual deadline of the stage released at
+// time now inside a serial group with the given deadline. remaining
+// holds the graph nodes of the current stage and all following stages;
+// their aggregate pex values, collected into buf (grown as needed), feed
+// the SSP formulas. It returns the deadline and the possibly regrown
+// buffer for the caller to reuse. Strategies receive the buffer only for
+// the duration of the call and must not retain it. This is the process
+// manager's hot path: one call per serial stage release for the whole
+// run.
 func (a Assigner) SerialStageBuf(buf []float64, now, groupDeadline float64, remaining []*task.Graph) (float64, []float64) {
 	buf = buf[:0]
 	for _, g := range remaining {
@@ -65,15 +59,9 @@ func (a Assigner) SerialStageBuf(buf []float64, now, groupDeadline float64, rema
 	return a.Serial.StageDeadline(now, groupDeadline, buf), buf
 }
 
-// ParallelBranch returns the virtual deadline of branch i of a parallel
-// group arriving at time arrival with the given group deadline.
-func (a Assigner) ParallelBranch(arrival, groupDeadline float64, branches []*task.Graph, i int) float64 {
-	dl, _ := a.ParallelBranchBuf(make([]float64, 0, len(branches)), arrival, groupDeadline, branches, i)
-	return dl
-}
-
-// ParallelBranchBuf is ParallelBranch with a caller-owned scratch buffer,
-// mirroring SerialStageBuf.
+// ParallelBranchBuf returns the virtual deadline of branch i of a
+// parallel group arriving at time arrival with the given group deadline,
+// using buf as SerialStageBuf does.
 func (a Assigner) ParallelBranchBuf(buf []float64, arrival, groupDeadline float64, branches []*task.Graph, i int) (float64, []float64) {
 	buf = buf[:0]
 	for _, g := range branches {
@@ -98,22 +86,27 @@ type Assignment struct {
 // time (so serial stage i is released at the planned finish of stage
 // i−1). It returns one assignment per leaf in left-to-right order.
 //
-// The dynamic per-stage path (SerialStage/ParallelBranch) supersedes
+// The dynamic per-stage path (SerialStageBuf/ParallelBranchBuf) supersedes
 // these values during simulation; Plan exists for the public API and the
 // sdadl CLI.
 func (a Assigner) Plan(g *task.Graph, arrival, deadline float64) ([]Assignment, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: plan: %w", err)
 	}
-	var out []Assignment
-	a.plan(g, arrival, deadline, &out)
+	var (
+		out []Assignment
+		buf []float64
+	)
+	a.plan(g, arrival, deadline, &out, &buf)
 	return out, nil
 }
 
 // plan recursively plans node g released at time release with deadline
 // dl, appending leaf assignments to out, and returns the planned finish
-// time of g (release + aggregate pex, deadline-independent).
-func (a Assigner) plan(g *task.Graph, release, dl float64, out *[]Assignment) float64 {
+// time of g (release + aggregate pex, deadline-independent). buf is the
+// pex scratch buffer every level shares: a deadline is computed before
+// the recursion that could reuse it.
+func (a Assigner) plan(g *task.Graph, release, dl float64, out *[]Assignment, buf *[]float64) float64 {
 	switch g.Kind {
 	case task.KindSimple:
 		*out = append(*out, Assignment{Leaf: g, Release: release, Deadline: dl})
@@ -122,16 +115,18 @@ func (a Assigner) plan(g *task.Graph, release, dl float64, out *[]Assignment) fl
 	case task.KindSerial:
 		now := release
 		for i := range g.Children {
-			stageDL := a.SerialStage(now, dl, g.Children[i:])
-			now = a.plan(g.Children[i], now, stageDL, out)
+			var stageDL float64
+			stageDL, *buf = a.SerialStageBuf(*buf, now, dl, g.Children[i:])
+			now = a.plan(g.Children[i], now, stageDL, out, buf)
 		}
 		return now
 
 	case task.KindParallel:
 		finish := release
 		for i, child := range g.Children {
-			branchDL := a.ParallelBranch(release, dl, g.Children, i)
-			f := a.plan(child, release, branchDL, out)
+			var branchDL float64
+			branchDL, *buf = a.ParallelBranchBuf(*buf, release, dl, g.Children, i)
+			f := a.plan(child, release, branchDL, out, buf)
 			if f > finish {
 				finish = f
 			}

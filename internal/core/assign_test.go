@@ -169,10 +169,10 @@ func TestSerialStageUsesAggregatePex(t *testing.T) {
 	stage1 := task.MustParse("[x:1 || y:3]") // aggregate 3
 	stage2 := task.Simple("z", 2)
 	a := NewAssigner(EqualFlexibility{}, Div{X: 1})
-	got := a.SerialStage(0, 10, []*task.Graph{stage1, stage2})
+	got, _ := a.SerialStageBuf(nil, 0, 10, []*task.Graph{stage1, stage2})
 	want := EqualFlexibility{}.StageDeadline(0, 10, []float64{3, 2})
 	if !almostEqual(got, want) {
-		t.Errorf("SerialStage = %v, want %v", got, want)
+		t.Errorf("SerialStageBuf = %v, want %v", got, want)
 	}
 }
 
@@ -180,9 +180,9 @@ func TestParallelBranchUsesAggregatePex(t *testing.T) {
 	b1 := task.MustParse("[x:1 y:3]") // aggregate 4
 	b2 := task.Simple("z", 2)
 	a := NewAssigner(EqualFlexibility{}, Div{X: 1})
-	got := a.ParallelBranch(0, 12, []*task.Graph{b1, b2}, 0)
+	got, _ := a.ParallelBranchBuf(nil, 0, 12, []*task.Graph{b1, b2}, 0)
 	want := Div{X: 1}.BranchDeadline(0, 12, []float64{4, 2}, 0)
 	if !almostEqual(got, want) {
-		t.Errorf("ParallelBranch = %v, want %v", got, want)
+		t.Errorf("ParallelBranchBuf = %v, want %v", got, want)
 	}
 }

@@ -26,10 +26,22 @@ func SerialByName(name string) (SerialStrategy, error) {
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("core: bad artificial stage count in %q", name)
 		}
+		if n < len(artificialStages) {
+			return artificialStages[n], nil
+		}
 		return ArtificialStages{Base: EqualFlexibility{}, Extra: n}, nil
 	}
 	return nil, fmt.Errorf("core: unknown serial (SSP) strategy %q", name)
 }
+
+// artificialStages holds EQF-AS0 .. EQF-AS8 already boxed, so the
+// per-replication name lookup of an ext-as strategy allocates nothing.
+var artificialStages = func() (s [9]SerialStrategy) {
+	for n := range s {
+		s[n] = ArtificialStages{Base: EqualFlexibility{}, Extra: n}
+	}
+	return s
+}()
 
 // ParallelByName returns the PSP strategy with the given name.
 // Recognized names (case-insensitive): "UD", "GF", "DIV-<x>" (also

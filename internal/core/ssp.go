@@ -81,14 +81,19 @@ type EqualFlexibility struct{}
 
 // StageDeadline implements SerialStrategy.
 func (EqualFlexibility) StageDeadline(now, groupDeadline float64, pexRemaining []float64) float64 {
-	total := sumPex(pexRemaining)
-	if total <= 0 {
-		// Degenerate prediction: fall back to equal division to stay
-		// well-defined.
-		return EqualSlack{}.StageDeadline(now, groupDeadline, pexRemaining)
-	}
+	return eqf(now, groupDeadline, pexRemaining[0], sumPex(pexRemaining), len(pexRemaining))
+}
+
+// eqf is EQF for a current stage of predicted time first among n
+// remaining stages whose predicted times sum to total.
+func eqf(now, groupDeadline, first, total float64, n int) float64 {
 	slack := groupDeadline - now - total
-	return now + pexRemaining[0] + slack*pexRemaining[0]/total
+	if total <= 0 {
+		// Degenerate prediction: fall back to equal division (EQS) to
+		// stay well-defined.
+		return now + first + slack/float64(n)
+	}
+	return now + first + slack*first/total
 }
 
 // Name implements SerialStrategy.
@@ -112,7 +117,18 @@ func (a ArtificialStages) StageDeadline(now, groupDeadline float64, pexRemaining
 	if a.Extra <= 0 {
 		return a.Base.StageDeadline(now, groupDeadline, pexRemaining)
 	}
-	avg := sumPex(pexRemaining) / float64(len(pexRemaining))
+	sum := sumPex(pexRemaining)
+	avg := sum / float64(len(pexRemaining))
+	if _, ok := a.Base.(EqualFlexibility); ok {
+		// The registry's only base: pad the sum, not a copied vector, so
+		// a stage release allocates nothing. Adding avg Extra times in
+		// order is exactly sumPex over the padded vector below.
+		total := sum
+		for i := 0; i < a.Extra; i++ {
+			total += avg
+		}
+		return eqf(now, groupDeadline, pexRemaining[0], total, len(pexRemaining)+a.Extra)
+	}
 	padded := make([]float64, len(pexRemaining), len(pexRemaining)+a.Extra)
 	copy(padded, pexRemaining)
 	for i := 0; i < a.Extra; i++ {

@@ -226,6 +226,33 @@ func TestArtificialStages(t *testing.T) {
 	}
 }
 
+// paddedEQF is EQF behind a type the ArtificialStages fast path does
+// not recognise, so wrapping it takes the copied-vector path.
+type paddedEQF struct{ EqualFlexibility }
+
+// TestArtificialStagesPaddedSumMatchesPaddedVector: EQF-AS pads the pex
+// sum instead of copying the vector, and must give the copied vector's
+// deadline bit for bit, degenerate predictions included.
+func TestArtificialStagesPaddedSumMatchesPaddedVector(t *testing.T) {
+	r := rng.New(3)
+	for trial := 0; trial < 2000; trial++ {
+		remaining := make([]float64, 1+r.IntN(8))
+		for i := range remaining {
+			if trial%10 != 0 {
+				remaining[i] = r.Uniform(0.01, 5)
+			}
+		}
+		now := r.Uniform(0, 100)
+		dl := now + r.Uniform(-5, 40)
+		extra := 1 + r.IntN(4)
+		fast := ArtificialStages{Base: EqualFlexibility{}, Extra: extra}.StageDeadline(now, dl, remaining)
+		slow := ArtificialStages{Base: paddedEQF{}, Extra: extra}.StageDeadline(now, dl, remaining)
+		if math.Float64bits(fast) != math.Float64bits(slow) {
+			t.Fatalf("trial %d %v +%d: padded sum %v, padded vector %v", trial, remaining, extra, fast, slow)
+		}
+	}
+}
+
 func TestStrategyNames(t *testing.T) {
 	tests := []struct {
 		give SerialStrategy

@@ -142,11 +142,11 @@ func TestProcBackendMatchesPool(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	cfg := shortCfg(4000)
-	sc, err := scenario.Preset("burst", cfg.Horizon)
-	if err != nil {
+	var err error
+	if cfg.Scenario, err = scenario.Preset("burst", cfg.Horizon); err != nil {
 		t.Fatal(err)
 	}
-	job := session.Job{Config: cfg, Scenario: sc, Reps: 6}
+	job := session.Job{Config: cfg, Reps: 6}
 
 	ref := session.New()
 	defer ref.Close()

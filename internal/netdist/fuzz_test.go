@@ -22,6 +22,8 @@ func FuzzJobSpec(f *testing.F) {
 		`{"preset":"burst","nodes":-3}`,
 		`{"preset":"burst","load":-3}`,
 		`{"preset":"burst","reps":-3}`,
+		fmt.Sprintf(`{"preset":"burst","horizon":100,"reps":%d}`, MaxJobReps+1),
+		`{"preset":"burst","horizon":100,"reps":1000000000}`,
 		`{"preset":"burst","parallelism":-3}`,
 		fmt.Sprintf(`{"horizon":10,"nodes":%d,"reps":1}`, system.MaxNodes+1),
 		`{"preset":"burst","spec":{"name":"x"},"horizon":100}`,
@@ -51,18 +53,19 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cfg, job, err := buildJob(spec)
+		job, err := buildJob(spec)
 		if err != nil {
 			return
 		}
+		cfg := job.Config
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("accepted spec %+v fails Validate: %v", spec, err)
 		}
 		if cfg.Nodes > system.MaxNodes {
 			t.Fatalf("accepted spec has %d nodes, limit %d", cfg.Nodes, system.MaxNodes)
 		}
-		if job.Reps < 0 {
-			t.Fatalf("accepted spec has %d reps", job.Reps)
+		if job.Reps < 0 || job.Reps > MaxJobReps {
+			t.Fatalf("accepted spec has %d reps, limit %d", job.Reps, MaxJobReps)
 		}
 		if _, err := distrib.ToWire(cfg); err != nil {
 			t.Fatalf("accepted spec %+v does not encode: %v", spec, err)

@@ -204,8 +204,13 @@ type JobSpec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// buildJob translates a spec into a runnable configuration and job.
-func buildJob(spec JobSpec) (system.Config, session.Job, error) {
+// MaxJobReps bounds a /run request's replication count. A job lists its
+// seeds up front, so an unbounded count would let one small request
+// allocate without limit; ten thousand is far above any study here.
+const MaxJobReps = 10000
+
+// buildJob translates a spec into a runnable job.
+func buildJob(spec JobSpec) (session.Job, error) {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -217,8 +222,11 @@ func buildJob(spec JobSpec) (system.Config, session.Job, error) {
 		{"parallelism", float64(spec.Parallelism)},
 	} {
 		if f.v < 0 {
-			return system.Config{}, session.Job{}, fmt.Errorf("%s = %v, want >= 0 (0 takes the default)", f.name, f.v)
+			return session.Job{}, fmt.Errorf("%s = %v, want >= 0 (0 takes the default)", f.name, f.v)
 		}
+	}
+	if spec.Reps > MaxJobReps {
+		return session.Job{}, fmt.Errorf("reps = %d, limit %d", spec.Reps, MaxJobReps)
 	}
 	cfg := system.Baseline()
 	if spec.Horizon > 0 {
@@ -240,7 +248,7 @@ func buildJob(spec JobSpec) (system.Config, session.Job, error) {
 		cfg.Seed = spec.Seed
 	}
 	if spec.Preset != "" && spec.Spec != nil {
-		return system.Config{}, session.Job{}, errors.New("use preset or spec, not both")
+		return session.Job{}, errors.New("use preset or spec, not both")
 	}
 	var sc *scenario.Scenario
 	var err error
@@ -251,15 +259,15 @@ func buildJob(spec JobSpec) (system.Config, session.Job, error) {
 		sc, err = scenario.New(*spec.Spec)
 	}
 	if err != nil {
-		return system.Config{}, session.Job{}, err
+		return session.Job{}, err
 	}
 	cfg.Scenario = sc
 	// Reject what no replication could run before the request reaches a
 	// session: an invalid spec costs one error line, not a job.
 	if err := cfg.Validate(); err != nil {
-		return system.Config{}, session.Job{}, err
+		return session.Job{}, err
 	}
-	return cfg, session.Job{Config: cfg, Reps: spec.Reps}, nil
+	return session.Job{Config: cfg, Reps: spec.Reps}, nil
 }
 
 // Handler returns the service's HTTP mux:
@@ -325,12 +333,12 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	cfg, job, err := buildJob(spec)
+	job, err := buildJob(spec)
 	if err != nil {
 		http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	fp, err := distrib.ConfigFingerprint(cfg)
+	fp, err := distrib.ConfigFingerprint(job.Config)
 	if err != nil {
 		http.Error(w, "bad job spec: "+err.Error(), http.StatusBadRequest)
 		return

@@ -166,6 +166,7 @@ func TestServiceBadRequests(t *testing.T) {
 		{"unknown preset", `{"preset":"nope","horizon":100}`, "", http.StatusBadRequest},
 		{"preset and spec", `{"preset":"burst","spec":{"name":"x"},"horizon":100}`, "", http.StatusBadRequest},
 		{"negative reps", `{"preset":"burst","horizon":100,"reps":-1}`, "", http.StatusBadRequest},
+		{"reps beyond limit", fmt.Sprintf(`{"preset":"burst","horizon":100,"reps":%d}`, MaxJobReps+1), "", http.StatusBadRequest},
 		{"bad format", `{"preset":"burst","horizon":100}`, "wat", http.StatusBadRequest},
 		{"csv without scenario", `{"horizon":100,"reps":1}`, "csv", http.StatusBadRequest},
 	}
@@ -192,6 +193,10 @@ func TestServiceBadRequests(t *testing.T) {
 		if code != http.StatusBadRequest || !strings.Contains(msg, field) {
 			t.Errorf("negative %s: status %d, body %q; want 400 naming the field", field, code, msg)
 		}
+	}
+	// Too many replications is rejected with the limit named.
+	if code, msg := postRun(t, ts.URL+"/run", `{"preset":"burst","horizon":100,"reps":1000000000}`); code != http.StatusBadRequest || !strings.Contains(msg, strconv.Itoa(MaxJobReps)) {
+		t.Errorf("reps 1e9: status %d, body %q; want 400 naming the limit %d", code, msg, MaxJobReps)
 	}
 	zeros := `{"preset":"burst","horizon":100,"nodes":0,"load":0,"reps":1,"parallelism":0}`
 	if code, body := postRun(t, ts.URL+"/run", zeros); code != http.StatusOK {

@@ -16,10 +16,10 @@ import (
 func TestTaskLifecycleZeroAlloc(t *testing.T) {
 	eng := sim.New()
 	pool := &task.Pool{}
-	n := newGroup(t, 1, GroupConfig{
+	g := newGroup(t, 1, GroupConfig{
 		Engine: eng,
 		OnDone: func(done *task.Task) { pool.Put(done) },
-	}).Node(0)
+	})
 
 	var seq uint64
 	lifecycle := func(count int) {
@@ -35,7 +35,7 @@ func TestTaskLifecycleZeroAlloc(t *testing.T) {
 			tk.Deadline = eng.Now() + 2
 			tk.FirmDeadline = tk.Deadline
 			tk.Seq = seq
-			n.Submit(tk)
+			g.Submit(0, tk)
 		}
 		eng.RunAll()
 	}

@@ -97,15 +97,6 @@ type GroupConfig struct {
 	Observer Observer
 }
 
-// NewGroup returns a configured group.
-func NewGroup(cfg GroupConfig) (*Group, error) {
-	g := &Group{}
-	if err := g.Configure(cfg); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // Configure (re)initializes the group for a new run, reusing the
 // backing arrays when the node count is unchanged. It must be called
 // after the engine is reset, because it registers the group's
@@ -152,15 +143,19 @@ func (g *Group) Configure(cfg GroupConfig) error {
 // Len returns the node count.
 func (g *Group) Len() int { return len(g.hot) }
 
-// Node returns a handle to the i'th node. Handles are built on demand:
-// the group keeps no per-node handle array, and every consumer on the
-// simulation path addresses nodes by index instead.
-func (g *Group) Node(i int) *Node { return &Node{g: g, idx: int32(i)} }
-
 // Totals is the sum of every node's lifecycle counters since Configure.
 type Totals struct {
-	Submitted, Served, Aborted, Preemptions uint64
-	// ReadyHWM is the deepest ready queue any node reached.
+	// Submitted counts tasks submitted. A preempted task re-queues
+	// without resubmitting, so Submitted >= Served + Aborted, with
+	// equality for runs that drain.
+	Submitted uint64
+	// Served counts tasks that completed service, Aborted those the
+	// tardy policy discarded, and Preemptions the suspensions of a
+	// running task (always zero on non-preemptive nodes).
+	Served, Aborted, Preemptions uint64
+	// ReadyHWM is the deepest ready queue (tasks waiting, excluding the
+	// one in service) any node reached — a pure function of the
+	// replication's event sequence.
 	ReadyHWM uint64
 }
 
@@ -189,8 +184,9 @@ func (g *Group) submitted(i int) int64 {
 	return n
 }
 
-// BusyTime returns node i's accumulated service time; see
-// Node.BusyTime.
+// BusyTime returns node i's accumulated service time (for utilization
+// = BusyTime/horizon). Time of a task currently in service counts only
+// once its service segment ends.
 func (g *Group) BusyTime(i int) float64 { return g.hot[i].busyTime }
 
 // Backlog returns the tasks in the system: every node's waiting tasks
@@ -318,7 +314,14 @@ func (g *Group) complete(idx int32) {
 	g.dispatch(i)
 }
 
-// SetSpeed changes node i's service speed factor; see Node.SetSpeed.
+// SetSpeed changes node i's service speed factor: demand is consumed
+// at speed work units per time unit, so a task with remaining demand w
+// finishes after w/speed. Speed 0 freezes the server (a transient
+// outage): the ready queue holds, a task in service is suspended in
+// place, and a later SetSpeed > 0 resumes it with its remaining demand
+// intact. Fractional speeds model degraded nodes (scenario fault
+// injection); BusyTime accrues only while the server actually serves.
+// It panics on a negative or NaN speed.
 func (g *Group) SetSpeed(i int, speed float64) {
 	if speed < 0 || math.IsNaN(speed) {
 		panic(fmt.Sprintf("node %d: SetSpeed(%v)", i, speed))

@@ -47,11 +47,11 @@ type nodeSig struct {
 func signature(g *Group, k int) []nodeSig {
 	out := make([]nodeSig, k)
 	for i := 0; i < k; i++ {
-		n := g.Node(i)
+		h := &g.hot[i]
 		out[i] = nodeSig{
-			served: n.Served(), aborted: n.Aborted(),
-			preempted: n.Preemptions(), submitted: n.Submitted(),
-			hwm: n.ReadyQueueHWM(), busy: n.BusyTime(), speed: n.Speed(),
+			served: int64(h.served), aborted: int64(h.aborted),
+			preempted: int64(h.preemptions), submitted: g.submitted(i),
+			hwm: int(h.readyHWM), busy: g.BusyTime(i), speed: h.speed,
 		}
 	}
 	return out
@@ -62,11 +62,7 @@ func configureBank(t *testing.T, eng *sim.Engine, g *Group, k int) *Group {
 	t.Helper()
 	cfg := GroupConfig{Engine: eng, Bank: edfBank(t, k), OnDone: func(*task.Task) {}}
 	if g == nil {
-		g2, err := NewGroup(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g2
+		g = &Group{}
 	}
 	if err := g.Configure(cfg); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func TestGroupRoutesCompletions(t *testing.T) {
 			Exec: float64(4 - i), Pex: float64(4 - i),
 			Deadline: 100, FirmDeadline: 100, Seq: uint64(i + 1),
 		}
-		g.Node(i).Submit(tk)
+		g.Submit(i, tk)
 	}
 	eng.RunAll()
 	if len(doneNodes) != 4 {
@@ -43,8 +43,8 @@ func TestGroupRoutesCompletions(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if g.Node(i).Served() != 1 {
-			t.Fatalf("node %d served %d, want 1", i, g.Node(i).Served())
+		if g.hot[i].served != 1 {
+			t.Fatalf("node %d served %d, want 1", i, g.hot[i].served)
 		}
 	}
 }
@@ -54,21 +54,21 @@ func TestGroupRoutesCompletions(t *testing.T) {
 func TestGroupConfigureReuses(t *testing.T) {
 	eng := sim.New()
 	bank := edfBank(t, 3)
-	g, err := NewGroup(GroupConfig{
+	g := &Group{}
+	if err := g.Configure(GroupConfig{
 		Engine: eng,
 		Bank:   bank,
 		OnDone: func(*task.Task) {},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	first := &g.hot[0]
 	tk := &task.Task{ID: 1, Class: task.Local, Stage: -1, Exec: 1, Pex: 1,
 		Deadline: 10, FirmDeadline: 10, Seq: 1}
-	g.Node(0).Submit(tk)
+	g.Submit(0, tk)
 	eng.RunAll()
-	if g.Node(0).Served() != 1 {
-		t.Fatalf("served %d before reconfigure, want 1", g.Node(0).Served())
+	if g.hot[0].served != 1 {
+		t.Fatalf("served %d before reconfigure, want 1", g.hot[0].served)
 	}
 
 	eng.Reset()
@@ -83,9 +83,9 @@ func TestGroupConfigureReuses(t *testing.T) {
 	if &g.hot[0] != first {
 		t.Fatal("Configure with an unchanged node count reallocated the backing array")
 	}
-	if g.Node(0).Served() != 0 || g.Node(0).Busy() || g.Node(0).Speed() != 1 {
+	if g.hot[0].served != 0 || g.hot[0].running != nil || g.hot[0].speed != 1 {
 		t.Fatalf("node state not reset: served=%d busy=%t speed=%v",
-			g.Node(0).Served(), g.Node(0).Busy(), g.Node(0).Speed())
+			g.hot[0].served, g.hot[0].running != nil, g.hot[0].speed)
 	}
 }
 
@@ -96,8 +96,8 @@ func TestGroupConfigValidation(t *testing.T) {
 	eng := sim.New()
 	bank := edfBank(t, 2)
 	done := func(*task.Task) {}
-	g, err := NewGroup(GroupConfig{Engine: eng, Bank: bank, OnDone: done})
-	if err != nil {
+	g := &Group{}
+	if err := g.Configure(GroupConfig{Engine: eng, Bank: bank, OnDone: done}); err != nil {
 		t.Fatal(err)
 	}
 	first := &g.hot[0]
@@ -149,7 +149,7 @@ func TestGroupLifecycleZeroAlloc64(t *testing.T) {
 			tk.Deadline = eng.Now() + 2
 			tk.FirmDeadline = tk.Deadline
 			tk.Seq = seq
-			g.Node(int(seq) % k).Submit(tk)
+			g.Submit(int(seq)%k, tk)
 		}
 		eng.RunAll()
 	}

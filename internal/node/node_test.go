@@ -53,14 +53,14 @@ func edfBank(t testing.TB, k int) *sched.Bank {
 func newGroup(t testing.TB, k int, cfg GroupConfig) *Group {
 	t.Helper()
 	cfg.Bank = edfBank(t, k)
-	g, err := NewGroup(cfg)
-	if err != nil {
+	g := &Group{}
+	if err := g.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-func newTestNode(t *testing.T, eng *sim.Engine, policy TardyPolicy) (*Node, *recorder) {
+func newTestNode(t *testing.T, eng *sim.Engine, policy TardyPolicy) (*Group, *recorder) {
 	t.Helper()
 	rec := &recorder{}
 	g := newGroup(t, 1, GroupConfig{
@@ -70,7 +70,7 @@ func newTestNode(t *testing.T, eng *sim.Engine, policy TardyPolicy) (*Node, *rec
 		OnAbort:  func(tk *task.Task) { rec.aborted = append(rec.aborted, tk) },
 		Observer: rec.observe,
 	})
-	return g.Node(0), rec
+	return g, rec
 }
 
 // after schedules fn to run delay time units from now on the engine's
@@ -96,8 +96,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewGroup(tt.cfg); err == nil {
-				t.Error("NewGroup succeeded, want error")
+			if err := new(Group).Configure(tt.cfg); err == nil {
+				t.Error("Configure succeeded, want error")
 			}
 		})
 	}
@@ -105,10 +105,10 @@ func TestConfigValidation(t *testing.T) {
 
 func TestSingleTaskLifecycle(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, NoAbort)
+	g, rec := newTestNode(t, eng, NoAbort)
 	tk := &task.Task{ID: 1, Exec: 2.5, Deadline: 10, Arrival: 0}
-	n.Submit(tk)
-	if !n.Busy() {
+	g.Submit(0, tk)
+	if g.hot[0].running == nil {
 		t.Fatal("node idle after submit")
 	}
 	eng.RunAll()
@@ -121,11 +121,11 @@ func TestSingleTaskLifecycle(t *testing.T) {
 	if tk.Missed() {
 		t.Error("task within deadline reported missed")
 	}
-	if n.Served() != 1 || n.Busy() {
-		t.Errorf("Served=%d Busy=%v", n.Served(), n.Busy())
+	if g.Totals().Served != 1 || g.hot[0].running != nil {
+		t.Errorf("Served=%d Busy=%v", g.Totals().Served, g.hot[0].running != nil)
 	}
-	if math.Abs(n.BusyTime()-2.5) > 1e-12 {
-		t.Errorf("BusyTime = %v, want 2.5", n.BusyTime())
+	if math.Abs(g.BusyTime(0)-2.5) > 1e-12 {
+		t.Errorf("BusyTime = %v, want 2.5", g.BusyTime(0))
 	}
 }
 
@@ -134,13 +134,13 @@ func TestNonPreemptiveEDFOrder(t *testing.T) {
 	// arriving later must wait (non-preemption), then queued tasks go in
 	// EDF order.
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, NoAbort)
+	g, rec := newTestNode(t, eng, NoAbort)
 	long := &task.Task{ID: 1, Seq: 1, Exec: 10, Deadline: 100}
 	urgent := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 5}
 	late := &task.Task{ID: 3, Seq: 3, Exec: 1, Deadline: 50}
-	n.Submit(long)
-	after(eng, 1, func() { urgent.Arrival = 1; n.Submit(urgent) })
-	after(eng, 2, func() { late.Arrival = 2; n.Submit(late) })
+	g.Submit(0, long)
+	after(eng, 1, func() { urgent.Arrival = 1; g.Submit(0, urgent) })
+	after(eng, 2, func() { late.Arrival = 2; g.Submit(0, late) })
 	eng.RunAll()
 	if len(rec.done) != 3 {
 		t.Fatalf("done = %d, want 3", len(rec.done))
@@ -161,13 +161,13 @@ func TestNonPreemptiveEDFOrder(t *testing.T) {
 
 func TestAbortAtDispatch(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, AbortAtDispatch)
+	g, rec := newTestNode(t, eng, AbortAtDispatch)
 	blocker := &task.Task{ID: 1, Seq: 1, Exec: 10, Deadline: 100}
 	doomed := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 5} // expires while blocker runs
 	alive := &task.Task{ID: 3, Seq: 3, Exec: 1, Deadline: 50}
-	n.Submit(blocker)
-	after(eng, 1, func() { n.Submit(doomed) })
-	after(eng, 2, func() { n.Submit(alive) })
+	g.Submit(0, blocker)
+	after(eng, 1, func() { g.Submit(0, doomed) })
+	after(eng, 2, func() { g.Submit(0, alive) })
 	eng.RunAll()
 	if len(rec.aborted) != 1 || rec.aborted[0].ID != 2 {
 		t.Fatalf("aborted = %v, want task 2 only", rec.aborted)
@@ -175,8 +175,8 @@ func TestAbortAtDispatch(t *testing.T) {
 	if len(rec.done) != 2 {
 		t.Fatalf("done = %d, want 2", len(rec.done))
 	}
-	if n.Aborted() != 1 {
-		t.Errorf("Aborted = %d, want 1", n.Aborted())
+	if g.Totals().Aborted != 1 {
+		t.Errorf("Aborted = %d, want 1", g.Totals().Aborted)
 	}
 	// The aborted task consumed no service: alive starts right at 10.
 	if rec.start(alive) != 10 {
@@ -186,15 +186,15 @@ func TestAbortAtDispatch(t *testing.T) {
 
 func TestAbortFirmUsesEndToEndDeadline(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, AbortFirm)
+	g, rec := newTestNode(t, eng, AbortFirm)
 	blocker := &task.Task{ID: 1, Seq: 1, Exec: 10, Deadline: 100, FirmDeadline: 100}
 	// Virtual deadline expires while the blocker runs, but the firm
 	// (end-to-end) deadline does not: the task must survive.
 	survivor := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 5, FirmDeadline: 50}
 	// Both deadlines expire: the task must be discarded.
 	doomed := &task.Task{ID: 3, Seq: 3, Exec: 1, Deadline: 5, FirmDeadline: 8}
-	n.Submit(blocker)
-	after(eng, 1, func() { n.Submit(survivor); n.Submit(doomed) })
+	g.Submit(0, blocker)
+	after(eng, 1, func() { g.Submit(0, survivor); g.Submit(0, doomed) })
 	eng.RunAll()
 
 	if len(rec.aborted) != 1 || rec.aborted[0].ID != 3 {
@@ -219,11 +219,11 @@ func containsID(tasks []*task.Task, id uint64) bool {
 
 func TestNoAbortRunsTardyTasks(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, NoAbort)
+	g, rec := newTestNode(t, eng, NoAbort)
 	blocker := &task.Task{ID: 1, Seq: 1, Exec: 10, Deadline: 100}
 	tardy := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 5}
-	n.Submit(blocker)
-	after(eng, 1, func() { n.Submit(tardy) })
+	g.Submit(0, blocker)
+	after(eng, 1, func() { g.Submit(0, tardy) })
 	eng.RunAll()
 	if len(rec.done) != 2 {
 		t.Fatalf("done = %d, want 2 (tardy task still runs)", len(rec.done))
@@ -235,16 +235,16 @@ func TestNoAbortRunsTardyTasks(t *testing.T) {
 
 func TestIdlePeriodBetweenArrivals(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, NoAbort)
+	g, rec := newTestNode(t, eng, NoAbort)
 	a := &task.Task{ID: 1, Exec: 1, Deadline: 10}
 	b := &task.Task{ID: 2, Exec: 1, Deadline: 20}
-	n.Submit(a)
-	after(eng, 5, func() { b.Arrival = 5; n.Submit(b) })
+	g.Submit(0, a)
+	after(eng, 5, func() { b.Arrival = 5; g.Submit(0, b) })
 	eng.RunAll()
 	if rec.start(b) != 5 {
 		t.Errorf("rec.start(b) = %v, want 5 (server idle in between)", rec.start(b))
 	}
-	if got := n.BusyTime(); math.Abs(got-2) > 1e-12 {
+	if got := g.BusyTime(0); math.Abs(got-2) > 1e-12 {
 		t.Errorf("BusyTime = %v, want 2", got)
 	}
 	if len(rec.done) != 2 {
@@ -255,18 +255,14 @@ func TestIdlePeriodBetweenArrivals(t *testing.T) {
 func TestSubmitSetsNodeID(t *testing.T) {
 	eng := sim.New()
 	g := newGroup(t, 4, GroupConfig{Engine: eng, OnDone: func(*task.Task) {}})
-	n := g.Node(3)
-	if n.ID() != 3 {
-		t.Fatalf("ID = %d, want its index 3", n.ID())
-	}
 	tk := &task.Task{ID: 1, Exec: 1, Deadline: 10, NodeID: -1}
-	n.Submit(tk)
-	if int(tk.NodeID) != n.ID() {
-		t.Errorf("NodeID = %d, want %d", tk.NodeID, n.ID())
+	g.Submit(3, tk)
+	if tk.NodeID != 3 {
+		t.Errorf("NodeID = %d, want the node's index 3", tk.NodeID)
 	}
 }
 
-func newPreemptiveNode(t *testing.T, eng *sim.Engine) (*Node, *recorder) {
+func newPreemptiveNode(t *testing.T, eng *sim.Engine) (*Group, *recorder) {
 	t.Helper()
 	rec := &recorder{}
 	g := newGroup(t, 1, GroupConfig{
@@ -274,16 +270,16 @@ func newPreemptiveNode(t *testing.T, eng *sim.Engine) (*Node, *recorder) {
 		OnDone:   func(tk *task.Task) { rec.done = append(rec.done, tk) },
 		Observer: rec.observe,
 	})
-	return g.Node(0), rec
+	return g, rec
 }
 
 func TestPreemptiveEDF(t *testing.T) {
 	eng := sim.New()
-	n, rec := newPreemptiveNode(t, eng)
+	g, rec := newPreemptiveNode(t, eng)
 	long := &task.Task{ID: 1, Seq: 1, Exec: 10, Deadline: 100}
 	urgent := &task.Task{ID: 2, Seq: 2, Exec: 2, Deadline: 6}
-	n.Submit(long)
-	after(eng, 3, func() { urgent.Arrival = 3; n.Submit(urgent) })
+	g.Submit(0, long)
+	after(eng, 3, func() { urgent.Arrival = 3; g.Submit(0, urgent) })
 	eng.RunAll()
 
 	// urgent preempts at t=3, runs 3..5; long resumes and finishes at
@@ -306,24 +302,24 @@ func TestPreemptiveEDF(t *testing.T) {
 	if rec.start(long) != 0 {
 		t.Errorf("rec.start(long) = %v, want first dispatch time 0", rec.start(long))
 	}
-	if n.Preemptions() != 1 {
-		t.Errorf("Preemptions = %d, want 1", n.Preemptions())
+	if g.Totals().Preemptions != 1 {
+		t.Errorf("Preemptions = %d, want 1", g.Totals().Preemptions)
 	}
-	if got := n.BusyTime(); math.Abs(got-12) > 1e-12 {
+	if got := g.BusyTime(0); math.Abs(got-12) > 1e-12 {
 		t.Errorf("BusyTime = %v, want 12 (no service lost or duplicated)", got)
 	}
 }
 
 func TestPreemptionSkippedForLaterDeadline(t *testing.T) {
 	eng := sim.New()
-	n, rec := newPreemptiveNode(t, eng)
+	g, rec := newPreemptiveNode(t, eng)
 	first := &task.Task{ID: 1, Seq: 1, Exec: 4, Deadline: 10}
 	later := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 50}
-	n.Submit(first)
-	after(eng, 1, func() { n.Submit(later) })
+	g.Submit(0, first)
+	after(eng, 1, func() { g.Submit(0, later) })
 	eng.RunAll()
-	if n.Preemptions() != 0 {
-		t.Errorf("Preemptions = %d, want 0 (later deadline must not preempt)", n.Preemptions())
+	if g.Totals().Preemptions != 0 {
+		t.Errorf("Preemptions = %d, want 0 (later deadline must not preempt)", g.Totals().Preemptions)
 	}
 	if rec.done[0] != first {
 		t.Error("first task should finish first")
@@ -337,13 +333,13 @@ func TestPreemptionSkippedForLaterDeadline(t *testing.T) {
 // restart it from scratch on its next dispatch.
 func TestPreemptionAtCompletionInstant(t *testing.T) {
 	eng := sim.New()
-	n, rec := newPreemptiveNode(t, eng)
+	g, rec := newPreemptiveNode(t, eng)
 	a := &task.Task{ID: 1, Seq: 1, Exec: 4, Deadline: 100}
 	urgent := &task.Task{ID: 2, Seq: 2, Exec: 1, Deadline: 10}
 	// Scheduled before a's completion event exists, so it fires first
 	// at t=4.
-	after(eng, 4, func() { urgent.Arrival = 4; n.Submit(urgent) })
-	n.Submit(a)
+	after(eng, 4, func() { urgent.Arrival = 4; g.Submit(0, urgent) })
+	g.Submit(0, a)
 	eng.RunAll()
 	if len(rec.done) != 2 || rec.done[0] != a || rec.done[1] != urgent {
 		var ids []uint64
@@ -358,10 +354,10 @@ func TestPreemptionAtCompletionInstant(t *testing.T) {
 	if urgent.Finish != 5 {
 		t.Errorf("urgent.Finish = %v, want 5", urgent.Finish)
 	}
-	if n.Preemptions() != 0 {
-		t.Errorf("Preemptions = %d, want 0", n.Preemptions())
+	if g.Totals().Preemptions != 0 {
+		t.Errorf("Preemptions = %d, want 0", g.Totals().Preemptions)
 	}
-	if got := n.BusyTime(); got != 5 {
+	if got := g.BusyTime(0); got != 5 {
 		t.Errorf("BusyTime = %v, want 5", got)
 	}
 }
@@ -369,20 +365,20 @@ func TestPreemptionAtCompletionInstant(t *testing.T) {
 func TestPreemptionChain(t *testing.T) {
 	// Successively more urgent arrivals nest preemptions.
 	eng := sim.New()
-	n, _ := newPreemptiveNode(t, eng)
+	g, _ := newPreemptiveNode(t, eng)
 	a := &task.Task{ID: 1, Seq: 1, Exec: 9, Deadline: 100}
 	b := &task.Task{ID: 2, Seq: 2, Exec: 5, Deadline: 50}
 	c := &task.Task{ID: 3, Seq: 3, Exec: 1, Deadline: 10}
-	n.Submit(a)
-	after(eng, 1, func() { n.Submit(b) })
-	after(eng, 2, func() { n.Submit(c) })
+	g.Submit(0, a)
+	after(eng, 1, func() { g.Submit(0, b) })
+	after(eng, 2, func() { g.Submit(0, c) })
 	eng.RunAll()
 	// c: 2..3. b: 1..2 then 3..7. a: 0..1 then 7..15.
 	if c.Finish != 3 || b.Finish != 7 || a.Finish != 15 {
 		t.Errorf("finish times = %v/%v/%v, want 3/7/15", c.Finish, b.Finish, a.Finish)
 	}
-	if n.Preemptions() != 2 {
-		t.Errorf("Preemptions = %d, want 2", n.Preemptions())
+	if g.Totals().Preemptions != 2 {
+		t.Errorf("Preemptions = %d, want 2", g.Totals().Preemptions)
 	}
 }
 

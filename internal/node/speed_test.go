@@ -14,11 +14,11 @@ func speedTask(id uint64, exec float64) *task.Task {
 
 func TestSlowdownStretchesService(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, NoAbort)
-	n.Submit(speedTask(1, 10))
+	g, rec := newTestNode(t, eng, NoAbort)
+	g.Submit(0, speedTask(1, 10))
 	// Halve the speed halfway through: 5 units of work done by t=5, the
 	// remaining 5 take 10 more time units.
-	after(eng, 5, func() { n.SetSpeed(0.5) })
+	after(eng, 5, func() { g.SetSpeed(0, 0.5) })
 	eng.RunAll()
 	if len(rec.done) != 1 {
 		t.Fatalf("done = %d tasks, want 1", len(rec.done))
@@ -26,18 +26,18 @@ func TestSlowdownStretchesService(t *testing.T) {
 	if got := rec.done[0].Finish; math.Abs(got-15) > 1e-9 {
 		t.Errorf("finish = %v, want 15", got)
 	}
-	if got := n.BusyTime(); math.Abs(got-15) > 1e-9 {
+	if got := g.BusyTime(0); math.Abs(got-15) > 1e-9 {
 		t.Errorf("busy time = %v, want 15 (wall-clock while serving)", got)
 	}
 }
 
 func TestFreezeSuspendsAndResumeCompletes(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, NoAbort)
-	n.Submit(speedTask(1, 10))
-	n.Submit(speedTask(2, 1)) // queued behind task 1
-	after(eng, 4, func() { n.SetSpeed(0) })
-	after(eng, 9, func() { n.SetSpeed(1) })
+	g, rec := newTestNode(t, eng, NoAbort)
+	g.Submit(0, speedTask(1, 10))
+	g.Submit(0, speedTask(2, 1)) // queued behind task 1
+	after(eng, 4, func() { g.SetSpeed(0, 0) })
+	after(eng, 9, func() { g.SetSpeed(0, 1) })
 	eng.RunAll()
 	if len(rec.done) != 2 {
 		t.Fatalf("done = %d tasks, want 2", len(rec.done))
@@ -51,24 +51,24 @@ func TestFreezeSuspendsAndResumeCompletes(t *testing.T) {
 		t.Errorf("task 2 finish = %v, want 16", got)
 	}
 	// The 5 frozen units are not busy time: 10 + 1 units of service.
-	if got := n.BusyTime(); math.Abs(got-11) > 1e-9 {
+	if got := g.BusyTime(0); math.Abs(got-11) > 1e-9 {
 		t.Errorf("busy time = %v, want 11 (outage excluded)", got)
 	}
 }
 
 func TestFreezeHoldsQueueOnIdleNode(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, NoAbort)
-	n.SetSpeed(0)
-	n.Submit(speedTask(1, 2))
+	g, rec := newTestNode(t, eng, NoAbort)
+	g.SetSpeed(0, 0)
+	g.Submit(0, speedTask(1, 2))
 	eng.RunAll()
 	if len(rec.done) != 0 {
 		t.Fatal("frozen node served a task")
 	}
-	if n.QueueLen() != 1 {
-		t.Fatalf("queue length = %d, want 1", n.QueueLen())
+	if g.bank.Len(0) != 1 {
+		t.Fatalf("queue length = %d, want 1", g.bank.Len(0))
 	}
-	n.SetSpeed(1)
+	g.SetSpeed(0, 1)
 	eng.RunAll()
 	if len(rec.done) != 1 {
 		t.Fatal("thawed node did not pick up the queued task")
@@ -80,21 +80,21 @@ func TestFreezeHoldsQueueOnIdleNode(t *testing.T) {
 
 func TestRedundantSetSpeedIsNoOp(t *testing.T) {
 	eng := sim.New()
-	n, rec := newTestNode(t, eng, NoAbort)
-	n.Submit(speedTask(1, 10))
-	after(eng, 3, func() { n.SetSpeed(1) }) // same speed: no resettle
+	g, rec := newTestNode(t, eng, NoAbort)
+	g.Submit(0, speedTask(1, 10))
+	after(eng, 3, func() { g.SetSpeed(0, 1) }) // same speed: no resettle
 	eng.RunAll()
 	if len(rec.done) != 1 || rec.done[0].Finish != 10 {
 		t.Fatalf("done = %+v, want one task finishing at 10", rec.done)
 	}
-	if got := n.Speed(); got != 1 {
+	if got := g.hot[0].speed; got != 1 {
 		t.Errorf("speed = %v, want 1", got)
 	}
 }
 
 func TestSetSpeedPanicsOnBadValues(t *testing.T) {
 	eng := sim.New()
-	n, _ := newTestNode(t, eng, NoAbort)
+	g, _ := newTestNode(t, eng, NoAbort)
 	for _, s := range []float64{-0.5, math.NaN()} {
 		func() {
 			defer func() {
@@ -102,7 +102,7 @@ func TestSetSpeedPanicsOnBadValues(t *testing.T) {
 					t.Errorf("SetSpeed(%v) did not panic", s)
 				}
 			}()
-			n.SetSpeed(s)
+			g.SetSpeed(0, s)
 		}()
 	}
 }

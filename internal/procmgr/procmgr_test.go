@@ -79,8 +79,8 @@ func newNodes(t *testing.T, k int, cfg node.GroupConfig) *node.Group {
 	if err := cfg.Bank.Configure(k, sched.EDF, false, 4); err != nil {
 		t.Fatal(err)
 	}
-	g, err := node.NewGroup(cfg)
-	if err != nil {
+	g := &node.Group{}
+	if err := g.Configure(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return g

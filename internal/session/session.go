@@ -6,10 +6,12 @@
 // between calls: a pool of per-worker system.Workspaces (engine, task
 // pools, ready queues, node group, and reconfigurable workload sources),
 // leased to workers for the duration of a batch and returned afterwards.
-// A Job describes what to run — a configuration, an optional scenario,
-// and a replication count — and functional options (WithParallelism,
-// WithProgress, WithTrace) tune the run; the same options are accepted
-// by New (session-wide defaults) and by each call (per-run overrides).
+// A Job describes what to run — a configuration (which carries the
+// optional scenario and trace recorder) and a replication count — and
+// functional options (WithParallelism, WithProgress) tune the run; the
+// same options are accepted by New (session-wide defaults) and by each
+// call (per-run overrides). A scenario job's merged time series comes
+// from Result.MergedSeries.
 //
 // Every run method takes a context.Context, and cancellation is
 // deterministic-safe: replications are claimed in seed order and a
@@ -40,20 +42,18 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/system"
-	"repro/internal/trace"
 )
 
-// Job describes one unit of replicated simulation work: a configuration,
-// an optional scenario to drive it with, and the number of independent
-// replications. Replication i runs with seed Config.Seed + i; a Reps of
-// zero means one replication.
+// Job describes one unit of replicated simulation work: a configuration
+// and the number of independent replications. Replication i runs with
+// seed Config.Seed + i; a Reps of zero means one replication.
 type Job struct {
 	// Config is the model configuration shared by every replication
-	// (Config.Seed seeds the first one).
+	// (Config.Seed seeds the first one). Config.Scenario makes every
+	// replication time-varying with per-window series metrics;
+	// Config.Trace records every replication's lifecycle events and
+	// forces the sequential path.
 	Config system.Config
-	// Scenario, when non-nil, makes every replication time-varying and
-	// attaches per-window series metrics; it overrides Config.Scenario.
-	Scenario *scenario.Scenario
 	// Reps is the replication count; 0 runs a single replication.
 	Reps int
 }
@@ -85,23 +85,10 @@ func (j Job) seeds() ([]uint64, error) {
 	return seedRange(j.Config.Seed, reps), nil
 }
 
-// config resolves the effective per-replication configuration.
-func (j Job) config(o options) system.Config {
-	cfg := j.Config
-	if j.Scenario != nil {
-		cfg.Scenario = j.Scenario
-	}
-	if o.trace != nil {
-		cfg.Trace = o.trace
-	}
-	return cfg
-}
-
 // options is the resolved option set of one call.
 type options struct {
 	parallelism int
 	progress    func(done, total int)
-	trace       *trace.Recorder
 }
 
 // Option configures a Session (as a default for every call) or a single
@@ -119,14 +106,8 @@ func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n
 // called concurrently from worker goroutines and must be safe for that.
 func WithProgress(fn func(done, total int)) Option { return func(o *options) { o.progress = fn } }
 
-// WithTrace attaches a lifecycle-event recorder to every replication.
-// A recorder is shared mutable state across replications, so tracing
-// forces the sequential path exactly as SimConfig.Trace always has.
-func WithTrace(rec *trace.Recorder) Option { return func(o *options) { o.trace = rec } }
-
-// Shard is the unit of work a Backend executes: one effective
-// configuration (scenario and trace already attached) and a run of
-// seeds, one replication per seed, results index-aligned with Seeds.
+// Shard is the unit of work a Backend executes: one configuration and a
+// run of seeds, one replication per seed, results index-aligned with Seeds.
 type Shard struct {
 	// Config is the per-replication configuration; Config.Seed is
 	// ignored in favour of Seeds[i].
@@ -256,7 +237,9 @@ func (p *Pool) Run(ctx context.Context, shard Shard) (ShardResult, error) {
 	}
 	run := runner.New(par)
 	metrics := make([]*system.Metrics, len(shard.Seeds))
-	leases := make([]*system.Workspace, run.Workers())
+	// The runner never starts more workers than there are seeds, so a
+	// huge requested parallelism costs no lease slots.
+	leases := make([]*system.Workspace, min(run.Workers(), len(shard.Seeds)))
 	defer func() {
 		for _, ws := range leases {
 			if ws != nil {
@@ -423,7 +406,7 @@ func (s *Session) Run(ctx context.Context, job Job, opts ...Option) (*Result, er
 		return nil, err
 	}
 	shard := Shard{
-		Config:      job.config(o),
+		Config:      job.Config,
 		Seeds:       seeds,
 		Parallelism: o.parallelism,
 	}

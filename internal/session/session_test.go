@@ -117,7 +117,9 @@ func TestStreamMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := Job{Config: cfg, Scenario: sc, Reps: 5}
+	scCfg := cfg
+	scCfg.Scenario = sc
+	job := Job{Config: scCfg, Reps: 5}
 
 	var wantCSV string
 	for _, par := range []int{1, 4} {
@@ -307,14 +309,17 @@ func TestRunOptionOverrides(t *testing.T) {
 	}
 }
 
-// TestWithTraceForcesSequential: a shared recorder must serialize the
-// batch, and the recorder sees every replication's events.
-func TestWithTraceForcesSequential(t *testing.T) {
+// TestTraceForcesSequential: a recorder on Config.Trace is shared by
+// every replication, so it must serialize the batch (under -race a
+// parallel batch would report the shared appends), and the recorder
+// sees every replication's events.
+func TestTraceForcesSequential(t *testing.T) {
 	cfg := shortCfg(600)
 	rec := trace.NewRecorder(0)
+	cfg.Trace = rec
 	s := New(WithParallelism(8))
 	defer s.Close()
-	if _, err := s.Run(context.Background(), Job{Config: cfg, Reps: 3}, WithTrace(rec)); err != nil {
+	if _, err := s.Run(context.Background(), Job{Config: cfg, Reps: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Events()) == 0 {
@@ -360,6 +365,29 @@ type countingBackend struct {
 func (b *countingBackend) Run(ctx context.Context, shard Shard) (ShardResult, error) {
 	b.shards++
 	return b.inner.Run(ctx, shard)
+}
+
+// TestPoolParallelismBeyondSeedsAllocatesNothing: a shard's requested
+// parallelism is only an upper bound, so asking for 1<<20 workers on a
+// two-seed shard must cost what two workers cost, not a per-worker
+// lease slot for every requested worker (8 MB of them).
+func TestPoolParallelismBeyondSeedsAllocatesNothing(t *testing.T) {
+	p := NewPool()
+	defer p.Close()
+	shard := Shard{Config: shortCfg(200), Seeds: []uint64{1, 2}, Parallelism: 2}
+	if _, err := p.Run(context.Background(), shard); err != nil {
+		t.Fatal(err) // warms two workspaces
+	}
+	shard.Parallelism = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := p.Run(context.Background(), shard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Fatalf("2 seeds at parallelism 1<<20 allocated %.2f MB, want under 2 MB", float64(got)/(1<<20))
+	}
 }
 
 // TestCustomBackendSeam runs a job through a wrapping backend and

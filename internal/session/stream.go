@@ -71,7 +71,7 @@ func (s *Session) Stream(ctx context.Context, job Job, opts ...Option) (*Stream,
 		done:  make(chan struct{}),
 	}
 	shard := Shard{
-		Config:      job.config(o),
+		Config:      job.Config,
 		Seeds:       seeds,
 		Parallelism: o.parallelism,
 	}

@@ -216,84 +216,6 @@ func TestPairedMeanCI(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(12) // overflow
-	if h.N() != 12 {
-		t.Errorf("N = %d, want 12", h.N())
-	}
-	if got := h.Quantile(0.5); got < 4 || got > 7 {
-		t.Errorf("median = %v, want within [4,7]", got)
-	}
-	if s := h.String(); len(s) == 0 {
-		t.Error("String() empty")
-	}
-}
-
-func TestHistogramMergeMatchesPooled(t *testing.T) {
-	a := NewHistogram(0, 10, 10)
-	b := NewHistogram(0, 10, 10)
-	pooled := NewHistogram(0, 10, 10)
-	for i := 0; i < 40; i++ {
-		x := float64(i)*0.3 - 1 // spans underflow, bins, and overflow
-		target := a
-		if i%2 == 1 {
-			target = b
-		}
-		target.Add(x)
-		pooled.Add(x)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != pooled.N() {
-		t.Errorf("merged N = %d, want %d", a.N(), pooled.N())
-	}
-	if !almostEqual(a.Mean(), pooled.Mean(), 1e-12) {
-		t.Errorf("merged mean = %v, want %v", a.Mean(), pooled.Mean())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if got, want := a.Quantile(q), pooled.Quantile(q); got != want {
-			t.Errorf("merged Quantile(%v) = %v, want %v", q, got, want)
-		}
-	}
-	if a.String() != pooled.String() {
-		t.Error("merged bins differ from pooled bins")
-	}
-}
-
-func TestHistogramMergeRejectsMismatchedShape(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, o := range []*Histogram{
-		NewHistogram(0, 10, 5),
-		NewHistogram(0, 20, 10),
-		NewHistogram(-1, 10, 10),
-	} {
-		if err := h.Merge(o); err == nil {
-			t.Error("merged histograms with different shapes")
-		}
-	}
-	if h.N() != 0 {
-		t.Error("failed merge mutated the receiver")
-	}
-}
-
-func TestHistogramQuantileBounds(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0.1)
-	h.Add(0.9)
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Errorf("clamped low quantile mismatch: %v", got)
-	}
-	if got := h.Quantile(2); got != h.Quantile(1) {
-		t.Errorf("clamped high quantile mismatch: %v", got)
-	}
-}
-
 func TestFigureAccessors(t *testing.T) {
 	f := Figure{
 		ID: "fig2b",

@@ -1,8 +1,8 @@
 // Package stats provides the statistics collection used by the simulation
 // harness: numerically stable running moments (Welford), miss-ratio
 // counters, Student-t confidence intervals across replications, batch
-// means for single long runs, histograms, and the curve/figure containers
-// the experiment renderers consume.
+// means for single long runs, and the curve/figure containers the
+// experiment renderers consume.
 //
 // It replaces the statistics facilities of the DeNet simulation language
 // the paper's simulator was written in (see internal/sim).

@@ -37,6 +37,31 @@ func TestWorkspaceWarmReplicationAllocs64(t *testing.T) {
 	}
 }
 
+// TestWorkspaceWarmArtificialStagesAllocs: EQF-AS pads its pex vector on
+// every serial stage release, and a warm Table 1 replication under
+// EQF-AS2 must allocate no more than one under plain EQF — the padding
+// must not cost an allocation per release.
+func TestWorkspaceWarmArtificialStagesAllocs(t *testing.T) {
+	warmAllocs := func(ssp string) float64 {
+		cfg := Baseline()
+		cfg.Horizon = 2000
+		cfg.SSP = ssp
+		ws := NewWorkspace()
+		if _, err := RunWith(cfg, ws); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RunWith(cfg, ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	eqf, as := warmAllocs("EQF"), warmAllocs("EQF-AS2")
+	if as > eqf {
+		t.Fatalf("warm EQF-AS2 replication allocated %v times, EQF %v", as, eqf)
+	}
+}
+
 // TestWorkspaceWarmReplicationAllocs65536 pins the extreme-scale
 // memory-layout contract: at 65536 nodes a warm workspace re-runs a
 // replication without recreating any per-node object — the fleet's

@@ -94,7 +94,8 @@ type Config struct {
 	// Trace optionally records per-task lifecycle events (submit,
 	// dispatch, preempt, complete, abort) for debugging and analysis.
 	// Attach a trace.NewRecorder; nil disables tracing with zero
-	// overhead.
+	// overhead. A recorder is not safe for concurrent use, so a session
+	// runs a traced job's replications sequentially.
 	Trace *trace.Recorder
 }
 

@@ -261,15 +261,16 @@ func runGlobal(t *testing.T, c globalCase, reference bool) ([]string, rng.Source
 	r := rng.NewStream(3, "global")
 	var sigs []string
 	candidates := map[float64]bool{}
-	src, err := NewGlobalSource(eng, r, 6, GlobalParams{
+	src := &GlobalSource{}
+	src.Init(eng)
+	if err := src.Reconfigure(r, 6, GlobalParams{
 		Rate: rate, Shape: SerialShape{M: 4, MeanExec: 1},
 		SlackMin: 0.25, SlackMax: 2.5, RelFlex: 1, MeanLocalExec: 1,
 		Mod: c.mod, Horizon: c.horizon,
 	}, func(sp Spec) {
 		sigs = append(sigs, sp.Graph.String()+"|"+fmt.Sprint(sp.Arrival, sp.Deadline, sp.Slack))
 		candidates[sp.Arrival] = true
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var loop candidateLoop
@@ -372,12 +373,14 @@ func TestModulatorBoundsRejected(t *testing.T) {
 			if err == nil {
 				t.Error("LocalFleet.Configure accepted it")
 			}
-			_, err = NewGlobalSource(sim.New(), rng.New(1), 6, GlobalParams{
+			src := &GlobalSource{}
+			src.Init(sim.New())
+			err = src.Reconfigure(rng.New(1), 6, GlobalParams{
 				Rate: 0.5, Shape: SerialShape{M: 4, MeanExec: 1}, SlackMax: 1,
 				RelFlex: 1, MeanLocalExec: 1, Mod: c.mod, Horizon: c.horizon,
 			}, func(Spec) {})
 			if err == nil {
-				t.Error("NewGlobalSource accepted it")
+				t.Error("GlobalSource.Reconfigure accepted it")
 			}
 		})
 	}

@@ -56,21 +56,6 @@ type GlobalSource struct {
 	start  func(Spec)
 }
 
-// NewGlobalSource returns a generator; call Start to schedule the first
-// arrival. k is the node count (needed for placement).
-func NewGlobalSource(eng *sim.Engine, r *rng.Source, k int, params GlobalParams,
-	start func(Spec)) (*GlobalSource, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("workload: global source: nil engine")
-	}
-	s := &GlobalSource{}
-	s.Init(eng)
-	if err := s.Reconfigure(r, k, params, start); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // Init binds the source to its engine, once per source lifetime. It must
 // be followed by Reconfigure before Start, and re-issued if the source
 // value is moved.
@@ -79,9 +64,14 @@ func (s *GlobalSource) Init(eng *sim.Engine) {
 	s.arr.init(eng, s)
 }
 
-// validateGlobal checks the per-run inputs shared by construction and
-// reconfiguration.
-func validateGlobal(r *rng.Source, k int, params GlobalParams, start func(Spec)) error {
+// Reconfigure rebinds the source for a fresh replication in place — a
+// reseeded RNG stream, new parameters and start callback — reusing the
+// source object, its arrivals loop, and the loop's pre-allocated engine
+// handler. k is the node count (needed for placement). It must be
+// called after the engine driving the source was Reset and before
+// Start; a reconfigured source samples exactly the stream a freshly
+// initialised one would.
+func (s *GlobalSource) Reconfigure(r *rng.Source, k int, params GlobalParams, start func(Spec)) error {
 	if r == nil || start == nil {
 		return fmt.Errorf("workload: global source: nil dependency")
 	}
@@ -104,19 +94,6 @@ func validateGlobal(r *rng.Source, k int, params GlobalParams, start func(Spec))
 		return fmt.Errorf("workload: global source: %s shape built %d subtasks, want <= %d (MaxSubtasks)",
 			params.Shape.Name(), n, MaxSubtasks)
 	}
-	return nil
-}
-
-// Reconfigure rebinds the source for a fresh replication in place — a
-// reseeded RNG stream, new parameters and start callback — reusing the
-// source object, its arrivals loop, and the loop's pre-allocated engine
-// handler. It must be called after the engine driving the source was
-// Reset and before Start; a reconfigured source samples exactly the
-// stream a freshly constructed one would.
-func (s *GlobalSource) Reconfigure(r *rng.Source, k int, params GlobalParams, start func(Spec)) error {
-	if err := validateGlobal(r, k, params, start); err != nil {
-		return err
-	}
 	s.r, s.params, s.k, s.start = r, params, k, start
 	return s.arr.reconfigure(r, params.Rate, params.Mod, params.Horizon)
 }
@@ -128,8 +105,8 @@ func (s *GlobalSource) arrive() {
 	now := s.eng.Now()
 	g, err := buildPooled(s.params.Shape, s.r, s.k, s.params.GraphPool)
 	if err != nil {
-		// Construction was validated in NewGlobalSource; a failure here
-		// is a programming error in the shape.
+		// Reconfigure validated the shape; a failure here is a
+		// programming error in the shape.
 		panic(fmt.Sprintf("workload: shape build failed mid-run: %v", err))
 	}
 	scale := s.params.RelFlex * s.params.Shape.SlackScale(s.params.MeanLocalExec)

@@ -274,15 +274,16 @@ func TestGlobalSourceAttributes(t *testing.T) {
 	eng := sim.New()
 	r := rng.New(11)
 	var specs []Spec
-	src, err := NewGlobalSource(eng, r, 6, GlobalParams{
+	src := &GlobalSource{}
+	src.Init(eng)
+	if err := src.Reconfigure(r, 6, GlobalParams{
 		Rate:          0.5,
 		Shape:         SerialShape{M: 4, MeanExec: 1},
 		SlackMin:      0.25,
 		SlackMax:      2.5,
 		RelFlex:       1,
 		MeanLocalExec: 1,
-	}, func(sp Spec) { specs = append(specs, sp) })
-	if err != nil {
+	}, func(sp Spec) { specs = append(specs, sp) }); err != nil {
 		t.Fatal(err)
 	}
 	src.Start()
@@ -323,15 +324,16 @@ func TestGlobalSourceParallelDeadlineUsesMax(t *testing.T) {
 	eng := sim.New()
 	r := rng.New(12)
 	var specs []Spec
-	src, err := NewGlobalSource(eng, r, 6, GlobalParams{
+	src := &GlobalSource{}
+	src.Init(eng)
+	if err := src.Reconfigure(r, 6, GlobalParams{
 		Rate:          0.5,
 		Shape:         ParallelShape{M: 4, MeanExec: 1},
 		SlackMin:      1.25,
 		SlackMax:      5.0,
 		RelFlex:       1,
 		MeanLocalExec: 1,
-	}, func(sp Spec) { specs = append(specs, sp) })
-	if err != nil {
+	}, func(sp Spec) { specs = append(specs, sp) }); err != nil {
 		t.Fatal(err)
 	}
 	src.Start()
@@ -357,26 +359,27 @@ func TestGlobalSourceParallelDeadlineUsesMax(t *testing.T) {
 }
 
 func TestGlobalSourceValidation(t *testing.T) {
-	eng := sim.New()
+	src := &GlobalSource{}
+	src.Init(sim.New())
 	start := func(Spec) {}
 	okParams := GlobalParams{
 		Rate: 1, Shape: SerialShape{M: 2, MeanExec: 1},
 		SlackMin: 0, SlackMax: 1, RelFlex: 1, MeanLocalExec: 1,
 	}
-	if _, err := NewGlobalSource(nil, rng.New(1), 6, okParams, start); err == nil {
-		t.Error("nil engine accepted")
+	if err := src.Reconfigure(nil, 6, okParams, start); err == nil {
+		t.Error("nil stream accepted")
 	}
-	if _, err := NewGlobalSource(eng, rng.New(1), 6, okParams, nil); err == nil {
+	if err := src.Reconfigure(rng.New(1), 6, okParams, nil); err == nil {
 		t.Error("nil start accepted")
 	}
 	bad := okParams
 	bad.Shape = nil
-	if _, err := NewGlobalSource(eng, rng.New(1), 6, bad, start); err == nil {
+	if err := src.Reconfigure(rng.New(1), 6, bad, start); err == nil {
 		t.Error("nil shape accepted")
 	}
 	impossible := okParams
 	impossible.Shape = ParallelShape{M: 10, MeanExec: 1}
-	if _, err := NewGlobalSource(eng, rng.New(1), 6, impossible, start); err == nil {
+	if err := src.Reconfigure(rng.New(1), 6, impossible, start); err == nil {
 		t.Error("impossible shape accepted")
 	}
 }
@@ -402,7 +405,8 @@ func (s wideShape) Name() string             { return fmt.Sprintf("wide-%d", s.n
 // probe instance. Each is accepted at the bound.
 func TestSubtaskBound(t *testing.T) {
 	const max = MaxSubtasks
-	eng := sim.New()
+	src := &GlobalSource{}
+	src.Init(sim.New())
 	params := func(sh Shape) GlobalParams {
 		return GlobalParams{Rate: 1, Shape: sh, SlackMin: 0, SlackMax: 1, RelFlex: 1, MeanLocalExec: 1}
 	}
@@ -415,12 +419,12 @@ func TestSubtaskBound(t *testing.T) {
 		{MixedShape{Stages: []int{max - 3, 3}, MeanExec: 1}, MixedShape{Stages: []int{max - 3, 3, 1}, MeanExec: 1}},
 		{wideShape{n: max}, wideShape{n: max + 1}},
 	} {
-		if _, err := NewGlobalSource(eng, rng.New(1), 2*max, params(c.ok), func(Spec) {}); err != nil {
+		if err := src.Reconfigure(rng.New(1), 2*max, params(c.ok), func(Spec) {}); err != nil {
 			t.Errorf("%s: rejected an instance of MaxSubtasks: %v", c.ok.Name(), err)
 		}
-		_, err := NewGlobalSource(eng, rng.New(1), 2*max, params(c.over), func(Spec) {})
+		err := src.Reconfigure(rng.New(1), 2*max, params(c.over), func(Spec) {})
 		if err == nil || !strings.Contains(err.Error(), "MaxSubtasks") {
-			t.Errorf("%s: NewGlobalSource = %v, want a MaxSubtasks error", c.over.Name(), err)
+			t.Errorf("%s: Reconfigure = %v, want a MaxSubtasks error", c.over.Name(), err)
 		}
 		if _, ok := c.over.(wideShape); ok {
 			continue // only the probe can tell
@@ -529,9 +533,10 @@ func TestGlobalSourceReconfigureMatchesFresh(t *testing.T) {
 	fresh := func(seed uint64) []string {
 		eng := sim.New()
 		var sigs []string
-		src, err := NewGlobalSource(eng, rng.NewStream(seed, "global"), k, params,
-			func(sp Spec) { sigs = append(sigs, sig(sp)) })
-		if err != nil {
+		src := &GlobalSource{}
+		src.Init(eng)
+		if err := src.Reconfigure(rng.NewStream(seed, "global"), k, params,
+			func(sp Spec) { sigs = append(sigs, sig(sp)) }); err != nil {
 			t.Fatal(err)
 		}
 		src.Start()
@@ -542,19 +547,14 @@ func TestGlobalSourceReconfigureMatchesFresh(t *testing.T) {
 	eng := sim.New()
 	stream := rng.New(0)
 	hash := rng.StreamHash("global")
-	var src *GlobalSource
+	var src GlobalSource
+	src.Init(eng)
 	for _, seed := range []uint64{1, 2, 77} {
 		eng.Reset()
 		stream.ReseedStream(seed, hash)
 		var sigs []string
 		start := func(sp Spec) { sigs = append(sigs, sig(sp)) }
-		if src == nil {
-			var err error
-			src, err = NewGlobalSource(eng, stream, k, params, start)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else if err := src.Reconfigure(stream, k, params, start); err != nil {
+		if err := src.Reconfigure(stream, k, params, start); err != nil {
 			t.Fatal(err)
 		}
 		src.Start()

@@ -67,29 +67,22 @@ func TestPoolingBitIdenticalCombinedExperiment(t *testing.T) {
 func TestPoolingBitIdenticalBurstScenario(t *testing.T) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 15000
-	sc, err := ScenarioPreset("burst", cfg.Horizon)
-	if err != nil {
+	var err error
+	if cfg.Scenario, err = ScenarioPreset("burst", cfg.Horizon); err != nil {
 		t.Fatal(err)
 	}
-	const reps = 3
+	job := Job{Config: cfg, Reps: 3}
 	cold := NewSession(WithParallelism(1))
 	defer cold.Close()
-	ref, err := cold.RunScenario(context.Background(), cfg, sc, reps)
+	ref, err := cold.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := warmedSession(t, 4).RunScenario(context.Background(), cfg, sc, reps)
+	pooled, err := warmedSession(t, 4).Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pooledCSV, refCSV strings.Builder
-	if err := pooled.Series.WriteCSV(&pooledCSV); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Series.WriteCSV(&refCSV); err != nil {
-		t.Fatal(err)
-	}
-	if pooledCSV.String() != refCSV.String() {
+	if pooledCSV, refCSV := mergedCSV(t, pooled), mergedCSV(t, ref); pooledCSV != refCSV {
 		t.Fatal("burst scenario time-series CSV differs on warm workspaces")
 	}
 	if pooled.GlobalMD != ref.GlobalMD || pooled.LocalMD != ref.LocalMD {
@@ -157,4 +150,18 @@ func TestPooledRunnerRaceHammer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergedCSV renders res's merged scenario series as CSV.
+func mergedCSV(t *testing.T, res *RunResult) string {
+	t.Helper()
+	series, err := res.MergedSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := series.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

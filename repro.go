@@ -29,13 +29,18 @@
 // entry point owning a worker pool whose per-worker warm workspaces
 // (engine, task pools, ready queues, node group, and reconfigurable
 // workload sources) are created once and reused across every call. A
-// Job is the unit of work — a configuration, an optional scenario, and
-// a replication count — and functional options (WithParallelism,
-// WithProgress, WithTrace) tune the run:
+// Job is the unit of work — a configuration and a replication count —
+// and functional options (WithParallelism, WithProgress) tune the run.
+// The configuration is the one home of every run input:
+// SimConfig.Scenario attaches a scenario and SimConfig.Trace a
+// lifecycle recorder (which forces the sequential path):
 //
 //	sess := repro.NewSession(repro.WithParallelism(8))
 //	defer sess.Close()
-//	res, err := sess.Run(ctx, repro.Job{Config: repro.BaselineConfig(), Reps: 10})
+//	cfg := repro.BaselineConfig()
+//	cfg.Scenario, _ = repro.ScenarioPreset("burst", cfg.Horizon)
+//	res, err := sess.Run(ctx, repro.Job{Config: cfg, Reps: 10})
+//	series, err := res.MergedSeries()
 //
 // Every run method takes a context. Cancellation is deterministic-safe:
 // replications are claimed in seed order and never interrupted mid-run,
@@ -43,8 +48,9 @@
 // partial RunResult (marked Partial, listing exactly the seeds that
 // finished) alongside the context's error. Session.Stream delivers
 // per-replication results over a channel in seed order as workers
-// finish; Session.Experiment and Session.RunScenario run the paper
-// artifacts and scenario jobs on the same warm pool. The Backend
+// finish; Session.Experiment runs the paper artifacts on the same warm
+// pool, and RunResult.MergedSeries merges a scenario job's per-window
+// time series across replications in seed order. The Backend
 // interface (Run(ctx, Shard) (ShardResult, error)) is the seam a
 // distributed runner plugs into via NewSessionWithBackend.
 //
@@ -221,10 +227,6 @@ type ScenarioEvent = scenario.EventSpec
 // (miss ratios, lateness, queue lengths); it merges exactly across
 // replications and renders as CSV via WriteCSV.
 type ScenarioSeries = scenario.Series
-
-// ScenarioResult is a replicated scenario outcome: the merged series
-// plus per-replication metrics and miss-percentage estimates.
-type ScenarioResult = experiment.ScenarioResult
 
 // Demand distributions for ScenarioSpec / workload shapes. Nil means
 // the paper's exponential demands.

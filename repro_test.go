@@ -168,17 +168,22 @@ func TestScenarioFacade(t *testing.T) {
 	}
 	cfg := BaselineConfig()
 	cfg.Horizon = 3000
+	cfg.Scenario = sc
 	sess := NewSession()
 	defer sess.Close()
-	res, err := sess.RunScenario(context.Background(), cfg, sc, 2)
+	res, err := sess.Run(context.Background(), Job{Config: cfg, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Series.Len(); got != 6 {
+	series, err := res.MergedSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := series.Len(); got != 6 {
 		t.Errorf("series windows = %d, want 6", got)
 	}
 	var b strings.Builder
-	if err := res.Series.WriteCSV(&b); err != nil {
+	if err := series.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(b.String(), "t_start,t_end,") {

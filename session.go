@@ -20,9 +20,9 @@ import (
 // with deterministic seed-prefix partial results, a streaming surface,
 // and a pluggable Backend — the seam a distributed runner implements.
 
-// Job describes one run request: a configuration, an optional scenario,
-// and a replication count (0 means one). Replication i uses seed
-// Config.Seed + i.
+// Job describes one run request: a configuration and a replication
+// count (0 means one). Replication i uses seed Config.Seed + i. The
+// configuration carries the run's optional Scenario and Trace recorder.
 type Job = session.Job
 
 // RunOption configures a Session (as a call default) or one run.
@@ -64,10 +64,6 @@ func WithParallelism(n int) RunOption { return session.WithParallelism(n) }
 // WithProgress observes per-replication completion (fn may be called
 // concurrently from worker goroutines).
 func WithProgress(fn func(done, total int)) RunOption { return session.WithProgress(fn) }
-
-// WithTrace attaches a lifecycle recorder to every replication; tracing
-// forces the sequential path.
-func WithTrace(rec *TraceRecorder) RunOption { return session.WithTrace(rec) }
 
 // MetricsSnapshot is a point-in-time view of a session's runtime
 // metrics, returned by Session.Snapshot: engine counters accumulated
@@ -232,13 +228,4 @@ func (s *Session) Experiment(ctx context.Context, id string, o ExperimentOptions
 		return nil, err
 	}
 	return e.Run(ctx, s.Session, o)
-}
-
-// RunScenario executes a scenario job through this session and shapes
-// the outcome as a ScenarioResult (the merged-series result type the
-// scenario CLI prints). It requires reps > 0; run a scenario Job through
-// Session.Run directly for the Job semantics (0 means one replication,
-// partial results on cancellation).
-func (s *Session) RunScenario(ctx context.Context, cfg SimConfig, sc *Scenario, reps int, opts ...RunOption) (*ScenarioResult, error) {
-	return experiment.RunScenarioWith(ctx, s.Session, cfg, sc, reps, opts...)
 }
