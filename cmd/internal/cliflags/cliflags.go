@@ -2,7 +2,8 @@
 // CLIs (cmd/sdasim, cmd/sdascn, cmd/sdaserve): the worker-pool bound,
 // the execution backend, the topology override, and the profiling
 // switches — one registration, one validation, one profiling starter,
-// instead of each command repeating them.
+// instead of each command repeating them. The query service registers
+// only the backend flags (RegisterBackend).
 package cliflags
 
 import (
@@ -74,20 +75,16 @@ type Common struct {
 	CacheMB int
 }
 
-// Register installs the shared flags on fs and returns the value
-// holder; read it after fs.Parse.
+// Register installs the shared flags of a run command on fs — the
+// backend flags plus the worker-pool bound, the topology override, the
+// profiles, the progress meter and the metrics listener — and returns
+// the value holder; read it after fs.Parse.
 func Register(fs *flag.FlagSet) *Common {
-	c := &Common{}
+	c := RegisterBackend(fs)
 	fs.IntVar(&c.Parallel, "parallel", 0,
 		"worker-pool size: 0 = all cores, 1 = sequential (results are identical either way)")
 	fs.IntVar(&c.Nodes, "nodes", 0,
 		"override the node count k for every replication (default: the run's own setting, Table 1: 6)")
-	fs.StringVar(&c.Backend, "backend", "pool",
-		"execution backend: pool (in-process worker pool) or proc (multi-process shard workers; output is byte-identical)")
-	fs.IntVar(&c.Workers, "workers", 0,
-		"worker-process count for -backend proc (0 = default 2)")
-	fs.BoolVar(&c.ShardServer, "shard-server", false,
-		"serve as a shard-worker process on stdin/stdout and exit (spawned by -backend proc; not for interactive use)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "",
 		"write a CPU profile of the run to this file (inspect with `go tool pprof`)")
 	fs.StringVar(&c.MemProfile, "memprofile", "",
@@ -96,6 +93,21 @@ func Register(fs *flag.FlagSet) *Common {
 		"redraw a live progress line on stderr: completed/total, rate, and ETA")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "",
 		"serve /metrics (Prometheus text), /debug/pprof/* and /debug/vars on this address (e.g. 127.0.0.1:9090) for the duration of the run")
+	return c
+}
+
+// RegisterBackend installs only the execution-backend and worker-mode
+// flags on fs and returns the value holder. It serves a command whose
+// jobs carry their own node count and parallelism, such as the query
+// service.
+func RegisterBackend(fs *flag.FlagSet) *Common {
+	c := &Common{}
+	fs.StringVar(&c.Backend, "backend", "pool",
+		"execution backend: pool (in-process worker pool) or proc (multi-process shard workers; output is byte-identical)")
+	fs.IntVar(&c.Workers, "workers", 0,
+		"worker-process count for -backend proc (0 = default 2)")
+	fs.BoolVar(&c.ShardServer, "shard-server", false,
+		"serve as a shard-worker process on stdin/stdout and exit (spawned by -backend proc; not for interactive use)")
 	fs.StringVar(&c.Failpoints, "failpoints", "",
 		"arm fault-injection sites for a chaos run, e.g. 'seed=42;distrib/worker-loop=kill:p=0.05:max=1' (results stay byte-identical; see internal/failpoint)")
 	fs.DurationVar(&c.Heartbeat, "heartbeat", 0,

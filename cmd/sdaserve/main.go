@@ -24,7 +24,13 @@
 // A job spec looks like:
 //
 //	{"preset": "burst", "horizon": 20000, "nodes": 6,
-//	 "ssp": "LLF", "psp": "DIV-ED", "seed": 1, "reps": 8}
+//	 "ssp": "EQF", "psp": "DIV-1", "seed": 1, "reps": 8}
+//
+// A job carries its own node count and parallelism, and the service
+// serves its own /metrics, so sdaserve takes only the backend flags of
+// the simulation CLIs (-backend, -connect, -cache-mb, ...), not their
+// -parallel, -nodes, -progress, -cpuprofile, -memprofile or
+// -metrics-addr.
 //
 // Responses are a pure function of the spec: the same job answered
 // fresh, from cache, or by remote workers produces byte-identical
@@ -62,7 +68,7 @@ func main() {
 func run(ctx context.Context, args []string, errOut io.Writer, onReady func(addr string)) error {
 	fs := flag.NewFlagSet("sdaserve", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	common := cliflags.Register(fs)
+	common := cliflags.RegisterBackend(fs)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:9433", "HTTP listen address for the query service")
 		maxSessions = fs.Int("max-sessions", 0, "bound on per-configuration sessions (run counters) kept (0 = default 32)")

@@ -56,8 +56,13 @@ func post(t *testing.T, url, body string) (int, string) {
 	return resp.StatusCode, string(data)
 }
 
+// docSpec is the job spec shown in the package doc, verbatim.
+const docSpec = `{"preset": "burst", "horizon": 20000, "nodes": 6,
+ "ssp": "EQF", "psp": "DIV-1", "seed": 1, "reps": 8}`
+
 // TestServeRoundTrip: the CLI serves deterministic, cache-accelerated
-// queries end to end and shuts down cleanly on context cancellation.
+// queries end to end and shuts down cleanly on context cancellation;
+// the package doc's example spec is accepted.
 func TestServeRoundTrip(t *testing.T) {
 	base := startServe(t)
 
@@ -97,6 +102,10 @@ func TestServeRoundTrip(t *testing.T) {
 	if strings.Contains(string(metrics), "repro_cache_hits_total 0\n") {
 		t.Error("repro_cache_hits_total still 0 after a repeated run")
 	}
+
+	if code, body := post(t, base+"/run", docSpec); code != http.StatusOK {
+		t.Fatalf("package doc spec: status %d: %s", code, body)
+	}
 }
 
 // TestServeNoCache: -no-cache serves identical bytes without a cache
@@ -121,14 +130,30 @@ func TestServeNoCache(t *testing.T) {
 }
 
 // TestServeBadFlags: flag conflicts and undefined flags fail at
-// startup, not at first request.
+// startup, not at first request. The run-command flags that a service
+// would accept and ignore (a job carries its nodes and parallelism, and
+// the service serves its own /metrics) are undefined.
 func TestServeBadFlags(t *testing.T) {
 	err := run(context.Background(), []string{"-connect", "x:1", "-backend", "proc"}, io.Discard, nil)
 	if err == nil {
 		t.Fatal("-connect with -backend proc: err = nil, want error")
 	}
-	err = run(context.Background(), []string{"-queue", "heap"}, io.Discard, nil)
-	if err == nil || !strings.Contains(err.Error(), "not defined: -queue") {
-		t.Fatalf("-queue: err = %v, want an undefined-flag error", err)
+	// Cancelled, so a flag that parsed would make run return nil at once
+	// instead of serving.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-queue", "heap"},
+		{"-nodes", "-5"},
+		{"-parallel", "-3"},
+		{"-progress"},
+		{"-cpuprofile", "cpu.prof"},
+		{"-memprofile", "mem.prof"},
+		{"-metrics-addr", "127.0.0.1:0"},
+	} {
+		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, nil)
+		if err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
+			t.Errorf("%v: err = %v, want an undefined-flag error", args, err)
+		}
 	}
 }

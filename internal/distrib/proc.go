@@ -61,7 +61,8 @@ type ProcOptions struct {
 	// Workers is the number of worker processes; 0 means 2.
 	Workers int
 	// Command is the worker argv. Empty re-executes the current binary
-	// with -shard-server, which is the mode both CLIs serve.
+	// with -shard-server, which is the mode sdasim, sdascn and sdaserve
+	// all serve.
 	Command []string
 	// Env appends to the inherited environment of worker processes.
 	Env []string
@@ -769,12 +770,12 @@ func (b *ProcBackend) Run(ctx context.Context, shard session.Shard) (session.Sha
 					shard.OnResult(idxs[j], m)
 				}
 			}}
-		if _, ferr := pool.Run(ctx, fb); !isCancellation(ferr) {
+		if _, ferr := pool.Run(ctx, fb); !session.IsCancellation(ferr) {
 			r.failErr = ferr
 		}
 	}
 
-	if r.failErr != nil && !isCancellation(r.failErr) {
+	if r.failErr != nil && !session.IsCancellation(r.failErr) {
 		return session.ShardResult{}, r.failErr
 	}
 	if cerr := ctx.Err(); cerr != nil {
@@ -960,7 +961,7 @@ func (r *procRun) handle(ev runEvent) {
 	cs, err := d.cs, ev.err
 	delete(r.flying, d)
 	cs.running--
-	if isCancellation(err) && !r.halted && !cs.done {
+	if session.IsCancellation(err) && !r.halted && !cs.done {
 		// The run never asked for this cancel: the worker broke protocol.
 		err = fmt.Errorf("%w: worker %d cancelled dispatch %d unasked: %v", errWorkerDead, d.w.id, d.id, err)
 	}
@@ -980,7 +981,7 @@ func (r *procRun) handle(ev runEvent) {
 			r.b.retries++
 			r.b.mu.Unlock()
 		}
-	case isCancellation(err):
+	case session.IsCancellation(err):
 	case r.failErr == nil:
 		r.failErr = err
 		r.halt()

@@ -128,9 +128,9 @@ func (c Code) err(msg string) error {
 }
 
 // CanceledError is the coordinator-side image of a cancellation that
-// happened in a worker process. It unwraps to context.Canceled, so the
-// run layer's isCancellation test — errors.Is(err, context.Canceled) —
-// holds even though the cancelled context lived in another process.
+// happened in a worker process. It unwraps to context.Canceled, so
+// session.IsCancellation holds for it even though the cancelled context
+// lived in another process.
 type CanceledError struct{ Msg string }
 
 // Error implements error.
@@ -138,11 +138,6 @@ func (e *CanceledError) Error() string { return "distrib: worker canceled: " + e
 
 // Unwrap makes errors.Is(e, context.Canceled) true.
 func (e *CanceledError) Unwrap() error { return context.Canceled }
-
-// isCancellation mirrors the session package's test.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 // message is a frame payload: appendTo encodes it, and decode reverses
 // that through the shared bounded decoder.

@@ -123,7 +123,7 @@ func runWorkerShard(ctx context.Context, pool *session.Pool, fw *frameWriter, m 
 	// extra protocol round-trips.
 	done := doneMsg{ID: m.ID, Completed: res.Completed, Code: CodeOK, Pool: pool.PoolStats()}
 	switch {
-	case isCancellation(err):
+	case session.IsCancellation(err):
 		done.Code, done.Error = CodeCanceled, err.Error()
 	case err != nil:
 		done.Code, done.Completed, done.Error = CodeError, 0, err.Error()

@@ -54,7 +54,8 @@ type Options struct {
 	// Progress, when non-nil, is called after each completed sweep cell
 	// with the number of finished cells and the total. It may be called
 	// concurrently from worker goroutines and must be safe for that;
-	// ProgressPrinter returns a suitable implementation.
+	// obs.Progress (the facade's repro.ProgressPrinter) returns a
+	// suitable implementation.
 	Progress func(done, total int)
 	// Nodes, when positive, overrides Config.Nodes for every replication
 	// (the -nodes flag): the scaling knob for large-topology runs. It is

@@ -98,49 +98,3 @@ func TestSweepProgressReportsEveryCell(t *testing.T) {
 			calls, lastDone, lastTotal)
 	}
 }
-
-func TestProgressPrinterRendersMonotonically(t *testing.T) {
-	var b strings.Builder
-	p := ProgressPrinter(&b, "fig2b")
-	p(1, 3)
-	p(3, 3) // out-of-order completion: 3 lands before 2
-	p(2, 3)
-	out := b.String()
-	if !strings.Contains(out, "fig2b 1/3 cells") || !strings.Contains(out, "fig2b 3/3 cells") {
-		t.Errorf("printer output missing meter lines:\n%q", out)
-	}
-	if strings.Contains(out, "2/3") {
-		t.Errorf("printer moved backwards after completion:\n%q", out)
-	}
-	if !strings.HasSuffix(out, "\n") {
-		t.Errorf("printer did not finish the line at done == total:\n%q", out)
-	}
-}
-
-// TestProgressPrinterConcurrentUse hammers one printer from many
-// goroutines for the race detector.
-func TestProgressPrinterConcurrentUse(t *testing.T) {
-	p := ProgressPrinter(&syncWriter{}, "x")
-	const n = 64
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 1; i <= n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			p(i, n)
-		}(i)
-	}
-	wg.Wait()
-}
-
-type syncWriter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (w *syncWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.n += len(p)
-	return len(p), nil
-}

@@ -3,10 +3,8 @@ package experiment
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -216,34 +214,6 @@ func RenderJSON(f *stats.Figure) (string, error) {
 		return "", fmt.Errorf("experiment: marshal figure %s: %w", f.ID, err)
 	}
 	return string(data) + "\n", nil
-}
-
-// ProgressPrinter returns an Options.Progress callback that renders a
-// one-line carriage-return progress meter to w, prefixed with label, and
-// finishes the line once the last cell completes. The callback
-// serializes concurrent calls and tolerates out-of-order completion
-// counts from parallel sweeps (it never moves the meter backwards).
-//
-// A printer tracks a single sweep: once it has seen done == total it
-// stays finished, so construct a fresh printer per experiment run (as
-// cmd/sdasim does) rather than sharing one across runs.
-func ProgressPrinter(w io.Writer, label string) func(done, total int) {
-	var (
-		mu   sync.Mutex
-		best int
-	)
-	return func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if done < best {
-			return
-		}
-		best = done
-		fmt.Fprintf(w, "\r%s %d/%d cells", label, done, total)
-		if done >= total {
-			fmt.Fprintln(w)
-		}
-	}
 }
 
 // trimNum formats a float compactly.

@@ -150,7 +150,7 @@ func (c *Cache) Run(ctx context.Context, shard session.Shard) (session.ShardResu
 			sub.OnResult = func(j int, m *system.Metrics) { onResult(missIdx[j], m) }
 		}
 		res, err := c.inner.Run(ctx, sub)
-		if err != nil && !isCancellation(err) {
+		if err != nil && !session.IsCancellation(err) {
 			return session.ShardResult{}, err
 		}
 		runErr = err
@@ -268,9 +268,4 @@ func (c *Cache) CacheStats() obs.CacheStats {
 		Entries:   uint64(c.lru.Len()),
 		Bytes:     uint64(c.bytes),
 	}
-}
-
-// isCancellation mirrors the session package's test.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

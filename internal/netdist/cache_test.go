@@ -349,7 +349,7 @@ func TestCachedResultsStayIntact(t *testing.T) {
 	t.Cleanup(pool.Close)
 	rec := &configRecorder{inner: pool, byFP: make(map[string]system.Config)}
 	svc, ts := startService(t, ServiceOptions{Backend: rec})
-	c := svc.cache
+	c := svc.backend.(*Cache)
 	ctx := context.Background()
 
 	for _, url := range []string{"/run", "/run?format=csv", "/run", "/run?format=csv"} {

@@ -55,7 +55,6 @@ func (o ServiceOptions) maxSessions() int {
 type Service struct {
 	opts    ServiceOptions
 	backend session.Backend // what sessions run on (cache-wrapped unless disabled)
-	cache   *Cache          // nil when caching is disabled
 	ownPool *session.Pool   // set when no backend was provided
 
 	mu       sync.Mutex
@@ -87,11 +86,9 @@ func NewService(opts ServiceOptions) *Service {
 		s.ownPool = session.NewPool()
 		inner = s.ownPool
 	}
+	s.backend = inner
 	if opts.CacheBytes >= 0 {
-		s.cache = NewCache(inner, opts.CacheBytes)
-		s.backend = s.cache
-	} else {
-		s.backend = inner
+		s.backend = NewCache(inner, opts.CacheBytes)
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // nodeHot is the complete per-node record: the task in service (nil =
@@ -203,7 +204,7 @@ func (g *Group) Backlog() int {
 }
 
 // observe reports a lifecycle event if an observer is attached.
-func (g *Group) observe(ev ObserverEvent, t *task.Task) {
+func (g *Group) observe(ev trace.Kind, t *task.Task) {
 	if g.observer != nil {
 		g.observer(ev, g.eng.Now(), t)
 	}
@@ -217,7 +218,7 @@ func (g *Group) observe(ev ObserverEvent, t *task.Task) {
 func (g *Group) Submit(i int, t *task.Task) {
 	t.NodeID = int32(i)
 	h := &g.hot[i]
-	g.observe(ObserveSubmit, t)
+	g.observe(trace.Submit, t)
 	g.bank.Push(i, t)
 	if g.preemptive {
 		// A running task with no work left is completing at this very
@@ -248,7 +249,7 @@ func (g *Group) preempt(i int) {
 	}
 	h.preemptions++
 	h.running = nil
-	g.observe(ObservePreempt, cur)
+	g.observe(trace.Preempt, cur)
 	g.bank.Push(i, cur)
 }
 
@@ -269,7 +270,7 @@ func (g *Group) dispatch(i int) {
 		if g.shouldAbort(t, now) {
 			h.aborted++
 			t.Finish = now
-			g.observe(ObserveAbort, t)
+			g.observe(trace.Abort, t)
 			g.onAbort(t)
 			continue
 		}
@@ -279,7 +280,7 @@ func (g *Group) dispatch(i int) {
 		}
 		h.running = t
 		h.segmentStart = now
-		g.observe(ObserveDispatch, t)
+		g.observe(trace.Dispatch, t)
 		h.completion = g.eng.MustScheduleArg(t.Remaining/h.speed, g.completeCB, int32(i))
 		return
 	}
@@ -309,7 +310,7 @@ func (g *Group) complete(idx int32) {
 	h.running = nil
 	h.busyTime += now - h.segmentStart
 	h.served++
-	g.observe(ObserveComplete, t)
+	g.observe(trace.Complete, t)
 	g.onDone(t)
 	g.dispatch(i)
 }

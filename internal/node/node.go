@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // TardyPolicy selects what a node does with a task whose deadline has
@@ -53,23 +54,10 @@ func (p TardyPolicy) String() string {
 	}
 }
 
-// ObserverEvent is a lifecycle step reported to an Observer.
-type ObserverEvent int
-
-// Observer lifecycle steps.
-const (
-	// ObserveSubmit fires when a task enters the queue.
-	ObserveSubmit ObserverEvent = iota + 1
-	// ObserveDispatch fires when a task starts or resumes service.
-	ObserveDispatch
-	// ObservePreempt fires when a running task is suspended.
-	ObservePreempt
-	// ObserveComplete fires when a task finishes service.
-	ObserveComplete
-	// ObserveAbort fires when a tardy policy discards a task.
-	ObserveAbort
-)
-
 // Observer receives per-task lifecycle callbacks with the current
-// simulation time. Observers must not mutate the task.
-type Observer func(ev ObserverEvent, now float64, t *task.Task)
+// simulation time: trace.Submit when a task enters the queue,
+// trace.Dispatch when it starts or resumes service, trace.Preempt when
+// a running task is suspended, trace.Complete when it finishes service
+// and trace.Abort when a tardy policy discards it. Observers must not
+// mutate the task.
+type Observer func(ev trace.Kind, now float64, t *task.Task)

@@ -7,19 +7,20 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 type recorder struct {
 	done    []*task.Task
 	aborted []*task.Task
-	// starts holds each task's first ObserveDispatch time: the node
+	// starts holds each task's first trace.Dispatch time: the node
 	// keeps no start time on the task.
 	starts map[*task.Task]float64
 }
 
 // observe is the recorder's node Observer: it notes first dispatches.
-func (r *recorder) observe(ev ObserverEvent, now float64, t *task.Task) {
-	if ev != ObserveDispatch {
+func (r *recorder) observe(ev trace.Kind, now float64, t *task.Task) {
+	if ev != trace.Dispatch {
 		return
 	}
 	if r.starts == nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // harness wires an engine, k nodes and a manager the way the system
@@ -21,7 +22,7 @@ type harness struct {
 	mgr       *Manager
 	done      []Instance
 	completed []task.Task
-	// starts holds each task's first ObserveDispatch time by task ID.
+	// starts holds each task's first trace.Dispatch time by task ID.
 	starts map[uint64]float64
 	seq    uint64
 	id     uint64
@@ -45,8 +46,8 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 			}
 		}
 	}
-	first := func(ev node.ObserverEvent, now float64, tk *task.Task) {
-		if _, ok := h.starts[tk.ID]; ev == node.ObserveDispatch && !ok {
+	first := func(ev trace.Kind, now float64, tk *task.Task) {
+		if _, ok := h.starts[tk.ID]; ev == trace.Dispatch && !ok {
 			h.starts[tk.ID] = now
 		}
 	}

@@ -267,7 +267,7 @@ func (p *Pool) Run(ctx context.Context, shard Shard) (ShardResult, error) {
 		}
 		return nil
 	})
-	if err != nil && !isCancellation(err) {
+	if err != nil && !IsCancellation(err) {
 		// A replication failed: the shard has no usable prefix.
 		return ShardResult{}, err
 	}
@@ -416,7 +416,7 @@ func (s *Session) Run(ctx context.Context, job Job, opts ...Option) (*Result, er
 	finish := s.instrument(&shard)
 	res, err := s.backend.Run(ctx, shard)
 	finish()
-	if err != nil && !isCancellation(err) {
+	if err != nil && !IsCancellation(err) {
 		return nil, err
 	}
 	return aggregate(shard, res), err
@@ -543,10 +543,11 @@ func CollectBackendStats(b Backend, snap *obs.Snapshot) {
 	}
 }
 
-// isCancellation reports whether err is a context cancellation or
+// IsCancellation reports whether err is a context cancellation or
 // deadline rather than a run failure — the one error class that still
-// carries a valid (partial) result.
-func isCancellation(err error) bool {
+// carries a valid (partial) result. The distributed backends apply the
+// same test.
+func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 

@@ -126,7 +126,7 @@ func (s *Session) Stream(ctx context.Context, job Job, opts ...Option) (*Stream,
 		close(arrived)
 		<-emitDone // every emitted item precedes done
 
-		if rerr != nil && !isCancellation(rerr) {
+		if rerr != nil && !IsCancellation(rerr) {
 			// A replication failed. The backend disavows the shard, but
 			// items already emitted are irrevocably visible to the
 			// consumer, so the Items contract — concatenating item metrics

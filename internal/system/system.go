@@ -271,15 +271,8 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 	var observer node.Observer
 	if cfg.Trace != nil {
 		rec := cfg.Trace
-		kinds := map[node.ObserverEvent]trace.Kind{
-			node.ObserveSubmit:   trace.Submit,
-			node.ObserveDispatch: trace.Dispatch,
-			node.ObservePreempt:  trace.Preempt,
-			node.ObserveComplete: trace.Complete,
-			node.ObserveAbort:    trace.Abort,
-		}
-		observer = func(ev node.ObserverEvent, now float64, t *task.Task) {
-			rec.Record(trace.FromTask(kinds[ev], now, t))
+		observer = func(ev trace.Kind, now float64, t *task.Task) {
+			rec.Record(trace.FromTask(ev, now, t))
 		}
 	}
 

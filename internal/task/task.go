@@ -71,7 +71,7 @@ type Task struct {
 
 	// Finish records completion (or the discard time of an aborted
 	// task); filled by the node. Zero until then. The first-dispatch
-	// time is not kept: a node Observer sees it as ObserveDispatch.
+	// time is not kept: a node Observer sees it as trace.Dispatch.
 	Finish float64
 
 	// Remaining is the unserved demand, maintained by preemptive nodes

@@ -16,37 +16,27 @@ import (
 // working set is 4 MB of records touched one cache line per arrival,
 // with the shared half staying resident in L1.
 //
-// An unmodulated stream is a plain Poisson process: each arrival is one
-// engine event that emits the task and schedules the next arrival one
-// exponential gap later. A modulated stream is thinned inline (see
-// arrivals for the method): the loop that follows an arrival draws
-// peak-rate candidate gaps and their accept uniforms back to back until
-// one candidate is accepted, then schedules only that arrival, so a
-// rejected candidate costs two draws instead of an engine event. Every
-// stream still consumes exactly the draws, in exactly the order, of the
-// event-per-candidate generator; the equivalence is pinned by
-// TestFleetMatchesSources.
+// Every stream is paced by the fleet's one pacer, the same one that
+// paces the global stream: plain exponential gaps when unmodulated,
+// inline thinning when modulated.
 //
 // A LocalFleet is single-threaded, like the engine it feeds.
 type LocalFleet struct {
-	eng     *sim.Engine
+	pacer
 	cb      sim.Callback
 	fireFn  func(node int32) // f.fire, bound once in Init
 	streams []localStream
 
 	// Shared per-run parameters (see FleetParams).
-	meanExec  float64
-	slackMin  float64
-	slackMax  float64
-	maxFactor float64
-	horizon   float64 // thinning stops past it (modulated streams only)
-	pex       PexModel
-	demand    Demand
-	mod       RateModulator
-	pool      *task.Pool
-	submit    func(*task.Task)
-	nextID    func() uint64
-	nextSq    func() uint64
+	meanExec float64
+	slackMin float64
+	slackMax float64
+	pex      PexModel
+	demand   Demand
+	pool     *task.Pool
+	submit   func(*task.Task)
+	nextID   func() uint64
+	nextSq   func() uint64
 }
 
 // localStream is one node's arrival-process state: its RNG stream and
@@ -118,14 +108,14 @@ func (f *LocalFleet) Configure(n int, params FleetParams,
 	if err := ValidateDemand(params.Demand); err != nil {
 		return err
 	}
-	mf, err := peakFactor(params.Mod, params.Horizon)
+	p, err := newPacer(f.eng, params.Mod, params.Horizon)
 	if err != nil {
 		return err
 	}
-	f.maxFactor, f.horizon = mf, params.Horizon
+	f.pacer = p
 	f.meanExec = params.MeanExec
 	f.slackMin, f.slackMax = params.SlackMin, params.SlackMax
-	f.pex, f.demand, f.mod, f.pool = params.Pex, params.Demand, params.Mod, params.Pool
+	f.pex, f.demand, f.pool = params.Pex, params.Demand, params.Pool
 	f.nextID, f.nextSq, f.submit = nextID, nextSeq, submit
 	if len(f.streams) != n {
 		f.streams = make([]localStream, n)
@@ -156,7 +146,7 @@ func (f *LocalFleet) SeedNode(i int, rate float64, seed, hash uint64) error {
 func (f *LocalFleet) Start() {
 	for i := range f.streams {
 		if s := &f.streams[i]; s.peakMean > 0 {
-			f.schedule(s)
+			f.next(&s.r, s.peakMean, f.cb, s.node)
 		}
 	}
 }
@@ -166,37 +156,7 @@ func (f *LocalFleet) Start() {
 func (f *LocalFleet) fire(node int32) {
 	s := &f.streams[node]
 	f.arrive(s)
-	f.schedule(s)
-}
-
-// schedule queues the stream's next arrival: one gap ahead when
-// unmodulated, else the first candidate the thinning loop keeps.
-func (f *LocalFleet) schedule(s *localStream) {
-	if f.mod == nil {
-		f.eng.MustScheduleArg(s.r.Exponential(s.peakMean), f.cb, s.node)
-		return
-	}
-	f.thin(s, f.eng.Now())
-}
-
-// thin runs the thinning loop of a modulated stream from time t:
-// candidates follow one another by peak-rate gaps, each kept with
-// probability FactorAt/MaxFactor, and the first one kept becomes the
-// stream's pending event. t accumulates the gaps exactly as the engine
-// would sum now+gap, so every arrival lands on the float time an
-// event-per-candidate loop would give it. The loop ends at the horizon,
-// where no candidate could fire anyway.
-func (f *LocalFleet) thin(s *localStream, t float64) {
-	for {
-		t += s.r.Exponential(s.peakMean)
-		if t > f.horizon {
-			return
-		}
-		if thinAccept(f.mod, f.maxFactor, t, &s.r) {
-			mustCallAt(f.eng, t, f.cb, s.node)
-			return
-		}
-	}
+	f.next(&s.r, s.peakMean, f.cb, node)
 }
 
 // arrive emits one local task at the current time: demand, slack, then

@@ -27,7 +27,7 @@ type GlobalParams struct {
 	// bursts and ramps); nil keeps the stream stationary.
 	Mod RateModulator
 	// Horizon is the end of the run; a modulated stream thins no
-	// candidate past it (see arrivals), so it must be positive and
+	// candidate past it (see pacer), so it must be positive and
 	// finite when Mod is set. Unmodulated streams ignore it.
 	Horizon float64
 	// GraphPool optionally recycles instance-graph nodes across
@@ -48,29 +48,30 @@ type Spec struct {
 // GlobalSource generates the global-task stream. The zero value is
 // usable after Init + Reconfigure.
 type GlobalSource struct {
-	eng    *sim.Engine
-	r      *rng.Source
-	params GlobalParams
-	arr    arrivals
-	k      int
-	start  func(Spec)
+	pacer
+	r        *rng.Source
+	peakMean float64 // mean inter-candidate gap at the peak rate; 0 = silent
+	params   GlobalParams
+	k        int
+	start    func(Spec)
+	cb       sim.Callback
+	fireFn   func(int32) // s.fire, bound once in Init
 }
 
 // Init binds the source to its engine, once per source lifetime. It must
 // be followed by Reconfigure before Start, and re-issued if the source
 // value is moved.
 func (s *GlobalSource) Init(eng *sim.Engine) {
-	s.eng = eng
-	s.arr.init(eng, s)
+	s.eng, s.fireFn = eng, s.fire
 }
 
 // Reconfigure rebinds the source for a fresh replication in place — a
 // reseeded RNG stream, new parameters and start callback — reusing the
-// source object, its arrivals loop, and the loop's pre-allocated engine
-// handler. k is the node count (needed for placement). It must be
-// called after the engine driving the source was Reset and before
-// Start; a reconfigured source samples exactly the stream a freshly
-// initialised one would.
+// source object and its pre-bound engine handler, which it registers
+// anew (an engine Reset clears registrations). k is the node count
+// (needed for placement). It must be called after the engine driving
+// the source was Reset and before Start; a reconfigured source samples
+// exactly the stream a freshly initialised one would.
 func (s *GlobalSource) Reconfigure(r *rng.Source, k int, params GlobalParams, start func(Spec)) error {
 	if r == nil || start == nil {
 		return fmt.Errorf("workload: global source: nil dependency")
@@ -94,12 +95,33 @@ func (s *GlobalSource) Reconfigure(r *rng.Source, k int, params GlobalParams, st
 		return fmt.Errorf("workload: global source: %s shape built %d subtasks, want <= %d (MaxSubtasks)",
 			params.Shape.Name(), n, MaxSubtasks)
 	}
-	s.r, s.params, s.k, s.start = r, params, k, start
-	return s.arr.reconfigure(r, params.Rate, params.Mod, params.Horizon)
+	p, err := newPacer(s.eng, params.Mod, params.Horizon)
+	if err != nil {
+		return err
+	}
+	s.pacer, s.r, s.params, s.k, s.start = p, r, params, k, start
+	s.peakMean = 0
+	if params.Rate > 0 {
+		s.peakMean = 1 / (params.Rate * p.maxFactor)
+	}
+	s.cb = s.eng.RegisterArg(s.fireFn)
+	return nil
 }
 
 // Start schedules the first arrival. A zero rate generates nothing.
-func (s *GlobalSource) Start() { s.arr.start() }
+func (s *GlobalSource) Start() {
+	if s.peakMean > 0 {
+		s.next(s.r, s.peakMean, s.cb, 0)
+	}
+}
+
+// fire is the arrival handler: it emits the arrival the pending event
+// stands for and schedules the next one. The source's events carry no
+// argument.
+func (s *GlobalSource) fire(int32) {
+	s.arrive()
+	s.next(s.r, s.peakMean, s.cb, 0)
+}
 
 func (s *GlobalSource) arrive() {
 	now := s.eng.Now()

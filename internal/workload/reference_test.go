@@ -12,8 +12,13 @@ import (
 // This file holds the event-per-candidate reference generator: the
 // arrival loop as it was before thinning moved inline, where every
 // thinning candidate is an engine event that draws its accept uniform
-// when it fires. LocalFleet and the production arrivals loop must emit
-// exactly its tasks and leave every RNG stream in exactly its state.
+// when it fires. LocalFleet and GlobalSource, both paced inline, must
+// emit exactly its tasks and leave every RNG stream in exactly its
+// state.
+
+// arrivalOwner is the source behind a candidateLoop; accepted arrivals
+// call back into it.
+type arrivalOwner interface{ arrive() }
 
 // candidateLoop drives one source's arrivals with one engine event per
 // candidate. With a modulator, each candidate is kept with probability
@@ -28,13 +33,13 @@ type candidateLoop struct {
 	mod         RateModulator
 	owner       arrivalOwner
 	cb          sim.Callback
+	fireFn      func(int32) // a.candidate, bound once in init
 	onCandidate func(t float64)
 }
 
-func candidateHandler(p any) { p.(*candidateLoop).candidate() }
-
 func (a *candidateLoop) init(eng *sim.Engine, owner arrivalOwner) {
 	a.eng, a.owner = eng, owner
+	a.fireFn = a.candidate
 }
 
 func (a *candidateLoop) reconfigure(r *rng.Source, rate float64, mod RateModulator) error {
@@ -50,7 +55,7 @@ func (a *candidateLoop) reconfigure(r *rng.Source, rate float64, mod RateModulat
 	if rate > 0 {
 		a.peakMean = 1 / (rate * maxFactor)
 	}
-	a.cb = a.eng.Register(candidateHandler)
+	a.cb = a.eng.RegisterArg(a.fireFn)
 	return nil
 }
 
@@ -58,18 +63,19 @@ func (a *candidateLoop) start() {
 	if a.rate == 0 {
 		return
 	}
-	a.eng.MustScheduleCall(a.r.Exponential(a.peakMean), a.cb, a)
+	a.eng.MustScheduleArg(a.r.Exponential(a.peakMean), a.cb, 0)
 }
 
 // candidate fires one candidate arrival, thins it, and self-schedules.
-func (a *candidateLoop) candidate() {
+// Its events carry no argument.
+func (a *candidateLoop) candidate(int32) {
 	if a.onCandidate != nil {
 		a.onCandidate(a.eng.Now())
 	}
 	if a.accept() {
 		a.owner.arrive()
 	}
-	a.eng.MustScheduleCall(a.r.Exponential(a.peakMean), a.cb, a)
+	a.eng.MustScheduleArg(a.r.Exponential(a.peakMean), a.cb, 0)
 }
 
 // accept applies the thinning test at the current time.
@@ -111,7 +117,7 @@ type LocalParams struct {
 
 // LocalSource generates local tasks at one node, firing every thinning
 // candidate as an engine event. It is the reference LocalFleet and the
-// inline-thinning arrivals loop are checked against. The zero value is
+// inline-thinning pacer are checked against. The zero value is
 // usable after Init + Reconfigure.
 type LocalSource struct {
 	eng    *sim.Engine
@@ -140,8 +146,8 @@ func NewLocalSource(eng *sim.Engine, r *rng.Source, params LocalParams,
 
 // Init binds the source to its engine, once per source lifetime. It must
 // be followed by Reconfigure before Start. Init must be re-issued if the
-// source value is moved (it wires the internal arrivals loop back to the
-// source's address).
+// source value is moved (it wires the internal candidate loop back to
+// the source's address).
 func (s *LocalSource) Init(eng *sim.Engine) {
 	s.eng = eng
 	s.arr.init(eng, s)

@@ -69,6 +69,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/system"
@@ -287,11 +288,12 @@ type Experiment = experiment.Experiment
 type ExperimentOptions = experiment.Options
 
 // ProgressPrinter returns an ExperimentOptions.Progress callback that
-// renders a one-line progress meter to w, prefixed with label. A
-// printer tracks a single sweep; construct a fresh one per
-// Session.Experiment call.
+// repaints a one-line meter on w, prefixed with label: completed cells,
+// percentage, rate and ETA, finished with the elapsed time. It is the
+// meter the CLIs' -progress flag draws. A printer tracks a single
+// sweep; construct a fresh one per Session.Experiment call.
 func ProgressPrinter(w io.Writer, label string) func(done, total int) {
-	return experiment.ProgressPrinter(w, label)
+	return obs.Progress(w, label)
 }
 
 // ExperimentResult is a figure plus notes.

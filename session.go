@@ -117,9 +117,10 @@ type ProcBackend = distrib.ProcBackend
 
 // ProcBackendOptions configures NewProcBackend: worker-process count,
 // the worker argv (empty re-executes the current binary with
-// -shard-server — the mode both CLIs serve), sub-shard granularity,
-// worker stderr routing, and the supervision knobs (heartbeat interval,
-// liveness deadline, hedge threshold, respawn budget, retry backoff).
+// -shard-server, the mode sdasim, sdascn and sdaserve all serve), extra
+// worker environment, an optional dialer that replaces spawning, worker
+// stderr routing, and the supervision knobs (heartbeat interval,
+// liveness deadline, hedge threshold).
 type ProcBackendOptions = distrib.ProcOptions
 
 // NewProcBackend returns a multi-process backend; worker processes
@@ -208,10 +209,9 @@ func NewQueryService(opts QueryServiceOptions) *QueryService {
 
 // ConfigFingerprint is the cache and session key: a stable content hash
 // of every behavior-determining configuration knob except the seed — 32
-// hex characters of sha256 over a canonical, versioned (revision 4)
+// hex characters of sha256 over a canonical, versioned (revision 5)
 // binary encoding of the wire configuration. Identical configurations
-// collide across processes and recompilations; any knob change — even
-// to a setting with provably identical results, like the event queue —
+// collide across processes and recompilations; any encoded knob change
 // produces a different fingerprint. It fails with an error for
 // configurations that cannot cross a process boundary (an attached
 // trace recorder).
